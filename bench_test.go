@@ -220,6 +220,46 @@ func BenchmarkIngestBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkIngestSmallBatch measures the per-batch fixed cost of the
+// incremental path: a 3-click batch re-mines a handful of seeds, so what is
+// left is everything Ingest does regardless of batch size (snapshot
+// adoption, inventory-wide linking, delta apply). BenchmarkIngestBatch next
+// to it is dominated by mining. The default-scale world (skipped under
+// -short) shows how that fixed cost grows with the ontology.
+func BenchmarkIngestSmallBatch(b *testing.B) {
+	worlds := []string{"tiny"}
+	if !testing.Short() {
+		worlds = append(worlds, "default")
+	}
+	for _, world := range worlds {
+		b.Run("world="+world, func(b *testing.B) {
+			cfg := giant.TinyConfig()
+			if world == "default" {
+				cfg = giant.DefaultConfig()
+			}
+			cfg.Update = delta.Policy{EventTTL: 0, ConceptTTL: 0, TopicTTL: 0}
+			sys, err := giant.Build(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			// Rotate through the log three clicks at a time so successive
+			// iterations touch different clusters.
+			recs := sys.Log.Records
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				batch := delta.Batch{Day: 64}
+				for j := 0; j < 3; j++ {
+					r := recs[(3*i+j)%len(recs)]
+					batch.Clicks = append(batch.Clicks, delta.Click{Query: r.Query, DocID: r.DocID, Clicks: 1, Day: 64})
+				}
+				if _, _, err := sys.Ingest(batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkDeltaIngest measures the shard-parallel incremental-update
 // path: the same steady-state click batch through 1-shard Ingest versus
 // K-shard IngestSharded (shard-parallel delta compute, per-shard apply).

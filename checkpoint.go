@@ -99,18 +99,15 @@ func (sys *System) RestoreCheckpoint(snap *ontology.Snapshot, state []byte) erro
 			return fmt.Errorf("giant: restore checkpoint: record %d references unknown doc %d (corpus has %d)", i, id, nDocs)
 		}
 	}
-	adopted, err := ontology.FromSnapshot(snap)
-	if err != nil {
-		return fmt.Errorf("giant: restore checkpoint: adopt snapshot: %w", err)
-	}
 
 	sys.Log.Docs = append(sys.Log.Docs, st.Docs...)
 	for _, r := range st.Records {
 		sys.Click.Add(r.Query, r.DocID, sys.Log.Docs[r.DocID].Title, r.Clicks, r.Day)
 		sys.Log.Records = append(sys.Log.Records, r)
 	}
-	sys.Ontology = adopted
+	sys.Ontology = ontology.FromSnapshot(snap)
 	sys.Mined = st.Mined
+	sys.knownMined = nil // rebuilt from the restored records by the next ingest
 	sys.conceptContext = st.Context
 	if k := sys.Cfg.shards(); k > 1 {
 		// The suffix clicks may have bridged components; recompute the

@@ -136,6 +136,7 @@ type System struct {
 	Sharding *clickgraph.Sharding
 
 	conceptContext map[string][]string       // concept phrase -> top titles
+	knownMined     map[string]bool           // phrases Mined holds a record for (see knownMinedLocked)
 	sharded        *ontology.ShardedSnapshot // cached sharded projection of Ontology
 	shardedFrom    *ontology.Ontology        // the Ontology value sharded was derived from
 	ingestMu       sync.Mutex                // serializes System.Ingest/IngestSharded

@@ -49,9 +49,7 @@ func (sys *System) Ingest(batch delta.Batch) (*ontology.Snapshot, *delta.Delta, 
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := sys.adoptGenerationLocked(next, mined, d.Retire); err != nil {
-		return nil, nil, err
-	}
+	sys.adoptGenerationLocked(next, mined, d.Retire)
 	// The cached sharded projection (if any) no longer matches the union;
 	// the next ShardedSnapshot call re-derives it.
 	sys.sharded = nil
@@ -90,9 +88,7 @@ func (sys *System) IngestSharded(batch delta.Batch) (*ontology.ShardedSnapshot, 
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if err := sys.adoptGenerationLocked(next.Union(), mined, merged.Retire); err != nil {
-		return nil, nil, nil, err
-	}
+	sys.adoptGenerationLocked(next.Union(), mined, merged.Retire)
 	sys.sharded = next
 	sys.shardedFrom = sys.Ontology
 	return next, merged, touched, nil
@@ -193,26 +189,20 @@ func (sys *System) applyBatchLocked(batch delta.Batch) ([]string, int, error) {
 }
 
 // adoptGenerationLocked advances the system's working ontology to the
-// applied snapshot and refreshes the §4 application builders' bookkeeping
-// (taggers, story trees): concept contexts, newly mined attentions, and
-// retired records. The concept-context map is replaced copy-on-write —
-// maps handed out by ConceptContext (e.g. to request handlers in a serving
-// tier) are never mutated. Caller holds ingestMu.
-func (sys *System) adoptGenerationLocked(next *ontology.Snapshot, mined []core.Mined, retires []delta.Ref) error {
-	adopted, err := ontology.FromSnapshot(next)
-	if err != nil {
-		return fmt.Errorf("giant: ingest: adopt generation: %w", err)
-	}
-	sys.Ontology = adopted
+// applied snapshot (an O(1) adoption: the snapshot itself becomes the
+// system's current one) and refreshes the §4 application builders'
+// bookkeeping (taggers, story trees): concept contexts, newly mined
+// attentions, and retired records. The concept-context map is replaced
+// copy-on-write — maps handed out by ConceptContext (e.g. to request
+// handlers in a serving tier) are never mutated. Caller holds ingestMu.
+func (sys *System) adoptGenerationLocked(next *ontology.Snapshot, mined []core.Mined, retires []delta.Ref) {
+	sys.Ontology = ontology.FromSnapshot(next)
 
 	ctx := make(map[string][]string, len(sys.conceptContext)+len(mined))
 	for k, v := range sys.conceptContext {
 		ctx[k] = v
 	}
-	known := map[string]bool{}
-	for i := range sys.Mined {
-		known[sys.Mined[i].Phrase] = true
-	}
+	known := sys.knownMinedLocked()
 	for i := range mined {
 		m := &mined[i]
 		// Record under the CANONICAL node phrase: a mined phrase that
@@ -252,21 +242,41 @@ func (sys *System) adoptGenerationLocked(next *ontology.Snapshot, mined []core.M
 				retiredConcept[r.Phrase] = true
 			}
 		}
+		// The filter pass walks every record anyway, so the known set is
+		// rebuilt alongside it (a phrase stays known while a same-phrase
+		// record of the other type survives).
 		kept := sys.Mined[:0]
+		known = make(map[string]bool, len(sys.Mined))
 		for i := range sys.Mined {
 			m := &sys.Mined[i]
 			if (m.IsEvent && retiredEvent[m.Phrase]) || (!m.IsEvent && retiredConcept[m.Phrase]) {
 				continue
 			}
 			kept = append(kept, *m)
+			known[m.Phrase] = true
 		}
 		sys.Mined = kept
+		sys.knownMined = known
 		for p := range retiredConcept {
 			delete(ctx, p)
 		}
 	}
 	sys.conceptContext = ctx
-	return nil
+}
+
+// knownMinedLocked returns the set of phrases sys.Mined holds a record for,
+// which adoption keeps current as it appends and retires records. It is
+// (re)built from sys.Mined when absent — first ingest after a build — or
+// when sys.Mined was replaced wholesale behind its back (RestoreCheckpoint
+// drops it). Caller holds ingestMu.
+func (sys *System) knownMinedLocked() map[string]bool {
+	if sys.knownMined == nil {
+		sys.knownMined = make(map[string]bool, len(sys.Mined))
+		for i := range sys.Mined {
+			sys.knownMined[sys.Mined[i].Phrase] = true
+		}
+	}
+	return sys.knownMined
 }
 
 // updatePolicy resolves the effective incremental policy, defaulting the

@@ -104,11 +104,24 @@ func (m *Model) BuildGraph(queries, titles []string) *qtig.Graph {
 	return qtig.Build(qs, ts, m.Opt.Build)
 }
 
+// input prepares a query-doc cluster for the node classifier: its QTIG and
+// the featurized R-GCN input.
+func (m *Model) input(queries, titles []string) (*qtig.Graph, *rgcn.GraphData) {
+	g := m.BuildGraph(queries, titles)
+	return g, Featurize(g, m.Opt.Mask)
+}
+
+// sharesInput reports whether o prepares every cluster exactly as m does
+// (same lexicon, graph construction and feature mask), so that one input
+// can feed both models.
+func (m *Model) sharesInput(o *Model) bool {
+	return m.Lex == o.Lex && m.Opt.Build == o.Opt.Build && m.Opt.Mask == o.Opt.Mask
+}
+
 // graphForExample builds the (QTIG, featurized+labelled GraphData) pair for
 // one mining example.
 func (m *Model) graphForExample(ex *synth.MiningExample) (*qtig.Graph, *rgcn.GraphData) {
-	g := m.BuildGraph(ex.Queries, ex.Titles)
-	data := Featurize(g, m.Opt.Mask)
+	g, data := m.input(ex.Queries, ex.Titles)
 	if m.Classes == 2 {
 		data.Labels = g.LabelNodes(ex.GoldTokens)
 	} else {
@@ -145,8 +158,11 @@ func (m *Model) Train(examples []synth.MiningExample) {
 // nodes, then ATSP-order the positives into a phrase. Returns "" when no
 // node is positive and fallback is disabled.
 func (m *Model) ExtractPhrase(queries, titles []string) string {
-	g := m.BuildGraph(queries, titles)
-	data := Featurize(g, m.Opt.Mask)
+	return m.phraseFrom(m.input(queries, titles))
+}
+
+// phraseFrom is ExtractPhrase over an already prepared cluster input.
+func (m *Model) phraseFrom(g *qtig.Graph, data *rgcn.GraphData) string {
 	probs := m.R.PredictProbs(data)
 	positive := m.positiveNodes(g, probs)
 	if len(positive) == 0 {
@@ -213,8 +229,11 @@ func (m *Model) ExtractFromExample(ex *synth.MiningExample) string {
 // KeyElements classifies each node of the cluster's QTIG into key-element
 // classes, returning token → class (specials omitted).
 func (m *Model) KeyElements(queries, titles []string) map[string]synth.KeyClass {
-	g := m.BuildGraph(queries, titles)
-	data := Featurize(g, m.Opt.Mask)
+	return m.keyElementsFrom(m.input(queries, titles))
+}
+
+// keyElementsFrom is KeyElements over an already prepared cluster input.
+func (m *Model) keyElementsFrom(g *qtig.Graph, data *rgcn.GraphData) map[string]synth.KeyClass {
 	pred := m.R.Predict(data)
 	out := make(map[string]synth.KeyClass, len(g.Nodes))
 	for v, node := range g.Nodes {

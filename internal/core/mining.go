@@ -8,6 +8,8 @@ import (
 	"giant/internal/nlp"
 	"giant/internal/par"
 	"giant/internal/phrase"
+	"giant/internal/qtig"
+	"giant/internal/rgcn"
 	"giant/internal/synth"
 )
 
@@ -98,7 +100,10 @@ func (m *Miner) mineCluster(g *clickgraph.Graph, cl *clickgraph.Cluster) *cand {
 	if len(queries) == 0 || len(titles) == 0 {
 		return nil
 	}
-	p := m.Phrase.ExtractPhrase(queries, titles)
+	// The cluster is annotated and featurized once; the key-element pass of
+	// an event cluster reads the same input.
+	qg, data := m.Phrase.input(queries, titles)
+	p := m.Phrase.phraseFrom(qg, data)
 	if p == "" {
 		return nil
 	}
@@ -106,7 +111,7 @@ func (m *Miner) mineCluster(g *clickgraph.Graph, cl *clickgraph.Cluster) *cand {
 		Phrase: p, Seed: cl.Seed, Day: day,
 		Queries: queries, Titles: titles, DocIDs: docIDs,
 	}
-	m.classify(&mined)
+	m.classify(&mined, qg, data)
 	return &cand{mined, g.TopTitlesFor(cl.Seed, 5)}
 }
 
@@ -241,8 +246,10 @@ func (m *Miner) normalize(cands []cand) []Mined {
 
 // classify decides concept-vs-event for a mined phrase and, for events,
 // recognizes key elements with the 4-class model. A phrase is an event when
-// it contains a non-stop verb (trigger) — concepts are noun phrases.
-func (m *Miner) classify(mined *Mined) {
+// it contains a non-stop verb (trigger) — concepts are noun phrases. g and
+// data are the cluster input the phrase model prepared; the key-element
+// model reuses it unless it is configured to prepare clusters differently.
+func (m *Miner) classify(mined *Mined, g *qtig.Graph, data *rgcn.GraphData) {
 	toks := m.Lex.Annotate(mined.Phrase)
 	hasVerb := false
 	for _, t := range toks {
@@ -258,7 +265,10 @@ func (m *Miner) classify(mined *Mined) {
 	if m.Keys == nil {
 		return
 	}
-	classes := m.Keys.KeyElements(mined.Queries, mined.Titles)
+	if !m.Keys.sharesInput(m.Phrase) {
+		g, data = m.Keys.input(mined.Queries, mined.Titles)
+	}
+	classes := m.Keys.keyElementsFrom(g, data)
 	seenEnt := map[string]bool{}
 	var locToks []string
 	for _, t := range toks {

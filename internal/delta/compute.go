@@ -280,7 +280,10 @@ func derivePhase(cur *ontology.Snapshot, inv *inventories, day int, pol Policy, 
 			derived = phrase.CommonSuffixDiscovery(inv.allConcepts, pol.SuffixMinFreq, src.Lexicon)
 			return nil
 		},
-		func() error { containPairs = linking.ContainmentIsAEdges(inv.allEvents); return nil },
+		func() error {
+			containPairs = linking.ContainmentIsAEdgesTouching(inv.allEvents, inv.newEventSet)
+			return nil
+		},
 		func() error {
 			// Concept-topic involve: new concepts against the existing
 			// topic inventory (topic discovery itself — CPD — stays a
@@ -324,24 +327,21 @@ func derivePhase(cur *ontology.Snapshot, inv *inventories, day int, pol Policy, 
 	}
 
 	// Suffix isA among concepts and containment isA among events: only
-	// pairs involving a phrase from this batch are new.
-	for _, pr := range linking.SuffixIsAEdges(inv.allConcepts) {
-		if inv.newConceptSet[pr.Parent] || inv.newConceptSet[pr.Child] {
-			sink.emitEdge(EdgeAdd{
-				SrcType: ontology.Concept, Src: pr.Parent,
-				DstType: ontology.Concept, Dst: pr.Child,
-				Type: ontology.IsA, Weight: 1,
-			})
-		}
+	// pairs involving a phrase from this batch are new, so only those are
+	// asked for (a batch that adds no concept or event scans nothing).
+	for _, pr := range linking.SuffixIsAEdgesTouching(inv.allConcepts, inv.newConceptSet) {
+		sink.emitEdge(EdgeAdd{
+			SrcType: ontology.Concept, Src: pr.Parent,
+			DstType: ontology.Concept, Dst: pr.Child,
+			Type: ontology.IsA, Weight: 1,
+		})
 	}
 	for _, pr := range containPairs {
-		if inv.newEventSet[pr.Parent] || inv.newEventSet[pr.Child] {
-			sink.emitEdge(EdgeAdd{
-				SrcType: ontology.Event, Src: pr.Parent,
-				DstType: ontology.Event, Dst: pr.Child,
-				Type: ontology.IsA, Weight: 1,
-			})
-		}
+		sink.emitEdge(EdgeAdd{
+			SrcType: ontology.Event, Src: pr.Parent,
+			DstType: ontology.Event, Dst: pr.Child,
+			Type: ontology.IsA, Weight: 1,
+		})
 	}
 	for _, pr := range involvePairs {
 		sink.emitEdge(EdgeAdd{
@@ -419,16 +419,13 @@ func entityPhase(cur *ontology.Snapshot, nodes []minedNode, src Source, b *delta
 
 // ttlPhase applies TTL retirement: attention types decay when not
 // re-observed. Nodes touched or re-mined this batch are fresh by
-// definition. Verdicts are computed on the worker pool and emitted in
-// node-ID order.
-func ttlPhase(cur *ontology.Snapshot, touched map[string]bool, day int, pol Policy, sink deltaSink, workers int) {
-	nodes := cur.Nodes()
-	retire := make([]bool, len(nodes))
-	par.ForEachIndexed(workers, len(nodes), func(i int) {
-		n := &nodes[i]
+// definition. Retirements are emitted in node-ID order.
+func ttlPhase(cur *ontology.Snapshot, touched map[string]bool, day int, pol Policy, sink deltaSink) {
+	for i := 0; i < cur.Len(); i++ {
+		n := cur.At(ontology.NodeID(i))
 		ttl := pol.ttlFor(n.Type)
 		if ttl <= 0 || touched[refKey(n.Type, n.Phrase)] {
-			return
+			continue
 		}
 		last := n.FirstSeenDay
 		if n.LastSeenDay > last {
@@ -437,11 +434,8 @@ func ttlPhase(cur *ontology.Snapshot, touched map[string]bool, day int, pol Poli
 		if n.Type == ontology.Event && n.Day > last {
 			last = n.Day
 		}
-		retire[i] = day-last > ttl
-	})
-	for i := range nodes {
-		if retire[i] {
-			sink.emitRetire(Ref{Type: nodes[i].Type, Phrase: nodes[i].Phrase})
+		if day-last > ttl {
+			sink.emitRetire(Ref{Type: n.Type, Phrase: n.Phrase})
 		}
 	}
 }
@@ -459,7 +453,7 @@ func Compute(cur *ontology.Snapshot, mined []core.Mined, seeds []string, day int
 	categoryPhase(cur, cl.nodes, pol, src, b, w)
 	derivePhase(cur, buildInventories(cur, cl.nodes, cl.newSet), day, pol, src, builderSink{b}, w)
 	entityPhase(cur, cl.nodes, src, b, w)
-	ttlPhase(cur, cl.touched, day, pol, builderSink{b}, w)
+	ttlPhase(cur, cl.touched, day, pol, builderSink{b})
 	return b.d
 }
 

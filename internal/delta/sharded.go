@@ -156,7 +156,7 @@ func ComputeSharded(cur *ontology.Snapshot, mined []core.Mined, seeds []string, 
 
 	sink := routedSink{builders: builders, k: k}
 	derivePhase(cur, inv, day, pol, src, sink, workers)
-	ttlPhase(cur, unionTouched, day, pol, sink, workers)
+	ttlPhase(cur, unionTouched, day, pol, sink)
 
 	out := make([]*Delta, k)
 	for s := range builders {

@@ -63,6 +63,23 @@ type PhrasePair struct {
 // suffix of the other ("animated films" isA-parent of "famous animated
 // films").
 func SuffixIsAEdges(concepts []string) []PhrasePair {
+	return suffixPairs(concepts, nil)
+}
+
+// SuffixIsAEdgesTouching is SuffixIsAEdges restricted to the pairs with at
+// least one endpoint in fresh: exactly the elements of the full scan that
+// pass that filter, in the same order, and nothing at all for an empty
+// fresh set. The incremental path asks for a batch's new concepts only, so
+// an update that adds none pays nothing for the inventory.
+func SuffixIsAEdgesTouching(concepts []string, fresh map[string]bool) []PhrasePair {
+	if len(fresh) == 0 {
+		return nil
+	}
+	return suffixPairs(concepts, fresh)
+}
+
+// suffixPairs is the suffix scan; a nil fresh keeps every pair.
+func suffixPairs(concepts []string, fresh map[string]bool) []PhrasePair {
 	var out []PhrasePair
 	bySuffix := map[string][]string{}
 	set := map[string]bool{}
@@ -73,7 +90,7 @@ func SuffixIsAEdges(concepts []string) []PhrasePair {
 		toks := nlp.Tokenize(c)
 		for start := 1; start < len(toks); start++ {
 			suf := strings.Join(toks[start:], " ")
-			if set[suf] && suf != c {
+			if set[suf] && suf != c && (fresh == nil || fresh[suf] || fresh[c]) {
 				bySuffix[suf] = append(bySuffix[suf], c)
 			}
 		}
@@ -99,12 +116,36 @@ func SuffixIsAEdges(concepts []string) []PhrasePair {
 // indicates that they have isA relationship" — e.g. "Jay Chou will have a
 // concert" isA "have a concert").
 func ContainmentIsAEdges(phrases []string) []PhrasePair {
-	type tokset struct {
-		phrase string
-		toks   map[string]bool
-		n      int
+	return containmentPairs(phrases, nil)
+}
+
+// ContainmentIsAEdgesTouching is ContainmentIsAEdges restricted to the
+// pairs with at least one endpoint in fresh — the same elements in the same
+// order as filtering the full scan, without its all-pairs comparison:
+// only (fresh, any) pairs are ever compared, and an empty fresh set costs
+// nothing.
+func ContainmentIsAEdgesTouching(phrases []string, fresh map[string]bool) []PhrasePair {
+	if len(fresh) == 0 {
+		return nil
 	}
-	sets := make([]tokset, 0, len(phrases))
+	return containmentPairs(phrases, fresh)
+}
+
+// containmentPairs is the containment scan; a nil fresh keeps every pair.
+func containmentPairs(phrases []string, fresh map[string]bool) []PhrasePair {
+	// Positions whose phrase is fresh: every emitted pair has one of them
+	// as an endpoint.
+	var freshAt []int
+	for i, p := range phrases {
+		if fresh == nil || fresh[p] {
+			freshAt = append(freshAt, i)
+		}
+	}
+	if len(freshAt) == 0 {
+		return nil
+	}
+	// Per phrase, its set of non-stop tokens.
+	sets := make([]map[string]bool, 0, len(phrases))
 	for _, p := range phrases {
 		ts := map[string]bool{}
 		for _, t := range nlp.Tokenize(p) {
@@ -112,23 +153,29 @@ func ContainmentIsAEdges(phrases []string) []PhrasePair {
 				ts[t] = true
 			}
 		}
-		sets = append(sets, tokset{p, ts, len(ts)})
+		sets = append(sets, ts)
 	}
 	var out []PhrasePair
-	for i := range sets {
+	// emit appends parent i -> child j when i's token set is a non-empty,
+	// strictly smaller subset of j's.
+	emit := func(i, j int) {
+		if i == j || len(sets[i]) == 0 || len(sets[i]) >= len(sets[j]) {
+			return
+		}
+		for t := range sets[i] {
+			if !sets[j][t] {
+				return
+			}
+		}
+		out = append(out, PhrasePair{Parent: phrases[i], Child: phrases[j]})
+	}
+	for _, f := range freshAt {
 		for j := range sets {
-			if i == j || sets[i].n == 0 || sets[i].n >= sets[j].n {
-				continue
-			}
-			sub := true
-			for t := range sets[i].toks {
-				if !sets[j].toks[t] {
-					sub = false
-					break
-				}
-			}
-			if sub {
-				out = append(out, PhrasePair{Parent: sets[i].phrase, Child: sets[j].phrase})
+			emit(f, j)
+			// The reverse ordered pair, unless j is fresh too: then the
+			// outer loop reaches it as f.
+			if fresh != nil && !fresh[phrases[j]] {
+				emit(j, f)
 			}
 		}
 	}

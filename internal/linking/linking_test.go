@@ -1,6 +1,8 @@
 package linking
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -182,3 +184,112 @@ func TestEntityEmbedderSeparates(t *testing.T) {
 }
 
 func isInf(f float64) bool { return f > 1e300 }
+
+// filterTouching is the reference the restricted scans are pinned to: the
+// full scan's output, keeping the pairs with an endpoint in fresh.
+func filterTouching(full []PhrasePair, fresh map[string]bool) []PhrasePair {
+	var out []PhrasePair
+	for _, pr := range full {
+		if fresh[pr.Parent] || fresh[pr.Child] {
+			out = append(out, pr)
+		}
+	}
+	return out
+}
+
+func samePairs(a, b []PhrasePair) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestTouchingScansEqualFilteredFullScans is the property the incremental
+// path rests on: asking for the pairs that touch a fresh set returns the
+// full scan's pairs that pass the filter, element for element and in the
+// same order — over randomized inventories with duplicate phrases,
+// stop-word-only phrases, nested suffix/containment chains, and fresh sets
+// that are empty, everything, foreign, parents only or children only.
+func TestTouchingScansEqualFilteredFullScans(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	words := []string{"phones", "flagship", "budget", "cars", "family", "recall", "launch", "announcement", "concert", "jay", "chou", "have"}
+	stops := []string{"the", "a", "of", "in"}
+	phrase := func() string {
+		if rng.Intn(12) == 0 { // stop words only: an empty content-token set
+			return stops[rng.Intn(len(stops))] + " " + stops[rng.Intn(len(stops))]
+		}
+		n := 1 + rng.Intn(4)
+		toks := make([]string, 0, n+1)
+		for i := 0; i < n; i++ {
+			if rng.Intn(6) == 0 {
+				toks = append(toks, stops[rng.Intn(len(stops))])
+			}
+			toks = append(toks, words[rng.Intn(len(words))])
+		}
+		return strings.Join(toks, " ")
+	}
+	nonEmpty := 0
+	for round := 0; round < 300; round++ {
+		inv := make([]string, 0, 40)
+		for i, n := 0, rng.Intn(40); i < n; i++ {
+			p := phrase()
+			inv = append(inv, p)
+			if rng.Intn(8) == 0 { // duplicate phrase in the inventory
+				inv = append(inv, p)
+			}
+			if rng.Intn(3) == 0 { // a longer phrase ending in / containing p
+				inv = append(inv, words[rng.Intn(len(words))]+" "+p)
+			}
+		}
+		fullSuffix, fullContain := SuffixIsAEdges(inv), ContainmentIsAEdges(inv)
+
+		fresh := map[string]bool{}
+		switch round % 6 {
+		case 0: // empty
+		case 1: // everything
+			for _, p := range inv {
+				fresh[p] = true
+			}
+		case 2: // only phrases that appear as a parent
+			for _, pr := range append(append([]PhrasePair(nil), fullSuffix...), fullContain...) {
+				if rng.Intn(2) == 0 {
+					fresh[pr.Parent] = true
+				}
+			}
+		case 3: // only phrases that appear as a child
+			for _, pr := range append(append([]PhrasePair(nil), fullSuffix...), fullContain...) {
+				if rng.Intn(2) == 0 {
+					fresh[pr.Child] = true
+				}
+			}
+		case 4: // a random subset plus a phrase the inventory does not hold
+			for _, p := range inv {
+				if rng.Intn(5) == 0 {
+					fresh[p] = true
+				}
+			}
+			fresh["not in the inventory"] = true
+		case 5: // a single phrase
+			if len(inv) > 0 {
+				fresh[inv[rng.Intn(len(inv))]] = true
+			}
+		}
+
+		wantSuffix, wantContain := filterTouching(fullSuffix, fresh), filterTouching(fullContain, fresh)
+		if got := SuffixIsAEdgesTouching(inv, fresh); !samePairs(got, wantSuffix) {
+			t.Fatalf("round %d: suffix scan touching %v over %q\n got  %v\n want %v", round, fresh, inv, got, wantSuffix)
+		}
+		if got := ContainmentIsAEdgesTouching(inv, fresh); !samePairs(got, wantContain) {
+			t.Fatalf("round %d: containment scan touching %v over %q\n got  %v\n want %v", round, fresh, inv, got, wantContain)
+		}
+		nonEmpty += len(wantSuffix) + len(wantContain)
+	}
+	if nonEmpty < 1000 {
+		t.Fatalf("property is near-vacuous: only %d pairs compared", nonEmpty)
+	}
+}

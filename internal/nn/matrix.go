@@ -79,6 +79,24 @@ func MatMul(a, b *Mat) *Mat {
 		panic(fmt.Sprintf("nn: MatMul %dx%d · %dx%d", a.R, a.C, b.R, b.C))
 	}
 	out := NewMat(a.R, b.C)
+	matMulAcc(out, a, b)
+	return out
+}
+
+// MatMulInto overwrites out (r×c) with A·B, performing exactly the
+// floating-point operations of MatMul in the same order, so a caller that
+// reuses out across calls gets bit-identical results without allocating.
+// out must not alias a or b.
+func MatMulInto(out, a, b *Mat) {
+	if a.C != b.R || out.R != a.R || out.C != b.C {
+		panic(fmt.Sprintf("nn: MatMulInto %dx%d = %dx%d · %dx%d", out.R, out.C, a.R, a.C, b.R, b.C))
+	}
+	out.Zero()
+	matMulAcc(out, a, b)
+}
+
+// matMulAcc accumulates A·B into out, which the caller has zeroed.
+func matMulAcc(out, a, b *Mat) {
 	for i := 0; i < a.R; i++ {
 		arow := a.Row(i)
 		orow := out.Row(i)
@@ -92,7 +110,6 @@ func MatMul(a, b *Mat) *Mat {
 			}
 		}
 	}
-	return out
 }
 
 // MatMulTA returns Aᵀ·B (A: k×r, B: k×c → r×c). Used for weight gradients.

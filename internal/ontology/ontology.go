@@ -121,8 +121,23 @@ type Edge struct {
 }
 
 // Ontology is the Attention Ontology store. Safe for concurrent use.
+//
+// An Ontology adopted from a Snapshot (FromSnapshot) starts out as nothing
+// but a reference to that snapshot: the node/edge lists and lookup maps
+// below are materialized on the first call that reads or mutates them, and
+// Snapshot() hands the adopted snapshot back for as long as no mutator has
+// run. The incremental path adopts one generation per batch and only ever
+// asks for Snapshot(), so it never pays for the maps.
 type Ontology struct {
-	mu       sync.RWMutex
+	mu sync.RWMutex
+
+	// snap is the immutable snapshot the ontology was adopted from and still
+	// equals; the first mutator clears it. Invariant: snap != nil || built.
+	snap *Snapshot
+	// built reports whether the fields below are materialized. It only ever
+	// goes from false to true, under the write lock.
+	built bool
+
 	nodes    []Node
 	edges    []Edge
 	byPhrase map[string]NodeID
@@ -139,11 +154,78 @@ type edgeKey struct {
 // New returns an empty ontology.
 func New() *Ontology {
 	return &Ontology{
+		built:    true,
 		byPhrase: make(map[string]NodeID),
 		out:      make(map[NodeID][]int),
 		in:       make(map[NodeID][]int),
 		edgeSet:  make(map[edgeKey]bool),
 	}
+}
+
+// rlock takes the read lock with the mutable state materialized.
+func (o *Ontology) rlock() {
+	o.mu.RLock()
+	if o.built {
+		return
+	}
+	o.mu.RUnlock()
+	o.mu.Lock()
+	o.materializeLocked()
+	o.mu.Unlock()
+	o.mu.RLock() // built never reverts
+}
+
+// divergeLocked prepares for a mutation: the mutable state is materialized
+// and the adopted snapshot, about to go stale, is let go (its holders keep
+// an undisturbed world). Caller holds the write lock.
+func (o *Ontology) divergeLocked() {
+	o.materializeLocked()
+	o.snap = nil
+}
+
+// materializeLocked builds the mutable node/edge lists and lookup maps of
+// an adopted ontology from its snapshot, sharing nothing mutable with it.
+// Caller holds the write lock.
+func (o *Ontology) materializeLocked() {
+	if o.built {
+		return
+	}
+	s := o.snap
+	// Empty lists stay nil, as in an ontology built by New (WriteJSON
+	// renders them differently from empty non-nil ones).
+	if len(s.nodes) > 0 {
+		o.nodes = copyNodes(s.nodes)
+	}
+	o.edges = append([]Edge(nil), s.edges...)
+	o.byPhrase = make(map[string]NodeID, len(o.nodes))
+	for i := range o.nodes {
+		n := &o.nodes[i]
+		key := nodeKey(n.Type, n.Phrase)
+		if _, dup := o.byPhrase[key]; !dup {
+			o.byPhrase[key] = n.ID
+		}
+	}
+	o.out = make(map[NodeID][]int)
+	o.in = make(map[NodeID][]int)
+	o.edgeSet = make(map[edgeKey]bool, len(o.edges))
+	for i, e := range o.edges {
+		o.edgeSet[edgeKey{e.Src, e.Dst, e.Type}] = true
+		o.out[e.Src] = append(o.out[e.Src], i)
+		o.in[e.Dst] = append(o.in[e.Dst], i)
+	}
+	o.built = true
+}
+
+// copyNodes deep-copies a node list (alias slices included).
+func copyNodes(src []Node) []Node {
+	nodes := make([]Node, len(src))
+	copy(nodes, src)
+	for i := range nodes {
+		if len(nodes[i].Aliases) > 0 {
+			nodes[i].Aliases = append([]string(nil), nodes[i].Aliases...)
+		}
+	}
+	return nodes
 }
 
 // AddNode inserts a node with the given type and phrase, returning the new
@@ -157,6 +239,7 @@ func (o *Ontology) AddNode(t NodeType, phrase string) NodeID {
 func (o *Ontology) AddNodeAt(t NodeType, phrase string, day int) NodeID {
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	o.divergeLocked()
 	return o.addNodeLocked(t, phrase, day)
 }
 
@@ -185,6 +268,7 @@ type NodeSpec struct {
 func (o *Ontology) AddNodes(specs []NodeSpec) []NodeID {
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	o.divergeLocked()
 	ids := make([]NodeID, len(specs))
 	for i, s := range specs {
 		ids[i] = o.addNodeLocked(s.Type, s.Phrase, s.Day)
@@ -196,6 +280,7 @@ func (o *Ontology) AddNodes(specs []NodeSpec) []NodeID {
 func (o *Ontology) AddAlias(id NodeID, alias string) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	o.divergeLocked()
 	if int(id) >= len(o.nodes) || alias == o.nodes[id].Phrase {
 		return
 	}
@@ -211,6 +296,7 @@ func (o *Ontology) AddAlias(id NodeID, alias string) {
 func (o *Ontology) SetEventAttrs(id NodeID, trigger, location string, day int) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	o.divergeLocked()
 	if int(id) >= len(o.nodes) {
 		return
 	}
@@ -224,6 +310,7 @@ func (o *Ontology) SetEventAttrs(id NodeID, trigger, location string, day int) {
 func (o *Ontology) SetLastSeen(id NodeID, day int) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	o.divergeLocked()
 	if int(id) >= len(o.nodes) {
 		return
 	}
@@ -237,6 +324,7 @@ func (o *Ontology) SetLastSeen(id NodeID, day int) {
 func (o *Ontology) AddEdge(src, dst NodeID, t EdgeType, weight float64) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	o.divergeLocked()
 	return o.addEdgeLocked(Edge{Src: src, Dst: dst, Type: t, Weight: weight})
 }
 
@@ -246,6 +334,7 @@ func (o *Ontology) AddEdge(src, dst NodeID, t EdgeType, weight float64) error {
 func (o *Ontology) AddEdges(edges []Edge) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	o.divergeLocked()
 	for _, e := range edges {
 		if err := o.addEdgeLocked(e); err != nil {
 			return err
@@ -275,7 +364,7 @@ func (o *Ontology) addEdgeLocked(e Edge) error {
 
 // NodeCount returns the number of nodes (optionally filtered by type).
 func (o *Ontology) NodeCount(types ...NodeType) int {
-	o.mu.RLock()
+	o.rlock()
 	defer o.mu.RUnlock()
 	if len(types) == 0 {
 		return len(o.nodes)
@@ -293,7 +382,7 @@ func (o *Ontology) NodeCount(types ...NodeType) int {
 
 // EdgeCount returns the number of edges (optionally filtered by type).
 func (o *Ontology) EdgeCount(types ...EdgeType) int {
-	o.mu.RLock()
+	o.rlock()
 	defer o.mu.RUnlock()
 	if len(types) == 0 {
 		return len(o.edges)
@@ -311,7 +400,7 @@ func (o *Ontology) EdgeCount(types ...EdgeType) int {
 
 // Get returns a copy of the node.
 func (o *Ontology) Get(id NodeID) (Node, bool) {
-	o.mu.RLock()
+	o.rlock()
 	defer o.mu.RUnlock()
 	if int(id) < 0 || int(id) >= len(o.nodes) {
 		return Node{}, false
@@ -321,7 +410,7 @@ func (o *Ontology) Get(id NodeID) (Node, bool) {
 
 // Find returns the node with the given type and phrase.
 func (o *Ontology) Find(t NodeType, phrase string) (Node, bool) {
-	o.mu.RLock()
+	o.rlock()
 	id, ok := o.byPhrase[nodeKey(t, phrase)]
 	o.mu.RUnlock()
 	if !ok {
@@ -332,7 +421,7 @@ func (o *Ontology) Find(t NodeType, phrase string) (Node, bool) {
 
 // FindAny returns the first node with the phrase under any type.
 func (o *Ontology) FindAny(phrase string) (Node, bool) {
-	o.mu.RLock()
+	o.rlock()
 	defer o.mu.RUnlock()
 	for t := NodeType(0); t < NumNodeTypes; t++ {
 		if id, ok := o.byPhrase[nodeKey(t, phrase)]; ok {
@@ -345,7 +434,7 @@ func (o *Ontology) FindAny(phrase string) (Node, bool) {
 // Children returns nodes reachable from id via out-edges of type t
 // (e.g. the entities of a concept under IsA).
 func (o *Ontology) Children(id NodeID, t EdgeType) []Node {
-	o.mu.RLock()
+	o.rlock()
 	defer o.mu.RUnlock()
 	var out []Node
 	for _, ei := range o.out[id] {
@@ -360,7 +449,7 @@ func (o *Ontology) Children(id NodeID, t EdgeType) []Node {
 // Parents returns nodes with an edge of type t INTO id (e.g. the concepts an
 // entity belongs to under IsA).
 func (o *Ontology) Parents(id NodeID, t EdgeType) []Node {
-	o.mu.RLock()
+	o.rlock()
 	defer o.mu.RUnlock()
 	var out []Node
 	for _, ei := range o.in[id] {
@@ -395,14 +484,14 @@ func (o *Ontology) Ancestors(id NodeID) []Node {
 
 // Nodes returns a copy of all nodes (optionally filtered by type).
 func (o *Ontology) Nodes(types ...NodeType) []Node {
-	o.mu.RLock()
+	o.rlock()
 	defer o.mu.RUnlock()
 	return filterNodes(o.nodes, types)
 }
 
 // Edges returns a copy of all edges (optionally filtered by type).
 func (o *Ontology) Edges(types ...EdgeType) []Edge {
-	o.mu.RLock()
+	o.rlock()
 	defer o.mu.RUnlock()
 	return filterEdges(o.edges, types)
 }
@@ -451,7 +540,7 @@ type Stats struct {
 
 // ComputeStats builds the summary.
 func (o *Ontology) ComputeStats() Stats {
-	o.mu.RLock()
+	o.rlock()
 	defer o.mu.RUnlock()
 	s := Stats{NodesByType: map[string]int{}, EdgesByType: map[string]int{}}
 	for _, n := range o.nodes {
@@ -466,7 +555,7 @@ func (o *Ontology) ComputeStats() Stats {
 // GrowthOn returns the number of nodes of type t first seen on the given
 // day.
 func (o *Ontology) GrowthOn(t NodeType, day int) int {
-	o.mu.RLock()
+	o.rlock()
 	defer o.mu.RUnlock()
 	n := 0
 	for _, nd := range o.nodes {
@@ -480,7 +569,7 @@ func (o *Ontology) GrowthOn(t NodeType, day int) int {
 // HasCycleIsA reports whether the IsA subgraph contains a cycle (the AO must
 // remain a DAG).
 func (o *Ontology) HasCycleIsA() bool {
-	o.mu.RLock()
+	o.rlock()
 	defer o.mu.RUnlock()
 	state := make([]uint8, len(o.nodes)) // 0 unseen, 1 in stack, 2 done
 	var dfs func(NodeID) bool
@@ -518,7 +607,7 @@ type persisted struct {
 
 // WriteJSON serializes the ontology.
 func (o *Ontology) WriteJSON(w io.Writer) error {
-	o.mu.RLock()
+	o.rlock()
 	p := persisted{Nodes: o.nodes, Edges: o.edges}
 	o.mu.RUnlock()
 	return writePersisted(w, p)
@@ -547,8 +636,8 @@ func ReadJSON(r io.Reader) (*Ontology, error) {
 	return fromNodesEdges(p.Nodes, p.Edges)
 }
 
-// fromNodesEdges rebuilds a mutable Ontology from persisted (or snapshot)
-// node and edge lists, preserving every node attribute.
+// fromNodesEdges rebuilds a mutable Ontology from persisted node and edge
+// lists, preserving every node attribute.
 func fromNodesEdges(nodes []Node, edges []Edge) (*Ontology, error) {
 	o := New()
 	for _, n := range nodes {
@@ -567,12 +656,17 @@ func fromNodesEdges(nodes []Node, edges []Edge) (*Ontology, error) {
 	return o, nil
 }
 
-// FromSnapshot rebuilds a mutable Ontology equivalent to the snapshot —
-// the inverse of Ontology.Snapshot. The incremental-update path uses it to
+// FromSnapshot adopts the snapshot as a mutable Ontology equivalent to it —
+// the inverse of Ontology.Snapshot — in O(1). The sharing contract: the
+// returned Ontology references s and copies nothing until a method needs
+// the mutable state; until the first mutator runs, Snapshot() returns s
+// itself (s is immutable, so sharing it is safe), and a mutation works on a
+// private copy, never on s. The incremental-update path uses this to
 // re-adopt a delta-applied snapshot as the system's working ontology
-// without re-running the mining pipeline.
-func FromSnapshot(s *Snapshot) (*Ontology, error) {
-	return fromNodesEdges(s.Nodes(), s.Edges())
+// without rebuilding the world once per batch. It cannot fail: every way of
+// constructing a Snapshot has already validated IDs and edge endpoints.
+func FromSnapshot(s *Snapshot) *Ontology {
+	return &Ontology{snap: s}
 }
 
 // SaveFile writes the ontology to path as JSON, crash-safely (see
@@ -595,7 +689,7 @@ func LoadFile(path string) (*Ontology, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ontology: load %s: %w", path, err)
 		}
-		return FromSnapshot(snap)
+		return FromSnapshot(snap), nil
 	}
 	return ReadJSON(bytes.NewReader(data))
 }

@@ -48,19 +48,19 @@ type Snapshot struct {
 	grams     *TermGrams
 }
 
-// Snapshot builds an immutable snapshot of the ontology's current state.
-// It acquires the read lock once, copies nodes and edges, and indexes the
-// copy; the returned Snapshot shares nothing mutable with the Ontology, so
-// later writes to the Ontology never disturb readers of the Snapshot.
+// Snapshot returns an immutable snapshot of the ontology's current state.
+// The returned Snapshot shares nothing mutable with the Ontology, so later
+// writes to the Ontology never disturb its readers. An ontology adopted by
+// FromSnapshot and not mutated since returns the snapshot it was adopted
+// from — the same pointer, in O(1); otherwise the nodes and edges are
+// copied under the read lock and the copy is indexed.
 func (o *Ontology) Snapshot() *Snapshot {
 	o.mu.RLock()
-	nodes := make([]Node, len(o.nodes))
-	copy(nodes, o.nodes)
-	for i := range nodes {
-		if len(nodes[i].Aliases) > 0 {
-			nodes[i].Aliases = append([]string(nil), nodes[i].Aliases...)
-		}
+	if s := o.snap; s != nil {
+		o.mu.RUnlock()
+		return s
 	}
+	nodes := copyNodes(o.nodes)
 	edges := make([]Edge, len(o.edges))
 	copy(edges, o.edges)
 	o.mu.RUnlock()

@@ -7,6 +7,7 @@ package rgcn
 
 import (
 	"math/rand"
+	"sync"
 
 	"giant/internal/nn"
 )
@@ -31,25 +32,39 @@ type GraphData struct {
 }
 
 // prep groups edges by relation and precomputes c_vw = |N_r(v)| normalizers.
+// Both tables are carved out of one backing array each, so preparing a
+// graph costs a fixed handful of allocations whatever the relation count.
 func (g *GraphData) prep(numRel int) {
 	if g.prepped && g.numRel == numRel {
 		return
 	}
-	g.byRel = make([][]Edge, numRel)
-	g.normDst = make([][]float64, numRel)
+	valid := func(e Edge) bool { return e.Rel >= 0 && e.Rel < numRel }
+	perRel := make([]int, numRel)
+	total := 0
 	for _, e := range g.Edges {
-		if e.Rel < 0 || e.Rel >= numRel {
-			continue
+		if valid(e) {
+			perRel[e.Rel]++
+			total++
 		}
-		g.byRel[e.Rel] = append(g.byRel[e.Rel], e)
 	}
-	for r := range g.byRel {
-		cnt := make([]float64, g.N)
-		for _, e := range g.byRel[r] {
-			cnt[e.Dst]++
+	g.byRel = make([][]Edge, numRel)
+	grouped := make([]Edge, total)
+	for r, n := range perRel {
+		g.byRel[r], grouped = grouped[:0:n], grouped[n:]
+	}
+	for _, e := range g.Edges {
+		if valid(e) {
+			g.byRel[e.Rel] = append(g.byRel[e.Rel], e)
 		}
-		inv := make([]float64, g.N)
-		for v, c := range cnt {
+	}
+	g.normDst = make([][]float64, numRel)
+	norms := make([]float64, numRel*g.N)
+	for r := range g.byRel {
+		inv := norms[r*g.N : (r+1)*g.N]
+		for _, e := range g.byRel[r] {
+			inv[e.Dst]++
+		}
+		for v, c := range inv {
 			if c > 0 {
 				inv[v] = 1 / c
 			}
@@ -138,16 +153,16 @@ func (l *layer) relWeights() []*nn.Mat {
 	return wr
 }
 
-// aggregate computes A_r·H for one relation, or nil when the relation has no
-// edges.
-func (l *layer) aggregate(g *GraphData, h *nn.Mat, r int) *nn.Mat {
-	edges := g.byRel[r]
-	if len(edges) == 0 {
-		return nil
-	}
-	agg := nn.NewMat(g.N, l.in)
+// The kernels below are the whole layer computation up to the ReLU. The
+// training pass (forward) and the inference pass (infer) are both built
+// from them, so the two perform the same floating-point operations in the
+// same order.
+
+// aggregateInto overwrites agg (N×in) with A_r·H for one relation.
+func (l *layer) aggregateInto(agg *nn.Mat, g *GraphData, h *nn.Mat, r int) {
+	agg.Zero()
 	norm := g.normDst[r]
-	for _, e := range edges {
+	for _, e := range g.byRel[r] {
 		c := norm[e.Dst]
 		src := h.Row(e.Src)
 		dst := agg.Row(e.Dst)
@@ -155,54 +170,103 @@ func (l *layer) aggregate(g *GraphData, h *nn.Mat, r int) *nn.Mat {
 			dst[j] += c * src[j]
 		}
 	}
-	return agg
 }
 
-// preActivation computes xW0 + b + Σ_r (A_r·H)W_r. aggs and wr are indexed by
-// relation; aggs entries may be nil for edgeless relations.
-func (l *layer) preActivation(h *nn.Mat, aggs, wr []*nn.Mat) *nn.Mat {
-	pre := nn.MatMul(h, l.W0.W)
+// selfInto overwrites pre (N×out) with the self-connection h·W0 + b.
+func (l *layer) selfInto(pre, h *nn.Mat) {
+	nn.MatMulInto(pre, h, l.W0.W)
 	for i := 0; i < pre.R; i++ {
 		row := pre.Row(i)
 		for j := range row {
 			row[j] += l.Bias.W.D[j]
 		}
 	}
-	for r, agg := range aggs {
-		if agg != nil {
-			pre.AddMat(nn.MatMul(agg, wr[r]))
+}
+
+// addRelation adds one relation's message (A_r·H)·W_r to pre; prod (N×out)
+// is scratch for the product.
+func addRelation(pre, prod, agg, wr *nn.Mat) {
+	nn.MatMulInto(prod, agg, wr)
+	pre.AddMat(prod)
+}
+
+// reluInPlace applies max(0, x) elementwise (anything not > 0 becomes +0,
+// as nn.ReLU writes it).
+func reluInPlace(m *nn.Mat) {
+	for i, v := range m.D {
+		if !(v > 0) {
+			m.D[i] = 0
 		}
 	}
-	return pre
 }
 
 // forward is the training-time pass: it caches activations on the layer for
-// the subsequent backward call, so it must not run concurrently.
+// the subsequent backward call, so it must not run concurrently. Edgeless
+// relations keep a nil aggregate.
 func (l *layer) forward(g *GraphData, h *nn.Mat) *nn.Mat {
 	l.h = h
 	l.wr = l.relWeights()
 	l.aggs = make([]*nn.Mat, l.numRel)
+	l.pre = nn.NewMat(h.R, l.out)
+	l.selfInto(l.pre, h)
+	prod := nn.NewMat(h.R, l.out)
 	for r := 0; r < l.numRel; r++ {
-		l.aggs[r] = l.aggregate(g, h, r)
+		if len(g.byRel[r]) == 0 {
+			continue
+		}
+		l.aggs[r] = nn.NewMat(h.R, l.in)
+		l.aggregateInto(l.aggs[r], g, h, r)
+		addRelation(l.pre, prod, l.aggs[r], l.wr[r])
 	}
-	l.pre = l.preActivation(h, l.aggs, l.wr)
 	return nn.ReLU(l.pre)
 }
 
-// inferForward computes the same pass as forward but writes nothing to the
-// layer, so a trained layer can serve many goroutines at once. It prefers
-// the weight matrices frozen by the last Train and only re-materializes them
-// for a model that was never trained.
-func (l *layer) inferForward(g *GraphData, h *nn.Mat) *nn.Mat {
+// workspace is the scratch memory of one Infer call: two hidden buffers the
+// layers ping-pong between (one holds the layer input while the other
+// receives the pre-activation and is rectified in place) plus the aggregate
+// and product of the relation in hand. Workspaces are pooled, so a warmed-up
+// Infer allocates nothing but the logits it returns.
+type workspace struct {
+	hid       [2]nn.Mat
+	agg, prod nn.Mat
+}
+
+var workspaces = sync.Pool{New: func() any { return new(workspace) }}
+
+// shaped resizes m to r×c, reusing its backing array when it is large
+// enough. The contents are unspecified.
+func shaped(m *nn.Mat, r, c int) *nn.Mat {
+	if n := r * c; cap(m.D) < n {
+		m.D = make([]float64, n)
+	} else {
+		m.D = m.D[:n]
+	}
+	m.R, m.C = r, c
+	return m
+}
+
+// infer computes the same pass as forward out of ws and writes nothing to
+// the layer, so a trained layer can serve many goroutines at once. The
+// result lives in ws.hid[slot]; h may be the other hidden buffer. It
+// prefers the weight matrices frozen by the last Train and only
+// re-materializes them for a model that was never trained.
+func (l *layer) infer(ws *workspace, slot int, g *GraphData, h *nn.Mat) *nn.Mat {
 	wr := l.inferWr
 	if wr == nil {
 		wr = l.relWeights()
 	}
-	aggs := make([]*nn.Mat, l.numRel)
+	pre := shaped(&ws.hid[slot], h.R, l.out)
+	l.selfInto(pre, h)
 	for r := 0; r < l.numRel; r++ {
-		aggs[r] = l.aggregate(g, h, r)
+		if len(g.byRel[r]) == 0 {
+			continue
+		}
+		agg := shaped(&ws.agg, h.R, l.in)
+		l.aggregateInto(agg, g, h, r)
+		addRelation(pre, shaped(&ws.prod, h.R, l.out), agg, wr[r])
 	}
-	return nn.ReLU(l.preActivation(h, aggs, wr))
+	reluInPlace(pre)
+	return pre
 }
 
 func (l *layer) backward(g *GraphData, dOut *nn.Mat) *nn.Mat {
@@ -290,11 +354,13 @@ func (m *Model) Forward(g *GraphData) *nn.Mat {
 // mutates it.
 func (m *Model) Infer(g *GraphData) *nn.Mat {
 	g.prep(m.Cfg.NumRel)
+	ws := workspaces.Get().(*workspace)
+	defer workspaces.Put(ws)
 	h := g.X
-	for _, l := range m.layers {
-		h = l.inferForward(g, h)
+	for i, l := range m.layers {
+		h = l.infer(ws, i&1, g, h)
 	}
-	return m.out.Infer(h)
+	return m.out.Infer(h) // a fresh matrix: nothing of ws escapes
 }
 
 // Backward back-propagates dLogits and returns dX (unused by callers but

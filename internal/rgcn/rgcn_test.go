@@ -157,3 +157,71 @@ func TestEdgesOutOfRangeIgnored(t *testing.T) {
 	// Must not panic.
 	m.Forward(g)
 }
+
+// randomGraph is a typed multigraph with random features, random edges over
+// numRel relations (some relations left empty, some edges out of range) and
+// no structure at all — the inference/training equivalence must hold on
+// anything.
+func randomGraph(rng *rand.Rand, n, in, numRel int) *GraphData {
+	g := &GraphData{N: n, X: nn.NewMat(n, in), Labels: make([]int, n)}
+	for i := range g.X.D {
+		if rng.Intn(4) > 0 { // keep exact zeros: MatMul skips them
+			g.X.D[i] = rng.NormFloat64()
+		}
+	}
+	for e := rng.Intn(4 * n); e > 0; e-- {
+		g.Edges = append(g.Edges, Edge{Src: rng.Intn(n), Dst: rng.Intn(n), Rel: rng.Intn(numRel+1) - rng.Intn(2)})
+	}
+	return g
+}
+
+// TestInferBitExactWithForward pins the workspace inference pass to the
+// training pass: same floating-point operations in the same order, so the
+// logits agree to the last bit, for untrained and trained models, 1 to 5
+// layers, with the pooled workspace reused across graphs of changing size.
+func TestInferBitExactWithForward(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for layers := 1; layers <= 5; layers++ {
+		cfg := Config{NumRel: 6, In: 7, Hidden: 9, Layers: layers, Bases: 3, Classes: 4, Seed: int64(layers)}
+		m := New(cfg)
+		for round := 0; round < 2; round++ {
+			for i := 0; i < 20; i++ {
+				g := randomGraph(rng, 1+rng.Intn(12), cfg.In, cfg.NumRel)
+				want := m.Forward(g)
+				got := m.Infer(g)
+				if got.R != want.R || got.C != want.C {
+					t.Fatalf("layers=%d: logits %dx%d, want %dx%d", layers, got.R, got.C, want.R, want.C)
+				}
+				for k := range want.D {
+					if math.Float64bits(got.D[k]) != math.Float64bits(want.D[k]) {
+						t.Fatalf("layers=%d round=%d graph=%d: logit %d = %v, Forward gives %v", layers, round, i, k, got.D[k], want.D[k])
+					}
+				}
+			}
+			// Second round: after training froze the relation weights.
+			var graphs []*GraphData
+			for i := 0; i < 4; i++ {
+				graphs = append(graphs, randomGraph(rng, 5, cfg.In, cfg.NumRel))
+			}
+			m.Train(graphs, TrainOptions{Epochs: 2, LR: 0.01})
+		}
+	}
+}
+
+// TestInferSteadyStateAllocs bounds what a warmed-up Infer allocates: the
+// logits it returns (matrix header + data) and nothing that grows with the
+// layer count — one constant covers 1 layer and 5. (The bound leaves room
+// for the race detector's sync.Pool, which drops a share of the Puts.)
+func TestInferSteadyStateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, layers := range []int{1, 5} {
+		cfg := Config{NumRel: 6, In: 7, Hidden: 9, Layers: layers, Bases: 3, Classes: 4, Seed: 1}
+		m := New(cfg)
+		g := randomGraph(rng, 10, cfg.In, cfg.NumRel)
+		m.Train([]*GraphData{g}, TrainOptions{Epochs: 1, LR: 0.01})
+		m.Infer(g) // warm the pooled workspace
+		if allocs := testing.AllocsPerRun(200, func() { m.Infer(g) }); allocs > 4 {
+			t.Errorf("layers=%d: Infer allocates %.0f objects per call, want <= 4", layers, allocs)
+		}
+	}
+}
