@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	giant "giant"
+	"giant/internal/core"
 	"giant/internal/delta"
 	"giant/internal/experiments"
 	"giant/internal/tagging"
@@ -168,19 +169,25 @@ func BenchmarkPipelineBuild(b *testing.B) {
 	}
 }
 
+// coldMiner returns a miner over the environment's trained models with an
+// empty memo. The mining benchmarks take one per iteration: the system's own
+// miner has mined this graph before and would answer every cluster from its
+// memo, leaving only the walks to time.
+func coldMiner(env *experiments.Env, parallelism int) *core.Miner {
+	own := env.Sys.Miner
+	m := core.NewMiner(own.Phrase, own.Keys, own.Lex)
+	m.Parallelism = parallelism
+	return m
+}
+
 // BenchmarkMiningParallelism isolates the Algorithm-1 mining stage (the
 // pipeline's hot loop) at worker counts 1, 2, 4, ... up to GOMAXPROCS×2.
 func BenchmarkMiningParallelism(b *testing.B) {
 	env := benchEnv(b)
-	miner := env.Sys.Miner
-	orig := miner.Parallelism
-	defer func() { miner.Parallelism = orig }()
 	for p := 1; p <= 2*runtime.GOMAXPROCS(0); p *= 2 {
 		b.Run(fmt.Sprintf("workers=%d", p), func(b *testing.B) {
-			miner.Parallelism = p
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if len(miner.Mine(env.Sys.Click)) == 0 {
+				if len(coldMiner(env, p).Mine(env.Sys.Click)) == 0 {
 					b.Fatal("nothing mined")
 				}
 			}
@@ -194,29 +201,53 @@ func BenchmarkMiningParallelism(b *testing.B) {
 // against BenchmarkPipelineBuild to read the incremental speedup. TTLs
 // are disabled so every iteration measures the steady-state touch batch,
 // not a one-off mass retirement on the first pass.
+//
+// The batch re-observes known clicks, so it moves weights but little text
+// and the miner answers most of its clusters from its memo. afterbuild
+// times from the first batch a freshly built system sees (the memo holds
+// what the build's full Mine left); warm lets 20 batches through first, so
+// even a single timed iteration is a steady-state one. reused/op and
+// remined/op are the clusters per batch that skipped and ran inference.
 func BenchmarkIngestBatch(b *testing.B) {
-	cfg := giant.DefaultConfig()
-	if testing.Short() {
-		cfg = giant.TinyConfig()
-	}
-	cfg.Update = delta.Policy{EventTTL: 0, ConceptTTL: 0, TopicTTL: 0}
-	sys, err := giant.Build(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Re-click a slice of the existing corpus: a steady-state batch where
-	// most mined attentions are touches.
-	batch := delta.Batch{Day: 64}
-	for i, r := range sys.Log.Records {
-		if i%16 == 0 {
-			batch.Clicks = append(batch.Clicks, delta.Click{Query: r.Query, DocID: r.DocID, Clicks: 1, Day: 64})
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := sys.Ingest(batch); err != nil {
-			b.Fatal(err)
-		}
+	for _, mode := range []struct {
+		name   string
+		warmup int
+	}{{"afterbuild", 0}, {"warm", 20}} {
+		b.Run(mode.name, func(b *testing.B) {
+			cfg := giant.DefaultConfig()
+			if testing.Short() {
+				cfg = giant.TinyConfig()
+			}
+			cfg.Update = delta.Policy{EventTTL: 0, ConceptTTL: 0, TopicTTL: 0}
+			sys, err := giant.Build(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			// Re-click a slice of the existing corpus: a steady-state batch
+			// where most mined attentions are touches.
+			batch := delta.Batch{Day: 64}
+			for i, r := range sys.Log.Records {
+				if i%16 == 0 {
+					batch.Clicks = append(batch.Clicks, delta.Click{Query: r.Query, DocID: r.DocID, Clicks: 1, Day: 64})
+				}
+			}
+			for i := 0; i < mode.warmup; i++ {
+				if _, _, err := sys.Ingest(batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reused0, remined0 := sys.Miner.MemoStats()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := sys.Ingest(batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			reused, remined := sys.Miner.MemoStats()
+			b.ReportMetric(float64(reused-reused0)/float64(b.N), "reused/op")
+			b.ReportMetric(float64(remined-remined0)/float64(b.N), "remined/op")
+		})
 	}
 }
 
@@ -306,7 +337,7 @@ func BenchmarkMiningThroughput(b *testing.B) {
 	b.ResetTimer()
 	mined := 0
 	for i := 0; i < b.N; i++ {
-		mined += len(env.Sys.Miner.Mine(env.Sys.Click))
+		mined += len(coldMiner(env, env.Sys.Miner.Parallelism).Mine(env.Sys.Click))
 	}
 	b.ReportMetric(float64(mined)/b.Elapsed().Seconds(), "phrases/s")
 }

@@ -195,7 +195,7 @@ func run(in, addr string, build, tiny bool, cache int, grace time.Duration, hist
 			opts.IngestSharded = func(b delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error) {
 				next, d, touched, err := sys.IngestSharded(b)
 				if err == nil {
-					log.Printf("ingested batch: %s", d.Summary())
+					logIngested(sys, d)
 				}
 				return next, d, touched, err
 			}
@@ -203,7 +203,7 @@ func run(in, addr string, build, tiny bool, cache int, grace time.Duration, hist
 			opts.Ingest = func(b delta.Batch) (*ontology.Snapshot, *delta.Delta, error) {
 				next, d, err := sys.Ingest(b)
 				if err == nil {
-					log.Printf("ingested batch: %s", d.Summary())
+					logIngested(sys, d)
 				}
 				return next, d, err
 			}
@@ -245,6 +245,14 @@ func run(in, addr string, build, tiny bool, cache int, grace time.Duration, hist
 		log.Printf("shut down cleanly")
 	}
 	return err
+}
+
+// logIngested reports an applied batch, followed by the miner's running
+// totals: clusters answered from its memo and clusters sent through
+// GCTSP-Net since the process started.
+func logIngested(sys *giant.System, d *delta.Delta) {
+	reused, remined := sys.Miner.MemoStats()
+	log.Printf("ingested batch: %s; clusters so far: %d reused, %d re-mined", d.Summary(), reused, remined)
 }
 
 // runShard serves a single shard of a k-way partition (-shard i/k): the
@@ -292,7 +300,7 @@ func runShard(in, addr string, build, tiny bool, cache int, grace time.Duration,
 			if err != nil {
 				return nil, nil, nil, err
 			}
-			log.Printf("ingested batch: %s", d.Summary())
+			logIngested(sys, d)
 			return next.Projection(idx), d, touched, nil
 		}
 		if walDir != "" {

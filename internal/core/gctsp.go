@@ -118,6 +118,15 @@ func (m *Model) sharesInput(o *Model) bool {
 	return m.Lex == o.Lex && m.Opt.Build == o.Opt.Build && m.Opt.Mask == o.Opt.Mask
 }
 
+// modelEpoch counts the changes to what a Model computes from a cluster's
+// text: its classifier's training runs and its lexicon's registrations.
+type modelEpoch struct{ trained, lexEdits int }
+
+// epoch reads m's current modelEpoch. Opt, R and Lex are fixed at
+// construction, so between two equal readings ExtractPhrase and KeyElements
+// are pure functions of their arguments.
+func (m *Model) epoch() modelEpoch { return modelEpoch{m.R.TrainEpoch(), m.Lex.Edits()} }
+
 // graphForExample builds the (QTIG, featurized+labelled GraphData) pair for
 // one mining example.
 func (m *Model) graphForExample(ex *synth.MiningExample) (*qtig.Graph, *rgcn.GraphData) {

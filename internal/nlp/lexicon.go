@@ -36,6 +36,7 @@ type Lexicon struct {
 	pos      map[string]POS
 	ner      map[string]NER
 	synonyms map[string]string // surface form -> canonical form
+	edits    int               // Register/RegisterSynonym calls so far
 }
 
 // NewLexicon returns an empty lexicon.
@@ -51,6 +52,7 @@ func NewLexicon() *Lexicon {
 // Multi-token forms are registered token by token so the tokenizer's output
 // can be annotated without a phrase table.
 func (l *Lexicon) Register(surface string, pos POS, ner NER) {
+	l.edits++
 	for _, tok := range Tokenize(surface) {
 		// First registration wins: world generation registers the most
 		// specific sense (entity names) before generic vocabulary.
@@ -66,8 +68,14 @@ func (l *Lexicon) Register(surface string, pos POS, ner NER) {
 // RegisterSynonym records that surface is an alias of canonical (both
 // lower-case). Phrase normalization consults this.
 func (l *Lexicon) RegisterSynonym(surface, canonical string) {
+	l.edits++
 	l.synonyms[strings.ToLower(surface)] = strings.ToLower(canonical)
 }
+
+// Edits counts the registrations made so far. Between two equal readings
+// the lexicon did not change, so Annotate is a pure function of its text in
+// that span — callers that cache annotation-derived results key them on this.
+func (l *Lexicon) Edits() int { return l.edits }
 
 // Canonical returns the canonical form of w, or w itself.
 func (l *Lexicon) Canonical(w string) string {

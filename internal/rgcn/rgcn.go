@@ -92,6 +92,7 @@ type Model struct {
 	layers []*layer
 	out    *nn.Dense
 	params []*nn.Param
+	epoch  int // completed Train runs
 }
 
 // layer is one R-GCN layer with basis decomposition:
@@ -337,6 +338,12 @@ func New(cfg Config) *Model {
 // Params lists all trainable parameters.
 func (m *Model) Params() []*nn.Param { return m.params }
 
+// TrainEpoch counts the Train runs the model has completed. Between two
+// equal readings the frozen weights did not move, so whatever Infer
+// returned for an input in that span it still returns — callers that cache
+// inference results key them on this.
+func (m *Model) TrainEpoch() int { return m.epoch }
+
 // Forward computes per-node class logits (N × Classes).
 func (m *Model) Forward(g *GraphData) *nn.Mat {
 	g.prep(m.Cfg.NumRel)
@@ -409,6 +416,7 @@ func (m *Model) Train(graphs []*GraphData, opt TrainOptions) {
 	for _, l := range m.layers {
 		l.inferWr = l.relWeights()
 	}
+	m.epoch++
 }
 
 // Predict returns the argmax class per node. Safe for concurrent use on a

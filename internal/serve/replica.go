@@ -171,8 +171,11 @@ type Follower struct {
 
 // NewFollower attaches delta-log following to a per-shard server built
 // with NewShard/NewShardAt and a ShardIngest callback (the replica
-// re-mines each batch exactly like a directly-written backend would,
-// which is what keeps replica generations identical across the fleet).
+// applies each batch through the mining path a directly-written backend
+// would use, which is what keeps replica generations identical across
+// the fleet; the miner behind it skips inference for clusters a batch
+// left textually unchanged, so a warm replica and a freshly hydrated one
+// reach the same bytes at different cost).
 // The server immediately turns read-only: direct /v1/ingest and
 // /v1/reload answer 503 read_only_replica, and /v1/wal starts reporting
 // (StartGen until Run consumes the first suffix record).

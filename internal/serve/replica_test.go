@@ -858,6 +858,11 @@ func TestRouterCompaction(t *testing.T) {
 	// its sibling.
 	f.restartReplica(t, f.procs[0][1])
 	a, b := f.procs[0][0], f.procs[0][1]
+	// An ingest is acked at a quorum of one replica in two, so the sibling
+	// that kept running may itself still be a poll behind the head.
+	waitFor(t, 10*time.Second, "the running replica to reach the log head", func() bool {
+		return replicaWALGen(t, a) >= f.headGen(0)
+	})
 	for _, path := range []string{"/v1/search?q=sedan&limit=10", "/v1/node?phrase=family+sedans"} {
 		aStatus, aBody := getRaw(t, a.outer.Client(), a.outer.URL+path)
 		bStatus, bBody := getRaw(t, b.outer.Client(), b.outer.URL+path)

@@ -21,13 +21,15 @@
 //	snapshot bytes (GIANTBIN union snapshot) + CRC32C (uint32)
 //	state bytes (opaque host blob)           + CRC32C (uint32)
 //
-// Publication is a two-step rotation under the same atomic-rename
-// discipline as the log itself: the current checkpoint (if any) is
-// renamed to its ".prev" name, then the new artifact is written to a
-// temp file, fsynced, and renamed into place. A crash at any point
-// leaves at least one fully intact artifact, and readers walk the
-// ladder newest-first: primary checkpoint, previous checkpoint, full
-// log replay.
+// Publication keeps the atomic-rename discipline of the log itself: the
+// new artifact is written to a temp file and fsynced, the current
+// primary (if any) is hard-linked into its ".prev" slot, and the temp
+// file is renamed over the primary. The primary path therefore never
+// disappears once it exists, a crash at any point leaves at least one
+// fully intact artifact, and readers walk the ladder newest-first:
+// primary checkpoint, previous checkpoint, full log replay. Publishers
+// of one shard serialize on an advisory file lock and never replace a
+// primary with one that covers less of the log.
 package wal
 
 import (
@@ -35,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 )
@@ -109,20 +112,33 @@ func encodeCheckpoint(ck *Checkpoint) []byte {
 	return buf
 }
 
-// PublishCheckpoint writes ck as the primary checkpoint for its shard
-// in dir, rotating any existing primary to the ".prev" slot first. Both
-// steps are atomic renames: a crash between them leaves only the
-// previous artifact, which the read ladder falls back to. Concurrent
-// publishers (two replicas of the same shard checkpointing the same
-// directory) are harmless — mining is deterministic, so artifacts for
-// the same wal generation are interchangeable.
+// PublishCheckpoint makes ck the primary checkpoint for its shard in
+// dir and moves the primary it replaces to the ".prev" slot — unless the
+// existing primary already covers ck.WALGen or more, in which case
+// neither slot is touched: the router may have truncated the log against
+// that primary, so the covered position must never move backwards.
+//
+// Several replicas of a shard publish into the same directory at their
+// own pace. They serialize here on an advisory lock (released by the
+// kernel if the holder dies) held across the coverage check, the
+// rotation and the rename; without it a slow replica's older artifact
+// could pass the check and then overwrite a newer one, and two such
+// rotations would push the only artifact covering the truncated log out
+// of both slots.
 func PublishCheckpoint(dir string, ck *Checkpoint) error {
 	primary := CheckpointPath(dir, ck.Shard, ck.Shards)
-	if _, err := os.Stat(primary); err == nil {
-		if err := os.Rename(primary, PrevCheckpointPath(dir, ck.Shard, ck.Shards)); err != nil {
-			return err
-		}
+	unlock, err := lockFile(primary + ".lock")
+	if err != nil {
+		return fmt.Errorf("wal: lock checkpoint publication: %w", err)
 	}
+	defer unlock()
+
+	cur, err := ReadCheckpointMeta(primary)
+	if err == nil && cur.WALGen >= ck.WALGen {
+		return nil
+	}
+	havePrimary := !errors.Is(err, fs.ErrNotExist)
+
 	tmp, err := os.CreateTemp(dir, "ckpt.tmp-*")
 	if err != nil {
 		return err
@@ -146,6 +162,23 @@ func PublishCheckpoint(dir string, ck *Checkpoint) error {
 	}
 	if err := tmp.Close(); err != nil {
 		return err
+	}
+	if havePrimary {
+		// A second name for the outgoing primary, renamed over ".prev":
+		// the primary path itself stays in place until the rename below
+		// replaces it in one step.
+		prev := PrevCheckpointPath(dir, ck.Shard, ck.Shards)
+		link := prev + ".tmp"
+		if err := os.Remove(link); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return err
+		}
+		if err := os.Link(primary, link); err != nil {
+			return err
+		}
+		if err := os.Rename(link, prev); err != nil {
+			os.Remove(link)
+			return err
+		}
 	}
 	if err := os.Rename(tmpName, primary); err != nil {
 		return err

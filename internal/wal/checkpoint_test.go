@@ -3,8 +3,10 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -176,5 +178,105 @@ func TestCheckpointMetaDoesNotReadSections(t *testing.T) {
 	}
 	if _, err := ReadCheckpoint(path, 1, 2); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("ReadCheckpoint with damaged section: err = %v, want ErrChecksum", err)
+	}
+}
+
+// TestPublishCheckpointNeverRegresses pins the coverage rule: an
+// artifact that covers less of the log than the current primary is
+// dropped without touching either slot — the router may already have
+// truncated the log against that primary.
+func TestPublishCheckpointNeverRegresses(t *testing.T) {
+	dir := t.TempDir()
+	publish := func(walGen uint64) {
+		t.Helper()
+		ck := sampleCheckpoint()
+		ck.WALGen, ck.ServingGen = walGen, walGen+2
+		if err := PublishCheckpoint(dir, ck); err != nil {
+			t.Fatalf("publish generation %d: %v", walGen, err)
+		}
+	}
+	slots := func() (primary, prev uint64) {
+		t.Helper()
+		cur, err := ReadCheckpoint(CheckpointPath(dir, 1, 2), 1, 2)
+		if err != nil {
+			t.Fatalf("read primary: %v", err)
+		}
+		old, err := ReadCheckpoint(PrevCheckpointPath(dir, 1, 2), 1, 2)
+		if err != nil {
+			t.Fatalf("read previous: %v", err)
+		}
+		return cur.WALGen, old.WALGen
+	}
+	publish(4)
+	publish(6)
+	for _, stale := range []uint64{4, 6, 2} {
+		publish(stale)
+		if primary, prev := slots(); primary != 6 || prev != 4 {
+			t.Fatalf("after a stale publish of generation %d the slots cover %d/%d, want 6/4", stale, primary, prev)
+		}
+	}
+	publish(8)
+	if primary, prev := slots(); primary != 8 || prev != 6 {
+		t.Fatalf("slots cover %d/%d after publishing 8, want 8/6", primary, prev)
+	}
+}
+
+// TestPublishCheckpointConcurrentPublishers is two replicas of one shard
+// checkpointing into the same directory at different paces — one rolls
+// generations 2, 4, 6, the slower one 2, 4 — while a reader polls the
+// way the router's prober and a restarting replica do. Once the first
+// artifact is out the primary path must always be there, the position
+// it covers must never move backwards, and whatever sits in ".prev"
+// must fully validate.
+func TestPublishCheckpointConcurrentPublishers(t *testing.T) {
+	payload := bytes.Repeat([]byte("snapshot"), 8<<10) // wide enough write windows to interleave
+	for round := 0; round < 20; round++ {
+		dir := t.TempDir()
+		primary, prev := CheckpointPath(dir, 1, 2), PrevCheckpointPath(dir, 1, 2)
+		first := make(chan struct{})
+		var firstOnce sync.Once
+		var publishers sync.WaitGroup
+		for _, gens := range [][]uint64{{2, 4, 6}, {2, 4}} {
+			publishers.Add(1)
+			go func(gens []uint64) {
+				defer publishers.Done()
+				for _, g := range gens {
+					err := PublishCheckpoint(dir, &Checkpoint{Shard: 1, Shards: 2, WALGen: g, ServingGen: g + 1, Snapshot: payload, State: []byte("state")})
+					if err != nil {
+						t.Errorf("round %d: publish generation %d: %v", round, g, err)
+					}
+					firstOnce.Do(func() { close(first) })
+				}
+			}(gens)
+		}
+		done := make(chan struct{})
+		go func() { publishers.Wait(); close(done) }()
+
+		<-first
+		var floor uint64
+		for polling := true; polling; {
+			select {
+			case <-done:
+				polling = false // one last look at the settled directory
+			default:
+			}
+			meta, err := ReadCheckpointMeta(primary)
+			if err != nil {
+				t.Fatalf("round %d: primary unreadable after the first publish (covered %d so far): %v", round, floor, err)
+			}
+			if meta.WALGen < floor {
+				t.Fatalf("round %d: primary went back from generation %d to %d", round, floor, meta.WALGen)
+			}
+			floor = meta.WALGen
+			if _, err := ReadCheckpoint(prev, 1, 2); err != nil && !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("round %d: previous slot does not validate: %v", round, err)
+			}
+		}
+		if floor != 6 {
+			t.Fatalf("round %d: primary settled at generation %d, want 6", round, floor)
+		}
+		if old, err := ReadCheckpointMeta(prev); err != nil || old.WALGen != 4 {
+			t.Fatalf("round %d: previous slot settled at %+v (%v), want generation 4", round, old, err)
+		}
 	}
 }
