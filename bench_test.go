@@ -291,47 +291,6 @@ func BenchmarkIngestSmallBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkDeltaIngest measures the shard-parallel incremental-update
-// path: the same steady-state click batch through 1-shard Ingest versus
-// K-shard IngestSharded (shard-parallel delta compute, per-shard apply).
-// Output sets are equivalent (see TestShardedIngestReplayEquivalence);
-// compare the sub-benchmark times on a multi-core runner to read the
-// sharding speedup.
-func BenchmarkDeltaIngest(b *testing.B) {
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			cfg := giant.DefaultConfig()
-			if testing.Short() {
-				cfg = giant.TinyConfig()
-			}
-			cfg.Shards = shards
-			cfg.Update = delta.Policy{EventTTL: 0, ConceptTTL: 0, TopicTTL: 0}
-			sys, err := giant.Build(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			batch := delta.Batch{Day: 64}
-			for i, r := range sys.Log.Records {
-				if i%16 == 0 {
-					batch.Clicks = append(batch.Clicks, delta.Click{Query: r.Query, DocID: r.DocID, Clicks: 1, Day: 64})
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if shards > 1 {
-					if _, _, _, err := sys.IngestSharded(batch); err != nil {
-						b.Fatal(err)
-					}
-				} else {
-					if _, _, err := sys.Ingest(batch); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkMiningThroughput(b *testing.B) {
 	env := benchEnv(b)
 	b.ResetTimer()

@@ -109,11 +109,6 @@ func (sys *System) RestoreCheckpoint(snap *ontology.Snapshot, state []byte) erro
 	sys.Mined = st.Mined
 	sys.knownMined = nil // rebuilt from the restored records by the next ingest
 	sys.conceptContext = st.Context
-	if k := sys.Cfg.shards(); k > 1 {
-		// The suffix clicks may have bridged components; recompute the
-		// assignment exactly as IngestSharded would have.
-		sys.Sharding = sys.Click.ShardAssignment(k)
-	}
 	// Any cached sharded projection predates the restored ontology.
 	sys.sharded = nil
 	sys.shardedFrom = nil

@@ -29,8 +29,7 @@ func main() {
 	scaleFlag := flag.String("scale", "default", "experiment scale: tiny or default")
 	only := flag.String("only", "", "run a single experiment: table1..table7, fig5, fig6, fig7, tagging, ablations")
 	parallel := flag.Bool("parallel", false, "measure pipeline speedup: build at Parallelism=1 then GOMAXPROCS and verify identical output")
-	ingest := flag.Bool("ingest", false, "measure delta-ingest throughput at -shards {1,K} and verify equivalent output")
-	shardsFlag := flag.Int("shards", 4, "with -ingest: the sharded side of the throughput sweep")
+	shardsFlag := flag.Int("shards", 4, "with -search: the shard count of the fan-out side of the sweep")
 	load := flag.Bool("load", false, "measure snapshot boot time from JSON vs GIANTBIN artifacts and verify identical content")
 	search := flag.Bool("search", false, "measure search latency distribution (p50/p95/p99) on snapshot vs -shards sharded, with per-shard fan-out counts, and verify identical results")
 	catchup := flag.Bool("catchup", false, "measure replica catch-up: full delta-log replay vs checkpoint+suffix boot at 10/100/1000 logged generations, and verify identical worlds")
@@ -43,12 +42,6 @@ func main() {
 	}
 	if *parallel {
 		if err := runParallel(scale); err != nil {
-			log.Fatalf("giantbench: %v", err)
-		}
-		return
-	}
-	if *ingest {
-		if err := runIngestSweep(scale, *shardsFlag); err != nil {
 			log.Fatalf("giantbench: %v", err)
 		}
 		return
@@ -194,77 +187,6 @@ func runParallel(scale experiments.Scale) error {
 	return nil
 }
 
-// runIngestSweep times the incremental-update hot path at 1 shard versus
-// k shards: the same steady-state click batches replay through
-// System.Ingest / System.IngestSharded, and the resulting ontologies are
-// checked for set-equivalence (sharding must change throughput, never
-// results).
-func runIngestSweep(scale experiments.Scale, k int) error {
-	if k < 2 {
-		return fmt.Errorf("-shards must be >= 2 for the ingest sweep (got %d)", k)
-	}
-	cfg := giant.DefaultConfig()
-	if scale == experiments.ScaleTiny {
-		cfg = giant.TinyConfig()
-	}
-	// TTLs off so every round measures the steady-state touch batch.
-	cfg.Update.EventTTL, cfg.Update.ConceptTTL, cfg.Update.TopicTTL = 0, 0, 0
-
-	const rounds = 5
-	run := func(shards int) (*giant.System, time.Duration, error) {
-		c := cfg
-		c.Shards = shards
-		sys, err := giant.Build(c)
-		if err != nil {
-			return nil, 0, err
-		}
-		batch := delta.Batch{Day: 64}
-		for i, r := range sys.Log.Records {
-			if i%16 == 0 {
-				batch.Clicks = append(batch.Clicks, delta.Click{Query: r.Query, DocID: r.DocID, Clicks: 1, Day: 64})
-			}
-		}
-		t0 := time.Now()
-		for i := 0; i < rounds; i++ {
-			if shards > 1 {
-				if _, _, _, err := sys.IngestSharded(batch); err != nil {
-					return nil, 0, err
-				}
-			} else {
-				if _, _, err := sys.Ingest(batch); err != nil {
-					return nil, 0, err
-				}
-			}
-		}
-		return sys, time.Since(t0), nil
-	}
-
-	fmt.Println("delta-ingest throughput sweep")
-	base, dBase, err := run(1)
-	if err != nil {
-		return fmt.Errorf("1-shard ingest: %w", err)
-	}
-	fmt.Printf("  shards=1: %v for %d batches (%.1f batches/s)\n",
-		dBase.Round(time.Millisecond), rounds, float64(rounds)/dBase.Seconds())
-	shardedSys, dShard, err := run(k)
-	if err != nil {
-		return fmt.Errorf("%d-shard ingest: %w", k, err)
-	}
-	fmt.Printf("  shards=%d: %v for %d batches (%.1f batches/s)\n",
-		k, dShard.Round(time.Millisecond), rounds, float64(rounds)/dShard.Seconds())
-
-	a, b := ontologySetFingerprint(base.Ontology), ontologySetFingerprint(shardedSys.Ontology)
-	if a != b {
-		return fmt.Errorf("ingested ontologies diverge between 1 and %d shards", k)
-	}
-	st := shardedSys.Ontology.ComputeStats()
-	fmt.Printf("  output equivalent: %v nodes, %v edges\n", st.NodesByType, st.EdgesByType)
-	if dShard > 0 {
-		fmt.Printf("  speedup: %.2fx at %d shards (GOMAXPROCS=%d)\n", dBase.Seconds()/dShard.Seconds(), k, runtime.GOMAXPROCS(0))
-	}
-	return nil
-}
-
 // runLoadBench is the boot-time benchmark behind the binary format: build
 // once, save the snapshot in both formats, and time LoadSnapshotFile on
 // each (best of several rounds, matching how a restarting giantd pays the
@@ -367,12 +289,12 @@ func (h *catchupHost) ingest(b delta.Batch) (*ontology.ShardProjection, *delta.D
 		{Type: ontology.Concept, Phrase: fmt.Sprintf("synthetic concept %d", b.Day), Day: b.Day},
 		{Type: ontology.Event, Phrase: fmt.Sprintf("synthetic event %d", b.Day), Day: b.Day},
 	}}
-	next, merged, touched, err := delta.ApplySharded(h.cur, []*delta.Delta{d})
+	next, touched, err := delta.ApplySharded(h.cur, d)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	h.cur = next
-	return next.Projection(0), merged, touched, nil
+	return next.Projection(0), d, touched, nil
 }
 
 func (h *catchupHost) save() (*ontology.Snapshot, []byte, error) {
@@ -720,26 +642,6 @@ func runSearchSweep(scale experiments.Scale, k int) error {
 	fmt.Printf("  results identical across both paths; p50 gap %.2fx\n",
 		float64(pct(shardS, 0.50))/float64(pct(snapS, 0.50)))
 	return nil
-}
-
-// ontologySetFingerprint renders the node and edge sets in a canonical
-// ID-independent order (sharded ingest may assign IDs differently).
-func ontologySetFingerprint(o *ontology.Ontology) string {
-	var lines []string
-	for _, n := range o.Nodes() {
-		aliases := append([]string(nil), n.Aliases...)
-		sort.Strings(aliases)
-		lines = append(lines, fmt.Sprintf("node|%s|%s|%v|%s|%s|%d|%d|%d",
-			n.Type, n.Phrase, aliases, n.Trigger, n.Location, n.Day, n.FirstSeenDay, n.LastSeenDay))
-	}
-	for _, e := range o.Edges() {
-		src, _ := o.Get(e.Src)
-		dst, _ := o.Get(e.Dst)
-		lines = append(lines, fmt.Sprintf("edge|%s|%s|%s|%s|%s|%.6f",
-			src.Type, src.Phrase, e.Type, dst.Type, dst.Phrase, e.Weight))
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
 }
 
 func printAblations(w *os.File, title string, rows []experiments.AblationResult) {

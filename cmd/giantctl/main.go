@@ -128,9 +128,9 @@ func usage(w *os.File) {
 	fmt.Fprintln(w, `usage: giantctl <subcommand> [flags]
 
 subcommands:
-  build   build the ontology and save it           (-out ao.json [-format json|binary] [-tiny] [-shards K])
+  build   build the ontology and save it           (-out ao.json [-format json|binary] [-tiny])
   shard   export per-shard projection files        (-in ao.json -shards K [-out-dir .] [-format json|binary])
-  update  apply incremental update batches offline (-docs new.json [-in ao.json] [-out path] [-format json|binary] [-tiny] [-shards K])
+  update  apply incremental update batches offline (-docs new.json [-in ao.json] [-out path] [-format json|binary] [-tiny])
   convert re-encode a snapshot or shard artifact   (-in path -out path [-format json|binary])
   stats   print node/edge statistics               (-in ao.json)
   query   conceptualize/rewrite a query            (-q "best ...")
@@ -166,15 +166,10 @@ func parse(fs *flag.FlagSet, args []string) error {
 }
 
 func buildSystem(tiny bool) (*giant.System, error) {
-	return buildShardedSystem(tiny, 1)
-}
-
-func buildShardedSystem(tiny bool, shards int) (*giant.System, error) {
 	cfg := giant.DefaultConfig()
 	if tiny {
 		cfg = giant.TinyConfig()
 	}
-	cfg.Shards = shards
 	return giant.Build(cfg)
 }
 
@@ -196,7 +191,6 @@ func runBuild(args []string) error {
 	out := fs.String("out", "ao.json", "output path for the ontology")
 	format := formatFlag(fs)
 	tiny := fs.Bool("tiny", false, "use the tiny configuration")
-	shards := fs.Int("shards", 1, "mine shard-parallel over K click-graph shards (output is identical for any K)")
 	if err := parse(fs, args); err != nil {
 		return err
 	}
@@ -204,7 +198,7 @@ func runBuild(args []string) error {
 	if err != nil {
 		return usagef("build: %v", err)
 	}
-	sys, err := buildShardedSystem(*tiny, *shards)
+	sys, err := buildSystem(*tiny)
 	if err != nil {
 		return err
 	}
@@ -226,7 +220,6 @@ func runUpdate(args []string) error {
 	out := fs.String("out", "ao-updated.json", "output path for the updated ontology")
 	format := formatFlag(fs)
 	tiny := fs.Bool("tiny", false, "use the tiny configuration (must match the build that produced -in)")
-	shards := fs.Int("shards", 1, "apply batches shard-parallel over K shards (equivalent node/edge sets for any K)")
 	if err := parse(fs, args); err != nil {
 		return err
 	}
@@ -241,7 +234,7 @@ func runUpdate(args []string) error {
 	if err != nil {
 		return err
 	}
-	sys, err := buildShardedSystem(*tiny, *shards)
+	sys, err := buildSystem(*tiny)
 	if err != nil {
 		return err
 	}
@@ -253,12 +246,7 @@ func runUpdate(args []string) error {
 		sys.Ontology = base
 	}
 	for i, b := range batches {
-		var d *delta.Delta
-		if *shards > 1 {
-			_, d, _, err = sys.IngestSharded(b)
-		} else {
-			_, d, err = sys.Ingest(b)
-		}
+		_, d, err := sys.Ingest(b)
 		if err != nil {
 			return fmt.Errorf("update: batch %d: %w", i, err)
 		}

@@ -34,9 +34,10 @@
 // With -shards K (> 1) the ontology is partitioned K ways behind one
 // routing index: /v1/search scatter-gathers over the shard projections,
 // /v1/stats lists per-shard generations, and a live ingest republishes —
-// and bumps the generation of — only the shards its delta touched,
-// computing the delta shard-parallel. Results are identical to -shards 1;
-// only scheduling and the unit of publication change.
+// and bumps the generation of — only the shards its delta touched. The
+// delta itself is the one -shards 1 computes, so responses, node IDs
+// included, are identical to -shards 1; only the unit of publication
+// changes.
 //
 // With -shard i/k the daemon serves a SINGLE shard of a k-way partition —
 // the backend of the multi-process tier (put cmd/giantrouter in front of k
@@ -104,7 +105,7 @@ func main() {
 		grace   = flag.Duration("grace", 5*time.Second, "graceful-shutdown drain timeout")
 		history = flag.Int("history", ontology.DefaultRetention, "snapshot generations retained for /v1/rollback")
 		watch   = flag.Duration("watch", 0, "poll -in for changes at this interval and hot-swap automatically (0 disables)")
-		shards  = flag.Int("shards", 1, "partition the ontology K ways: per-shard generations, scatter-gather search, shard-parallel ingest (1 = legacy)")
+		shards  = flag.Int("shards", 1, "serve the ontology as K home-shard projections: per-shard generations, scatter-gather search, an ingest republishes only the shards it touched (1 = one unsharded snapshot)")
 		shard   = flag.String("shard", "", "serve a single shard of a k-way partition as i/k (e.g. 0/4): the per-shard backend of cmd/giantrouter")
 		walDir  = flag.String("wal", "", "delta-log directory: tail DIR/shard-i-of-k.wal instead of accepting direct writes (requires -shard and -build)")
 		replica = flag.Int("replica", 0, "with -wal: this process's replica ordinal, reported in /healthz and log lines")
@@ -181,12 +182,12 @@ func run(in, addr string, build, tiny bool, cache int, grace time.Duration, hist
 		}
 		// Live ingest: System.Ingest serializes internally; the serve
 		// layer additionally orders publishes under its swap lock. With
-		// -shards > 1 the delta is computed shard-parallel and only the
-		// touched shards republish. The initial serving state must come
-		// from the System's own projection lineage: IngestSharded
-		// advances that lineage, and the server identifies unchanged
-		// shards by projection pointer — an independent re-partition
-		// would make the first ingest republish every shard.
+		// -shards > 1 only the shards the delta touched republish. The
+		// initial serving state must come from the System's own
+		// projection lineage: IngestSharded advances that lineage, and
+		// the server identifies unchanged shards by projection pointer —
+		// an independent re-partition would make the first ingest
+		// republish every shard.
 		if shards > 1 {
 			var err error
 			if sharded, err = sys.ShardedSnapshot(); err != nil {

@@ -58,16 +58,15 @@ type Config struct {
 	Seed             int64
 	// Parallelism bounds the worker pools used by the mining and assembly
 	// stages; <= 0 means runtime.GOMAXPROCS(0). The built ontology is
-	// identical for every value — parallel shards are merged in a
+	// identical for every value — the workers' results are merged in a
 	// deterministic order before anything is committed.
 	Parallelism int
-	// Shards partitions the click graph and the ontology K ways: mining
-	// and delta ingest run shard-parallel, and System.ShardedSnapshot /
-	// System.IngestSharded publish per-shard ontology projections for the
-	// sharded serving tier. <= 1 (the default) is the legacy single-shard
-	// path with byte-identical output; for any K the built ontology is
-	// identical and the ingested node/edge sets are equivalent — sharding
-	// changes scheduling and the unit of publication, never results.
+	// Shards is how many ontology.HomeShard projections
+	// System.ShardedSnapshot / System.IngestSharded cut the ontology into
+	// for the sharded serving tier; <= 1 (the default) means one. The
+	// pipeline computes one world whatever the value: the built and the
+	// ingested ontology are byte-identical for every K — sharding changes
+	// the unit of publication, never results.
 	Shards int
 	// Update is the incremental-maintenance policy (per-type TTL decay and
 	// linking thresholds) applied by System.Ingest. Zero-valued threshold
@@ -81,14 +80,6 @@ func (c Config) parallelism() int {
 		return c.Parallelism
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// shards resolves the effective shard count.
-func (c Config) shards() int {
-	if c.Shards > 1 {
-		return c.Shards
-	}
-	return 1
 }
 
 // DefaultConfig is a laptop-scale end-to-end configuration.
@@ -131,9 +122,6 @@ type System struct {
 	Ontology *ontology.Ontology
 	CEClf    *linking.CEClassifier
 	Embedder *linking.EntityEmbedder
-	// Sharding is the click graph's shard assignment when Cfg.Shards > 1
-	// (recomputed per ingest batch: new clicks can merge components).
-	Sharding *clickgraph.Sharding
 
 	conceptContext map[string][]string       // concept phrase -> top titles
 	knownMined     map[string]bool           // phrases Mined holds a record for (see knownMinedLocked)
@@ -204,15 +192,8 @@ func BuildUpToDay(cfg Config, day int) (*System, error) {
 	sys.Miner = core.NewMiner(phraseModel, keyModel, lex)
 	sys.Miner.Parallelism = cfg.parallelism()
 
-	// Algorithm 1: mine attentions. With Shards > 1, the cluster walks are
-	// partitioned by the click graph's shard assignment (connected
-	// clusters never straddle shards); the mined output is identical.
-	if k := cfg.shards(); k > 1 {
-		sys.Sharding = sys.Click.ShardAssignment(k)
-		sys.Mined = sys.Miner.MineSharded(sys.Click, sys.Sharding)
-	} else {
-		sys.Mined = sys.Miner.Mine(sys.Click)
-	}
+	// Algorithm 1: mine attentions.
+	sys.Mined = sys.Miner.Mine(sys.Click)
 
 	// Assemble ontology.
 	if err := sys.assemble(); err != nil {
@@ -649,7 +630,7 @@ func (sys *System) ShardedSnapshot() (*ontology.ShardedSnapshot, error) {
 // and a stale projection would silently diff against the wrong world).
 // Caller holds ingestMu.
 func (sys *System) shardedLocked() (*ontology.ShardedSnapshot, error) {
-	k := sys.Cfg.shards()
+	k := max(sys.Cfg.Shards, 1)
 	if sys.sharded != nil && sys.sharded.NumShards() == k && sys.shardedFrom == sys.Ontology {
 		return sys.sharded, nil
 	}

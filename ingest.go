@@ -36,34 +36,17 @@ import (
 func (sys *System) Ingest(batch delta.Batch) (*ontology.Snapshot, *delta.Delta, error) {
 	sys.ingestMu.Lock()
 	defer sys.ingestMu.Unlock()
-
-	seeds, day, err := sys.applyBatchLocked(batch)
-	if err != nil {
-		return nil, nil, err
-	}
-	mined := sys.Miner.MineSeeds(sys.Click, seeds)
-
-	cur := sys.Ontology.Snapshot()
-	d := delta.Compute(cur, mined, seeds, day, sys.updatePolicy(), sys.deltaSource())
-	next, err := delta.Apply(cur, d)
-	if err != nil {
-		return nil, nil, err
-	}
-	sys.adoptGenerationLocked(next, mined, d.Retire)
-	// The cached sharded projection (if any) no longer matches the union;
-	// the next ShardedSnapshot call re-derives it.
-	sys.sharded = nil
-	return next, d, nil
+	return sys.ingestLocked(sys.Ontology.Snapshot(), batch)
 }
 
 // IngestSharded is Ingest for a sharded deployment (Cfg.Shards > 1): the
-// batch's affected seeds are re-mined once, the delta is computed
-// shard-parallel (delta.ComputeSharded over the click graph's current
-// shard assignment) and applied per shard, re-deriving only the touched
-// projections. It returns the advanced sharded snapshot, the merged delta
-// and the touched-shard flags — the serving tier bumps only the touched
-// shards' generations. The resulting union node/edge sets are equivalent
-// to Ingest's for the same batch sequence.
+// same batch goes through the same computation, and the one resulting
+// delta is then projected — delta.TouchedShards names the shards whose
+// ontology.HomeShard projection it can change, and only those are
+// re-derived. It returns the advanced sharded snapshot, the delta and the
+// touched-shard flags (the serving tier bumps only the touched shards'
+// generations). The union is byte-identical to what Ingest produces for the
+// same batch sequence, node IDs included.
 func (sys *System) IngestSharded(batch delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error) {
 	sys.ingestMu.Lock()
 	defer sys.ingestMu.Unlock()
@@ -72,26 +55,41 @@ func (sys *System) IngestSharded(batch delta.Batch) (*ontology.ShardedSnapshot, 
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	seeds, day, err := sys.applyBatchLocked(batch)
+	union, d, err := sys.ingestLocked(cur.Union(), batch)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	k := sys.Cfg.shards()
-	// Recompute the shard assignment on the extended graph: the batch's
-	// clicks may have bridged components (the merged component lands on
-	// one deterministic shard).
-	sys.Sharding = sys.Click.ShardAssignment(k)
-	mined := sys.Miner.MineSeeds(sys.Click, seeds)
-
-	deltas := delta.ComputeSharded(cur.Union(), mined, seeds, day, sys.updatePolicy(), sys.deltaSource(), sys.Sharding.Of, k)
-	next, merged, touched, err := delta.ApplySharded(cur, deltas)
+	touched := delta.TouchedShards(cur.Union(), d, cur.NumShards())
+	next, err := cur.Advance(union, touched)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	sys.adoptGenerationLocked(next.Union(), mined, merged.Retire)
 	sys.sharded = next
 	sys.shardedFrom = sys.Ontology
-	return next, merged, touched, nil
+	return next, d, touched, nil
+}
+
+// ingestLocked is the one compute path of an update batch, shared by Ingest
+// and IngestSharded: extend the click graph, re-mine the affected seeds,
+// diff against cur (the snapshot of the system's current ontology), apply,
+// adopt. Caller holds ingestMu.
+func (sys *System) ingestLocked(cur *ontology.Snapshot, batch delta.Batch) (*ontology.Snapshot, *delta.Delta, error) {
+	seeds, day, err := sys.applyBatchLocked(batch)
+	if err != nil {
+		return nil, nil, err
+	}
+	mined := sys.Miner.MineSeeds(sys.Click, seeds)
+	d := delta.Compute(cur, mined, seeds, day, sys.updatePolicy(), sys.deltaSource())
+	next, err := delta.Apply(cur, d)
+	if err != nil {
+		return nil, nil, err
+	}
+	sys.adoptGenerationLocked(next, mined, d.Retire)
+	// The cached sharded projection (if any) no longer matches the union;
+	// IngestSharded installs the advanced one, otherwise the next
+	// ShardedSnapshot call re-derives it.
+	sys.sharded = nil
+	return next, d, nil
 }
 
 // applyBatchLocked validates one update batch and, only when it is valid

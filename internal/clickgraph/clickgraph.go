@@ -28,13 +28,6 @@ type Graph struct {
 
 	qOut []float64 // total clicks per query
 	dOut []float64 // total clicks per doc
-
-	// Connected-component tracking, maintained incrementally by Add so
-	// ShardAssignment never rescans the edge lists: a union-find over
-	// query/doc slots (queries and docs get a slot on first sight).
-	uf    []int // slot -> parent slot
-	qSlot []int // query index -> uf slot
-	dSlot []int // doc index -> uf slot
 }
 
 type edge struct {
@@ -60,7 +53,6 @@ func (g *Graph) Add(query string, docID int, title string, clicks int, day int) 
 		g.queries = append(g.queries, query)
 		g.qEdges = append(g.qEdges, nil)
 		g.qOut = append(g.qOut, 0)
-		g.qSlot = append(g.qSlot, g.newSlot())
 	}
 	di, ok := g.docIdx[docID]
 	if !ok {
@@ -71,9 +63,7 @@ func (g *Graph) Add(query string, docID int, title string, clicks int, day int) 
 		g.docDays = append(g.docDays, day)
 		g.dEdges = append(g.dEdges, nil)
 		g.dOut = append(g.dOut, 0)
-		g.dSlot = append(g.dSlot, g.newSlot())
 	}
-	g.union(g.qSlot[qi], g.dSlot[di])
 	c := float64(clicks)
 	g.qEdges[qi] = addEdge(g.qEdges[qi], di, c)
 	g.dEdges[di] = addEdge(g.dEdges[di], qi, c)

@@ -2,6 +2,7 @@ package clickgraph
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -176,5 +177,58 @@ func TestAffectedQueries(t *testing.T) {
 	// Unknown starting points affect nothing.
 	if got := g.AffectedQueries([]string{"nope"}, []int{77}, 3); len(got) != 0 {
 		t.Fatalf("AffectedQueries(unknown) = %v", got)
+	}
+}
+
+// twoComponents builds a graph with two disconnected components: cars
+// (queries best cars / cars roundup on doc 1) and phones (best phones on
+// doc 2).
+func twoComponents() *Graph {
+	g := New()
+	g.Add("best cars", 1, "cars title", 3, 0)
+	g.Add("cars roundup", 1, "cars title", 3, 0)
+	g.Add("best phones", 2, "phones title", 3, 0)
+	return g
+}
+
+// TestAffectedQueriesEmptyBatch: a batch with no recognizable queries or
+// docs affects nothing.
+func TestAffectedQueriesEmptyBatch(t *testing.T) {
+	g := twoComponents()
+	if got := g.AffectedQueries(nil, nil, 3); len(got) != 0 {
+		t.Fatalf("empty batch affected %v", got)
+	}
+	if got := g.AffectedQueries([]string{}, []int{}, 0); len(got) != 0 {
+		t.Fatalf("empty slices affected %v", got)
+	}
+}
+
+// TestAffectedQueriesDocWithoutQueries: a doc ID the graph has never seen
+// (no query references it) contributes nothing — and does not panic.
+func TestAffectedQueriesDocWithoutQueries(t *testing.T) {
+	g := twoComponents()
+	if got := g.AffectedQueries(nil, []int{999}, 3); len(got) != 0 {
+		t.Fatalf("unknown doc affected %v", got)
+	}
+	// Mixed: one known doc, one unknown; only the known doc's component
+	// is affected.
+	got := g.AffectedQueries(nil, []int{2, 999}, 3)
+	if !reflect.DeepEqual(got, []string{"best phones"}) {
+		t.Fatalf("AffectedQueries(doc 2 + unknown) = %v", got)
+	}
+}
+
+// TestAffectedQueriesBridgingBatch: after clicks bridge two previously
+// disconnected clusters, the affected set expands through the new edges
+// into BOTH old components (every seed whose walk can now cross the bridge
+// must re-mine).
+func TestAffectedQueriesBridgingBatch(t *testing.T) {
+	g := twoComponents()
+	g.Add("cars or phones", 1, "cars title", 1, 2)
+	g.Add("cars or phones", 2, "phones title", 1, 2)
+	got := g.AffectedQueries([]string{"cars or phones"}, []int{1, 2}, 3)
+	want := []string{"best cars", "best phones", "cars or phones", "cars roundup"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("bridging batch affected %v, want %v", got, want)
 	}
 }

@@ -56,7 +56,7 @@ func (f memoFixture) add(g *clickgraph.Graph, recs []synth.Record, hops int) []s
 	return g.AffectedQueries(queries, docIDs, hops)
 }
 
-// mineFixed is Mine/MineSharded/MineSeeds past the point where they differ —
+// mineFixed is Mine/MineSeeds past the point where they differ —
 // how the clusters were enumerated. The tests walk the graph once and hand
 // the same clusters to every miner they compare: a random walk sums its
 // probabilities in map order, so two walks of one seed can order two
@@ -111,14 +111,11 @@ func TestMemoMatchesFreshMiner(t *testing.T) {
 			t.Fatalf("P=%d: the replay reused %d clusters and re-mined %d after the first %d, so it did not test both sides of the memo", p, reused, remined-uint64(len(all)), len(all))
 		}
 
-		// The three entry points share the memo: each must agree with a
-		// fresh miner's Mine whatever the others left in it.
+		// The two entry points share the memo: each must agree with a
+		// fresh miner's whatever the other left in it.
 		want := f.miner(p).Mine(g)
 		if !reflect.DeepEqual(warm.Mine(g), want) {
 			t.Fatalf("P=%d: Mine on the warm miner diverges from a fresh miner's", p)
-		}
-		if !reflect.DeepEqual(warm.MineSharded(g, g.ShardAssignment(3)), want) {
-			t.Fatalf("P=%d: MineSharded on the warm miner diverges from a fresh miner's Mine", p)
 		}
 		if !reflect.DeepEqual(warm.MineSeeds(g, g.Queries()), f.miner(p).MineSeeds(g, g.Queries())) {
 			t.Fatalf("P=%d: MineSeeds on the warm miner diverges from a fresh miner's", p)

@@ -53,8 +53,8 @@ type Miner struct {
 	Walk           clickgraph.WalkConfig
 	// Parallelism bounds the worker pool that mines clusters; <= 0 means
 	// runtime.GOMAXPROCS(0). Any value yields byte-identical output: the
-	// per-cluster work is sharded, candidates are merged in seed-query order,
-	// and normalization stays a single deterministic pass.
+	// per-cluster work is spread over the pool, candidates are merged in
+	// seed-query order, and normalization stays a single deterministic pass.
 	Parallelism int
 
 	// The per-seed memo of extract (see mineClusters). memoMu guards it and
@@ -196,8 +196,8 @@ func (m *Miner) store(clusters []clickgraph.Cluster, slots []*memoSlot, misses [
 
 // extract runs GCTSP-Net over one cluster's text: phrase extraction, then
 // concept/event classification and key-element recognition. It only reads
-// shared state (trained models, lexicon), so the miner can shard clusters
-// freely.
+// shared state (trained models, lexicon), so the miner can spread clusters
+// over its workers freely.
 func (m *Miner) extract(cl *clickgraph.Cluster) *memoSlot {
 	s := &memoSlot{
 		queries: make([]string, len(cl.Queries)),
@@ -282,30 +282,11 @@ func (m *Miner) mineClusters(g *clickgraph.Graph, clusters []clickgraph.Cluster)
 
 // Mine runs the pipeline over every query cluster in the click graph and
 // returns deduplicated attention phrases. The cluster walks and the
-// per-cluster GCTSP-Net inference are sharded over a pool of
+// per-cluster GCTSP-Net inference are spread over a pool of
 // Miner.Parallelism workers; the output is identical for every pool size.
 func (m *Miner) Mine(g *clickgraph.Graph) []Mined {
 	clusters := g.ClustersN(m.Walk, m.workers())
 	return m.normalize(m.mineClusters(g, clusters))
-}
-
-// MineSharded runs Algorithm 1 with the cluster walks and per-cluster
-// inference partitioned by a click-graph shard assignment: each shard's
-// queries are walked and mined as a contiguous block of the worker pool's
-// work list. Because connected clusters never straddle shards, the cluster
-// set is exactly Mine's; candidates still merge in seed order and
-// normalization stays a single global pass, so the output is identical to
-// Mine for every shard assignment (sharding changes scheduling, never
-// results).
-func (m *Miner) MineSharded(g *clickgraph.Graph, sh *clickgraph.Sharding) []Mined {
-	if sh == nil || sh.K() <= 1 {
-		return m.Mine(g)
-	}
-	var ordered []string
-	for _, qs := range sh.QueriesOf(g.Queries()) {
-		ordered = append(ordered, qs...)
-	}
-	return m.normalize(m.mineClusters(g, m.clustersFor(g, ordered)))
 }
 
 // clustersFor walks the given seeds on the worker pool and returns their

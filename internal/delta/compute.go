@@ -72,22 +72,6 @@ func (b *deltaBuilder) addEdge(e EdgeAdd) {
 	}
 }
 
-// deltaSink receives the structural output of the shared diff phases. The
-// single-delta path points every emit at one builder; the sharded path
-// routes each emit to the home shard's builder.
-type deltaSink interface {
-	emitAdd(a NodeAdd)
-	emitEdge(e EdgeAdd)
-	emitRetire(r Ref)
-}
-
-// builderSink is the single-delta sink.
-type builderSink struct{ b *deltaBuilder }
-
-func (s builderSink) emitAdd(a NodeAdd)  { s.b.d.Add = append(s.b.d.Add, a) }
-func (s builderSink) emitEdge(e EdgeAdd) { s.b.addEdge(e) }
-func (s builderSink) emitRetire(r Ref)   { s.b.d.Retire = append(s.b.d.Retire, r) }
-
 // classified is the outcome of the Add/Touch classification pass.
 type classified struct {
 	nodes   []minedNode
@@ -268,7 +252,7 @@ func buildInventories(cur *ontology.Snapshot, nodes []minedNode, newSet map[stri
 // out over the worker pool; commits stay sequential in the fixed stage
 // order (CSD mutates the concept inventory that the suffix scan then
 // reads).
-func derivePhase(cur *ontology.Snapshot, inv *inventories, day int, pol Policy, src Source, sink deltaSink, workers int) {
+func derivePhase(cur *ontology.Snapshot, inv *inventories, day int, pol Policy, src Source, b *deltaBuilder, workers int) {
 	var (
 		derived      []phrase.Derived
 		containPairs []linking.PhrasePair
@@ -312,13 +296,13 @@ func derivePhase(cur *ontology.Snapshot, inv *inventories, day int, pol Policy, 
 			inv.newSet[parentKey] = true
 			inv.newConceptSet[parentPhrase] = true
 			inv.allConcepts = append(inv.allConcepts, parentPhrase)
-			sink.emitAdd(NodeAdd{Type: ontology.Concept, Phrase: parentPhrase, Day: day})
+			b.d.Add = append(b.d.Add, NodeAdd{Type: ontology.Concept, Phrase: parentPhrase, Day: day})
 		}
 		for _, child := range der.Children {
 			if parentExists && !inv.newConceptSet[child] {
 				continue // pre-existing parent-child pair
 			}
-			sink.emitEdge(EdgeAdd{
+			b.addEdge(EdgeAdd{
 				SrcType: ontology.Concept, Src: parentPhrase,
 				DstType: ontology.Concept, Dst: child,
 				Type: ontology.IsA, Weight: 1,
@@ -330,21 +314,21 @@ func derivePhase(cur *ontology.Snapshot, inv *inventories, day int, pol Policy, 
 	// pairs involving a phrase from this batch are new, so only those are
 	// asked for (a batch that adds no concept or event scans nothing).
 	for _, pr := range linking.SuffixIsAEdgesTouching(inv.allConcepts, inv.newConceptSet) {
-		sink.emitEdge(EdgeAdd{
+		b.addEdge(EdgeAdd{
 			SrcType: ontology.Concept, Src: pr.Parent,
 			DstType: ontology.Concept, Dst: pr.Child,
 			Type: ontology.IsA, Weight: 1,
 		})
 	}
 	for _, pr := range containPairs {
-		sink.emitEdge(EdgeAdd{
+		b.addEdge(EdgeAdd{
 			SrcType: ontology.Event, Src: pr.Parent,
 			DstType: ontology.Event, Dst: pr.Child,
 			Type: ontology.IsA, Weight: 1,
 		})
 	}
 	for _, pr := range involvePairs {
-		sink.emitEdge(EdgeAdd{
+		b.addEdge(EdgeAdd{
 			SrcType: ontology.Topic, Src: pr.Parent,
 			DstType: ontology.Concept, Dst: pr.Child,
 			Type: ontology.Involve, Weight: 1,
@@ -420,7 +404,7 @@ func entityPhase(cur *ontology.Snapshot, nodes []minedNode, src Source, b *delta
 // ttlPhase applies TTL retirement: attention types decay when not
 // re-observed. Nodes touched or re-mined this batch are fresh by
 // definition. Retirements are emitted in node-ID order.
-func ttlPhase(cur *ontology.Snapshot, touched map[string]bool, day int, pol Policy, sink deltaSink) {
+func ttlPhase(cur *ontology.Snapshot, touched map[string]bool, day int, pol Policy, b *deltaBuilder) {
 	for i := 0; i < cur.Len(); i++ {
 		n := cur.At(ontology.NodeID(i))
 		ttl := pol.ttlFor(n.Type)
@@ -435,7 +419,7 @@ func ttlPhase(cur *ontology.Snapshot, touched map[string]bool, day int, pol Poli
 			last = n.Day
 		}
 		if day-last > ttl {
-			sink.emitRetire(Ref{Type: n.Type, Phrase: n.Phrase})
+			b.d.Retire = append(b.d.Retire, Ref{Type: n.Type, Phrase: n.Phrase})
 		}
 	}
 }
@@ -451,9 +435,9 @@ func Compute(cur *ontology.Snapshot, mined []core.Mined, seeds []string, day int
 	w := src.workers()
 	cl := classify(cur, mined, b)
 	categoryPhase(cur, cl.nodes, pol, src, b, w)
-	derivePhase(cur, buildInventories(cur, cl.nodes, cl.newSet), day, pol, src, builderSink{b}, w)
+	derivePhase(cur, buildInventories(cur, cl.nodes, cl.newSet), day, pol, src, b, w)
 	entityPhase(cur, cl.nodes, src, b, w)
-	ttlPhase(cur, cl.touched, day, pol, builderSink{b})
+	ttlPhase(cur, cl.touched, day, pol, b)
 	return b.d
 }
 

@@ -1,10 +1,7 @@
 package delta
 
 import (
-	"fmt"
 	"reflect"
-	"sort"
-	"strings"
 	"testing"
 
 	"giant/internal/core"
@@ -57,123 +54,6 @@ func TestComputeParallelDeterminism(t *testing.T) {
 	}
 }
 
-// snapshotFingerprint renders node and edge sets in a canonical,
-// ID-independent order.
-func snapshotFingerprint(t *testing.T, s *ontology.Snapshot) string {
-	t.Helper()
-	var lines []string
-	for _, n := range s.Nodes() {
-		aliases := append([]string(nil), n.Aliases...)
-		sort.Strings(aliases)
-		lines = append(lines, fmt.Sprintf("node|%s|%s|%v|%s|%s|%d|%d|%d",
-			n.Type, n.Phrase, aliases, n.Trigger, n.Location, n.Day, n.FirstSeenDay, n.LastSeenDay))
-	}
-	for _, e := range s.Edges() {
-		src, _ := s.Get(e.Src)
-		dst, _ := s.Get(e.Dst)
-		lines = append(lines, fmt.Sprintf("edge|%s|%s|%s|%s|%s|%.6f",
-			src.Type, src.Phrase, e.Type, dst.Type, dst.Phrase, e.Weight))
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
-}
-
-// seedShards assigns the rich seeds round-robin so the batch genuinely
-// splits across shards.
-func seedShards(k int) func(string) (int, bool) {
-	assign := map[string]int{}
-	for i, s := range richSeeds {
-		assign[s] = i % k
-	}
-	return func(s string) (int, bool) {
-		sh, ok := assign[s]
-		return sh, ok
-	}
-}
-
-// TestComputeShardedEquivalence pins the tentpole contract: applying the
-// per-shard deltas yields exactly the node/edge sets of the single-delta
-// path, for several shard counts.
-func TestComputeShardedEquivalence(t *testing.T) {
-	cur := baseSnapshot(t)
-	ref := Compute(cur, richMined(), richSeeds, 4, testPolicy(), richSource())
-	refNext, err := Apply(cur, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := snapshotFingerprint(t, refNext)
-	for _, k := range []int{2, 3, 4} {
-		deltas := ComputeSharded(cur, richMined(), richSeeds, 4, testPolicy(), richSource(), seedShards(k), k)
-		if len(deltas) != k {
-			t.Fatalf("ComputeSharded returned %d deltas for k=%d", len(deltas), k)
-		}
-		ss, err := ontology.ShardSnapshot(cur, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		next, merged, touched, err := ApplySharded(ss, deltas)
-		if err != nil {
-			t.Fatalf("ApplySharded k=%d: %v", k, err)
-		}
-		if got := snapshotFingerprint(t, next.Union()); got != want {
-			t.Fatalf("k=%d union diverges from single-delta path:\n got:\n%s\n want:\n%s", k, got, want)
-		}
-		if merged.Empty() {
-			t.Fatalf("k=%d merged delta unexpectedly empty", k)
-		}
-		if len(touched) != k {
-			t.Fatalf("k=%d touched flags = %v", k, touched)
-		}
-		// The merged per-shard projections must reproduce the union sets.
-		assertShardsCoverUnion(t, next)
-	}
-}
-
-// assertShardsCoverUnion checks the partition invariants: every union node
-// is home in exactly one shard, and the union of stored edges (phrase
-// keyed) equals the union snapshot's edges.
-func assertShardsCoverUnion(t *testing.T, ss *ontology.ShardedSnapshot) {
-	t.Helper()
-	union := ss.Union()
-	homes := map[string]int{}
-	totalHome := 0
-	for s := 0; s < ss.NumShards(); s++ {
-		for _, n := range ss.HomeNodes(s) {
-			key := n.Type.String() + "\x00" + n.Phrase
-			if prev, dup := homes[key]; dup {
-				t.Fatalf("node %q home in shards %d and %d", n.Phrase, prev, s)
-			}
-			homes[key] = s
-			totalHome++
-		}
-	}
-	if totalHome != union.NodeCount() {
-		t.Fatalf("home nodes %d != union nodes %d", totalHome, union.NodeCount())
-	}
-	edgeKeys := func(s *ontology.Snapshot) map[string]float64 {
-		out := map[string]float64{}
-		for _, e := range s.Edges() {
-			src, _ := s.Get(e.Src)
-			dst, _ := s.Get(e.Dst)
-			out[fmt.Sprintf("%s|%s|%s|%s|%s", src.Type, src.Phrase, e.Type, dst.Type, dst.Phrase)] = e.Weight
-		}
-		return out
-	}
-	want := edgeKeys(union)
-	got := map[string]float64{}
-	for s := 0; s < ss.NumShards(); s++ {
-		for k, w := range edgeKeys(ss.Shard(s)) {
-			if prev, ok := got[k]; ok && prev != w {
-				t.Fatalf("edge %s stored with weights %v and %v on different shards", k, prev, w)
-			}
-			got[k] = w
-		}
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("merged shard edges != union edges:\n got %d, want %d", len(got), len(want))
-	}
-}
-
 // TestApplyShardedReusesUntouchedProjections pins the publication unit: a
 // delta confined to one shard advances only that shard's projection.
 func TestApplyShardedReusesUntouchedProjections(t *testing.T) {
@@ -188,8 +68,8 @@ func TestApplyShardedReusesUntouchedProjections(t *testing.T) {
 	mined := []core.Mined{{Phrase: "family sedans", Seed: "best family sedans", Day: 6}}
 	pol := testPolicy()
 	pol.EventTTL = 0
-	deltas := ComputeSharded(cur, mined, []string{"best family sedans"}, 6, pol, Source{}, func(string) (int, bool) { return 1, true }, k)
-	next, _, touched, err := ApplySharded(ss, deltas)
+	d := Compute(cur, mined, []string{"best family sedans"}, 6, pol, Source{})
+	next, touched, err := ApplySharded(ss, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,19 +93,6 @@ func TestApplyShardedReusesUntouchedProjections(t *testing.T) {
 	}
 	if next.Shard(home) == ss.Shard(home) {
 		t.Fatal("touched home shard kept its stale projection")
-	}
-}
-
-// TestMergeDeltas checks day and slice merging.
-func TestMergeDeltas(t *testing.T) {
-	a := &Delta{Day: 3, Seeds: []string{"zz"}, Add: []NodeAdd{{Type: ontology.Concept, Phrase: "a"}}}
-	b := &Delta{Day: 5, Seeds: []string{"aa"}, Retire: []Ref{{Type: ontology.Event, Phrase: "e"}}}
-	m := MergeDeltas([]*Delta{a, b, nil})
-	if m.Day != 5 || len(m.Add) != 1 || len(m.Retire) != 1 {
-		t.Fatalf("merged = %+v", m)
-	}
-	if !sort.StringsAreSorted(m.Seeds) {
-		t.Fatalf("merged seeds not sorted: %v", m.Seeds)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package par provides the small concurrency primitives the pipeline
-// shares: an index-sharded parallel for-loop and a bounded stage runner.
+// shares: an index-partitioned parallel for-loop and a bounded stage runner.
 // Both degrade to plain sequential execution at workers <= 1, so a single
 // code path serves the sequential and parallel configurations and their
 // outputs stay identical by construction.

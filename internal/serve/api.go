@@ -17,6 +17,7 @@ package serve
 //     included, must stay byte-identical to the in-process server's).
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -31,6 +32,7 @@ const (
 	codeInvalidArgument  = "invalid_argument"   // 400: malformed query/body
 	codeInvalidLimit     = "invalid_limit"      // 400: non-numeric or non-positive ?limit=
 	codeInvalidBatch     = "invalid_batch"      // 422: delta.ErrInvalidBatch
+	codePayloadTooLarge  = "payload_too_large"  // 413: request body past maxBodyBytes
 	codeNotFound         = "not_found"          // 404
 	codeMethodNotAllowed = "method_not_allowed" // 405
 	codeUnavailable      = "unavailable"        // 503: endpoint not wired in this mode
@@ -42,6 +44,23 @@ const (
 	codeBadUpstream      = "bad_upstream"       // 502: loader or backend returned garbage
 	codeInternal         = "internal"           // 500
 )
+
+// maxBodyBytes bounds every request body the daemons read (/v1/ingest on
+// giantd and the router, POST /v1/tag): both endpoint wrappers put the
+// body behind http.MaxBytesReader, so a client cannot make a server buffer
+// or decode without limit. A real update batch is a few KB.
+const maxBodyBytes = 8 << 20
+
+// bodyError maps a failure to read or decode a request body to its
+// response: 413 payload_too_large when the body ran past maxBodyBytes,
+// otherwise 400 invalid_argument, the message prefixed with what failed.
+func bodyError(what string, err error) (int, errorBody) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge, errBody(codePayloadTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+	}
+	return http.StatusBadRequest, errBody(codeInvalidArgument, what+": "+err.Error())
+}
 
 // Generation response headers. The router keys replica read-gating on
 // walGenHeader, so a replica's every response doubles as a progress

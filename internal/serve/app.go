@@ -67,7 +67,8 @@ func parseTagDoc(r *http.Request) (*tagging.Document, int, errorBody) {
 		}
 	case http.MethodPost:
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			return nil, http.StatusBadRequest, errBody(codeInvalidArgument, "decode body: "+err.Error())
+			status, errb := bodyError("decode body", err)
+			return nil, status, errb
 		}
 	default:
 		return nil, http.StatusMethodNotAllowed, errBody(codeMethodNotAllowed, "use GET or POST")

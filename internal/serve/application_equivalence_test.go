@@ -365,11 +365,12 @@ func TestApplicationEquivalenceIngestReplay(t *testing.T) {
 			inLineage := ss
 			opts := Options{CacheSize: 64}
 			opts.IngestSharded = func(b delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error) {
-				next, merged, touched, err := delta.ApplySharded(inLineage, []*delta.Delta{appReplayDelta(b.Day)})
+				d := appReplayDelta(b.Day)
+				next, touched, err := delta.ApplySharded(inLineage, d)
 				if err == nil {
 					inLineage = next
 				}
-				return next, merged, touched, err
+				return next, d, touched, err
 			}
 			srv := NewSharded(ss, opts)
 			shardTS := httptest.NewServer(srv.Handler())
@@ -382,12 +383,13 @@ func TestApplicationEquivalenceIngestReplay(t *testing.T) {
 				shard := i
 				back := NewShard(ss.Projection(i), Options{
 					ShardIngest: func(b delta.Batch) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
-						next, merged, touched, err := delta.ApplySharded(lineage, []*delta.Delta{appReplayDelta(b.Day)})
+						d := appReplayDelta(b.Day)
+						next, touched, err := delta.ApplySharded(lineage, d)
 						if err != nil {
 							return nil, nil, nil, err
 						}
 						lineage = next
-						return next.Projection(shard), merged, touched, nil
+						return next.Projection(shard), d, touched, nil
 					},
 				})
 				backTS := httptest.NewServer(back.Handler())

@@ -32,6 +32,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -79,12 +80,12 @@ func (h *detShardHost) ingest(gate chan struct{}) func(delta.Batch) (*ontology.S
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		next, merged, touched, err := delta.ApplySharded(h.cur, []*delta.Delta{d})
+		next, touched, err := delta.ApplySharded(h.cur, d)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		h.cur = next
-		return next.Projection(h.shard), merged, touched, nil
+		return next.Projection(h.shard), d, touched, nil
 	}
 }
 
@@ -132,12 +133,12 @@ func detShardedIngester(base *ontology.ShardedSnapshot) func(delta.Batch) (*onto
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		next, merged, touched, err := delta.ApplySharded(cur, []*delta.Delta{d})
+		next, touched, err := delta.ApplySharded(cur, d)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		cur = next
-		return next, merged, touched, nil
+		return next, d, touched, nil
 	}
 }
 
@@ -907,7 +908,7 @@ var knownErrorCodes = map[string]bool{
 	codeNotFound: true, codeMethodNotAllowed: true, codeUnavailable: true,
 	codeShardUnavailable: true, codePartialApply: true, codeReplicaLagging: true,
 	codeReadOnlyReplica: true, codeConflict: true, codeBadUpstream: true,
-	codeInternal: true,
+	codeInternal: true, codePayloadTooLarge: true,
 }
 
 // assertEnvelope asserts a body is the unified error envelope; wantCode,
@@ -1052,4 +1053,74 @@ func TestErrorEnvelope(t *testing.T) {
 		}
 		assertEnvelope(t, body, codeShardUnavailable)
 	})
+}
+
+// TestWriteBodyBound: every endpoint that reads a request body stops at
+// maxBodyBytes. A body one byte past the limit answers 413
+// payload_too_large in the unified envelope without reaching the ingester
+// or moving any generation; a valid body of exactly the limit is served.
+func TestWriteBodyBound(t *testing.T) {
+	snap := testOntology(0).Snapshot()
+	ss, err := ontology.ShardSnapshot(snap, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var applied atomic.Int64
+	single := httptest.NewServer(New(snap, Options{Ingest: func(b delta.Batch) (*ontology.Snapshot, *delta.Delta, error) {
+		applied.Add(1)
+		return snap, &delta.Delta{Day: b.Day}, nil
+	}}).Handler())
+	t.Cleanup(single.Close)
+	urls := make([]string, 2)
+	for i := range urls {
+		ingest := detShardIngester(i, ss, nil)
+		back := httptest.NewServer(NewShard(ss.Projection(i), Options{
+			ShardIngest: func(b delta.Batch) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
+				applied.Add(1)
+				return ingest(b)
+			},
+		}).Handler())
+		t.Cleanup(back.Close)
+		urls[i] = back.URL
+	}
+	rt, err := NewRouter(RouterOptions{Backends: urls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	router := httptest.NewServer(rt.Handler())
+	t.Cleanup(router.Close)
+
+	// padded is one JSON object of exactly n bytes: the filler is
+	// whitespace inside the object, so a decoder has to read all of it.
+	padded := func(head, tail string, n int) string {
+		return head + strings.Repeat(" ", n-len(head)-len(tail)) + tail
+	}
+	for _, tc := range []struct {
+		name, base, path, head, tail string
+	}{
+		{"giantd ingest", single.URL, "/v1/ingest", `{"day":12,`, `"clicks":[]}`},
+		{"router ingest", router.URL, "/v1/ingest", `{"day":12,`, `"clicks":[]}`},
+		{"tag", single.URL, "/v1/tag", `{"title":"family sedans compared",`, `"content":""}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := http.DefaultClient
+			_, statsBefore := getRaw(t, c, tc.base+"/v1/stats")
+			appliedBefore := applied.Load()
+			status, body := postRaw(t, c, tc.base+tc.path, padded(tc.head, tc.tail, maxBodyBytes+1))
+			if status != http.StatusRequestEntityTooLarge {
+				t.Fatalf("body of limit+1 bytes = %d, want 413: %s", status, body)
+			}
+			assertEnvelope(t, body, codePayloadTooLarge)
+			if n := applied.Load(); n != appliedBefore {
+				t.Fatalf("an oversized body reached the ingester (%d calls)", n-appliedBefore)
+			}
+			if _, statsAfter := getRaw(t, c, tc.base+"/v1/stats"); !bytes.Equal(statsBefore, statsAfter) {
+				t.Fatalf("an oversized body changed /v1/stats:\n before %s\n after  %s", statsBefore, statsAfter)
+			}
+			if status, body := postRaw(t, c, tc.base+tc.path, padded(tc.head, tc.tail, maxBodyBytes)); status != http.StatusOK {
+				t.Fatalf("valid body of exactly the limit = %d, want 200: %s", status, body)
+			}
+		})
+	}
 }

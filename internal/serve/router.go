@@ -907,6 +907,7 @@ func (rt *Router) endpoint(name string, fn func(r *http.Request, meta *respMeta)
 	m := rt.metrics.endpoints[name]
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 		meta := &respMeta{}
 		status, payload := fn(r, meta)
 		var body []byte
@@ -1432,7 +1433,7 @@ func (rt *Router) handleIngest(r *http.Request, meta *respMeta) (int, any) {
 	}
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		return http.StatusBadRequest, errBody(codeInvalidArgument, "read body: "+err.Error())
+		return bodyError("read body", err)
 	}
 	if rt.walMode() {
 		return rt.ingestWAL(r.Context(), meta, body)

@@ -591,12 +591,12 @@ func TestRouterIngestAllOrNothing(t *testing.T) {
 			}
 			n++
 			d := &delta.Delta{Day: b.Day, Add: []delta.NodeAdd{{Type: ontology.Concept, Phrase: fmt.Sprintf("hybrid sedans %d", n), Day: b.Day}}}
-			next, merged, touched, err := delta.ApplySharded(cur, []*delta.Delta{d})
+			next, touched, err := delta.ApplySharded(cur, d)
 			if err != nil {
 				return nil, nil, nil, err
 			}
 			cur = next
-			return next.Projection(i), merged, touched, nil
+			return next.Projection(i), d, touched, nil
 		}
 	}
 	urls := make([]string, 2)

@@ -193,11 +193,12 @@ func TestSearchEquivalenceIngestReplay(t *testing.T) {
 			lineage := ss
 			opts := Options{}
 			opts.IngestSharded = func(b delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error) {
-				next, merged, touched, err := delta.ApplySharded(lineage, []*delta.Delta{replayDelta(b.Day)})
+				d := replayDelta(b.Day)
+				next, touched, err := delta.ApplySharded(lineage, d)
 				if err == nil {
 					lineage = next
 				}
-				return next, merged, touched, err
+				return next, d, touched, err
 			}
 			srv := NewSharded(ss, opts)
 			ts := httptest.NewServer(srv.Handler())
@@ -238,11 +239,11 @@ func TestSearchPartialCarryAndInvalidation(t *testing.T) {
 	opts.IngestSharded = func(b delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error) {
 		day++
 		d := &delta.Delta{Day: b.Day, Add: []delta.NodeAdd{{Type: ontology.Concept, Phrase: fmt.Sprintf("hybrid sedans %d", day), Day: b.Day}}}
-		next, merged, touched, err := delta.ApplySharded(lineage, []*delta.Delta{d})
+		next, touched, err := delta.ApplySharded(lineage, d)
 		if err == nil {
 			lineage = next
 		}
-		return next, merged, touched, err
+		return next, d, touched, err
 	}
 	srv := NewSharded(ss, opts)
 	ts := httptest.NewServer(srv.Handler())
@@ -371,7 +372,7 @@ func TestSearchShardedHammerConcurrentIngest(t *testing.T) {
 	probes := []probe{{"sedan", 3}, {"replay", 5}, {"model", 3}, {"sonata", 5}}
 	worlds := []*ontology.ShardedSnapshot{ss}
 	for day, lin := 1, ss; day <= maxDay; day++ {
-		next, _, _, err := delta.ApplySharded(lin, []*delta.Delta{replayDelta(day)})
+		next, _, err := delta.ApplySharded(lin, replayDelta(day))
 		if err != nil {
 			t.Fatalf("day %d: %v", day, err)
 		}
@@ -388,11 +389,12 @@ func TestSearchShardedHammerConcurrentIngest(t *testing.T) {
 	lineage := ss
 	opts := Options{CacheSize: 64}
 	opts.IngestSharded = func(b delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error) {
-		next, merged, touched, err := delta.ApplySharded(lineage, []*delta.Delta{replayDelta(b.Day)})
+		d := replayDelta(b.Day)
+		next, touched, err := delta.ApplySharded(lineage, d)
 		if err == nil {
 			lineage = next
 		}
-		return next, merged, touched, err
+		return next, d, touched, err
 	}
 	srv := NewSharded(ss, opts)
 	ts := httptest.NewServer(srv.Handler())
@@ -589,12 +591,13 @@ func newCachedRouterFixture(t *testing.T, k int, failOpen bool) (*ontology.Shard
 		shard := i
 		back := NewShard(ss.Projection(i), Options{
 			ShardIngest: func(b delta.Batch) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
-				next, merged, touched, err := delta.ApplySharded(lineage, []*delta.Delta{cacheDelta(b.Day)})
+				d := cacheDelta(b.Day)
+				next, touched, err := delta.ApplySharded(lineage, d)
 				if err != nil {
 					return nil, nil, nil, err
 				}
 				lineage = next
-				return next.Projection(shard), merged, touched, nil
+				return next.Projection(shard), d, touched, nil
 			},
 		})
 		flaky[i] = &flakyBackend{h: back.Handler()}

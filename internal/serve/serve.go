@@ -521,6 +521,7 @@ func (s *Server) endpoint(name string, cacheable bool, fn handlerFunc) http.Hand
 	m := s.metrics.endpoints[name]
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 		st := s.cur.Load()
 		useCache := cacheable && r.Method == http.MethodGet
 		var cache *lruCache
@@ -1083,7 +1084,7 @@ func (s *Server) handleIngest(st *state, r *http.Request) (int, any) {
 	}
 	var batch delta.Batch
 	if err := json.NewDecoder(r.Body).Decode(&batch); err != nil {
-		return http.StatusBadRequest, errBody(codeInvalidArgument, "decode batch: "+err.Error())
+		return bodyError("decode batch", err)
 	}
 	return s.ingestBatch(batch)
 }

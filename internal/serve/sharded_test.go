@@ -99,11 +99,11 @@ func TestShardedIngestPublishesTouchedShardsOnly(t *testing.T) {
 	opts.IngestSharded = func(b delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error) {
 		day++
 		d := &delta.Delta{Day: b.Day, Add: []delta.NodeAdd{{Type: ontology.Concept, Phrase: fmt.Sprintf("hybrid sedans %d", day), Day: b.Day}}}
-		next, merged, touched, err := delta.ApplySharded(lineage, []*delta.Delta{d})
+		next, touched, err := delta.ApplySharded(lineage, d)
 		if err == nil {
 			lineage = next
 		}
-		return next, merged, touched, err
+		return next, d, touched, err
 	}
 	srv := NewSharded(ss, opts)
 	ts := httptest.NewServer(srv.Handler())
@@ -200,11 +200,11 @@ func TestShardedNodeCacheSurvivesForeignRepublication(t *testing.T) {
 			day++
 			d = &delta.Delta{Day: b.Day, Add: []delta.NodeAdd{{Type: ontology.Concept, Phrase: fmt.Sprintf("hybrid sedans %d", day), Day: b.Day}}}
 		}
-		next, merged, touched, err := delta.ApplySharded(lineage, []*delta.Delta{d})
+		next, touched, err := delta.ApplySharded(lineage, d)
 		if err == nil {
 			lineage = next
 		}
-		return next, merged, touched, err
+		return next, d, touched, err
 	}
 	srv := NewSharded(ss, opts)
 	ts := httptest.NewServer(srv.Handler())
