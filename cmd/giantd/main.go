@@ -31,13 +31,15 @@
 // file automatically through the same reload path (-watch applies to -in
 // mode only). SIGINT/SIGTERM shut the server down gracefully.
 //
-// With -shards K (> 1) the ontology is partitioned K ways behind one
-// routing index: /v1/search scatter-gathers over the shard projections,
+// With -shards K the ontology is published as K home-shard projections:
 // /v1/stats lists per-shard generations, and a live ingest republishes —
 // and bumps the generation of — only the shards its delta touched. The
-// delta itself is the one -shards 1 computes, so responses, node IDs
-// included, are identical to -shards 1; only the unit of publication
-// changes.
+// process still holds the union and answers every read from it through
+// one response cache; -shards changes the unit of publication and the
+// generation accounting, and routes /v1/search through the shards'
+// term-gram index, nothing else. The delta itself is the one -shards 1
+// computes, so responses, node IDs included, are identical for every K
+// (-shards 1, the default, is the same server with one shard).
 //
 // With -shard i/k the daemon serves a SINGLE shard of a k-way partition —
 // the backend of the multi-process tier (put cmd/giantrouter in front of k
@@ -105,7 +107,7 @@ func main() {
 		grace   = flag.Duration("grace", 5*time.Second, "graceful-shutdown drain timeout")
 		history = flag.Int("history", ontology.DefaultRetention, "snapshot generations retained for /v1/rollback")
 		watch   = flag.Duration("watch", 0, "poll -in for changes at this interval and hot-swap automatically (0 disables)")
-		shards  = flag.Int("shards", 1, "serve the ontology as K home-shard projections: per-shard generations, scatter-gather search, an ingest republishes only the shards it touched (1 = one unsharded snapshot)")
+		shards  = flag.Int("shards", 1, "publish the ontology as K home-shard projections: per-shard generations, gram-routed search, an ingest republishes only the shards it touched; reads answer from the union for every K")
 		shard   = flag.String("shard", "", "serve a single shard of a k-way partition as i/k (e.g. 0/4): the per-shard backend of cmd/giantrouter")
 		walDir  = flag.String("wal", "", "delta-log directory: tail DIR/shard-i-of-k.wal instead of accepting direct writes (requires -shard and -build)")
 		replica = flag.Int("replica", 0, "with -wal: this process's replica ordinal, reported in /healthz and log lines")
@@ -152,8 +154,7 @@ func run(in, addr string, build, tiny bool, cache int, grace time.Duration, hist
 		return runShard(in, addr, build, tiny, cache, grace, history, watch, shards, shardSpec, walDir, replica, ckptEvery)
 	}
 	opts := serve.Options{CacheSize: cache, History: history}
-	var snap *ontology.Snapshot
-	var sharded *ontology.ShardedSnapshot // sharded initial state (when -shards > 1)
+	var sharded *ontology.ShardedSnapshot
 	switch {
 	case build:
 		cfg := giant.DefaultConfig()
@@ -166,7 +167,6 @@ func run(in, addr string, build, tiny bool, cache int, grace time.Duration, hist
 		if err != nil {
 			return err
 		}
-		snap = sys.Snapshot()
 		// Every publish re-reads the system's concept context (a fresh
 		// copy), so taggers built after a live ingest see the new
 		// concepts' context representations. The callback runs under the
@@ -180,38 +180,30 @@ func run(in, addr string, build, tiny bool, cache int, grace time.Duration, hist
 			}
 			return rebuilt.Snapshot(), nil
 		}
-		// Live ingest: System.Ingest serializes internally; the serve
-		// layer additionally orders publishes under its swap lock. With
-		// -shards > 1 only the shards the delta touched republish. The
-		// initial serving state must come from the System's own
-		// projection lineage: IngestSharded advances that lineage, and
-		// the server identifies unchanged shards by projection pointer —
-		// an independent re-partition would make the first ingest
-		// republish every shard.
-		if shards > 1 {
-			var err error
-			if sharded, err = sys.ShardedSnapshot(); err != nil {
-				return err
+		// Live ingest: System.IngestSharded serializes internally; the
+		// serve layer additionally orders publishes under its swap lock,
+		// and only the shards the delta touched republish. The initial
+		// serving state must come from the System's own projection
+		// lineage: IngestSharded advances that lineage, and the server
+		// identifies unchanged shards by projection pointer — an
+		// independent re-partition would make the first ingest republish
+		// every shard.
+		if sharded, err = sys.ShardedSnapshot(); err != nil {
+			return err
+		}
+		opts.IngestSharded = func(b delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error) {
+			next, d, touched, err := sys.IngestSharded(b)
+			if err == nil {
+				logIngested(sys, d)
 			}
-			opts.IngestSharded = func(b delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error) {
-				next, d, touched, err := sys.IngestSharded(b)
-				if err == nil {
-					logIngested(sys, d)
-				}
-				return next, d, touched, err
-			}
-		} else {
-			opts.Ingest = func(b delta.Batch) (*ontology.Snapshot, *delta.Delta, error) {
-				next, d, err := sys.Ingest(b)
-				if err == nil {
-					logIngested(sys, d)
-				}
-				return next, d, err
-			}
+			return next, d, touched, err
 		}
 	case in != "":
-		var err error
-		if snap, err = ontology.LoadSnapshotFile(in); err != nil {
+		snap, err := ontology.LoadSnapshotFile(in)
+		if err != nil {
+			return err
+		}
+		if sharded, err = ontology.ShardSnapshot(snap, shards); err != nil {
 			return err
 		}
 		opts.Loader = func() (*ontology.Snapshot, error) { return ontology.LoadSnapshotFile(in) }
@@ -219,20 +211,8 @@ func run(in, addr string, build, tiny bool, cache int, grace time.Duration, hist
 		return fmt.Errorf("need -in <ontology artifact> or -build (see giantctl build -out)")
 	}
 
-	var srv *serve.Server
-	if shards > 1 {
-		if sharded == nil { // -in mode: partition the loaded snapshot
-			var err error
-			if sharded, err = ontology.ShardSnapshot(snap, shards); err != nil {
-				return err
-			}
-		}
-		srv = serve.NewSharded(sharded, opts)
-		log.Printf("serving %s on %s (%d shards)", snap, addr, shards)
-	} else {
-		srv = serve.New(snap, opts)
-		log.Printf("serving %s on %s", snap, addr)
-	}
+	srv := serve.NewSharded(sharded, opts)
+	log.Printf("serving %s on %s (%d shards)", sharded.Union(), addr, sharded.NumShards())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -11,14 +11,12 @@ package ontology
 //   - UID translates the scope's local node ID into the union ID, the shared
 //     currency every merge site orders and deduplicates by.
 //
-// Three partitions cover every serving mode:
+// Two partitions cover every serving mode:
 //
 //   - UnionScope(v): a single scope where everything is home and IDs are
 //     already union IDs. Merging the one partial extracted from it IS the
-//     single-snapshot computation — which is how single-process handlers and
-//     the scatter-gather handlers share one code path byte-identically.
-//   - ShardScope(union, shard, k): in-process sharded serving. The view is
-//     the union snapshot but only nodes hashing to the shard are home.
+//     single-snapshot computation — which is how a process holding the union
+//     and the router's scatter-gather share one code path byte-identically.
 //   - ProjectionScope(p): a shard-file projection (home prefix + ghosts)
 //     served by a standalone shard process; UID goes through the
 //     projection's union-ID table.
@@ -36,17 +34,6 @@ func UnionScope(v View) Scope {
 	return Scope{
 		View: v,
 		Home: func(*Node) bool { return true },
-		UID:  func(id NodeID) NodeID { return id },
-	}
-}
-
-// ShardScope scopes a union view to the nodes whose deterministic home is
-// the given shard. Local IDs are union IDs (the view is the union), so UID
-// is the identity.
-func ShardScope(v View, shard, k int) Scope {
-	return Scope{
-		View: v,
-		Home: func(n *Node) bool { return HomeShard(n.Type, n.Phrase, k) == shard },
 		UID:  func(id NodeID) NodeID { return id },
 	}
 }

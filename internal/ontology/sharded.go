@@ -77,7 +77,7 @@ func freshGramsBoxes(k int) []*shardGramsBox {
 
 // ShardSnapshot partitions union into k per-shard projections. k <= 1
 // yields a single shard whose projection is the union itself (no ghosts,
-// no copies) — the legacy path with zero overhead.
+// no copies) — what serve.New runs on, at zero overhead.
 func ShardSnapshot(union *Snapshot, k int) (*ShardedSnapshot, error) {
 	if k < 1 {
 		k = 1
@@ -257,18 +257,6 @@ func (ss *ShardedSnapshot) CandidateShards(needle string) []int {
 		}
 	}
 	return out
-}
-
-// SearchShardHome returns shard i's first limit home matches for the
-// already-lowercased needle, in that shard's home order (= union ID
-// order), as the shard's local node copies. This is the context-free
-// cacheable partial unit of sharded search: it depends only on shard i's
-// home contents, never on peer shards or the union, so a cached partial
-// stays valid for as long as shard i's projection does — republishing a
-// peer cannot stale it. Callers render hits through the current union
-// index at merge time.
-func (ss *ShardedSnapshot) SearchShardHome(i int, needle string, limit int) []Node {
-	return searchNodes(ss.shards[i].nodes[:ss.homeCount[i]], needle, limit)
 }
 
 // Search is the scatter-gather analogue of Snapshot.Search, attacked from

@@ -14,11 +14,11 @@ import (
 
 // This file is the application-endpoint core shared by every serving mode:
 // /v1/tag, /v1/query/rewrite and /v1/story all decompose into per-scope
-// partials (tagging/queryund/storytree) plus a deterministic merge, and the
-// single-snapshot, in-process sharded, and multi-process (router) paths all
-// run the same extraction and merge code. Per-shard servers additionally
-// expose the raw partials over HTTP (?partial=...) for the router's
-// scatter-gather:
+// partials (tagging/queryund/storytree) plus a deterministic merge. A process
+// that holds the union answers from its union taggers — internally the merge
+// of one whole-view partial — and the partial → merge fold runs only across
+// processes, in the router (router_app.go), over the raw partials every
+// server exposes over HTTP (?partial=...):
 //
 //	GET  /v1/tag?partial=stats        home concepts + representations
 //	GET/POST /v1/tag?partial=match    per-entity parent + event candidates
@@ -199,77 +199,4 @@ func (st *state) conceptRefs() []tagging.ConceptRef {
 	refs := st.concepts.ConceptStats(st.appScope())
 	st.appRefs.Store(&refs)
 	return refs
-}
-
-// conceptIndex returns the merged concept index the state's tag merges run
-// over, built once per state. Sharded states build it by merging the
-// per-shard stats partials — the same fold the router runs over shard
-// responses — which the scope partition guarantees equals the single-union
-// index.
-func (st *state) conceptIndex() *tagging.ConceptIndex {
-	if st.shards == nil {
-		return st.concepts.Index()
-	}
-	if ix := st.appStats.Load(); ix != nil {
-		return ix
-	}
-	k := st.shards.NumShards()
-	parts := make([][]tagging.ConceptRef, k)
-	for i := 0; i < k; i++ {
-		parts[i] = st.concepts.ConceptStats(ontology.ShardScope(st.snap, i, k))
-	}
-	ix := tagging.NewConceptIndex(parts...)
-	st.appStats.Store(ix)
-	return ix
-}
-
-// storyFragments returns the state's merged story-tree candidate list.
-// Sharded states merge per-shard fragment partials by union ID — again the
-// router's fold — instead of using the union-extracted storyEvents, so the
-// in-process sharded path exercises the same code multi-process serving
-// runs.
-func (st *state) storyFragments() []*storytree.EventNode {
-	if st.shards == nil {
-		return st.storyEvents
-	}
-	if p := st.appFrags.Load(); p != nil {
-		return *p
-	}
-	k := st.shards.NumShards()
-	parts := make([][]*storytree.EventNode, k)
-	for i := 0; i < k; i++ {
-		parts[i] = storytree.FragmentsFromScope(ontology.ShardScope(st.snap, i, k))
-	}
-	merged := storytree.MergeFragments(parts...)
-	st.appFrags.Store(&merged)
-	return merged
-}
-
-// tagSharded is the in-process scatter-gather /v1/tag: per-shard match and
-// event partials over each shard's scope, merged exactly as the router
-// merges shard HTTP responses.
-func (st *state) tagSharded(doc *tagging.Document) (int, any) {
-	k := st.shards.NumShards()
-	ix := st.conceptIndex()
-	matchParts := make([][][]tagging.ConceptRef, k)
-	evParts := make([][]tagging.EventCand, k)
-	for i := 0; i < k; i++ {
-		scope := ontology.ShardScope(st.snap, i, k)
-		matchParts[i] = st.concepts.MatchPartial(scope, doc)
-		evParts[i] = st.events.Partial(scope, doc)
-	}
-	slots := tagging.MergeMatchSlots(matchParts, len(doc.Entities))
-	concepts := ix.Tag(doc, slots, st.concepts.CoherenceThreshold, st.concepts.InferThreshold)
-	events := tagging.MergeEventCands(evParts...)
-	return http.StatusOK, tagResponse(concepts, events)
-}
-
-// rewriteSharded is the in-process scatter-gather /v1/query/rewrite.
-func (st *state) rewriteSharded(q string) (int, any) {
-	k := st.shards.NumShards()
-	parts := make([]*queryund.Partial, k)
-	for i := 0; i < k; i++ {
-		parts[i] = st.query.Partial(ontology.ShardScope(st.snap, i, k), q)
-	}
-	return http.StatusOK, rewriteResponse(queryund.Merge(q, parts, st.query.MaxExpansions))
 }

@@ -5,79 +5,16 @@ import (
 	"strconv"
 	"sync"
 
-	"giant/internal/ontology"
 	"giant/internal/queryund"
 )
 
-// lruCache is a bounded least-recently-used cache of rendered responses.
-// One cache hangs off each snapshot state, so a snapshot hot-swap retires
-// every stale entry at once — there is no invalidation protocol, the old
-// cache simply becomes unreachable with its snapshot.
-type lruCache struct {
-	mu    sync.Mutex
-	cap   int
-	items map[string]*list.Element
-	order *list.List // front = most recently used
-}
-
-type cacheEntry struct {
-	key  string
-	body []byte
-}
-
-// newLRUCache builds a cache bounded to cap entries; cap <= 0 disables
-// caching entirely (get always misses, put is a no-op).
-func newLRUCache(cap int) *lruCache {
-	return &lruCache{cap: cap, items: make(map[string]*list.Element), order: list.New()}
-}
-
-// get returns the cached body for key, or nil on a miss.
-func (c *lruCache) get(key string) []byte {
-	if c.cap <= 0 {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).body
-}
-
-// put stores body under key, evicting the least recently used entry when
-// the cache is full. The caller must not mutate body afterwards.
-func (c *lruCache) put(key string, body []byte) {
-	if c.cap <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		el.Value.(*cacheEntry).body = body
-		c.order.MoveToFront(el)
-		return
-	}
-	for c.order.Len() >= c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(*cacheEntry).key)
-	}
-	c.items[key] = c.order.PushFront(&cacheEntry{key: key, body: body})
-}
-
-// len reports the current entry count.
-func (c *lruCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
-// lruOf is the shared core of the search-partial caches: a bounded
-// mutex+list LRU over values of type V, distinguishing "cached empty"
-// from "absent" (a shard with zero matches for a query is a perfectly
-// good — and common — partial).
+// lruOf is the package's one LRU: a bounded mutex+list cache over values
+// of type V, distinguishing "cached empty" from "absent" (a shard with zero
+// matches for a query is a perfectly good — and common — partial).
+// lruOf[[]byte] is the server's response cache of rendered bodies: one hangs
+// off each published state, so a hot-swap retires every stale entry at once
+// — there is no invalidation protocol, the old cache simply becomes
+// unreachable with its state.
 type lruOf[V any] struct {
 	mu    sync.Mutex
 	cap   int
@@ -88,6 +25,12 @@ type lruOf[V any] struct {
 type entryOf[V any] struct {
 	key string
 	val V
+}
+
+// newLRU builds a cache bounded to cap entries; cap <= 0 disables caching
+// entirely (get always misses, put is a no-op).
+func newLRU[V any](cap int) *lruOf[V] {
+	return &lruOf[V]{cap: cap, items: make(map[string]*list.Element), order: list.New()}
 }
 
 // get returns the cached value for key and whether it was present.
@@ -134,60 +77,25 @@ func (c *lruOf[V]) len() int {
 	return c.order.Len()
 }
 
-// searchKey builds the partial-cache key for an already-lowercased needle
-// and a validated limit.
+// searchKey builds the router's search-partial cache key for an
+// already-lowercased needle and a validated limit.
 func searchKey(needle string, limit int) string {
 	return needle + "\x00" + strconv.Itoa(limit)
 }
 
-// searchCache is the per-shard search-partial cache of a sharded server:
-// a bounded LRU of one shard's first limit home matches, keyed by
-// (needle, limit). Entries hold shard-LOCAL node copies — never union IDs
-// or rendered bodies — which is what makes a partial context-free: it
-// depends only on its shard's home contents, so it stays valid across any
-// publish that leaves that shard's projection untouched (the merge path
-// re-renders hits through the CURRENT union index on every read). Like
-// the node caches, invalidation is structural: a republished shard gets a
-// fresh cache, peers keep theirs.
-type searchCache struct {
-	lruOf[[]ontology.Node]
-}
-
-// newSearchCache builds a partial cache bounded to cap entries; cap <= 0
-// disables caching (get always misses, put is a no-op).
-func newSearchCache(cap int) *searchCache {
-	return &searchCache{lruOf[[]ontology.Node]{cap: cap, items: make(map[string]*list.Element), order: list.New()}}
-}
-
 // hitsCache is the router's per-shard search-partial cache: one backend's
-// parsed /v1/search hits keyed by (generation, needle, limit). Unlike the
-// in-process searchCache, entries carry union node IDs rendered BY the
-// backend at fetch time, so the generation in the key is load-bearing —
-// and because a backend's union-ID table can refresh WITHOUT a generation
-// bump (a peer's retirement renumbers union IDs on every shard), the
-// router additionally clears caches wholesale on any write whose delta
-// retired nodes (see Router invalidation rules in docs/ARCHITECTURE.md).
-type hitsCache struct {
-	lruOf[[]searchHit]
-}
-
-// newHitsCache builds a router partial cache bounded to cap entries;
-// cap <= 0 disables caching.
-func newHitsCache(cap int) *hitsCache {
-	return &hitsCache{lruOf[[]searchHit]{cap: cap, items: make(map[string]*list.Element), order: list.New()}}
-}
+// parsed /v1/search hits keyed by (generation, needle, limit). Entries
+// carry union node IDs rendered BY the backend at fetch time, so the
+// generation in the key is load-bearing — and because a backend's union-ID
+// table can refresh WITHOUT a generation bump (a peer's retirement
+// renumbers union IDs on every shard), the router additionally clears
+// caches wholesale on any write whose delta retired nodes (see Router
+// invalidation rules in docs/ARCHITECTURE.md).
+type hitsCache = lruOf[[]searchHit]
 
 // rewriteCache is the router's per-shard query-rewrite partial cache,
 // keyed (generation, normalized query). Like hitsCache, entries carry
 // union node IDs rendered by the backend at fetch time, so they obey the
 // same invalidation rules: generation-keyed per shard, cleared wholesale
 // on any write whose delta retired nodes.
-type rewriteCache struct {
-	lruOf[*queryund.Partial]
-}
-
-// newRewriteCache builds a rewrite partial cache bounded to cap entries;
-// cap <= 0 disables caching.
-func newRewriteCache(cap int) *rewriteCache {
-	return &rewriteCache{lruOf[*queryund.Partial]{cap: cap, items: make(map[string]*list.Element), order: list.New()}}
-}
+type rewriteCache = lruOf[*queryund.Partial]

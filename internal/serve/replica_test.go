@@ -12,6 +12,9 @@ package serve
 //     reference byte-for-byte.
 //   - TestReplicaCatchUpGating: a replica that missed ingests is never
 //     routed a read until it has applied the shard's head generation.
+//   - TestReadGateSurvivesOutOfOrderPositions: a replica's responses
+//     processed out of order never move it behind the read gate; a
+//     position below what it had already reported (a restart) does.
 //   - TestIngestBackpressure: a shard whose slowest healthy replica
 //     trails the log head by more than MaxLag answers ingest with 429
 //     replica_lagging and a Retry-After header, and recovers once the
@@ -555,6 +558,74 @@ func TestReplicaCatchUpGating(t *testing.T) {
 	})
 }
 
+// TestReadGateSurvivesOutOfOrderPositions: two responses from one replica
+// processed out of order (position h lands, then an older call's h-1) must
+// not move the router's view of it backwards — readOrder would drop it as
+// "behind the gate" and a read whose only other at-gate replica is down has
+// nowhere to go. A position below what the replica had reported before the
+// request was even sent is different: that is a restart, and the gate must
+// stop trusting it.
+func TestReadGateSurvivesOutOfOrderPositions(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	// Each stub replica reports the position the request names; ?hold=1
+	// parks the response until released.
+	stub := func() string {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set(walGenHeader, r.URL.Query().Get("pos"))
+			if r.URL.Query().Get("hold") != "" {
+				close(entered)
+				<-release
+			}
+			io.WriteString(w, "{}\n")
+		}))
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	rt, err := NewRouter(RouterOptions{Replicas: [][]string{{stub(), stub()}}, WALDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	a, b := rt.shards[0].replicas[0], rt.shards[0].replicas[1]
+	call := func(rep *replicaState, query string) {
+		if res := rt.callReplica(context.Background(), 5*time.Second, rep, http.MethodGet, "/healthz?"+query, nil); !res.ok() {
+			t.Errorf("stub call %s: status %d, err %v", query, res.status, res.err)
+		}
+	}
+	inOrder := func(rep *replicaState) bool {
+		for _, r := range rt.readOrder(0) {
+			if r == rep {
+				return true
+			}
+		}
+		return false
+	}
+	const h = 5
+	call(a, "pos=4")
+	call(b, "pos=5")
+	late := make(chan struct{})
+	go func() {
+		defer close(late)
+		call(a, "pos=4&hold=1") // answered at h-1 ...
+	}()
+	<-entered
+	call(a, "pos=5") // ... but processed after the response at h
+	close(release)
+	<-late
+	if got := a.applied.Load(); got != h || !inOrder(a) {
+		t.Fatalf("a late h-1 response moved the replica to %d (in read order: %v); want %d and readable", got, inOrder(a), h)
+	}
+	// Restart without a failed call in between: the next response reports
+	// less than the replica had already proven before the request left.
+	call(a, "pos=2")
+	if got := a.applied.Load(); got != 2 || inOrder(a) {
+		t.Fatalf("restarted replica still at %d (in read order: %v); the gate must stop trusting it", got, inOrder(a))
+	}
+	if !inOrder(b) {
+		t.Fatal("the at-gate replica dropped out of read order")
+	}
+}
+
 // TestIngestBackpressure: once a shard's slowest healthy replica trails
 // the log head by more than MaxLag, ingest answers 429 replica_lagging
 // with a Retry-After header — and admits writes again once the replica
@@ -982,12 +1053,12 @@ func TestErrorEnvelope(t *testing.T) {
 	t.Run("single", func(t *testing.T) {
 		sys := testOntology(0)
 		_ = sys
-		srv := New(snap, Options{Ingest: func(b delta.Batch) (*ontology.Snapshot, *delta.Delta, error) {
+		srv := New(snap, Options{IngestSharded: wholeWorld(func(b delta.Batch) (*ontology.Snapshot, *delta.Delta, error) {
 			if b.Day == 0 {
 				return nil, nil, fmt.Errorf("empty batch: %w", delta.ErrInvalidBatch)
 			}
 			return snap, &delta.Delta{Day: b.Day}, nil
-		}})
+		})})
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(ts.Close)
 		runProbes(t, ts, readProbes)
@@ -1066,10 +1137,10 @@ func TestWriteBodyBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	var applied atomic.Int64
-	single := httptest.NewServer(New(snap, Options{Ingest: func(b delta.Batch) (*ontology.Snapshot, *delta.Delta, error) {
+	single := httptest.NewServer(New(snap, Options{IngestSharded: wholeWorld(func(b delta.Batch) (*ontology.Snapshot, *delta.Delta, error) {
 		applied.Add(1)
 		return snap, &delta.Delta{Day: b.Day}, nil
-	}}).Handler())
+	})}).Handler())
 	t.Cleanup(single.Close)
 	urls := make([]string, 2)
 	for i := range urls {

@@ -86,6 +86,7 @@ import (
 	"giant/internal/delta"
 	"giant/internal/ontology"
 	"giant/internal/par"
+	"giant/internal/queryund"
 	"giant/internal/storytree"
 	"giant/internal/wal"
 )
@@ -330,11 +331,11 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		rt.shards[i] = set
 	}
 	for i := range rt.partials {
-		rt.partials[i].Store(newHitsCache(opts.CacheSize))
+		rt.partials[i].Store(newLRU[[]searchHit](opts.CacheSize))
 	}
 	rt.rewrites = make([]atomic.Pointer[rewriteCache], k)
 	for i := range rt.rewrites {
-		rt.rewrites[i].Store(newRewriteCache(opts.CacheSize))
+		rt.rewrites[i].Store(newLRU[*queryund.Partial](opts.CacheSize))
 	}
 	rt.enc = storytree.NewBagOfTokensEncoder(16, nil)
 	rt.story = storytree.DefaultOptions()
@@ -569,15 +570,15 @@ func (rt *Router) invalidateSearch(touched []int, clearAll bool) {
 	rt.frags.Store(nil)
 	if clearAll {
 		for i := range rt.partials {
-			rt.partials[i].Store(newHitsCache(rt.opts.CacheSize))
-			rt.rewrites[i].Store(newRewriteCache(rt.opts.CacheSize))
+			rt.partials[i].Store(newLRU[[]searchHit](rt.opts.CacheSize))
+			rt.rewrites[i].Store(newLRU[*queryund.Partial](rt.opts.CacheSize))
 		}
 		return
 	}
 	for _, s := range touched {
 		if s >= 0 && s < rt.k {
-			rt.partials[s].Store(newHitsCache(rt.opts.CacheSize))
-			rt.rewrites[s].Store(newRewriteCache(rt.opts.CacheSize))
+			rt.partials[s].Store(newLRU[[]searchHit](rt.opts.CacheSize))
+			rt.rewrites[s].Store(newLRU[*queryund.Partial](rt.opts.CacheSize))
 		}
 	}
 }
@@ -663,6 +664,7 @@ func (rt *Router) callReplica(ctx context.Context, timeout time.Duration, rep *r
 	res := backendResult{shard: rep.shard}
 	rep.inflight.Add(1)
 	defer rep.inflight.Add(-1)
+	sentAt := rep.applied.Load()
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	var rd io.Reader
@@ -688,7 +690,7 @@ func (rt *Router) callReplica(ctx context.Context, timeout time.Duration, rep *r
 	res.gen = resp.Header.Get(genHeader)
 	if wg := resp.Header.Get(walGenHeader); wg != "" {
 		if g, perr := strconv.ParseUint(wg, 10, 64); perr == nil {
-			rep.applied.Store(g)
+			rep.observeApplied(sentAt, g)
 		}
 	}
 	res.body, res.err = io.ReadAll(resp.Body)
@@ -704,6 +706,26 @@ func (rt *Router) callReplica(ctx context.Context, timeout time.Duration, rep *r
 		rt.markUp(rep)
 	}
 	return res
+}
+
+// observeApplied folds the log position g one response reported into the
+// replica's mark; sentAt is the mark read before that request was sent.
+// Concurrent calls finish in any order and a live process's position never
+// decreases, so a response only raises the mark — an older response landing
+// after a newer one must not make the replica look behind the read gate.
+// The one report that lowers it is g < sentAt: a position below what the
+// replica had already reported before the request left proves it restarted
+// (with no failed call in between to reset the mark), and the gate must
+// stop trusting the old high-water mark.
+func (rep *replicaState) observeApplied(sentAt, g uint64) {
+	if g < sentAt && rep.applied.CompareAndSwap(sentAt, g) {
+		return
+	}
+	for cur := rep.applied.Load(); g > cur; cur = rep.applied.Load() {
+		if rep.applied.CompareAndSwap(cur, g) {
+			return
+		}
+	}
 }
 
 // readOrder ranks one shard's replicas for a read. The gate is the
@@ -975,8 +997,7 @@ func (rt *Router) handleHealthz(r *http.Request, meta *respMeta) (int, any) {
 }
 
 // handleSearch answers /v1/search through the routed, cached scatter —
-// the cross-process twin of the in-process searchSharded path. The
-// routing index prunes the fan-out to the shards whose term grams may
+// the cross-process twin of ShardedSnapshot.Search. The routing index prunes the fan-out to the shards whose term grams may
 // contain the needle (pruning is a superset filter: a pruned-out shard
 // provably has zero matches, so results stay byte-identical to the full
 // scatter), and each consulted shard's partial is served from its

@@ -2,8 +2,8 @@ package serve
 
 // Router-side scatter-gather for the application endpoints: /v1/tag,
 // /v1/query/rewrite and /v1/story. Each handler gathers per-shard partials
-// (the ?partial= modes of app.go) and runs the SAME merge fold the
-// in-process sharded server runs, so the merged response is byte-identical
+// (the ?partial= modes of app.go) and runs the merge fold whose one-scope
+// case is the union computation, so the merged response is byte-identical
 // to a single union server's — there is no projection-local approximation
 // left in the routed tier.
 //

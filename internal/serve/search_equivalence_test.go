@@ -1,17 +1,15 @@
 package serve
 
 // The scatter-gather search pin: the sharded read path — term-gram shard
-// routing, per-shard partials served from generation-keyed caches, merged
-// through the current union — must be byte-identical to the plain
-// single-snapshot scan, for every shard count, every limit, cold and
+// routing, per-shard match cursors merged through the current union, and
+// across processes the router's generation-keyed per-shard partials — must
+// be byte-identical to the plain single-snapshot scan, for every shard count, every limit, cold and
 // warm, and through day-by-day ingest replay. The harness is
 // property-style: randomized (but seed-pinned) workloads of hit-heavy,
 // miss-heavy, prefix-shared and alias-typed queries, replayed against a
 // reference New(snap) server over the identical world.
 //
-// The same file pins the partial-cache lifecycle (republish one shard →
-// only that shard's partials drop; rollback/reload drop all), hammers
-// concurrent search against live ingest (every 200 body must equal SOME
+// The same file hammers concurrent search against live ingest (every 200 body must equal SOME
 // published generation's answer — a cache/union mismatch cannot hide),
 // and covers the router: per-shard limit plumbing, cache invalidation on
 // writes vs ?scatter=full, and the documented cached-partial-masks-a-
@@ -215,104 +213,6 @@ func TestSearchEquivalenceIngestReplay(t *testing.T) {
 				refTS.Close()
 			}
 		})
-	}
-}
-
-// TestSearchPartialCarryAndInvalidation pins the partial-cache lifecycle
-// on the in-process sharded server: an append-only ingest that touches
-// one shard installs a fresh (empty) partial cache for that shard ONLY —
-// every peer keeps its cache object and its entries — while rollback and
-// /v1/reload install fresh caches for all shards.
-func TestSearchPartialCarryAndInvalidation(t *testing.T) {
-	const k = 4
-	snap := testOntology(0).Snapshot()
-	ss, err := ontology.ShardSnapshot(snap, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lineage := ss
-	day := 0
-	opts := Options{
-		CacheSize: 64,
-		Loader:    func() (*ontology.Snapshot, error) { return testOntology(0).Snapshot(), nil },
-	}
-	opts.IngestSharded = func(b delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error) {
-		day++
-		d := &delta.Delta{Day: b.Day, Add: []delta.NodeAdd{{Type: ontology.Concept, Phrase: fmt.Sprintf("hybrid sedans %d", day), Day: b.Day}}}
-		next, touched, err := delta.ApplySharded(lineage, d)
-		if err == nil {
-			lineage = next
-		}
-		return next, d, touched, err
-	}
-	srv := NewSharded(ss, opts)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	c := ts.Client()
-
-	// Warm the partials: "sedan" consults every candidate shard once.
-	getJSON(t, c, ts.URL+"/v1/search?q=sedan&limit=5", 200)
-	before := srv.cur.Load().searchPartials
-	if len(before) != k {
-		t.Fatalf("searchPartials = %d caches, want %d", len(before), k)
-	}
-	lens := make([]int, k)
-	warmed := 0
-	for i, p := range before {
-		lens[i] = p.len()
-		warmed += lens[i]
-	}
-	if warmed == 0 {
-		t.Fatal("warm query cached no partials")
-	}
-
-	// Append-only ingest: only the new node's home shard republishes.
-	postJSON(t, c, ts.URL+"/v1/ingest", `{"day":21}`, 200)
-	home := ontology.HomeShard(ontology.Concept, "hybrid sedans 1", k)
-	after := srv.cur.Load().searchPartials
-	for i := 0; i < k; i++ {
-		if i == home {
-			if after[i] == before[i] || after[i].len() != 0 {
-				t.Fatalf("touched shard %d kept its partial cache (len %d)", i, after[i].len())
-			}
-			continue
-		}
-		if after[i] != before[i] {
-			t.Fatalf("untouched shard %d lost its partial cache to a foreign republish", i)
-		}
-		if after[i].len() != lens[i] {
-			t.Fatalf("untouched shard %d partial entries %d, want %d", i, after[i].len(), lens[i])
-		}
-	}
-	// The carried partials still merge correctly: the new node (a "sedan"
-	// match) must appear — a stale merged answer could not contain it.
-	body := getJSON(t, c, ts.URL+"/v1/search?q=sedan&limit=100", 200)
-	if !searchHasPhrase(body, "hybrid sedans 1") {
-		t.Fatalf("post-ingest search misses the ingested node: %v", body)
-	}
-
-	// Rollback drops every shard's partials.
-	postJSON(t, c, ts.URL+"/v1/rollback", "", 200)
-	rolled := srv.cur.Load().searchPartials
-	for i := 0; i < k; i++ {
-		if rolled[i] == after[i] || rolled[i].len() != 0 {
-			t.Fatalf("rollback kept shard %d partials", i)
-		}
-	}
-	body = getJSON(t, c, ts.URL+"/v1/search?q=sedan&limit=100", 200)
-	if searchHasPhrase(body, "hybrid sedans 1") {
-		t.Fatalf("post-rollback search serves a retired-world node: %v", body)
-	}
-
-	// Reload re-partitions the world: all partials drop again.
-	getJSON(t, c, ts.URL+"/v1/search?q=sedan&limit=5", 200)
-	preReload := srv.cur.Load().searchPartials
-	postJSON(t, c, ts.URL+"/v1/reload", "", 200)
-	reloaded := srv.cur.Load().searchPartials
-	for i := 0; i < k; i++ {
-		if reloaded[i] == preReload[i] || reloaded[i].len() != 0 {
-			t.Fatalf("reload kept shard %d partials", i)
-		}
 	}
 }
 

@@ -40,10 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/url"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,22 +54,19 @@ import (
 
 // Options configure a Server.
 type Options struct {
-	// CacheSize bounds the per-snapshot LRU response cache (entries);
-	// 0 means DefaultCacheSize, negative disables caching.
+	// CacheSize bounds the LRU response cache each published state carries
+	// (entries); 0 means DefaultCacheSize, negative disables caching.
 	CacheSize int
 	// Loader supplies a replacement snapshot for /v1/reload (typically
 	// re-reading the ontology file or re-running the build). Nil disables
 	// the endpoint.
 	Loader func() (*ontology.Snapshot, error)
-	// Ingest applies an incremental update batch and returns the next
-	// snapshot generation plus the computed delta (see giant.System.Ingest).
-	// Nil disables POST /v1/ingest.
-	Ingest func(delta.Batch) (*ontology.Snapshot, *delta.Delta, error)
-	// IngestSharded is the sharded analogue (see giant.System.IngestSharded):
-	// it returns the advanced sharded snapshot, the merged delta and the
-	// touched-shard flags, and the server republishes — and bumps the
-	// generation of — only the touched shards. When set it takes precedence
-	// over Ingest; it requires the server to have been built with NewSharded.
+	// IngestSharded applies an incremental update batch on a whole-world
+	// server (see giant.System.IngestSharded): it returns the advanced sharded
+	// snapshot, the delta and the touched-shard flags, and the server
+	// republishes — and bumps the generation of — only the touched shards.
+	// The shard count must match the server's (1 for New). Nil disables POST
+	// /v1/ingest.
 	IngestSharded func(delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error)
 	// ShardIngest is the per-shard-process analogue (servers built with
 	// NewShard): the host applies the batch through its full mining system
@@ -96,7 +90,7 @@ type Options struct {
 	// ConceptContextFn, when set, supplies a fresh concept-context map for
 	// every published state (so live ingest keeps tagger representations
 	// current) and takes precedence over ConceptContext. It is called
-	// under the swap lock, serialized with Ingest.
+	// under the swap lock, serialized with the ingest callback.
 	ConceptContextFn func() map[string][]string
 	// Duet optionally supplies a trained event/topic matcher; nil degrades
 	// event tagging to LCS-only.
@@ -126,6 +120,9 @@ const DefaultCacheSize = 1024
 // state bundles one snapshot with everything derived from it. It is
 // immutable after construction and swapped as a unit, so a request that
 // loaded a state sees a consistent ontology + taggers + cache throughout.
+// There are two shapes: a whole-world state (New, NewSharded) sets shards
+// and serves its union; a per-shard-process state (NewShard) sets proj and
+// serves that one projection.
 type state struct {
 	snap     *ontology.Snapshot
 	concepts *tagging.ConceptTagger
@@ -135,39 +132,25 @@ type state struct {
 	// story-tree formation, so /v1/story doesn't re-walk the ontology's
 	// Involve edges on every request.
 	storyEvents []*storytree.EventNode
-	cache       *lruCache
-	gen         uint64
-	loadedAt    time.Time
-	// shards is the sharded projection set when the server runs sharded
-	// (nil on the legacy single-snapshot path); snap is then its union.
-	// /v1/search scatter-gathers across the shard projections and
-	// /v1/stats reports the per-shard generations below.
+	// cache is the state's one response cache; it is dropped with the state.
+	cache    *lruOf[[]byte]
+	gen      uint64
+	loadedAt time.Time
+	// shards is the whole-world server's sharded view (K=1 under New) and
+	// snap its union: every read answers from the union, /v1/search through
+	// shards.Search, and shardGens are the per-shard generations /v1/stats
+	// and write responses report. Nil on a per-shard process.
 	shards    *ontology.ShardedSnapshot
 	shardGens []uint64
-	// shardCaches are the sharded server's per-shard response caches:
-	// /v1/node responses are keyed by the resolved node's home shard, and a
-	// shard's cache carries over across publishes that leave its projection
-	// untouched — so a foreign shard's republication no longer evicts them.
-	shardCaches []*lruCache
-	// searchPartials are the sharded server's per-shard search-partial
-	// caches (generation-keyed by construction: a republished shard gets a
-	// fresh cache, untouched shards keep theirs — ALWAYS, unlike the node
-	// caches, because partials hold shard-local nodes and are re-rendered
-	// through the current union on every read, so no publish of a PEER can
-	// stale them). Rollback and reload install fresh caches for all shards.
-	searchPartials []*searchCache
 	// proj identifies a per-shard-process server (NewShard): snap is then
 	// one shard's projection, search scans only its home-node prefix, and
 	// node responses render union IDs through the projection's ID table.
 	proj *ontology.ShardProjection
-	// appRefs, appStats and appFrags memoize the application endpoints'
-	// per-state derived structures (concept stats partial, merged concept
-	// index, merged story fragments — see app.go). They are built lazily on
-	// first use; racing builds compute identical values (the inputs are the
-	// state's immutable projections), so the last store winning is benign.
-	appRefs  atomic.Pointer[[]tagging.ConceptRef]
-	appStats atomic.Pointer[tagging.ConceptIndex]
-	appFrags atomic.Pointer[[]*storytree.EventNode]
+	// appRefs memoizes the concept stats partial /v1/tag?partial=stats
+	// reports (see app.go). It is built lazily on first use; racing builds
+	// compute identical values (the input is the state's immutable
+	// snapshot), so the last store winning is benign.
+	appRefs atomic.Pointer[[]tagging.ConceptRef]
 }
 
 // Server serves a hot-swappable ontology snapshot over HTTP.
@@ -175,8 +158,8 @@ type Server struct {
 	opts        Options
 	cur         atomic.Pointer[state]
 	store       *ontology.Store        // versioned generation history (rollback)
-	shardStores *ontology.ShardedStore // per-shard generation history (sharded mode)
-	swapMu      sync.Mutex             // serializes Swap/reload/ingest/rollback; readers never take it
+	shardStores *ontology.ShardedStore // per-shard generation history (whole-world servers)
+	swapMu      sync.Mutex             // serializes swap/reload/ingest/rollback; readers never take it
 	metrics     *metricsRegistry
 	mux         *http.ServeMux
 	enc         storytree.Encoder
@@ -195,7 +178,7 @@ var endpointNames = []string{
 }
 
 // newServer applies option defaults and wires the fields shared by both
-// serving modes; the caller publishes an initial state and routes.
+// server kinds; the caller publishes an initial state and routes.
 func newServer(opts Options) *Server {
 	if opts.CacheSize == 0 {
 		opts.CacheSize = DefaultCacheSize
@@ -216,18 +199,20 @@ func newServer(opts Options) *Server {
 	return s
 }
 
-// New builds a Server over an initial snapshot.
+// New builds a whole-world Server over an initial snapshot: NewSharded over
+// a single shard whose projection is the snapshot itself (no copy).
 func New(snap *ontology.Snapshot, opts Options) *Server {
-	s := newServer(opts)
-	s.Swap(snap)
-	s.routes()
-	return s
+	// ShardSnapshot only fails projecting k > 1 shards.
+	ss, _ := ontology.ShardSnapshot(snap, 1)
+	return NewSharded(ss, opts)
 }
 
-// NewSharded builds a Server over an initial sharded snapshot: requests
-// read the union view, /v1/search scatter-gathers across the shard
-// projections, and publication — initial, reload, ingest — is per shard,
-// each shard carrying its own generation history.
+// NewSharded builds a whole-world Server over an initial sharded snapshot.
+// The process holds the union, so every read answers from it through the
+// state's one response cache; the shard count only sets the unit of
+// publication — initial, reload, ingest and rollback publish per shard, each
+// shard carrying its own generation history — and routes /v1/search through
+// the shards' term-gram indexes (ShardedSnapshot.Search).
 func NewSharded(ss *ontology.ShardedSnapshot, opts Options) *Server {
 	s := newServer(opts)
 	s.shardStores = ontology.NewShardedStore(ss.NumShards(), s.opts.History)
@@ -277,116 +262,48 @@ func NewShardAt(p *ontology.ShardProjection, gen uint64, opts Options) *Server {
 // SwapSharded publishes a sharded snapshot: shards flagged touched (nil =
 // all) are pushed into their per-shard generation stores, the union joins
 // the whole-world store for /v1/rollback, and the serving state swaps
-// atomically. Untouched shards keep their current generation — the
-// republication unit is the shard, not the world.
+// atomically, returning the new union generation. Untouched shards keep
+// their current generation — the republication unit is the shard, not the
+// world. In-flight requests keep the state they started with. Safe to call
+// while serving.
 func (s *Server) SwapSharded(ss *ontology.ShardedSnapshot, touched []bool) uint64 {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
-	gen, _ := s.publishShardedLocked(ss, touched, false)
+	gen, _ := s.publishShardedLocked(ss, touched)
 	return gen
 }
 
 // publishShardedLocked pushes the touched shards and publishes the sharded
-// serving state; the caller holds swapMu. A shard's generation must
-// identify its served content, so beyond the delta-touched shards, any
-// shard whose incoming projection differs from the one serving right now
-// also republishes — that is what keeps generations honest when the
-// ingest lineage diverges from the served state (e.g. the first ingest
-// after a /v1/rollback or /v1/reload, which republished a re-partitioned
-// world the mining system never adopted).
-// carryCaches additionally carries the per-shard /v1/node response caches
-// of untouched shards into the new state — sound only when the publish is
-// an append-only delta (no retirements, whose dense renumbering can shift
-// union IDs embedded in cached bodies of untouched shards).
-func (s *Server) publishShardedLocked(ss *ontology.ShardedSnapshot, touched []bool, carryCaches bool) (uint64, []bool) {
+// serving state, reporting which shards republished; the caller holds
+// swapMu. A shard's generation must identify its served content, so beyond
+// the delta-touched shards, any shard whose incoming projection differs from
+// the one serving right now also republishes — that is what keeps
+// generations honest when the ingest lineage diverges from the served state
+// (e.g. the first ingest after a /v1/rollback or /v1/reload, which
+// republished a re-partitioned world the mining system never adopted).
+func (s *Server) publishShardedLocked(ss *ontology.ShardedSnapshot, touched []bool) (uint64, []bool) {
 	prev := s.cur.Load()
 	republished := make([]bool, ss.NumShards())
-	for i := 0; i < ss.NumShards(); i++ {
-		republish := touched == nil || (i < len(touched) && touched[i])
-		if !republish && (prev == nil || prev.shards == nil ||
-			prev.shards.NumShards() != ss.NumShards() || prev.shards.Shard(i) != ss.Shard(i)) {
-			republish = true
-		}
-		republished[i] = republish
-		if republish {
+	for i := range republished {
+		republished[i] = touched == nil || (i < len(touched) && touched[i]) ||
+			prev == nil || prev.shards.NumShards() != ss.NumShards() || prev.shards.Shard(i) != ss.Shard(i)
+		if republished[i] {
 			s.shardStores.Push(i, ss.Shard(i))
 		}
 	}
-	var caches []*lruCache
-	if carryCaches && prev != nil && len(prev.shardCaches) == ss.NumShards() {
-		caches = make([]*lruCache, ss.NumShards())
-		for i := range caches {
-			if republished[i] {
-				caches[i] = newLRUCache(s.opts.CacheSize)
-			} else {
-				caches[i] = prev.shardCaches[i]
-			}
-		}
-	}
-	// Search partials carry for every untouched shard unconditionally: a
-	// partial is that shard's first-limit home matches as shard-local
-	// copies, re-rendered through the current union at read time, so only
-	// a change to the shard's own projection can invalidate it.
-	var partials []*searchCache
-	if prev != nil && len(prev.searchPartials) == ss.NumShards() {
-		partials = make([]*searchCache, ss.NumShards())
-		for i := range partials {
-			if republished[i] {
-				partials[i] = newSearchCache(s.opts.CacheSize)
-			} else {
-				partials[i] = prev.searchPartials[i]
-			}
-		}
-	}
-	return s.storeShardedStateLocked(ss, s.store.Push(ss.Union()), caches, partials), republished
+	return s.storeShardedStateLocked(ss, s.store.Push(ss.Union())), republished
 }
 
 // storeShardedStateLocked indexes and atomically publishes the sharded
 // serving state under the given union generation (already pushed or
 // reused by the caller); the caller holds swapMu and has pushed the shard
-// stores it wants bumped. caches and partials, when non-nil, supply the
-// per-shard node and search-partial caches to install (nil installs fresh
-// empty ones — which is how rollback and reload drop every partial).
-func (s *Server) storeShardedStateLocked(ss *ontology.ShardedSnapshot, gen uint64, caches []*lruCache, partials []*searchCache) uint64 {
+// stores it wants bumped.
+func (s *Server) storeShardedStateLocked(ss *ontology.ShardedSnapshot, gen uint64) uint64 {
 	st := s.buildState(ss.Union(), gen)
 	st.shards = ss
 	st.shardGens = s.shardStores.CurrentGens()
-	if caches == nil {
-		caches = make([]*lruCache, ss.NumShards())
-		for i := range caches {
-			caches[i] = newLRUCache(s.opts.CacheSize)
-		}
-	}
-	st.shardCaches = caches
-	if partials == nil {
-		partials = make([]*searchCache, ss.NumShards())
-		for i := range partials {
-			partials[i] = newSearchCache(s.opts.CacheSize)
-		}
-	}
-	st.searchPartials = partials
 	s.cur.Store(st)
 	return gen
-}
-
-// Swap indexes snap into a full serving state (taggers, understander,
-// fresh cache) and atomically publishes it, returning the new generation.
-// In-flight requests keep the state they started with; new requests see
-// the new snapshot. The snapshot also joins the versioned generation
-// store, so a later /v1/rollback can revert to it. Safe to call while
-// serving.
-func (s *Server) Swap(snap *ontology.Snapshot) uint64 {
-	s.swapMu.Lock()
-	defer s.swapMu.Unlock()
-	return s.publishLocked(snap, s.store.Push(snap))
-}
-
-// publishLocked builds the serving state for (snap, gen) and atomically
-// publishes it; the caller holds swapMu.
-func (s *Server) publishLocked(snap *ontology.Snapshot, gen uint64) uint64 {
-	st := s.buildState(snap, gen)
-	s.cur.Store(st)
-	return st.gen
 }
 
 // buildState indexes one snapshot into a full serving state (taggers,
@@ -402,15 +319,14 @@ func (s *Server) buildState(snap *ontology.Snapshot, gen uint64) *state {
 		events:      tagging.NewEventTagger(snap, s.opts.Duet),
 		query:       queryund.New(snap),
 		storyEvents: storytree.EventsFromView(snap),
-		cache:       newLRUCache(s.opts.CacheSize),
+		cache:       newLRU[[]byte](s.opts.CacheSize),
 		gen:         gen,
 		loadedAt:    time.Now(),
 	}
 }
 
-// SwapSnapshot publishes a plain snapshot through whichever mode the
-// server runs in: a sharded server re-partitions it and republishes every
-// shard, a legacy server swaps it directly. This is the entry point for
+// SwapSnapshot re-partitions a plain snapshot to the server's shard count
+// and republishes every shard. This is the entry point for /v1/reload and
 // external updaters (file watchers) that only hold a union snapshot.
 func (s *Server) SwapSnapshot(snap *ontology.Snapshot) (uint64, error) {
 	s.swapMu.Lock()
@@ -418,19 +334,16 @@ func (s *Server) SwapSnapshot(snap *ontology.Snapshot) (uint64, error) {
 	if s.shardMode {
 		return 0, errors.New("serve: SwapSnapshot on a per-shard server (use SwapShard with a shard projection)")
 	}
-	if st := s.cur.Load(); st.shards != nil {
-		ss, err := ontology.ShardSnapshot(snap, st.shards.NumShards())
-		if err != nil {
-			return 0, err
-		}
-		gen, _ := s.publishShardedLocked(ss, nil, false)
-		return gen, nil
+	ss, err := ontology.ShardSnapshot(snap, s.cur.Load().shards.NumShards())
+	if err != nil {
+		return 0, err
 	}
-	return s.publishLocked(snap, s.store.Push(snap)), nil
+	gen, _ := s.publishShardedLocked(ss, nil)
+	return gen, nil
 }
 
 // SwapShard publishes a replacement projection on a per-shard server (the
-// shard-mode analogue of Swap, used by reload and file watchers). The
+// shard-mode analogue of SwapSnapshot, used by reload and file watchers). The
 // projection must carry the same shard identity the server was built with.
 func (s *Server) SwapShard(p *ontology.ShardProjection) (uint64, error) {
 	s.swapMu.Lock()
@@ -477,7 +390,7 @@ func (s *Server) ShardProjection() *ontology.ShardProjection {
 }
 
 // Generation returns the current snapshot generation (1 for the initial
-// snapshot, +1 per swap).
+// snapshot, +1 per publish).
 func (s *Server) Generation() uint64 {
 	return s.cur.Load().gen
 }
@@ -514,9 +427,7 @@ func (s *Server) routes() {
 type handlerFunc func(st *state, r *http.Request) (int, any)
 
 // endpoint wraps an endpoint with metrics and, for cacheable GETs, the
-// per-snapshot LRU response cache (keyed by request URI, 200s only). On a
-// sharded server, /v1/node entries live in the resolved node's home-shard
-// cache, which survives publishes that leave that shard untouched.
+// state's LRU response cache (keyed by request URI, 200s only).
 func (s *Server) endpoint(name string, cacheable bool, fn handlerFunc) http.HandlerFunc {
 	m := s.metrics.endpoints[name]
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -524,10 +435,8 @@ func (s *Server) endpoint(name string, cacheable bool, fn handlerFunc) http.Hand
 		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 		st := s.cur.Load()
 		useCache := cacheable && r.Method == http.MethodGet
-		var cache *lruCache
 		if useCache {
-			cache = st.cacheFor(name, r)
-			if body := cache.get(r.URL.RequestURI()); body != nil {
+			if body, ok := st.cache.get(r.URL.RequestURI()); ok {
 				s.setGenHeaders(w, st)
 				writeBody(w, http.StatusOK, body, true)
 				m.observe(http.StatusOK, time.Since(start), true)
@@ -545,7 +454,7 @@ func (s *Server) endpoint(name string, cacheable bool, fn handlerFunc) http.Hand
 		// may append to (and thereby mutate) the shared backing array later.
 		body = append(body, '\n')
 		if useCache && status == http.StatusOK {
-			cache.put(r.URL.RequestURI(), body)
+			st.cache.put(r.URL.RequestURI(), body)
 		}
 		s.setGenHeaders(w, st)
 		writeBody(w, status, body, false)
@@ -564,68 +473,6 @@ func (s *Server) setGenHeaders(w http.ResponseWriter, st *state) {
 	}
 }
 
-// cacheFor picks the response cache for one cacheable GET. /v1/node on a
-// sharded (in-process) server is keyed by the resolved node's home shard:
-// those entries are the regression scaffold for shard-local caching — a
-// foreign shard's republication must not evict responses whose home shard
-// is untouched. Scatter-gather search and the union-derived endpoints stay
-// in the per-state cache that dies with its state.
-func (st *state) cacheFor(name string, r *http.Request) *lruCache {
-	if name != "node" || st.shards == nil || len(st.shardCaches) == 0 {
-		return st.cache
-	}
-	if sh, ok := st.nodeHomeShard(r); ok {
-		return st.shardCaches[sh]
-	}
-	return st.cache
-}
-
-// nodeHomeShard resolves a /v1/node request to the home shard of the node
-// it would answer with (the same resolver handleNode uses); ok=false when
-// the request is malformed or the node is unknown.
-func (st *state) nodeHomeShard(r *http.Request) (int, bool) {
-	node, ok, badReq, _ := resolveNodeQuery(st.snap, r.URL.Query())
-	if badReq != 0 || !ok {
-		return 0, false
-	}
-	return ontology.HomeShard(node.Type, node.Phrase, st.shards.NumShards()), true
-}
-
-// resolveNodeQuery is THE /v1/node resolution order, shared by the
-// handler and the cache-shard router so the two can never diverge: ?id=
-// first, then ?phrase= with ?type= (canonical phrase before alias), then
-// an untyped LookupAny. A non-zero badReq reports a malformed request
-// with its error body; otherwise ok reports whether a node resolved.
-func resolveNodeQuery(snap *ontology.Snapshot, q url.Values) (node ontology.Node, ok bool, badReq int, errb errorBody) {
-	switch {
-	case q.Get("id") != "":
-		id, err := strconv.Atoi(q.Get("id"))
-		if err != nil {
-			return ontology.Node{}, false, http.StatusBadRequest, errBody(codeInvalidArgument, "invalid id: "+q.Get("id"))
-		}
-		node, ok = snap.Get(ontology.NodeID(id))
-	case q.Get("phrase") != "":
-		phrase := q.Get("phrase")
-		if ts := q.Get("type"); ts != "" {
-			t, err := ontology.ParseNodeType(ts)
-			if err != nil {
-				return ontology.Node{}, false, http.StatusBadRequest, errBody(codeInvalidArgument, err.Error())
-			}
-			node, ok = snap.Find(t, phrase)
-			if !ok {
-				if id, aok := snap.LookupAlias(t, phrase); aok {
-					node, ok = snap.Get(id)
-				}
-			}
-		} else if id, aok := snap.LookupAny(phrase); aok {
-			node, ok = snap.Get(id)
-		}
-	default:
-		return ontology.Node{}, false, http.StatusBadRequest, errBody(codeInvalidArgument, "need ?id= or ?phrase=")
-	}
-	return node, ok, 0, errorBody{}
-}
-
 func writeBody(w http.ResponseWriter, status int, body []byte, cacheHit bool) {
 	w.Header().Set("Content-Type", "application/json")
 	if cacheHit {
@@ -641,13 +488,12 @@ func (s *Server) handleHealthz(st *state, r *http.Request) (int, any) {
 		"generation": st.gen,
 		"nodes":      st.snap.Len(),
 	}
-	if st.shards != nil {
-		resp["shards"] = st.shards.NumShards()
-	}
 	if st.proj != nil {
 		resp["shard"] = st.proj.Shard
 		resp["shards"] = st.proj.NumShards
 		resp["home_nodes"] = st.proj.HomeCount
+	} else {
+		resp["shards"] = st.shards.NumShards()
 	}
 	if ws := s.wal.Load(); ws != nil {
 		resp["replica"] = ws.replica
@@ -695,8 +541,8 @@ func (s *Server) handleStats(st *state, r *http.Request) (int, any) {
 		"generations":        s.generations(),
 		"max_search_results": s.opts.MaxSearchResults,
 	}
-	if st.shards != nil {
-		// Scatter-gather: each shard's projection answers its own counts.
+	if st.proj == nil {
+		// Each shard's projection answers its own counts.
 		shards := make([]shardSummary, st.shards.NumShards())
 		for i := range shards {
 			shards[i] = shardSummary{
@@ -707,8 +553,7 @@ func (s *Server) handleStats(st *state, r *http.Request) (int, any) {
 			}
 		}
 		resp["shards"] = shards
-	}
-	if st.proj != nil {
+	} else {
 		// Per-shard process: report the owned slice of the union so a
 		// router can sum exact whole-world counts (home nodes partition the
 		// union; every union edge is owned by exactly one shard — the home
@@ -759,10 +604,36 @@ type nodeDetail struct {
 	Ancestors []string            `json:"ancestors,omitempty"`
 }
 
+// handleNode resolves ?id= first, then ?phrase= with ?type= (canonical
+// phrase before alias), then an untyped LookupAny.
 func (s *Server) handleNode(st *state, r *http.Request) (int, any) {
-	node, ok, badReq, errb := resolveNodeQuery(st.snap, r.URL.Query())
-	if badReq != 0 {
-		return badReq, errb
+	var node ontology.Node
+	var ok bool
+	switch q := r.URL.Query(); {
+	case q.Get("id") != "":
+		id, err := strconv.Atoi(q.Get("id"))
+		if err != nil {
+			return http.StatusBadRequest, errBody(codeInvalidArgument, "invalid id: "+q.Get("id"))
+		}
+		node, ok = st.snap.Get(ontology.NodeID(id))
+	case q.Get("phrase") != "":
+		phrase := q.Get("phrase")
+		if ts := q.Get("type"); ts != "" {
+			t, err := ontology.ParseNodeType(ts)
+			if err != nil {
+				return http.StatusBadRequest, errBody(codeInvalidArgument, err.Error())
+			}
+			node, ok = st.snap.Find(t, phrase)
+			if !ok {
+				if id, aok := st.snap.LookupAlias(t, phrase); aok {
+					node, ok = st.snap.Get(id)
+				}
+			}
+		} else if id, aok := st.snap.LookupAny(phrase); aok {
+			node, ok = st.snap.Get(id)
+		}
+	default:
+		return http.StatusBadRequest, errBody(codeInvalidArgument, "need ?id= or ?phrase=")
 	}
 	if !ok {
 		return http.StatusNotFound, errBody(codeNotFound, "node not found")
@@ -794,28 +665,21 @@ func (s *Server) handleSearch(st *state, r *http.Request) (int, any) {
 		return bad, errb
 	}
 	q, limit := p.q, p.limit
-	// Sharded states route the needle through the per-shard term-gram
-	// indexes and merge cached per-shard partials; the merged hits are
-	// identical to the single-snapshot scan (?scatter=full forces the
-	// unrouted, uncached scan — the router's debugging bypass works
-	// against the in-process server too). A per-shard process scans
-	// only its own home-node prefix and renders union IDs — the router's
-	// merge of K such responses is the same scatter-gather, stretched
-	// across process boundaries.
+	// A whole-world server routes the needle through the per-shard
+	// term-gram indexes and merges the candidate shards' match cursors in
+	// union-ID order; the hits are identical to the union scan (which is
+	// what runs at K=1), so ?scatter=full — the router's debugging bypass —
+	// is accepted here and changes nothing. A per-shard process scans only
+	// its own home-node prefix and renders union IDs — the router's merge
+	// of K such responses is the same scatter-gather, stretched across
+	// process boundaries.
 	var results []ontology.Node
 	idOf := func(n *ontology.Node) ontology.NodeID { return n.ID }
-	switch {
-	case st.proj != nil:
+	if st.proj != nil {
 		results = st.proj.SearchHome(q, limit)
 		idOf = func(n *ontology.Node) ontology.NodeID { return st.proj.UnionID(n.ID) }
-	case st.shards != nil:
-		if p.full {
-			results = st.shards.Search(q, limit)
-		} else {
-			results = st.searchSharded(q, limit)
-		}
-	default:
-		results = st.snap.Search(q, limit)
+	} else {
+		results = st.shards.Search(q, limit)
 	}
 	hits := make([]searchHit, 0, len(results))
 	for i := range results {
@@ -830,52 +694,6 @@ func (s *Server) handleSearch(st *state, r *http.Request) (int, any) {
 		return http.StatusOK, map[string]any{"query": q, "count": len(hits), "results": hits, "generation": st.gen}
 	}
 	return http.StatusOK, map[string]any{"query": q, "count": len(hits), "results": hits}
-}
-
-// searchSharded is the sharded /v1/search read path: term-gram routing
-// picks the candidate shards, each candidate's partial — its first limit
-// home matches, as shard-local node copies — is served from (or inserted
-// into) that shard's partial cache, and the partials merge through the
-// CURRENT union index in union-ID order, truncated to limit.
-//
-// Equivalence to st.snap.Search(q, limit): home nodes partition the union
-// preserving its ID order, so each shard's first limit home matches are a
-// superset of its contribution to the global first limit; gram pruning
-// only drops shards with zero matches; and rendering through the union
-// index maps each home copy to its exact union node. Cached partials
-// cannot go stale — a partial depends only on its shard's home contents,
-// and a publish that changes those installs a fresh cache for that shard.
-func (st *state) searchSharded(q string, limit int) []ontology.Node {
-	if limit <= 0 {
-		return nil
-	}
-	needle := strings.ToLower(q)
-	if needle == "" {
-		return nil
-	}
-	if len(st.searchPartials) != st.shards.NumShards() {
-		return st.shards.Search(q, limit)
-	}
-	union := st.shards.Union()
-	key := searchKey(needle, limit)
-	var out []ontology.Node
-	for _, sh := range st.shards.CandidateShards(needle) {
-		partial, ok := st.searchPartials[sh].get(key)
-		if !ok {
-			partial = st.shards.SearchShardHome(sh, needle, limit)
-			st.searchPartials[sh].put(key, partial)
-		}
-		for i := range partial {
-			if id, found := union.Lookup(partial[i].Type, partial[i].Phrase); found {
-				out = append(out, *union.At(id))
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	if len(out) > limit {
-		out = out[:limit]
-	}
-	return out
 }
 
 // searchHit is the wire form of one /v1/search result (IDs are union IDs
@@ -909,13 +727,6 @@ func (s *Server) handleTag(st *state, r *http.Request) (int, any) {
 	if bad != 0 {
 		return bad, errb
 	}
-	// In-process sharded states tag through per-shard-scope partials merged
-	// exactly as the router merges shard HTTP responses; the single path is
-	// internally the merge of one whole-view partial, so every mode runs the
-	// same extraction and fold.
-	if st.shards != nil {
-		return st.tagSharded(doc)
-	}
 	return http.StatusOK, tagResponse(st.concepts.TagConcepts(doc), st.events.TagEvents(doc))
 }
 
@@ -926,9 +737,6 @@ func (s *Server) handleQueryRewrite(st *state, r *http.Request) (int, any) {
 	}
 	if r.URL.Query().Get("partial") != "" {
 		return http.StatusOK, rewritePartialBody{Generation: st.gen, Partial: st.query.Partial(st.appScope(), q)}
-	}
-	if st.shards != nil {
-		return st.rewriteSharded(q)
 	}
 	return http.StatusOK, rewriteResponse(st.query.Analyze(q))
 }
@@ -952,7 +760,7 @@ func (s *Server) handleStory(st *state, r *http.Request) (int, any) {
 	if notFound != 0 {
 		return notFound, errb
 	}
-	tree, ok := storytree.FormFromEvents(st.storyFragments(), phrase, s.enc, s.story)
+	tree, ok := storytree.FormFromEvents(st.storyEvents, phrase, s.enc, s.story)
 	if !ok {
 		return http.StatusNotFound, errBody(codeNotFound, "no event %q in the ontology", seed)
 	}
@@ -960,14 +768,10 @@ func (s *Server) handleStory(st *state, r *http.Request) (int, any) {
 }
 
 func (s *Server) handleMetrics(st *state, r *http.Request) (int, any) {
-	entries := st.cache.len()
-	for _, c := range st.shardCaches {
-		entries += c.len()
-	}
 	return http.StatusOK, Metrics{
 		UptimeSeconds: time.Since(s.metrics.start).Seconds(),
 		Generation:    st.gen,
-		CacheEntries:  entries,
+		CacheEntries:  st.cache.len(),
 		Endpoints:     s.metrics.snapshot(),
 	}
 }
@@ -1011,31 +815,22 @@ func (s *Server) handleReload(st *state, r *http.Request) (int, any) {
 	if err != nil {
 		return http.StatusBadGateway, errBody(codeBadUpstream, "load snapshot: "+err.Error())
 	}
-	var gen uint64
-	var rows []shardWriteStatus
-	if st.shards != nil {
-		// A reload replaces the whole world: re-partition the fresh
-		// snapshot and republish every shard.
-		ss, err := ontology.ShardSnapshot(snap, st.shards.NumShards())
-		if err != nil {
-			return http.StatusInternalServerError, errBody(codeInternal, "shard snapshot: "+err.Error())
-		}
-		gen = s.SwapSharded(ss, nil)
-		rows = s.writeStatusRows(nil)
-	} else {
-		gen = s.Swap(snap)
-		rows = []shardWriteStatus{{Shard: 0, Generation: gen, Applied: true}}
+	// A reload replaces the whole world: re-partition the fresh snapshot
+	// and republish every shard.
+	gen, err := s.SwapSnapshot(snap)
+	if err != nil {
+		return http.StatusInternalServerError, errBody(codeInternal, "shard snapshot: "+err.Error())
 	}
 	return http.StatusOK, map[string]any{
 		"old_generation": st.gen,
 		"generation":     gen,
-		"shards":         rows,
+		"shards":         s.writeStatusRows(nil),
 		"nodes":          snap.NodeCount(),
 		"edges":          snap.EdgeCount(),
 	}
 }
 
-// writeStatusRows renders the sharded server's per-shard write-status
+// writeStatusRows renders a whole-world server's per-shard write-status
 // rows from the current per-shard generations; applied[i]=false marks a
 // shard the write left untouched (nil marks every shard applied).
 func (s *Server) writeStatusRows(applied []bool) []shardWriteStatus {
@@ -1060,7 +855,7 @@ func (s *Server) handleIngest(st *state, r *http.Request) (int, any) {
 		// write would fork its lineage from its peers'.
 		return http.StatusServiceUnavailable, errBody(codeReadOnlyReplica, "replica follows a delta log; write through the router")
 	}
-	if s.opts.Ingest == nil && s.opts.IngestSharded == nil && s.opts.ShardIngest == nil {
+	if s.opts.IngestSharded == nil && s.opts.ShardIngest == nil {
 		return http.StatusServiceUnavailable, errBody(codeUnavailable, "no ingester configured (run giantd with -build)")
 	}
 	if s.opts.ShardIngest != nil && !s.shardMode {
@@ -1070,17 +865,6 @@ func (s *Server) handleIngest(st *state, r *http.Request) (int, any) {
 		// A whole-world ingester on a per-shard server would publish a
 		// state with no shard identity, silently de-sharding the backend.
 		return http.StatusServiceUnavailable, errBody(codeUnavailable, "whole-world ingester on a per-shard server (configure Options.ShardIngest)")
-	}
-	if !s.shardMode && s.opts.IngestSharded != nil && s.shardStores == nil {
-		// The sharded ingest path publishes per shard; a server built
-		// with New has no shard stores to publish into.
-		return http.StatusServiceUnavailable, errBody(codeUnavailable, "sharded ingester on an unsharded server (build it with serve.NewSharded)")
-	}
-	if !s.shardMode && s.opts.IngestSharded == nil && s.shardStores != nil {
-		// And the mirror image: a plain ingester would publish an
-		// unsharded state, silently dropping scatter-gather serving and
-		// per-shard generations on a NewSharded server.
-		return http.StatusServiceUnavailable, errBody(codeUnavailable, "unsharded ingester on a sharded server (configure Options.IngestSharded)")
 	}
 	var batch delta.Batch
 	if err := json.NewDecoder(r.Body).Decode(&batch); err != nil {
@@ -1099,26 +883,16 @@ func (s *Server) ingestBatch(batch delta.Batch) (int, any) {
 	defer s.swapMu.Unlock()
 	st := s.cur.Load()
 	var (
-		snap    *ontology.Snapshot
 		d       *delta.Delta
 		touched []bool
 		err     error
 		sharded *ontology.ShardedSnapshot
 		proj    *ontology.ShardProjection
 	)
-	switch {
-	case s.opts.ShardIngest != nil:
+	if s.opts.ShardIngest != nil {
 		proj, d, touched, err = s.opts.ShardIngest(batch)
-		if err == nil {
-			snap = proj.Snap
-		}
-	case s.opts.IngestSharded != nil:
+	} else {
 		sharded, d, touched, err = s.opts.IngestSharded(batch)
-		if err == nil {
-			snap = sharded.Union()
-		}
-	default:
-		snap, d, err = s.opts.Ingest(batch)
 	}
 	if err != nil {
 		// Batch-validation failures are the client's fault; anything else
@@ -1128,58 +902,41 @@ func (s *Server) ingestBatch(batch delta.Batch) (int, any) {
 		}
 		return http.StatusInternalServerError, errBody(codeInternal, "ingest: "+err.Error())
 	}
-	var gen uint64
-	var rows []shardWriteStatus
-	republished := false
-	switch {
-	case proj != nil:
+	var ts []int
+	for i, t := range touched {
+		if t {
+			ts = append(ts, i)
+		}
+	}
+	resp := map[string]any{"old_generation": st.gen, "touched_shards": ts}
+	var snap *ontology.Snapshot
+	if proj != nil {
 		// Per-shard process: republish — and mint a generation — only when
 		// the delta touched this shard (or the served projection diverged
-		// from the one serving RIGHT NOW, read under the swap lock); an
-		// untouched ingest still refreshes the state so union IDs stay
-		// current, keeping responses identical to the in-process path.
-		cur := s.cur.Load()
-		republished = touched == nil ||
+		// from the one serving right now); an untouched ingest still
+		// refreshes the state so union IDs stay current, keeping responses
+		// identical to the in-process path.
+		snap = proj.Snap
+		republished := touched == nil ||
 			(proj.Shard < len(touched) && touched[proj.Shard]) ||
-			cur == nil || cur.proj == nil || cur.proj.Snap != proj.Snap
-		gen = s.publishShardLocked(proj, republished)
-		rows = []shardWriteStatus{{Shard: proj.Shard, Generation: gen, Applied: republished}}
-	case sharded != nil:
-		// Republish only the shards the delta touched: untouched shards
-		// keep their projection and their generation. Per-shard node
-		// caches carry over for untouched shards only when the delta
-		// provably cannot change any cached body (see carriesNodeCaches).
-		var applied []bool
-		gen, applied = s.publishShardedLocked(sharded, touched, carriesNodeCaches(d))
-		rows = s.writeStatusRows(applied)
-	default:
-		gen = s.publishLocked(snap, s.store.Push(snap))
-		rows = []shardWriteStatus{{Shard: 0, Generation: gen, Applied: true}}
-	}
-	resp := map[string]any{
-		"old_generation": st.gen,
-		"generation":     gen,
-		"shards":         rows,
-		"nodes":          snap.NodeCount(),
-		"edges":          snap.EdgeCount(),
-	}
-	if sharded != nil || proj != nil {
-		var ts []int
-		for i, t := range touched {
-			if t {
-				ts = append(ts, i)
-			}
-		}
-		resp["touched_shards"] = ts
-	}
-	if sharded != nil {
-		resp["shard_generations"] = s.shardStores.CurrentGens()
-	}
-	if proj != nil {
+			st.proj == nil || st.proj.Snap != proj.Snap
+		gen := s.publishShardLocked(proj, republished)
+		resp["generation"] = gen
+		resp["shards"] = []shardWriteStatus{{Shard: proj.Shard, Generation: gen, Applied: republished}}
 		resp["shard"] = proj.Shard
 		resp["republished"] = republished
 		resp["home_nodes"] = proj.HomeCount
+	} else {
+		// Whole world: republish only the shards the delta touched;
+		// untouched shards keep their projection and their generation.
+		snap = sharded.Union()
+		gen, applied := s.publishShardedLocked(sharded, touched)
+		resp["generation"] = gen
+		resp["shards"] = s.writeStatusRows(applied)
+		resp["shard_generations"] = s.shardStores.CurrentGens()
 	}
+	resp["nodes"] = snap.NodeCount()
+	resp["edges"] = snap.EdgeCount()
 	if d != nil {
 		resp["delta"] = map[string]any{
 			"day":        d.Day,
@@ -1192,29 +949,6 @@ func (s *Server) ingestBatch(batch delta.Batch) (int, any) {
 		}
 	}
 	return http.StatusOK, resp
-}
-
-// carriesNodeCaches decides whether untouched shards' /v1/node caches may
-// survive a sharded ingest publish. A cached body can go stale two ways a
-// touched-shard eviction does not cover: retirements renumber union IDs
-// of every later node, and a new IsA edge — even between two nodes homed
-// on touched shards — extends the TRANSITIVE ancestor chain of their
-// descendants on any shard. Direct parents/children are safe (an added
-// edge touches both endpoints' home shards), as are reweights (node
-// bodies render no weights), touches and non-IsA additions.
-func carriesNodeCaches(d *delta.Delta) bool {
-	if d == nil {
-		return true
-	}
-	if len(d.Retire) > 0 {
-		return false
-	}
-	for i := range d.Edges {
-		if d.Edges[i].Type == ontology.IsA {
-			return false
-		}
-	}
-	return true
 }
 
 // handleRollback reverts serving to the previous retained generation —
@@ -1236,32 +970,22 @@ func (s *Server) handleRollback(st *state, r *http.Request) (int, any) {
 	if err != nil {
 		return http.StatusConflict, errBody(codeConflict, err.Error())
 	}
-	var gen uint64
-	var rows []shardWriteStatus
-	if st.shards != nil {
-		// Rollback is a whole-world revert: re-partition the previous
-		// union and republish every shard (shard generations advance — a
-		// rolled-back world is still a new per-shard publication).
-		ss, serr := ontology.ShardSnapshot(g.Snap, st.shards.NumShards())
-		if serr != nil {
-			return http.StatusInternalServerError, errBody(codeInternal, "shard snapshot: "+serr.Error())
-		}
-		for i := 0; i < ss.NumShards(); i++ {
-			s.shardStores.Push(i, ss.Shard(i))
-		}
-		// The union generation is reused (the store already popped to
-		// g.Gen), so publish directly instead of re-pushing. nil caches
-		// and partials: a rollback drops every cached body and partial.
-		gen = s.storeShardedStateLocked(ss, g.Gen, nil, nil)
-		rows = s.writeStatusRows(nil)
-	} else {
-		gen = s.publishLocked(g.Snap, g.Gen)
-		rows = []shardWriteStatus{{Shard: 0, Generation: gen, Applied: true}}
+	// Re-partition the previous union and republish every shard (shard
+	// generations advance — a rolled-back world is still a new per-shard
+	// publication).
+	ss, err := ontology.ShardSnapshot(g.Snap, st.shards.NumShards())
+	if err != nil {
+		return http.StatusInternalServerError, errBody(codeInternal, "shard snapshot: "+err.Error())
 	}
+	for i := 0; i < ss.NumShards(); i++ {
+		s.shardStores.Push(i, ss.Shard(i))
+	}
+	// The union generation is reused (the store already popped to g.Gen),
+	// so publish directly instead of re-pushing.
 	return http.StatusOK, map[string]any{
 		"old_generation": st.gen,
-		"generation":     gen,
-		"shards":         rows,
+		"generation":     s.storeShardedStateLocked(ss, g.Gen),
+		"shards":         s.writeStatusRows(nil),
 		"nodes":          g.Nodes,
 		"edges":          g.Edges,
 	}

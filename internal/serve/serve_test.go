@@ -384,6 +384,20 @@ func fakeIngester(srv **Server) func(delta.Batch) (*ontology.Snapshot, *delta.De
 	}
 }
 
+// wholeWorld adapts a union-snapshot ingester to Options.IngestSharded on a
+// New server: the next snapshot is its own single shard, republished by
+// every batch.
+func wholeWorld(ingest func(delta.Batch) (*ontology.Snapshot, *delta.Delta, error)) func(delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error) {
+	return func(b delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error) {
+		next, d, err := ingest(b)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		ss, err := ontology.ShardSnapshot(next, 1)
+		return ss, d, nil, err
+	}
+}
+
 func postJSON(t *testing.T, c *http.Client, url, body string, want int) map[string]any {
 	t.Helper()
 	resp, err := c.Post(url, "application/json", bytes.NewReader([]byte(body)))
@@ -408,7 +422,7 @@ func postJSON(t *testing.T, c *http.Client, url, body string, want int) map[stri
 // visible in /v1/stats.
 func TestIngestAndRollback(t *testing.T) {
 	var srv *Server
-	srv = New(testOntology(0).Snapshot(), Options{Ingest: fakeIngester(&srv)})
+	srv = New(testOntology(0).Snapshot(), Options{IngestSharded: wholeWorld(fakeIngester(&srv))})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	c := ts.Client()
@@ -455,9 +469,9 @@ func TestIngestAndRollback(t *testing.T) {
 	// Internal delta-pipeline failures (no ErrInvalidBatch in the chain)
 	// must surface as 5xx, not blame the client.
 	srvBoom := New(testOntology(0).Snapshot(), Options{
-		Ingest: func(delta.Batch) (*ontology.Snapshot, *delta.Delta, error) {
+		IngestSharded: wholeWorld(func(delta.Batch) (*ontology.Snapshot, *delta.Delta, error) {
 			return nil, nil, fmt.Errorf("delta pipeline invariant violated")
-		},
+		}),
 	})
 	rr = httptest.NewRecorder()
 	srvBoom.Handler().ServeHTTP(rr, httptest.NewRequest("POST", "/v1/ingest", bytes.NewReader([]byte(`{}`))))
@@ -471,7 +485,7 @@ func TestIngestAndRollback(t *testing.T) {
 // and occasionally roll back; nothing may 5xx (run under -race).
 func TestConcurrentReadsDuringIngest(t *testing.T) {
 	var srv *Server
-	srv = New(testOntology(0).Snapshot(), Options{CacheSize: 64, History: 8, Ingest: fakeIngester(&srv)})
+	srv = New(testOntology(0).Snapshot(), Options{CacheSize: 64, History: 8, IngestSharded: wholeWorld(fakeIngester(&srv))})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

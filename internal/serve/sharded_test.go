@@ -1,11 +1,11 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
-	"io"
 	"net/http/httptest"
-	"net/url"
 	"reflect"
+	"strings"
 	"testing"
 
 	"giant/internal/delta"
@@ -57,6 +57,114 @@ func TestShardedStatsAndHealth(t *testing.T) {
 	}
 	if srv.Current().NodeCount() != int(stats["nodes"].(float64)) {
 		t.Fatal("union snapshot mismatch")
+	}
+}
+
+// TestNewIsNewShardedAtOneShard pins "one state shape": a New(snap, o)
+// server and a NewSharded(ShardSnapshot(snap, 1), o) server answer every
+// endpoint with the same status and body — reads, the operational
+// endpoints, and the write responses through an ingest → rollback →
+// reload → ingest sequence (after which shard and union generations
+// differ, so both accountings are compared).
+func TestNewIsNewShardedAtOneShard(t *testing.T) {
+	base := testOntology(0).Snapshot()
+	var servers [2]*Server
+	opts := func(i int) Options {
+		return Options{
+			CacheSize:     64,
+			Loader:        func() (*ontology.Snapshot, error) { return testOntology(1).Snapshot(), nil },
+			IngestSharded: wholeWorld(fakeIngester(&servers[i])),
+		}
+	}
+	ss, err := ontology.ShardSnapshot(base, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	servers[0] = New(base, opts(0))
+	servers[1] = NewSharded(ss, opts(1))
+
+	// scrub drops the wall-clock fields of /v1/stats and /v1/metrics.
+	scrub := func(path string, body []byte) string {
+		switch path {
+		case "/v1/stats":
+			var m map[string]any
+			if err := json.Unmarshal(body, &m); err != nil {
+				t.Fatalf("%s: %v: %s", path, err, body)
+			}
+			delete(m, "loaded_at")
+			body, _ = json.Marshal(m)
+		case "/v1/metrics":
+			var m Metrics
+			if err := json.Unmarshal(body, &m); err != nil {
+				t.Fatalf("%s: %v: %s", path, err, body)
+			}
+			m.UptimeSeconds = 0
+			for name, e := range m.Endpoints {
+				e.AvgLatencyUs, e.MaxLatencyUs, e.QPS = 0, 0, 0
+				m.Endpoints[name] = e
+			}
+			body, _ = json.Marshal(m)
+		}
+		return string(body)
+	}
+	type step struct{ method, path, body string }
+	reads := []step{
+		{"GET", "/healthz", ""},
+		{"GET", "/v1/stats", ""},
+		{"GET", "/v1/node?phrase=family+sedans&type=concept", ""},
+		{"GET", "/v1/node?phrase=family+sedans&type=concept", ""}, // cache hit
+		{"GET", "/v1/node?id=2", ""},
+		{"GET", "/v1/node?phrase=fresh+concept+day+12", ""},
+		{"GET", "/v1/node", ""},
+		{"GET", "/v1/search?q=sedan&limit=3", ""},
+		{"GET", "/v1/search?q=sedan&limit=3&scatter=full", ""},
+		{"GET", "/v1/search?q=fresh", ""},
+		{"GET", "/v1/search?q=sedan&limit=0", ""},
+		{"GET", "/v1/tag?title=sedan+model+a+wins+award&entities=sedan+model+a", ""},
+		{"POST", "/v1/tag", `{"title":"family sedans compared","entities":["sedan model b"]}`},
+		{"GET", "/v1/tag?partial=stats", ""},
+		{"GET", "/v1/query/rewrite?q=best+family+sedans", ""},
+		{"GET", "/v1/query/rewrite?q=best+family+sedans&partial=1", ""},
+		{"GET", "/v1/story?seed=brand+unveils+sedan+model+a", ""},
+		{"GET", "/v1/story?partial=fragments", ""},
+		{"GET", "/v1/story?seed=nope", ""},
+		{"GET", "/v1/wal", ""},
+		{"POST", "/v1/checkpoint", ""},
+		{"GET", "/v1/metrics", ""},
+	}
+	ingest := func(day int) step {
+		return step{"POST", "/v1/ingest", fmt.Sprintf(`{"day":%d,"docs":[{"id":-1,"title":"doc","category":0,"day":%d}]}`, day, day)}
+	}
+	var steps []step
+	for _, write := range []step{
+		ingest(12),
+		{"POST", "/v1/ingest", `{"day":1}`}, // invalid batch: 422
+		{"POST", "/v1/rollback", ""},
+		{"POST", "/v1/rollback", ""}, // nothing retained: 409
+		{"POST", "/v1/reload", ""},
+		ingest(13),
+		{"GET", "/v1/reload", ""}, // 405
+	} {
+		steps = append(append(steps, reads...), write)
+	}
+	steps = append(steps, reads...)
+
+	for i, st := range steps {
+		var got [2]string
+		for j, srv := range servers {
+			rr := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rr, httptest.NewRequest(st.method, st.path, strings.NewReader(st.body)))
+			path, _, _ := strings.Cut(st.path, "?")
+			got[j] = fmt.Sprintf("%d %s", rr.Code, scrub(path, rr.Body.Bytes()))
+		}
+		if got[0] != got[1] {
+			t.Fatalf("step %d %s %s diverges:\nNew:        %s\nNewSharded: %s", i, st.method, st.path, got[0], got[1])
+		}
+	}
+	for _, name := range endpointNames {
+		if servers[0].metrics.endpoints[name].requests.Load() == 0 {
+			t.Errorf("endpoint %q was never compared", name)
+		}
 	}
 }
 
@@ -162,176 +270,38 @@ func TestShardedIngestPublishesTouchedShardsOnly(t *testing.T) {
 	getJSON(t, ts.Client(), ts.URL+"/v1/node?phrase=hybrid+sedans+2", 200)
 }
 
-// TestShardedNodeCacheSurvivesForeignRepublication pins shard-local cache
-// keying on the in-process sharded server (the ROADMAP's shard-local
-// cache item): /v1/node responses are cached under the resolved node's
-// home shard, so an append-only ingest that republishes a FOREIGN shard
-// must not evict them — while entries homed on the touched shard, and the
-// union-spanning /v1/search cache, must drop.
-func TestShardedNodeCacheSurvivesForeignRepublication(t *testing.T) {
-	const k = 4
-	snap := testOntology(0).Snapshot()
-	ss, err := ontology.ShardSnapshot(snap, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The fake ingester adds one concept per batch; its home shard is
-	// deterministic, so every other shard stays untouched.
-	lineage := ss
-	day := 0
-	mode := "add"
-	opts := Options{CacheSize: 64}
-	opts.IngestSharded = func(b delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error) {
-		var d *delta.Delta
-		switch mode {
-		case "retire":
-			d = &delta.Delta{Day: b.Day, Retire: []delta.Ref{{Type: ontology.Concept, Phrase: "hybrid sedans 1"}}}
-		case "isa":
-			// An IsA edge between two already-ingested concepts: it can
-			// extend transitive ancestor chains on ANY shard, so every
-			// carried node cache must drop even though only the
-			// endpoints' shards republish.
-			d = &delta.Delta{Day: b.Day, Edges: []delta.EdgeAdd{{
-				SrcType: ontology.Concept, Src: "hybrid sedans 1",
-				DstType: ontology.Concept, Dst: "hybrid sedans 2",
-				Type: ontology.IsA, Weight: 1,
-			}}}
-		default:
-			day++
-			d = &delta.Delta{Day: b.Day, Add: []delta.NodeAdd{{Type: ontology.Concept, Phrase: fmt.Sprintf("hybrid sedans %d", day), Day: b.Day}}}
-		}
-		next, touched, err := delta.ApplySharded(lineage, d)
-		if err == nil {
-			lineage = next
-		}
-		return next, d, touched, err
-	}
-	srv := NewSharded(ss, opts)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	c := ts.Client()
-
-	home := ontology.HomeShard(ontology.Concept, "hybrid sedans 1", k)
-	home2 := ontology.HomeShard(ontology.Concept, "hybrid sedans 2", k)
-	// Pick one probe node homed on the to-be-touched shard and one homed
-	// on a shard no delta in this test ever touches.
-	var onTouched, onForeign string
-	onForeignShard := -1
-	for _, n := range snap.Nodes() {
-		u := fmt.Sprintf("/v1/node?phrase=%s&type=%s", url.QueryEscape(n.Phrase), n.Type.String())
-		switch s := ontology.HomeShard(n.Type, n.Phrase, k); {
-		case s == home:
-			if onTouched == "" {
-				onTouched = u
-			}
-		case s != home2 && onForeign == "":
-			onForeign, onForeignShard = u, s
-		}
-	}
-	if onTouched == "" || onForeign == "" {
-		t.Fatalf("test ontology has no node pair straddling shard %d", home)
-	}
-	searchURL := "/v1/search?q=sedan&limit=5"
-
-	cacheState := func(url string) string {
-		t.Helper()
-		resp, err := c.Get(ts.URL + url)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Fatalf("GET %s = %d", url, resp.StatusCode)
-		}
-		if resp.Header.Get("X-Cache") == "hit" {
-			return "hit"
-		}
-		return "miss"
-	}
-	// warm primes a URL's cache from any prior state.
-	warm := func(u string) {
-		t.Helper()
-		cacheState(u)
-		if cacheState(u) != "hit" {
-			t.Fatalf("cache did not warm for %s", u)
-		}
-	}
-	for _, u := range []string{onTouched, onForeign, searchURL} {
-		warm(u)
-	}
-
-	// Ingest republishes only the home shard of the new concept.
-	resp := postJSON(t, c, ts.URL+"/v1/ingest", `{"day":12}`, 200)
-	touched := resp["touched_shards"].([]any)
-	if len(touched) != 1 || int(touched[0].(float64)) != home {
-		t.Fatalf("touched shards = %v, want [%d]", touched, home)
-	}
-
-	if got := cacheState(onForeign); got != "hit" {
-		t.Fatalf("foreign-shard republication evicted an untouched shard's node cache (%s = %s)", onForeign, got)
-	}
-	if got := cacheState(onTouched); got != "miss" {
-		t.Fatalf("touched shard's node cache survived its own republication (%s = %s)", onTouched, got)
-	}
-	if got := cacheState(searchURL); got != "miss" {
-		t.Fatalf("union-spanning search cache survived a republication (%s = %s)", searchURL, got)
-	}
-
-	// Seed a second concept, then an IsA-edge-only delta between the two
-	// ingested concepts: transitive ancestor chains can change on shards
-	// the delta never touches, so carried caches must drop fleet-wide.
-	postJSON(t, c, ts.URL+"/v1/ingest", `{"day":13}`, 200)
-	warm(onForeign)
-	mode = "isa"
-	resp = postJSON(t, c, ts.URL+"/v1/ingest", `{"day":14}`, 200)
-	for _, s := range resp["touched_shards"].([]any) {
-		if int(s.(float64)) == onForeignShard {
-			// The probe's shard must stay untouched, or the eviction below
-			// would be explained by its own republication.
-			t.Fatalf("IsA delta touched the foreign probe's shard %d (touched %v)", onForeignShard, resp["touched_shards"])
-		}
-	}
-	if got := cacheState(onForeign); got != "miss" {
-		t.Fatalf("node cache survived an IsA-edge delta that can extend ancestor chains (%s = %s)", onForeign, got)
-	}
-
-	// A retiring delta renumbers union IDs: every carried cache must drop.
-	warm(onForeign)
-	mode = "retire"
-	postJSON(t, c, ts.URL+"/v1/ingest", `{"day":15}`, 200)
-	if got := cacheState(onForeign); got != "miss" {
-		t.Fatalf("node cache survived a retiring delta that renumbers union IDs (%s = %s)", onForeign, got)
-	}
-}
-
-// TestIngestModeMismatchRejected: wiring the wrong ingester shape for the
-// server's mode must 503 instead of silently flipping the serving mode.
+// TestIngestModeMismatchRejected: wiring a whole-world ingester on a
+// per-shard server, or a per-shard ingester on a whole-world one, must 503
+// instead of silently flipping the serving mode.
 func TestIngestModeMismatchRejected(t *testing.T) {
-	snap := testOntology(0).Snapshot()
-	plainOnSharded, err := ontology.ShardSnapshot(snap, 2)
+	ss, err := ontology.ShardSnapshot(testOntology(0).Snapshot(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded := NewSharded(plainOnSharded, Options{
-		Ingest: func(delta.Batch) (*ontology.Snapshot, *delta.Delta, error) { return snap, nil, nil },
-	})
-	ts := httptest.NewServer(sharded.Handler())
-	defer ts.Close()
-	postJSON(t, ts.Client(), ts.URL+"/v1/ingest", `{"day":1}`, 503)
-	// The serving state stayed sharded.
-	if st := sharded.cur.Load(); st.shards == nil {
-		t.Fatal("sharded server de-sharded by a rejected ingest")
-	}
-
-	legacy := New(snap, Options{
+	shard := NewShard(ss.Projection(0), Options{
 		IngestSharded: func(delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error) {
-			return plainOnSharded, nil, nil, nil
+			return ss, nil, nil, nil
 		},
 	})
-	ts2 := httptest.NewServer(legacy.Handler())
+	ts := httptest.NewServer(shard.Handler())
+	defer ts.Close()
+	postJSON(t, ts.Client(), ts.URL+"/v1/ingest", `{"day":1}`, 503)
+	// The serving state kept its shard identity.
+	if shard.ShardProjection() == nil {
+		t.Fatal("per-shard server de-sharded by a rejected ingest")
+	}
+
+	world := NewSharded(ss, Options{
+		ShardIngest: func(delta.Batch) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
+			return ss.Projection(0), nil, nil, nil
+		},
+	})
+	ts2 := httptest.NewServer(world.Handler())
 	defer ts2.Close()
 	postJSON(t, ts2.Client(), ts2.URL+"/v1/ingest", `{"day":1}`, 503)
+	if world.ShardProjection() != nil {
+		t.Fatal("whole-world server turned per-shard by a rejected ingest")
+	}
 }
 
 // BenchmarkServeSearch measures the /v1/search scan: the single-snapshot
