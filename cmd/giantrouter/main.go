@@ -27,10 +27,9 @@
 // Reads are routed, not blindly scattered: the router keeps a term→shard
 // routing index built from each backend's /v1/stats term grams and
 // consults only the shards that can match the query (or the tag
-// document's entities and matching text), caching each shard's search
-// and rewrite partials keyed by (shard, generation, query) —
-// -search-cache sizes the caches (0 disables), and ?scatter=full on any
-// search bypasses routing and caching for debugging.
+// document's entities and matching text); ?scatter=full on any search
+// bypasses routing for debugging. The router caches no per-shard answers:
+// every consulted shard is asked on every request.
 //
 // Degraded mode is configurable: by default fan-out reads fail closed
 // with 503 when a backend is unreachable; with -fail-open they return the
@@ -38,9 +37,7 @@
 // search, tag, query rewrite, story and scattered node lookups. A typed
 // node lookup (and a story seed resolution) answers 502 when the one
 // home shard that could hold the phrase is down, and writes are always
-// fail-closed. A cached partial can answer for a down backend, so a
-// fully cached query returns complete results where an uncached one
-// would be partial.
+// fail-closed.
 //
 // With -wal DIR each shard may list multiple replicas, separated by "|"
 // within the comma-separated shard list (every replica a giantd started
@@ -59,7 +56,8 @@
 // the per-shard logs under DIR, acknowledging once a quorum of each
 // shard's replicas confirm the apply. A shard whose slowest healthy
 // replica trails the log head by more than -max-lag generations pushes
-// back with 429 replica_lagging and a Retry-After header. Rolling
+// back with 429 replica_lagging and a Retry-After header; -write-timeout
+// bounds each replica's apply confirmation in that quorum wait. Rolling
 // restarts are zero-downtime: restart one replica at a time and it
 // catches up from the log before re-entering read rotation.
 package main
@@ -84,15 +82,12 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen address")
 		backends = flag.String("backends", "", "comma-separated per-shard giantd base URLs, in shard order (URL_i serves shard i)")
 		timeout  = flag.Duration("timeout", 5*time.Second, "per-backend read timeout")
-		writeTO  = flag.Duration("write-timeout", 2*time.Minute, "per-backend timeout for ingest/reload broadcasts (backends re-mine per batch)")
+		writeTO  = flag.Duration("write-timeout", 2*time.Minute, "per-backend timeout for ingest/reload broadcasts (backends re-mine per batch); with -wal, the per-replica apply-confirmation timeout of ingest quorum waits")
 		failOpen = flag.Bool("fail-open", false, "serve partial fan-out results (marked \"partial\": true) instead of 503 when a shard is unreachable")
-		parallel = flag.Int("parallel", 0, "fan-out worker pool size (0 = min(shards, GOMAXPROCS))")
 		probe    = flag.Duration("probe", 2*time.Second, "background health-probe interval (0 disables)")
 		grace    = flag.Duration("grace", 5*time.Second, "graceful-shutdown drain timeout")
-		cache    = flag.Int("search-cache", 1024, "per-shard search- and rewrite-partial cache entries, keyed (shard, generation, query); a cached partial can mask a down backend for that query (0 disables)")
 		walDir   = flag.String("wal", "", "delta-log directory: ingest appends to DIR/shard-i-of-k.wal and acks at a replica quorum (backends must be giantd -wal replicas)")
 		maxLag   = flag.Uint64("max-lag", 0, "with -wal: 429 ingest pushback once a shard's slowest healthy replica trails the log head by more than this many generations (0 = 64)")
-		ackTO    = flag.Duration("ack-timeout", 0, "with -wal: per-replica apply-confirmation timeout for ingest quorum waits (0 = -write-timeout)")
 		compact  = flag.Bool("compact", false, "with -wal: truncate each shard's delta log below the fleet-wide applied floor, bounded by the newest published checkpoint (runs after each health-probe pass; replicas need -checkpoint-every)")
 	)
 	flag.Parse()
@@ -115,13 +110,10 @@ func main() {
 		WALDir:        *walDir,
 		Compact:       *compact,
 		MaxLag:        *maxLag,
-		AckTimeout:    *ackTO,
 		Timeout:       *timeout,
 		WriteTimeout:  *writeTO,
 		FailOpen:      *failOpen,
-		Parallelism:   *parallel,
 		ProbeInterval: *probe,
-		CacheSize:     *cache,
 		Logf:          log.Printf,
 	})
 	if err != nil {

@@ -123,7 +123,7 @@ type shardWriteStatus struct {
 type searchParams struct {
 	q     string
 	limit int
-	full  bool // ?scatter=full: the router bypasses term-gram routing and partial caches; a no-op on giantd
+	full  bool // ?scatter=full: the router bypasses term-gram routing; a no-op on giantd
 }
 
 // parseSearchParams is THE /v1/search query parser, shared by the

@@ -4,8 +4,7 @@ package serve
 // must answer byte-identically across all three serving modes — a plain
 // New server over the union snapshot, an in-process NewSharded server,
 // and a Router over per-shard NewShard backends — for every shard count,
-// cold and warm (memoized concept/fragment indexes and rewrite-partial
-// caches), and through day-by-day ingest replay including a union-ID-
+// cold and warm (memoized concept/fragment indexes), and through day-by-day ingest replay including a union-ID-
 // renumbering retirement. The workloads are seed-pinned but randomized:
 // documents built from live phrases with mixed-case entities, queries at
 // every specificity (exact concept, contained entity, single token,
@@ -14,7 +13,8 @@ package serve
 //
 // The same file pins the two bugfix satellites: routing keys are
 // normalized exactly like analysis (a case/whitespace variant of a query
-// adds zero backend consults once the canonical form is cached), and the
+// consults exactly the canonical form's shards with the normalized
+// query), and the
 // degraded-mode policy is uniform with /v1/search — fail-closed 503s
 // mention the policy, fail-open answers 200 "partial": true with the
 // missing shards listed and never a 5xx.
@@ -215,8 +215,7 @@ func assertAppEquivalent(t *testing.T, refTS, gotTS *httptest.Server, mode strin
 	}
 }
 
-// newAppRouterFleet boots K plain NewShard backends behind a router with
-// partial caching enabled.
+// newAppRouterFleet boots K plain NewShard backends behind a router.
 func newAppRouterFleet(t *testing.T, ss *ontology.ShardedSnapshot, k int) *httptest.Server {
 	t.Helper()
 	urls := make([]string, k)
@@ -225,7 +224,7 @@ func newAppRouterFleet(t *testing.T, ss *ontology.ShardedSnapshot, k int) *httpt
 		t.Cleanup(backTS.Close)
 		urls[i] = backTS.URL
 	}
-	rt, err := NewRouter(RouterOptions{Backends: urls, CacheSize: 64})
+	rt, err := NewRouter(RouterOptions{Backends: urls})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,8 +237,7 @@ func newAppRouterFleet(t *testing.T, ss *ontology.ShardedSnapshot, k int) *httpt
 // TestApplicationEquivalenceRandomized: for K ∈ {1, 2, 4}, both the
 // in-process sharded server and the router answer every workload request
 // identically to a plain New server over the same snapshot — twice, so
-// the warm pass reads the memoized merged indexes and cached rewrite
-// partials the cold pass built.
+// the warm pass reads the memoized merged indexes the cold pass built.
 func TestApplicationEquivalenceRandomized(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	snap := randomAppCorpus(r).Snapshot()
@@ -396,7 +394,7 @@ func TestApplicationEquivalenceIngestReplay(t *testing.T) {
 				t.Cleanup(backTS.Close)
 				urls[i] = backTS.URL
 			}
-			rt, err := NewRouter(RouterOptions{Backends: urls, CacheSize: 64})
+			rt, err := NewRouter(RouterOptions{Backends: urls})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -421,35 +419,36 @@ func TestApplicationEquivalenceIngestReplay(t *testing.T) {
 	}
 }
 
-// countingBackend counts requests per path, wrapping a shard handler.
-type countingBackend struct {
+// recordingBackend records the ?q= of every /v1/query/rewrite request it
+// serves, wrapping a shard handler.
+type recordingBackend struct {
 	h  http.Handler
 	mu sync.Mutex
-	n  map[string]int
+	qs []string
 }
 
-func (cb *countingBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	cb.mu.Lock()
-	if cb.n == nil {
-		cb.n = map[string]int{}
+func (rb *recordingBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/v1/query/rewrite" {
+		rb.mu.Lock()
+		rb.qs = append(rb.qs, r.URL.Query().Get("q"))
+		rb.mu.Unlock()
 	}
-	cb.n[r.URL.Path]++
-	cb.mu.Unlock()
-	cb.h.ServeHTTP(w, r)
+	rb.h.ServeHTTP(w, r)
 }
 
-func (cb *countingBackend) count(path string) int {
-	cb.mu.Lock()
-	defer cb.mu.Unlock()
-	return cb.n[path]
+// rewritesSince returns the rewrite queries served after the first n.
+func (rb *recordingBackend) rewritesSince(n int) []string {
+	rb.mu.Lock()
+	defer rb.mu.Unlock()
+	return append([]string(nil), rb.qs[n:]...)
 }
 
 // TestAppRoutingNormalizesKeys is the phrase-normalization regression pin
 // (the routed tier used to hash the RAW q/seed): a case- or whitespace-
-// mangled variant of a query answers byte-identically to the reference
-// AND adds zero rewrite consults once the canonical form is cached —
-// variants share the normalized cache key, so they cannot be routed (or
-// cached) differently from how they are analyzed.
+// mangled variant of a query answers byte-identically to the reference,
+// consults exactly the shards the canonical form consults, and sends each
+// of them the normalized query — variants cannot be routed differently
+// from how they are analyzed.
 func TestAppRoutingNormalizesKeys(t *testing.T) {
 	const k = 2
 	snap := testOntology(0).Snapshot()
@@ -457,15 +456,15 @@ func TestAppRoutingNormalizesKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counters := make([]*countingBackend, k)
+	backends := make([]*recordingBackend, k)
 	urls := make([]string, k)
 	for i := 0; i < k; i++ {
-		counters[i] = &countingBackend{h: NewShard(ss.Projection(i), Options{}).Handler()}
-		backTS := httptest.NewServer(counters[i])
+		backends[i] = &recordingBackend{h: NewShard(ss.Projection(i), Options{}).Handler()}
+		backTS := httptest.NewServer(backends[i])
 		t.Cleanup(backTS.Close)
 		urls[i] = backTS.URL
 	}
-	rt, err := NewRouter(RouterOptions{Backends: urls, CacheSize: 64})
+	rt, err := NewRouter(RouterOptions{Backends: urls})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,27 +477,42 @@ func TestAppRoutingNormalizesKeys(t *testing.T) {
 	// Canonical first, then variants: every response must match the
 	// reference fed the SAME raw input (the raw query echoes through the
 	// analysis, so the bodies differ between variants by design).
+	const canonical = "family sedans"
 	variants := []string{
-		"family sedans",
+		canonical,
 		"FAMILY Sedans",
 		"  family     sedans ",
 		"FaMiLy\tSeDaNs",
 	}
+	var canonicalShards []int
 	for _, q := range variants {
+		seen := make([]int, k)
+		for i, b := range backends {
+			seen[i] = len(b.rewritesSince(0))
+		}
 		req := appRequest{name: "rewrite", method: http.MethodGet, path: "/v1/query/rewrite?q=" + url.QueryEscape(q)}
 		assertAppEquivalent(t, refTS, routerTS, "variant "+q, req)
-	}
-	consults := counters[0].count("/v1/query/rewrite") + counters[1].count("/v1/query/rewrite")
-	if consults == 0 {
-		t.Fatal("canonical query consulted no backend")
-	}
-	// Re-run every variant: all partials are cached under the shared
-	// normalized key, so not one more backend consult may happen.
-	for _, q := range variants {
-		getRaw(t, routerTS.Client(), routerTS.URL+"/v1/query/rewrite?q="+url.QueryEscape(q))
-	}
-	if after := counters[0].count("/v1/query/rewrite") + counters[1].count("/v1/query/rewrite"); after != consults {
-		t.Fatalf("variants added backend consults: %d -> %d (normalized cache key not shared)", consults, after)
+		var consulted []int
+		for i, b := range backends {
+			qs := b.rewritesSince(seen[i])
+			if len(qs) == 0 {
+				continue
+			}
+			consulted = append(consulted, i)
+			for _, got := range qs {
+				if got != canonical {
+					t.Fatalf("variant %q: shard %d saw q=%q, want the normalized %q", q, i, got, canonical)
+				}
+			}
+		}
+		if q == canonical {
+			if len(consulted) == 0 {
+				t.Fatal("canonical query consulted no backend")
+			}
+			canonicalShards = consulted
+		} else if fmt.Sprint(consulted) != fmt.Sprint(canonicalShards) {
+			t.Fatalf("variant %q consulted shards %v, canonical form consulted %v", q, consulted, canonicalShards)
+		}
 	}
 
 	// Story seeds and tag entities normalize the same way.

@@ -2,19 +2,14 @@ package serve
 
 import (
 	"container/list"
-	"strconv"
 	"sync"
-
-	"giant/internal/queryund"
 )
 
 // lruOf is the package's one LRU: a bounded mutex+list cache over values
-// of type V, distinguishing "cached empty" from "absent" (a shard with zero
-// matches for a query is a perfectly good — and common — partial).
-// lruOf[[]byte] is the server's response cache of rendered bodies: one hangs
-// off each published state, so a hot-swap retires every stale entry at once
-// — there is no invalidation protocol, the old cache simply becomes
-// unreachable with its state.
+// of type V. lruOf[[]byte] is the server's response cache of rendered
+// bodies: one hangs off each published state, so a hot-swap retires every
+// stale entry at once — there is no invalidation protocol, the old cache
+// simply becomes unreachable with its state.
 type lruOf[V any] struct {
 	mu    sync.Mutex
 	cap   int
@@ -76,26 +71,3 @@ func (c *lruOf[V]) len() int {
 	defer c.mu.Unlock()
 	return c.order.Len()
 }
-
-// searchKey builds the router's search-partial cache key for an
-// already-lowercased needle and a validated limit.
-func searchKey(needle string, limit int) string {
-	return needle + "\x00" + strconv.Itoa(limit)
-}
-
-// hitsCache is the router's per-shard search-partial cache: one backend's
-// parsed /v1/search hits keyed by (generation, needle, limit). Entries
-// carry union node IDs rendered BY the backend at fetch time, so the
-// generation in the key is load-bearing — and because a backend's union-ID
-// table can refresh WITHOUT a generation bump (a peer's retirement
-// renumbers union IDs on every shard), the router additionally clears
-// caches wholesale on any write whose delta retired nodes (see Router
-// invalidation rules in docs/ARCHITECTURE.md).
-type hitsCache = lruOf[[]searchHit]
-
-// rewriteCache is the router's per-shard query-rewrite partial cache,
-// keyed (generation, normalized query). Like hitsCache, entries carry
-// union node IDs rendered by the backend at fetch time, so they obey the
-// same invalidation rules: generation-keyed per shard, cleared wholesale
-// on any write whose delta retired nodes.
-type rewriteCache = lruOf[*queryund.Partial]

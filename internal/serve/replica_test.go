@@ -289,8 +289,8 @@ func newCkptWALFixture(t *testing.T, k, r int, every uint64, opts RouterOptions)
 	}
 	opts.Replicas = replicas
 	opts.WALDir = walDir
-	if opts.AckTimeout == 0 {
-		opts.AckTimeout = 10 * time.Second
+	if opts.WriteTimeout == 0 {
+		opts.WriteTimeout = 10 * time.Second
 	}
 	f.rt, err = NewRouter(opts)
 	if err != nil {
@@ -416,7 +416,7 @@ func TestRollingRestartZero5xx(t *testing.T) {
 	f := newWALFixture(t, 2, 3, RouterOptions{
 		ProbeInterval: 10 * time.Millisecond,
 		Timeout:       2 * time.Second,
-		AckTimeout:    10 * time.Second,
+		WriteTimeout:  10 * time.Second,
 	})
 	ref := httptest.NewServer(NewSharded(f.base, Options{
 		IngestSharded: detShardedIngester(f.base),
@@ -514,7 +514,7 @@ func TestRollingRestartZero5xx(t *testing.T) {
 func TestReplicaCatchUpGating(t *testing.T) {
 	f := newWALFixture(t, 1, 2, RouterOptions{
 		ProbeInterval: 10 * time.Millisecond,
-		AckTimeout:    2 * time.Second,
+		WriteTimeout:  2 * time.Second,
 	})
 	// Rebuild replica B gated: every apply blocks until released.
 	gate := make(chan struct{})
@@ -632,8 +632,8 @@ func TestReadGateSurvivesOutOfOrderPositions(t *testing.T) {
 // drains.
 func TestIngestBackpressure(t *testing.T) {
 	f := newWALFixture(t, 1, 2, RouterOptions{
-		MaxLag:     2,
-		AckTimeout: time.Second,
+		MaxLag:       2,
+		WriteTimeout: time.Second,
 	})
 	gate := make(chan struct{})
 	b := f.procs[0][1]
@@ -906,7 +906,7 @@ func TestRouterCompaction(t *testing.T) {
 	f := newCkptWALFixture(t, 1, 2, 2, RouterOptions{
 		Compact:       true,
 		ProbeInterval: 10 * time.Millisecond,
-		AckTimeout:    10 * time.Second,
+		WriteTimeout:  10 * time.Second,
 	})
 	for day := 11; day <= 16; day++ {
 		postJSON(t, f.routerTS.Client(), f.routerTS.URL+"/v1/ingest", fmt.Sprintf(`{"day":%d}`, day), 200)

@@ -15,11 +15,10 @@ package serve
 //	/v1/search         routed fan-out: a generation-stamped term→shard
 //	                   routing index (rebuilt from each backend's
 //	                   /v1/stats term grams) prunes the scatter to the
-//	                   shards that can match; each consulted shard's
-//	                   partial is served from a per-shard cache keyed
-//	                   (shard, generation, query, limit); merge in union
-//	                   node-ID order, truncate. ?scatter=full bypasses
-//	                   routing and caching (debug / equivalence diffing).
+//	                   shards that can match; merge the consulted shards'
+//	                   partials in union node-ID order, truncate.
+//	                   ?scatter=full bypasses routing (debug /
+//	                   equivalence diffing).
 //	/v1/node           route by HomeShard(type, phrase) when the request
 //	                   names both; otherwise scatter and pick the union's
 //	                   lookup-precedence winner (phrase beats alias, then
@@ -40,7 +39,7 @@ package serve
 //	                   ?partial=stats concepts
 //	/v1/query/rewrite  scatter-gather over ?partial=1 rewrite partials,
 //	                   keyed by the NORMALIZED query (lowercased token
-//	                   join) for routing and caching, folded by
+//	                   join) for routing, folded by
 //	                   queryund.Merge at the router
 //	/v1/story          the seed resolves exactly like a typed /v1/node
 //	                   lookup (home-shard fast path, alias scatter), then
@@ -86,7 +85,6 @@ import (
 	"giant/internal/delta"
 	"giant/internal/ontology"
 	"giant/internal/par"
-	"giant/internal/queryund"
 	"giant/internal/storytree"
 	"giant/internal/wal"
 )
@@ -113,9 +111,6 @@ type RouterOptions struct {
 	// healthy replica may trail the log head before ingest pushes back
 	// with 429 replica_lagging; 0 means 64.
 	MaxLag uint64
-	// AckTimeout bounds the quorum wait of a delta-log ingest (how long a
-	// replica may take to tail and apply one batch); 0 means WriteTimeout.
-	AckTimeout time.Duration
 	// Client overrides the HTTP client used for backend calls; nil builds
 	// a dedicated one whose idle connections Close releases.
 	Client *http.Client
@@ -125,15 +120,15 @@ type RouterOptions struct {
 	// (/v1/ingest, /v1/reload) — in -build mode a backend re-mines the
 	// affected click-graph neighbourhood per batch, which can far exceed
 	// the read timeout, and a premature router-side timeout would report
-	// a divergence that never happened. 0 means 2m.
+	// a divergence that never happened. On a delta-log fleet it instead
+	// bounds each replica's apply confirmation in the ingest quorum wait
+	// (how long a replica may take to tail and apply one batch). 0 means
+	// 2m.
 	WriteTimeout time.Duration
 	// FailOpen selects the degraded-mode policy for fan-out reads: false
 	// (the default) fails closed with 503 when any shard is unreachable,
 	// true returns the reachable shards' results with "partial": true.
 	FailOpen bool
-	// Parallelism bounds the fan-out worker pool; <= 0 means
-	// min(len(Backends), GOMAXPROCS).
-	Parallelism int
 	// MaxSearchResults caps /v1/search result counts and must match the
 	// backends' cap for byte-identical merges; 0 means 100.
 	MaxSearchResults int
@@ -141,15 +136,6 @@ type RouterOptions struct {
 	// must match the backends' configuration for byte-identical trees; nil
 	// means storytree.DefaultOptions (what serve.New defaults to as well).
 	Story *storytree.Options
-	// CacheSize bounds each per-shard search-partial cache (entries).
-	// Unlike serve.Options.CacheSize, 0 (the default) DISABLES partial
-	// caching: a cached partial is served without touching its backend, so
-	// caching deliberately trades degraded-mode visibility for
-	// availability — a query fully answerable from cache returns complete
-	// results even while a backend is down, instead of reporting
-	// "partial". That is a semantics change an operator must opt into
-	// (cmd/giantrouter does, via -search-cache).
-	CacheSize int
 	// ProbeInterval enables a background health prober hitting every
 	// backend's /healthz; 0 disables it (health marks still update on
 	// every proxied call).
@@ -211,27 +197,19 @@ type Router struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 	probeWG  sync.WaitGroup
-	// routing is the term→shard routing index, lazily rebuilt from a
-	// /v1/stats fan-out whenever nil. Dropped (stored nil) by every write
-	// broadcast, by the prober on a generation discrepancy, and by a
-	// search that observes a backend generation diverging from the index.
+	// The router memoizes exactly three fleet-wide folds, each lazily
+	// rebuilt by a fan-out whenever nil and all dropped together by
+	// invalidate: routing, the term→shard routing index (from /v1/stats
+	// term grams), and tagIdx / frags, the merged concept index and
+	// story-fragment list (from full ?partial=stats / ?partial=fragments
+	// fan-outs). A degraded tagIdx / frags build (missing shards under
+	// fail-open) is never stored.
 	routing   atomic.Pointer[routingIndex]
 	routingMu sync.Mutex // serializes index rebuilds (readers use routing)
-	// partials[i] caches backend i's parsed search hits keyed
-	// (generation, needle, limit); invalidation swaps in a fresh cache.
-	partials []atomic.Pointer[hitsCache]
-	// rewrites[i] caches backend i's parsed query-rewrite partials keyed
-	// (generation, normalized query); same invalidation as partials.
-	rewrites []atomic.Pointer[rewriteCache]
-	// tagIdx / frags memoize the fleet-wide merged concept index and
-	// story-fragment list (built from full ?partial=stats / ?partial=
-	// fragments fan-outs). Unlike the per-shard caches they span every
-	// backend, so ANY invalidation drops them; a degraded build (missing
-	// shards under fail-open) is never stored.
-	tagIdx  atomic.Pointer[routerTagIndex]
-	tagMu   sync.Mutex // serializes tagIdx rebuilds
-	frags   atomic.Pointer[routerFragments]
-	fragsMu sync.Mutex // serializes frags rebuilds
+	tagIdx    atomic.Pointer[routerTagIndex]
+	tagMu     sync.Mutex // serializes tagIdx rebuilds
+	frags     atomic.Pointer[routerFragments]
+	fragsMu   sync.Mutex // serializes frags rebuilds
 	// enc and story drive story-tree formation at the router; they must
 	// match the backends' (all default-constructed unless Options.Story /
 	// RouterOptions.Story override them in lockstep).
@@ -242,7 +220,7 @@ type Router struct {
 // routingShard is one backend's entry in the routing index: its serving
 // generation and home-prefix term grams as of the index build. ok=false
 // (the backend failed to answer the stats fan-out) routes conservatively:
-// the shard is always consulted and its partials never cached.
+// the shard is always consulted.
 type routingShard struct {
 	gen   uint64
 	grams *ontology.TermGrams
@@ -250,8 +228,9 @@ type routingShard struct {
 }
 
 // routingIndex is the router's term→shard posting index: per-shard term
-// grams to prune the scatter, with each shard's generation pinning the
-// partial-cache keys. Immutable once published.
+// grams to prune the scatter, with the generation each shard's grams were
+// read at, so a response from a later generation reveals that the grams
+// may be stale. Immutable once published.
 type routingIndex struct {
 	shards []routingShard
 }
@@ -305,13 +284,12 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		opts.MaxLag = 64
 	}
 	rt := &Router{
-		opts:     opts,
-		k:        k,
-		client:   opts.Client,
-		metrics:  newMetricsRegistry(routerEndpointNames),
-		shards:   make([]*shardSet, k),
-		stop:     make(chan struct{}),
-		partials: make([]atomic.Pointer[hitsCache], k),
+		opts:    opts,
+		k:       k,
+		client:  opts.Client,
+		metrics: newMetricsRegistry(routerEndpointNames),
+		shards:  make([]*shardSet, k),
+		stop:    make(chan struct{}),
 	}
 	for i, reps := range sets {
 		set := &shardSet{replicas: make([]*replicaState, len(reps))}
@@ -329,13 +307,6 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 			set.log = lg
 		}
 		rt.shards[i] = set
-	}
-	for i := range rt.partials {
-		rt.partials[i].Store(newLRU[[]searchHit](opts.CacheSize))
-	}
-	rt.rewrites = make([]atomic.Pointer[rewriteCache], k)
-	for i := range rt.rewrites {
-		rt.rewrites[i].Store(newLRU[*queryund.Partial](opts.CacheSize))
 	}
 	rt.enc = storytree.NewBagOfTokensEncoder(16, nil)
 	rt.story = storytree.DefaultOptions()
@@ -384,11 +355,8 @@ func (rt *Router) Close() {
 	rt.client.CloseIdleConnections()
 }
 
-// workers resolves the fan-out pool size.
+// workers resolves the fan-out pool size: min(shards, GOMAXPROCS).
 func (rt *Router) workers() int {
-	if rt.opts.Parallelism > 0 {
-		return rt.opts.Parallelism
-	}
 	if n := runtime.GOMAXPROCS(0); n < rt.k {
 		return n
 	}
@@ -399,7 +367,7 @@ func (rt *Router) workers() int {
 // cross-checks each backend's /healthz generation against the routing
 // index: a discrepancy means the fleet changed behind the router's back
 // (an out-of-band write, or a backend restarted into a different world),
-// so the index and every cached partial are dropped.
+// so every memo is dropped.
 func (rt *Router) probeLoop() {
 	defer rt.probeWG.Done()
 	ticker := time.NewTicker(rt.opts.ProbeInterval)
@@ -452,8 +420,8 @@ func (rt *Router) probeLoop() {
 				if !idx.shards[i].ok || idx.shards[i].gen != h.Generation {
 					// Either the backend recovered since the index was built
 					// (re-index to regain pruning) or its generation moved
-					// without a routed write (distrust every cached partial).
-					rt.invalidateSearch(nil, true)
+					// without a routed write (every memo is stale).
+					rt.invalidate()
 					break
 				}
 			}
@@ -557,36 +525,31 @@ func (rt *Router) walStatus() []walShardStatus {
 	return out
 }
 
-// invalidateSearch drops the routing index and resets search-partial
-// caches: every shard's when clearAll (a write retired nodes — union-ID
-// renumbering can stale even untouched shards' cached hits — or the
-// write's effect is unknown), otherwise only the listed touched shards'
-// (an append-only delta cannot change what an untouched backend returns).
-func (rt *Router) invalidateSearch(touched []int, clearAll bool) {
+// invalidate drops all three memos — the routing index, the merged
+// concept index and the merged fragment list — so the next read rebuilds
+// each from the fleet. Every fold spans every shard, so any change to any
+// shard stales all of them; there is no finer rule. Callers: any write
+// the fleet did not uniformly reject with a 4xx, prober drift, and a read
+// that observes a backend generation diverging from a memo's.
+func (rt *Router) invalidate() {
 	rt.routing.Store(nil)
-	// The merged application indexes fold every shard's partial, so even a
-	// single-shard delta stales them: drop unconditionally.
 	rt.tagIdx.Store(nil)
 	rt.frags.Store(nil)
-	if clearAll {
-		for i := range rt.partials {
-			rt.partials[i].Store(newLRU[[]searchHit](rt.opts.CacheSize))
-			rt.rewrites[i].Store(newLRU[*queryund.Partial](rt.opts.CacheSize))
-		}
-		return
-	}
-	for _, s := range touched {
-		if s >= 0 && s < rt.k {
-			rt.partials[s].Store(newLRU[[]searchHit](rt.opts.CacheSize))
-			rt.rewrites[s].Store(newLRU[*queryund.Partial](rt.opts.CacheSize))
-		}
+}
+
+// invalidateAfterWrite applies the one invalidation rule to a write's
+// merged outcome: a uniform 4xx rejection changed nothing, anything else
+// (applied, partially applied, unknown) drops every memo.
+func (rt *Router) invalidateAfterWrite(status int) {
+	if status < 400 || status >= 500 {
+		rt.invalidate()
 	}
 }
 
 // ensureRouting returns the current routing index, rebuilding it from a
 // /v1/stats fan-out when absent. Backends that fail to answer get an
-// ok=false entry — consulted on every search, never cached — so a partial
-// rebuild degrades pruning, not correctness.
+// ok=false entry — consulted on every search — so a partial rebuild
+// degrades pruning, not correctness.
 func (rt *Router) ensureRouting(ctx context.Context) *routingIndex {
 	if idx := rt.routing.Load(); idx != nil {
 		return idx
@@ -633,6 +596,14 @@ type backendResult struct {
 }
 
 func (br *backendResult) ok() bool { return br.err == nil && br.status == http.StatusOK }
+
+// maxUpstreamBytes bounds every backend response body the router reads, so
+// one misbehaving backend cannot make it allocate without limit; a longer
+// body fails the call like a torn read. The largest upstream body the
+// serve tests and the routed_ingest benchmark workload produce is a
+// /v1/stats term-gram export of 22,560 bytes, so 16 MiB leaves about 700x
+// headroom.
+const maxUpstreamBytes = 16 << 20
 
 // call performs one backend read under the read timeout, picking the
 // replica by readOrder and failing over on transport errors and 5xx.
@@ -693,7 +664,12 @@ func (rt *Router) callReplica(ctx context.Context, timeout time.Duration, rep *r
 			rep.observeApplied(sentAt, g)
 		}
 	}
-	res.body, res.err = io.ReadAll(resp.Body)
+	res.body, res.err = io.ReadAll(io.LimitReader(resp.Body, maxUpstreamBytes+1))
+	if res.err == nil && len(res.body) > maxUpstreamBytes {
+		// A torn read, as far as the router is concerned: the backend is
+		// misbehaving, and its answer must not be merged.
+		res.body, res.err = nil, fmt.Errorf("shard %d: response body exceeds %d bytes", rep.shard, maxUpstreamBytes)
+	}
 	switch {
 	case res.err != nil:
 		rt.markDown(rep, res.err)
@@ -809,17 +785,31 @@ func (rt *Router) markUp(rep *replicaState) {
 	}
 }
 
-// fanout calls every shard concurrently on a bounded worker pool and
-// returns the per-shard results in shard order, noting each answered
-// shard's generation on meta (nil skips noting).
-func (rt *Router) fanout(ctx context.Context, meta *respMeta, method, pathAndQuery string, body []byte) []backendResult {
-	out := make([]backendResult, rt.k)
-	par.ForEachIndexed(rt.workers(), rt.k, func(i int) {
-		out[i] = rt.call(ctx, i, method, pathAndQuery, body)
-		if meta != nil && out[i].err == nil {
-			meta.noteGen(i, out[i].gen)
+// scatter calls the listed shards concurrently on a bounded worker pool
+// and returns their results in list order, noting each answered shard's
+// generation on meta (nil skips noting).
+func (rt *Router) scatter(ctx context.Context, meta *respMeta, shards []int, method, pathAndQuery string, body []byte) []backendResult {
+	out := make([]backendResult, len(shards))
+	par.ForEachIndexed(rt.workers(), len(shards), func(j int) {
+		out[j] = rt.call(ctx, shards[j], method, pathAndQuery, body)
+		if meta != nil && out[j].err == nil {
+			meta.noteGen(shards[j], out[j].gen)
 		}
 	})
+	return out
+}
+
+// fanout is scatter over every shard, results in shard order.
+func (rt *Router) fanout(ctx context.Context, meta *respMeta, method, pathAndQuery string, body []byte) []backendResult {
+	return rt.scatter(ctx, meta, rt.allShards(), method, pathAndQuery, body)
+}
+
+// allShards lists every shard index in order.
+func (rt *Router) allShards() []int {
+	out := make([]int, rt.k)
+	for i := range out {
+		out[i] = i
+	}
 	return out
 }
 
@@ -996,14 +986,13 @@ func (rt *Router) handleHealthz(r *http.Request, meta *respMeta) (int, any) {
 	return http.StatusOK, resp
 }
 
-// handleSearch answers /v1/search through the routed, cached scatter —
-// the cross-process twin of ShardedSnapshot.Search. The routing index prunes the fan-out to the shards whose term grams may
-// contain the needle (pruning is a superset filter: a pruned-out shard
-// provably has zero matches, so results stay byte-identical to the full
-// scatter), and each consulted shard's partial is served from its
-// (generation, needle, limit)-keyed cache. A backend whose response
-// generation diverges from the index raced a republish: the index is
-// dropped and the request falls back to one fresh, uncached full scatter.
+// handleSearch answers /v1/search through the routed scatter — the
+// cross-process twin of ShardedSnapshot.Search. The routing index prunes
+// the fan-out to the shards whose term grams may contain the needle
+// (pruning is a superset filter: a pruned-out shard provably has zero
+// matches, so results stay byte-identical to the full scatter). A backend
+// whose response generation diverges from the index raced a republish:
+// the memos are dropped and the request falls back to one full scatter.
 // ?scatter=full forces that full path up front — the CI smoke diffs it
 // against the routed output on a live fleet.
 func (rt *Router) handleSearch(r *http.Request, meta *respMeta) (int, any) {
@@ -1016,39 +1005,17 @@ func (rt *Router) handleSearch(r *http.Request, meta *respMeta) (int, any) {
 	v.Set("q", q)
 	v.Set("limit", strconv.Itoa(limit))
 	pq := "/v1/search?" + v.Encode()
-	needle := strings.ToLower(q)
-	key := searchKey(needle, limit)
 
 	var idx *routingIndex
 	if !p.full {
 		idx = rt.ensureRouting(r.Context())
 	}
-	candidates := make([]int, 0, rt.k)
-	if idx != nil {
-		for i := range idx.shards {
-			// ok=false (unknown surface) and grams==nil (backend predates
-			// term stats) both route conservatively.
-			if !idx.shards[i].ok || idx.shards[i].grams == nil || idx.shards[i].grams.MayContain(needle) {
-				candidates = append(candidates, i)
-			}
-		}
-	} else {
-		for i := 0; i < rt.k; i++ {
-			candidates = append(candidates, i)
-		}
-	}
-
-	perShard, failed, stale, badShard, badErr := rt.fetchPartials(r.Context(), meta, candidates, pq, key, idx)
+	perShard, failed, stale, badShard, badErr := rt.fetchPartials(r.Context(), meta, rt.candidateShards(idx, []string{strings.ToLower(q)}), pq, idx)
 	if stale {
-		// The index raced a republish: drop it (and the request's view of
-		// candidates) and re-scatter everywhere, uncached — the next
-		// request rebuilds a fresh index.
-		rt.routing.Store(nil)
-		candidates = candidates[:0]
-		for i := 0; i < rt.k; i++ {
-			candidates = append(candidates, i)
-		}
-		perShard, failed, _, badShard, badErr = rt.fetchPartials(r.Context(), meta, candidates, pq, key, nil)
+		// The index raced a republish: drop it and re-scatter everywhere —
+		// the next request rebuilds a fresh index.
+		rt.invalidate()
+		perShard, failed, _, badShard, badErr = rt.fetchPartials(r.Context(), meta, rt.allShards(), pq, nil)
 	}
 	if badErr != nil {
 		return http.StatusBadGateway, errBodyShard(codeBadUpstream, badShard, "shard %d: bad search response: %v", badShard, badErr)
@@ -1081,35 +1048,14 @@ func (rt *Router) handleSearch(r *http.Request, meta *respMeta) (int, any) {
 }
 
 // fetchPartials gathers the per-shard search partials for the candidate
-// shards, in candidate order. When idx pins a shard's generation, its
-// partial is served from the (generation, needle, limit)-keyed cache and
-// a fetched partial is cached only if the backend's response generation
-// matches the pinned one; an explicit mismatch sets stale (the caller
-// re-scatters). idx == nil fetches everything uncached. Failed shards are
-// listed; a shard whose 200 body fails to parse aborts via badErr.
-func (rt *Router) fetchPartials(ctx context.Context, meta *respMeta, candidates []int, pq, key string, idx *routingIndex) (perShard [][]searchHit, failed []int, stale bool, badShard int, badErr error) {
+// shards, in candidate order. A backend whose response generation differs
+// from the one idx read its grams at sets stale (the caller re-scatters);
+// idx == nil checks nothing. Failed shards are listed; a shard whose 200
+// body fails to parse aborts via badErr.
+func (rt *Router) fetchPartials(ctx context.Context, meta *respMeta, candidates []int, pq string, idx *routingIndex) (perShard [][]searchHit, failed []int, stale bool, badShard int, badErr error) {
 	perShard = make([][]searchHit, len(candidates))
-	cached := make([]bool, len(candidates))
-	results := make([]backendResult, len(candidates))
-	par.ForEachIndexed(rt.workers(), len(candidates), func(j int) {
-		sh := candidates[j]
-		if idx != nil && idx.shards[sh].ok {
-			fullKey := strconv.FormatUint(idx.shards[sh].gen, 10) + "\x00" + key
-			if hits, ok := rt.partials[sh].Load().get(fullKey); ok {
-				perShard[j], cached[j] = hits, true
-				meta.noteGen(sh, strconv.FormatUint(idx.shards[sh].gen, 10))
-				return
-			}
-		}
-		results[j] = rt.call(ctx, sh, http.MethodGet, pq, nil)
-		if results[j].err == nil {
-			meta.noteGen(sh, results[j].gen)
-		}
-	})
+	results := rt.scatter(ctx, meta, candidates, http.MethodGet, pq, nil)
 	for j, sh := range candidates {
-		if cached[j] {
-			continue
-		}
 		if !results[j].ok() {
 			failed = append(failed, sh)
 			continue
@@ -1122,13 +1068,8 @@ func (rt *Router) fetchPartials(ctx context.Context, meta *respMeta, candidates 
 			return nil, nil, false, sh, err
 		}
 		perShard[j] = parsed.Results
-		if idx != nil && idx.shards[sh].ok && parsed.Generation != nil {
-			if *parsed.Generation == idx.shards[sh].gen {
-				fullKey := strconv.FormatUint(idx.shards[sh].gen, 10) + "\x00" + key
-				rt.partials[sh].Load().put(fullKey, parsed.Results)
-			} else {
-				stale = true
-			}
+		if idx != nil && idx.shards[sh].ok && parsed.Generation != nil && *parsed.Generation != idx.shards[sh].gen {
+			stale = true
 		}
 	}
 	return perShard, failed, stale, 0, nil
@@ -1224,13 +1165,7 @@ func (rt *Router) scatterNode(ctx context.Context, meta *respMeta, rawQuery stri
 			shards = append(shards, i)
 		}
 	}
-	results := make([]backendResult, len(shards))
-	par.ForEachIndexed(rt.workers(), len(shards), func(j int) {
-		results[j] = rt.call(ctx, shards[j], http.MethodGet, "/v1/node?"+rawQuery, nil)
-		if results[j].err == nil {
-			meta.noteGen(shards[j], results[j].gen)
-		}
-	})
+	results := rt.scatter(ctx, meta, shards, http.MethodGet, "/v1/node?"+rawQuery, nil)
 	var failed []int
 	best := seed
 	var bestRank [3]int
@@ -1463,7 +1398,7 @@ func (rt *Router) handleIngest(r *http.Request, meta *respMeta) (int, any) {
 	defer rt.ingestMu.Unlock()
 	results := rt.broadcast(r.Context(), http.MethodPost, "/v1/ingest", body)
 	status, resp := rt.mergeBroadcast(meta, results, "ingest")
-	rt.invalidateAfterIngest(status, resp)
+	rt.invalidateAfterWrite(status)
 	return status, resp
 }
 
@@ -1514,7 +1449,7 @@ func (rt *Router) ingestWAL(ctx context.Context, meta *respMeta, body []byte) (i
 		walGens[s] = g
 	}
 	if len(appendFailed) > 0 {
-		rt.invalidateSearch(nil, true)
+		rt.invalidate()
 		rows := make([]shardWriteStatus, rt.k)
 		for s := range rows {
 			rows[s] = shardWriteStatus{Shard: s, Applied: walGens[s] != 0}
@@ -1529,7 +1464,7 @@ func (rt *Router) ingestWAL(ctx context.Context, meta *respMeta, body []byte) (i
 		}
 	}
 	status, resp := rt.awaitQuorum(ctx, meta, walGens)
-	rt.invalidateAfterIngest(status, resp)
+	rt.invalidateAfterWrite(status)
 	return status, resp
 }
 
@@ -1539,10 +1474,7 @@ func (rt *Router) ingestWAL(ctx context.Context, meta *respMeta, body []byte) (i
 // deterministic mining pipeline, any confirming replica's recorded
 // outcome stands for the whole shard.
 func (rt *Router) awaitQuorum(ctx context.Context, meta *respMeta, walGens []uint64) (int, any) {
-	ackTimeout := rt.opts.AckTimeout
-	if ackTimeout <= 0 {
-		ackTimeout = rt.opts.WriteTimeout
-	}
+	ackTimeout := rt.opts.WriteTimeout
 	// Detached from the client request: once appended, the apply wait must
 	// not be abandoned by a client disconnect.
 	actx := context.WithoutCancel(ctx)
@@ -1708,34 +1640,6 @@ func (rt *Router) awaitQuorum(ctx context.Context, meta *respMeta, walGens []uin
 	return http.StatusOK, resp
 }
 
-// invalidateAfterIngest applies the search invalidation rules to a merged
-// ingest outcome. A clean apply whose delta is append-only clears only the
-// touched shards' partials (an untouched backend's answers cannot have
-// changed); a delta that retired nodes clears everything — dense union-ID
-// renumbering refreshes every backend's rendered IDs without bumping
-// untouched generations, which is exactly the staleness generation keys
-// cannot see. A uniform 4xx rejection changed nothing; any murkier
-// outcome (partial application) clears everything.
-func (rt *Router) invalidateAfterIngest(status int, resp any) {
-	if status >= 400 && status < 500 {
-		return
-	}
-	m, ok := resp.(map[string]any)
-	if status != http.StatusOK || !ok {
-		rt.invalidateSearch(nil, true)
-		return
-	}
-	touched, _ := m["touched_shards"].([]int)
-	delta, haveDelta := m["delta"].(map[string]any)
-	clearAll := !haveDelta
-	if haveDelta {
-		if retired, ok := delta["retired"].(float64); !ok || retired > 0 {
-			clearAll = true
-		}
-	}
-	rt.invalidateSearch(touched, clearAll)
-}
-
 // handleReload broadcasts /v1/reload with the same all-or-nothing
 // accounting as ingest. On a delta-log fleet reload is refused: replicas
 // derive their world from the log, and a side-loaded snapshot would fork
@@ -1752,11 +1656,7 @@ func (rt *Router) handleReload(r *http.Request, meta *respMeta) (int, any) {
 	defer rt.ingestMu.Unlock()
 	results := rt.broadcast(r.Context(), http.MethodPost, "/v1/reload", nil)
 	status, resp := rt.mergeBroadcast(meta, results, "reload")
-	// A reload replaces whole worlds: drop the routing index and every
-	// cached partial whenever any backend may have applied it.
-	if status < 400 || status >= 500 {
-		rt.invalidateSearch(nil, true)
-	}
+	rt.invalidateAfterWrite(status)
 	return status, resp
 }
 

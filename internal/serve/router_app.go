@@ -7,21 +7,18 @@ package serve
 // to a single union server's — there is no projection-local approximation
 // left in the routed tier.
 //
-// Two kinds of state make the scatter cheap:
-//
-//   - Per-shard rewrite partials are cached like search partials, keyed
-//     (generation, normalized query) and pinned by the routing index.
-//     Tag match partials are per-document and never cached.
-//   - The merged concept index (tag) and story-fragment list (story) are
-//     fleet-wide folds memoized until any invalidation. A build that
-//     misses shards (fail-open) is used for the one response but never
-//     stored — the memo only ever holds a complete fold.
+// Tag and rewrite scatters are pruned by the search routing index; every
+// consulted shard is asked on every request, so a down shard always
+// surfaces as partial or 503. The merged concept index (tag) and
+// story-fragment list (story) are fleet-wide folds memoized until the next
+// invalidate. A build that misses shards (fail-open) is used for the one
+// response but never stored — the memo only ever holds a complete fold.
 //
 // Staleness follows the search protocol: a consulted shard whose response
-// generation disagrees with the one pinned at index-build time triggers
-// one full uncached retry against freshly dropped indexes; a second
-// disagreement reports 502 bad_upstream (the fleet is churning faster
-// than the request can observe it).
+// generation disagrees with the one read at memo-build time triggers one
+// full retry against freshly dropped memos; a second disagreement reports
+// 502 bad_upstream (the fleet is churning faster than the request can
+// observe it).
 //
 // The merge-side thresholds (concept coherence/inference, rewrite
 // expansion cap, story encoder and link options) are the package defaults
@@ -39,7 +36,6 @@ import (
 	"strings"
 
 	"giant/internal/ontology"
-	"giant/internal/par"
 	"giant/internal/queryund"
 	"giant/internal/storytree"
 	"giant/internal/tagging"
@@ -136,19 +132,16 @@ func (rt *Router) ensureFragments(ctx context.Context, meta *respMeta) (fr *rout
 	return fr, failed, 0, nil
 }
 
-// appCandidates prunes an application fan-out to the shards whose term
-// grams may contain at least one needle. idx == nil (or a shard with an
-// unknown surface) routes conservatively; an empty needle list proves NO
-// shard can contribute, so it returns none — the merge of zero partials
-// is still a complete answer.
-func (rt *Router) appCandidates(idx *routingIndex, needles []string) []int {
-	out := make([]int, 0, rt.k)
+// candidateShards prunes a fan-out to the shards whose term grams may
+// contain at least one needle. idx == nil (or a shard with an unknown
+// surface) routes conservatively; an empty needle list proves NO shard can
+// contribute, so it returns none — the merge of zero partials is still a
+// complete answer.
+func (rt *Router) candidateShards(idx *routingIndex, needles []string) []int {
 	if idx == nil {
-		for i := 0; i < rt.k; i++ {
-			out = append(out, i)
-		}
-		return out
+		return rt.allShards()
 	}
+	out := make([]int, 0, rt.k)
 	for i := range idx.shards {
 		sh := &idx.shards[i]
 		if !sh.ok || sh.grams == nil {
@@ -250,14 +243,8 @@ func (rt *Router) handleTag(r *http.Request, meta *respMeta) (int, any) {
 		if attempt == 0 {
 			ridx = rt.ensureRouting(r.Context())
 		}
-		candidates := rt.appCandidates(ridx, tagNeedles(doc))
-		results := make([]backendResult, len(candidates))
-		par.ForEachIndexed(rt.workers(), len(candidates), func(j int) {
-			results[j] = rt.call(r.Context(), candidates[j], http.MethodPost, "/v1/tag?partial=match", body)
-			if results[j].err == nil {
-				meta.noteGen(candidates[j], results[j].gen)
-			}
-		})
+		candidates := rt.candidateShards(ridx, tagNeedles(doc))
+		results := rt.scatter(r.Context(), meta, candidates, http.MethodPost, "/v1/tag?partial=match", body)
 		matchParts := make([][][]tagging.ConceptRef, 0, len(candidates))
 		evParts := make([][]tagging.EventCand, 0, len(candidates))
 		var failed []int
@@ -280,11 +267,10 @@ func (rt *Router) handleTag(r *http.Request, meta *respMeta) (int, any) {
 		}
 		if stale {
 			// A backend republished between the index build and this
-			// scatter: drop both indexes and retry once against a fresh
-			// world. A second race means the fleet is churning continuously;
-			// there is no consistent merge to report.
-			rt.tagIdx.Store(nil)
-			rt.routing.Store(nil)
+			// scatter: drop the memos and retry once against a fresh world.
+			// A second race means the fleet is churning continuously; there
+			// is no consistent merge to report.
+			rt.invalidate()
 			if attempt == 0 {
 				continue
 			}
@@ -304,8 +290,8 @@ func (rt *Router) handleTag(r *http.Request, meta *respMeta) (int, any) {
 // handleQueryRewrite answers /v1/query/rewrite by folding per-shard
 // rewrite partials. The scatter carries the NORMALIZED query — partials
 // depend only on it, so mixed-case or oddly-spaced variants of one query
-// share shard consults and cache entries; the raw query reappears only in
-// the merge, which prefixes rewrites with it.
+// route to the same shards and send them the same request; the raw query
+// reappears only in the merge, which prefixes rewrites with it.
 func (rt *Router) handleQueryRewrite(r *http.Request, meta *respMeta) (int, any) {
 	rawq := r.URL.Query().Get("q")
 	if rawq == "" {
@@ -319,31 +305,12 @@ func (rt *Router) handleQueryRewrite(r *http.Request, meta *respMeta) (int, any)
 		if attempt == 0 {
 			idx = rt.ensureRouting(r.Context())
 		}
-		candidates := rt.appCandidates(idx, needles)
+		candidates := rt.candidateShards(idx, needles)
+		results := rt.scatter(r.Context(), meta, candidates, http.MethodGet, pq, nil)
 		parts := make([]*queryund.Partial, len(candidates))
-		cached := make([]bool, len(candidates))
-		results := make([]backendResult, len(candidates))
-		par.ForEachIndexed(rt.workers(), len(candidates), func(j int) {
-			sh := candidates[j]
-			if idx != nil && idx.shards[sh].ok {
-				key := strconv.FormatUint(idx.shards[sh].gen, 10) + "\x00" + qnorm
-				if p, ok := rt.rewrites[sh].Load().get(key); ok {
-					parts[j], cached[j] = p, true
-					meta.noteGen(sh, strconv.FormatUint(idx.shards[sh].gen, 10))
-					return
-				}
-			}
-			results[j] = rt.call(r.Context(), sh, http.MethodGet, pq, nil)
-			if results[j].err == nil {
-				meta.noteGen(sh, results[j].gen)
-			}
-		})
 		var failed []int
 		stale := false
 		for j, sh := range candidates {
-			if cached[j] {
-				continue
-			}
 			if !results[j].ok() {
 				failed = append(failed, sh)
 				continue
@@ -353,17 +320,12 @@ func (rt *Router) handleQueryRewrite(r *http.Request, meta *respMeta) (int, any)
 				return http.StatusBadGateway, errBodyShard(codeBadUpstream, sh, "shard %d: bad rewrite partial: %v", sh, err)
 			}
 			parts[j] = parsed.Partial
-			if idx != nil && idx.shards[sh].ok {
-				if parsed.Generation == idx.shards[sh].gen {
-					key := strconv.FormatUint(idx.shards[sh].gen, 10) + "\x00" + qnorm
-					rt.rewrites[sh].Load().put(key, parsed.Partial)
-				} else {
-					stale = true
-				}
+			if idx != nil && idx.shards[sh].ok && parsed.Generation != idx.shards[sh].gen {
+				stale = true
 			}
 		}
 		if stale {
-			rt.routing.Store(nil)
+			rt.invalidate()
 			if attempt == 0 {
 				continue
 			}
@@ -405,7 +367,7 @@ func (rt *Router) handleStory(r *http.Request, meta *respMeta) (int, any) {
 			}
 		}
 		if stale {
-			rt.frags.Store(nil)
+			rt.invalidate()
 			if attempt == 0 {
 				continue
 			}

@@ -568,6 +568,79 @@ func TestRouterFaultInjectionFailClosed(t *testing.T) {
 	}
 }
 
+// TestRouterBoundsUpstreamBody: a backend that streams maxUpstreamBytes+1
+// bytes of search response and then holds the body open is a failed shard
+// — 503 under fail-closed, 200 "partial": true under fail-open — answered
+// long before the router's read timeout: the router stops reading one
+// byte past the bound instead of buffering to EOF.
+func TestRouterBoundsUpstreamBody(t *testing.T) {
+	ss, err := ontology.ShardSnapshot(testOntology(0).Snapshot(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ss.CandidateShards("sedan")) != 2 {
+		t.Fatal("precondition: \"sedan\" must route to both shards")
+	}
+	for _, failOpen := range []bool{false, true} {
+		t.Run(fmt.Sprintf("failOpen=%v", failOpen), func(t *testing.T) {
+			urls := make([]string, 2)
+			for i := range urls {
+				h := NewShard(ss.Projection(i), Options{}).Handler()
+				if i == 1 {
+					inner := h
+					h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+						if r.URL.Path != "/v1/search" {
+							inner.ServeHTTP(w, r)
+							return
+						}
+						chunk := bytes.Repeat([]byte{'x'}, 64<<10)
+						for left := maxUpstreamBytes + 1; left > 0; left -= len(chunk) {
+							if _, err := w.Write(chunk[:min(left, len(chunk))]); err != nil {
+								return
+							}
+						}
+						w.(http.Flusher).Flush()
+						<-r.Context().Done()
+					})
+				}
+				backTS := httptest.NewServer(h)
+				t.Cleanup(backTS.Close)
+				urls[i] = backTS.URL
+			}
+			const readTimeout = 30 * time.Second
+			rt, err := NewRouter(RouterOptions{Backends: urls, FailOpen: failOpen, Timeout: readTimeout})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(rt.Close)
+			routerTS := httptest.NewServer(rt.Handler())
+			t.Cleanup(routerTS.Close)
+
+			start := time.Now()
+			status, body := getRaw(t, routerTS.Client(), routerTS.URL+"/v1/search?q=sedan&limit=5")
+			if elapsed := time.Since(start); elapsed > readTimeout/2 {
+				t.Fatalf("oversize body answered after %v: the router read toward EOF instead of stopping at the bound", elapsed)
+			}
+			if !failOpen {
+				if status != http.StatusServiceUnavailable || !bytes.Contains(body, []byte("[1]")) {
+					t.Fatalf("fail-closed with an oversize shard 1 body = %d: %s", status, body)
+				}
+				return
+			}
+			var parsed struct {
+				Partial bool  `json:"partial"`
+				Missing []int `json:"missing_shards"`
+			}
+			if err := json.Unmarshal(body, &parsed); err != nil {
+				t.Fatalf("%v: %s", err, body)
+			}
+			if status != 200 || !parsed.Partial || len(parsed.Missing) != 1 || parsed.Missing[0] != 1 {
+				t.Fatalf("fail-open with an oversize shard 1 body = %d: %s, want 200 partial on shard 1", status, body)
+			}
+		})
+	}
+}
+
 // TestRouterIngestAllOrNothing: the ingest broadcast's generation
 // accounting. A batch every backend rejects deterministically surfaces as
 // that same client-fault status; a batch that applies on some backends but

@@ -2,7 +2,7 @@ package serve
 
 // The scatter-gather search pin: the sharded read path — term-gram shard
 // routing, per-shard match cursors merged through the current union, and
-// across processes the router's generation-keyed per-shard partials — must
+// across processes the router's merge of per-shard partials — must
 // be byte-identical to the plain single-snapshot scan, for every shard count, every limit, cold and
 // warm, and through day-by-day ingest replay. The harness is
 // property-style: randomized (but seed-pinned) workloads of hit-heavy,
@@ -11,9 +11,9 @@ package serve
 //
 // The same file hammers concurrent search against live ingest (every 200 body must equal SOME
 // published generation's answer — a cache/union mismatch cannot hide),
-// and covers the router: per-shard limit plumbing, cache invalidation on
-// writes vs ?scatter=full, and the documented cached-partial-masks-a-
-// down-backend tradeoff.
+// and covers the router: per-shard limit plumbing, routing-index
+// invalidation on writes vs ?scatter=full, and that a consulted shard's
+// outage always surfaces as partial or 503.
 
 import (
 	"bytes"
@@ -466,21 +466,26 @@ func TestRouterPerShardSearchLimit(t *testing.T) {
 	}
 }
 
-// cacheDelta is the router cache test's ingest script: day 2 retires the
-// day-1 node (forcing the conservative clear-all), other days append.
-func cacheDelta(day int) *delta.Delta {
+// routerDelta is the routing-index test's ingest script: day 2 retires
+// the day-1 node (renumbering union IDs), other days append.
+func routerDelta(day int) *delta.Delta {
 	if day == 2 {
 		return &delta.Delta{Day: day, Retire: []delta.Ref{{Type: ontology.Concept, Phrase: "cache sedans 1"}}}
 	}
 	return &delta.Delta{Day: day, Add: []delta.NodeAdd{{Type: ontology.Concept, Phrase: fmt.Sprintf("cache sedans %d", day), Day: day}}}
 }
 
-// newCachedRouterFixture boots K per-shard backends (each with its own
-// deterministic apply-lineage ingester) behind a router with partial
-// caching ENABLED, plus flaky wrappers for outage injection.
-func newCachedRouterFixture(t *testing.T, k int, failOpen bool) (*ontology.ShardedSnapshot, []*flakyBackend, *httptest.Server) {
+// newScriptedRouterFixture boots K per-shard backends (each with its own
+// deterministic apply-lineage ingester, and a reload that swaps in the
+// base world plus a "reload sedans" node) behind a router, plus flaky
+// wrappers for outage injection.
+func newScriptedRouterFixture(t *testing.T, k int, failOpen bool) (*ontology.ShardedSnapshot, []*flakyBackend, *httptest.Server) {
 	t.Helper()
 	ss, err := ontology.ShardSnapshot(testOntology(0).Snapshot(), k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reloaded, _, err := delta.ApplySharded(ss, &delta.Delta{Day: 9, Add: []delta.NodeAdd{{Type: ontology.Concept, Phrase: "reload sedans", Day: 9}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +496,7 @@ func newCachedRouterFixture(t *testing.T, k int, failOpen bool) (*ontology.Shard
 		shard := i
 		back := NewShard(ss.Projection(i), Options{
 			ShardIngest: func(b delta.Batch) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
-				d := cacheDelta(b.Day)
+				d := routerDelta(b.Day)
 				next, touched, err := delta.ApplySharded(lineage, d)
 				if err != nil {
 					return nil, nil, nil, err
@@ -499,13 +504,14 @@ func newCachedRouterFixture(t *testing.T, k int, failOpen bool) (*ontology.Shard
 				lineage = next
 				return next.Projection(shard), d, touched, nil
 			},
+			ShardLoader: func() (*ontology.ShardProjection, error) { return reloaded.Projection(shard), nil },
 		})
 		flaky[i] = &flakyBackend{h: back.Handler()}
 		backTS := httptest.NewServer(flaky[i])
 		t.Cleanup(backTS.Close)
 		urls[i] = backTS.URL
 	}
-	rt, err := NewRouter(RouterOptions{Backends: urls, CacheSize: 64, FailOpen: failOpen})
+	rt, err := NewRouter(RouterOptions{Backends: urls, FailOpen: failOpen})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,13 +521,14 @@ func newCachedRouterFixture(t *testing.T, k int, failOpen bool) (*ontology.Shard
 	return ss, flaky, routerTS
 }
 
-// TestRouterSearchCacheInvalidation pins the router partial cache against
-// its freshness contract: a cached routed search equals a fresh
-// ?scatter=full scatter before and after every write — an append-only
-// ingest (touched shards clear), a retirement (clear-all: union IDs
-// renumber under untouched shards' caches), and /v1/reload.
-func TestRouterSearchCacheInvalidation(t *testing.T) {
-	_, _, routerTS := newCachedRouterFixture(t, 2, false)
+// TestRouterRoutingIndexInvalidation pins the routing index against
+// writes: a routed search equals a fresh ?scatter=full scatter before and
+// after an append-only ingest, a retirement (union IDs renumber) and
+// /v1/reload. Each write introduces a term the index built before it has
+// never seen, so a surviving index would prune the shard that now holds
+// it.
+func TestRouterRoutingIndexInvalidation(t *testing.T) {
+	_, _, routerTS := newScriptedRouterFixture(t, 2, false)
 	c := routerTS.Client()
 
 	assertRoutedMatchesScatter := func(q string, limit int) []byte {
@@ -538,27 +545,25 @@ func TestRouterSearchCacheInvalidation(t *testing.T) {
 		return routed
 	}
 
-	// Cold then warm: the second routed read serves cached partials and
-	// still matches a fresh scatter.
+	// Build the index: "cache" and "reload" match nothing yet.
 	first := assertRoutedMatchesScatter("sedan", 5)
 	second := assertRoutedMatchesScatter("sedan", 5)
 	if !bytes.Equal(first, second) {
-		t.Fatalf("warm read diverged: %s vs %s", second, first)
+		t.Fatalf("repeated read diverged: %s vs %s", second, first)
 	}
+	assertRoutedMatchesScatter("cache", 5)
+	assertRoutedMatchesScatter("reload", 5)
 
-	// Append-only ingest: the new node contains "sedan", so a stale cached
-	// partial would be missing it.
+	// Append-only ingest: the new node's shard must be consulted.
 	postJSON(t, c, routerTS.URL+"/v1/ingest", `{"day":1}`, 200)
-	body := assertRoutedMatchesScatter("sedan", 100)
-	if !bytes.Contains(body, []byte("cache sedans 1")) {
+	if body := assertRoutedMatchesScatter("cache", 100); !bytes.Contains(body, []byte("cache sedans 1")) {
 		t.Fatalf("post-ingest routed search misses the ingested node: %s", body)
 	}
+	assertRoutedMatchesScatter("sedan", 100)
 
-	// Retirement: union IDs renumber everywhere; every cached partial must
-	// drop, not just the retired node's shard.
+	// Retirement: union IDs renumber everywhere.
 	postJSON(t, c, routerTS.URL+"/v1/ingest", `{"day":2}`, 200)
-	body = assertRoutedMatchesScatter("sedan", 100)
-	if bytes.Contains(body, []byte("cache sedans 1")) {
+	if body := assertRoutedMatchesScatter("sedan", 100); bytes.Contains(body, []byte("cache sedans 1")) {
 		t.Fatalf("post-retire routed search serves the retired node: %s", body)
 	}
 	for _, q := range []string{"sedan", "model", "cache", "zzz-none"} {
@@ -566,40 +571,56 @@ func TestRouterSearchCacheInvalidation(t *testing.T) {
 			assertRoutedMatchesScatter(q, limit)
 		}
 	}
+
+	// Reload: every backend swaps in a different world.
+	postJSON(t, c, routerTS.URL+"/v1/reload", ``, 200)
+	if body := assertRoutedMatchesScatter("reload", 5); !bytes.Contains(body, []byte("reload sedans")) {
+		t.Fatalf("post-reload routed search misses the reloaded node: %s", body)
+	}
+	for _, q := range []string{"sedan", "cache"} {
+		assertRoutedMatchesScatter(q, 100)
+	}
 }
 
-// TestRouterSearchCacheMasksDownBackend pins the documented opt-in
-// tradeoff: with caching on and fail-open, a query whose partials are all
-// cached answers complete during a backend outage, while the same needle
-// under an uncached limit reports partial with the down shard listed.
-func TestRouterSearchCacheMasksDownBackend(t *testing.T) {
-	ss, flaky, routerTS := newCachedRouterFixture(t, 2, true)
-	if len(ss.CandidateShards("sedan")) != 2 {
-		t.Fatal("precondition: \"sedan\" must route to both shards")
-	}
-	c := routerTS.Client()
-
-	_, warm := getRaw(t, c, routerTS.URL+"/v1/search?q=sedan&limit=5")
-	flaky[1].down.Store(true)
-	defer flaky[1].down.Store(false)
-
-	status, cached := getRaw(t, c, routerTS.URL+"/v1/search?q=sedan&limit=5")
-	if status != 200 || !bytes.Equal(cached, warm) {
-		t.Fatalf("cached query during outage: status %d body %s, want the warm full body %s", status, cached, warm)
-	}
-	status, uncached := getRaw(t, c, routerTS.URL+"/v1/search?q=sedan&limit=4")
-	if status != 200 {
-		t.Fatalf("uncached fail-open query during outage: status %d body %s", status, uncached)
-	}
-	var parsed struct {
-		Partial bool  `json:"partial"`
-		Missing []int `json:"missing_shards"`
-	}
-	if err := json.Unmarshal(uncached, &parsed); err != nil {
-		t.Fatal(err)
-	}
-	if !parsed.Partial || len(parsed.Missing) != 1 || parsed.Missing[0] != 1 {
-		t.Fatalf("uncached query during outage not marked partial on shard 1: %s", uncached)
+// TestRouterNeverMasksDownBackend: a consulted shard's outage surfaces on
+// every read, however warm the router is. A search and a rewrite that
+// reached both shards before the outage come back 200 "partial": true
+// with missing_shards [1] under fail-open, and 503 under fail-closed.
+func TestRouterNeverMasksDownBackend(t *testing.T) {
+	paths := []string{"/v1/search?q=sedan&limit=5", "/v1/query/rewrite?q=sedan"}
+	for _, failOpen := range []bool{false, true} {
+		t.Run(fmt.Sprintf("failOpen=%v", failOpen), func(t *testing.T) {
+			ss, flaky, routerTS := newScriptedRouterFixture(t, 2, failOpen)
+			if len(ss.CandidateShards("sedan")) != 2 {
+				t.Fatal("precondition: \"sedan\" must route to both shards")
+			}
+			c := routerTS.Client()
+			for _, p := range paths {
+				if status, body := getRaw(t, c, routerTS.URL+p); status != 200 || bytes.Contains(body, []byte(`"partial"`)) {
+					t.Fatalf("%s warm-up: status %d body %s", p, status, body)
+				}
+			}
+			flaky[1].down.Store(true)
+			for _, p := range paths {
+				status, body := getRaw(t, c, routerTS.URL+p)
+				if !failOpen {
+					if status != http.StatusServiceUnavailable {
+						t.Fatalf("%s fail-closed during outage: status %d body %s, want 503", p, status, body)
+					}
+					continue
+				}
+				var parsed struct {
+					Partial bool  `json:"partial"`
+					Missing []int `json:"missing_shards"`
+				}
+				if err := json.Unmarshal(body, &parsed); err != nil {
+					t.Fatalf("%s: %v: %s", p, err, body)
+				}
+				if status != 200 || !parsed.Partial || len(parsed.Missing) != 1 || parsed.Missing[0] != 1 {
+					t.Fatalf("%s fail-open during outage: status %d body %s, want 200 partial on shard 1", p, status, body)
+				}
+			}
+		})
 	}
 }
 
@@ -618,8 +639,7 @@ func percentileNs(samples []time.Duration, p float64) float64 {
 // BenchmarkServeSearchDistribution is the latency-distribution companion
 // to BenchmarkServeSearch: the same 10k-node corpus and query mix, but
 // each op is timed individually so p50/p95/p99 surface as metrics — a
-// mean hides exactly the tail the routing index and partial caches exist
-// to fix. The sharded variant additionally reports the query mix's
+// mean hides exactly the tail the routing index exists to fix. The sharded variant additionally reports the query mix's
 // fan-out profile: average shards consulted per query after gram routing,
 // and the fraction of queries that stop at a single shard.
 func BenchmarkServeSearchDistribution(b *testing.B) {

@@ -688,9 +688,9 @@ func (s *Server) handleSearch(st *state, r *http.Request) (int, any) {
 	}
 	if st.proj != nil {
 		// The per-shard response carries the shard's generation so a
-		// router can key cached partials by it and detect a republish that
-		// raced its routing index. In-process modes omit it: their body
-		// must stay byte-identical to the router's merged body.
+		// router can detect a republish that raced its routing index.
+		// In-process modes omit it: their body must stay byte-identical to
+		// the router's merged body.
 		return http.StatusOK, map[string]any{"query": q, "count": len(hits), "results": hits, "generation": st.gen}
 	}
 	return http.StatusOK, map[string]any{"query": q, "count": len(hits), "results": hits}
@@ -991,10 +991,25 @@ func (s *Server) handleRollback(st *state, r *http.Request) (int, any) {
 	}
 }
 
+// Connection limits of every daemon's HTTP server. readHeaderTimeout bounds
+// how long a client may take to send its request line and headers, so a
+// slowloris client cannot pin a connection; idleTimeout reaps idle
+// keep-alive connections. There is deliberately no write timeout: GET
+// /v1/wal?wait= long-polls for up to 120 s.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the http.Server giantd and giantrouter listen with.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // Run serves handler on addr until ctx is cancelled, then shuts down
 // gracefully, draining in-flight requests for up to grace.
 func Run(ctx context.Context, addr string, handler http.Handler, grace time.Duration) error {
-	srv := &http.Server{Addr: addr, Handler: handler}
+	srv := newHTTPServer(addr, handler)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	select {

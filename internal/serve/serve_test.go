@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -560,5 +562,38 @@ func TestConcurrentReadsDuringIngest(t *testing.T) {
 	wg.Wait()
 	if n := server5xx.Load(); n > 0 {
 		t.Fatalf("%d requests returned 5xx during live ingest", n)
+	}
+}
+
+// TestHTTPServerDropsSlowHeaders: the server giantd and giantrouter listen
+// with disconnects a client that sends half a request line and stalls
+// (slowloris) within readHeaderTimeout, instead of holding the connection
+// open forever.
+func TestHTTPServerDropsSlowHeaders(t *testing.T) {
+	t.Parallel()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newHTTPServer(ln.Addr().String(), http.NotFoundHandler())
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := conn.Write([]byte("GET /healthz HT")); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	_, err = io.Copy(io.Discard, conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("connection still open %v after a stalled request line", time.Since(start))
 	}
 }
