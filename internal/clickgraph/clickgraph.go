@@ -159,8 +159,10 @@ func DefaultWalkConfig() WalkConfig {
 
 // ClusterFor runs the random walk from seed and returns its cluster, or
 // ok=false if the seed query is unknown. The walk is computed exactly by
-// power iteration over the transport probabilities (no sampling), so results
-// are deterministic.
+// power iteration over the transport probabilities (no sampling), and every
+// frontier is visited in ascending node index, so the walkers meeting on a
+// node always sum their contributions in the same order: two walks of one
+// seed are identical to the last bit.
 func (g *Graph) ClusterFor(seed string, cfg WalkConfig) (Cluster, bool) {
 	qi, ok := g.queryIdx[seed]
 	if !ok {
@@ -171,20 +173,20 @@ func (g *Graph) ClusterFor(seed string, cfg WalkConfig) (Cluster, bool) {
 	for s := 0; s < cfg.Steps; s++ {
 		// Query -> doc hop.
 		nd := map[int]float64{}
-		for q, p := range qProb {
+		for _, q := range sortedKeys(qProb) {
 			if g.qOut[q] == 0 {
 				continue
 			}
+			p := qProb[q]
 			for _, e := range g.qEdges[q] {
 				nd[e.to] += p * e.clicks / g.qOut[q]
 			}
 		}
-		for d, p := range nd {
-			dProb[d] += p
-		}
 		// Doc -> query hop.
 		nq := map[int]float64{}
-		for d, p := range nd {
+		for _, d := range sortedKeys(nd) {
+			p := nd[d]
+			dProb[d] += p
 			if g.dOut[d] == 0 {
 				continue
 			}
@@ -199,7 +201,8 @@ func (g *Graph) ClusterFor(seed string, cfg WalkConfig) (Cluster, bool) {
 	qProb[qi] += 1
 
 	cl := Cluster{Seed: seed}
-	for q, p := range qProb {
+	for _, q := range sortedKeys(qProb) {
+		p := qProb[q]
 		if q != qi && p < cfg.Threshold {
 			continue
 		}
@@ -210,7 +213,8 @@ func (g *Graph) ClusterFor(seed string, cfg WalkConfig) (Cluster, bool) {
 		}
 		cl.Queries = append(cl.Queries, Weighted{Text: g.queries[q], Weight: p, DocID: -1})
 	}
-	for d, p := range dProb {
+	for _, d := range sortedKeys(dProb) {
+		p := dProb[d]
 		if p < cfg.Threshold {
 			continue
 		}
@@ -256,12 +260,27 @@ func (g *Graph) ClustersN(cfg WalkConfig, workers int) []Cluster {
 	return out
 }
 
+// sortedKeys lists a walk vector's node indexes in ascending order.
+func sortedKeys(m map[int]float64) []int {
+	keys := make([]int, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	return keys
+}
+
+// sortWeighted orders by descending weight, then text, then doc ID (two
+// documents may share a title), so no two items ever tie.
 func sortWeighted(ws []Weighted) {
 	sort.Slice(ws, func(i, j int) bool {
 		if ws[i].Weight != ws[j].Weight {
 			return ws[i].Weight > ws[j].Weight
 		}
-		return ws[i].Text < ws[j].Text
+		if ws[i].Text != ws[j].Text {
+			return ws[i].Text < ws[j].Text
+		}
+		return ws[i].DocID < ws[j].DocID
 	})
 }
 

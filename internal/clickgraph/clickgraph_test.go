@@ -1,6 +1,7 @@
 package clickgraph
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -133,6 +134,37 @@ func TestWalkDeterministic(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestClusterForBitDeterministic: many walkers reaching one node sum their
+// contributions in a fixed order, so every walk of a seed is identical to
+// the last bit. One seed, seven docs and six sibling queries that co-click
+// overlapping docs make several walkers meet on every node; with sums
+// accumulated in map-iteration order nearly every walk differed from the
+// first one somewhere.
+func TestClusterForBitDeterministic(t *testing.T) {
+	g := New()
+	for d := 0; d < 7; d++ {
+		g.Add("best foldable phones", d, fmt.Sprintf("foldable phones review %d", d), 3+d, 0)
+	}
+	for q := 0; q < 6; q++ {
+		query := fmt.Sprintf("foldable phones %d", q)
+		for d := 0; d < 7; d++ {
+			if (q+d)%3 != 0 {
+				g.Add(query, d, fmt.Sprintf("foldable phones review %d", d), 1+(q*d)%5, 0)
+			}
+		}
+	}
+	cfg := WalkConfig{Steps: 3, Threshold: 0, MaxItems: 20}
+	first, ok := g.ClusterFor("best foldable phones", cfg)
+	if !ok {
+		t.Fatal("seed not found")
+	}
+	for i := 0; i < 1000; i++ {
+		if got, _ := g.ClusterFor("best foldable phones", cfg); !reflect.DeepEqual(got, first) {
+			t.Fatalf("walk %d differs from the first walk:\n got %+v\nwant %+v", i, got, first)
+		}
 	}
 }
 
