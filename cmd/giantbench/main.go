@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -330,11 +329,11 @@ type catchupBoot struct {
 	runErr error // follower exit error; read only after done is closed
 }
 
-// bootCatchupReplica boots a replica over walPath the way giantd -wal
-// does: hydrate=false starts from the base world and replays the whole
-// log; hydrate=true walks the checkpoint ladder and tails only the
+// bootCatchupReplica boots a replica over the log in dir the way giantd
+// -wal does: hydrate=false starts from the base world and replays the
+// whole log; hydrate=true walks the checkpoint ladder and tails only the
 // suffix past the artifact.
-func bootCatchupReplica(walPath string, base *ontology.ShardedSnapshot, hydrate bool) (*catchupBoot, error) {
+func bootCatchupReplica(dir string, base *ontology.ShardedSnapshot, hydrate bool) (*catchupBoot, error) {
 	host := &catchupHost{cur: base}
 	opts := serve.Options{
 		ShardIngest:       host.ingest,
@@ -342,23 +341,23 @@ func bootCatchupReplica(walPath string, base *ontology.ShardedSnapshot, hydrate 
 		CheckpointRestore: host.restore,
 	}
 	var srv *serve.Server
-	var startGen uint64
+	var start wal.CheckpointMeta
 	if hydrate {
 		var err error
-		srv, startGen, err = serve.HydrateShard(filepath.Dir(walPath), 0, 1, opts, nil)
+		srv, start, err = serve.HydrateShard(dir, 0, 1, opts, nil)
 		if err != nil {
 			return nil, err
 		}
 		if srv == nil {
-			return nil, fmt.Errorf("no usable checkpoint artifact beside %s", walPath)
+			return nil, fmt.Errorf("no usable checkpoint artifact in %s", dir)
 		}
 	} else {
 		srv = serve.NewShard(base.Projection(0), opts)
 	}
 	fl, err := serve.NewFollower(srv, serve.FollowerOptions{
-		Path:     walPath,
-		Poll:     time.Millisecond,
-		StartGen: startGen,
+		Dir:   dir,
+		Poll:  time.Millisecond,
+		Start: start,
 	})
 	if err != nil {
 		return nil, err
@@ -431,8 +430,7 @@ func runCatchupBench(outPath string) error {
 			return err
 		}
 		defer os.RemoveAll(dir)
-		walPath := filepath.Join(dir, "shard-0-of-1.wal")
-		lg, err := wal.Create(walPath, 0, 1)
+		lg, err := wal.Create(wal.LogPath(dir), 0, 1)
 		if err != nil {
 			return err
 		}
@@ -452,7 +450,7 @@ func runCatchupBench(outPath string) error {
 		if err := appendDays(1, ckptAt); err != nil {
 			return err
 		}
-		writer, err := bootCatchupReplica(walPath, base, false)
+		writer, err := bootCatchupReplica(dir, base, false)
 		if err != nil {
 			return err
 		}
@@ -464,15 +462,13 @@ func runCatchupBench(outPath string) error {
 			return err
 		}
 		var encoded bytes.Buffer
-		if err := ontology.EncodeSnapshotBinary(&encoded, snap, writer.srv.Generation()); err != nil {
+		if err := ontology.EncodeSnapshotBinary(&encoded, snap, uint64(ckptAt)); err != nil {
 			return err
 		}
 		if err := wal.PublishCheckpoint(dir, &wal.Checkpoint{
-			Shard: 0, Shards: 1,
-			WALGen:     uint64(ckptAt),
-			ServingGen: writer.srv.Generation(),
-			Snapshot:   encoded.Bytes(),
-			State:      blob,
+			CheckpointMeta: wal.CheckpointMeta{WALGen: uint64(ckptAt), ServingGens: []uint64{writer.srv.Generation()}},
+			Snapshot:       encoded.Bytes(),
+			State:          blob,
 		}); err != nil {
 			return err
 		}
@@ -495,7 +491,7 @@ func runCatchupBench(outPath string) error {
 			var world []byte
 			for i := 0; i < rounds; i++ {
 				t0 := time.Now()
-				b, err := bootCatchupReplica(walPath, base, hydrate)
+				b, err := bootCatchupReplica(dir, base, hydrate)
 				if err != nil {
 					return 0, nil, err
 				}

@@ -37,8 +37,6 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
@@ -137,7 +135,7 @@ subcommands:
   tag     tag a document                           (-title "..." [-content ...] [-entities a,b])
   story   print a story tree                       ([-seed "..."])
   checkpoint  force a replica to roll a checkpoint (-addr http://host:port)
-  truncate    inspect or compact a shard delta log (-wal DIR -shard i/k [-below G] [-force])
+  truncate    inspect or compact the fleet delta log (-wal DIR [-below G] [-force])
   help    print this message
 
 Artifacts are loadable in either format everywhere (-in flags, giantd -in):
@@ -505,39 +503,32 @@ func runCheckpoint(args []string) error {
 	return nil
 }
 
-// runTruncate inspects a shard's delta log (and its published checkpoint,
-// if any) or, with -below, compacts it: records at or below the given
-// generation are dropped by rewriting the log to the suffix. Run it only
-// against a stopped tier or from the router's floor (giantrouter -compact
-// automates the same cut); by default the cut refuses to pass the
+// runTruncate inspects the fleet's delta log (and its published
+// checkpoint, if any) or, with -below, compacts it: records at or below the
+// given generation are dropped by rewriting the log to the suffix. Run it
+// only against a stopped tier or from the router's floor (giantrouter
+// -compact automates the same cut); by default the cut refuses to pass the
 // published checkpoint's covered position, because records above it are
 // unrecoverable for a replica that has to rejoin from the artifact.
 func runTruncate(args []string) error {
 	fs := newFlagSet("truncate")
 	dir := fs.String("wal", "", "delta-log directory (required)")
-	shard := fs.String("shard", "", "shard identity i/k, e.g. 0/2 (required)")
 	below := fs.Uint64("below", 0, "drop records at or below this log generation (0: just print positions)")
 	force := fs.Bool("force", false, "allow a cut above the published checkpoint's covered position")
 	if err := parse(fs, args); err != nil {
 		return err
 	}
-	if *dir == "" || *shard == "" {
-		return usagef("truncate: need -wal <dir> and -shard i/k")
+	if *dir == "" {
+		return usagef("truncate: need -wal <dir>")
 	}
-	is, ks, found := strings.Cut(*shard, "/")
-	i, err1 := strconv.Atoi(is)
-	k, err2 := strconv.Atoi(ks)
-	if !found || err1 != nil || err2 != nil || k < 1 || i < 0 || i >= k {
-		return usagef("truncate: invalid -shard %q (want i/k, e.g. 0/2)", *shard)
-	}
-	path := filepath.Join(*dir, fmt.Sprintf("shard-%d-of-%d.wal", i, k))
-	lg, err := wal.Open(path, i, k)
+	path := wal.LogPath(*dir)
+	lg, err := wal.Open(path, 0, 1)
 	if err != nil {
 		return fmt.Errorf("truncate: %w", err)
 	}
 	defer lg.Close()
 	var ckptGen uint64
-	if meta, err := wal.ReadCheckpointMeta(wal.CheckpointPath(*dir, i, k)); err == nil && meta.Shard == i && meta.Shards == k {
+	if meta, err := wal.ReadCheckpointMeta(wal.CheckpointPath(*dir)); err == nil {
 		ckptGen = meta.WALGen
 	}
 	if *below == 0 {

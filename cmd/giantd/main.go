@@ -56,15 +56,17 @@
 //
 // With -wal DIR (requires -shard i/k and -build) the daemon is a delta-log
 // REPLICA: it never accepts direct writes — /v1/ingest and /v1/reload
-// answer 503 read_only_replica — and instead tails the shard's append-only
-// delta log DIR/shard-i-of-k.wal (written by giantrouter -wal), applying
-// each batch through the same deterministic mining pipeline a direct
-// ingest would take. Every response carries X-Giant-Wal-Gen with the last
-// applied log generation, and GET /v1/wal (?wait=G) exposes — and blocks
-// on — apply progress; -replica N names the replica in /healthz and log
-// lines. Start N replicas of the same shard against one log and put
+// answer 503 read_only_replica — and instead tails the fleet's one
+// append-only delta log DIR/fleet.wal (written by giantrouter -wal),
+// applying each batch through the same deterministic mining pipeline a
+// direct ingest would take. Every response carries X-Giant-Wal-Gen with
+// the last applied log generation, and GET /v1/wal (?wait=G) exposes — and
+// blocks on — apply progress; -replica N names the replica in /healthz and
+// log lines. Start N replicas of every shard against one directory and put
 // giantrouter -wal in front: reads balance over the caught-up replicas and
-// ingest is acknowledged at a quorum of apply confirmations.
+// ingest is acknowledged at a quorum of apply confirmations. With
+// -checkpoint-every, any replica publishes the fleet checkpoint
+// DIR/fleet.ckpt, and a replica of any shard boots from it.
 //
 // Rollback and reload operate on the SERVING tier only: in -build mode
 // the in-process mining system keeps its accumulated click graph and
@@ -83,7 +85,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -93,6 +94,7 @@ import (
 	"giant/internal/delta"
 	"giant/internal/ontology"
 	"giant/internal/serve"
+	"giant/internal/wal"
 )
 
 func main() {
@@ -109,16 +111,16 @@ func main() {
 		watch   = flag.Duration("watch", 0, "poll -in for changes at this interval and hot-swap automatically (0 disables)")
 		shards  = flag.Int("shards", 1, "publish the ontology as K home-shard projections: per-shard generations, gram-routed search, an ingest republishes only the shards it touched; reads answer from the union for every K")
 		shard   = flag.String("shard", "", "serve a single shard of a k-way partition as i/k (e.g. 0/4): the per-shard backend of cmd/giantrouter")
-		walDir  = flag.String("wal", "", "delta-log directory: tail DIR/shard-i-of-k.wal instead of accepting direct writes (requires -shard and -build)")
+		walDir  = flag.String("wal", "", "delta-log directory: tail DIR/fleet.wal instead of accepting direct writes (requires -shard and -build)")
 		replica = flag.Int("replica", 0, "with -wal: this process's replica ordinal, reported in /healthz and log lines")
-		ckpt    = flag.Uint64("checkpoint-every", 0, "with -wal: publish a shard checkpoint every N applied log generations, and boot from the newest valid checkpoint (0 disables cadence rolls; POST /v1/checkpoint still forces one)")
+		ckpt    = flag.Uint64("checkpoint-every", 0, "with -wal: publish the fleet checkpoint DIR/fleet.ckpt every N applied log generations, and boot from the newest valid checkpoint (0 disables cadence rolls; POST /v1/checkpoint still forces one)")
 	)
 	flag.Parse()
 	if *watch > 0 && (*build || *in == "") {
 		log.Printf("warning: -watch only applies when serving a file with -in; ignoring it")
 	}
 	if *walDir != "" && *shard == "" {
-		log.Fatal("-wal requires -shard i/k (a delta log belongs to one shard)")
+		log.Fatal("-wal requires -shard i/k (a replica serves one shard)")
 	}
 	if *walDir != "" && !*build {
 		log.Fatal("-wal requires -build (a replica re-mines each batch through its own mining system)")
@@ -314,18 +316,18 @@ func runShard(in, addr string, build, tiny bool, cache int, grace time.Duration,
 		return fmt.Errorf("need -in <shard or ontology artifact> or -build (see giantctl shard)")
 	}
 
-	// Boot ladder: a replica with a usable checkpoint beside its log boots
+	// Boot ladder: a replica with a usable checkpoint beside the log boots
 	// from the artifact and tails only the suffix past it; anything less
 	// falls back to the fresh build + full replay.
 	var srv *serve.Server
-	var startGen uint64
+	var start wal.CheckpointMeta
 	if walDir != "" && opts.CheckpointRestore != nil {
-		hydrated, walGen, herr := serve.HydrateShard(walDir, idx, k, opts, log.Printf)
+		hydrated, meta, herr := serve.HydrateShard(walDir, idx, k, opts, log.Printf)
 		if herr != nil {
 			return herr
 		}
 		if hydrated != nil {
-			srv, startGen = hydrated, walGen
+			srv, start = hydrated, meta
 			proj = srv.ShardProjection()
 		}
 	}
@@ -338,18 +340,17 @@ func runShard(in, addr string, build, tiny bool, cache int, grace time.Duration,
 	defer stop()
 
 	if walDir != "" {
-		path := filepath.Join(walDir, fmt.Sprintf("shard-%d-of-%d.wal", idx, k))
 		fl, err := serve.NewFollower(srv, serve.FollowerOptions{
-			Path:            path,
+			Dir:             walDir,
 			Replica:         replica,
 			Logf:            log.Printf,
-			StartGen:        startGen,
+			Start:           start,
 			CheckpointEvery: ckptEvery,
 		})
 		if err != nil {
 			return err
 		}
-		log.Printf("replica %d tailing delta log %s from generation %d (direct writes disabled)", replica, path, startGen)
+		log.Printf("replica %d tailing delta log %s from generation %d (direct writes disabled)", replica, wal.LogPath(walDir), start.WALGen)
 		go func() {
 			if err := fl.Run(ctx); err != nil && ctx.Err() == nil {
 				log.Printf("wal follower stopped: %v", err)

@@ -52,9 +52,9 @@
 //
 // Reads then balance by power-of-two-choices over each shard's healthy,
 // caught-up replicas (a replica still tailing the log is never consulted
-// for reads ahead of its position), and /v1/ingest appends each batch to
-// the per-shard logs under DIR, acknowledging once a quorum of each
-// shard's replicas confirm the apply. A shard whose slowest healthy
+// for reads ahead of its position), and /v1/ingest appends each batch once
+// to the fleet log DIR/fleet.wal, which every replica tails, acknowledging
+// once a quorum of each shard's replicas confirm the apply. A shard whose slowest healthy
 // replica trails the log head by more than -max-lag generations pushes
 // back with 429 replica_lagging and a Retry-After header; -write-timeout
 // bounds each replica's apply confirmation in that quorum wait. Rolling
@@ -86,9 +86,9 @@ func main() {
 		failOpen = flag.Bool("fail-open", false, "serve partial fan-out results (marked \"partial\": true) instead of 503 when a shard is unreachable")
 		probe    = flag.Duration("probe", 2*time.Second, "background health-probe interval (0 disables)")
 		grace    = flag.Duration("grace", 5*time.Second, "graceful-shutdown drain timeout")
-		walDir   = flag.String("wal", "", "delta-log directory: ingest appends to DIR/shard-i-of-k.wal and acks at a replica quorum (backends must be giantd -wal replicas)")
+		walDir   = flag.String("wal", "", "delta-log directory: ingest appends to DIR/fleet.wal and acks at a replica quorum (backends must be giantd -wal replicas)")
 		maxLag   = flag.Uint64("max-lag", 0, "with -wal: 429 ingest pushback once a shard's slowest healthy replica trails the log head by more than this many generations (0 = 64)")
-		compact  = flag.Bool("compact", false, "with -wal: truncate each shard's delta log below the fleet-wide applied floor, bounded by the newest published checkpoint (runs after each health-probe pass; replicas need -checkpoint-every)")
+		compact  = flag.Bool("compact", false, "with -wal: truncate the delta log below the fleet-wide applied floor, bounded by the published checkpoint (runs after each health-probe pass; replicas need -checkpoint-every)")
 	)
 	flag.Parse()
 	if *backends == "" {

@@ -1,7 +1,7 @@
 package serve
 
 // Delta-log replicas: a per-shard server (NewShard) that never accepts
-// direct writes and instead tails its shard's append-only wal.Log,
+// direct writes and instead tails the fleet's one append-only wal.Log,
 // applying each delta.Batch through the same ingestBatch path a direct
 // POST /v1/ingest would take. Because delta mining is deterministic,
 // every replica of a shard that has consumed the same log prefix serves
@@ -15,15 +15,16 @@ package serve
 // which can block (?wait=G&timeout_ms=) until generation G has been
 // applied, the router's quorum-ack primitive.
 //
-// Checkpointing bounds catch-up: every Options.CheckpointEvery applied
-// generations the follower captures the host's full apply state (union
-// snapshot + opaque host blob), encodes it off the apply path, and
-// publishes a GIANTCKP artifact beside the log. A restarting replica
-// walks the recovery ladder — primary checkpoint, previous checkpoint,
-// full replay (HydrateShard) — and then tails only the log suffix past
-// the artifact it hydrated; the router is then free to truncate the log
-// below the fleet-wide applied floor, bounded by the covered position
-// of the published checkpoint.
+// Checkpointing bounds catch-up: every FollowerOptions.CheckpointEvery
+// applied generations the follower captures the host's full apply state
+// (union snapshot + opaque host blob + every shard's serving generation),
+// encodes it off the apply path, and publishes the fleet's GIANTCKP
+// artifact beside the log. A restarting replica of any shard walks the
+// recovery ladder — primary checkpoint, previous checkpoint, full replay
+// (HydrateShard) — and then tails only the log suffix past the artifact
+// it hydrated; the router is then free to truncate the log below the
+// fleet-wide applied floor, bounded by the covered position of the
+// published checkpoint.
 
 import (
 	"bytes"
@@ -33,7 +34,7 @@ import (
 	"fmt"
 	"io/fs"
 	"net/http"
-	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -44,7 +45,7 @@ import (
 	"giant/internal/wal"
 )
 
-// walState tracks a replica's position in its shard's delta log. It is
+// walState tracks a replica's position in the fleet's delta log. It is
 // attached to the Server by NewFollower and advanced by Follower.Run;
 // handlers only read it (or block on changed).
 type walState struct {
@@ -130,35 +131,34 @@ func (ws *walState) waitFor(gen uint64, timeout time.Duration) bool {
 
 // FollowerOptions configures delta-log following for one replica.
 type FollowerOptions struct {
-	// Path is the shard's .wal file.
-	Path string
+	// Dir holds the fleet's log (tailed) and checkpoint (published).
+	Dir string
 	// Replica is the ordinal reported in /healthz.
 	Replica int
 	// Poll bounds the idle re-check interval (0 means 100ms).
 	Poll time.Duration
 	// Logf receives progress lines (nil silences them).
 	Logf func(format string, args ...any)
-	// StartGen is the log position already covered by the state the
-	// server booted from — the hydrated checkpoint's WALGen, or 0 for a
-	// full replay. The follower tails only records past it.
-	StartGen uint64
+	// Start is the hydrated checkpoint's log position and generation
+	// vector; the zero value is a fresh boot (position 0, every shard at
+	// generation 1). The follower tails only records past it.
+	Start wal.CheckpointMeta
 	// CheckpointEvery rolls a new checkpoint artifact each time this
 	// many log generations have been applied since the last roll. 0
 	// disables cadence checkpointing (POST /v1/checkpoint still works
 	// when the server has a CheckpointSave).
 	CheckpointEvery uint64
-	// CheckpointDir is where artifacts are published (default: the
-	// directory of Path, shared with the log so every replica of the
-	// shard — and the router — sees them).
-	CheckpointDir string
 }
 
-// Follower tails a shard's delta log and applies each record to its
+// Follower tails the fleet's delta log and applies each record to its
 // Server. One Follower per replica process (cmd/giantd -wal).
 type Follower struct {
 	srv  *Server
 	opts FollowerOptions
 	ws   *walState
+	// gens[i] is shard i's serving generation at the consumed position;
+	// only the follower goroutine touches it.
+	gens []uint64
 
 	// lastCkpt is the log position at which the last checkpoint roll was
 	// initiated; ckptBusy guards the single in-flight encode+publish, and
@@ -178,7 +178,7 @@ type Follower struct {
 // reach the same bytes at different cost).
 // The server immediately turns read-only: direct /v1/ingest and
 // /v1/reload answer 503 read_only_replica, and /v1/wal starts reporting
-// (StartGen until Run consumes the first suffix record).
+// (Start.WALGen until Run consumes the first suffix record).
 func NewFollower(srv *Server, opts FollowerOptions) (*Follower, error) {
 	if !srv.shardMode {
 		return nil, errors.New("serve: follower needs a per-shard server (NewShard)")
@@ -189,18 +189,23 @@ func NewFollower(srv *Server, opts FollowerOptions) (*Follower, error) {
 	if opts.Poll <= 0 {
 		opts.Poll = 100 * time.Millisecond
 	}
-	if opts.CheckpointDir == "" {
-		opts.CheckpointDir = filepath.Dir(opts.Path)
+	k := srv.cur.Load().proj.NumShards
+	gens := slices.Clone(opts.Start.ServingGens)
+	if len(gens) == 0 {
+		gens = slices.Repeat([]uint64{1}, k)
 	}
-	ws := newWALState(opts.Replica, opts.StartGen)
+	if len(gens) != k {
+		return nil, fmt.Errorf("serve: follower start has %d serving generations for %d shards", len(gens), k)
+	}
+	ws := newWALState(opts.Replica, opts.Start.WALGen)
 	if srv.opts.CheckpointSave != nil {
 		ws.force = make(chan chan error, 1)
 	}
 	if !srv.wal.CompareAndSwap(nil, ws) {
 		return nil, errors.New("serve: server already has a follower attached")
 	}
-	f := &Follower{srv: srv, opts: opts, ws: ws}
-	f.lastCkpt.Store(opts.StartGen)
+	f := &Follower{srv: srv, opts: opts, ws: ws, gens: gens}
+	f.lastCkpt.Store(opts.Start.WALGen)
 	return f, nil
 }
 
@@ -221,7 +226,6 @@ func (f *Follower) Run(ctx context.Context) error {
 			rd.Close()
 		}
 	}()
-	shard := f.srv.cur.Load().proj
 	wait := func() bool {
 		select {
 		case <-ctx.Done():
@@ -235,7 +239,7 @@ func (f *Follower) Run(ctx context.Context) error {
 	}
 	for {
 		if rd == nil {
-			r, err := wal.OpenReaderAt(f.opts.Path, shard.Shard, shard.NumShards, f.ws.position())
+			r, err := wal.OpenReaderAt(wal.LogPath(f.opts.Dir), 0, 1, f.ws.position())
 			if err != nil {
 				if errors.Is(err, fs.ErrNotExist) || errors.Is(err, wal.ErrTruncated) {
 					// Not written yet (or header mid-write): retry.
@@ -289,7 +293,11 @@ func (f *Follower) apply(rec *wal.Record) {
 		status = http.StatusBadRequest
 		result = errBody(codeInvalidArgument, "decode batch: "+err.Error())
 	} else {
-		status, result = f.srv.ingestBatch(batch)
+		var touched []bool
+		status, result, touched = f.srv.ingestBatch(batch)
+		if status == http.StatusOK {
+			f.advanceGens(touched)
+		}
 	}
 	f.ws.advance(rec.Gen, status, result)
 	if f.opts.Logf != nil {
@@ -297,6 +305,17 @@ func (f *Follower) apply(rec *wal.Record) {
 			f.opts.Logf("wal: applied generation %d (day %d) -> serving generation %d", rec.Gen, rec.Day, f.srv.Generation())
 		} else {
 			f.opts.Logf("wal: generation %d rejected with status %d", rec.Gen, status)
+		}
+	}
+}
+
+// advanceGens bumps the serving generation of every shard an applied batch
+// republished: the ones it touched (nil: all), or at K=1 the one shard,
+// whose projection is the union itself (ontology.ShardedSnapshot.Advance).
+func (f *Follower) advanceGens(touched []bool) {
+	for i := range f.gens {
+		if touched == nil || len(f.gens) == 1 || touched[i] {
+			f.gens[i]++
 		}
 	}
 }
@@ -338,7 +357,7 @@ func (f *Follower) maybeCheckpoint(walGen uint64) {
 			return
 		}
 		if f.opts.Logf != nil {
-			f.opts.Logf("wal: checkpoint published at log generation %d (serving generation %d)", ck.WALGen, ck.ServingGen)
+			f.opts.Logf("wal: checkpoint published at log generation %d (serving generations %v)", ck.WALGen, ck.ServingGens)
 		}
 	}()
 }
@@ -363,61 +382,61 @@ func (f *Follower) rollCheckpoint(walGen uint64) error {
 	}
 	f.lastCkpt.Store(walGen)
 	if f.opts.Logf != nil {
-		f.opts.Logf("wal: checkpoint published at log generation %d (serving generation %d)", ck.WALGen, ck.ServingGen)
+		f.opts.Logf("wal: checkpoint published at log generation %d (serving generations %v)", ck.WALGen, ck.ServingGens)
 	}
 	return nil
 }
 
 // captureCheckpoint snapshots the host state at the current position.
-// The union snapshot is immutable, so only the opaque state blob and
-// the generation stamps need to be taken synchronously.
+// The union snapshot is immutable, so only the opaque state blob and the
+// generation stamps need to be taken synchronously. It refuses when this
+// shard's entry of the generation vector disagrees with the server: every
+// entry follows the same rule, so none could be trusted.
 func (f *Follower) captureCheckpoint(walGen uint64) (*wal.Checkpoint, error) {
+	shard := f.srv.cur.Load().proj.Shard
+	if own, served := f.gens[shard], f.srv.Generation(); own != served {
+		return nil, fmt.Errorf("serve: refusing to publish a checkpoint: the generation vector puts shard %d at %d, but it serves %d", shard, own, served)
+	}
 	snap, hostState, err := f.srv.opts.CheckpointSave()
 	if err != nil {
 		return nil, err
 	}
-	shard := f.srv.cur.Load().proj
 	var buf bytes.Buffer
-	if err := ontology.EncodeSnapshotBinary(&buf, snap, f.srv.Generation()); err != nil {
+	if err := ontology.EncodeSnapshotBinary(&buf, snap, walGen); err != nil {
 		return nil, err
 	}
 	return &wal.Checkpoint{
-		Shard:      shard.Shard,
-		Shards:     shard.NumShards,
-		WALGen:     walGen,
-		ServingGen: f.srv.Generation(),
-		Snapshot:   buf.Bytes(),
-		State:      hostState,
+		CheckpointMeta: wal.CheckpointMeta{WALGen: walGen, ServingGens: append([]uint64(nil), f.gens...)},
+		Snapshot:       buf.Bytes(),
+		State:          hostState,
 	}, nil
 }
 
 // publishCheckpoint writes the artifact and records it in walState.
 func (f *Follower) publishCheckpoint(ck *wal.Checkpoint) error {
-	if err := wal.PublishCheckpoint(f.opts.CheckpointDir, ck); err != nil {
+	if err := wal.PublishCheckpoint(f.opts.Dir, ck); err != nil {
 		return err
 	}
 	f.ws.setCheckpoint(ck.WALGen)
 	return nil
 }
 
-// HydrateShard walks a shard's checkpoint recovery ladder — primary
-// artifact, then the rotated previous one — and boots a per-shard
-// server from the newest one that fully validates: checkpoint CRCs,
-// GIANTBIN decode, and the host's CheckpointRestore must all succeed,
-// otherwise the ladder falls through. It returns the server plus the
-// log position the caller's follower should tail from. (nil, 0, nil)
-// means no usable checkpoint: the caller boots a fresh server and
-// replays the whole log, the ladder's final rung.
-func HydrateShard(walDir string, shard, shards int, opts Options, logf func(format string, args ...any)) (*Server, uint64, error) {
+// HydrateShard walks the fleet's checkpoint recovery ladder — primary
+// artifact, then the rotated previous one — and boots a server for shard
+// from the newest one that fully validates: checkpoint CRCs and shard
+// count, GIANTBIN decode with the covered log position stamped, and the
+// host's CheckpointRestore must all succeed, otherwise the ladder falls
+// through. The server resumes at the artifact's serving generation for
+// shard, whichever replica published it. It returns the server plus the
+// artifact's header, the caller's FollowerOptions.Start. A nil server
+// means no usable checkpoint: the caller boots a fresh server and replays
+// the whole log, the ladder's final rung.
+func HydrateShard(walDir string, shard, shards int, opts Options, logf func(format string, args ...any)) (*Server, wal.CheckpointMeta, error) {
 	if opts.CheckpointRestore == nil {
-		return nil, 0, errors.New("serve: HydrateShard needs Options.CheckpointRestore")
+		return nil, wal.CheckpointMeta{}, errors.New("serve: HydrateShard needs Options.CheckpointRestore")
 	}
-	paths := []string{
-		wal.CheckpointPath(walDir, shard, shards),
-		wal.PrevCheckpointPath(walDir, shard, shards),
-	}
-	for _, p := range paths {
-		ck, err := wal.ReadCheckpoint(p, shard, shards)
+	for _, p := range []string{wal.CheckpointPath(walDir), wal.PrevCheckpointPath(walDir)} {
+		ck, err := wal.ReadCheckpoint(p, shards)
 		if err != nil {
 			if !errors.Is(err, fs.ErrNotExist) && logf != nil {
 				logf("wal: checkpoint %s unusable: %v", p, err)
@@ -431,9 +450,9 @@ func HydrateShard(walDir string, shard, shards int, opts Options, logf func(form
 			}
 			continue
 		}
-		if gen != ck.ServingGen {
+		if gen != ck.WALGen {
 			if logf != nil {
-				logf("wal: checkpoint %s stamps serving generation %d but embeds %d; skipping", p, ck.ServingGen, gen)
+				logf("wal: checkpoint %s covers log generation %d but its snapshot is stamped %d; skipping", p, ck.WALGen, gen)
 			}
 			continue
 		}
@@ -445,11 +464,11 @@ func HydrateShard(walDir string, shard, shards int, opts Options, logf func(form
 			continue
 		}
 		if logf != nil {
-			logf("wal: hydrated checkpoint %s (log generation %d, serving generation %d)", p, ck.WALGen, ck.ServingGen)
+			logf("wal: hydrated checkpoint %s (log generation %d, serving generation %d)", p, ck.WALGen, ck.ServingGens[shard])
 		}
-		return NewShardAt(proj, ck.ServingGen, opts), ck.WALGen, nil
+		return NewShardAt(proj, ck.ServingGens[shard], opts), ck.CheckpointMeta, nil
 	}
-	return nil, 0, nil
+	return nil, wal.CheckpointMeta{}, nil
 }
 
 // handleCheckpoint answers POST /v1/checkpoint on a replica: it forces

@@ -19,6 +19,11 @@ package serve
 //     trails the log head by more than MaxLag answers ingest with 429
 //     replica_lagging and a Retry-After header, and recovers once the
 //     replica drains.
+//   - TestFleetCheckpointHydratesEveryShard: the one fleet checkpoint,
+//     rolled by a replica of shard 0, boots a replica of shard 1 at its
+//     own shard's serving generation.
+//   - TestIngestAppendFailure: a failed log append answers 503 with an
+//     unknown outcome, and so does every later ingest.
 //   - TestErrorEnvelope: every error path, across all four serving modes,
 //     renders the one {"error":{"code","message",...}} envelope with a
 //     known machine code.
@@ -33,8 +38,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -151,7 +156,7 @@ func detShardedIngester(base *ontology.ShardedSnapshot) func(delta.Batch) (*onto
 // inner handler while the outer httptest server stays put).
 type replicaProc struct {
 	shard, idx int
-	walPath    string
+	walDir     string
 	ckptEvery  uint64 // > 0: checkpoint-enabled boots (hydrate + cadence rolls)
 	outer      *httptest.Server
 	down       atomic.Bool
@@ -191,12 +196,12 @@ func (p *replicaProc) boot(t *testing.T, base *ontology.ShardedSnapshot, gate ch
 	host := &detShardHost{shard: p.shard, k: base.NumShards(), cur: base}
 	opts := Options{ShardIngest: host.ingest(gate)}
 	var srv *Server
-	var startGen uint64
+	var start wal.CheckpointMeta
 	if p.ckptEvery > 0 {
 		opts.CheckpointSave = host.save
 		opts.CheckpointRestore = host.restore
 		var err error
-		srv, startGen, err = HydrateShard(filepath.Dir(p.walPath), p.shard, host.k, opts, nil)
+		srv, start, err = HydrateShard(p.walDir, p.shard, host.k, opts, nil)
 		if err != nil {
 			t.Fatalf("shard %d replica %d hydrate: %v", p.shard, p.idx, err)
 		}
@@ -205,10 +210,10 @@ func (p *replicaProc) boot(t *testing.T, base *ontology.ShardedSnapshot, gate ch
 		srv = NewShard(base.Projection(p.shard), opts)
 	}
 	fl, err := NewFollower(srv, FollowerOptions{
-		Path:            p.walPath,
+		Dir:             p.walDir,
 		Replica:         p.idx,
 		Poll:            time.Millisecond,
-		StartGen:        startGen,
+		Start:           start,
 		CheckpointEvery: p.ckptEvery,
 	})
 	if err != nil {
@@ -277,7 +282,7 @@ func newCkptWALFixture(t *testing.T, k, r int, every uint64, opts RouterOptions)
 		for ri := 0; ri < r; ri++ {
 			p := &replicaProc{
 				shard: s, idx: ri, ckptEvery: every,
-				walPath: filepath.Join(walDir, fmt.Sprintf("shard-%d-of-%d.wal", s, k)),
+				walDir: walDir,
 			}
 			p.boot(t, base, nil)
 			p.outer = httptest.NewServer(p)
@@ -302,8 +307,8 @@ func newCkptWALFixture(t *testing.T, k, r int, every uint64, opts RouterOptions)
 	return f
 }
 
-// headGen returns shard s's delta-log head generation.
-func (f *walFixture) headGen(s int) uint64 { return f.rt.shards[s].log.Head() }
+// headGen returns the fleet delta log's head generation.
+func (f *walFixture) headGen() uint64 { return f.rt.log.Head() }
 
 // replicaWALGen asks a replica directly for its applied log position.
 func replicaWALGen(t *testing.T, p *replicaProc) uint64 {
@@ -483,7 +488,7 @@ func TestRollingRestartZero5xx(t *testing.T) {
 			p.boot(t, f.base, nil)
 			p.down.Store(false)
 			ingest()
-			head := f.headGen(s)
+			head := f.headGen()
 			waitFor(t, 10*time.Second, fmt.Sprintf("shard %d replica %d to catch up", s, ri), func() bool {
 				return replicaWALGen(t, p) >= head
 			})
@@ -548,7 +553,7 @@ func TestReplicaCatchUpGating(t *testing.T) {
 	}
 	// Release B, let it catch up, and verify it rejoins the rotation.
 	close(gate)
-	head := f.headGen(0)
+	head := f.headGen()
 	waitFor(t, 10*time.Second, "replica B to catch up", func() bool {
 		return replicaWALGen(t, b) >= head
 	})
@@ -586,7 +591,7 @@ func TestReadGateSurvivesOutOfOrderPositions(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(rt.Close)
-	a, b := rt.shards[0].replicas[0], rt.shards[0].replicas[1]
+	a, b := rt.shards[0][0], rt.shards[0][1]
 	call := func(rep *replicaState, query string) {
 		if res := rt.callReplica(context.Background(), 5*time.Second, rep, http.MethodGet, "/healthz?"+query, nil); !res.ok() {
 			t.Errorf("stub call %s: status %d, err %v", query, res.status, res.err)
@@ -661,11 +666,28 @@ func TestIngestBackpressure(t *testing.T) {
 	assertEnvelope(t, body, codeReplicaLagging)
 
 	close(gate)
-	head := f.headGen(0)
+	head := f.headGen()
 	waitFor(t, 10*time.Second, "replica B to drain", func() bool {
 		return replicaWALGen(t, b) >= head
 	})
 	postJSON(t, f.routerTS.Client(), f.routerTS.URL+"/v1/ingest", `{"day":14}`, 200)
+}
+
+// TestIngestAppendFailure: when the fleet log cannot take a batch, the
+// router cannot know whether replicas will see it, so it answers 503
+// unavailable — never a partial-apply report — and every later ingest
+// gets the same answer.
+func TestIngestAppendFailure(t *testing.T) {
+	f := newWALFixture(t, 2, 1, RouterOptions{})
+	postJSON(t, f.routerTS.Client(), f.routerTS.URL+"/v1/ingest", `{"day":11}`, 200)
+	f.rt.log.Close() // every later write to the file fails
+	for day := 12; day <= 13; day++ {
+		status, body := postRaw(t, f.routerTS.Client(), f.routerTS.URL+"/v1/ingest", fmt.Sprintf(`{"day":%d}`, day))
+		if status != http.StatusServiceUnavailable {
+			t.Fatalf("day %d: ingest over a failed log = %d, want 503: %s", day, status, body)
+		}
+		assertEnvelope(t, body, codeUnavailable)
+	}
 }
 
 // forceCheckpoint rolls a checkpoint on a replica synchronously (POST
@@ -686,13 +708,13 @@ func forceCheckpoint(t *testing.T, p *replicaProc) uint64 {
 }
 
 // restartReplica stops p, reboots it (hydrating when checkpointing is
-// enabled) and waits for it to catch up to its shard's log head.
+// enabled) and waits for it to catch up to the log head.
 func (f *walFixture) restartReplica(t *testing.T, p *replicaProc) {
 	t.Helper()
 	p.stop()
 	p.boot(t, f.base, nil)
 	p.down.Store(false)
-	head := f.headGen(p.shard)
+	head := f.headGen()
 	waitFor(t, 10*time.Second, fmt.Sprintf("shard %d replica %d to catch up", p.shard, p.idx), func() bool {
 		if errp := p.runErr.Load(); errp != nil {
 			t.Fatalf("shard %d replica %d follower died: %v", p.shard, p.idx, *errp)
@@ -753,7 +775,7 @@ func TestCheckpointReplayEquivalence(t *testing.T) {
 			// Roll a checkpoint on every replica at the current head, then
 			// keep writing so a real suffix exists past the artifact.
 			for s := 0; s < k; s++ {
-				if got, want := forceCheckpoint(t, f.procs[s][0]), f.headGen(s); got != want {
+				if got, want := forceCheckpoint(t, f.procs[s][0]), f.headGen(); got != want {
 					t.Fatalf("shard %d checkpoint covers %d, head is %d", s, got, want)
 				}
 			}
@@ -778,14 +800,14 @@ func TestCheckpointReplayEquivalence(t *testing.T) {
 			// again: replay-from-zero is now impossible (ErrCompacted), so
 			// only the hydration path can produce these identical worlds.
 			for s := 0; s < k; s++ {
-				meta, err := wal.ReadCheckpointMeta(wal.CheckpointPath(f.walDir, s, k))
+				meta, err := wal.ReadCheckpointMeta(wal.CheckpointPath(f.walDir))
 				if err != nil {
 					t.Fatalf("shard %d checkpoint meta: %v", s, err)
 				}
-				if err := f.rt.shards[s].log.TruncateBelow(meta.WALGen); err != nil {
+				if err := f.rt.log.TruncateBelow(meta.WALGen); err != nil {
 					t.Fatalf("shard %d truncate below %d: %v", s, meta.WALGen, err)
 				}
-				if base := f.rt.shards[s].log.BaseGen(); base != meta.WALGen {
+				if base := f.rt.log.BaseGen(); base != meta.WALGen {
 					t.Fatalf("shard %d: base %d after truncating below %d", s, base, meta.WALGen)
 				}
 			}
@@ -796,6 +818,93 @@ func TestCheckpointReplayEquivalence(t *testing.T) {
 			ingest(18)
 			assertSame("after post-truncation ingest")
 		})
+	}
+}
+
+// TestFleetCheckpointHydratesEveryShard: the fleet has one checkpoint,
+// and a replica of any shard can boot from it. Only shard 0's replica
+// rolls one; the log is then truncated below it, so shard 1's replica can
+// rejoin through that artifact alone — resuming its own shard's serving
+// generation from the artifact's vector, and staying byte-identical to
+// the single-process reference. The log directory holds one log and one
+// checkpoint, nothing per shard.
+func TestFleetCheckpointHydratesEveryShard(t *testing.T) {
+	f := newCkptWALFixture(t, 2, 1, 1<<20, RouterOptions{}) // checkpoint boots on, no cadence rolls
+	ref := httptest.NewServer(NewSharded(f.base, Options{
+		IngestSharded: detShardedIngester(f.base),
+	}).Handler())
+	t.Cleanup(ref.Close)
+
+	var refGens any
+	ingest := func(day int) {
+		t.Helper()
+		body := fmt.Sprintf(`{"day":%d}`, day)
+		refResp := postJSON(t, ref.Client(), ref.URL+"/v1/ingest", body, 200)
+		gotResp := postJSON(t, f.routerTS.Client(), f.routerTS.URL+"/v1/ingest", body, 200)
+		if !reflect.DeepEqual(refResp["shard_generations"], gotResp["shard_generations"]) {
+			t.Fatalf("day %d: shard generations diverge: %v vs %v", day, gotResp["shard_generations"], refResp["shard_generations"])
+		}
+		refGens = refResp["shard_generations"]
+	}
+	for day := 11; day <= 14; day++ {
+		ingest(day)
+	}
+	covered := forceCheckpoint(t, f.procs[0][0])
+	if covered != f.headGen() {
+		t.Fatalf("shard 0's checkpoint covers %d, head is %d", covered, f.headGen())
+	}
+	ingest(15)
+	if err := f.rt.log.TruncateBelow(covered); err != nil {
+		t.Fatalf("truncate below %d: %v", covered, err)
+	}
+
+	p := f.procs[1][0]
+	f.restartReplica(t, p)
+	var pos struct {
+		Generation    uint64 `json:"generation"`
+		CheckpointGen uint64 `json:"checkpoint_gen"`
+	}
+	_, body := getRaw(t, p.outer.Client(), p.outer.URL+"/v1/wal")
+	if err := json.Unmarshal(body, &pos); err != nil {
+		t.Fatalf("/v1/wal: %v: %s", err, body)
+	}
+	if pos.CheckpointGen == 0 {
+		t.Fatal("shard 1's replica reports checkpoint_gen 0: it did not hydrate the fleet checkpoint")
+	}
+	if want := uint64(refGens.([]any)[1].(float64)); pos.Generation != want {
+		t.Fatalf("shard 1's replica resumed at serving generation %d, want %d", pos.Generation, want)
+	}
+
+	ingest(16)
+	for _, path := range []string{
+		"/v1/search?q=sedan&limit=10",
+		"/v1/search?q=recall&limit=5",
+		"/v1/node?phrase=family+sedans",
+		"/v1/node?phrase=hybrid+sedans+16&type=concept",
+		"/v1/node?phrase=sedan+recall+wave+15",
+	} {
+		refStatus, refBody := getRaw(t, ref.Client(), ref.URL+path)
+		gotStatus, gotBody := getRaw(t, f.routerTS.Client(), f.routerTS.URL+path)
+		if refStatus != gotStatus || !bytes.Equal(refBody, gotBody) {
+			t.Fatalf("%s diverges after the cross-shard hydration:\nrouter: %s\nref:    %s", path, gotBody, refBody)
+		}
+	}
+
+	entries, err := os.ReadDir(f.walDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	for _, name := range names {
+		if name != "fleet.wal" && !strings.HasPrefix(name, "fleet.ckpt") {
+			t.Fatalf("log directory holds %q besides the fleet log and checkpoint: %v", name, names)
+		}
+	}
+	if !slices.Contains(names, "fleet.wal") || !slices.Contains(names, "fleet.ckpt") {
+		t.Fatalf("log directory lacks the fleet log or checkpoint: %v", names)
 	}
 }
 
@@ -842,8 +951,8 @@ func TestCheckpointCrashLadder(t *testing.T) {
 		t.Fatalf("second checkpoint covers %d, want 4", got)
 	}
 
-	primary := wal.CheckpointPath(f.walDir, 0, 1)
-	prev := wal.PrevCheckpointPath(f.walDir, 0, 1)
+	primary := wal.CheckpointPath(f.walDir)
+	prev := wal.PrevCheckpointPath(f.walDir)
 	corrupt := func(path string) {
 		t.Helper()
 		data, err := os.ReadFile(path)
@@ -879,7 +988,7 @@ func TestCheckpointCrashLadder(t *testing.T) {
 	if got := forceCheckpoint(t, p); got != 4 {
 		t.Fatalf("checkpoint covers %d, want 4", got)
 	}
-	if err := f.rt.shards[0].log.TruncateBelow(2); err != nil {
+	if err := f.rt.log.TruncateBelow(2); err != nil {
 		t.Fatal(err)
 	}
 	corrupt(primary)
@@ -899,7 +1008,7 @@ func TestCheckpointCrashLadder(t *testing.T) {
 }
 
 // TestRouterCompaction: with RouterOptions.Compact, the prober truncates
-// each shard's log below the fleet-wide applied floor — but never past
+// the log below the fleet-wide applied floor — but never past
 // the published checkpoint — and a replica killed before the truncation
 // rejoins from the artifact. /healthz surfaces the wal block.
 func TestRouterCompaction(t *testing.T) {
@@ -914,10 +1023,10 @@ func TestRouterCompaction(t *testing.T) {
 	// Cadence rolls (every 2 gens) publish asynchronously; the prober then
 	// drives the log base up to min(applied floor, checkpoint floor).
 	waitFor(t, 10*time.Second, "the prober to truncate the log", func() bool {
-		return f.rt.shards[0].log.BaseGen() > 0
+		return f.rt.log.BaseGen() > 0
 	})
-	base := f.rt.shards[0].log.BaseGen()
-	meta, err := wal.ReadCheckpointMeta(wal.CheckpointPath(f.walDir, 0, 1))
+	base := f.rt.log.BaseGen()
+	meta, err := wal.ReadCheckpointMeta(wal.CheckpointPath(f.walDir))
 	if err != nil {
 		t.Fatalf("checkpoint meta after compaction: %v", err)
 	}
@@ -933,7 +1042,7 @@ func TestRouterCompaction(t *testing.T) {
 	// An ingest is acked at a quorum of one replica in two, so the sibling
 	// that kept running may itself still be a poll behind the head.
 	waitFor(t, 10*time.Second, "the running replica to reach the log head", func() bool {
-		return replicaWALGen(t, a) >= f.headGen(0)
+		return replicaWALGen(t, a) >= f.headGen()
 	})
 	for _, path := range []string{"/v1/search?q=sedan&limit=10", "/v1/node?phrase=family+sedans"} {
 		aStatus, aBody := getRaw(t, a.outer.Client(), a.outer.URL+path)

@@ -59,11 +59,12 @@ package serve
 // a replica by power-of-two-choices among the healthy replicas that have
 // applied the shard's newest known log generation (a replica still
 // tailing is never consulted for reads ahead of its position), and
-// /v1/ingest appends the batch to every shard's log, acking once a
-// quorum (⌈N/2⌉) of each shard's replicas confirm the apply — replicas
-// left behind catch up from the log alone, and a shard whose slowest
-// healthy replica trails the head by more than MaxLag pushes back with
-// 429 replica_lagging + Retry-After.
+// /v1/ingest appends the batch once to the fleet's one log, which every
+// replica of every shard tails, acking once a quorum (⌈N/2⌉) of each
+// shard's replicas confirm the apply — replicas left behind catch up from
+// the log alone, and a shard whose slowest healthy replica trails the
+// head by more than MaxLag pushes back with 429 replica_lagging +
+// Retry-After.
 
 import (
 	"bytes"
@@ -73,7 +74,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"strconv"
@@ -102,10 +102,10 @@ type RouterOptions struct {
 	// exist only by tailing the same delta log.
 	Replicas [][]string
 	// WALDir, when set, switches /v1/ingest to the delta-log protocol:
-	// batches are appended to a per-shard wal.Log under this directory
-	// (shard-<i>-of-<k>.wal) and acknowledged once a quorum of each
-	// shard's replicas confirm the apply through GET /v1/wal. Backends
-	// must then be log-tailing replicas (giantd -wal).
+	// each batch is appended once to the fleet's wal.Log in this directory
+	// (fleet.wal) and acknowledged once a quorum of each shard's replicas
+	// confirm the apply through GET /v1/wal. Backends must then be
+	// log-tailing replicas (giantd -wal).
 	WALDir string
 	// MaxLag bounds, per shard, how many delta-log generations the slowest
 	// healthy replica may trail the log head before ingest pushes back
@@ -140,13 +140,12 @@ type RouterOptions struct {
 	// backend's /healthz; 0 disables it (health marks still update on
 	// every proxied call).
 	ProbeInterval time.Duration
-	// Compact, on a delta-log fleet, lets the prober truncate each
-	// shard's log below the fleet-wide applied floor after every probe
-	// pass. The cut is additionally bounded by the covered position of
-	// the shard's newest published checkpoint, so a replica that died
-	// before the floor moved can still rejoin: everything below the cut
-	// is recoverable from the artifact. Requires ProbeInterval > 0 to
-	// run automatically.
+	// Compact, on a delta-log fleet, lets the prober truncate the log
+	// below the fleet-wide applied floor after every probe pass. The cut
+	// is additionally bounded by the covered position of the published
+	// checkpoint, so a replica that died before the floor moved can still
+	// rejoin: everything below the cut is recoverable from the artifact.
+	// Requires ProbeInterval > 0 to run automatically.
 	Compact bool
 	// Logf, when set, receives operational log lines — most usefully the
 	// backend health transitions ("shard 1 down: ...", "shard 1
@@ -171,13 +170,6 @@ type replicaState struct {
 	inflight atomic.Int64 // in-flight proxied calls, for power-of-two-choices
 }
 
-// shardSet is one shard's replica set plus, on a delta-log fleet, the
-// shard's append-only ingest log.
-type shardSet struct {
-	replicas []*replicaState
-	log      *wal.Log
-}
-
 // Router fans requests out over per-shard backends.
 type Router struct {
 	opts    RouterOptions
@@ -186,8 +178,12 @@ type Router struct {
 	mux     *http.ServeMux
 	metrics *metricsRegistry
 	// shards[i] holds shard i's replica set (length 1 for a plain
-	// Backends deployment) and delta log.
-	shards []*shardSet
+	// Backends deployment).
+	shards [][]*replicaState
+	// log is the fleet's one delta log on a delta-log fleet (nil
+	// otherwise): every batch is appended once, and every replica of
+	// every shard tails it.
+	log *wal.Log
 	// rr rotates the starting replica of each read, so power-of-two-
 	// choices samples a moving pair instead of a fixed one.
 	rr atomic.Uint64
@@ -288,25 +284,23 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		k:       k,
 		client:  opts.Client,
 		metrics: newMetricsRegistry(routerEndpointNames),
-		shards:  make([]*shardSet, k),
+		shards:  make([][]*replicaState, k),
 		stop:    make(chan struct{}),
 	}
 	for i, reps := range sets {
-		set := &shardSet{replicas: make([]*replicaState, len(reps))}
+		rt.shards[i] = make([]*replicaState, len(reps))
 		for ri, b := range reps {
-			set.replicas[ri] = &replicaState{shard: i, idx: ri, url: strings.TrimRight(b, "/")}
+			rt.shards[i][ri] = &replicaState{shard: i, idx: ri, url: strings.TrimRight(b, "/")}
 		}
-		if opts.WALDir != "" {
-			lg, err := wal.Open(filepath.Join(opts.WALDir, fmt.Sprintf("shard-%d-of-%d.wal", i, k)), i, k)
-			if err != nil {
-				for _, prev := range rt.shards[:i] {
-					prev.log.Close()
-				}
-				return nil, fmt.Errorf("serve: shard %d delta log: %w", i, err)
-			}
-			set.log = lg
+	}
+	if opts.WALDir != "" {
+		// The fleet log carries the unsharded stream: every replica of
+		// every shard applies every batch.
+		lg, err := wal.Open(wal.LogPath(opts.WALDir), 0, 1)
+		if err != nil {
+			return nil, fmt.Errorf("serve: delta log: %w", err)
 		}
-		rt.shards[i] = set
+		rt.log = lg
 	}
 	rt.enc = storytree.NewBagOfTokensEncoder(16, nil)
 	rt.story = storytree.DefaultOptions()
@@ -324,14 +318,14 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	return rt, nil
 }
 
-// walMode reports whether ingest flows through per-shard delta logs.
-func (rt *Router) walMode() bool { return rt.shards[0].log != nil }
+// walMode reports whether ingest flows through the fleet's delta log.
+func (rt *Router) walMode() bool { return rt.log != nil }
 
 // allReplicas flattens the fleet in (shard, replica) order.
 func (rt *Router) allReplicas() []*replicaState {
 	var out []*replicaState
-	for _, set := range rt.shards {
-		out = append(out, set.replicas...)
+	for _, reps := range rt.shards {
+		out = append(out, reps...)
 	}
 	return out
 }
@@ -342,15 +336,13 @@ func (rt *Router) NumShards() int { return rt.k }
 // Handler returns the router's HTTP handler.
 func (rt *Router) Handler() http.Handler { return rt.mux }
 
-// Close stops the background prober, closes the delta logs and releases
+// Close stops the background prober, closes the delta log and releases
 // idle backend connections. The router must not be used afterwards.
 func (rt *Router) Close() {
 	rt.stopOnce.Do(func() { close(rt.stop) })
 	rt.probeWG.Wait()
-	for _, set := range rt.shards {
-		if set.log != nil {
-			set.log.Close()
-		}
+	if rt.log != nil {
+		rt.log.Close()
 	}
 	rt.client.CloseIdleConnections()
 }
@@ -388,18 +380,18 @@ func (rt *Router) probeLoop() {
 		results := make([]backendResult, rt.k)
 		chosen := make([]bool, rt.k)
 		par.ForEachIndexed(rt.workers(), rt.k, func(i int) {
-			set := rt.shards[i]
-			probes := make([]backendResult, len(set.replicas))
-			for j, rep := range set.replicas {
+			reps := rt.shards[i]
+			probes := make([]backendResult, len(reps))
+			for j, rep := range reps {
 				probes[j] = rt.callReplica(context.Background(), rt.opts.Timeout, rep, http.MethodGet, "/healthz", nil)
 			}
 			var gate uint64
-			for _, rep := range set.replicas {
+			for _, rep := range reps {
 				if g := rep.applied.Load(); g > gate {
 					gate = g
 				}
 			}
-			for j, rep := range set.replicas {
+			for j, rep := range reps {
 				if probes[j].ok() && rep.applied.Load() >= gate {
 					results[i], chosen[i] = probes[j], true
 					break
@@ -439,7 +431,7 @@ func (rt *Router) probeLoop() {
 // route to has provably passed. ok=false when no replica is healthy
 // (a dead fleet has no known floor; nothing may be dropped).
 func (rt *Router) appliedFloor(s int) (floor uint64, ok bool) {
-	for _, rep := range rt.shards[s].replicas {
+	for _, rep := range rt.shards[s] {
 		if rep.down.Load() {
 			continue
 		}
@@ -451,55 +443,53 @@ func (rt *Router) appliedFloor(s int) (floor uint64, ok bool) {
 	return floor, ok
 }
 
-// checkpointFloor returns the log position covered by shard s's newest
-// published checkpoint artifact (0 when none exists or it is unusable).
-func (rt *Router) checkpointFloor(s int) uint64 {
-	if rt.opts.WALDir == "" {
-		return 0
-	}
-	meta, err := wal.ReadCheckpointMeta(wal.CheckpointPath(rt.opts.WALDir, s, rt.k))
-	if err != nil || meta.Shard != s || meta.Shards != rt.k {
+// checkpointFloor returns the log position covered by the fleet's
+// published checkpoint (0 when none exists, it is unusable, or it was
+// written for another shard count — no replica here could hydrate it).
+func (rt *Router) checkpointFloor() uint64 {
+	meta, err := wal.ReadCheckpointMeta(wal.CheckpointPath(rt.opts.WALDir))
+	if err != nil || len(meta.ServingGens) != rt.k {
 		return 0
 	}
 	return meta.WALGen
 }
 
-// compactOnce truncates every shard's delta log below
-// min(applied floor over healthy replicas, primary checkpoint's covered
-// position). The checkpoint bound is what makes the cut safe for
-// replicas the floor does not see (down, or not yet started): any
-// record below it is covered by a durable artifact they can hydrate.
-// Run by the prober when RouterOptions.Compact is set; also the
-// engine behind operator-driven truncation.
+// compactOnce truncates the fleet's delta log below min(applied floor
+// over the healthy replicas of every shard, published checkpoint's
+// covered position). The checkpoint bound is what makes the cut safe for
+// replicas the floor does not see (down, or not yet started): any record
+// below it is covered by a durable artifact they can hydrate. No cut is
+// made while some shard has no healthy replica. Run by the prober when
+// RouterOptions.Compact is set.
 func (rt *Router) compactOnce() {
 	if !rt.walMode() {
 		return
 	}
-	for s, set := range rt.shards {
-		floor, ok := rt.appliedFloor(s)
+	floor := rt.checkpointFloor()
+	for s := range rt.shards {
+		applied, ok := rt.appliedFloor(s)
 		if !ok {
-			continue
+			return
 		}
-		if ckpt := rt.checkpointFloor(s); ckpt < floor {
-			floor = ckpt
-		}
-		if floor <= set.log.BaseGen() {
-			continue
-		}
-		if err := set.log.TruncateBelow(floor); err != nil {
-			if rt.opts.Logf != nil {
-				rt.opts.Logf("wal: truncating shard %d log below %d: %v", s, floor, err)
-			}
-			continue
-		}
+		floor = min(floor, applied)
+	}
+	if floor <= rt.log.BaseGen() {
+		return
+	}
+	if err := rt.log.TruncateBelow(floor); err != nil {
 		if rt.opts.Logf != nil {
-			rt.opts.Logf("wal: shard %d log truncated below generation %d (head %d)", s, floor, set.log.Head())
+			rt.opts.Logf("wal: truncating the log below %d: %v", floor, err)
 		}
+		return
+	}
+	if rt.opts.Logf != nil {
+		rt.opts.Logf("wal: log truncated below generation %d (head %d)", floor, rt.log.Head())
 	}
 }
 
-// walShardStatus is the wire form of one shard's delta-log compaction
-// state in the router's /healthz and /v1/stats.
+// walShardStatus is the wire form of one shard's row of the delta-log
+// state in the router's /healthz and /v1/stats: the fleet's head, base and
+// checkpoint position, and the shard's own applied floor.
 type walShardStatus struct {
 	Shard         int    `json:"shard"`
 	Head          uint64 `json:"head"`
@@ -508,19 +498,14 @@ type walShardStatus struct {
 	CheckpointGen uint64 `json:"checkpoint_gen"`
 }
 
-// walStatus summarizes every shard's log head, truncation base, applied
-// floor and published-checkpoint position.
+// walStatus summarizes the log head, truncation base and
+// published-checkpoint position, with every shard's applied floor.
 func (rt *Router) walStatus() []walShardStatus {
 	out := make([]walShardStatus, rt.k)
-	for s, set := range rt.shards {
+	head, base, ckpt := rt.log.Head(), rt.log.BaseGen(), rt.checkpointFloor()
+	for s := range out {
 		floor, _ := rt.appliedFloor(s)
-		out[s] = walShardStatus{
-			Shard:         s,
-			Head:          set.log.Head(),
-			Base:          set.log.BaseGen(),
-			AppliedFloor:  floor,
-			CheckpointGen: rt.checkpointFloor(s),
-		}
+		out[s] = walShardStatus{Shard: s, Head: head, Base: base, AppliedFloor: floor, CheckpointGen: ckpt}
 	}
 	return out
 }
@@ -713,20 +698,20 @@ func (rep *replicaState) observeApplied(sentAt, g uint64) {
 // replicas follow, so traffic keeps probing a single-replica shard back
 // to recovery exactly as it did before replica sets existed.
 func (rt *Router) readOrder(shard int) []*replicaState {
-	set := rt.shards[shard]
-	if len(set.replicas) == 1 {
-		return set.replicas
+	reps := rt.shards[shard]
+	if len(reps) == 1 {
+		return reps
 	}
-	applied := make([]uint64, len(set.replicas))
+	applied := make([]uint64, len(reps))
 	var gate uint64
-	for i, rep := range set.replicas {
+	for i, rep := range reps {
 		applied[i] = rep.applied.Load()
 		if applied[i] > gate {
 			gate = applied[i]
 		}
 	}
 	var healthy, lagged []*replicaState
-	for i, rep := range set.replicas {
+	for i, rep := range reps {
 		if applied[i] < gate {
 			continue
 		}
@@ -766,7 +751,7 @@ func (rt *Router) markDown(rep *replicaState, cause error) {
 		// shard's head position again.
 		rep.applied.Store(0)
 		if rt.opts.Logf != nil {
-			if len(rt.shards[rep.shard].replicas) > 1 {
+			if len(rt.shards[rep.shard]) > 1 {
 				rt.opts.Logf("shard %d replica %d down: %v", rep.shard, rep.idx, cause)
 			} else {
 				rt.opts.Logf("shard %d down: %v", rep.shard, cause)
@@ -777,7 +762,7 @@ func (rt *Router) markDown(rep *replicaState, cause error) {
 
 func (rt *Router) markUp(rep *replicaState) {
 	if rep.down.Swap(false) && rt.opts.Logf != nil {
-		if len(rt.shards[rep.shard].replicas) > 1 {
+		if len(rt.shards[rep.shard]) > 1 {
 			rt.opts.Logf("shard %d replica %d recovered", rep.shard, rep.idx)
 		} else {
 			rt.opts.Logf("shard %d recovered", rep.shard)
@@ -1404,7 +1389,7 @@ func (rt *Router) handleIngest(r *http.Request, meta *respMeta) (int, any) {
 
 // ingestWAL is the delta-log ingest path: validate, push back if any
 // shard's slowest healthy replica has fallen too far behind, append the
-// batch to every shard's log, then block until a quorum (⌈N/2⌉) of each
+// batch once to the fleet's log, then block until a quorum (⌈N/2⌉) of each
 // shard's replicas confirm the apply through GET /v1/wal. Replicas left
 // behind by the quorum catch up from the log alone and are kept out of
 // read rotation by the generation gate until they do.
@@ -1419,8 +1404,8 @@ func (rt *Router) ingestWAL(ctx context.Context, meta *respMeta, body []byte) (i
 	// head by more than MaxLag must drain first — otherwise a slow-but-
 	// alive replica falls unboundedly far behind the reads its gate
 	// position already excludes it from serving.
-	for s, set := range rt.shards {
-		head := set.log.Head()
+	head := rt.log.Head()
+	for s := range rt.shards {
 		minApplied, have := rt.appliedFloor(s)
 		if have && head > minApplied && head-minApplied > rt.opts.MaxLag {
 			meta.setHeader("Retry-After", "1")
@@ -1431,49 +1416,26 @@ func (rt *Router) ingestWAL(ctx context.Context, meta *respMeta, body []byte) (i
 			return http.StatusTooManyRequests, e
 		}
 	}
-	// Append to every shard's log. A failed append after earlier shards
-	// accepted is a partial write — the appended shards' replicas will
-	// apply it — reported exactly like a diverged broadcast.
-	walGens := make([]uint64, rt.k)
-	var appendFailed []int
-	var appendErr error
-	for s, set := range rt.shards {
-		g, err := set.log.Append(batch.Day, body)
-		if err != nil {
-			appendFailed = append(appendFailed, s)
-			if appendErr == nil {
-				appendErr = err
-			}
-			continue
-		}
-		walGens[s] = g
-	}
-	if len(appendFailed) > 0 {
+	walGen, err := rt.log.Append(batch.Day, body)
+	if err != nil {
+		// The record may have reached the file, and replicas may apply it:
+		// the outcome is unknown, and the log refuses further appends until
+		// the router restarts and its recovery settles the tail.
 		rt.invalidate()
-		rows := make([]shardWriteStatus, rt.k)
-		for s := range rows {
-			rows[s] = shardWriteStatus{Shard: s, Applied: walGens[s] != 0}
-			if walGens[s] == 0 {
-				rows[s].Error = appendErr.Error()
-			}
-		}
-		return http.StatusBadGateway, map[string]any{
-			"error": apiError{Code: codePartialApply, Message: fmt.Sprintf(
-				"delta log append failed on shards %v: %v; reconcile the shards marked applied=false", appendFailed, appendErr)},
-			"shards": rows,
-		}
+		return http.StatusServiceUnavailable, errBody(codeUnavailable,
+			"delta log append failed, so this batch may or may not be applied; restart the router to recover the log: %v", err)
 	}
-	status, resp := rt.awaitQuorum(ctx, meta, walGens)
+	status, resp := rt.awaitQuorum(ctx, meta, walGen)
 	rt.invalidateAfterWrite(status)
 	return status, resp
 }
 
-// awaitQuorum asks every replica to confirm the apply of its shard's log
-// record walGens[shard] and merges the outcome once each shard reaches
-// quorum (or every replica has answered). Because replicas apply the
-// deterministic mining pipeline, any confirming replica's recorded
-// outcome stands for the whole shard.
-func (rt *Router) awaitQuorum(ctx context.Context, meta *respMeta, walGens []uint64) (int, any) {
+// awaitQuorum asks every replica to confirm the apply of log record
+// walGen and merges the outcome once each shard reaches quorum (or every
+// replica has answered). Because replicas apply the deterministic mining
+// pipeline, any confirming replica's recorded outcome stands for its
+// whole shard.
+func (rt *Router) awaitQuorum(ctx context.Context, meta *respMeta, walGen uint64) (int, any) {
 	ackTimeout := rt.opts.WriteTimeout
 	// Detached from the client request: once appended, the apply wait must
 	// not be abandoned by a client disconnect.
@@ -1485,50 +1447,45 @@ func (rt *Router) awaitQuorum(ctx context.Context, meta *respMeta, walGens []uin
 		result map[string]any // the apply's response payload (when reported)
 		err    string
 	}
-	total := 0
-	for _, set := range rt.shards {
-		total += len(set.replicas)
-	}
-	acks := make(chan ack, total)
-	for s, set := range rt.shards {
-		pq := fmt.Sprintf("/v1/wal?wait=%d&timeout_ms=%d", walGens[s], ackTimeout.Milliseconds())
-		for _, rep := range set.replicas {
-			go func(s int, rep *replicaState) {
-				res := rt.callReplica(actx, ackTimeout+5*time.Second, rep, http.MethodGet, pq, nil)
-				a := ack{shard: s}
-				switch {
-				case res.err != nil:
-					a.err = res.err.Error()
-				case res.status != http.StatusOK:
-					a.err = fmt.Sprintf("status %d", res.status)
-				default:
-					var parsed struct {
-						Applied bool `json:"applied"`
-						Last    *struct {
-							WALGen uint64         `json:"wal_gen"`
-							Status int            `json:"status"`
-							Result map[string]any `json:"result"`
-						} `json:"last"`
-					}
-					if jerr := json.Unmarshal(res.body, &parsed); jerr != nil {
-						a.err = "bad /v1/wal response: " + jerr.Error()
-					} else if !parsed.Applied {
-						a.err = "apply wait timed out"
-					} else {
-						a.ok = true
-						if parsed.Last != nil && parsed.Last.WALGen == walGens[s] {
-							a.status = parsed.Last.Status
-							a.result = parsed.Last.Result
-						}
+	reps := rt.allReplicas()
+	acks := make(chan ack, len(reps))
+	pq := fmt.Sprintf("/v1/wal?wait=%d&timeout_ms=%d", walGen, ackTimeout.Milliseconds())
+	for _, rep := range reps {
+		go func(rep *replicaState) {
+			res := rt.callReplica(actx, ackTimeout+5*time.Second, rep, http.MethodGet, pq, nil)
+			a := ack{shard: rep.shard}
+			switch {
+			case res.err != nil:
+				a.err = res.err.Error()
+			case res.status != http.StatusOK:
+				a.err = fmt.Sprintf("status %d", res.status)
+			default:
+				var parsed struct {
+					Applied bool `json:"applied"`
+					Last    *struct {
+						WALGen uint64         `json:"wal_gen"`
+						Status int            `json:"status"`
+						Result map[string]any `json:"result"`
+					} `json:"last"`
+				}
+				if jerr := json.Unmarshal(res.body, &parsed); jerr != nil {
+					a.err = "bad /v1/wal response: " + jerr.Error()
+				} else if !parsed.Applied {
+					a.err = "apply wait timed out"
+				} else {
+					a.ok = true
+					if parsed.Last != nil && parsed.Last.WALGen == walGen {
+						a.status = parsed.Last.Status
+						a.result = parsed.Last.Result
 					}
 				}
-				acks <- a
-			}(s, rep)
-		}
+			}
+			acks <- a
+		}(rep)
 	}
 	need := make([]int, rt.k)
-	for s, set := range rt.shards {
-		need[s] = (len(set.replicas) + 1) / 2
+	for s, reps := range rt.shards {
+		need[s] = (len(reps) + 1) / 2
 	}
 	got := make([]int, rt.k)
 	statuses := make([]int, rt.k)
@@ -1545,7 +1502,7 @@ func (rt *Router) awaitQuorum(ctx context.Context, meta *respMeta, walGens []uin
 	// Drain until every shard reaches quorum with a recorded outcome, or
 	// every replica has answered; stragglers drain into the buffered
 	// channel and exit on their own.
-	for pending := total; pending > 0 && !quorum(); pending-- {
+	for pending := len(reps); pending > 0 && !quorum(); pending-- {
 		a := <-acks
 		if a.ok {
 			got[a.shard]++
@@ -1604,11 +1561,12 @@ func (rt *Router) awaitQuorum(ctx context.Context, meta *respMeta, walGens []uin
 		}
 	}
 	gens := make([]uint64, rt.k)
+	walGens := make([]uint64, rt.k) // one log: the same position for every shard
 	rows := make([]shardWriteStatus, rt.k)
 	nodes := 0
 	for s, rep := range reports {
 		g, _ := rep["generation"].(float64)
-		gens[s] = uint64(g)
+		gens[s], walGens[s] = uint64(g), walGen
 		applied := true
 		if rp, ok := rep["republished"].(bool); ok {
 			applied = rp

@@ -870,15 +870,17 @@ func (s *Server) handleIngest(st *state, r *http.Request) (int, any) {
 	if err := json.NewDecoder(r.Body).Decode(&batch); err != nil {
 		return bodyError("decode batch", err)
 	}
-	return s.ingestBatch(batch)
+	status, resp, _ := s.ingestBatch(batch)
+	return status, resp
 }
 
 // ingestBatch applies one decoded batch through the configured ingest
 // path and publishes the result — the shared core of POST /v1/ingest and
 // the delta-log Follower. It holds the swap lock across compute + publish
 // so concurrent ingests apply and publish in the same order (readers
-// never take this lock).
-func (s *Server) ingestBatch(batch delta.Batch) (int, any) {
+// never take this lock). Alongside the status and response it returns
+// the delta's touched-shard flags (nil unless the batch applied).
+func (s *Server) ingestBatch(batch delta.Batch) (int, any, []bool) {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
 	st := s.cur.Load()
@@ -898,9 +900,9 @@ func (s *Server) ingestBatch(batch delta.Batch) (int, any) {
 		// Batch-validation failures are the client's fault; anything else
 		// is an internal delta-pipeline failure and must surface as 5xx.
 		if errors.Is(err, delta.ErrInvalidBatch) {
-			return http.StatusUnprocessableEntity, errBody(codeInvalidBatch, "ingest: "+err.Error())
+			return http.StatusUnprocessableEntity, errBody(codeInvalidBatch, "ingest: "+err.Error()), nil
 		}
-		return http.StatusInternalServerError, errBody(codeInternal, "ingest: "+err.Error())
+		return http.StatusInternalServerError, errBody(codeInternal, "ingest: "+err.Error()), nil
 	}
 	var ts []int
 	for i, t := range touched {
@@ -948,7 +950,7 @@ func (s *Server) ingestBatch(batch delta.Batch) (int, any) {
 			"seeds":      len(d.Seeds),
 		}
 	}
-	return http.StatusOK, resp
+	return http.StatusOK, resp, touched
 }
 
 // handleRollback reverts serving to the previous retained generation —

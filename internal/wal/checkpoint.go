@@ -1,42 +1,45 @@
-// Checkpoint sidecar: a per-shard-log artifact that pins a full shard
-// world at a log position, so a restarting replica hydrates the
-// checkpoint and tails only the log suffix instead of re-mining the
-// whole history. Checkpoints are what make TruncateBelow safe — the
-// router never drops records that are not covered by a published
-// checkpoint.
+// Checkpoint sidecar: the fleet's one artifact that pins the full world at
+// a log position, so a restarting replica of any shard hydrates the
+// checkpoint and tails only the log suffix instead of re-mining the whole
+// history. Checkpoints are what make TruncateBelow safe — the router never
+// drops records that are not covered by the published checkpoint. Any
+// replica may write it: only the serving generations differ per shard, so
+// the header carries one per shard, and a replica of shard i resumes at
+// entry i.
 //
 // Layout (all integers little-endian):
 //
-//	header (56 bytes)
-//	  0   magic "GIANTCKP"     (8 bytes)
-//	  8   format version       (uint32, currently 1)
-//	  12  shard index i        (int32)
-//	  16  shard count k        (int32)
-//	  20  wal generation       (uint64: log position this covers)
-//	  28  serving generation   (uint64: the shard server's generation
-//	                            at that position)
-//	  36  snapshot length      (uint64)
-//	  44  state length         (uint64)
-//	  52  header CRC32C        (over bytes [0,52))
+//	header (44 + 8k bytes)
+//	  0       magic "GIANTCKP"     (8 bytes)
+//	  8       format version       (uint32, currently 2)
+//	  12      shard count k        (uint32, 1..maxCheckpointShards)
+//	  16      wal generation       (uint64: log position this covers)
+//	  24      snapshot length      (uint64)
+//	  32      state length         (uint64)
+//	  40      serving generations  (k × uint64: shard i's server
+//	                                generation at that position)
+//	  40+8k   header CRC32C        (over bytes [0,40+8k))
 //	snapshot bytes (GIANTBIN union snapshot) + CRC32C (uint32)
 //	state bytes (opaque host blob)           + CRC32C (uint32)
 //
 // Publication keeps the atomic-rename discipline of the log itself: the
-// new artifact is written to a temp file and fsynced, the current
-// primary (if any) is hard-linked into its ".prev" slot, and the temp
-// file is renamed over the primary. The primary path therefore never
-// disappears once it exists, a crash at any point leaves at least one
-// fully intact artifact, and readers walk the ladder newest-first:
-// primary checkpoint, previous checkpoint, full log replay. Publishers
-// of one shard serialize on an advisory file lock and never replace a
-// primary with one that covers less of the log.
+// new artifact is written to a temp file and fsynced, the current primary
+// (if any) is hard-linked into its ".prev" slot, and the temp file is
+// renamed over the primary. The primary path therefore never disappears
+// once it exists, a crash at any point leaves at least one fully intact
+// artifact, and readers walk the ladder newest-first: primary checkpoint,
+// previous checkpoint, full log replay. Publishers serialize on an
+// advisory file lock and never replace a primary with one that covers
+// less of the log.
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -47,61 +50,60 @@ import (
 const CheckpointMagic = "GIANTCKP"
 
 // CheckpointVersion is the current checkpoint format version.
-const CheckpointVersion = 1
+const CheckpointVersion = 2
 
 const (
-	ckptHeaderSize = 56
-	ckptTrailSize  = 4
+	// ckptFixedSize is the header prefix before the generation vector.
+	ckptFixedSize = 40
+	ckptTrailSize = 4
+	// maxCheckpointShards bounds the generation vector, so a corrupt
+	// shard count can never size an allocation.
+	maxCheckpointShards = 1 << 12
 )
 
-// Checkpoint is one published artifact: the shard's union snapshot in
-// GIANTBIN encoding plus an opaque host-state blob, stamped with the
-// log position it covers and the serving generation a replica must
-// resume at.
-type Checkpoint struct {
-	Shard      int
-	Shards     int
-	WALGen     uint64 // last log generation whose effects are included
-	ServingGen uint64 // shard server generation at that log position
-	Snapshot   []byte // GIANTBIN-encoded union snapshot
-	State      []byte // opaque host state (mining context, click log tail)
-}
-
-// CheckpointMeta is the header-only view of an artifact — enough for
-// the router to learn the covered log position without decoding
-// megabytes of snapshot.
+// CheckpointMeta is the header view of an artifact: the log position it
+// covers and every shard's serving generation there. It is also where a
+// follower resumes; the zero value is a fresh boot at position 0.
 type CheckpointMeta struct {
-	Shard      int
-	Shards     int
-	WALGen     uint64
-	ServingGen uint64
+	WALGen      uint64   // last log generation whose effects are included
+	ServingGens []uint64 // ServingGens[i]: shard i's server generation at WALGen
 }
 
-// CheckpointPath returns the canonical primary checkpoint path for a
-// shard log directory, alongside the shard's .wal file.
-func CheckpointPath(dir string, shard, shards int) string {
-	return filepath.Join(dir, fmt.Sprintf("shard-%d-of-%d.ckpt", shard, shards))
+// Checkpoint is one published artifact: the union snapshot in GIANTBIN
+// encoding plus an opaque host-state blob, stamped with the log position
+// it covers and the serving generations replicas resume at.
+type Checkpoint struct {
+	CheckpointMeta
+	Snapshot []byte // GIANTBIN-encoded union snapshot
+	State    []byte // opaque host state (mining context, click log tail)
 }
+
+// CheckpointPath returns the primary checkpoint path in a log directory,
+// beside the fleet log.
+func CheckpointPath(dir string) string { return filepath.Join(dir, "fleet.ckpt") }
 
 // PrevCheckpointPath returns the rotation slot the previous primary is
 // moved to when a new checkpoint is published.
-func PrevCheckpointPath(dir string, shard, shards int) string {
-	return CheckpointPath(dir, shard, shards) + ".prev"
-}
+func PrevCheckpointPath(dir string) string { return CheckpointPath(dir) + ".prev" }
+
+func ckptHeaderSize(k int) int { return ckptFixedSize + 8*k + ckptTrailSize }
 
 // encodeCheckpoint renders the full artifact bytes.
 func encodeCheckpoint(ck *Checkpoint) []byte {
-	buf := make([]byte, ckptHeaderSize+len(ck.Snapshot)+ckptTrailSize+len(ck.State)+ckptTrailSize)
+	k := len(ck.ServingGens)
+	hdr := ckptHeaderSize(k)
+	buf := make([]byte, hdr+len(ck.Snapshot)+ckptTrailSize+len(ck.State)+ckptTrailSize)
 	copy(buf[0:8], CheckpointMagic)
 	binary.LittleEndian.PutUint32(buf[8:], CheckpointVersion)
-	binary.LittleEndian.PutUint32(buf[12:], uint32(int32(ck.Shard)))
-	binary.LittleEndian.PutUint32(buf[16:], uint32(int32(ck.Shards)))
-	binary.LittleEndian.PutUint64(buf[20:], ck.WALGen)
-	binary.LittleEndian.PutUint64(buf[28:], ck.ServingGen)
-	binary.LittleEndian.PutUint64(buf[36:], uint64(len(ck.Snapshot)))
-	binary.LittleEndian.PutUint64(buf[44:], uint64(len(ck.State)))
-	binary.LittleEndian.PutUint32(buf[52:], crc32.Checksum(buf[:52], crcTable))
-	off := ckptHeaderSize
+	binary.LittleEndian.PutUint32(buf[12:], uint32(k))
+	binary.LittleEndian.PutUint64(buf[16:], ck.WALGen)
+	binary.LittleEndian.PutUint64(buf[24:], uint64(len(ck.Snapshot)))
+	binary.LittleEndian.PutUint64(buf[32:], uint64(len(ck.State)))
+	for i, g := range ck.ServingGens {
+		binary.LittleEndian.PutUint64(buf[ckptFixedSize+8*i:], g)
+	}
+	binary.LittleEndian.PutUint32(buf[hdr-ckptTrailSize:], crc32.Checksum(buf[:hdr-ckptTrailSize], crcTable))
+	off := hdr
 	copy(buf[off:], ck.Snapshot)
 	off += len(ck.Snapshot)
 	binary.LittleEndian.PutUint32(buf[off:], crc32.Checksum(ck.Snapshot, crcTable))
@@ -112,21 +114,23 @@ func encodeCheckpoint(ck *Checkpoint) []byte {
 	return buf
 }
 
-// PublishCheckpoint makes ck the primary checkpoint for its shard in
-// dir and moves the primary it replaces to the ".prev" slot — unless the
-// existing primary already covers ck.WALGen or more, in which case
-// neither slot is touched: the router may have truncated the log against
-// that primary, so the covered position must never move backwards.
+// PublishCheckpoint makes ck the primary checkpoint in dir and moves the
+// primary it replaces to the ".prev" slot — unless the existing primary
+// already covers ck.WALGen or more, in which case neither slot is touched:
+// the router may have truncated the log against that primary, so the
+// covered position must never move backwards.
 //
-// Several replicas of a shard publish into the same directory at their
+// Every replica of every shard publishes into the same directory at its
 // own pace. They serialize here on an advisory lock (released by the
-// kernel if the holder dies) held across the coverage check, the
-// rotation and the rename; without it a slow replica's older artifact
-// could pass the check and then overwrite a newer one, and two such
-// rotations would push the only artifact covering the truncated log out
-// of both slots.
+// kernel if the holder dies) held across the coverage check, the rotation
+// and the rename; without it a slow replica's older artifact could pass
+// the check and then overwrite a newer one, and two such rotations would
+// push the only artifact covering the truncated log out of both slots.
 func PublishCheckpoint(dir string, ck *Checkpoint) error {
-	primary := CheckpointPath(dir, ck.Shard, ck.Shards)
+	if k := len(ck.ServingGens); k < 1 || k > maxCheckpointShards {
+		return fmt.Errorf("wal: checkpoint for %d shards (want 1..%d)", k, maxCheckpointShards)
+	}
+	primary := CheckpointPath(dir)
 	unlock, err := lockFile(primary + ".lock")
 	if err != nil {
 		return fmt.Errorf("wal: lock checkpoint publication: %w", err)
@@ -167,7 +171,7 @@ func PublishCheckpoint(dir string, ck *Checkpoint) error {
 		// A second name for the outgoing primary, renamed over ".prev":
 		// the primary path itself stays in place until the rename below
 		// replaces it in one step.
-		prev := PrevCheckpointPath(dir, ck.Shard, ck.Shards)
+		prev := PrevCheckpointPath(dir)
 		link := prev + ".tmp"
 		if err := os.Remove(link); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return err
@@ -187,54 +191,68 @@ func PublishCheckpoint(dir string, ck *Checkpoint) error {
 	return nil
 }
 
-// readCheckpointHeader validates the fixed header and returns its
-// fields plus the expected total artifact size.
-func readCheckpointHeader(data []byte) (meta CheckpointMeta, snapLen, stateLen uint64, err error) {
-	if len(data) < ckptHeaderSize {
-		return meta, 0, 0, fmt.Errorf("%w: checkpoint shorter than its header", ErrTruncated)
+// readCheckpointHeader validates the header at the start of r and
+// returns its fields plus the section lengths and the header size. The
+// shard count is bounded before the generation vector is read, so a
+// corrupt count allocates nothing.
+func readCheckpointHeader(r io.ReaderAt) (meta CheckpointMeta, snapLen, stateLen uint64, hdrLen int, err error) {
+	var fixed [ckptFixedSize]byte
+	if _, err := readFull(r, fixed[:]); err != nil {
+		return meta, 0, 0, 0, fmt.Errorf("%w: checkpoint shorter than its header", ErrTruncated)
 	}
-	if string(data[0:8]) != CheckpointMagic {
-		return meta, 0, 0, fmt.Errorf("%w: not a GIANTCKP checkpoint", ErrBadMagic)
+	if string(fixed[0:8]) != CheckpointMagic {
+		return meta, 0, 0, 0, fmt.Errorf("%w: not a GIANTCKP checkpoint", ErrBadMagic)
 	}
-	if v := binary.LittleEndian.Uint32(data[8:]); v != CheckpointVersion {
-		return meta, 0, 0, fmt.Errorf("%w: checkpoint version %d", ErrFormatVersion, v)
+	if v := binary.LittleEndian.Uint32(fixed[8:]); v != CheckpointVersion {
+		return meta, 0, 0, 0, fmt.Errorf("%w: checkpoint version %d", ErrFormatVersion, v)
 	}
-	if sum := binary.LittleEndian.Uint32(data[52:]); sum != crc32.Checksum(data[:52], crcTable) {
-		return meta, 0, 0, fmt.Errorf("%w: checkpoint header", ErrChecksum)
+	k := binary.LittleEndian.Uint32(fixed[12:])
+	if k < 1 || k > maxCheckpointShards {
+		return meta, 0, 0, 0, fmt.Errorf("%w: checkpoint claims %d shards (at most %d)", ErrCorrupt, k, maxCheckpointShards)
 	}
-	meta.Shard = int(int32(binary.LittleEndian.Uint32(data[12:])))
-	meta.Shards = int(int32(binary.LittleEndian.Uint32(data[16:])))
-	meta.WALGen = binary.LittleEndian.Uint64(data[20:])
-	meta.ServingGen = binary.LittleEndian.Uint64(data[28:])
-	snapLen = binary.LittleEndian.Uint64(data[36:])
-	stateLen = binary.LittleEndian.Uint64(data[44:])
+	hdrLen = ckptHeaderSize(int(k))
+	hdr := make([]byte, hdrLen)
+	if _, err := readFull(r, hdr); err != nil {
+		return meta, 0, 0, 0, fmt.Errorf("%w: checkpoint shorter than its header", ErrTruncated)
+	}
+	crcAt := hdrLen - ckptTrailSize
+	if sum := binary.LittleEndian.Uint32(hdr[crcAt:]); sum != crc32.Checksum(hdr[:crcAt], crcTable) {
+		return meta, 0, 0, 0, fmt.Errorf("%w: checkpoint header", ErrChecksum)
+	}
+	meta.WALGen = binary.LittleEndian.Uint64(hdr[16:])
+	snapLen = binary.LittleEndian.Uint64(hdr[24:])
+	stateLen = binary.LittleEndian.Uint64(hdr[32:])
 	if snapLen > MaxPayload || stateLen > MaxPayload {
-		return meta, 0, 0, fmt.Errorf("%w: checkpoint claims %d-byte snapshot, %d-byte state", ErrCorrupt, snapLen, stateLen)
+		return meta, 0, 0, 0, fmt.Errorf("%w: checkpoint claims %d-byte snapshot, %d-byte state", ErrCorrupt, snapLen, stateLen)
 	}
-	return meta, snapLen, stateLen, nil
+	meta.ServingGens = make([]uint64, k)
+	for i := range meta.ServingGens {
+		meta.ServingGens[i] = binary.LittleEndian.Uint64(hdr[ckptFixedSize+8*i:])
+	}
+	return meta, snapLen, stateLen, hdrLen, nil
 }
 
 // ReadCheckpoint loads and fully validates the checkpoint at path:
-// header CRC, section CRCs, exact length, and shard identity. Every
-// corruption mode maps onto the same typed errors as the log itself so
-// callers can ladder with errors.Is.
-func ReadCheckpoint(path string, shard, shards int) (*Checkpoint, error) {
+// header CRC, section CRCs, exact length, and the shard count of the
+// fleet reading it. Every corruption mode maps onto the same typed errors
+// as the log itself so callers can ladder with errors.Is.
+func ReadCheckpoint(path string, shards int) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	meta, snapLen, stateLen, err := readCheckpointHeader(data)
+	meta, snapLen, stateLen, hdrLen, err := readCheckpointHeader(bytes.NewReader(data))
 	if err != nil {
 		return nil, err
 	}
-	if meta.Shard != shard || meta.Shards != shards {
-		return nil, fmt.Errorf("%w: checkpoint is shard %d/%d, want %d/%d", ErrShardMismatch, meta.Shard, meta.Shards, shard, shards)
+	if len(meta.ServingGens) != shards {
+		return nil, fmt.Errorf("%w: checkpoint covers %d shards, want %d", ErrShardMismatch, len(meta.ServingGens), shards)
 	}
-	want := ckptHeaderSize + int(snapLen) + ckptTrailSize + int(stateLen) + ckptTrailSize
+	want := hdrLen + int(snapLen) + ckptTrailSize + int(stateLen) + ckptTrailSize
 	if len(data) != want {
 		return nil, fmt.Errorf("%w: checkpoint is %d bytes, header promises %d", ErrTruncated, len(data), want)
 	}
-	off := ckptHeaderSize
+	off := hdrLen
 	snap := data[off : off+int(snapLen)]
 	off += int(snapLen)
 	if sum := binary.LittleEndian.Uint32(data[off:]); sum != crc32.Checksum(snap, crcTable) {
@@ -246,38 +264,26 @@ func ReadCheckpoint(path string, shard, shards int) (*Checkpoint, error) {
 	if sum := binary.LittleEndian.Uint32(data[off:]); sum != crc32.Checksum(state, crcTable) {
 		return nil, fmt.Errorf("%w: checkpoint state section", ErrChecksum)
 	}
-	return &Checkpoint{
-		Shard:      meta.Shard,
-		Shards:     meta.Shards,
-		WALGen:     meta.WALGen,
-		ServingGen: meta.ServingGen,
-		Snapshot:   snap,
-		State:      state,
-	}, nil
+	return &Checkpoint{CheckpointMeta: meta, Snapshot: snap, State: state}, nil
 }
 
-// ReadCheckpointMeta reads and header-CRC-validates only the fixed
-// header — the cheap probe the router uses to learn what log position a
-// published checkpoint covers before truncating below it. The section
-// payloads are NOT verified; use ReadCheckpoint before trusting the
-// contents.
+// ReadCheckpointMeta reads and header-CRC-validates only the header — the
+// cheap probe the router uses to learn what log position the published
+// checkpoint covers before truncating below it. The section payloads are
+// NOT verified; use ReadCheckpoint before trusting the contents.
 func ReadCheckpointMeta(path string) (CheckpointMeta, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return CheckpointMeta{}, err
 	}
 	defer f.Close()
-	var hdr [ckptHeaderSize]byte
-	if _, err := readFull(f, hdr[:]); err != nil {
-		return CheckpointMeta{}, fmt.Errorf("%w: checkpoint shorter than its header", ErrTruncated)
-	}
-	meta, _, _, err := readCheckpointHeader(hdr[:])
+	meta, _, _, _, err := readCheckpointHeader(f)
 	return meta, err
 }
 
-// readFull reads exactly len(buf) bytes from the start of f.
-func readFull(f *os.File, buf []byte) (int, error) {
-	n, err := f.ReadAt(buf, 0)
+// readFull reads exactly len(buf) bytes from the start of r.
+func readFull(r io.ReaderAt, buf []byte) (int, error) {
+	n, err := r.ReadAt(buf, 0)
 	if n == len(buf) {
 		return n, nil
 	}

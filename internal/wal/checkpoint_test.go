@@ -2,38 +2,44 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 )
 
-func sampleCheckpoint() *Checkpoint {
+// sampleCheckpoint is an artifact for a k-shard fleet with distinct
+// serving generations per shard.
+func sampleCheckpoint(k int) *Checkpoint {
+	gens := make([]uint64, k)
+	for i := range gens {
+		gens[i] = uint64(9 + i)
+	}
 	return &Checkpoint{
-		Shard:      1,
-		Shards:     2,
-		WALGen:     7,
-		ServingGen: 9,
-		Snapshot:   []byte("GIANTBIN-pretend-snapshot-bytes"),
-		State:      []byte(`{"docs":[],"records":[]}`),
+		CheckpointMeta: CheckpointMeta{WALGen: 7, ServingGens: gens},
+		Snapshot:       []byte("GIANTBIN-pretend-snapshot-bytes"),
+		State:          []byte(`{"docs":[],"records":[]}`),
 	}
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	ck := sampleCheckpoint()
+	ck := sampleCheckpoint(2)
 	if err := PublishCheckpoint(dir, ck); err != nil {
 		t.Fatalf("PublishCheckpoint: %v", err)
 	}
-	path := CheckpointPath(dir, 1, 2)
-	got, err := ReadCheckpoint(path, 1, 2)
+	path := CheckpointPath(dir)
+	got, err := ReadCheckpoint(path, 2)
 	if err != nil {
 		t.Fatalf("ReadCheckpoint: %v", err)
 	}
-	if got.WALGen != 7 || got.ServingGen != 9 {
-		t.Fatalf("generations = %d/%d, want 7/9", got.WALGen, got.ServingGen)
+	if got.WALGen != 7 || !reflect.DeepEqual(got.ServingGens, []uint64{9, 10}) {
+		t.Fatalf("generations = %d/%v, want 7/[9 10]", got.WALGen, got.ServingGens)
 	}
 	if !bytes.Equal(got.Snapshot, ck.Snapshot) || !bytes.Equal(got.State, ck.State) {
 		t.Fatal("sections did not round-trip byte-identical")
@@ -42,30 +48,30 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadCheckpointMeta: %v", err)
 	}
-	if meta.WALGen != 7 || meta.ServingGen != 9 || meta.Shard != 1 || meta.Shards != 2 {
-		t.Fatalf("meta = %+v, want shard 1/2 gens 7/9", meta)
+	if !reflect.DeepEqual(meta, got.CheckpointMeta) {
+		t.Fatalf("meta = %+v, want %+v", meta, got.CheckpointMeta)
 	}
 }
 
 func TestCheckpointRotation(t *testing.T) {
 	dir := t.TempDir()
-	first := sampleCheckpoint()
+	first := sampleCheckpoint(2)
 	if err := PublishCheckpoint(dir, first); err != nil {
 		t.Fatalf("publish first: %v", err)
 	}
-	second := sampleCheckpoint()
-	second.WALGen, second.ServingGen = 12, 14
+	second := sampleCheckpoint(2)
+	second.WALGen, second.ServingGens = 12, []uint64{14, 11}
 	if err := PublishCheckpoint(dir, second); err != nil {
 		t.Fatalf("publish second: %v", err)
 	}
-	cur, err := ReadCheckpoint(CheckpointPath(dir, 1, 2), 1, 2)
+	cur, err := ReadCheckpoint(CheckpointPath(dir), 2)
 	if err != nil {
 		t.Fatalf("read primary: %v", err)
 	}
 	if cur.WALGen != 12 {
 		t.Fatalf("primary covers generation %d, want 12", cur.WALGen)
 	}
-	prev, err := ReadCheckpoint(PrevCheckpointPath(dir, 1, 2), 1, 2)
+	prev, err := ReadCheckpoint(PrevCheckpointPath(dir), 2)
 	if err != nil {
 		t.Fatalf("read rotated previous: %v", err)
 	}
@@ -74,57 +80,97 @@ func TestCheckpointRotation(t *testing.T) {
 	}
 }
 
+// TestCheckpointShardMismatch: an artifact written for one shard count is
+// refused by a fleet of another — its generation vector cannot say where
+// this fleet's shards resume.
 func TestCheckpointShardMismatch(t *testing.T) {
 	dir := t.TempDir()
-	if err := PublishCheckpoint(dir, sampleCheckpoint()); err != nil {
+	if err := PublishCheckpoint(dir, sampleCheckpoint(2)); err != nil {
 		t.Fatalf("publish: %v", err)
 	}
-	if _, err := ReadCheckpoint(CheckpointPath(dir, 1, 2), 0, 2); !errors.Is(err, ErrShardMismatch) {
-		t.Fatalf("wrong shard: err = %v, want ErrShardMismatch", err)
+	for _, k := range []int{1, 3} {
+		if _, err := ReadCheckpoint(CheckpointPath(dir), k); !errors.Is(err, ErrShardMismatch) {
+			t.Fatalf("read as a %d-shard fleet: err = %v, want ErrShardMismatch", k, err)
+		}
+	}
+	if err := PublishCheckpoint(dir, sampleCheckpoint(0)); err == nil {
+		t.Fatal("published a checkpoint with an empty generation vector")
+	}
+}
+
+// TestCheckpointShardCountBound: a shard count past the bound is
+// ErrCorrupt before anything is sized from it.
+func TestCheckpointShardCountBound(t *testing.T) {
+	const k = 1 << 20 // an 8 MiB vector, were it ever allocated
+	var fixed [ckptFixedSize]byte
+	copy(fixed[:], CheckpointMagic)
+	binary.LittleEndian.PutUint32(fixed[8:], CheckpointVersion)
+	binary.LittleEndian.PutUint32(fixed[12:], k)
+	path := filepath.Join(t.TempDir(), "huge.ckpt")
+	if err := os.WriteFile(path, fixed[:], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, metaErr := ReadCheckpointMeta(path)
+	_, readErr := ReadCheckpoint(path, 1)
+	runtime.ReadMemStats(&after)
+	for _, err := range []error{metaErr, readErr} {
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("shard count %d: err = %v, want ErrCorrupt", k, err)
+		}
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+		t.Fatalf("rejecting shard count %d allocated %d bytes", k, grew)
 	}
 }
 
 // TestCheckpointBitFlipMatrix mirrors the WAL corruption matrix: a bit
 // flip in every region of the artifact (magic, version, header fields,
-// snapshot payload, snapshot CRC, state payload, state CRC) must be
-// rejected with a typed error — never silently accepted.
+// the first and last serving generation, snapshot payload, snapshot CRC,
+// state payload, state CRC) must be rejected with a typed error — never
+// silently accepted.
 func TestCheckpointBitFlipMatrix(t *testing.T) {
-	dir := t.TempDir()
-	ck := sampleCheckpoint()
-	if err := PublishCheckpoint(dir, ck); err != nil {
-		t.Fatalf("publish: %v", err)
-	}
-	clean, err := os.ReadFile(CheckpointPath(dir, 1, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapEnd := ckptHeaderSize + len(ck.Snapshot)
-	regions := []struct {
-		name string
-		off  int64
-	}{
-		{"magic", 0},
-		{"version", 8},
-		{"shard", 12},
-		{"wal-gen", 20},
-		{"serving-gen", 28},
-		{"snap-len", 36},
-		{"state-len", 44},
-		{"header-crc", 52},
-		{"snapshot-payload", ckptHeaderSize + 3},
-		{"snapshot-crc", int64(snapEnd)},
-		{"state-payload", int64(snapEnd) + ckptTrailSize + 2},
-		{"state-crc", int64(snapEnd) + ckptTrailSize + int64(len(ck.State))},
-	}
-	for _, rg := range regions {
-		p := filepath.Join(t.TempDir(), "flipped.ckpt")
-		damaged := append([]byte(nil), clean...)
-		damaged[rg.off] ^= 0x10
-		if err := os.WriteFile(p, damaged, 0o644); err != nil {
+	for _, k := range []int{1, 3} {
+		dir := t.TempDir()
+		ck := sampleCheckpoint(k)
+		if err := PublishCheckpoint(dir, ck); err != nil {
+			t.Fatalf("k=%d: publish: %v", k, err)
+		}
+		clean, err := os.ReadFile(CheckpointPath(dir))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadCheckpoint(p, 1, 2); err == nil {
-			t.Fatalf("bit flip in %s (offset %d) was accepted", rg.name, rg.off)
+		hdr := ckptHeaderSize(k)
+		snapEnd := hdr + len(ck.Snapshot)
+		regions := []struct {
+			name string
+			off  int
+		}{
+			{"magic", 0},
+			{"version", 8},
+			{"shard-count", 12},
+			{"wal-gen", 16},
+			{"snap-len", 24},
+			{"state-len", 32},
+			{"first-serving-gen", ckptFixedSize},
+			{"last-serving-gen", ckptFixedSize + 8*(k-1)},
+			{"header-crc", hdr - ckptTrailSize},
+			{"snapshot-payload", hdr + 3},
+			{"snapshot-crc", snapEnd},
+			{"state-payload", snapEnd + ckptTrailSize + 2},
+			{"state-crc", snapEnd + ckptTrailSize + len(ck.State)},
+		}
+		for _, rg := range regions {
+			p := filepath.Join(t.TempDir(), "flipped.ckpt")
+			damaged := append([]byte(nil), clean...)
+			damaged[rg.off] ^= 0x10
+			if err := os.WriteFile(p, damaged, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ReadCheckpoint(p, k); err == nil {
+				t.Fatalf("k=%d: bit flip in %s (offset %d) was accepted", k, rg.name, rg.off)
+			}
 		}
 	}
 }
@@ -132,34 +178,37 @@ func TestCheckpointBitFlipMatrix(t *testing.T) {
 // TestCheckpointTruncationMatrix cuts the artifact at every boundary
 // and a few interior bytes; every cut must be rejected.
 func TestCheckpointTruncationMatrix(t *testing.T) {
-	dir := t.TempDir()
-	ck := sampleCheckpoint()
-	if err := PublishCheckpoint(dir, ck); err != nil {
-		t.Fatalf("publish: %v", err)
-	}
-	clean, err := os.ReadFile(CheckpointPath(dir, 1, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cuts := []int{0, 7, ckptHeaderSize - 1, ckptHeaderSize,
-		ckptHeaderSize + len(ck.Snapshot)/2,
-		len(clean) - ckptTrailSize - 1, len(clean) - 1}
-	for _, cut := range cuts {
-		p := filepath.Join(t.TempDir(), "cut.ckpt")
-		if err := os.WriteFile(p, clean[:cut], 0o644); err != nil {
+	for _, k := range []int{1, 3} {
+		dir := t.TempDir()
+		ck := sampleCheckpoint(k)
+		if err := PublishCheckpoint(dir, ck); err != nil {
+			t.Fatalf("k=%d: publish: %v", k, err)
+		}
+		clean, err := os.ReadFile(CheckpointPath(dir))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadCheckpoint(p, 1, 2); !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrChecksum) && !errors.Is(err, ErrBadMagic) {
-			t.Fatalf("cut at %d bytes: err = %v, want a typed corruption error", cut, err)
+		hdr := ckptHeaderSize(k)
+		cuts := []int{0, 7, ckptFixedSize - 1, ckptFixedSize, ckptFixedSize + 8*k, hdr - 1, hdr,
+			hdr + len(ck.Snapshot)/2,
+			len(clean) - ckptTrailSize - 1, len(clean) - 1}
+		for _, cut := range cuts {
+			p := filepath.Join(t.TempDir(), "cut.ckpt")
+			if err := os.WriteFile(p, clean[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ReadCheckpoint(p, k); !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrChecksum) && !errors.Is(err, ErrBadMagic) {
+				t.Fatalf("k=%d: cut at %d bytes: err = %v, want a typed corruption error", k, cut, err)
+			}
 		}
-	}
-	// Trailing garbage (a torn copy landing long) is rejected too.
-	p := filepath.Join(t.TempDir(), "long.ckpt")
-	if err := os.WriteFile(p, append(append([]byte(nil), clean...), 0xEE), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadCheckpoint(p, 1, 2); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("over-long artifact: err = %v, want ErrTruncated", err)
+		// Trailing garbage (a torn copy landing long) is rejected too.
+		p := filepath.Join(t.TempDir(), "long.ckpt")
+		if err := os.WriteFile(p, append(append([]byte(nil), clean...), 0xEE), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadCheckpoint(p, k); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("k=%d: over-long artifact: err = %v, want ErrTruncated", k, err)
+		}
 	}
 }
 
@@ -168,15 +217,15 @@ func TestCheckpointTruncationMatrix(t *testing.T) {
 // promise header integrity.
 func TestCheckpointMetaDoesNotReadSections(t *testing.T) {
 	dir := t.TempDir()
-	if err := PublishCheckpoint(dir, sampleCheckpoint()); err != nil {
+	if err := PublishCheckpoint(dir, sampleCheckpoint(2)); err != nil {
 		t.Fatalf("publish: %v", err)
 	}
-	path := CheckpointPath(dir, 1, 2)
-	flipBit(t, path, ckptHeaderSize+1) // damage the snapshot section
+	path := CheckpointPath(dir)
+	flipBit(t, path, int64(ckptHeaderSize(2))+1) // damage the snapshot section
 	if _, err := ReadCheckpointMeta(path); err != nil {
 		t.Fatalf("ReadCheckpointMeta with damaged section: %v", err)
 	}
-	if _, err := ReadCheckpoint(path, 1, 2); !errors.Is(err, ErrChecksum) {
+	if _, err := ReadCheckpoint(path, 2); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("ReadCheckpoint with damaged section: err = %v, want ErrChecksum", err)
 	}
 }
@@ -189,19 +238,19 @@ func TestPublishCheckpointNeverRegresses(t *testing.T) {
 	dir := t.TempDir()
 	publish := func(walGen uint64) {
 		t.Helper()
-		ck := sampleCheckpoint()
-		ck.WALGen, ck.ServingGen = walGen, walGen+2
+		ck := sampleCheckpoint(2)
+		ck.WALGen, ck.ServingGens = walGen, []uint64{walGen + 2, walGen + 1}
 		if err := PublishCheckpoint(dir, ck); err != nil {
 			t.Fatalf("publish generation %d: %v", walGen, err)
 		}
 	}
 	slots := func() (primary, prev uint64) {
 		t.Helper()
-		cur, err := ReadCheckpoint(CheckpointPath(dir, 1, 2), 1, 2)
+		cur, err := ReadCheckpoint(CheckpointPath(dir), 2)
 		if err != nil {
 			t.Fatalf("read primary: %v", err)
 		}
-		old, err := ReadCheckpoint(PrevCheckpointPath(dir, 1, 2), 1, 2)
+		old, err := ReadCheckpoint(PrevCheckpointPath(dir), 2)
 		if err != nil {
 			t.Fatalf("read previous: %v", err)
 		}
@@ -221,18 +270,18 @@ func TestPublishCheckpointNeverRegresses(t *testing.T) {
 	}
 }
 
-// TestPublishCheckpointConcurrentPublishers is two replicas of one shard
-// checkpointing into the same directory at different paces — one rolls
-// generations 2, 4, 6, the slower one 2, 4 — while a reader polls the
-// way the router's prober and a restarting replica do. Once the first
-// artifact is out the primary path must always be there, the position
-// it covers must never move backwards, and whatever sits in ".prev"
-// must fully validate.
+// TestPublishCheckpointConcurrentPublishers is two replicas — of
+// different shards — checkpointing into the fleet's one directory at
+// different paces — one rolls generations 2, 4, 6, the slower one 2, 4 —
+// while a reader polls the way the router's prober and a restarting
+// replica do. Once the first artifact is out the primary path must always
+// be there, the position it covers must never move backwards, and
+// whatever sits in ".prev" must fully validate.
 func TestPublishCheckpointConcurrentPublishers(t *testing.T) {
 	payload := bytes.Repeat([]byte("snapshot"), 8<<10) // wide enough write windows to interleave
 	for round := 0; round < 20; round++ {
 		dir := t.TempDir()
-		primary, prev := CheckpointPath(dir, 1, 2), PrevCheckpointPath(dir, 1, 2)
+		primary, prev := CheckpointPath(dir), PrevCheckpointPath(dir)
 		first := make(chan struct{})
 		var firstOnce sync.Once
 		var publishers sync.WaitGroup
@@ -241,7 +290,10 @@ func TestPublishCheckpointConcurrentPublishers(t *testing.T) {
 			go func(gens []uint64) {
 				defer publishers.Done()
 				for _, g := range gens {
-					err := PublishCheckpoint(dir, &Checkpoint{Shard: 1, Shards: 2, WALGen: g, ServingGen: g + 1, Snapshot: payload, State: []byte("state")})
+					err := PublishCheckpoint(dir, &Checkpoint{
+						CheckpointMeta: CheckpointMeta{WALGen: g, ServingGens: []uint64{g + 1, g}},
+						Snapshot:       payload, State: []byte("state"),
+					})
 					if err != nil {
 						t.Errorf("round %d: publish generation %d: %v", round, g, err)
 					}
@@ -268,7 +320,7 @@ func TestPublishCheckpointConcurrentPublishers(t *testing.T) {
 				t.Fatalf("round %d: primary went back from generation %d to %d", round, floor, meta.WALGen)
 			}
 			floor = meta.WALGen
-			if _, err := ReadCheckpoint(prev, 1, 2); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			if _, err := ReadCheckpoint(prev, 2); err != nil && !errors.Is(err, fs.ErrNotExist) {
 				t.Fatalf("round %d: previous slot does not validate: %v", round, err)
 			}
 		}

@@ -1,13 +1,14 @@
-// Package wal implements the per-shard streaming delta log: an
-// append-only, CRC32C-checksummed record log of delta.Batch payloads
-// that replicated giantd backends tail to stay current.
+// Package wal implements the fleet's streaming delta log: an append-only,
+// CRC32C-checksummed record log of delta.Batch payloads that replicated
+// giantd backends tail to stay current.
 //
-// One log file carries one shard's ingest stream. The router appends
-// every accepted batch exactly once per shard log, stamping each record
-// with a dense, monotonically increasing log generation (1, 2, 3, ...);
-// replicas apply records in order through their own mining systems,
-// which — because mining is deterministic — reproduces the exact
-// serving generations of every peer at the same log position.
+// A fleet has one log, DIR/fleet.wal (LogPath). The router appends every
+// accepted batch to it exactly once, stamping each record with a dense,
+// monotonically increasing log generation (1, 2, 3, ...); every replica
+// of every shard applies the records in order through its own mining
+// system, which — because mining is deterministic — reproduces the exact
+// serving generations of every peer at the same log position. The header's
+// shard identity is checked on open; the fleet log is stamped 0 of 1.
 //
 // Layout (all integers little-endian):
 //
@@ -55,11 +56,15 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 )
 
 // Magic is the 8-byte tag every delta log starts with.
 const Magic = "GIANTWAL"
+
+// LogPath returns the fleet delta log's path in a log directory.
+func LogPath(dir string) string { return filepath.Join(dir, "fleet.wal") }
 
 // Version is the format version of a fresh (never-compacted) log.
 const Version = 1
@@ -100,8 +105,8 @@ var (
 	// payload length).
 	ErrCorrupt = errors.New("wal: corrupt GIANTWAL log")
 	// ErrShardMismatch reports a log stamped for a different shard
-	// identity than the opener expected — the classic misconfiguration
-	// of pointing replica i at shard j's stream.
+	// identity than the opener expected, or a checkpoint written for a
+	// different shard count.
 	ErrShardMismatch = errors.New("wal: log belongs to a different shard")
 	// ErrCompacted reports a request for generations at or below a
 	// compacted log's base: those records were truncated away and can
@@ -119,7 +124,7 @@ type Record struct {
 	Payload []byte
 }
 
-// Log is the writer's handle on a shard's delta log. A Log is safe for
+// Log is the writer's handle on a delta log. A Log is safe for
 // concurrent use; appends are serialized internally.
 type Log struct {
 	mu     sync.Mutex
@@ -132,6 +137,11 @@ type Log struct {
 	head   uint64  // generation of the last intact record
 	size   int64   // file offset past the last intact record
 	offs   []int64 // offs[g-base-1] = file offset of record g's prefix
+	// failed is the first write or fsync error of an Append. Its record may
+	// already be visible to readers, so the log refuses to write past head
+	// again until reopened; Open's recovery then adopts or drops the tail.
+	failed error
+	sync   func(*os.File) error // (*os.File).Sync; a seam for fault tests
 }
 
 // Create writes an empty log for shard/shards at path via the atomic
@@ -161,7 +171,7 @@ func Open(path string, shard, shards int) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	lg := &Log{f: f, path: path, shard: shard, shards: shards}
+	lg := &Log{f: f, path: path, shard: shard, shards: shards, sync: (*os.File).Sync}
 	if err := lg.recover(); err != nil {
 		f.Close()
 		return nil, err
@@ -239,18 +249,20 @@ func (l *Log) BaseGen() uint64 {
 	return l.base
 }
 
-// Shard returns the shard identity stamped in the log header.
-func (l *Log) Shard() (shard, shards int) { return l.shard, l.shards }
-
 // Append durably appends payload as the next record and returns the
 // log generation it was assigned. The record is written with a single
-// write call and fsynced before Append returns.
+// write call and fsynced before Append returns. After a failed write or
+// fsync the outcome of that record is unknown, and every later Append
+// returns the first failure until the log is reopened.
 func (l *Log) Append(day int, payload []byte) (uint64, error) {
 	if len(payload) > MaxPayload {
 		return 0, fmt.Errorf("wal: payload of %d bytes exceeds the %d-byte record bound", len(payload), MaxPayload)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.failed != nil {
+		return 0, l.stuck()
+	}
 	gen := l.head + 1
 	buf := make([]byte, recPrefixSize+len(payload)+recTrailSize)
 	binary.LittleEndian.PutUint64(buf[0:], gen)
@@ -260,15 +272,22 @@ func (l *Log) Append(day int, payload []byte) (uint64, error) {
 	sum := crc32.Checksum(buf[:recPrefixSize+len(payload)], crcTable)
 	binary.LittleEndian.PutUint32(buf[recPrefixSize+len(payload):], sum)
 	if _, err := l.f.WriteAt(buf, l.size); err != nil {
+		l.failed = err
 		return 0, err
 	}
-	if err := l.f.Sync(); err != nil {
+	if err := l.sync(l.f); err != nil {
+		l.failed = err
 		return 0, err
 	}
 	l.offs = append(l.offs, l.size)
 	l.size += int64(len(buf))
 	l.head = gen
 	return gen, nil
+}
+
+// stuck wraps the sticky append failure. The caller holds mu.
+func (l *Log) stuck() error {
+	return fmt.Errorf("wal: an earlier append failed, reopen the log to recover: %w", l.failed)
 }
 
 // TailFrom streams every record with generation strictly greater than
@@ -308,6 +327,9 @@ func (l *Log) TailFrom(afterGen uint64, fn func(Record) error) error {
 func (l *Log) TruncateBelow(floor uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.failed != nil {
+		return l.stuck()
+	}
 	if floor > l.head {
 		floor = l.head
 	}

@@ -102,6 +102,47 @@ func TestAppendAfterReopen(t *testing.T) {
 	}
 }
 
+// TestFailedAppendIsSticky: a record whose fsync failed may already be
+// visible to readers, so the log must never hand its generation to a
+// different batch. Every later Append (and TruncateBelow) returns the
+// first failure, and a reopen adopts the tail the file actually holds.
+func TestFailedAppendIsSticky(t *testing.T) {
+	path, _, _ := writeSample(t, 2)
+	lg, err := Open(path, 0, 2)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	injected := errors.New("injected fsync failure")
+	lg.sync = func(*os.File) error { return injected }
+	if _, err := lg.Append(3, []byte(`{"day":3}`)); !errors.Is(err, injected) {
+		t.Fatalf("first Append: err = %v, want the injected failure", err)
+	}
+	lg.sync = (*os.File).Sync // the disk recovers; the log must not
+	if gen, err := lg.Append(4, []byte(`{"day":4}`)); !errors.Is(err, injected) {
+		t.Fatalf("Append after a failed append = (%d, %v), want the first failure", gen, err)
+	}
+	if err := lg.TruncateBelow(1); !errors.Is(err, injected) {
+		t.Fatalf("TruncateBelow after a failed append: err = %v, want the first failure", err)
+	}
+	lg.Close()
+
+	lg, err = Open(path, 0, 2)
+	if err != nil {
+		t.Fatalf("reopen after the failed append: %v", err)
+	}
+	defer lg.Close()
+	recs := tailAll(t, lg, 0)
+	if lg.Head() != uint64(len(recs)) || lg.Head() != 3 {
+		t.Fatalf("reopened head %d over %d readable records, want 3", lg.Head(), len(recs))
+	}
+	if got := string(recs[2].Payload); got != `{"day":3}` {
+		t.Fatalf("generation 3 holds %s, want the batch whose fsync failed", got)
+	}
+	if gen, err := lg.Append(4, []byte(`{"day":4}`)); err != nil || gen != 4 {
+		t.Fatalf("Append after reopen = (%d, %v), want generation 4", gen, err)
+	}
+}
+
 // TestTruncationAtEveryBoundary cuts the file at every record boundary
 // and asserts the log reopens cleanly with exactly the surviving prefix.
 func TestTruncationAtEveryBoundary(t *testing.T) {
