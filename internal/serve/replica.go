@@ -314,7 +314,7 @@ func (f *Follower) apply(rec *wal.Record) {
 // whose projection is the union itself (ontology.ShardedSnapshot.Advance).
 func (f *Follower) advanceGens(touched []bool) {
 	for i := range f.gens {
-		if touched == nil || len(f.gens) == 1 || touched[i] {
+		if touched == nil || len(f.gens) == 1 || (i < len(touched) && touched[i]) {
 			f.gens[i]++
 		}
 	}
@@ -375,6 +375,9 @@ func (f *Follower) rollCheckpoint(walGen uint64) error {
 	defer f.ckptBusy.Store(false)
 	ck, err := f.captureCheckpoint(walGen)
 	if err != nil {
+		if f.opts.Logf != nil {
+			f.opts.Logf("wal: forced checkpoint at generation %d failed: %v", walGen, err)
+		}
 		return err
 	}
 	if err := f.publishCheckpoint(ck); err != nil {

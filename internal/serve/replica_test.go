@@ -22,6 +22,8 @@ package serve
 //   - TestFleetCheckpointHydratesEveryShard: the one fleet checkpoint,
 //     rolled by a replica of shard 0, boots a replica of shard 1 at its
 //     own shard's serving generation.
+//   - TestCheckpointRefusesDivergedGenerations: a follower whose own
+//     vector entry disagrees with its server publishes nothing.
 //   - TestIngestAppendFailure: a failed log append answers 503 with an
 //     unknown outcome, and so does every later ingest.
 //   - TestErrorEnvelope: every error path, across all four serving modes,
@@ -631,6 +633,45 @@ func TestReadGateSurvivesOutOfOrderPositions(t *testing.T) {
 	}
 }
 
+// TestReadFailsOverWhenTheGateDies: the read gate trusts only the highest
+// position the router has seen, so a replica that has caught up but not
+// yet said so sits behind it. When the one replica at the gate dies
+// mid-read, its mark resets and the gate falls to the best survivor — the
+// gate the next request would use anyway — and the read must be answered
+// there, not fail: a rolling restart can kill the at-gate replica while
+// its peers' last reports still trail it.
+func TestReadFailsOverWhenTheGateDies(t *testing.T) {
+	stub := func(pos string, alive *atomic.Bool) string {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if !alive.Load() {
+				if conn, _, err := w.(http.Hijacker).Hijack(); err == nil {
+					conn.Close()
+				}
+				return
+			}
+			w.Header().Set(walGenHeader, pos)
+			io.WriteString(w, "{}\n")
+		}))
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	var aliveA, aliveB atomic.Bool
+	aliveA.Store(true)
+	aliveB.Store(true)
+	rt, err := NewRouter(RouterOptions{Replicas: [][]string{{stub("5", &aliveA), stub("4", &aliveB)}}, WALDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	for _, rep := range rt.shards[0] {
+		rt.callReplica(context.Background(), 5*time.Second, rep, http.MethodGet, "/healthz", nil)
+	}
+	aliveA.Store(false)
+	if res := rt.call(context.Background(), 0, http.MethodGet, "/v1/search?q=x", nil); !res.ok() {
+		t.Fatalf("read after the at-gate replica died: status %d, err %v", res.status, res.err)
+	}
+}
+
 // TestIngestBackpressure: once a shard's slowest healthy replica trails
 // the log head by more than MaxLag, ingest answers 429 replica_lagging
 // with a Retry-After header — and admits writes again once the replica
@@ -905,6 +946,52 @@ func TestFleetCheckpointHydratesEveryShard(t *testing.T) {
 	}
 	if !slices.Contains(names, "fleet.wal") || !slices.Contains(names, "fleet.ckpt") {
 		t.Fatalf("log directory lacks the fleet log or checkpoint: %v", names)
+	}
+}
+
+// TestCheckpointRefusesDivergedGenerations: a follower whose own entry of
+// the generation vector disagrees with its server publishes nothing and
+// says why — the other entries follow the same rule, so an artifact built
+// from them could resume another shard at a wrong generation.
+func TestCheckpointRefusesDivergedGenerations(t *testing.T) {
+	base, err := ontology.ShardSnapshot(testOntology(0).Snapshot(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := &detShardHost{shard: 0, k: 2, cur: base}
+	srv := NewShard(base.Projection(0), Options{ShardIngest: host.ingest(nil), CheckpointSave: host.save, CheckpointRestore: host.restore})
+	dir := t.TempDir()
+	var logged sync.Map
+	fl, err := NewFollower(srv, FollowerOptions{
+		Dir:   dir,
+		Poll:  time.Millisecond,
+		Logf:  func(format string, args ...any) { logged.Store(fmt.Sprintf(format, args...), true) },
+		Start: wal.CheckpointMeta{ServingGens: []uint64{5, 1}}, // the server is at generation 1
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); fl.Run(ctx) }()
+	t.Cleanup(func() { cancel(); <-done })
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	status, body := postRaw(t, ts.Client(), ts.URL+"/v1/checkpoint", "")
+	if status != http.StatusInternalServerError || !strings.Contains(string(body), "refusing") {
+		t.Fatalf("checkpoint with a diverged vector = %d: %s", status, body)
+	}
+	if _, err := os.Stat(wal.CheckpointPath(dir)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a checkpoint was published anyway (stat: %v)", err)
+	}
+	refused := false
+	logged.Range(func(line, _ any) bool {
+		refused = refused || strings.Contains(line.(string), "refusing")
+		return !refused
+	})
+	if !refused {
+		t.Fatal("the refusal was not logged")
 	}
 }
 

@@ -75,6 +75,7 @@ import (
 	"net/http"
 	"net/url"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -598,17 +599,27 @@ func (rt *Router) call(ctx context.Context, shard int, method, pathAndQuery stri
 
 func (rt *Router) callTimeout(ctx context.Context, timeout time.Duration, shard int, method, pathAndQuery string, body []byte) backendResult {
 	var last backendResult
-	for _, rep := range rt.readOrder(shard) {
-		last = rt.callReplica(ctx, timeout, rep, method, pathAndQuery, body)
-		if last.err == nil && last.status < 500 {
+	try := func(order, skip []*replicaState) bool {
+		for _, rep := range order {
+			if slices.Contains(skip, rep) {
+				continue
+			}
+			last = rt.callReplica(ctx, timeout, rep, method, pathAndQuery, body)
 			// Any answered status below 500 is authoritative — a 404 is a
 			// node miss every replica of the shard would repeat, not a
 			// reason to fail over.
-			return last
+			if (last.err == nil && last.status < 500) || ctx.Err() != nil {
+				return true
+			}
 		}
-		if ctx.Err() != nil {
-			break
-		}
+		return false
+	}
+	first := rt.readOrder(shard)
+	if !try(first, nil) {
+		// Every replica that failed was marked down, which resets its
+		// applied position and can lower the read gate to a survivor the
+		// first ranking left out — the gate the next request would use.
+		try(rt.readOrder(shard), first)
 	}
 	return last
 }
