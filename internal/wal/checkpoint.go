@@ -197,7 +197,7 @@ func PublishCheckpoint(dir string, ck *Checkpoint) error {
 // corrupt count allocates nothing.
 func readCheckpointHeader(r io.ReaderAt) (meta CheckpointMeta, snapLen, stateLen uint64, hdrLen int, err error) {
 	var fixed [ckptFixedSize]byte
-	if _, err := readFull(r, fixed[:]); err != nil {
+	if _, err := io.ReadFull(io.NewSectionReader(r, 0, ckptFixedSize), fixed[:]); err != nil {
 		return meta, 0, 0, 0, fmt.Errorf("%w: checkpoint shorter than its header", ErrTruncated)
 	}
 	if string(fixed[0:8]) != CheckpointMagic {
@@ -212,7 +212,7 @@ func readCheckpointHeader(r io.ReaderAt) (meta CheckpointMeta, snapLen, stateLen
 	}
 	hdrLen = ckptHeaderSize(int(k))
 	hdr := make([]byte, hdrLen)
-	if _, err := readFull(r, hdr); err != nil {
+	if _, err := io.ReadFull(io.NewSectionReader(r, 0, int64(hdrLen)), hdr); err != nil {
 		return meta, 0, 0, 0, fmt.Errorf("%w: checkpoint shorter than its header", ErrTruncated)
 	}
 	crcAt := hdrLen - ckptTrailSize
@@ -279,16 +279,4 @@ func ReadCheckpointMeta(path string) (CheckpointMeta, error) {
 	defer f.Close()
 	meta, _, _, _, err := readCheckpointHeader(f)
 	return meta, err
-}
-
-// readFull reads exactly len(buf) bytes from the start of r.
-func readFull(r io.ReaderAt, buf []byte) (int, error) {
-	n, err := r.ReadAt(buf, 0)
-	if n == len(buf) {
-		return n, nil
-	}
-	if err == nil {
-		err = errors.New("wal: short read")
-	}
-	return n, err
 }

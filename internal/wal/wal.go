@@ -261,7 +261,7 @@ func (l *Log) Append(day int, payload []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.failed != nil {
-		return 0, l.stuck()
+		return 0, fmt.Errorf("wal: an earlier append failed, reopen the log to recover: %w", l.failed)
 	}
 	gen := l.head + 1
 	buf := make([]byte, recPrefixSize+len(payload)+recTrailSize)
@@ -283,11 +283,6 @@ func (l *Log) Append(day int, payload []byte) (uint64, error) {
 	l.size += int64(len(buf))
 	l.head = gen
 	return gen, nil
-}
-
-// stuck wraps the sticky append failure. The caller holds mu.
-func (l *Log) stuck() error {
-	return fmt.Errorf("wal: an earlier append failed, reopen the log to recover: %w", l.failed)
 }
 
 // TailFrom streams every record with generation strictly greater than
@@ -328,7 +323,7 @@ func (l *Log) TruncateBelow(floor uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.failed != nil {
-		return l.stuck()
+		return fmt.Errorf("wal: an earlier append failed, reopen the log to recover: %w", l.failed)
 	}
 	if floor > l.head {
 		floor = l.head
