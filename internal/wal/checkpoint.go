@@ -22,6 +22,9 @@
 //	snapshot bytes (GIANTBIN union snapshot) + CRC32C (uint32)
 //	state bytes (opaque host blob)           + CRC32C (uint32)
 //
+// The snapshot's GIANTBIN header is stamped with the wal generation, the
+// one generation every shard's replicas agree on.
+//
 // Publication keeps the atomic-rename discipline of the log itself: the
 // new artifact is written to a temp file and fsynced, the current primary
 // (if any) is hard-linked into its ".prev" slot, and the temp file is
