@@ -6,6 +6,7 @@
 package clickgraph
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -170,10 +171,12 @@ func (g *Graph) ClusterFor(seed string, cfg WalkConfig) (Cluster, bool) {
 	}
 	qProb := map[int]float64{qi: 1}
 	dProb := map[int]float64{}
+	var keys []int
 	for s := 0; s < cfg.Steps; s++ {
 		// Query -> doc hop.
 		nd := map[int]float64{}
-		for _, q := range sortedKeys(qProb) {
+		keys = sortedKeys(keys, qProb)
+		for _, q := range keys {
 			if g.qOut[q] == 0 {
 				continue
 			}
@@ -184,7 +187,8 @@ func (g *Graph) ClusterFor(seed string, cfg WalkConfig) (Cluster, bool) {
 		}
 		// Doc -> query hop.
 		nq := map[int]float64{}
-		for _, d := range sortedKeys(nd) {
+		keys = sortedKeys(keys, nd)
+		for _, d := range keys {
 			p := nd[d]
 			dProb[d] += p
 			if g.dOut[d] == 0 {
@@ -200,9 +204,10 @@ func (g *Graph) ClusterFor(seed string, cfg WalkConfig) (Cluster, bool) {
 	// Accumulate final query visiting probabilities (seed always kept).
 	qProb[qi] += 1
 
+	// sortWeighted is a total order (query texts and doc IDs are unique),
+	// so the collection below may range the maps in any order.
 	cl := Cluster{Seed: seed}
-	for _, q := range sortedKeys(qProb) {
-		p := qProb[q]
+	for q, p := range qProb {
 		if q != qi && p < cfg.Threshold {
 			continue
 		}
@@ -213,8 +218,7 @@ func (g *Graph) ClusterFor(seed string, cfg WalkConfig) (Cluster, bool) {
 		}
 		cl.Queries = append(cl.Queries, Weighted{Text: g.queries[q], Weight: p, DocID: -1})
 	}
-	for _, d := range sortedKeys(dProb) {
-		p := dProb[d]
+	for d, p := range dProb {
 		if p < cfg.Threshold {
 			continue
 		}
@@ -260,13 +264,14 @@ func (g *Graph) ClustersN(cfg WalkConfig, workers int) []Cluster {
 	return out
 }
 
-// sortedKeys lists a walk vector's node indexes in ascending order.
-func sortedKeys(m map[int]float64) []int {
-	keys := make([]int, 0, len(m))
+// sortedKeys lists a walk vector's node indexes in ascending order,
+// reusing buf's storage.
+func sortedKeys(buf []int, m map[int]float64) []int {
+	keys := buf[:0]
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Ints(keys)
+	slices.Sort(keys)
 	return keys
 }
 
