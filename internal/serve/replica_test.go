@@ -633,45 +633,6 @@ func TestReadGateSurvivesOutOfOrderPositions(t *testing.T) {
 	}
 }
 
-// TestReadFailsOverWhenTheGateDies: the read gate trusts only the highest
-// position the router has seen, so a replica that has caught up but not
-// yet said so sits behind it. When the one replica at the gate dies
-// mid-read, its mark resets and the gate falls to the best survivor — the
-// gate the next request would use anyway — and the read must be answered
-// there, not fail: a rolling restart can kill the at-gate replica while
-// its peers' last reports still trail it.
-func TestReadFailsOverWhenTheGateDies(t *testing.T) {
-	stub := func(pos string, alive *atomic.Bool) string {
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if !alive.Load() {
-				if conn, _, err := w.(http.Hijacker).Hijack(); err == nil {
-					conn.Close()
-				}
-				return
-			}
-			w.Header().Set(walGenHeader, pos)
-			io.WriteString(w, "{}\n")
-		}))
-		t.Cleanup(ts.Close)
-		return ts.URL
-	}
-	var aliveA, aliveB atomic.Bool
-	aliveA.Store(true)
-	aliveB.Store(true)
-	rt, err := NewRouter(RouterOptions{Replicas: [][]string{{stub("5", &aliveA), stub("4", &aliveB)}}, WALDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Close)
-	for _, rep := range rt.shards[0] {
-		rt.callReplica(context.Background(), 5*time.Second, rep, http.MethodGet, "/healthz", nil)
-	}
-	aliveA.Store(false)
-	if res := rt.call(context.Background(), 0, http.MethodGet, "/v1/search?q=x", nil); !res.ok() {
-		t.Fatalf("read after the at-gate replica died: status %d, err %v", res.status, res.err)
-	}
-}
-
 // TestIngestBackpressure: once a shard's slowest healthy replica trails
 // the log head by more than MaxLag, ingest answers 429 replica_lagging
 // with a Retry-After header — and admits writes again once the replica
@@ -717,9 +678,11 @@ func TestIngestBackpressure(t *testing.T) {
 // TestIngestAppendFailure: when the fleet log cannot take a batch, the
 // router cannot know whether replicas will see it, so it answers 503
 // unavailable — never a partial-apply report — and every later ingest
-// gets the same answer.
+// gets the same answer. /healthz reports the stopped log, and compaction
+// leaves it alone.
 func TestIngestAppendFailure(t *testing.T) {
-	f := newWALFixture(t, 2, 1, RouterOptions{})
+	var logged atomic.Int32
+	f := newWALFixture(t, 2, 1, RouterOptions{Logf: func(string, ...any) { logged.Add(1) }})
 	postJSON(t, f.routerTS.Client(), f.routerTS.URL+"/v1/ingest", `{"day":11}`, 200)
 	f.rt.log.Close() // every later write to the file fails
 	for day := 12; day <= 13; day++ {
@@ -728,6 +691,15 @@ func TestIngestAppendFailure(t *testing.T) {
 			t.Fatalf("day %d: ingest over a failed log = %d, want 503: %s", day, status, body)
 		}
 		assertEnvelope(t, body, codeUnavailable)
+	}
+	h := getJSON(t, f.routerTS.Client(), f.routerTS.URL+"/healthz", 200)
+	if h["status"] != "degraded" || h["wal_error"] == nil {
+		t.Fatalf("healthz over a failed log: status %v, wal_error %v", h["status"], h["wal_error"])
+	}
+	before := logged.Load()
+	f.rt.compactOnce()
+	if n := logged.Load() - before; n != 0 {
+		t.Fatalf("compaction over a failed log logged %d lines, want none", n)
 	}
 }
 

@@ -75,7 +75,6 @@ import (
 	"net/http"
 	"net/url"
 	"runtime"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -460,10 +459,11 @@ func (rt *Router) checkpointFloor() uint64 {
 // covered position). The checkpoint bound is what makes the cut safe for
 // replicas the floor does not see (down, or not yet started): any record
 // below it is covered by a durable artifact they can hydrate. No cut is
-// made while some shard has no healthy replica. Run by the prober when
+// made while some shard has no healthy replica, nor once an append has
+// failed (only a restart settles the log then). Run by the prober when
 // RouterOptions.Compact is set.
 func (rt *Router) compactOnce() {
-	if !rt.walMode() {
+	if !rt.walMode() || rt.log.Err() != nil {
 		return
 	}
 	floor := rt.checkpointFloor()
@@ -599,27 +599,17 @@ func (rt *Router) call(ctx context.Context, shard int, method, pathAndQuery stri
 
 func (rt *Router) callTimeout(ctx context.Context, timeout time.Duration, shard int, method, pathAndQuery string, body []byte) backendResult {
 	var last backendResult
-	try := func(order, skip []*replicaState) bool {
-		for _, rep := range order {
-			if slices.Contains(skip, rep) {
-				continue
-			}
-			last = rt.callReplica(ctx, timeout, rep, method, pathAndQuery, body)
+	for _, rep := range rt.readOrder(shard) {
+		last = rt.callReplica(ctx, timeout, rep, method, pathAndQuery, body)
+		if last.err == nil && last.status < 500 {
 			// Any answered status below 500 is authoritative — a 404 is a
 			// node miss every replica of the shard would repeat, not a
 			// reason to fail over.
-			if (last.err == nil && last.status < 500) || ctx.Err() != nil {
-				return true
-			}
+			return last
 		}
-		return false
-	}
-	first := rt.readOrder(shard)
-	if !try(first, nil) {
-		// Every replica that failed was marked down, which resets its
-		// applied position and can lower the read gate to a survivor the
-		// first ranking left out — the gate the next request would use.
-		try(rt.readOrder(shard), first)
+		if ctx.Err() != nil {
+			break
+		}
 	}
 	return last
 }
@@ -978,6 +968,11 @@ func (rt *Router) handleHealthz(r *http.Request, meta *respMeta) (int, any) {
 	resp := map[string]any{"status": status, "shards": rt.k, "backends": backends}
 	if rt.walMode() {
 		resp["wal"] = rt.walStatus()
+		if err := rt.log.Err(); err != nil {
+			// Every ingest answers 503 until a restart recovers the log.
+			resp["status"] = "degraded"
+			resp["wal_error"] = err.Error()
+		}
 	}
 	return http.StatusOK, resp
 }

@@ -249,6 +249,14 @@ func (l *Log) BaseGen() uint64 {
 	return l.base
 }
 
+// Err returns the append failure that stopped the log, or nil while it
+// takes appends.
+func (l *Log) Err() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.failed
+}
+
 // Append durably appends payload as the next record and returns the
 // log generation it was assigned. The record is written with a single
 // write call and fsynced before Append returns. After a failed write or
