@@ -47,19 +47,20 @@
 // generation, /v1/search scans only the shard's home nodes, and /v1/node
 // resolves only nodes homed on the shard, rendering union node IDs so the
 // router can merge responses byte-identically to a single sharded process.
-// In -build mode each per-shard daemon runs the full (deterministic)
-// mining system and a POSTed /v1/ingest batch — normally broadcast by the
-// router — republishes, and bumps the generation of, only this shard when
-// the delta touched it. With -in, the artifact may be a per-shard file
-// written by `giantctl shard` or a whole-ontology file (the shard's
-// projection is then derived at boot).
+// A per-shard daemon accepts no direct writes: a fleet changes only
+// through its one delta log. With -in it serves a frozen shard (the
+// artifact may be a per-shard file written by `giantctl shard` or a
+// whole-ontology file, whose shard projection is then derived at boot),
+// and /v1/ingest and /v1/reload answer 503 unavailable; it changes by
+// restarting on a new file, or through -watch.
 //
-// With -wal DIR (requires -shard i/k and -build) the daemon is a delta-log
-// REPLICA: it never accepts direct writes — /v1/ingest and /v1/reload
-// answer 503 read_only_replica — and instead tails the fleet's one
-// append-only delta log DIR/fleet.wal (written by giantrouter -wal),
-// applying each batch through the same deterministic mining pipeline a
-// direct ingest would take. Every response carries X-Giant-Wal-Gen with
+// With -wal DIR (requires -shard i/k and -build; -shard with -build
+// requires -wal) the daemon is a delta-log REPLICA: /v1/ingest and
+// /v1/reload answer 503 read_only_replica, and it instead tails the
+// fleet's one append-only delta log DIR/fleet.wal (written by giantrouter
+// -wal), applying each batch through its own full (deterministic) mining
+// system and republishing, with a generation bump, only when the delta
+// touched its shard. Every response carries X-Giant-Wal-Gen with
 // the last applied log generation, and GET /v1/wal (?wait=G) exposes — and
 // blocks on — apply progress; -replica N names the replica in /healthz and
 // log lines. Start N replicas of every shard against one directory and put
@@ -111,7 +112,7 @@ func main() {
 		watch   = flag.Duration("watch", 0, "poll -in for changes at this interval and hot-swap automatically (0 disables)")
 		shards  = flag.Int("shards", 1, "publish the ontology as K home-shard projections: per-shard generations, gram-routed search, an ingest republishes only the shards it touched; reads answer from the union for every K")
 		shard   = flag.String("shard", "", "serve a single shard of a k-way partition as i/k (e.g. 0/4): the per-shard backend of cmd/giantrouter")
-		walDir  = flag.String("wal", "", "delta-log directory: tail DIR/fleet.wal instead of accepting direct writes (requires -shard and -build)")
+		walDir  = flag.String("wal", "", "delta-log directory: tail DIR/fleet.wal, the only way a per-shard server changes (requires -shard and -build)")
 		replica = flag.Int("replica", 0, "with -wal: this process's replica ordinal, reported in /healthz and log lines")
 		ckpt    = flag.Uint64("checkpoint-every", 0, "with -wal: publish the fleet checkpoint DIR/fleet.ckpt every N applied log generations, and boot from the newest valid checkpoint (0 disables cadence rolls; POST /v1/checkpoint still forces one)")
 	)
@@ -245,6 +246,9 @@ func runShard(in, addr string, build, tiny bool, cache int, grace time.Duration,
 	if err != nil {
 		return err
 	}
+	if build && walDir == "" {
+		return fmt.Errorf("-shard with -build requires -wal (a per-shard server changes only through the fleet's delta log; serve a frozen shard with -in)")
+	}
 	if shards > 1 && shards != k {
 		return fmt.Errorf("-shards %d conflicts with -shard %s (the shard count comes from i/k)", shards, shardSpec)
 	}
@@ -267,17 +271,10 @@ func runShard(in, addr string, build, tiny bool, cache int, grace time.Duration,
 		}
 		opts.ConceptContextFn = sys.ConceptContext
 		opts.Duet = sys.EventTagger().Duet
-		opts.ShardLoader = func() (*ontology.ShardProjection, error) {
-			rebuilt, err := giant.Build(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return rebuilt.ShardProjection(idx)
-		}
-		// Live ingest: the router broadcasts every batch to every backend;
-		// each backend applies it through its own (deterministic) mining
-		// system and republishes — minting a new per-shard generation —
-		// only when the delta touched ITS shard.
+		// The follower applies every log record through this process's own
+		// (deterministic) mining system, and the server republishes —
+		// minting a new per-shard generation — only when the delta touched
+		// ITS shard.
 		opts.ShardIngest = func(b delta.Batch) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
 			next, d, touched, err := sys.IngestSharded(b)
 			if err != nil {
@@ -286,31 +283,26 @@ func runShard(in, addr string, build, tiny bool, cache int, grace time.Duration,
 			logIngested(sys, d)
 			return next.Projection(idx), d, touched, nil
 		}
-		if walDir != "" {
-			// Checkpointing: capture pairs the union snapshot with the
-			// mining system's post-seed delta state; restore replays both
-			// onto the deterministic seed build this process just ran and
-			// re-derives the shard's serving projection from the result.
-			opts.CheckpointSave = func() (*ontology.Snapshot, []byte, error) {
-				state, err := sys.CheckpointState()
-				if err != nil {
-					return nil, nil, err
-				}
-				return sys.Snapshot(), state, nil
+		// Checkpointing: capture pairs the union snapshot with the mining
+		// system's post-seed delta state; restore replays both onto the
+		// deterministic seed build this process just ran and re-derives the
+		// shard's serving projection from the result.
+		opts.CheckpointSave = func() (*ontology.Snapshot, []byte, error) {
+			state, err := sys.CheckpointState()
+			if err != nil {
+				return nil, nil, err
 			}
-			opts.CheckpointRestore = func(snap *ontology.Snapshot, state []byte) (*ontology.ShardProjection, error) {
-				if err := sys.RestoreCheckpoint(snap, state); err != nil {
-					return nil, err
-				}
-				return sys.ShardProjection(idx)
+			return sys.Snapshot(), state, nil
+		}
+		opts.CheckpointRestore = func(snap *ontology.Snapshot, state []byte) (*ontology.ShardProjection, error) {
+			if err := sys.RestoreCheckpoint(snap, state); err != nil {
+				return nil, err
 			}
+			return sys.ShardProjection(idx)
 		}
 	case in != "":
 		if proj, err = ontology.LoadShardInput(in, idx, k); err != nil {
 			return err
-		}
-		opts.ShardLoader = func() (*ontology.ShardProjection, error) {
-			return ontology.LoadShardInput(in, idx, k)
 		}
 	default:
 		return fmt.Errorf("need -in <shard or ontology artifact> or -build (see giantctl shard)")
@@ -321,7 +313,7 @@ func runShard(in, addr string, build, tiny bool, cache int, grace time.Duration,
 	// falls back to the fresh build + full replay.
 	var srv *serve.Server
 	var start wal.CheckpointMeta
-	if walDir != "" && opts.CheckpointRestore != nil {
+	if walDir != "" {
 		hydrated, meta, herr := serve.HydrateShard(walDir, idx, k, opts, log.Printf)
 		if herr != nil {
 			return herr

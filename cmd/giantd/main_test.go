@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -31,6 +32,16 @@ func waitForGen(t *testing.T, srv *serve.Server, want uint64) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatalf("generation = %d, want %d", srv.Generation(), want)
+}
+
+// TestShardBuildRequiresWAL: a per-shard daemon that builds its own world
+// changes only by tailing the fleet's delta log, so -shard with -build and
+// no -wal is refused before anything is built.
+func TestShardBuildRequiresWAL(t *testing.T) {
+	err := run("", "127.0.0.1:0", true, true, 0, time.Second, 0, 0, 1, "0/2", "", 0, 0)
+	if err == nil || !strings.Contains(err.Error(), "requires -wal") {
+		t.Fatalf("-shard 0/2 -build without -wal = %v, want a requires -wal error", err)
+	}
 }
 
 // TestWatchPathRetriesTransientFailure covers the -watch retry path: a

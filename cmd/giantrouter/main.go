@@ -3,16 +3,16 @@
 // backends (giantd -shard i/k), speaking the same ontology.HomeShard
 // phrase hash the in-process sharded server uses.
 //
-//	# boot one giantd per shard, then the router in front:
-//	giantd -build -tiny -shard 0/2 -addr :8081 &
-//	giantd -build -tiny -shard 1/2 -addr :8082 &
+//	# export one file per shard, boot one giantd per shard, then the router:
+//	giantctl shard -in ao.bin -shards 2 -format binary -out-dir shards
+//	giantd -in shards/shard-0-of-2.bin -shard 0/2 -addr :8081 &
+//	giantd -in shards/shard-1-of-2.bin -shard 1/2 -addr :8082 &
 //	giantrouter -addr :8080 -backends http://localhost:8081,http://localhost:8082
 //
 //	curl localhost:8080/healthz                      # per-backend health
 //	curl 'localhost:8080/v1/search?q=sedan'          # scatter-gather merge
 //	curl 'localhost:8080/v1/node?phrase=family+sedans&type=concept'
 //	curl localhost:8080/v1/stats                     # per-shard generations
-//	curl -X POST localhost:8080/v1/ingest -d @batch.json   # broadcast
 //
 // Backends are listed in shard order: -backends URL_0,URL_1,...,URL_{k-1}
 // where URL_i serves shard i of k (the router cross-checks this against
@@ -21,8 +21,12 @@
 // to a single sharded giantd over the same world — the application
 // endpoints gather each shard's ?partial= candidates and run the same
 // merge the backends run internally, rather than proxying one shard's
-// approximation; /v1/ingest broadcasts to every backend with
-// all-or-nothing generation accounting.
+// approximation.
+//
+// A fleet changes only through its one delta log. Without -wal the router
+// fronts a frozen fleet and is read-only: /v1/ingest and /v1/reload answer
+// 503 unavailable, and the fleet changes by restarting its backends on new
+// shard files. /v1/reload answers 503 with -wal too.
 //
 // Reads are routed, not blindly scattered: the router keeps a term→shard
 // routing index built from each backend's /v1/stats term grams and
@@ -36,12 +40,13 @@
 // reachable shards' results marked "partial": true — uniformly across
 // search, tag, query rewrite, story and scattered node lookups. A typed
 // node lookup (and a story seed resolution) answers 502 when the one
-// home shard that could hold the phrase is down, and writes are always
+// home shard that could hold the phrase is down, and ingest is always
 // fail-closed.
 //
-// With -wal DIR each shard may list multiple replicas, separated by "|"
-// within the comma-separated shard list (every replica a giantd started
-// with the same -shard i/k plus -wal DIR):
+// With -wal DIR the router accepts writes, and each shard may list
+// multiple replicas, separated by "|" within the comma-separated shard
+// list (every replica a giantd started with the same -shard i/k plus -wal
+// DIR):
 //
 //	giantd -build -tiny -shard 0/2 -wal /var/giant/wal -replica 0 -addr :8081 &
 //	giantd -build -tiny -shard 0/2 -wal /var/giant/wal -replica 1 -addr :8082 &
@@ -49,6 +54,8 @@
 //	giantd -build -tiny -shard 1/2 -wal /var/giant/wal -replica 1 -addr :8084 &
 //	giantrouter -wal /var/giant/wal \
 //	  -backends 'http://localhost:8081|http://localhost:8082,http://localhost:8083|http://localhost:8084'
+//
+//	curl -X POST localhost:8080/v1/ingest -d @batch.json   # appended once, quorum-acked
 //
 // Reads then balance by power-of-two-choices over each shard's healthy,
 // caught-up replicas (a replica still tailing the log is never consulted
@@ -82,11 +89,11 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen address")
 		backends = flag.String("backends", "", "comma-separated per-shard giantd base URLs, in shard order (URL_i serves shard i)")
 		timeout  = flag.Duration("timeout", 5*time.Second, "per-backend read timeout")
-		writeTO  = flag.Duration("write-timeout", 2*time.Minute, "per-backend timeout for ingest/reload broadcasts (backends re-mine per batch); with -wal, the per-replica apply-confirmation timeout of ingest quorum waits")
+		writeTO  = flag.Duration("write-timeout", 2*time.Minute, "with -wal: the per-replica apply-confirmation timeout of ingest quorum waits (replicas re-mine per batch)")
 		failOpen = flag.Bool("fail-open", false, "serve partial fan-out results (marked \"partial\": true) instead of 503 when a shard is unreachable")
 		probe    = flag.Duration("probe", 2*time.Second, "background health-probe interval (0 disables)")
 		grace    = flag.Duration("grace", 5*time.Second, "graceful-shutdown drain timeout")
-		walDir   = flag.String("wal", "", "delta-log directory: ingest appends to DIR/fleet.wal and acks at a replica quorum (backends must be giantd -wal replicas)")
+		walDir   = flag.String("wal", "", "delta-log directory: ingest appends to DIR/fleet.wal and acks at a replica quorum (backends must be giantd -wal replicas); without it the router is read-only")
 		maxLag   = flag.Uint64("max-lag", 0, "with -wal: 429 ingest pushback once a shard's slowest healthy replica trails the log head by more than this many generations (0 = 64)")
 		compact  = flag.Bool("compact", false, "with -wal: truncate the delta log below the fleet-wide applied floor, bounded by the published checkpoint (runs after each health-probe pass; replicas need -checkpoint-every)")
 	)

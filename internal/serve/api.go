@@ -35,9 +35,8 @@ const (
 	codePayloadTooLarge  = "payload_too_large"  // 413: request body past maxBodyBytes
 	codeNotFound         = "not_found"          // 404
 	codeMethodNotAllowed = "method_not_allowed" // 405
-	codeUnavailable      = "unavailable"        // 503: endpoint not wired in this mode
+	codeUnavailable      = "unavailable"        // 503: endpoint not wired in this mode, or a write outside the log
 	codeShardUnavailable = "shard_unavailable"  // 502/503: backend shard unreachable
-	codePartialApply     = "partial_apply"      // 502: write applied on some shards only
 	codeReplicaLagging   = "replica_lagging"    // 429: delta log outran the slowest replica
 	codeReadOnlyReplica  = "read_only_replica"  // 503: direct write to a log-tailing replica
 	codeConflict         = "conflict"           // 409: rollback with no retained generation
@@ -109,8 +108,9 @@ func errBodyShard(code string, shard int, format string, args ...any) errorBody 
 // shardWriteStatus is the per-shard write-status row shared by every
 // write response: the 200 bodies of /v1/ingest, /v1/reload and
 // /v1/rollback carry one row per shard under "shards", and the router's
-// partial_apply 502 reuses the same rows (applied=false rows carrying
-// the failure status) so clients parse exactly one schema.
+// 502 for an unconfirmed or diverged ingest reuses the same rows
+// (applied=false rows carrying the failure status) so clients parse
+// exactly one schema.
 type shardWriteStatus struct {
 	Shard      int    `json:"shard"`
 	Generation uint64 `json:"generation"`

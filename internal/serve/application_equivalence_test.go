@@ -374,8 +374,9 @@ func TestApplicationEquivalenceIngestReplay(t *testing.T) {
 			shardTS := httptest.NewServer(srv.Handler())
 			t.Cleanup(shardTS.Close)
 			// Router fleet: each backend applies the same script to its own
-			// lineage, exactly as giantd -shard replays a shared feed.
+			// lineage, exactly as giantd -shard -wal replays the fleet log.
 			urls := make([]string, k)
+			walDir := t.TempDir()
 			for i := 0; i < k; i++ {
 				lineage := ss
 				shard := i
@@ -390,11 +391,12 @@ func TestApplicationEquivalenceIngestReplay(t *testing.T) {
 						return next.Projection(shard), d, touched, nil
 					},
 				})
+				followLog(t, walDir, back)
 				backTS := httptest.NewServer(back.Handler())
 				t.Cleanup(backTS.Close)
 				urls[i] = backTS.URL
 			}
-			rt, err := NewRouter(RouterOptions{Backends: urls})
+			rt, err := NewRouter(RouterOptions{Backends: urls, WALDir: walDir})
 			if err != nil {
 				t.Fatal(err)
 			}

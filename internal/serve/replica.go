@@ -1,9 +1,10 @@
 package serve
 
-// Delta-log replicas: a per-shard server (NewShard) that never accepts
-// direct writes and instead tails the fleet's one append-only wal.Log,
-// applying each delta.Batch through the same ingestBatch path a direct
-// POST /v1/ingest would take. Because delta mining is deterministic,
+// Delta-log replicas: a per-shard server (NewShard) accepts no direct
+// writes, so a Follower tailing the fleet's one append-only wal.Log is the
+// only way it changes: each delta.Batch goes through the same ingestBatch
+// path a whole-world server's POST /v1/ingest takes. Because delta mining
+// is deterministic,
 // every replica of a shard that has consumed the same log prefix serves
 // the exact same projection at the exact same generation — which is what
 // lets the router treat replicas as interchangeable for reads and ack an
@@ -171,14 +172,13 @@ type Follower struct {
 
 // NewFollower attaches delta-log following to a per-shard server built
 // with NewShard/NewShardAt and a ShardIngest callback (the replica
-// applies each batch through the mining path a directly-written backend
-// would use, which is what keeps replica generations identical across
-// the fleet; the miner behind it skips inference for clusters a batch
-// left textually unchanged, so a warm replica and a freshly hydrated one
-// reach the same bytes at different cost).
-// The server immediately turns read-only: direct /v1/ingest and
-// /v1/reload answer 503 read_only_replica, and /v1/wal starts reporting
-// (Start.WALGen until Run consumes the first suffix record).
+// applies each batch through its own deterministic mining path, which is
+// what keeps replica generations identical across the fleet; the miner
+// behind it skips inference for clusters a batch left textually
+// unchanged, so a warm replica and a freshly hydrated one reach the same
+// bytes at different cost). From then on direct /v1/ingest and /v1/reload
+// answer 503 read_only_replica instead of unavailable, and /v1/wal starts
+// reporting (Start.WALGen until Run consumes the first suffix record).
 func NewFollower(srv *Server, opts FollowerOptions) (*Follower, error) {
 	if !srv.shardMode {
 		return nil, errors.New("serve: follower needs a per-shard server (NewShard)")

@@ -329,6 +329,30 @@ func replicaWALGen(t *testing.T, p *replicaProc) uint64 {
 	return parsed.WALGen
 }
 
+// followLog turns each per-shard server into a replica tailing the fleet
+// log in dir (polling every millisecond) until the test ends: the only
+// way a per-shard server takes writes. A router with WALDir dir in front
+// of them is then the fleet's write path.
+func followLog(t *testing.T, dir string, srvs ...*Server) {
+	t.Helper()
+	for _, srv := range srvs {
+		fl, err := NewFollower(srv, FollowerOptions{Dir: dir, Poll: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			fl.Run(ctx)
+		}()
+		t.Cleanup(func() {
+			cancel()
+			<-done
+		})
+	}
+}
+
 // TestWALReplayEquivalence: the delta-log fleet's determinism pin. For
 // K ∈ {1, 2}, replaying a day sequence through router-WAL ingest keeps
 // /v1/search and /v1/node byte-identical to the single-process NewSharded
@@ -1145,7 +1169,7 @@ func postRaw(t *testing.T, c *http.Client, url, body string) (int, []byte) {
 var knownErrorCodes = map[string]bool{
 	codeInvalidArgument: true, codeInvalidLimit: true, codeInvalidBatch: true,
 	codeNotFound: true, codeMethodNotAllowed: true, codeUnavailable: true,
-	codeShardUnavailable: true, codePartialApply: true, codeReplicaLagging: true,
+	codeShardUnavailable: true, codeReplicaLagging: true,
 	codeReadOnlyReplica: true, codeConflict: true, codeBadUpstream: true,
 	codeInternal: true, codePayloadTooLarge: true,
 }
@@ -1253,20 +1277,46 @@ func TestErrorEnvelope(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := httptest.NewServer(NewShard(ss.Projection(0), Options{
-			ShardIngest: detShardIngester(0, ss, nil),
-		}).Handler())
+		ts := httptest.NewServer(NewShard(ss.Projection(0), Options{}).Handler())
 		t.Cleanup(ts.Close)
 		// A shard backend 404s nodes homed elsewhere; keep only probes
-		// that are shard-local deterministic.
+		// that are shard-local deterministic. It accepts no direct write.
 		runProbes(t, ts, []probe{
 			{"GET", "/v1/node", "", 400, codeInvalidArgument},
 			{"GET", "/v1/node?id=abc", "", 400, codeInvalidArgument},
 			{"GET", "/v1/node?phrase=no+such+node+anywhere", "", 404, codeNotFound},
 			{"GET", "/v1/search?q=sedan&limit=0", "", 400, codeInvalidLimit},
 			{"GET", "/v1/ingest", "", 405, codeMethodNotAllowed},
-			{"POST", "/v1/ingest", "{nope", 400, codeInvalidArgument},
+			{"POST", "/v1/ingest", "{nope", 503, codeUnavailable},
+			{"POST", "/v1/reload", "", 503, codeUnavailable},
 			{"GET", "/v1/wal?wait=1", "", 404, codeNotFound},
+		})
+	})
+
+	t.Run("read-only-router", func(t *testing.T) {
+		ss, err := ontology.ShardSnapshot(snap, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		urls := make([]string, 2)
+		for i := range urls {
+			ts := httptest.NewServer(NewShard(ss.Projection(i), Options{}).Handler())
+			t.Cleanup(ts.Close)
+			urls[i] = ts.URL
+		}
+		rt, err := NewRouter(RouterOptions{Backends: urls})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(rt.Close)
+		ts := httptest.NewServer(rt.Handler())
+		t.Cleanup(ts.Close)
+		// Without a delta log the router has no write path at all.
+		runProbes(t, ts, []probe{
+			{"GET", "/v1/ingest", "", 405, codeMethodNotAllowed},
+			{"POST", "/v1/ingest", `{"day":12}`, 503, codeUnavailable},
+			{"GET", "/v1/reload", "", 405, codeMethodNotAllowed},
+			{"POST", "/v1/reload", "", 503, codeUnavailable},
 		})
 	})
 
@@ -1311,18 +1361,21 @@ func TestWriteBodyBound(t *testing.T) {
 	})}).Handler())
 	t.Cleanup(single.Close)
 	urls := make([]string, 2)
+	walDir := t.TempDir()
 	for i := range urls {
 		ingest := detShardIngester(i, ss, nil)
-		back := httptest.NewServer(NewShard(ss.Projection(i), Options{
+		srv := NewShard(ss.Projection(i), Options{
 			ShardIngest: func(b delta.Batch) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
 				applied.Add(1)
 				return ingest(b)
 			},
-		}).Handler())
+		})
+		followLog(t, walDir, srv)
+		back := httptest.NewServer(srv.Handler())
 		t.Cleanup(back.Close)
 		urls[i] = back.URL
 	}
-	rt, err := NewRouter(RouterOptions{Backends: urls})
+	rt, err := NewRouter(RouterOptions{Backends: urls, WALDir: walDir})
 	if err != nil {
 		t.Fatal(err)
 	}

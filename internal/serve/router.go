@@ -28,10 +28,10 @@ package serve
 //	/v1/stats          fan-out; per-shard generations listed verbatim,
 //	                   whole-world counts from each shard's owned slice
 //	/v1/metrics        fan-out; router's own counters plus per-backend
-//	/v1/ingest         broadcast to every backend (each holds the full
-//	                   mining system and re-derives only its own shard)
-//	                   with all-or-nothing generation accounting
-//	/v1/reload         broadcast, all-or-nothing
+//	/v1/ingest         appended once to the fleet's delta log, acked at a
+//	                   replica quorum (RouterOptions.WALDir); a router
+//	                   without a log is read-only and answers 503
+//	/v1/reload         always 503: a fleet changes only through its log
 //	/v1/tag            scatter-gather: per-shard ?partial=match candidate
 //	                   sets (pruned by the same term-gram routing index as
 //	                   search) are merged and scored against a router-held
@@ -51,8 +51,12 @@ package serve
 // /v1/query/rewrite, /v1/story and scattered /v1/node lookups — either
 // fails closed with 503 or returns the reachable shards' results marked
 // "partial": true. A typed /v1/node lookup answers 502 when the one home
-// shard that could hold its phrase is unreachable, and writes
-// (/v1/ingest, /v1/reload) are always fail-closed.
+// shard that could hold its phrase is unreachable, and ingest is always
+// fail-closed.
+//
+// A fleet changes only through its one delta log. Without WALDir the
+// router fronts a frozen fleet (giantd -shard i/k -in), which changes by
+// restarting its backends on new files, and refuses every write.
 //
 // With RouterOptions.Replicas + WALDir the router serves each shard from
 // a replica set over an append-only delta log (internal/wal): reads pick
@@ -101,11 +105,11 @@ type RouterOptions struct {
 	// more than one replica requires WALDir — interchangeable replicas
 	// exist only by tailing the same delta log.
 	Replicas [][]string
-	// WALDir, when set, switches /v1/ingest to the delta-log protocol:
-	// each batch is appended once to the fleet's wal.Log in this directory
-	// (fleet.wal) and acknowledged once a quorum of each shard's replicas
-	// confirm the apply through GET /v1/wal. Backends must then be
-	// log-tailing replicas (giantd -wal).
+	// WALDir, when set, enables /v1/ingest: each batch is appended once to
+	// the fleet's wal.Log in this directory (fleet.wal) and acknowledged
+	// once a quorum of each shard's replicas confirm the apply through GET
+	// /v1/wal. Backends must then be log-tailing replicas (giantd -wal).
+	// Without it the router is read-only.
 	WALDir string
 	// MaxLag bounds, per shard, how many delta-log generations the slowest
 	// healthy replica may trail the log head before ingest pushes back
@@ -116,14 +120,10 @@ type RouterOptions struct {
 	Client *http.Client
 	// Timeout bounds each backend read call; 0 means 5s.
 	Timeout time.Duration
-	// WriteTimeout bounds each backend call of a write broadcast
-	// (/v1/ingest, /v1/reload) — in -build mode a backend re-mines the
-	// affected click-graph neighbourhood per batch, which can far exceed
-	// the read timeout, and a premature router-side timeout would report
-	// a divergence that never happened. On a delta-log fleet it instead
-	// bounds each replica's apply confirmation in the ingest quorum wait
-	// (how long a replica may take to tail and apply one batch). 0 means
-	// 2m.
+	// WriteTimeout bounds each replica's apply confirmation in the ingest
+	// quorum wait: how long a replica may take to tail and apply one
+	// batch, which re-mines the affected click-graph neighbourhood and can
+	// far exceed the read timeout. 0 means 2m.
 	WriteTimeout time.Duration
 	// FailOpen selects the degraded-mode policy for fan-out reads: false
 	// (the default) fails closed with 503 when any shard is unreachable,
@@ -187,8 +187,8 @@ type Router struct {
 	// rr rotates the starting replica of each read, so power-of-two-
 	// choices samples a moving pair instead of a fixed one.
 	rr atomic.Uint64
-	// ingestMu serializes ingest and reload broadcasts so concurrent
-	// writers reach every backend in the same order.
+	// ingestMu serializes ingests, so the backpressure check, the append
+	// and the quorum wait of one batch never interleave with another's.
 	ingestMu sync.Mutex
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -523,9 +523,9 @@ func (rt *Router) invalidate() {
 	rt.frags.Store(nil)
 }
 
-// invalidateAfterWrite applies the one invalidation rule to a write's
+// invalidateAfterWrite applies the one invalidation rule to an ingest's
 // merged outcome: a uniform 4xx rejection changed nothing, anything else
-// (applied, partially applied, unknown) drops every memo.
+// (applied, unconfirmed, diverged) drops every memo.
 func (rt *Router) invalidateAfterWrite(status int) {
 	if status < 400 || status >= 500 {
 		rt.invalidate()
@@ -796,18 +796,6 @@ func (rt *Router) allShards() []int {
 	for i := range out {
 		out[i] = i
 	}
-	return out
-}
-
-// broadcast is fanout for writes: the write timeout applies, and the
-// context is detached from the client request — once a broadcast starts,
-// a client disconnect must not abandon it half-applied across the fleet.
-func (rt *Router) broadcast(ctx context.Context, method, pathAndQuery string, body []byte) []backendResult {
-	ctx = context.WithoutCancel(ctx)
-	out := make([]backendResult, rt.k)
-	par.ForEachIndexed(rt.workers(), rt.k, func(i int) {
-		out[i] = rt.callTimeout(ctx, rt.opts.WriteTimeout, i, method, pathAndQuery, body)
-	})
 	return out
 }
 
@@ -1367,39 +1355,25 @@ func (rt *Router) handleMetrics(r *http.Request, meta *respMeta) (int, any) {
 	}
 }
 
-// handleIngest applies a batch fleet-wide. Without a delta log it
-// broadcasts to every backend — each holds the full mining system and
-// republishes only its own shard — with all-or-nothing generation
-// accounting: the merged generation report is returned only when every
-// backend applied the batch; a partial application surfaces as 502 naming
-// the shards that diverged. With WALDir set it takes the delta-log path
-// (ingestWAL). Writes are always fail-closed.
+// handleIngest applies a batch fleet-wide through the delta log: validate,
+// push back if any shard's slowest healthy replica has fallen too far
+// behind, append the batch once to the fleet's log, then block until a
+// quorum (⌈N/2⌉) of each shard's replicas confirm the apply through GET
+// /v1/wal. Replicas left behind by the quorum catch up from the log alone
+// and are kept out of read rotation by the generation gate until they do.
+// A router without a log is read-only and answers 503.
 func (rt *Router) handleIngest(r *http.Request, meta *respMeta) (int, any) {
 	if r.Method != http.MethodPost {
 		return http.StatusMethodNotAllowed, errBody(codeMethodNotAllowed, "use POST")
+	}
+	if !rt.walMode() {
+		return http.StatusServiceUnavailable, errBody(codeUnavailable,
+			"this router is read-only: a fleet changes only through its delta log; start the router with -wal")
 	}
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		return bodyError("read body", err)
 	}
-	if rt.walMode() {
-		return rt.ingestWAL(r.Context(), meta, body)
-	}
-	rt.ingestMu.Lock()
-	defer rt.ingestMu.Unlock()
-	results := rt.broadcast(r.Context(), http.MethodPost, "/v1/ingest", body)
-	status, resp := rt.mergeBroadcast(meta, results, "ingest")
-	rt.invalidateAfterWrite(status)
-	return status, resp
-}
-
-// ingestWAL is the delta-log ingest path: validate, push back if any
-// shard's slowest healthy replica has fallen too far behind, append the
-// batch once to the fleet's log, then block until a quorum (⌈N/2⌉) of each
-// shard's replicas confirm the apply through GET /v1/wal. Replicas left
-// behind by the quorum catch up from the log alone and are kept out of
-// read rotation by the generation gate until they do.
-func (rt *Router) ingestWAL(ctx context.Context, meta *respMeta, body []byte) (int, any) {
 	var batch delta.Batch
 	if err := json.Unmarshal(body, &batch); err != nil {
 		return http.StatusBadRequest, errBody(codeInvalidArgument, "decode batch: "+err.Error())
@@ -1431,7 +1405,7 @@ func (rt *Router) ingestWAL(ctx context.Context, meta *respMeta, body []byte) (i
 		return http.StatusServiceUnavailable, errBody(codeUnavailable,
 			"delta log append failed, so this batch may or may not be applied; restart the router to recover the log: %v", err)
 	}
-	status, resp := rt.awaitQuorum(ctx, meta, walGen)
+	status, resp := rt.awaitQuorum(r.Context(), meta, walGen)
 	rt.invalidateAfterWrite(status)
 	return status, resp
 }
@@ -1538,8 +1512,8 @@ func (rt *Router) awaitQuorum(ctx context.Context, meta *respMeta, walGen uint64
 			}
 		}
 		return http.StatusBadGateway, map[string]any{
-			"error": apiError{Code: codePartialApply, Message: fmt.Sprintf(
-				"partial ingest application: shards %v did not reach apply quorum; reconcile the shards marked applied=false", failed)},
+			"error": apiError{Code: codeShardUnavailable, Message: fmt.Sprintf(
+				"batch appended at log generation %d, but shards %v did not confirm the apply at quorum; do not resend it: their replicas apply it from the log", walGen, failed)},
 			"shards": rows,
 		}
 	}
@@ -1562,7 +1536,8 @@ func (rt *Router) awaitQuorum(ctx context.Context, meta *respMeta, walGen uint64
 			rows[s] = shardWriteStatus{Shard: s, Applied: statuses[s] == http.StatusOK, Status: statuses[s]}
 		}
 		return http.StatusBadGateway, map[string]any{
-			"error":  apiError{Code: codePartialApply, Message: "partial ingest application: shards disagreed on the apply outcome; reconcile the shards marked applied=false"},
+			"error": apiError{Code: codeBadUpstream, Message: fmt.Sprintf(
+				"shards disagreed on the outcome of log generation %d; the replicas marked applied=false diverged from the log and must be restarted", walGen)},
 			"shards": rows,
 		}
 	}
@@ -1604,116 +1579,14 @@ func (rt *Router) awaitQuorum(ctx context.Context, meta *respMeta, walGen uint64
 	return http.StatusOK, resp
 }
 
-// handleReload broadcasts /v1/reload with the same all-or-nothing
-// accounting as ingest. On a delta-log fleet reload is refused: replicas
-// derive their world from the log, and a side-loaded snapshot would fork
-// them from it.
+// handleReload refuses every reload: a fleet changes only through its
+// delta log. Replicas derive their world from the log, where a side-loaded
+// snapshot would fork them from it, and a frozen shard-file fleet changes
+// by restarting its backends on new files.
 func (rt *Router) handleReload(r *http.Request, meta *respMeta) (int, any) {
 	if r.Method != http.MethodPost {
 		return http.StatusMethodNotAllowed, errBody(codeMethodNotAllowed, "use POST")
 	}
-	if rt.walMode() {
-		return http.StatusServiceUnavailable, errBody(codeUnavailable,
-			"reload is unsupported on a delta-log fleet; restart the replicas instead")
-	}
-	rt.ingestMu.Lock()
-	defer rt.ingestMu.Unlock()
-	results := rt.broadcast(r.Context(), http.MethodPost, "/v1/reload", nil)
-	status, resp := rt.mergeBroadcast(meta, results, "reload")
-	rt.invalidateAfterWrite(status)
-	return status, resp
-}
-
-// shardWriteResp is the slice of a backend write response the router
-// aggregates.
-type shardWriteResp struct {
-	Generation    uint64         `json:"generation"`
-	TouchedShards []int          `json:"touched_shards"`
-	HomeNodes     int            `json:"home_nodes"`
-	Republished   *bool          `json:"republished"`
-	Delta         map[string]any `json:"delta"`
-}
-
-// mergeBroadcast aggregates a write broadcast. Every backend succeeded →
-// merged 200. Every backend rejected with the same 4xx (deterministic
-// validation) → that status with the first body, so client-fault statuses
-// (400/422) survive the fan-out. Anything else → 502 with per-shard
-// status detail: the fleet's generations may have diverged and the
-// operator must reconcile (the response names exactly which shards
-// applied).
-func (rt *Router) mergeBroadcast(meta *respMeta, results []backendResult, what string) (int, any) {
-	allOK, all4xx := true, true
-	first4xx := 0
-	for i := range results {
-		if results[i].ok() {
-			all4xx = false
-			continue
-		}
-		allOK = false
-		if results[i].err != nil || results[i].status < 400 || results[i].status >= 500 {
-			all4xx = false
-		} else if first4xx == 0 {
-			first4xx = results[i].status
-		} else if results[i].status != first4xx {
-			all4xx = false
-		}
-	}
-	if all4xx && first4xx != 0 {
-		return first4xx, results[0].body
-	}
-	parsed := make([]shardWriteResp, rt.k)
-	for i := range results {
-		if results[i].ok() {
-			if err := json.Unmarshal(results[i].body, &parsed[i]); err != nil {
-				allOK = false
-			}
-		}
-	}
-	if !allOK {
-		detail := make([]shardWriteStatus, rt.k)
-		for i := range results {
-			detail[i] = shardWriteStatus{Shard: i, Applied: results[i].ok(), Status: results[i].status}
-			if results[i].ok() {
-				detail[i].Generation = parsed[i].Generation
-			}
-			if results[i].err != nil {
-				detail[i].Error = results[i].err.Error()
-			}
-		}
-		return http.StatusBadGateway, map[string]any{
-			"error": apiError{Code: codePartialApply, Message: fmt.Sprintf(
-				"partial %s application: generations may have diverged; reconcile the shards marked applied=false", what)},
-			"shards": detail,
-		}
-	}
-	gens := make([]uint64, rt.k)
-	rows := make([]shardWriteStatus, rt.k)
-	nodes := 0
-	for i := range parsed {
-		gens[i] = parsed[i].Generation
-		nodes += parsed[i].HomeNodes
-		applied := parsed[i].Republished == nil || *parsed[i].Republished
-		rows[i] = shardWriteStatus{Shard: i, Generation: parsed[i].Generation, Applied: applied}
-		if meta != nil {
-			meta.noteGen(i, strconv.FormatUint(parsed[i].Generation, 10))
-		}
-	}
-	resp := map[string]any{
-		"shards":            rows,
-		"shard_generations": gens,
-		"nodes":             nodes,
-	}
-	if what == "ingest" {
-		// Touched flags are deterministic across backends; report the
-		// first one's view.
-		ts := parsed[0].TouchedShards
-		if ts == nil {
-			ts = []int{}
-		}
-		resp["touched_shards"] = ts
-		if parsed[0].Delta != nil {
-			resp["delta"] = parsed[0].Delta
-		}
-	}
-	return http.StatusOK, resp
+	return http.StatusServiceUnavailable, errBody(codeUnavailable,
+		"reload is unsupported: a fleet changes only through its delta log; restart the backends instead")
 }

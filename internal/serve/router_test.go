@@ -4,9 +4,9 @@ package serve
 // out over K per-shard backends must be indistinguishable — byte for byte
 // on /v1/search and /v1/node, generation for generation on /v1/stats —
 // from a single-process NewSharded server over the same world, for every
-// K, through a full day-by-day ingest replay. Every backend runs its own
-// full (deterministic) mining system, exactly as K separate `giantd
-// -shard i/k -build` processes would.
+// K, through a full day-by-day ingest replay through the fleet's delta
+// log. Every backend runs its own full (deterministic) mining system,
+// exactly as K separate `giantd -shard i/k -build -wal` processes would.
 //
 // Fault injection rides the same harness shape: backends are wrapped in a
 // connection-slamming proxy so the router sees real transport errors, and
@@ -49,7 +49,7 @@ func getRaw(t *testing.T, c *http.Client, url string) (int, []byte) {
 }
 
 // shardIngester adapts a backend's full mining system to the per-shard
-// serve option, exactly as cmd/giantd -shard -build wires it.
+// serve option, exactly as cmd/giantd -shard -build -wal wires it.
 func shardIngester(sys *giant.System, shard int) func(delta.Batch) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
 	return func(b delta.Batch) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
 		next, d, touched, err := sys.IngestSharded(b)
@@ -70,8 +70,8 @@ type routerFixture struct {
 }
 
 // newRouterFixture builds the reference system plus K independent backend
-// systems (all deterministic twins), boots K per-shard servers and a
-// router, and registers cleanup.
+// systems (all deterministic twins), boots K per-shard replicas tailing
+// one delta log and a router appending to it, and registers cleanup.
 func newRouterFixture(t *testing.T, cfg giant.Config, splitDay, k int) *routerFixture {
 	t.Helper()
 	cfg.Shards = k
@@ -92,6 +92,7 @@ func newRouterFixture(t *testing.T, cfg giant.Config, splitDay, k int) *routerFi
 	t.Cleanup(refTS.Close)
 
 	urls := make([]string, k)
+	walDir := t.TempDir()
 	for i := 0; i < k; i++ {
 		backSys, err := giant.BuildUpToDay(cfg, splitDay)
 		if err != nil {
@@ -101,14 +102,16 @@ func newRouterFixture(t *testing.T, cfg giant.Config, splitDay, k int) *routerFi
 		if err != nil {
 			t.Fatal(err)
 		}
-		backTS := httptest.NewServer(NewShard(proj, Options{
+		back := NewShard(proj, Options{
 			ShardIngest:      shardIngester(backSys, i),
 			ConceptContextFn: backSys.ConceptContext,
-		}).Handler())
+		})
+		followLog(t, walDir, back)
+		backTS := httptest.NewServer(back.Handler())
 		t.Cleanup(backTS.Close)
 		urls[i] = backTS.URL
 	}
-	rt, err := NewRouter(RouterOptions{Backends: urls})
+	rt, err := NewRouter(RouterOptions{Backends: urls, WALDir: walDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -641,10 +644,11 @@ func TestRouterBoundsUpstreamBody(t *testing.T) {
 	}
 }
 
-// TestRouterIngestAllOrNothing: the ingest broadcast's generation
-// accounting. A batch every backend rejects deterministically surfaces as
-// that same client-fault status; a batch that applies on some backends but
-// not others is a 502 naming exactly which shards applied.
+// TestRouterIngestAllOrNothing: the delta-log ingest's generation
+// accounting. A batch every replica rejects deterministically surfaces as
+// that same client-fault status; a logged batch that applies on some
+// replicas but not others is a 502 bad_upstream naming exactly which
+// shards applied.
 func TestRouterIngestAllOrNothing(t *testing.T) {
 	ss, err := ontology.ShardSnapshot(testOntology(0).Snapshot(), 2)
 	if err != nil {
@@ -673,14 +677,17 @@ func TestRouterIngestAllOrNothing(t *testing.T) {
 		}
 	}
 	urls := make([]string, 2)
+	walDir := t.TempDir()
 	for i := 0; i < 2; i++ {
-		ts := httptest.NewServer(NewShard(ss.Projection(i), Options{
+		srv := NewShard(ss.Projection(i), Options{
 			ShardIngest: mkIngester(i, ss, i == 1),
-		}).Handler())
+		})
+		followLog(t, walDir, srv)
+		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(ts.Close)
 		urls[i] = ts.URL
 	}
-	rt, err := NewRouter(RouterOptions{Backends: urls})
+	rt, err := NewRouter(RouterOptions{Backends: urls, WALDir: walDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -688,7 +695,7 @@ func TestRouterIngestAllOrNothing(t *testing.T) {
 	routerTS := httptest.NewServer(rt.Handler())
 	defer routerTS.Close()
 
-	// Healthy broadcast: merged generations and touched shards.
+	// Healthy ingest: merged generations and touched shards.
 	out := postJSON(t, routerTS.Client(), routerTS.URL+"/v1/ingest", `{"day":12}`, 200)
 	touched, ok := out["touched_shards"].([]any)
 	if !ok || len(touched) != 1 {
@@ -706,13 +713,13 @@ func TestRouterIngestAllOrNothing(t *testing.T) {
 		}
 	}
 
-	// Deterministic rejection: every backend 422s, the router forwards it.
+	// Deterministic rejection: every replica 422s, the router forwards it.
 	postJSON(t, routerTS.Client(), routerTS.URL+"/v1/ingest", `{}`, http.StatusUnprocessableEntity)
-	// Malformed JSON: every backend 400s.
+	// Malformed JSON: the router rejects it before the log.
 	postJSON(t, routerTS.Client(), routerTS.URL+"/v1/ingest", `{nope`, http.StatusBadRequest)
 
-	// Partial application: backend 1 hits an internal failure. The router
-	// must refuse to report merged generations and name the divergence.
+	// Divergence: backend 1 hits an internal failure on a logged batch.
+	// The router must refuse to report merged generations and name it.
 	backend1Fails.Store(true)
 	resp, err := routerTS.Client().Post(routerTS.URL+"/v1/ingest", "application/json", bytes.NewReader([]byte(`{"day":13}`)))
 	if err != nil {
@@ -721,8 +728,9 @@ func TestRouterIngestAllOrNothing(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadGateway {
-		t.Fatalf("partial application = %d, want 502: %s", resp.StatusCode, body)
+		t.Fatalf("diverged application = %d, want 502: %s", resp.StatusCode, body)
 	}
+	assertEnvelope(t, body, codeBadUpstream)
 	var parsed struct {
 		Shards []struct {
 			Shard   int  `json:"shard"`

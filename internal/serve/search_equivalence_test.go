@@ -475,22 +475,18 @@ func routerDelta(day int) *delta.Delta {
 	return &delta.Delta{Day: day, Add: []delta.NodeAdd{{Type: ontology.Concept, Phrase: fmt.Sprintf("cache sedans %d", day), Day: day}}}
 }
 
-// newScriptedRouterFixture boots K per-shard backends (each with its own
-// deterministic apply-lineage ingester, and a reload that swaps in the
-// base world plus a "reload sedans" node) behind a router, plus flaky
-// wrappers for outage injection.
+// newScriptedRouterFixture boots K per-shard replicas (each with its own
+// deterministic apply-lineage ingester, tailing one delta log) behind a
+// router appending to that log, plus flaky wrappers for outage injection.
 func newScriptedRouterFixture(t *testing.T, k int, failOpen bool) (*ontology.ShardedSnapshot, []*flakyBackend, *httptest.Server) {
 	t.Helper()
 	ss, err := ontology.ShardSnapshot(testOntology(0).Snapshot(), k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reloaded, _, err := delta.ApplySharded(ss, &delta.Delta{Day: 9, Add: []delta.NodeAdd{{Type: ontology.Concept, Phrase: "reload sedans", Day: 9}}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	flaky := make([]*flakyBackend, k)
 	urls := make([]string, k)
+	walDir := t.TempDir()
 	for i := 0; i < k; i++ {
 		lineage := ss
 		shard := i
@@ -504,14 +500,14 @@ func newScriptedRouterFixture(t *testing.T, k int, failOpen bool) (*ontology.Sha
 				lineage = next
 				return next.Projection(shard), d, touched, nil
 			},
-			ShardLoader: func() (*ontology.ShardProjection, error) { return reloaded.Projection(shard), nil },
 		})
+		followLog(t, walDir, back)
 		flaky[i] = &flakyBackend{h: back.Handler()}
 		backTS := httptest.NewServer(flaky[i])
 		t.Cleanup(backTS.Close)
 		urls[i] = backTS.URL
 	}
-	rt, err := NewRouter(RouterOptions{Backends: urls, FailOpen: failOpen})
+	rt, err := NewRouter(RouterOptions{Backends: urls, WALDir: walDir, FailOpen: failOpen})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,10 +519,9 @@ func newScriptedRouterFixture(t *testing.T, k int, failOpen bool) (*ontology.Sha
 
 // TestRouterRoutingIndexInvalidation pins the routing index against
 // writes: a routed search equals a fresh ?scatter=full scatter before and
-// after an append-only ingest, a retirement (union IDs renumber) and
-// /v1/reload. Each write introduces a term the index built before it has
-// never seen, so a surviving index would prune the shard that now holds
-// it.
+// after an append-only ingest and a retirement (union IDs renumber). Each
+// write introduces a term the index built before it has never seen, so a
+// surviving index would prune the shard that now holds it.
 func TestRouterRoutingIndexInvalidation(t *testing.T) {
 	_, _, routerTS := newScriptedRouterFixture(t, 2, false)
 	c := routerTS.Client()
@@ -545,14 +540,13 @@ func TestRouterRoutingIndexInvalidation(t *testing.T) {
 		return routed
 	}
 
-	// Build the index: "cache" and "reload" match nothing yet.
+	// Build the index: "cache" matches nothing yet.
 	first := assertRoutedMatchesScatter("sedan", 5)
 	second := assertRoutedMatchesScatter("sedan", 5)
 	if !bytes.Equal(first, second) {
 		t.Fatalf("repeated read diverged: %s vs %s", second, first)
 	}
 	assertRoutedMatchesScatter("cache", 5)
-	assertRoutedMatchesScatter("reload", 5)
 
 	// Append-only ingest: the new node's shard must be consulted.
 	postJSON(t, c, routerTS.URL+"/v1/ingest", `{"day":1}`, 200)
@@ -570,15 +564,6 @@ func TestRouterRoutingIndexInvalidation(t *testing.T) {
 		for _, limit := range []int{1, 3, 5} {
 			assertRoutedMatchesScatter(q, limit)
 		}
-	}
-
-	// Reload: every backend swaps in a different world.
-	postJSON(t, c, routerTS.URL+"/v1/reload", ``, 200)
-	if body := assertRoutedMatchesScatter("reload", 5); !bytes.Contains(body, []byte("reload sedans")) {
-		t.Fatalf("post-reload routed search misses the reloaded node: %s", body)
-	}
-	for _, q := range []string{"sedan", "cache"} {
-		assertRoutedMatchesScatter(q, 100)
 	}
 }
 

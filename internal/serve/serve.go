@@ -25,8 +25,10 @@
 //	GET  /v1/query/rewrite  conceptualize + rewrite a query (?q=)
 //	GET  /v1/story          story tree seeded at an event (?seed=)
 //	GET  /v1/metrics        per-endpoint QPS/latency/cache counters
-//	POST /v1/reload         hot-swap a freshly loaded snapshot
-//	POST /v1/ingest         apply an incremental update batch (delta mining)
+//	POST /v1/reload         hot-swap a freshly loaded snapshot (whole-world)
+//	POST /v1/ingest         apply an incremental update batch (whole-world;
+//	                        a per-shard server applies batches only from
+//	                        its delta log, see replica.go)
 //	POST /v1/rollback       revert to the previous retained generation
 //
 // Every published snapshot — initial load, reload, ingest — is pushed
@@ -69,18 +71,16 @@ type Options struct {
 	// /v1/ingest.
 	IngestSharded func(delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error)
 	// ShardIngest is the per-shard-process analogue (servers built with
-	// NewShard): the host applies the batch through its full mining system
-	// and returns THIS shard's advanced projection plus the merged delta
-	// and the touched-shard flags. The server republishes — and bumps its
-	// generation — only when its own shard was touched; an untouched ingest
-	// still refreshes the serving state (the union ID table may have
-	// shifted) without minting a new generation, which is what keeps
-	// per-shard generations identical to the in-process NewSharded path.
+	// NewShard), and only the attached delta-log Follower calls it: a
+	// per-shard server accepts no direct writes. The host applies the batch
+	// through its full mining system and returns THIS shard's advanced
+	// projection plus the merged delta and the touched-shard flags. The
+	// server republishes — and bumps its generation — only when its own
+	// shard was touched; an untouched batch still refreshes the serving
+	// state (the union ID table may have shifted) without minting a new
+	// generation, which is what keeps per-shard generations identical to
+	// the in-process NewSharded path.
 	ShardIngest func(delta.Batch) (*ontology.ShardProjection, *delta.Delta, []bool, error)
-	// ShardLoader supplies a replacement shard projection for /v1/reload on
-	// a NewShard server (typically re-reading the shard file or re-running
-	// the build). Nil disables the endpoint in shard mode.
-	ShardLoader func() (*ontology.ShardProjection, error)
 	// History bounds the versioned snapshot store backing /v1/rollback;
 	// 0 means ontology.DefaultRetention.
 	History int
@@ -343,7 +343,7 @@ func (s *Server) SwapSnapshot(snap *ontology.Snapshot) (uint64, error) {
 }
 
 // SwapShard publishes a replacement projection on a per-shard server (the
-// shard-mode analogue of SwapSnapshot, used by reload and file watchers). The
+// shard-mode analogue of SwapSnapshot, used by file watchers). The
 // projection must carry the same shard identity the server was built with.
 func (s *Server) SwapShard(p *ontology.ShardProjection) (uint64, error) {
 	s.swapMu.Lock()
@@ -780,33 +780,8 @@ func (s *Server) handleReload(st *state, r *http.Request) (int, any) {
 	if r.Method != http.MethodPost {
 		return http.StatusMethodNotAllowed, errBody(codeMethodNotAllowed, "use POST")
 	}
-	if s.wal.Load() != nil {
-		// A reload on a replica would publish a world outside the delta-log
-		// lineage, silently desynchronizing it from its peers.
-		return http.StatusServiceUnavailable, errBody(codeReadOnlyReplica, "replica follows a delta log; restart it to reload")
-	}
 	if s.shardMode {
-		// Per-shard process: reload through the shard-projection loader.
-		if s.opts.ShardLoader == nil {
-			return http.StatusServiceUnavailable, errBody(codeUnavailable, "no shard loader configured")
-		}
-		p, err := s.opts.ShardLoader()
-		if err != nil {
-			return http.StatusBadGateway, errBody(codeBadUpstream, "load shard projection: "+err.Error())
-		}
-		gen, err := s.SwapShard(p)
-		if err != nil {
-			return http.StatusInternalServerError, errBody(codeInternal, "swap shard projection: "+err.Error())
-		}
-		return http.StatusOK, map[string]any{
-			"old_generation": st.gen,
-			"generation":     gen,
-			"shard":          p.Shard,
-			"shards":         []shardWriteStatus{{Shard: p.Shard, Generation: gen, Applied: true}},
-			"home_nodes":     p.HomeCount,
-			"nodes":          p.Snap.NodeCount(),
-			"edges":          p.Snap.EdgeCount(),
-		}
+		return s.refuseShardWrite("reload")
 	}
 	if s.opts.Loader == nil {
 		return http.StatusServiceUnavailable, errBody(codeUnavailable, "no snapshot loader configured")
@@ -850,21 +825,11 @@ func (s *Server) handleIngest(st *state, r *http.Request) (int, any) {
 	if r.Method != http.MethodPost {
 		return http.StatusMethodNotAllowed, errBody(codeMethodNotAllowed, "use POST")
 	}
-	if s.wal.Load() != nil {
-		// A delta-log replica applies batches from the log only; a direct
-		// write would fork its lineage from its peers'.
-		return http.StatusServiceUnavailable, errBody(codeReadOnlyReplica, "replica follows a delta log; write through the router")
+	if s.shardMode {
+		return s.refuseShardWrite("ingest")
 	}
-	if s.opts.IngestSharded == nil && s.opts.ShardIngest == nil {
+	if s.opts.IngestSharded == nil {
 		return http.StatusServiceUnavailable, errBody(codeUnavailable, "no ingester configured (run giantd with -build)")
-	}
-	if s.opts.ShardIngest != nil && !s.shardMode {
-		return http.StatusServiceUnavailable, errBody(codeUnavailable, "per-shard ingester on a non-shard server (build it with serve.NewShard)")
-	}
-	if s.shardMode && s.opts.ShardIngest == nil {
-		// A whole-world ingester on a per-shard server would publish a
-		// state with no shard identity, silently de-sharding the backend.
-		return http.StatusServiceUnavailable, errBody(codeUnavailable, "whole-world ingester on a per-shard server (configure Options.ShardIngest)")
 	}
 	var batch delta.Batch
 	if err := json.NewDecoder(r.Body).Decode(&batch); err != nil {
@@ -874,9 +839,23 @@ func (s *Server) handleIngest(st *state, r *http.Request) (int, any) {
 	return status, resp
 }
 
-// ingestBatch applies one decoded batch through the configured ingest
-// path and publishes the result — the shared core of POST /v1/ingest and
-// the delta-log Follower. It holds the swap lock across compute + publish
+// refuseShardWrite answers a direct write (POST /v1/ingest or /v1/reload)
+// to a per-shard server: a fleet changes only through its delta log. A
+// replica applies batches from the log alone, where a direct write would
+// fork its lineage from its peers'; a frozen shard changes by restarting
+// on a new file.
+func (s *Server) refuseShardWrite(what string) (int, any) {
+	if s.wal.Load() != nil {
+		return http.StatusServiceUnavailable, errBody(codeReadOnlyReplica,
+			"replica follows a delta log and accepts no direct "+what+": ingest through the router, or restart the replica")
+	}
+	return http.StatusServiceUnavailable, errBody(codeUnavailable,
+		"a per-shard server accepts no direct "+what+": restart it on a new shard file, or run a delta-log fleet (giantd -wal behind giantrouter -wal)")
+}
+
+// ingestBatch applies one decoded batch and publishes the result — the
+// shared core of a whole-world server's POST /v1/ingest and a per-shard
+// replica's delta-log Follower. It holds the swap lock across compute + publish
 // so concurrent ingests apply and publish in the same order (readers
 // never take this lock). Alongside the status and response it returns
 // the delta's touched-shard flags (nil unless the batch applied).
@@ -891,7 +870,7 @@ func (s *Server) ingestBatch(batch delta.Batch) (int, any, []bool) {
 		sharded *ontology.ShardedSnapshot
 		proj    *ontology.ShardProjection
 	)
-	if s.opts.ShardIngest != nil {
+	if s.shardMode {
 		proj, d, touched, err = s.opts.ShardIngest(batch)
 	} else {
 		sharded, d, touched, err = s.opts.IngestSharded(batch)
