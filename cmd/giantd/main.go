@@ -12,7 +12,8 @@
 // With -build instead of -in, giantd runs the offline pipeline itself at
 // startup (handy for demos; -tiny shrinks the build) and serves the result,
 // keeping the trained event matcher and concept context for richer tagging.
-// In -build mode the daemon also accepts live incremental updates: POST a
+// In -build mode a whole-world daemon (no -shard) also accepts live
+// incremental updates: POST a
 // delta.Batch of new documents and clicks to /v1/ingest and the affected
 // click-graph neighbourhood is re-mined, diffed and hot-swapped in as a
 // new snapshot generation while in-flight requests finish on the old one.

@@ -26,7 +26,7 @@ package serve
 //     vector entry disagrees with its server publishes nothing.
 //   - TestIngestAppendFailure: a failed log append answers 503 with an
 //     unknown outcome, and so does every later ingest.
-//   - TestErrorEnvelope: every error path, across all four serving modes,
+//   - TestErrorEnvelope: every error path, across every serving mode,
 //     renders the one {"error":{"code","message",...}} envelope with a
 //     known machine code.
 
@@ -342,13 +342,17 @@ func followLog(t *testing.T, dir string, srvs ...*Server) {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan struct{})
+		var runErr error
 		go func() {
 			defer close(done)
-			fl.Run(ctx)
+			runErr = fl.Run(ctx)
 		}()
 		t.Cleanup(func() {
 			cancel()
 			<-done
+			if !errors.Is(runErr, context.Canceled) {
+				t.Errorf("follower stopped on its own: %v", runErr)
+			}
 		})
 	}
 }
@@ -1198,7 +1202,7 @@ func assertEnvelope(t *testing.T, body []byte, wantCode string) {
 	}
 }
 
-// TestErrorEnvelope sweeps every /v1 error path across the four serving
+// TestErrorEnvelope sweeps every /v1 error path across the serving
 // modes and asserts each response is the unified envelope with the
 // expected machine code.
 func TestErrorEnvelope(t *testing.T) {

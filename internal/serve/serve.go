@@ -166,8 +166,8 @@ type Server struct {
 	story       storytree.Options
 	shardMode   bool // built with NewShard: serves one shard projection
 	// wal is non-nil on a delta-log replica (a NewShard server with an
-	// attached Follower): the server then refuses direct writes
-	// (read_only_replica) and answers /v1/wal with its applied log
+	// attached Follower): the server then refuses direct writes as
+	// read_only_replica and answers /v1/wal with its applied log
 	// position for the router's quorum acks and read gating.
 	wal atomic.Pointer[walState]
 }
