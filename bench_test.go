@@ -254,7 +254,9 @@ func BenchmarkIngestBatch(b *testing.B) {
 // BenchmarkIngestSmallBatch measures the per-batch fixed cost of the
 // incremental path: a 3-click batch re-mines a handful of seeds, so what is
 // left is everything Ingest does regardless of batch size (snapshot
-// adoption, inventory-wide linking, delta apply). BenchmarkIngestBatch next
+// adoption, inventory-wide linking, and the node/edge copies and CSR
+// rebuild inside delta apply — its index work is proportional to the
+// delta). BenchmarkIngestBatch next
 // to it is dominated by mining. The default-scale world (skipped under
 // -short) shows how that fixed cost grows with the ontology.
 func BenchmarkIngestSmallBatch(b *testing.B) {

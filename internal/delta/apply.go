@@ -2,6 +2,7 @@ package delta
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"giant/internal/ontology"
@@ -18,57 +19,81 @@ import (
 // generation that contains the phrases it references (edges whose
 // endpoints are absent are skipped, never errors), which is what lets a
 // serving tier replay deltas against whichever generation is current.
+//
+// A generation costs what its delta costs plus copies: every reference
+// resolves through cur's phrase index (or the delta's own additions), a
+// new or re-weighted edge is looked up among its source's out-edges in
+// cur, and ontology.Snapshot.Derive patches cur's indexes rather than
+// rebuilding them. Only the node and edge copies and the CSR are O(N +
+// edges). cur's phrases are unique per type and its edges unique per
+// (src, dst, type), as every snapshot the pipeline makes is.
 func Apply(cur *ontology.Snapshot, d *Delta) (*ontology.Snapshot, error) {
-	retired := map[string]bool{}
+	var retired []ontology.NodeID
 	for _, r := range d.Retire {
-		retired[refKey(r.Type, r.Phrase)] = true
+		if id, ok := cur.Lookup(r.Type, r.Phrase); ok {
+			retired = append(retired, id)
+		}
 	}
-	touch := map[string]*NodeAdd{}
-	for i := range d.Touch {
-		t := &d.Touch[i]
-		touch[refKey(t.Type, t.Phrase)] = t
-	}
+	slices.Sort(retired)
+	retired = slices.Compact(retired)
 
 	// Survivors, densely renumbered.
-	oldNodes := cur.Nodes()
-	nodes := make([]ontology.Node, 0, len(oldNodes)+len(d.Add))
-	remap := make([]ontology.NodeID, len(oldNodes))
-	for i := range remap {
-		remap[i] = -1
-	}
-	index := map[string]ontology.NodeID{} // refKey -> new ID
-	for i := range oldNodes {
-		n := oldNodes[i]
-		key := refKey(n.Type, n.Phrase)
-		if retired[key] {
+	remap := make([]ontology.NodeID, cur.Len()) // cur ID -> next ID, -1 if retired
+	nodes := make([]ontology.Node, 0, cur.Len()-len(retired)+len(d.Add))
+	rest := retired
+	for id := range remap {
+		if len(rest) > 0 && rest[0] == ontology.NodeID(id) {
+			rest, remap[id] = rest[1:], -1
 			continue
 		}
-		if t, ok := touch[key]; ok {
-			if d.Day > n.LastSeenDay {
-				n.LastSeenDay = d.Day
-			}
-			if t.Trigger != "" {
-				n.Trigger = t.Trigger
-			}
-			if t.Location != "" {
-				n.Location = t.Location
-			}
-			if n.Type == ontology.Event && t.Day > 0 && n.Day == 0 {
-				n.Day = t.Day
-			}
-			n.Aliases = mergeAliases(n.Phrase, n.Aliases, t.Aliases)
-		}
-		id := ontology.NodeID(len(nodes))
-		remap[n.ID] = id
-		n.ID = id
+		n := *cur.At(ontology.NodeID(id))
+		n.ID = ontology.NodeID(len(nodes))
+		remap[id] = n.ID
 		nodes = append(nodes, n)
-		index[key] = id
 	}
 
-	// New nodes append after the survivors.
+	// Touched survivors refresh; the last touch of a node wins.
+	touch := map[ontology.NodeID]*NodeAdd{}
+	for i := range d.Touch {
+		t := &d.Touch[i]
+		if id, ok := cur.Lookup(t.Type, t.Phrase); ok && remap[id] >= 0 {
+			touch[remap[id]] = t
+		}
+	}
+	for id, t := range touch {
+		n := &nodes[id]
+		if d.Day > n.LastSeenDay {
+			n.LastSeenDay = d.Day
+		}
+		if t.Trigger != "" {
+			n.Trigger = t.Trigger
+		}
+		if t.Location != "" {
+			n.Location = t.Location
+		}
+		if n.Type == ontology.Event && t.Day > 0 && n.Day == 0 {
+			n.Day = t.Day
+		}
+		n.Aliases = mergeAliases(n.Phrase, n.Aliases, t.Aliases)
+	}
+
+	// New nodes append after the survivors. resolve finds a (type, phrase)
+	// in the next generation: its ID there and, for a survivor, its ID in
+	// cur (-1 for a node this delta adds).
+	type phraseKey struct {
+		typ    ontology.NodeType
+		phrase string // lowercased
+	}
+	added := map[phraseKey]ontology.NodeID{}
+	resolve := func(t ontology.NodeType, phrase string) (was, id ontology.NodeID, ok bool) {
+		if was, ok := cur.Lookup(t, phrase); ok && remap[was] >= 0 {
+			return was, remap[was], true
+		}
+		id, ok = added[phraseKey{t, strings.ToLower(phrase)}]
+		return -1, id, ok
+	}
 	for _, a := range d.Add {
-		key := refKey(a.Type, a.Phrase)
-		if _, dup := index[key]; dup {
+		if _, _, dup := resolve(a.Type, a.Phrase); dup {
 			continue // already present (idempotent re-apply)
 		}
 		id := ontology.NodeID(len(nodes))
@@ -81,63 +106,68 @@ func Apply(cur *ontology.Snapshot, d *Delta) (*ontology.Snapshot, error) {
 			n.Trigger, n.Location, n.Day = a.Trigger, a.Location, a.Day
 		}
 		nodes = append(nodes, n)
-		index[key] = id
+		added[phraseKey{a.Type, strings.ToLower(a.Phrase)}] = id
 	}
 
-	// Surviving edges, remapped; then new edges and re-weights resolved by
-	// phrase.
+	// Surviving edges keep cur's order; then new edges and re-weights of
+	// missing ones append, each (src, dst, type) at most once. find
+	// resolves an edge by phrase; at is its position in cur's edges, or -1
+	// when cur does not have it.
 	type edgeKey struct {
 		src, dst ontology.NodeID
 		typ      ontology.EdgeType
 	}
-	edges := make([]ontology.Edge, 0, cur.EdgeCount()+len(d.Edges))
-	at := map[edgeKey]int{}
-	for _, e := range cur.Edges() {
-		src, dst := remap[e.Src], remap[e.Dst]
-		if src < 0 || dst < 0 {
-			continue // incident to a retired node
+	edges := cur.Edges()
+	var fresh []ontology.Edge // appended edges, in next IDs
+	freshAt := map[edgeKey]int{}
+	find := func(e *EdgeAdd) (k edgeKey, at int, ok bool) {
+		wasSrc, src, ok1 := resolve(e.SrcType, e.Src)
+		wasDst, dst, ok2 := resolve(e.DstType, e.Dst)
+		if !ok1 || !ok2 || src == dst {
+			return k, -1, false
 		}
-		k := edgeKey{src, dst, e.Type}
-		if _, dup := at[k]; dup {
-			continue
+		at = -1
+		if wasSrc >= 0 && wasDst >= 0 {
+			if i, exists := cur.EdgeIndex(wasSrc, wasDst, e.Type); exists {
+				at = i
+			}
 		}
-		at[k] = len(edges)
-		edges = append(edges, ontology.Edge{Src: src, Dst: dst, Type: e.Type, Weight: e.Weight})
+		return edgeKey{src, dst, e.Type}, at, true
 	}
-	resolve := func(e *EdgeAdd) (ontology.NodeID, ontology.NodeID, bool) {
-		src, ok1 := index[refKey(e.SrcType, e.Src)]
-		dst, ok2 := index[refKey(e.DstType, e.Dst)]
-		return src, dst, ok1 && ok2 && src != dst
+	appendFresh := func(k edgeKey, w float64) {
+		freshAt[k] = len(fresh)
+		fresh = append(fresh, ontology.Edge{Src: k.src, Dst: k.dst, Type: k.typ, Weight: w})
 	}
 	for i := range d.Edges {
 		e := &d.Edges[i]
-		src, dst, ok := resolve(e)
-		if !ok {
-			continue
+		if k, at, ok := find(e); ok && at < 0 {
+			if _, dup := freshAt[k]; !dup {
+				appendFresh(k, e.Weight)
+			}
 		}
-		k := edgeKey{src, dst, e.Type}
-		if _, dup := at[k]; dup {
-			continue
-		}
-		at[k] = len(edges)
-		edges = append(edges, ontology.Edge{Src: src, Dst: dst, Type: e.Type, Weight: e.Weight})
 	}
 	for i := range d.Reweight {
 		e := &d.Reweight[i]
-		src, dst, ok := resolve(e)
+		k, at, ok := find(e)
 		if !ok {
 			continue
 		}
-		k := edgeKey{src, dst, e.Type}
-		if idx, exists := at[k]; exists {
-			edges[idx].Weight = e.Weight
+		if at >= 0 {
+			edges[at].Weight = e.Weight
+		} else if j, seen := freshAt[k]; seen {
+			fresh[j].Weight = e.Weight
 		} else {
-			at[k] = len(edges)
-			edges = append(edges, ontology.Edge{Src: src, Dst: dst, Type: e.Type, Weight: e.Weight})
+			appendFresh(k, e.Weight)
+		}
+	}
+	kept := edges[:0]
+	for _, e := range edges {
+		if e.Src, e.Dst = remap[e.Src], remap[e.Dst]; e.Src >= 0 && e.Dst >= 0 {
+			kept = append(kept, e) // not incident to a retired node
 		}
 	}
 
-	snap, err := ontology.BuildSnapshot(nodes, edges)
+	snap, err := cur.Derive(nodes, append(kept, fresh...), retired)
 	if err != nil {
 		return nil, fmt.Errorf("delta: apply: %w", err)
 	}

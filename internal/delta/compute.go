@@ -408,7 +408,7 @@ func ttlPhase(cur *ontology.Snapshot, touched map[string]bool, day int, pol Poli
 	for i := 0; i < cur.Len(); i++ {
 		n := cur.At(ontology.NodeID(i))
 		ttl := pol.ttlFor(n.Type)
-		if ttl <= 0 || touched[refKey(n.Type, n.Phrase)] {
+		if ttl <= 0 {
 			continue
 		}
 		last := n.FirstSeenDay
@@ -418,7 +418,8 @@ func ttlPhase(cur *ontology.Snapshot, touched map[string]bool, day int, pol Poli
 		if n.Type == ontology.Event && n.Day > last {
 			last = n.Day
 		}
-		if day-last > ttl {
+		// Expiry first: only an expired node pays for the touched probe's key.
+		if day-last > ttl && !touched[refKey(n.Type, n.Phrase)] {
 			b.d.Retire = append(b.d.Retire, Ref{Type: n.Type, Phrase: n.Phrase})
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"sort"
 	"strings"
@@ -12,14 +13,16 @@ import (
 
 // Snapshot is an immutable, read-optimized view of an Ontology, built once
 // from a finished build (or loaded from the JSON a build wrote) and then
-// shared freely between goroutines. Every index is precomputed at
-// construction time — phrase→node and alias→node maps per type, per-type
+// shared freely between goroutines. Every index is complete before the
+// snapshot is shared — phrase→node and alias→node maps per type, per-type
 // node lists, CSR adjacency over the edge list, and the per-type statistics
 // — so lookups are lock-free O(1), traversals are O(degree), and the hot
-// phrase-lookup path performs zero allocations. A Snapshot never touches
-// the Ontology mutex; concurrent readers scale linearly and an online
-// server can hot-swap one atomically for another while requests are in
-// flight.
+// phrase-lookup path performs zero allocations. BuildSnapshot computes the
+// indexes from scratch; Derive computes the next generation's from the
+// current one's, patching only what the changed nodes touch. A Snapshot
+// never touches the Ontology mutex; concurrent readers scale linearly and
+// an online server can hot-swap one atomically for another while requests
+// are in flight.
 type Snapshot struct {
 	nodes []Node
 	edges []Edge
@@ -100,25 +103,230 @@ func LoadSnapshotFile(path string) (*Snapshot, error) {
 // BuildSnapshot indexes explicit node and edge lists into a Snapshot. The
 // slices become owned by the snapshot and must not be mutated afterwards.
 // Node IDs must equal their slice index (the invariant every snapshot
-// relies on for O(1) access) and edge endpoints must be in range; the
-// delta-apply path uses this to materialize an updated generation without
-// a full rebuild.
+// relies on for O(1) access) and edge endpoints must be in range. Shard
+// projections use this; the delta-apply path uses Derive instead.
 func BuildSnapshot(nodes []Node, edges []Edge) (*Snapshot, error) {
+	if err := checkLists(nodes, edges); err != nil {
+		return nil, err
+	}
+	return newSnapshot(nodes, edges), nil
+}
+
+// checkLists enforces what every snapshot relies on: node IDs equal their
+// slice index, and edges join two distinct in-range nodes.
+func checkLists(nodes []Node, edges []Edge) error {
 	for i := range nodes {
 		if int(nodes[i].ID) != i {
-			return nil, fmt.Errorf("ontology: node %d has ID %d (IDs must be dense and ordered)", i, nodes[i].ID)
+			return fmt.Errorf("ontology: node %d has ID %d (IDs must be dense and ordered)", i, nodes[i].ID)
 		}
 	}
 	for i := range edges {
 		e := &edges[i]
 		if e.Src < 0 || e.Dst < 0 || int(e.Src) >= len(nodes) || int(e.Dst) >= len(nodes) {
-			return nil, fmt.Errorf("ontology: edge %d endpoints out of range (%d,%d)", i, e.Src, e.Dst)
+			return fmt.Errorf("ontology: edge %d endpoints out of range (%d,%d)", i, e.Src, e.Dst)
 		}
 		if e.Src == e.Dst {
-			return nil, fmt.Errorf("ontology: edge %d is a self edge on node %d", i, e.Src)
+			return fmt.Errorf("ontology: edge %d is a self edge on node %d", i, e.Src)
 		}
 	}
-	return newSnapshot(nodes, edges), nil
+	return nil
+}
+
+// Derive returns the generation that follows s. nodes and edges become
+// owned by the result, and its indexes equal what BuildSnapshot(nodes,
+// edges) would compute; but instead of re-hashing every phrase and alias,
+// Derive patches s's maps for the nodes that changed (copying a map on its
+// first write and sharing the rest), so a small step costs the keys it
+// touches, a few map copies and the CSR rebuild, not N map inserts.
+//
+// The step is described by its result plus retired, the IDs of s's nodes
+// that were dropped (ascending, no repeats). nodes must start with every
+// other node of s, in order, renumbered densely and keeping its type and
+// phrase; their other fields, aliases included, may change. Nodes past
+// those are new.
+func (s *Snapshot) Derive(nodes []Node, edges []Edge, retired []NodeID) (*Snapshot, error) {
+	for i, r := range retired {
+		if r < 0 || int(r) >= len(s.nodes) || (i > 0 && r <= retired[i-1]) {
+			return nil, fmt.Errorf("ontology: derive: retired IDs must be ascending, unique and in range (%d at %d)", r, i)
+		}
+	}
+	if len(nodes) < len(s.nodes)-len(retired) {
+		return nil, fmt.Errorf("ontology: derive: %d nodes cannot carry over %d of %d", len(nodes), len(s.nodes)-len(retired), len(s.nodes))
+	}
+	if err := checkLists(nodes, edges); err != nil {
+		return nil, err
+	}
+	remap := make([]NodeID, len(s.nodes)) // s's ID -> next ID, -1 if retired
+	next, r := NodeID(0), 0
+	for id := range remap {
+		if r < len(retired) && int(retired[r]) == id {
+			remap[id] = -1
+			r++
+			continue
+		}
+		if p, n := &s.nodes[id], &nodes[next]; p.Type != n.Type || p.Phrase != n.Phrase {
+			return nil, fmt.Errorf("ontology: derive: node %d (%s %q) does not carry over node %d (%s %q)", next, n.Type, n.Phrase, id, p.Type, p.Phrase)
+		}
+		remap[id] = next
+		next++
+	}
+	d := &Snapshot{nodes: nodes, edges: edges}
+	d.buildCSR()
+	d.deriveMaps(s, remap, retired)
+	d.stats = countStats(nodes, edges)
+	return d, nil
+}
+
+// deriveMaps computes the phrase, alias and per-type indexes of d from
+// those of its predecessor p. A key belongs to the lowest ID carrying it,
+// so the patch is: carried-over owners keep their keys (renumbered);
+// retired owners, and owners whose aliases no longer carry a key, give the
+// key up, and a given-up key goes to the lowest survivor still carrying it
+// (a scan of that type, on steps that give keys up); a survivor's new
+// alias takes its key from a higher owner; new nodes take what is free.
+// A map nothing writes stays shared with p.
+func (d *Snapshot) deriveMaps(p *Snapshot, remap, retired []NodeID) {
+	d.byPhrase, d.byAlias = p.byPhrase, p.byAlias
+	phrases, aliases := keyMaps{m: &d.byPhrase}, keyMaps{m: &d.byAlias}
+	var freed [NumNodeTypes]map[string]bool // per type: keys given up
+	release := func(c *keyMaps, t int, key string, owner NodeID) {
+		k := strings.ToLower(key)
+		if id, ok := c.m[t][k]; ok && id == owner {
+			delete(c.own(t), k)
+			if freed[t] == nil {
+				freed[t] = map[string]bool{}
+			}
+			freed[t][k] = true
+		}
+	}
+	for _, r := range retired {
+		n := &p.nodes[r]
+		if t := int(n.Type); t < NumNodeTypes {
+			release(&phrases, t, n.Phrase, r)
+			for _, a := range n.Aliases {
+				release(&aliases, t, a, r)
+			}
+		}
+	}
+	// Survivors whose alias list was replaced (the only field of theirs an
+	// index reads that may change) give up the keys they no longer carry.
+	var changed []NodeID // next IDs
+	for old, id := range remap {
+		if id < 0 {
+			continue
+		}
+		was, now := p.nodes[old].Aliases, d.nodes[id].Aliases
+		if len(was) == len(now) && (len(now) == 0 || &was[0] == &now[0]) {
+			continue
+		}
+		changed = append(changed, id)
+		if t := int(d.nodes[id].Type); t < NumNodeTypes {
+			for _, a := range was {
+				if !carriesKey(now, strings.ToLower(a)) {
+					release(&aliases, t, a, NodeID(old))
+				}
+			}
+		}
+	}
+	if len(retired) > 0 {
+		for t := range NumNodeTypes {
+			for _, m := range []map[string]NodeID{phrases.own(t), aliases.own(t)} {
+				for k, id := range m {
+					m[k] = remap[id]
+				}
+			}
+		}
+	}
+
+	kept := len(p.nodes) - len(retired)
+	for t := range NumNodeTypes {
+		ids := make([]NodeID, 0, len(p.byType[t])+len(d.nodes)-kept)
+		for _, id := range p.byType[t] {
+			if next := remap[id]; next >= 0 {
+				ids = append(ids, next)
+			}
+		}
+		if len(ids) == 0 {
+			ids = nil // as indexMaps leaves a type with no nodes
+		}
+		d.byType[t] = ids
+		if freed[t] == nil {
+			continue
+		}
+		for _, id := range ids {
+			n := &d.nodes[id]
+			if k := strings.ToLower(n.Phrase); freed[t][k] {
+				phrases.claim(t, k, id)
+			}
+			for _, a := range n.Aliases {
+				if k := strings.ToLower(a); freed[t][k] {
+					aliases.claim(t, k, id)
+				}
+			}
+		}
+	}
+	for _, id := range changed {
+		n := &d.nodes[id]
+		if t := int(n.Type); t < NumNodeTypes {
+			for _, a := range n.Aliases {
+				k := strings.ToLower(a)
+				if owner, ok := aliases.m[t][k]; !ok || id < owner {
+					aliases.own(t)[k] = id
+				}
+			}
+		}
+	}
+	for i := kept; i < len(d.nodes); i++ {
+		n := &d.nodes[i]
+		if t := int(n.Type); t < NumNodeTypes {
+			phrases.claim(t, strings.ToLower(n.Phrase), n.ID)
+			for _, a := range n.Aliases {
+				aliases.claim(t, strings.ToLower(a), n.ID)
+			}
+			d.byType[t] = append(d.byType[t], n.ID)
+		}
+	}
+}
+
+// keyMaps is one family of per-type key maps (phrases or aliases) of a
+// snapshot under derivation. Each map starts shared with the predecessor
+// and is copied on its first write.
+type keyMaps struct {
+	m     *[NumNodeTypes]map[string]NodeID
+	owned [NumNodeTypes]bool
+}
+
+// own returns type t's map, copying it first if it is still shared.
+func (c *keyMaps) own(t int) map[string]NodeID {
+	if !c.owned[t] {
+		c.m[t], c.owned[t] = maps.Clone(c.m[t]), true
+	}
+	return c.m[t]
+}
+
+// claim is claimFirst on type t's map, copying it only if key is free.
+func (c *keyMaps) claim(t int, key string, id NodeID) {
+	if _, taken := c.m[t][key]; !taken {
+		c.own(t)[key] = id
+	}
+}
+
+// claimFirst gives key to id unless a node already owns it: visited in
+// ascending ID order, the lowest ID carrying a key ends up owning it.
+func claimFirst(m map[string]NodeID, key string, id NodeID) {
+	if _, taken := m[key]; !taken {
+		m[key] = id
+	}
+}
+
+// carriesKey reports whether one of aliases lowercases to key.
+func carriesKey(aliases []string, key string) bool {
+	for _, a := range aliases {
+		if strings.ToLower(a) == key {
+			return true
+		}
+	}
+	return false
 }
 
 // newSnapshot indexes the given node and edge lists. The caller must pass
@@ -145,26 +353,38 @@ func (s *Snapshot) indexMaps() {
 		if t >= NumNodeTypes {
 			continue
 		}
-		key := strings.ToLower(n.Phrase)
-		if _, dup := s.byPhrase[t][key]; !dup {
-			s.byPhrase[t][key] = n.ID
-		}
+		claimFirst(s.byPhrase[t], strings.ToLower(n.Phrase), n.ID)
 		for _, a := range n.Aliases {
-			ak := strings.ToLower(a)
-			if _, dup := s.byAlias[t][ak]; !dup {
-				s.byAlias[t][ak] = n.ID
-			}
+			claimFirst(s.byAlias[t], strings.ToLower(a), n.ID)
 		}
 		s.byType[t] = append(s.byType[t], n.ID)
 	}
+	s.stats = countStats(s.nodes, s.edges)
+}
 
-	s.stats = Stats{NodesByType: map[string]int{}, EdgesByType: map[string]int{}}
-	for i := range s.nodes {
-		s.stats.NodesByType[s.nodes[i].Type.String()]++
+// countStats tallies nodes and edges per type name. Out-of-range types all
+// count under the one name String gives them.
+func countStats(nodes []Node, edges []Edge) Stats {
+	var nc [NumNodeTypes + 1]int
+	for i := range nodes {
+		nc[min(int(nodes[i].Type), NumNodeTypes)]++
 	}
-	for i := range s.edges {
-		s.stats.EdgesByType[s.edges[i].Type.String()]++
+	var ec [NumEdgeTypes + 1]int
+	for i := range edges {
+		ec[min(int(edges[i].Type), NumEdgeTypes)]++
 	}
+	st := Stats{NodesByType: map[string]int{}, EdgesByType: map[string]int{}}
+	for t, c := range nc {
+		if c > 0 {
+			st.NodesByType[NodeType(t).String()] = c
+		}
+	}
+	for t, c := range ec {
+		if c > 0 {
+			st.EdgesByType[EdgeType(t).String()] = c
+		}
+	}
+	return st
 }
 
 // buildCSR computes the CSR adjacency from the edge list: count degrees,
@@ -305,6 +525,20 @@ func (s *Snapshot) EachIn(v NodeID, fn func(e *Edge, src *Node) bool) {
 			return
 		}
 	}
+}
+
+// EdgeIndex returns the position in Edges() of the edge src→dst of type t,
+// found among src's out-edges in O(degree).
+func (s *Snapshot) EdgeIndex(src, dst NodeID, t EdgeType) (int, bool) {
+	if int(src) < 0 || int(src) >= len(s.nodes) {
+		return 0, false
+	}
+	for _, ei := range s.outIdx[s.outOff[src]:s.outOff[src+1]] {
+		if e := &s.edges[ei]; e.Dst == dst && e.Type == t {
+			return int(ei), true
+		}
+	}
+	return 0, false
 }
 
 // Children returns nodes reachable from id via out-edges of type t.
