@@ -86,8 +86,8 @@ func Apply(cur *ontology.Snapshot, d *Delta) (*ontology.Snapshot, error) {
 	}
 	added := map[phraseKey]ontology.NodeID{}
 	resolve := func(t ontology.NodeType, phrase string) (was, id ontology.NodeID, ok bool) {
-		if was, ok := cur.Lookup(t, phrase); ok && remap[was] >= 0 {
-			return was, remap[was], true
+		if old, found := cur.Lookup(t, phrase); found && remap[old] >= 0 {
+			return old, remap[old], true
 		}
 		id, ok = added[phraseKey{t, strings.ToLower(phrase)}]
 		return -1, id, ok

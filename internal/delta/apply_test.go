@@ -37,15 +37,12 @@ func (p *bytePicker) intn(n int) int {
 	return v % n
 }
 
-// genWord draws a phrase or alias from a vocabulary of size words, in one
-// of three casings, so different nodes and aliases collide often.
+// genWord draws a phrase or alias from a vocabulary of size words, in
+// either casing, so different nodes and aliases collide often.
 func genWord(p picker, words int) string {
 	w := fmt.Sprintf("w%d", p.intn(words))
-	switch p.intn(4) {
-	case 0:
+	if p.intn(3) == 0 {
 		return strings.ToUpper(w)
-	case 1:
-		return "W" + w[1:]
 	}
 	return w
 }
