@@ -23,9 +23,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -607,6 +610,143 @@ func TestRouterNeverMasksDownBackend(t *testing.T) {
 			}
 		})
 	}
+}
+
+// genShifter wraps a backend and adds offset to every generation it
+// reports — each "generation" field of the body and the
+// X-Giant-Generation header — so the router sees a republish that never
+// happened. With step set, the offset rises before every response. calls
+// counts the requests it served.
+type genShifter struct {
+	h      http.Handler
+	offset atomic.Uint64
+	step   atomic.Bool
+	calls  atomic.Int64
+}
+
+var generationField = regexp.MustCompile(`"generation":(\d+)`)
+
+func (s *genShifter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	s.calls.Add(1)
+	off := s.offset.Load()
+	if s.step.Load() {
+		off = s.offset.Add(1)
+	}
+	rec := httptest.NewRecorder()
+	s.h.ServeHTTP(rec, r)
+	shift := func(g []byte) []byte {
+		n, err := strconv.ParseUint(string(g), 10, 64)
+		if err != nil {
+			return g
+		}
+		return strconv.AppendUint(nil, n+off, 10)
+	}
+	body := generationField.ReplaceAllFunc(rec.Body.Bytes(), func(m []byte) []byte {
+		return append([]byte(`"generation":`), shift(generationField.FindSubmatch(m)[1])...)
+	})
+	for key, vals := range rec.Header() {
+		w.Header()[key] = vals
+	}
+	if g := rec.Header().Get(genHeader); g != "" {
+		w.Header().Set(genHeader, string(shift([]byte(g))))
+	}
+	w.WriteHeader(rec.Code)
+	w.Write(body)
+}
+
+// TestRouterRetriesGenerationChurn drives the stale → invalidate → retry
+// path of every memo-backed read. A backend that reports a generation its
+// memos were not built at (one shift between the warm-up and the read)
+// costs one retry, and the answer is byte-equal to an unshifted read. A
+// backend whose generation moves on every response never agrees with a
+// memo: tag, whose retry still scatters against the rebuilt concept
+// index, answers 502 bad_upstream; search and rewrite retry with one
+// unpruned scatter that reads through no memo, and story's retry only
+// rebuilds the fragment list, which agrees with itself — so those three
+// still answer 200.
+func TestRouterRetriesGenerationChurn(t *testing.T) {
+	_, flaky, routerTS := newScriptedRouterFixture(t, 2, false)
+	shifters := make([]*genShifter, len(flaky))
+	for i, f := range flaky {
+		shifters[i] = &genShifter{h: f.h}
+		f.h = shifters[i]
+	}
+	setShift := func(off uint64, step bool) {
+		for _, s := range shifters {
+			s.offset.Store(off)
+			s.step.Store(step)
+		}
+	}
+	calls := func() int64 {
+		var n int64
+		for _, s := range shifters {
+			n += s.calls.Load()
+		}
+		return n
+	}
+	reads := []struct{ name, path string }{
+		{"search", "/v1/search?q=sedan&limit=5"},
+		{"tag", "/v1/tag?" + url.Values{"title": {"sedan model a wins award"}, "entities": {"Sedan Model A"}}.Encode()},
+		{"rewrite", "/v1/query/rewrite?q=family+sedans"},
+		{"story", "/v1/story?seed=brand+unveils+sedan+model+a"},
+	}
+	c := routerTS.Client()
+	ref := map[string][]byte{}
+	for _, rd := range reads {
+		status, body := getRaw(t, c, routerTS.URL+rd.path)
+		if status != http.StatusOK {
+			t.Fatalf("%s: unshifted read = %d: %s", rd.name, status, body)
+		}
+		ref[rd.name] = body
+	}
+	read := func(path string) (int64, int, []byte) {
+		t.Helper()
+		before := calls()
+		status, body := getRaw(t, c, routerTS.URL+path)
+		return calls() - before, status, body
+	}
+
+	t.Run("one shift", func(t *testing.T) {
+		for _, rd := range reads {
+			setShift(0, false)
+			// The first read may still see memos from the last shift; the
+			// second rebuilds the rest, the third is served warm.
+			var warm int64
+			for i := 0; i < 3; i++ {
+				n, status, body := read(rd.path)
+				if status != http.StatusOK || !bytes.Equal(body, ref[rd.name]) {
+					t.Fatalf("%s warm-up %d = %d: %s, want %s", rd.name, i, status, body, ref[rd.name])
+				}
+				warm = n
+			}
+			setShift(1, false)
+			n, status, body := read(rd.path)
+			if status != http.StatusOK || !bytes.Equal(body, ref[rd.name]) {
+				t.Fatalf("%s after one shift = %d: %s, want %s", rd.name, status, body, ref[rd.name])
+			}
+			if n <= warm {
+				t.Fatalf("%s after one shift made %d upstream calls, a warm read %d: the stale memo was never retried", rd.name, n, warm)
+			}
+		}
+	})
+
+	t.Run("shift on every response", func(t *testing.T) {
+		setShift(0, true)
+		defer setShift(0, false)
+		for _, rd := range reads {
+			_, status, body := read(rd.path)
+			if rd.name != "tag" {
+				if status != http.StatusOK || !bytes.Equal(body, ref[rd.name]) {
+					t.Fatalf("%s under churn = %d: %s, want %s", rd.name, status, body, ref[rd.name])
+				}
+				continue
+			}
+			if status != http.StatusBadGateway {
+				t.Fatalf("tag under churn = %d: %s, want 502", status, body)
+			}
+			assertEnvelope(t, body, codeBadUpstream)
+		}
+	})
 }
 
 // percentileNs returns the p-quantile of the samples in nanoseconds
