@@ -46,13 +46,15 @@ package serve
 //	                   the tree forms at the router from the merged
 //	                   per-shard ?partial=fragments event lists
 //
-// Degraded mode is configurable (RouterOptions.FailOpen): when a backend
-// is unreachable, every fan-out read — /v1/search, /v1/stats, /v1/tag,
-// /v1/query/rewrite, /v1/story and scattered /v1/node lookups — either
+// Every fan-out read — /v1/search, /v1/stats, /v1/tag, /v1/query/rewrite,
+// /v1/story and scattered /v1/node lookups — runs through one loop,
+// scatterFold, with one staleness rule and one degraded-mode policy
+// (RouterOptions.FailOpen): when a backend is unreachable, the read either
 // fails closed with 503 or returns the reachable shards' results marked
-// "partial": true. A typed /v1/node lookup answers 502 when the one home
-// shard that could hold its phrase is unreachable, and ingest is always
-// fail-closed.
+// "partial": true. A backend that answers with a body that does not decode
+// is broken, not missing: 502 bad_upstream naming its shard. A typed
+// /v1/node lookup answers 502 when the one home shard that could hold its
+// phrase is unreachable, and ingest is always fail-closed.
 //
 // A fleet changes only through its one delta log. Without WALDir the
 // router fronts a frozen fleet (giantd -shard i/k -in), which changes by
@@ -79,6 +81,7 @@ import (
 	"net/http"
 	"net/url"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -194,18 +197,16 @@ type Router struct {
 	stopOnce sync.Once
 	probeWG  sync.WaitGroup
 	// The router memoizes exactly three fleet-wide folds, each lazily
-	// rebuilt by a fan-out whenever nil and all dropped together by
-	// invalidate: routing, the term→shard routing index (from /v1/stats
+	// rebuilt by a fan-out and all dropped together by invalidate, which
+	// bumps epoch: routing, the term→shard routing index (from /v1/stats
 	// term grams), and tagIdx / frags, the merged concept index and
 	// story-fragment list (from full ?partial=stats / ?partial=fragments
 	// fan-outs). A degraded tagIdx / frags build (missing shards under
 	// fail-open) is never stored.
-	routing   atomic.Pointer[routingIndex]
-	routingMu sync.Mutex // serializes index rebuilds (readers use routing)
-	tagIdx    atomic.Pointer[routerTagIndex]
-	tagMu     sync.Mutex // serializes tagIdx rebuilds
-	frags     atomic.Pointer[routerFragments]
-	fragsMu   sync.Mutex // serializes frags rebuilds
+	epoch   atomic.Uint64
+	routing memo[routingIndex]
+	tagIdx  memo[routerTagIndex]
+	frags   memo[routerFragments]
 	// enc and story drive story-tree formation at the router; they must
 	// match the backends' (all default-constructed unless Options.Story /
 	// RouterOptions.Story override them in lockstep).
@@ -213,22 +214,64 @@ type Router struct {
 	story storytree.Options
 }
 
-// routingShard is one backend's entry in the routing index: its serving
-// generation and home-prefix term grams as of the index build. ok=false
-// (the backend failed to answer the stats fan-out) routes conservatively:
-// the shard is always consulted.
-type routingShard struct {
-	gen   uint64
-	grams *ontology.TermGrams
-	ok    bool
+// genVec is a per-shard generation vector: gens[i] is the serving
+// generation shard i answered at, meaningful only where ok[i]. Every memo
+// embeds the vector of the fan-out that built it.
+type genVec struct {
+	gens []uint64
+	ok   []bool
 }
 
+func newGenVec(k int) genVec { return genVec{gens: make([]uint64, k), ok: make([]bool, k)} }
+
 // routingIndex is the router's term→shard posting index: per-shard term
-// grams to prune the scatter, with the generation each shard's grams were
-// read at, so a response from a later generation reveals that the grams
-// may be stale. Immutable once published.
+// grams to prune the scatter. A shard without grams (it failed to answer
+// the stats fan-out) routes conservatively: it is always consulted.
+// Immutable once published.
 type routingIndex struct {
-	shards []routingShard
+	genVec
+	grams []*ontology.TermGrams
+}
+
+// memo is one fleet-wide fold the router keeps between requests, valid
+// only at the epoch its build started under: invalidate bumps the epoch,
+// which drops every memo at once, and a build that straddles a bump is
+// returned to its caller but never served to a later one.
+type memo[T any] struct {
+	mu  sync.Mutex // serializes rebuilds; readers never take it
+	cur atomic.Pointer[memoEntry[T]]
+}
+
+type memoEntry[T any] struct {
+	epoch uint64
+	val   *T
+}
+
+func (m *memo[T]) load(epoch uint64) *T {
+	if e := m.cur.Load(); e != nil && e.epoch == epoch {
+		return e.val
+	}
+	return nil
+}
+
+// get returns the memo valid at the current epoch, running build when
+// there is none. A build that fails or misses shards is returned but not
+// kept.
+func (m *memo[T]) get(epoch *atomic.Uint64, build func() (*T, []int, int, any)) (*T, []int, int, any) {
+	if v := m.load(epoch.Load()); v != nil {
+		return v, nil, 0, nil
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e := epoch.Load()
+	if v := m.load(e); v != nil {
+		return v, nil, 0, nil
+	}
+	v, failed, status, errb := build()
+	if status == 0 && len(failed) == 0 {
+		m.cur.Store(&memoEntry[T]{epoch: e, val: v})
+	}
+	return v, failed, status, errb
 }
 
 var routerEndpointNames = []string{
@@ -378,7 +421,6 @@ func (rt *Router) probeLoop() {
 		// replica still tailing its way back never masquerades as a fleet
 		// change.
 		results := make([]backendResult, rt.k)
-		chosen := make([]bool, rt.k)
 		par.ForEachIndexed(rt.workers(), rt.k, func(i int) {
 			reps := rt.shards[i]
 			probes := make([]backendResult, len(reps))
@@ -393,23 +435,15 @@ func (rt *Router) probeLoop() {
 			}
 			for j, rep := range reps {
 				if probes[j].ok() && rep.applied.Load() >= gate {
-					results[i], chosen[i] = probes[j], true
+					results[i] = probes[j]
 					break
 				}
 			}
 		})
-		if idx := rt.routing.Load(); idx != nil {
+		if idx := rt.routing.load(rt.epoch.Load()); idx != nil {
 			for i := range results {
-				if !chosen[i] {
-					continue
-				}
-				var h struct {
-					Generation uint64 `json:"generation"`
-				}
-				if json.Unmarshal(results[i].body, &h) != nil {
-					continue
-				}
-				if !idx.shards[i].ok || idx.shards[i].gen != h.Generation {
+				// A shard with no at-gate answer has no generation to check.
+				if gen, ok := results[i].generation(); ok && (!idx.ok[i] || idx.gens[i] != gen) {
 					// Either the backend recovered since the index was built
 					// (re-index to regain pruning) or its generation moved
 					// without a routed write (every memo is stale).
@@ -515,13 +549,10 @@ func (rt *Router) walStatus() []walShardStatus {
 // concept index and the merged fragment list — so the next read rebuilds
 // each from the fleet. Every fold spans every shard, so any change to any
 // shard stales all of them; there is no finer rule. Callers: any write
-// the fleet did not uniformly reject with a 4xx, prober drift, and a read
-// that observes a backend generation diverging from a memo's.
-func (rt *Router) invalidate() {
-	rt.routing.Store(nil)
-	rt.tagIdx.Store(nil)
-	rt.frags.Store(nil)
-}
+// the fleet did not uniformly reject with a 4xx, prober drift, and
+// scatterFold, when a read observes a backend generation diverging from a
+// memo's.
+func (rt *Router) invalidate() { rt.epoch.Add(1) }
 
 // invalidateAfterWrite applies the one invalidation rule to an ingest's
 // merged outcome: a uniform 4xx rejection changed nothing, anything else
@@ -533,48 +564,36 @@ func (rt *Router) invalidateAfterWrite(status int) {
 }
 
 // ensureRouting returns the current routing index, rebuilding it from a
-// /v1/stats fan-out when absent. Backends that fail to answer get an
-// ok=false entry — consulted on every search — so a partial rebuild
-// degrades pruning, not correctness.
-func (rt *Router) ensureRouting(ctx context.Context) *routingIndex {
-	if idx := rt.routing.Load(); idx != nil {
-		return idx
-	}
-	rt.routingMu.Lock()
-	defer rt.routingMu.Unlock()
-	if idx := rt.routing.Load(); idx != nil {
-		return idx
-	}
-	results := rt.fanout(ctx, nil, http.MethodGet, "/v1/stats", nil)
-	idx := &routingIndex{shards: make([]routingShard, rt.k)}
-	for i := range results {
-		if !results[i].ok() {
-			continue
-		}
-		var parsed struct {
-			Shard *struct {
-				Generation uint64              `json:"generation"`
-				TermStats  *ontology.TermStats `json:"term_stats"`
-			} `json:"shard"`
-		}
-		if json.Unmarshal(results[i].body, &parsed) != nil || parsed.Shard == nil {
-			continue
-		}
-		rs := routingShard{gen: parsed.Shard.Generation, ok: true}
-		if parsed.Shard.TermStats != nil {
-			if g, err := ontology.DecodeTermGrams(parsed.Shard.TermStats.Grams); err == nil {
-				rs.grams = g
+// /v1/stats fan-out when absent, and pins it on meta. A backend that fails
+// to answer gets no grams and is consulted on every routed read, so a
+// partial rebuild degrades pruning, not correctness — the one memo build
+// that never fails a read.
+func (rt *Router) ensureRouting(ctx context.Context, meta *respMeta) *routingIndex {
+	idx, _, _, _ := rt.routing.get(&rt.epoch, func() (*routingIndex, []int, int, any) {
+		results := rt.fanout(ctx, nil, http.MethodGet, "/v1/stats", nil)
+		idx := &routingIndex{genVec: newGenVec(rt.k), grams: make([]*ontology.TermGrams, rt.k)}
+		for i := range results {
+			var parsed struct {
+				Shard *struct {
+					TermStats *ontology.TermStats `json:"term_stats"`
+				} `json:"shard"`
+			}
+			if !results[i].ok() || json.Unmarshal(results[i].body, &parsed) != nil || parsed.Shard == nil {
+				continue
+			}
+			idx.gens[i], idx.ok[i] = results[i].generation()
+			if parsed.Shard.TermStats != nil {
+				idx.grams[i], _ = ontology.DecodeTermGrams(parsed.Shard.TermStats.Grams)
 			}
 		}
-		idx.shards[i] = rs
-	}
-	rt.routing.Store(idx)
+		return idx, nil, 0, nil
+	})
+	meta.pin(&idx.genVec)
 	return idx
 }
 
 // backendResult is one backend call's outcome.
 type backendResult struct {
-	shard  int
 	status int
 	body   []byte
 	gen    string // the backend's X-Giant-Generation response header
@@ -582,6 +601,13 @@ type backendResult struct {
 }
 
 func (br *backendResult) ok() bool { return br.err == nil && br.status == http.StatusOK }
+
+// generation parses the serving generation the backend stamped on its
+// answer (X-Giant-Generation); ok is false when there is none.
+func (br *backendResult) generation() (gen uint64, ok bool) {
+	gen, err := strconv.ParseUint(br.gen, 10, 64)
+	return gen, err == nil
+}
 
 // maxUpstreamBytes bounds every backend response body the router reads, so
 // one misbehaving backend cannot make it allocate without limit; a longer
@@ -594,13 +620,9 @@ const maxUpstreamBytes = 16 << 20
 // call performs one backend read under the read timeout, picking the
 // replica by readOrder and failing over on transport errors and 5xx.
 func (rt *Router) call(ctx context.Context, shard int, method, pathAndQuery string, body []byte) backendResult {
-	return rt.callTimeout(ctx, rt.opts.Timeout, shard, method, pathAndQuery, body)
-}
-
-func (rt *Router) callTimeout(ctx context.Context, timeout time.Duration, shard int, method, pathAndQuery string, body []byte) backendResult {
 	var last backendResult
 	for _, rep := range rt.readOrder(shard) {
-		last = rt.callReplica(ctx, timeout, rep, method, pathAndQuery, body)
+		last = rt.callReplica(ctx, rt.opts.Timeout, rep, method, pathAndQuery, body)
 		if last.err == nil && last.status < 500 {
 			// Any answered status below 500 is authoritative — a 404 is a
 			// node miss every replica of the shard would repeat, not a
@@ -618,7 +640,7 @@ func (rt *Router) callTimeout(ctx context.Context, timeout time.Duration, shard 
 // health mark from the transport outcome and its applied log position
 // from the X-Giant-Wal-Gen response header.
 func (rt *Router) callReplica(ctx context.Context, timeout time.Duration, rep *replicaState, method, pathAndQuery string, body []byte) backendResult {
-	res := backendResult{shard: rep.shard}
+	var res backendResult
 	rep.inflight.Add(1)
 	defer rep.inflight.Add(-1)
 	sentAt := rep.applied.Load()
@@ -799,16 +821,105 @@ func (rt *Router) allShards() []int {
 	return out
 }
 
-// failedShards lists the shards whose call failed (transport error or
-// non-200), in shard order.
-func failedShards(results []backendResult) []int {
-	var out []int
-	for i := range results {
-		if !results[i].ok() {
-			out = append(out, i)
+// read describes one routed read for scatterFold: what to ask, whom, and
+// how to decode one shard's answer.
+type read[P any] struct {
+	name, part   string // the read in its churn 502 ("tag"); one answer in its bad-body 502 ("tag partial")
+	method, path string // method "" is GET
+	body         []byte
+	shards       []int // the shards to ask, in order; nil asks every shard
+	// route prunes the first attempt to the shards whose routing-index
+	// grams may hold one of needles; the retry asks every shard.
+	route   bool
+	needles []string
+	// memos ensures (and pins on meta) the memos each attempt reads
+	// through, returning the shards their builds missed.
+	memos func() (failed []int, status int, errb any)
+	// decode turns one answer into a part: ok=false counts the shard as
+	// failed, an error is a 502 naming it. Nil decodes a 200 body as JSON
+	// and fails every other status.
+	decode func(status int, body []byte) (p P, ok bool, err error)
+}
+
+// gathered is what scatterFold hands a read's fold.
+type gathered[P any] struct {
+	parts  []P    // one per asked shard, in order; the zero P where it failed
+	gens   genVec // the generation each answering shard reported
+	failed []int  // failed shards, ascending, the memo builds' included
+}
+
+// scatterFold runs one routed read: it ensures the read's memos, scatters
+// to its shards, decodes every answer, and applies the router's two
+// fleet-wide rules. Staleness: a read is stale when a shard it heard from
+// answered at a generation other than a memo it read through recorded for
+// that shard (respMeta.endAttempt); every memo is then dropped and the
+// read runs once more, and a second stale attempt is a 502. Degradation:
+// a failed shard fails the read closed with 503, or, under FailOpen, is
+// listed for markPartial; a shard whose answer does not decode is a 502
+// naming it. A non-zero status aborts the read.
+func scatterFold[P any](rt *Router, ctx context.Context, meta *respMeta, rd read[P]) (g gathered[P], status int, errb any) {
+	decode := rd.decode
+	if decode == nil {
+		decode = func(status int, body []byte) (p P, ok bool, err error) {
+			if status != http.StatusOK {
+				return p, false, nil
+			}
+			if err = json.Unmarshal(body, &p); err != nil {
+				err = fmt.Errorf("bad %s: %w", rd.part, err)
+			}
+			return p, true, err
 		}
 	}
-	return out
+	method := rd.method
+	if method == "" {
+		method = http.MethodGet
+	}
+	for retry := false; ; retry = true {
+		g = gathered[P]{gens: newGenVec(rt.k)}
+		var memoFailed []int
+		if rd.memos != nil {
+			if memoFailed, status, errb = rd.memos(); status != 0 {
+				return g, status, errb
+			}
+		}
+		shards := rd.shards
+		if rd.route && !retry {
+			shards = rt.candidateShards(rt.ensureRouting(ctx, meta), rd.needles)
+		} else if shards == nil {
+			shards = rt.allShards()
+		}
+		results := rt.scatter(ctx, meta, shards, method, rd.path, rd.body)
+		g.parts = make([]P, len(shards))
+		for j, sh := range shards {
+			var ok bool
+			var err error
+			if results[j].err == nil {
+				g.parts[j], ok, err = decode(results[j].status, results[j].body)
+			}
+			if err != nil {
+				return g, http.StatusBadGateway, errBodyShard(codeBadUpstream, sh, "shard %d: %v", sh, err)
+			}
+			if !ok {
+				g.failed = append(g.failed, sh)
+				continue
+			}
+			g.gens.gens[sh], g.gens.ok[sh] = results[j].generation()
+		}
+		// Only a read that pins a memo can be stale; a memo build pins
+		// none, so it never ends the attempt of the read that runs it.
+		if (rd.memos != nil || rd.route) && meta.endAttempt() {
+			rt.invalidate()
+			if retry {
+				return g, http.StatusBadGateway, errBody(codeBadUpstream, "backend generations churned during %s merge; retry", rd.name)
+			}
+			continue
+		}
+		g.failed = mergeFailed(memoFailed, g.failed)
+		if len(g.failed) > 0 && !rt.opts.FailOpen {
+			return g, http.StatusServiceUnavailable, errBody(codeShardUnavailable, "shards %v unavailable (fail-closed)", g.failed)
+		}
+		return g, 0, nil
+	}
 }
 
 func (rt *Router) routes() {
@@ -825,15 +936,24 @@ func (rt *Router) routes() {
 	rt.mux.HandleFunc("/v1/story", rt.endpoint("story", rt.handleStory))
 }
 
-// respMeta collects response metadata a handler accumulates while fanning
-// out: the per-shard backend generations, rendered into the router's
+// respMeta is one routed request's state. For the response it collects
+// the per-shard backend generations, rendered into the router's
 // X-Giant-Generation header as sorted "shard:gen" pairs ("0:3,1:5"), plus
-// any extra headers (Retry-After on a 429). Handlers may note from fan-out
-// goroutines, so it locks.
+// any extra headers (Retry-After on a 429). For the staleness rule it
+// holds, since the current attempt began, every answer's (shard,
+// generation) and every memo the request read through. Handlers note
+// from fan-out goroutines, so it locks.
 type respMeta struct {
-	mu   sync.Mutex
-	gens map[int]string
-	hdr  http.Header
+	mu    sync.Mutex
+	gens  map[int]string
+	hdr   http.Header
+	heard []shardGen
+	pins  []*genVec
+}
+
+type shardGen struct {
+	shard int
+	gen   uint64
 }
 
 func (m *respMeta) noteGen(shard int, gen string) {
@@ -841,18 +961,36 @@ func (m *respMeta) noteGen(shard int, gen string) {
 		return
 	}
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.gens == nil {
 		m.gens = map[int]string{}
 	}
 	m.gens[shard] = gen
+	if g, err := strconv.ParseUint(gen, 10, 64); err == nil {
+		m.heard = append(m.heard, shardGen{shard, g})
+	}
+}
+
+// pin records a memo the current attempt reads through.
+func (m *respMeta) pin(v *genVec) {
+	m.mu.Lock()
+	m.pins = append(m.pins, v)
 	m.mu.Unlock()
 }
 
-// genOf returns the generation last noted for one shard ("" when none).
-func (m *respMeta) genOf(shard int) string {
+// endAttempt reports whether a shard answered the current attempt at a
+// generation other than one of its pinned memos recorded for it, and
+// forgets both so that a retry starts clean.
+func (m *respMeta) endAttempt() (stale bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.gens[shard]
+	for _, h := range m.heard {
+		for _, v := range m.pins {
+			stale = stale || v.ok[h.shard] && v.gens[h.shard] != h.gen
+		}
+	}
+	m.heard, m.pins = nil, nil
+	return stale
 }
 
 func (m *respMeta) setHeader(key, value string) {
@@ -969,89 +1107,37 @@ func (rt *Router) handleHealthz(r *http.Request, meta *respMeta) (int, any) {
 // cross-process twin of ShardedSnapshot.Search. The routing index prunes
 // the fan-out to the shards whose term grams may contain the needle
 // (pruning is a superset filter: a pruned-out shard provably has zero
-// matches, so results stay byte-identical to the full scatter). A backend
-// whose response generation diverges from the index raced a republish:
-// the memos are dropped and the request falls back to one full scatter.
-// ?scatter=full forces that full path up front — the CI smoke diffs it
-// against the routed output on a live fleet.
+// matches, so results stay byte-identical to the full scatter); a stale
+// index costs one full scatter (scatterFold). ?scatter=full forces that
+// full path up front — the CI smoke diffs it against the routed output on
+// a live fleet.
 func (rt *Router) handleSearch(r *http.Request, meta *respMeta) (int, any) {
 	p, bad, perr := parseSearchParams(r.URL.Query(), rt.opts.MaxSearchResults)
 	if bad != 0 {
 		return bad, perr
 	}
-	q, limit := p.q, p.limit
-	v := url.Values{}
-	v.Set("q", q)
-	v.Set("limit", strconv.Itoa(limit))
-	pq := "/v1/search?" + v.Encode()
-
-	var idx *routingIndex
-	if !p.full {
-		idx = rt.ensureRouting(r.Context())
-	}
-	perShard, failed, stale, badShard, badErr := rt.fetchPartials(r.Context(), meta, rt.candidateShards(idx, []string{strings.ToLower(q)}), pq, idx)
-	if stale {
-		// The index raced a republish: drop it and re-scatter everywhere —
-		// the next request rebuilds a fresh index.
-		rt.invalidate()
-		perShard, failed, _, badShard, badErr = rt.fetchPartials(r.Context(), meta, rt.allShards(), pq, nil)
-	}
-	if badErr != nil {
-		return http.StatusBadGateway, errBodyShard(codeBadUpstream, badShard, "shard %d: bad search response: %v", badShard, badErr)
-	}
+	v := url.Values{"q": {p.q}, "limit": {strconv.Itoa(p.limit)}}
 	// Only consulted shards can be missing: a pruned-out shard contributes
 	// nothing by construction, down or not.
-	if len(failed) > 0 && !rt.opts.FailOpen {
-		return http.StatusServiceUnavailable, errBody(codeShardUnavailable, "shards %v unavailable (fail-closed)", failed)
+	g, status, errb := scatterFold(rt, r.Context(), meta, read[struct {
+		Results []searchHit `json:"results"`
+	}]{
+		name: "search", part: "search response", path: "/v1/search?" + v.Encode(),
+		route: !p.full, needles: []string{strings.ToLower(p.q)},
+	})
+	if status != 0 {
+		return status, errb
 	}
-	var hits []searchHit
-	for _, ph := range perShard {
-		hits = append(hits, ph...)
+	hits := []searchHit{}
+	for _, ph := range g.parts {
+		hits = append(hits, ph.Results...)
 	}
 	// Merge in union ID order: within a shard, home nodes preserve union
 	// order, so each shard's first `limit` matches are a superset of its
 	// contribution to the global first `limit`.
 	sort.SliceStable(hits, func(a, b int) bool { return hits[a].ID < hits[b].ID })
-	if len(hits) > limit {
-		hits = hits[:limit]
-	}
-	if hits == nil {
-		hits = []searchHit{}
-	}
-	resp := map[string]any{"query": q, "count": len(hits), "results": hits}
-	if len(failed) > 0 {
-		resp["partial"] = true
-		resp["missing_shards"] = failed
-	}
-	return http.StatusOK, resp
-}
-
-// fetchPartials gathers the per-shard search partials for the candidate
-// shards, in candidate order. A backend whose response generation differs
-// from the one idx read its grams at sets stale (the caller re-scatters);
-// idx == nil checks nothing. Failed shards are listed; a shard whose 200
-// body fails to parse aborts via badErr.
-func (rt *Router) fetchPartials(ctx context.Context, meta *respMeta, candidates []int, pq string, idx *routingIndex) (perShard [][]searchHit, failed []int, stale bool, badShard int, badErr error) {
-	perShard = make([][]searchHit, len(candidates))
-	results := rt.scatter(ctx, meta, candidates, http.MethodGet, pq, nil)
-	for j, sh := range candidates {
-		if !results[j].ok() {
-			failed = append(failed, sh)
-			continue
-		}
-		var parsed struct {
-			Results    []searchHit `json:"results"`
-			Generation *uint64     `json:"generation"`
-		}
-		if err := json.Unmarshal(results[j].body, &parsed); err != nil {
-			return nil, nil, false, sh, err
-		}
-		perShard[j] = parsed.Results
-		if idx != nil && idx.shards[sh].ok && parsed.Generation != nil && *parsed.Generation != idx.shards[sh].gen {
-			stale = true
-		}
-	}
-	return perShard, failed, stale, 0, nil
+	hits = hits[:min(len(hits), p.limit)]
+	return http.StatusOK, markPartial(map[string]any{"query": p.q, "count": len(hits), "results": hits}, g.failed)
 }
 
 // handleNode answers a node lookup in the composed view. A (type, phrase)
@@ -1089,36 +1175,33 @@ func (rt *Router) handleNode(r *http.Request, meta *respMeta) (int, any) {
 				return http.StatusBadGateway, errBodyShard(codeShardUnavailable, primary, "shard %d unavailable: %v", primary, res.err)
 			}
 			meta.noteGen(primary, res.gen)
-			if res.status == http.StatusOK {
-				var d shardNodeDetail
-				if err := json.Unmarshal(res.body, &d); err != nil {
-					return http.StatusBadGateway, errBodyShard(codeBadUpstream, primary, "shard %d: bad node response: %v", primary, err)
-				}
-				// Only a phrase match short-circuits: the canonical phrase
-				// can live on no other shard. An alias answer must compete
-				// in the scatter below — the union's first-win alias
-				// resolution may prefer a same-typed alias homed elsewhere
-				// with a smaller union ID.
-				if d.Match == "phrase" {
-					chosen = &d
-				} else {
-					seed = &d
-				}
+			d, _, err := decodeNode(res.status, res.body)
+			if err != nil {
+				return http.StatusBadGateway, errBodyShard(codeBadUpstream, primary, "shard %d: %v", primary, err)
 			}
-			// 404 (or an alias-only answer) falls through to the scatter —
-			// the phrase may be an alias of a node homed on any shard —
-			// with the primary's answer seeded so it is not re-queried.
-			skip = primary
+			// Only a phrase match short-circuits: the canonical phrase can
+			// live on no other shard. An alias answer must compete in the
+			// scatter below — the union's first-win alias resolution may
+			// prefer a same-typed alias homed elsewhere with a smaller
+			// union ID. A miss falls through to the scatter too — the
+			// phrase may be an alias of a node homed on any shard — with
+			// the primary's answer seeded so it is not re-queried.
+			if d != nil && d.Match == "phrase" {
+				chosen = d
+			}
+			seed, skip = d, primary
 		}
 	default:
 		return http.StatusBadRequest, errBody(codeInvalidArgument, "need ?id= or ?phrase=")
 	}
 	if chosen == nil {
-		best, failed, status := rt.scatterNode(r.Context(), meta, r.URL.RawQuery, skip, seed)
-		if status != 0 {
-			return status, errBody(codeShardUnavailable, "shards %v unavailable", failed)
-		}
-		if best == nil {
+		best, failed, status, errb := rt.scatterNode(r.Context(), meta, r.URL.RawQuery, skip, seed)
+		switch {
+		case status != 0:
+			return status, errb
+		case best == nil && len(failed) > 0:
+			return http.StatusBadGateway, errBody(codeShardUnavailable, "shards %v unavailable", failed)
+		case best == nil:
 			return http.StatusNotFound, errBody(codeNotFound, "node not found")
 		}
 		chosen = best
@@ -1132,54 +1215,41 @@ func (rt *Router) handleNode(r *http.Request, meta *respMeta) (int, any) {
 	return http.StatusOK, d
 }
 
+// decodeNode decodes one shard's /v1/node answer: a 404 is a legitimate
+// "not homed here" (a nil detail); any status but 200 and 404 (500
+// mid-swap, 503) means the shard could not answer — a reachable but
+// unhealthy shard is not a license to report "node not found".
+func decodeNode(status int, body []byte) (*shardNodeDetail, bool, error) {
+	switch status {
+	case http.StatusOK:
+		var d shardNodeDetail
+		if err := json.Unmarshal(body, &d); err != nil {
+			return nil, true, fmt.Errorf("bad node response: %w", err)
+		}
+		return &d, true, nil
+	case http.StatusNotFound:
+		return nil, true, nil
+	}
+	return nil, false, nil
+}
+
 // scatterNode fans one /v1/node query out to every shard (except skip, a
 // shard the caller already queried — its answer, if any, enters as seed)
-// and picks the union-precedence winner among the answers. A non-zero
-// returned status aborts the lookup (degraded fleet under the fail-closed
-// policy, or no answer at all while shards were missing).
-func (rt *Router) scatterNode(ctx context.Context, meta *respMeta, rawQuery string, skip int, seed *shardNodeDetail) (*shardNodeDetail, []int, int) {
-	shards := make([]int, 0, rt.k)
-	for i := 0; i < rt.k; i++ {
-		if i != skip {
-			shards = append(shards, i)
-		}
+// and picks the union-precedence winner among the answers, with the
+// shards that failed to answer. A non-zero status aborts the lookup.
+func (rt *Router) scatterNode(ctx context.Context, meta *respMeta, rawQuery string, skip int, seed *shardNodeDetail) (*shardNodeDetail, []int, int, any) {
+	shards := slices.DeleteFunc(rt.allShards(), func(i int) bool { return i == skip })
+	g, status, errb := scatterFold(rt, ctx, meta, read[*shardNodeDetail]{path: "/v1/node?" + rawQuery, shards: shards, decode: decodeNode})
+	if status != 0 {
+		return nil, nil, status, errb
 	}
-	results := rt.scatter(ctx, meta, shards, http.MethodGet, "/v1/node?"+rawQuery, nil)
-	var failed []int
 	best := seed
-	var bestRank [3]int
-	if best != nil {
-		bestRank = nodeMatchRank(best)
-	}
-	for i := range results {
-		switch {
-		case results[i].err != nil:
-			failed = append(failed, results[i].shard)
-		case results[i].status == http.StatusOK:
-			var d shardNodeDetail
-			if err := json.Unmarshal(results[i].body, &d); err != nil {
-				failed = append(failed, results[i].shard)
-				continue
-			}
-			rank := nodeMatchRank(&d)
-			if best == nil || rankLess(rank, bestRank) {
-				best, bestRank = &d, rank
-			}
-		case results[i].status != http.StatusNotFound:
-			// 404 is a legitimate "not homed here"; anything else
-			// (500 mid-swap, 503) means the shard could not answer and
-			// must count as failed — a reachable-but-unhealthy shard is
-			// not a license to report "node not found".
-			failed = append(failed, results[i].shard)
+	for _, d := range g.parts {
+		if d != nil && (best == nil || rankLess(nodeMatchRank(d), nodeMatchRank(best))) {
+			best = d
 		}
 	}
-	if len(failed) > 0 && !rt.opts.FailOpen {
-		return nil, failed, http.StatusServiceUnavailable
-	}
-	if best == nil && len(failed) > 0 {
-		return nil, failed, http.StatusBadGateway
-	}
-	return best, failed, 0
+	return best, g.failed, 0, nil
 }
 
 // nodeMatchRank orders scatter answers by the union's lookup precedence:
@@ -1278,11 +1348,6 @@ func (rt *Router) fetchIsAParents(ctx context.Context, ref isaRef) ([]isaRef, er
 // stats shape: exact whole-world counts from each shard's owned slice and
 // the per-shard generation list verbatim.
 func (rt *Router) handleStats(r *http.Request, meta *respMeta) (int, any) {
-	results := rt.fanout(r.Context(), meta, http.MethodGet, "/v1/stats", nil)
-	failed := failedShards(results)
-	if len(failed) > 0 && !rt.opts.FailOpen {
-		return http.StatusServiceUnavailable, errBody(codeShardUnavailable, "shards %v unavailable (fail-closed)", failed)
-	}
 	type shardBlock struct {
 		Shard       int            `json:"shard"`
 		Shards      int            `json:"shards"`
@@ -1293,20 +1358,31 @@ func (rt *Router) handleStats(r *http.Request, meta *respMeta) (int, any) {
 		NodesByType map[string]int `json:"nodes_by_type"`
 		EdgesByType map[string]int `json:"edges_by_type"`
 	}
+	g, status, errb := scatterFold(rt, r.Context(), meta, read[*shardBlock]{
+		path: "/v1/stats",
+		decode: func(status int, body []byte) (*shardBlock, bool, error) {
+			var parsed struct {
+				Shard *shardBlock `json:"shard"`
+			}
+			if status != http.StatusOK {
+				return nil, false, nil
+			}
+			if err := json.Unmarshal(body, &parsed); err != nil || parsed.Shard == nil {
+				return nil, true, fmt.Errorf("not a per-shard stats response (is the backend running with -shard?)")
+			}
+			return parsed.Shard, true, nil
+		},
+	})
+	if status != 0 {
+		return status, errb
+	}
 	nodes, edges := 0, 0
 	nodesByType, edgesByType := map[string]int{}, map[string]int{}
 	shards := make([]shardSummary, 0, rt.k)
-	for i := range results {
-		if !results[i].ok() {
+	for i, sb := range g.parts {
+		if sb == nil {
 			continue
 		}
-		var parsed struct {
-			Shard *shardBlock `json:"shard"`
-		}
-		if err := json.Unmarshal(results[i].body, &parsed); err != nil || parsed.Shard == nil {
-			return http.StatusBadGateway, errBodyShard(codeBadUpstream, i, "shard %d: not a per-shard stats response (is the backend running with -shard?)", i)
-		}
-		sb := parsed.Shard
 		if sb.Shard != i || sb.Shards != rt.k {
 			return http.StatusBadGateway, errBodyShard(codeBadUpstream, i, "backend %d serves shard %d/%d, want %d/%d (check -backends order)", i, sb.Shard, sb.Shards, i, rt.k)
 		}
@@ -1320,17 +1396,13 @@ func (rt *Router) handleStats(r *http.Request, meta *respMeta) (int, any) {
 		}
 		shards = append(shards, shardSummary{Shard: i, Generation: sb.Generation, Nodes: sb.Nodes, Edges: sb.Edges})
 	}
-	resp := map[string]any{
+	resp := markPartial(map[string]any{
 		"nodes":         nodes,
 		"edges":         edges,
 		"nodes_by_type": nodesByType,
 		"edges_by_type": edgesByType,
 		"shards":        shards,
-	}
-	if len(failed) > 0 {
-		resp["partial"] = true
-		resp["missing_shards"] = failed
-	}
+	}, g.failed)
 	if rt.walMode() {
 		resp["wal"] = rt.walStatus()
 	}

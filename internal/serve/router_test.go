@@ -879,3 +879,128 @@ func TestShardFileFormatEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestRouterNodeRejectsBrokenShard: a shard that answers /v1/node with a
+// body that does not decode is broken, not missing. A scattered lookup
+// answers 502 bad_upstream naming it under either degraded-mode policy —
+// not 503 "unavailable" (fail-closed), and not a lower-precedence winner
+// from the other shards with no partial marker (fail-open).
+func TestRouterNodeRejectsBrokenShard(t *testing.T) {
+	ss, err := ontology.ShardSnapshot(testOntology(0).Snapshot(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, failOpen := range []bool{false, true} {
+		t.Run(fmt.Sprintf("failOpen=%v", failOpen), func(t *testing.T) {
+			urls := make([]string, 2)
+			for i := range urls {
+				h := NewShard(ss.Projection(i), Options{}).Handler()
+				if i == 1 {
+					good := h
+					h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+						if r.URL.Path != "/v1/node" {
+							good.ServeHTTP(w, r)
+							return
+						}
+						w.Header().Set("Content-Type", "application/json")
+						w.Write([]byte(`{"node": garbage`))
+					})
+				}
+				ts := httptest.NewServer(h)
+				t.Cleanup(ts.Close)
+				urls[i] = ts.URL
+			}
+			rt, err := NewRouter(RouterOptions{Backends: urls, FailOpen: failOpen})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(rt.Close)
+			routerTS := httptest.NewServer(rt.Handler())
+			t.Cleanup(routerTS.Close)
+			for _, path := range []string{"/v1/node?phrase=sedan+model+a", "/v1/node?phrase=sedans+for+families&type=concept"} {
+				status, body := getRaw(t, routerTS.Client(), routerTS.URL+path)
+				if status != http.StatusBadGateway {
+					t.Fatalf("%s = %d, want 502: %s", path, status, body)
+				}
+				assertEnvelope(t, body, codeBadUpstream)
+				var parsed struct {
+					Error struct {
+						Shard *int `json:"shard"`
+					} `json:"error"`
+				}
+				if err := json.Unmarshal(body, &parsed); err != nil || parsed.Error.Shard == nil || *parsed.Error.Shard != 1 {
+					t.Fatalf("%s: the 502 does not name shard 1: %s", path, body)
+				}
+			}
+		})
+	}
+}
+
+// statsGate wraps a backend and counts its /v1/stats requests. While
+// entered is non-nil, the first one signals it and waits for release
+// before it is served.
+type statsGate struct {
+	h                http.Handler
+	calls            atomic.Int64
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (g *statsGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/v1/stats" {
+		g.calls.Add(1)
+		if g.entered != nil {
+			g.once.Do(func() {
+				close(g.entered)
+				<-g.release
+			})
+		}
+	}
+	g.h.ServeHTTP(w, r)
+}
+
+// TestRouterMemoBuildStraddlingInvalidate: a memo build whose fan-out
+// straddles an invalidate is served to the read that ran it, but never to
+// a later one. One backend's /v1/stats — the routing-index build — is
+// held across a routed ingest. The read that ran the build prunes to no
+// shard, so nothing in it can notice the stale grams; the next read must
+// rebuild the index rather than trust grams read before the write.
+func TestRouterMemoBuildStraddlingInvalidate(t *testing.T) {
+	_, flaky, routerTS := newScriptedRouterFixture(t, 2, false)
+	gates := make([]*statsGate, len(flaky))
+	for i, f := range flaky {
+		gates[i] = &statsGate{h: f.h}
+		f.h = gates[i]
+	}
+	gates[1].entered, gates[1].release = make(chan struct{}), make(chan struct{})
+	statsCalls := func() int64 { return gates[0].calls.Load() + gates[1].calls.Load() }
+	c := routerTS.Client()
+
+	miss := make(chan error, 1)
+	go func() {
+		resp, err := c.Get(routerTS.URL + "/v1/search?q=zzz-none&limit=5")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("status %d", resp.StatusCode)
+			}
+		}
+		miss <- err
+	}()
+	<-gates[1].entered
+	postJSON(t, c, routerTS.URL+"/v1/ingest", `{"day":1}`, 200)
+	close(gates[1].release)
+	if err := <-miss; err != nil {
+		t.Fatalf("the read that built the index across the ingest: %v", err)
+	}
+
+	before := statsCalls()
+	routedStatus, routed := getRaw(t, c, routerTS.URL+"/v1/search?q=cache&limit=5")
+	if statsCalls() == before {
+		t.Fatal("the next read reused a routing index built across an ingest")
+	}
+	fullStatus, full := getRaw(t, c, routerTS.URL+"/v1/search?q=cache&limit=5&scatter=full")
+	if routedStatus != 200 || fullStatus != 200 || !bytes.Equal(routed, full) || !bytes.Contains(routed, []byte("cache sedans 1")) {
+		t.Fatalf("routed (%d) %s, scatter=full (%d) %s", routedStatus, routed, fullStatus, full)
+	}
+}
