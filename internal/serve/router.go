@@ -570,7 +570,7 @@ func (rt *Router) invalidateAfterWrite(status int) {
 // that never fails a read.
 func (rt *Router) ensureRouting(ctx context.Context, meta *respMeta) *routingIndex {
 	idx, _, _, _ := rt.routing.get(&rt.epoch, func() (*routingIndex, []int, int, any) {
-		results := rt.fanout(ctx, nil, http.MethodGet, "/v1/stats", nil)
+		results := rt.scatter(ctx, nil, rt.allShards(), http.MethodGet, "/v1/stats", nil)
 		idx := &routingIndex{genVec: newGenVec(rt.k), grams: make([]*ontology.TermGrams, rt.k)}
 		for i := range results {
 			var parsed struct {
@@ -807,11 +807,6 @@ func (rt *Router) scatter(ctx context.Context, meta *respMeta, shards []int, met
 	return out
 }
 
-// fanout is scatter over every shard, results in shard order.
-func (rt *Router) fanout(ctx context.Context, meta *respMeta, method, pathAndQuery string, body []byte) []backendResult {
-	return rt.scatter(ctx, meta, rt.allShards(), method, pathAndQuery, body)
-}
-
 // allShards lists every shard index in order.
 func (rt *Router) allShards() []int {
 	out := make([]int, rt.k)
@@ -825,7 +820,7 @@ func (rt *Router) allShards() []int {
 // how to decode one shard's answer.
 type read[P any] struct {
 	name, part   string // the read in its churn 502 ("tag"); one answer in its bad-body 502 ("tag partial")
-	method, path string // method "" is GET
+	method, path string // method "" is GET, as in net/http
 	body         []byte
 	shards       []int // the shards to ask, in order; nil asks every shard
 	// route prunes the first attempt to the shards whose routing-index
@@ -870,10 +865,6 @@ func scatterFold[P any](rt *Router, ctx context.Context, meta *respMeta, rd read
 			return p, true, err
 		}
 	}
-	method := rd.method
-	if method == "" {
-		method = http.MethodGet
-	}
 	for retry := false; ; retry = true {
 		g = gathered[P]{gens: newGenVec(rt.k)}
 		var memoFailed []int
@@ -888,7 +879,7 @@ func scatterFold[P any](rt *Router, ctx context.Context, meta *respMeta, rd read
 		} else if shards == nil {
 			shards = rt.allShards()
 		}
-		results := rt.scatter(ctx, meta, shards, method, rd.path, rd.body)
+		results := rt.scatter(ctx, meta, shards, rd.method, rd.path, rd.body)
 		g.parts = make([]P, len(shards))
 		for j, sh := range shards {
 			var ok bool
@@ -905,8 +896,9 @@ func scatterFold[P any](rt *Router, ctx context.Context, meta *respMeta, rd read
 			}
 			g.gens.gens[sh], g.gens.ok[sh] = results[j].generation()
 		}
-		// Only a read that pins a memo can be stale; a memo build pins
-		// none, so it never ends the attempt of the read that runs it.
+		// Only a read that reads through a memo can be stale. A memo
+		// build reads through none, so it never ends the attempt of the
+		// read that runs it.
 		if (rd.memos != nil || rd.route) && meta.endAttempt() {
 			rt.invalidate()
 			if retry {
@@ -1410,7 +1402,7 @@ func (rt *Router) handleStats(r *http.Request, meta *respMeta) (int, any) {
 }
 
 func (rt *Router) handleMetrics(r *http.Request, meta *respMeta) (int, any) {
-	results := rt.fanout(r.Context(), meta, http.MethodGet, "/v1/metrics", nil)
+	results := rt.scatter(r.Context(), meta, rt.allShards(), http.MethodGet, "/v1/metrics", nil)
 	backends := make([]any, rt.k)
 	for i := range results {
 		if results[i].ok() {

@@ -65,11 +65,14 @@ type routerFragments struct {
 func (rt *Router) ensureTagIndex(ctx context.Context, meta *respMeta) (idx *routerTagIndex, failed []int, status int, errb any) {
 	idx, failed, status, errb = rt.tagIdx.get(&rt.epoch, func() (*routerTagIndex, []int, int, any) {
 		g, status, errb := scatterFold(rt, ctx, meta, read[tagStatsBody]{part: "tag stats response", path: "/v1/tag?partial=stats"})
+		if status != 0 {
+			return nil, nil, status, errb
+		}
 		parts := make([][]tagging.ConceptRef, len(g.parts))
 		for i, p := range g.parts {
 			parts[i] = p.Concepts
 		}
-		return &routerTagIndex{genVec: g.gens, ix: tagging.NewConceptIndex(parts...)}, g.failed, status, errb
+		return &routerTagIndex{genVec: g.gens, ix: tagging.NewConceptIndex(parts...)}, g.failed, 0, nil
 	})
 	if status == 0 {
 		meta.pin(&idx.genVec)
@@ -81,11 +84,14 @@ func (rt *Router) ensureTagIndex(ctx context.Context, meta *respMeta) (idx *rout
 func (rt *Router) ensureFragments(ctx context.Context, meta *respMeta) (fr *routerFragments, failed []int, status int, errb any) {
 	fr, failed, status, errb = rt.frags.get(&rt.epoch, func() (*routerFragments, []int, int, any) {
 		g, status, errb := scatterFold(rt, ctx, meta, read[storyFragsBody]{part: "story fragments", path: "/v1/story?partial=fragments"})
+		if status != 0 {
+			return nil, nil, status, errb
+		}
 		parts := make([][]*storytree.EventNode, len(g.parts))
 		for i, p := range g.parts {
 			parts[i] = p.Events
 		}
-		return &routerFragments{genVec: g.gens, events: storytree.MergeFragments(parts...)}, g.failed, status, errb
+		return &routerFragments{genVec: g.gens, events: storytree.MergeFragments(parts...)}, g.failed, 0, nil
 	})
 	if status == 0 {
 		meta.pin(&fr.genVec)
