@@ -687,8 +687,8 @@ func (s *Server) handleSearch(st *state, r *http.Request) (int, any) {
 		hits = append(hits, searchHit{ID: idOf(n), Type: n.Type.String(), Phrase: n.Phrase})
 	}
 	if st.proj != nil {
-		// The per-shard response carries the shard's generation so a
-		// router can detect a republish that raced its routing index.
+		// The per-shard response carries the shard's generation, the
+		// value X-Giant-Generation repeats (the router reads the header).
 		// In-process modes omit it: their body must stay byte-identical to
 		// the router's merged body.
 		return http.StatusOK, map[string]any{"query": q, "count": len(hits), "results": hits, "generation": st.gen}
