@@ -236,7 +236,9 @@ type routingIndex struct {
 // memo is one fleet-wide fold the router keeps between requests, valid
 // only at the epoch its build started under: invalidate bumps the epoch,
 // which drops every memo at once, and a build that straddles a bump is
-// returned to its caller but never served to a later one.
+// returned to its caller but never stored. (A bump that lands between
+// that check and the store leaves an entry stamped with the old epoch,
+// which load never returns.)
 type memo[T any] struct {
 	mu  sync.Mutex // serializes rebuilds; readers never take it
 	cur atomic.Pointer[memoEntry[T]]
@@ -268,7 +270,7 @@ func (m *memo[T]) get(epoch *atomic.Uint64, build func() (*T, []int, int, any)) 
 		return v, nil, 0, nil
 	}
 	v, failed, status, errb := build()
-	if status == 0 && len(failed) == 0 {
+	if status == 0 && len(failed) == 0 && epoch.Load() == e {
 		m.cur.Store(&memoEntry[T]{epoch: e, val: v})
 	}
 	return v, failed, status, errb
