@@ -6,8 +6,10 @@
 //
 // The -in artifact may be JSON or the GIANTBIN binary format (giantctl
 // -format binary / giantctl convert); the loader auto-detects by magic.
-// Binary artifacts boot in milliseconds, which is what makes -watch
-// hot-swaps and rolling restarts cheap at web scale.
+// Binary artifacts boot in milliseconds, which is what makes rolling
+// restarts cheap at web scale. A served world changes only through an
+// ingest or a restart: a daemon serving -in picks up a new artifact when
+// it is restarted on it.
 //
 // With -build instead of -in, giantd runs the offline pipeline itself at
 // startup (handy for demos; -tiny shrinks the build) and serves the result,
@@ -17,20 +19,14 @@
 // delta.Batch of new documents and clicks to /v1/ingest and the affected
 // click-graph neighbourhood is re-mined, diffed and hot-swapped in as a
 // new snapshot generation while in-flight requests finish on the old one.
+// Such an ingest lives only in this process's memory: a restart drops it.
 //
 //	curl localhost:8080/healthz
 //	curl localhost:8080/v1/stats
 //	curl 'localhost:8080/v1/query/rewrite?q=best+family+sedans'
-//	curl -X POST localhost:8080/v1/reload
 //	curl -X POST localhost:8080/v1/ingest -d '{"day":12,"docs":[...],"clicks":[...]}'
-//	curl -X POST localhost:8080/v1/rollback
 //
-// /v1/reload hot-swaps a freshly loaded snapshot (re-reading -in, or
-// re-running the -build pipeline); /v1/rollback reverts to the previous
-// retained generation (-history bounds the store). With -watch, a
-// background updater polls -in for modifications and hot-swaps the new
-// file automatically through the same reload path (-watch applies to -in
-// mode only). SIGINT/SIGTERM shut the server down gracefully.
+// SIGINT/SIGTERM shut the server down gracefully.
 //
 // With -shards K the ontology is published as K home-shard projections:
 // /v1/stats lists per-shard generations, and a live ingest republishes —
@@ -52,12 +48,12 @@
 // through its one delta log. With -in it serves a frozen shard (the
 // artifact may be a per-shard file written by `giantctl shard` or a
 // whole-ontology file, whose shard projection is then derived at boot),
-// and /v1/ingest and /v1/reload answer 503 unavailable; it changes by
-// restarting on a new file, or through -watch.
+// and /v1/ingest answers 503 unavailable; it changes by restarting on a
+// new file.
 //
 // With -wal DIR (requires -shard i/k and -build; -shard with -build
-// requires -wal) the daemon is a delta-log REPLICA: /v1/ingest and
-// /v1/reload answer 503 read_only_replica, and it instead tails the
+// requires -wal) the daemon is a delta-log REPLICA: /v1/ingest answers
+// 503 read_only_replica, and it instead tails the
 // fleet's one append-only delta log DIR/fleet.wal (written by giantrouter
 // -wal), applying each batch through its own full (deterministic) mining
 // system and republishing, with a generation bump, only when the delta
@@ -69,15 +65,6 @@
 // ingest is acknowledged at a quorum of apply confirmations. With
 // -checkpoint-every, any replica publishes the fleet checkpoint
 // DIR/fleet.ckpt, and a replica of any shard boots from it.
-//
-// Rollback and reload operate on the SERVING tier only: in -build mode
-// the in-process mining system keeps its accumulated click graph and
-// ontology, so a rollback is a serving-side mitigation — the next
-// /v1/ingest still computes its delta from the full ingested history
-// (re-publishing what was rolled back), and /v1/reload re-runs the
-// pipeline from scratch, dropping live-ingested batches from the served
-// snapshot. To discard a bad batch from the mining state itself, restart
-// the daemon (or replay the good batches against a fresh -build).
 package main
 
 import (
@@ -109,8 +96,7 @@ func main() {
 		tiny    = flag.Bool("tiny", false, "with -build: use the tiny configuration")
 		cache   = flag.Int("cache", serve.DefaultCacheSize, "LRU response cache entries (negative disables)")
 		grace   = flag.Duration("grace", 5*time.Second, "graceful-shutdown drain timeout")
-		history = flag.Int("history", ontology.DefaultRetention, "snapshot generations retained for /v1/rollback")
-		watch   = flag.Duration("watch", 0, "poll -in for changes at this interval and hot-swap automatically (0 disables)")
+		history = flag.Int("history", ontology.DefaultRetention, "snapshot generations /v1/stats lists under \"generations\"")
 		shards  = flag.Int("shards", 1, "publish the ontology as K home-shard projections: per-shard generations, gram-routed search, an ingest republishes only the shards it touched; reads answer from the union for every K")
 		shard   = flag.String("shard", "", "serve a single shard of a k-way partition as i/k (e.g. 0/4): the per-shard backend of cmd/giantrouter")
 		walDir  = flag.String("wal", "", "delta-log directory: tail DIR/fleet.wal, the only way a per-shard server changes (requires -shard and -build)")
@@ -118,9 +104,6 @@ func main() {
 		ckpt    = flag.Uint64("checkpoint-every", 0, "with -wal: publish the fleet checkpoint DIR/fleet.ckpt every N applied log generations, and boot from the newest valid checkpoint (0 disables cadence rolls; POST /v1/checkpoint still forces one)")
 	)
 	flag.Parse()
-	if *watch > 0 && (*build || *in == "") {
-		log.Printf("warning: -watch only applies when serving a file with -in; ignoring it")
-	}
 	if *walDir != "" && *shard == "" {
 		log.Fatal("-wal requires -shard i/k (a replica serves one shard)")
 	}
@@ -130,7 +113,7 @@ func main() {
 	if *ckpt > 0 && *walDir == "" {
 		log.Printf("warning: -checkpoint-every only applies to delta-log replicas (-wal); ignoring it")
 	}
-	if err := run(*in, *addr, *build, *tiny, *cache, *grace, *history, *watch, *shards, *shard, *walDir, *replica, *ckpt); err != nil {
+	if err := run(*in, *addr, *build, *tiny, *cache, *grace, *history, *shards, *shard, *walDir, *replica, *ckpt); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -153,9 +136,9 @@ func parseShardSpec(spec string) (i, k int, err error) {
 	return i, k, nil
 }
 
-func run(in, addr string, build, tiny bool, cache int, grace time.Duration, history int, watch time.Duration, shards int, shardSpec, walDir string, replica int, ckptEvery uint64) error {
+func run(in, addr string, build, tiny bool, cache int, grace time.Duration, history, shards int, shardSpec, walDir string, replica int, ckptEvery uint64) error {
 	if shardSpec != "" {
-		return runShard(in, addr, build, tiny, cache, grace, history, watch, shards, shardSpec, walDir, replica, ckptEvery)
+		return runShard(in, addr, build, tiny, cache, grace, history, shards, shardSpec, walDir, replica, ckptEvery)
 	}
 	opts := serve.Options{CacheSize: cache, History: history}
 	var sharded *ontology.ShardedSnapshot
@@ -177,13 +160,6 @@ func run(in, addr string, build, tiny bool, cache int, grace time.Duration, hist
 		// serve swap lock, serialized with the ingest path below.
 		opts.ConceptContextFn = sys.ConceptContext
 		opts.Duet = sys.EventTagger().Duet
-		opts.Loader = func() (*ontology.Snapshot, error) {
-			rebuilt, err := giant.Build(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return rebuilt.Snapshot(), nil
-		}
 		// Live ingest: System.IngestSharded serializes internally; the
 		// serve layer additionally orders publishes under its swap lock,
 		// and only the shards the delta touched republish. The initial
@@ -210,7 +186,6 @@ func run(in, addr string, build, tiny bool, cache int, grace time.Duration, hist
 		if sharded, err = ontology.ShardSnapshot(snap, shards); err != nil {
 			return err
 		}
-		opts.Loader = func() (*ontology.Snapshot, error) { return ontology.LoadSnapshotFile(in) }
 	default:
 		return fmt.Errorf("need -in <ontology artifact> or -build (see giantctl build -out)")
 	}
@@ -220,10 +195,6 @@ func run(in, addr string, build, tiny bool, cache int, grace time.Duration, hist
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if watch > 0 && in != "" && !build {
-		go newWatcher(in).run(ctx, watch, snapshotApplier(in, srv))
-	}
 
 	err := serve.Run(ctx, addr, srv.Handler(), grace)
 	if err == nil {
@@ -242,7 +213,7 @@ func logIngested(sys *giant.System, d *delta.Delta) {
 
 // runShard serves a single shard of a k-way partition (-shard i/k): the
 // per-shard backend of the multi-process tier.
-func runShard(in, addr string, build, tiny bool, cache int, grace time.Duration, history int, watch time.Duration, shards int, shardSpec, walDir string, replica int, ckptEvery uint64) error {
+func runShard(in, addr string, build, tiny bool, cache int, grace time.Duration, history, shards int, shardSpec, walDir string, replica int, ckptEvery uint64) error {
 	idx, k, err := parseShardSpec(shardSpec)
 	if err != nil {
 		return err
@@ -351,83 +322,9 @@ func runShard(in, addr string, build, tiny bool, cache int, grace time.Duration,
 		}()
 	}
 
-	if watch > 0 && in != "" && !build {
-		go newWatcher(in).run(ctx, watch, func() (uint64, string, error) {
-			p, err := ontology.LoadShardInput(in, idx, k)
-			if err != nil {
-				return 0, "", err
-			}
-			gen, err := srv.SwapShard(p)
-			return gen, fmt.Sprintf("shard %d/%d %s", p.Shard, p.NumShards, p.Snap), err
-		})
-	}
-
 	err = serve.Run(ctx, addr, srv.Handler(), grace)
 	if err == nil {
 		log.Printf("shut down cleanly")
 	}
 	return err
-}
-
-// snapshotApplier is the watch apply step for whole-ontology files: load
-// the artifact and hot-swap it through the same atomic path /v1/reload
-// uses.
-func snapshotApplier(path string, srv *serve.Server) func() (uint64, string, error) {
-	return func() (uint64, string, error) {
-		snap, err := ontology.LoadSnapshotFile(path)
-		if err != nil {
-			return 0, "", err
-		}
-		gen, err := srv.SwapSnapshot(snap)
-		return gen, snap.String(), err
-	}
-}
-
-// watcher is the background updater for file-served deployments: it polls
-// the artifact's modification time and, whenever the offline pipeline
-// publishes a new version, runs an apply step that loads and atomically
-// publishes it.
-type watcher struct {
-	path    string
-	lastMod time.Time
-}
-
-// newWatcher snapshots the artifact's current modification time
-// synchronously, so versions published after construction — and only
-// those — are picked up by run.
-func newWatcher(path string) *watcher {
-	w := &watcher{path: path}
-	if fi, err := os.Stat(path); err == nil {
-		w.lastMod = fi.ModTime()
-	}
-	return w
-}
-
-// run polls until ctx is cancelled. A failed apply (e.g. a half-written
-// file) leaves the current generation serving and leaves the recorded
-// modification time untouched, so the next tick retries; a later
-// successful read therefore publishes exactly one new generation no
-// matter how many ticks the failure spanned.
-func (w *watcher) run(ctx context.Context, every time.Duration, apply func() (uint64, string, error)) {
-	ticker := time.NewTicker(every)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-		}
-		fi, err := os.Stat(w.path)
-		if err != nil || !fi.ModTime().After(w.lastMod) {
-			continue
-		}
-		gen, desc, err := apply()
-		if err != nil {
-			// lastMod stays put so the next tick retries.
-			log.Printf("watch: %s changed but failed to apply (will retry): %v", w.path, err)
-			continue
-		}
-		w.lastMod = fi.ModTime()
-		log.Printf("watch: hot-swapped %s as generation %d", desc, gen)
-	}
 }

@@ -24,9 +24,9 @@
 // approximation.
 //
 // A fleet changes only through its one delta log. Without -wal the router
-// fronts a frozen fleet and is read-only: /v1/ingest and /v1/reload answer
-// 503 unavailable, and the fleet changes by restarting its backends on new
-// shard files. /v1/reload answers 503 with -wal too.
+// fronts a frozen fleet and is read-only: /v1/ingest answers 503
+// unavailable, and the fleet changes by restarting its backends on new
+// shard files.
 //
 // Reads are routed, not blindly scattered: the router keeps a term→shard
 // routing index built from each backend's /v1/stats term grams and

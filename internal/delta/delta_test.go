@@ -182,7 +182,7 @@ func TestApplyAddTouchReweight(t *testing.T) {
 
 // TestApplyDeterministic re-applies the same delta to the same snapshot
 // and expects byte-identical serialization — the contract that makes
-// replay and rollback sound.
+// log replay sound.
 func TestApplyDeterministic(t *testing.T) {
 	cur := baseSnapshot(t)
 	d := &Delta{

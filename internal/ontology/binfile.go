@@ -14,7 +14,7 @@ package ontology
 //	  16  shard index i   (int32, kind 2 only)
 //	  20  shard count k   (int32, kind 2 only)
 //	  24  home-node count (uint64, kind 2 only)
-//	  32  generation      (uint64, 0 unless stamped by Store.SaveCurrent)
+//	  32  generation      (uint64, 0 unless stamped by EncodeSnapshotBinary)
 //	  40  node count      (uint64)
 //	  48  edge count      (uint64)
 //	  56  section count   (uint32)
@@ -146,7 +146,7 @@ type BinaryHeader struct {
 	Shard      int    // shard identity i/k (kind "shard" only)
 	NumShards  int
 	HomeCount  int
-	Generation uint64 // stamped by Store.SaveCurrent; 0 otherwise
+	Generation uint64 // stamped by EncodeSnapshotBinary; 0 otherwise
 	Nodes      int
 	Edges      int
 }
@@ -396,10 +396,9 @@ func (s *Snapshot) WriteBinary(w io.Writer) error {
 }
 
 // EncodeSnapshotBinary serializes snap as a GIANTBIN artifact with gen
-// stamped into the header — byte-identical to what Store.SaveCurrent
-// writes for the same snapshot and generation. Checkpoint sidecars
-// embed exactly this encoding so a checkpoint's snapshot section is a
-// valid Store.Hydrate artifact on its own.
+// stamped into the header. A fleet checkpoint embeds exactly this
+// encoding, stamped with its log position, so a replica that hydrates it
+// (DecodeSnapshotBinaryWithGen) knows where its log suffix starts.
 func EncodeSnapshotBinary(w io.Writer, snap *Snapshot, gen uint64) error {
 	return encodeBinary(w, snap, nil, gen)
 }
@@ -768,7 +767,7 @@ func validCSR(off, idx []int32, edges []Edge, n int, out bool) error {
 // adopting one shard's projection as the whole world would serve wrong
 // answers.
 func DecodeSnapshotBinary(data []byte) (*Snapshot, error) {
-	snap, _, err := decodeSnapshotBinaryGen(data)
+	snap, _, err := DecodeSnapshotBinaryWithGen(data)
 	return snap, err
 }
 
@@ -777,12 +776,6 @@ func DecodeSnapshotBinary(data []byte) (*Snapshot, error) {
 // EncodeSnapshotBinary. The snapshot aliases data; the caller must not
 // mutate the buffer afterwards.
 func DecodeSnapshotBinaryWithGen(data []byte) (*Snapshot, uint64, error) {
-	return decodeSnapshotBinaryGen(data)
-}
-
-// decodeSnapshotBinaryGen additionally surfaces the stamped generation
-// (Store.Hydrate's donor accounting).
-func decodeSnapshotBinaryGen(data []byte) (*Snapshot, uint64, error) {
 	snap, bf, err := decodeBinary(data)
 	if err != nil {
 		return nil, 0, err

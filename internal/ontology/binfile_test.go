@@ -400,25 +400,20 @@ func TestAtomicSave(t *testing.T) {
 	}
 }
 
-// TestStoreSaveCurrentHydrate: SaveCurrent stamps the generation into the
-// artifact and Hydrate reports it back, across both formats.
-func TestStoreSaveCurrentHydrate(t *testing.T) {
+// TestSnapshotBinaryGenRoundTrip: EncodeSnapshotBinary stamps the
+// generation into the header and DecodeSnapshotBinaryWithGen reports it
+// back with the snapshot intact; an unstamped artifact reports 0, and a
+// shard artifact is refused.
+func TestSnapshotBinaryGenRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	st := NewStore(0)
-	if _, err := st.SaveCurrent(filepath.Join(dir, "empty.bin")); err == nil {
-		t.Fatal("SaveCurrent on an empty store succeeded")
-	}
-	st.Push(storeSnap(t, "alpha"))
 	donorSnap := storeSnap(t, "alpha", "beta")
-	st.Push(donorSnap)
-
-	path := filepath.Join(dir, "gen.bin")
-	gen, err := st.SaveCurrent(path)
-	if err != nil {
+	var enc bytes.Buffer
+	if err := EncodeSnapshotBinary(&enc, donorSnap, 2); err != nil {
 		t.Fatal(err)
 	}
-	if gen != 2 {
-		t.Fatalf("SaveCurrent generation = %d, want 2", gen)
+	path := filepath.Join(dir, "gen.bin")
+	if err := os.WriteFile(path, enc.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
 	}
 	h, err := ReadBinaryHeader(path)
 	if err != nil {
@@ -428,48 +423,43 @@ func TestStoreSaveCurrentHydrate(t *testing.T) {
 		t.Fatalf("stamped generation = %d, want 2", h.Generation)
 	}
 
-	replica := NewStore(0)
-	local, donor, err := replica.Hydrate(path)
+	snap, gen, err := DecodeSnapshotBinaryWithGen(enc.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if local != 1 || donor != 2 {
-		t.Fatalf("Hydrate = local %d donor %d, want 1 and 2", local, donor)
-	}
-	cur, ok := replica.Current()
-	if !ok {
-		t.Fatal("replica store empty after hydrate")
+	if gen != 2 {
+		t.Fatalf("decoded generation = %d, want 2", gen)
 	}
 	var a, b bytes.Buffer
 	if err := donorSnap.WriteJSON(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := cur.Snap.WriteJSON(&b); err != nil {
+	if err := snap.WriteJSON(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("hydrated snapshot differs from donor")
+		t.Fatal("decoded snapshot differs from donor")
 	}
 
-	// JSON donors carry no generation stamp: donor is 0.
-	jsonPath := filepath.Join(dir, "gen.json")
-	if err := donorSnap.SaveFile(jsonPath); err != nil {
+	// An unstamped artifact carries generation 0.
+	var plain bytes.Buffer
+	if err := donorSnap.WriteBinary(&plain); err != nil {
 		t.Fatal(err)
 	}
-	if _, donor, err := replica.Hydrate(jsonPath); err != nil || donor != 0 {
-		t.Fatalf("JSON hydrate: donor %d err %v, want 0 and nil", donor, err)
+	if _, gen, err := DecodeSnapshotBinaryWithGen(plain.Bytes()); err != nil || gen != 0 {
+		t.Fatalf("unstamped decode: gen %d err %v, want 0 and nil", gen, err)
 	}
-	// A shard artifact is not a valid hydration source.
+	// A shard artifact is not a snapshot.
 	ss, err := ShardSnapshot(projectionOntology(t), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shardPath := filepath.Join(dir, "shard.bin")
-	if err := ss.Projection(0).SaveBinaryFile(shardPath); err != nil {
+	var shard bytes.Buffer
+	if err := ss.Projection(0).WriteBinary(&shard); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := replica.Hydrate(shardPath); err == nil {
-		t.Fatal("hydrating from a shard artifact succeeded")
+	if _, _, err := DecodeSnapshotBinaryWithGen(shard.Bytes()); err == nil {
+		t.Fatal("decoding a shard artifact as a snapshot succeeded")
 	}
 }
 

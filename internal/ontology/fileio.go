@@ -39,8 +39,8 @@ func (f FileFormat) String() string {
 // writeFileAtomic writes a file crash-safely: the payload is streamed to a
 // temp file in the destination directory, fsynced, and renamed over path.
 // A reader (or a crash) can therefore only ever observe the old complete
-// file or the new complete file — never a partial write. This is what lets
-// giantd -watch reload artifacts the moment their mtime changes.
+// file or the new complete file — never a partial write, so a daemon
+// restarted on the path boots a whole artifact.
 func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")

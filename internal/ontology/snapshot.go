@@ -648,8 +648,8 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 
 // SaveFile writes the snapshot to path as JSON. The write is crash-safe:
 // bytes land in a temp file in the destination directory and are renamed
-// into place only after a successful fsync, so a watcher polling the path
-// (giantd -watch) can never observe a partially written artifact.
+// into place only after a successful fsync, so a reader of the path (a
+// daemon booting on it) can never observe a partially written artifact.
 func (s *Snapshot) SaveFile(path string) error {
 	return writeFileAtomic(path, s.WriteJSON)
 }

@@ -1,10 +1,7 @@
 package ontology
 
 import (
-	"bytes"
 	"fmt"
-	"io"
-	"os"
 	"sync"
 )
 
@@ -22,15 +19,14 @@ type Generation struct {
 
 // Store is a versioned snapshot store: a bounded history of immutable
 // ontology generations with monotonically increasing generation numbers.
-// The serving tier pushes every published snapshot (initial load, reload,
-// ingest) into the store, which makes rollback a pure pointer operation —
-// no rebuild, no file I/O. Retention is bounded: pushing beyond the
-// configured depth evicts the oldest generation (snapshots are immutable,
-// so eviction is just dropping a reference).
+// The serving tier pushes every published snapshot (initial load, ingest)
+// into the store, which mints the serving generation and backs the
+// retained-generation list of /v1/stats. Retention is bounded: pushing
+// beyond the configured depth evicts the oldest generation (snapshots are
+// immutable, so eviction is just dropping a reference).
 //
-// Generation numbers are never reused, even after a rollback pops the
-// newest entry, so "generation N" always denotes the same snapshot for the
-// lifetime of the store.
+// Generation numbers are never reused, so "generation N" always denotes
+// the same snapshot for the lifetime of the store.
 type Store struct {
 	mu        sync.Mutex
 	gens      []Generation // oldest .. newest
@@ -100,64 +96,6 @@ func (st *Store) Get(gen uint64) (*Snapshot, bool) {
 		}
 	}
 	return nil, false
-}
-
-// Rollback discards the newest generation and returns the one before it,
-// which becomes current. It fails when fewer than two generations are
-// retained (there is nothing to roll back to).
-func (st *Store) Rollback() (Generation, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if len(st.gens) < 2 {
-		return Generation{}, fmt.Errorf("ontology: store holds %d generation(s); nothing to roll back to", len(st.gens))
-	}
-	st.gens = st.gens[:len(st.gens)-1]
-	return st.gens[len(st.gens)-1], nil
-}
-
-// SaveCurrent writes the current generation's snapshot to path as a
-// GIANTBIN artifact with the generation number stamped into the header,
-// returning that generation. A replica hydrating from the file (Hydrate)
-// can therefore report which donor generation it booted from. Fails on an
-// empty store.
-func (st *Store) SaveCurrent(path string) (uint64, error) {
-	cur, ok := st.Current()
-	if !ok {
-		return 0, fmt.Errorf("ontology: store is empty; nothing to save")
-	}
-	err := writeFileAtomic(path, func(w io.Writer) error {
-		return encodeBinary(w, cur.Snap, nil, cur.Gen)
-	})
-	if err != nil {
-		return 0, err
-	}
-	return cur.Gen, nil
-}
-
-// Hydrate loads the snapshot file at path (either format) and pushes it as
-// this store's new current generation. It returns the local generation
-// number assigned by the push and the donor generation stamped in the file
-// (0 for JSON artifacts or unstamped binaries) — the replica-hydration
-// seam: ship a SaveCurrent artifact to a fresh process, Hydrate it, and
-// the process serves the donor's world without replaying any deltas.
-func (st *Store) Hydrate(path string) (local, donor uint64, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, 0, err
-	}
-	var snap *Snapshot
-	if IsBinary(data) {
-		snap, donor, err = decodeSnapshotBinaryGen(data)
-		if err != nil {
-			return 0, 0, fmt.Errorf("ontology: hydrate %s: %w", path, err)
-		}
-	} else {
-		snap, err = SnapshotFromJSON(bytes.NewReader(data))
-		if err != nil {
-			return 0, 0, err
-		}
-	}
-	return st.Push(snap), donor, nil
 }
 
 // Len returns the number of retained generations.

@@ -53,32 +53,3 @@ func TestStoreBoundedRetention(t *testing.T) {
 		t.Fatal("Generations must not leak snapshots in the summary view")
 	}
 }
-
-func TestStoreRollback(t *testing.T) {
-	st := NewStore(4)
-	if _, err := st.Rollback(); err == nil {
-		t.Fatal("rollback on an empty store must fail")
-	}
-	a := storeSnap(t, "a")
-	st.Push(a)
-	if _, err := st.Rollback(); err == nil {
-		t.Fatal("rollback with a single generation must fail")
-	}
-	b := storeSnap(t, "a", "bad")
-	st.Push(b)
-	g, err := st.Rollback()
-	if err != nil {
-		t.Fatalf("Rollback: %v", err)
-	}
-	if g.Gen != 1 || g.Snap != a {
-		t.Fatalf("rollback returned gen %d, want 1 (the pre-bad snapshot)", g.Gen)
-	}
-	cur, _ := st.Current()
-	if cur.Gen != 1 {
-		t.Fatalf("current after rollback = %d, want 1", cur.Gen)
-	}
-	// Generation numbers are never reused after a rollback.
-	if gen := st.Push(storeSnap(t, "a", "fixed")); gen != 3 {
-		t.Fatalf("push after rollback assigned gen %d, want 3", gen)
-	}
-}

@@ -5,18 +5,21 @@ package serve
 //
 //   - every error response is the one envelope
 //     {"error":{"code","message","shard","generation"}} with a
-//     machine-readable code from the set below;
-//   - every response carries an X-Giant-Generation header (per-shard
-//     "shard:gen" pairs on router responses) and, on delta-log
-//     replicas, X-Giant-Wal-Gen with the last applied log generation;
-//   - write responses (/v1/ingest, /v1/reload, /v1/rollback) converge
-//     on one per-shard {shard, generation, applied} row schema;
+//     machine-readable code from the set below, a /v1 path no daemon
+//     routes included (404 not_found, see unknownEndpoint);
+//   - every routed response carries an X-Giant-Generation header
+//     (per-shard "shard:gen" pairs on router responses) and, on
+//     delta-log replicas, X-Giant-Wal-Gen with the last applied log
+//     generation;
+//   - the one write, /v1/ingest, answers in one per-shard
+//     {shard, generation, applied} row schema on giantd and the router;
 //   - /v1/search query parameters parse through one shared helper so
 //     limits clamp — and malformed input rejects — identically in
 //     every serving mode (the router's merged bodies, error paths
 //     included, must stay byte-identical to the in-process server's).
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -39,8 +42,7 @@ const (
 	codeShardUnavailable = "shard_unavailable"  // 502/503: backend shard unreachable
 	codeReplicaLagging   = "replica_lagging"    // 429: delta log outran the slowest replica
 	codeReadOnlyReplica  = "read_only_replica"  // 503: direct write to a log-tailing replica
-	codeConflict         = "conflict"           // 409: rollback with no retained generation
-	codeBadUpstream      = "bad_upstream"       // 502: loader or backend returned garbage
+	codeBadUpstream      = "bad_upstream"       // 502: a backend returned garbage
 	codeInternal         = "internal"           // 500
 )
 
@@ -59,6 +61,13 @@ func bodyError(what string, err error) (int, errorBody) {
 		return http.StatusRequestEntityTooLarge, errBody(codePayloadTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
 	}
 	return http.StatusBadRequest, errBody(codeInvalidArgument, what+": "+err.Error())
+}
+
+// unknownEndpoint answers every /v1 path a daemon does not route with 404
+// not_found in the envelope, where net/http would answer plain text.
+func unknownEndpoint(w http.ResponseWriter, r *http.Request) {
+	body, _ := json.Marshal(errBody(codeNotFound, "no endpoint "+r.URL.Path))
+	writeBody(w, http.StatusNotFound, append(body, '\n'), false)
 }
 
 // Generation response headers. The router keys replica read-gating on
@@ -105,10 +114,9 @@ func errBodyShard(code string, shard int, format string, args ...any) errorBody 
 	return e
 }
 
-// shardWriteStatus is the per-shard write-status row shared by every
-// write response: the 200 bodies of /v1/ingest, /v1/reload and
-// /v1/rollback carry one row per shard under "shards", and the router's
-// 502 for an unconfirmed or diverged ingest reuses the same rows
+// shardWriteStatus is the per-shard write-status row of every ingest
+// response: a 200 carries one row per shard under "shards", and the
+// router's 502 for an unconfirmed or diverged ingest reuses the same rows
 // (applied=false rows carrying the failure status) so clients parse
 // exactly one schema.
 type shardWriteStatus struct {

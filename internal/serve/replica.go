@@ -176,8 +176,8 @@ type Follower struct {
 // what keeps replica generations identical across the fleet; the miner
 // behind it skips inference for clusters a batch left textually
 // unchanged, so a warm replica and a freshly hydrated one reach the same
-// bytes at different cost). From then on direct /v1/ingest and /v1/reload
-// answer 503 read_only_replica instead of unavailable, and /v1/wal starts
+// bytes at different cost). From then on a direct /v1/ingest answers 503
+// read_only_replica instead of unavailable, and /v1/wal starts
 // reporting (Start.WALGen until Run consumes the first suffix record).
 func NewFollower(srv *Server, opts FollowerOptions) (*Follower, error) {
 	if !srv.shardMode {

@@ -362,7 +362,7 @@ func followLog(t *testing.T, dir string, srvs ...*Server) {
 // /v1/search and /v1/node byte-identical to the single-process NewSharded
 // reference, with identical generation accounting — and the WAL-only
 // write rules hold (deterministic rejections forwarded, direct replica
-// writes refused, fleet reload refused).
+// writes refused, no fleet reload route).
 func TestWALReplayEquivalence(t *testing.T) {
 	for _, k := range []int{1, 2} {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
@@ -432,12 +432,12 @@ func TestWALReplayEquivalence(t *testing.T) {
 			}
 			assertEnvelope(t, body, codeReadOnlyReplica)
 
-			// Fleet-wide reload is refused in WAL mode.
+			// A WAL-mode router has no reload: the path is not routed.
 			status, body = postRaw(t, f.routerTS.Client(), f.routerTS.URL+"/v1/reload", "")
-			if status != http.StatusServiceUnavailable {
+			if status != http.StatusNotFound {
 				t.Fatalf("WAL-mode reload = %d: %s", status, body)
 			}
-			assertEnvelope(t, body, codeUnavailable)
+			assertEnvelope(t, body, codeNotFound)
 		})
 	}
 }
@@ -1174,7 +1174,7 @@ var knownErrorCodes = map[string]bool{
 	codeInvalidArgument: true, codeInvalidLimit: true, codeInvalidBatch: true,
 	codeNotFound: true, codeMethodNotAllowed: true, codeUnavailable: true,
 	codeShardUnavailable: true, codeReplicaLagging: true,
-	codeReadOnlyReplica: true, codeConflict: true, codeBadUpstream: true,
+	codeReadOnlyReplica: true, codeBadUpstream: true,
 	codeInternal: true, codePayloadTooLarge: true,
 }
 
@@ -1225,9 +1225,8 @@ func TestErrorEnvelope(t *testing.T) {
 		{"POST", "/v1/ingest", "{nope", 400, codeInvalidArgument},
 		{"POST", "/v1/ingest", `{"day":0}`, 422, codeInvalidBatch},
 		{"GET", "/v1/ingest", "", 405, codeMethodNotAllowed},
-		{"GET", "/v1/reload", "", 405, codeMethodNotAllowed},
-		{"GET", "/v1/rollback", "", 405, codeMethodNotAllowed},
-		{"POST", "/v1/rollback", "", 409, codeConflict},
+		{"POST", "/v1/reload", "", 404, codeNotFound},
+		{"POST", "/v1/rollback", "", 404, codeNotFound},
 	}
 	runProbes := func(t *testing.T, ts *httptest.Server, probes []probe) {
 		t.Helper()
@@ -1258,12 +1257,6 @@ func TestErrorEnvelope(t *testing.T) {
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(ts.Close)
 		runProbes(t, ts, readProbes)
-		// Unwired endpoints answer 503 unavailable.
-		st, body := postRaw(t, ts.Client(), ts.URL+"/v1/reload", "")
-		if st != 503 {
-			t.Fatalf("reload without loader = %d: %s", st, body)
-		}
-		assertEnvelope(t, body, codeUnavailable)
 	})
 
 	t.Run("sharded", func(t *testing.T) {
@@ -1292,7 +1285,8 @@ func TestErrorEnvelope(t *testing.T) {
 			{"GET", "/v1/search?q=sedan&limit=0", "", 400, codeInvalidLimit},
 			{"GET", "/v1/ingest", "", 405, codeMethodNotAllowed},
 			{"POST", "/v1/ingest", "{nope", 503, codeUnavailable},
-			{"POST", "/v1/reload", "", 503, codeUnavailable},
+			{"POST", "/v1/reload", "", 404, codeNotFound},
+			{"POST", "/v1/rollback", "", 404, codeNotFound},
 			{"GET", "/v1/wal?wait=1", "", 404, codeNotFound},
 		})
 	})
@@ -1319,8 +1313,8 @@ func TestErrorEnvelope(t *testing.T) {
 		runProbes(t, ts, []probe{
 			{"GET", "/v1/ingest", "", 405, codeMethodNotAllowed},
 			{"POST", "/v1/ingest", `{"day":12}`, 503, codeUnavailable},
-			{"GET", "/v1/reload", "", 405, codeMethodNotAllowed},
-			{"POST", "/v1/reload", "", 503, codeUnavailable},
+			{"POST", "/v1/reload", "", 404, codeNotFound},
+			{"POST", "/v1/rollback", "", 404, codeNotFound},
 		})
 	})
 

@@ -31,7 +31,6 @@ package serve
 //	/v1/ingest         appended once to the fleet's delta log, acked at a
 //	                   replica quorum (RouterOptions.WALDir); a router
 //	                   without a log is read-only and answers 503
-//	/v1/reload         always 503: a fleet changes only through its log
 //	/v1/tag            scatter-gather: per-shard ?partial=match candidate
 //	                   sets (pruned by the same term-gram routing index as
 //	                   search) are merged and scored against a router-held
@@ -277,7 +276,7 @@ func (m *memo[T]) get(epoch *atomic.Uint64, build func() (*T, []int, int, any)) 
 }
 
 var routerEndpointNames = []string{
-	"healthz", "stats", "node", "search", "tag", "query_rewrite", "story", "metrics", "reload", "ingest",
+	"healthz", "stats", "node", "search", "tag", "query_rewrite", "story", "metrics", "ingest",
 }
 
 // NewRouter builds a Router over the given per-shard backends (or
@@ -924,10 +923,10 @@ func (rt *Router) routes() {
 	rt.mux.HandleFunc("/v1/search", rt.endpoint("search", rt.handleSearch))
 	rt.mux.HandleFunc("/v1/metrics", rt.endpoint("metrics", rt.handleMetrics))
 	rt.mux.HandleFunc("/v1/ingest", rt.endpoint("ingest", rt.handleIngest))
-	rt.mux.HandleFunc("/v1/reload", rt.endpoint("reload", rt.handleReload))
 	rt.mux.HandleFunc("/v1/tag", rt.endpoint("tag", rt.handleTag))
 	rt.mux.HandleFunc("/v1/query/rewrite", rt.endpoint("query_rewrite", rt.handleQueryRewrite))
 	rt.mux.HandleFunc("/v1/story", rt.endpoint("story", rt.handleStory))
+	rt.mux.HandleFunc("/v1/", unknownEndpoint)
 }
 
 // respMeta is one routed request's state. For the response it collects
@@ -1643,16 +1642,4 @@ func (rt *Router) awaitQuorum(ctx context.Context, meta *respMeta, walGen uint64
 		resp["delta"] = d
 	}
 	return http.StatusOK, resp
-}
-
-// handleReload refuses every reload: a fleet changes only through its
-// delta log. Replicas derive their world from the log, where a side-loaded
-// snapshot would fork them from it, and a frozen shard-file fleet changes
-// by restarting its backends on new files.
-func (rt *Router) handleReload(r *http.Request, meta *respMeta) (int, any) {
-	if r.Method != http.MethodPost {
-		return http.StatusMethodNotAllowed, errBody(codeMethodNotAllowed, "use POST")
-	}
-	return http.StatusServiceUnavailable, errBody(codeUnavailable,
-		"reload is unsupported: a fleet changes only through its delta log; restart the backends instead")
 }

@@ -1,18 +1,19 @@
 // Package serve is the online tier of the reproduction: an HTTP server that
 // exposes a built Attention Ontology the way the paper's production system
 // does (§4 — document tagging, query conceptualization/rewriting, story
-// trees) plus operational endpoints (stats, search, metrics, health,
-// reload).
+// trees) plus operational endpoints (stats, search, metrics, health).
 //
 // The server never serves from the mutable build-time *ontology.Ontology.
 // It holds an immutable *ontology.Snapshot — together with the taggers, the
 // query understander and a bounded LRU response cache derived from it — in
 // a single atomically-swapped state pointer. Request handlers load that
 // pointer once and then perform lock-free reads for the rest of the
-// request; /v1/reload indexes a replacement snapshot off to the side and
-// publishes it with one atomic store, so serving continues uninterrupted on
-// the old snapshot until the new one is fully built. The retired snapshot,
-// cache included, is garbage-collected once in-flight requests drain.
+// request; an ingest (a whole-world POST /v1/ingest, or a replica's
+// delta-log apply) indexes the next snapshot off to the side and publishes
+// it with one atomic store, so serving continues uninterrupted on the old
+// snapshot until the new one is fully built. The retired snapshot, cache
+// included, is garbage-collected once in-flight requests drain. A served
+// world changes only through an ingest or a restart.
 //
 // Endpoints:
 //
@@ -25,22 +26,17 @@
 //	GET  /v1/query/rewrite  conceptualize + rewrite a query (?q=)
 //	GET  /v1/story          story tree seeded at an event (?seed=)
 //	GET  /v1/metrics        per-endpoint QPS/latency/cache counters
-//	POST /v1/reload         hot-swap a freshly loaded snapshot (whole-world)
 //	POST /v1/ingest         apply an incremental update batch (whole-world;
 //	                        a per-shard server applies batches only from
 //	                        its delta log, see replica.go)
-//	POST /v1/rollback       revert to the previous retained generation
 //
-// Every published snapshot — initial load, reload, ingest — is pushed
-// into a bounded ontology.Store of recent generations, so /v1/rollback
-// can revert a bad update with a pointer swap and zero rebuild cost.
+// Any other /v1 path answers 404 not_found in the error envelope.
 package serve
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
 	"sync"
@@ -59,10 +55,6 @@ type Options struct {
 	// CacheSize bounds the LRU response cache each published state carries
 	// (entries); 0 means DefaultCacheSize, negative disables caching.
 	CacheSize int
-	// Loader supplies a replacement snapshot for /v1/reload (typically
-	// re-reading the ontology file or re-running the build). Nil disables
-	// the endpoint.
-	Loader func() (*ontology.Snapshot, error)
 	// IngestSharded applies an incremental update batch on a whole-world
 	// server (see giant.System.IngestSharded): it returns the advanced sharded
 	// snapshot, the delta and the touched-shard flags, and the server
@@ -81,8 +73,8 @@ type Options struct {
 	// generation, which is what keeps per-shard generations identical to
 	// the in-process NewSharded path.
 	ShardIngest func(delta.Batch) (*ontology.ShardProjection, *delta.Delta, []bool, error)
-	// History bounds the versioned snapshot store backing /v1/rollback;
-	// 0 means ontology.DefaultRetention.
+	// History bounds the retained generations /v1/stats lists under
+	// "generations"; 0 means ontology.DefaultRetention.
 	History int
 	// ConceptContext optionally enriches concept-tagger representations
 	// with the build's concept -> top clicked titles map.
@@ -157,9 +149,9 @@ type state struct {
 type Server struct {
 	opts        Options
 	cur         atomic.Pointer[state]
-	store       *ontology.Store        // versioned generation history (rollback)
+	store       *ontology.Store        // generation counter and retained history (/v1/stats)
 	shardStores *ontology.ShardedStore // per-shard generation history (whole-world servers)
-	swapMu      sync.Mutex             // serializes swap/reload/ingest/rollback; readers never take it
+	swapMu      sync.Mutex             // serializes publishes; readers never take it
 	metrics     *metricsRegistry
 	mux         *http.ServeMux
 	enc         storytree.Encoder
@@ -174,7 +166,7 @@ type Server struct {
 
 // endpointNames fixes the metrics registry key set.
 var endpointNames = []string{
-	"healthz", "stats", "node", "search", "tag", "query_rewrite", "story", "metrics", "reload", "ingest", "rollback", "wal", "checkpoint",
+	"healthz", "stats", "node", "search", "tag", "query_rewrite", "story", "metrics", "ingest", "wal", "checkpoint",
 }
 
 // newServer applies option defaults and wires the fields shared by both
@@ -210,13 +202,15 @@ func New(snap *ontology.Snapshot, opts Options) *Server {
 // NewSharded builds a whole-world Server over an initial sharded snapshot.
 // The process holds the union, so every read answers from it through the
 // state's one response cache; the shard count only sets the unit of
-// publication — initial, reload, ingest and rollback publish per shard, each
+// publication — the initial publish and every ingest publish per shard, each
 // shard carrying its own generation history — and routes /v1/search through
 // the shards' term-gram indexes (ShardedSnapshot.Search).
 func NewSharded(ss *ontology.ShardedSnapshot, opts Options) *Server {
 	s := newServer(opts)
 	s.shardStores = ontology.NewShardedStore(ss.NumShards(), s.opts.History)
-	s.SwapSharded(ss, nil)
+	s.swapMu.Lock()
+	s.publishShardedLocked(ss, nil)
+	s.swapMu.Unlock()
 	s.routes()
 	return s
 }
@@ -259,28 +253,19 @@ func NewShardAt(p *ontology.ShardProjection, gen uint64, opts Options) *Server {
 	return s
 }
 
-// SwapSharded publishes a sharded snapshot: shards flagged touched (nil =
-// all) are pushed into their per-shard generation stores, the union joins
-// the whole-world store for /v1/rollback, and the serving state swaps
-// atomically, returning the new union generation. Untouched shards keep
-// their current generation — the republication unit is the shard, not the
-// world. In-flight requests keep the state they started with. Safe to call
-// while serving.
-func (s *Server) SwapSharded(ss *ontology.ShardedSnapshot, touched []bool) uint64 {
-	s.swapMu.Lock()
-	defer s.swapMu.Unlock()
-	gen, _ := s.publishShardedLocked(ss, touched)
-	return gen
-}
-
-// publishShardedLocked pushes the touched shards and publishes the sharded
-// serving state, reporting which shards republished; the caller holds
-// swapMu. A shard's generation must identify its served content, so beyond
-// the delta-touched shards, any shard whose incoming projection differs from
-// the one serving right now also republishes — that is what keeps
-// generations honest when the ingest lineage diverges from the served state
-// (e.g. the first ingest after a /v1/rollback or /v1/reload, which
-// republished a re-partitioned world the mining system never adopted).
+// publishShardedLocked publishes a sharded snapshot: shards flagged
+// touched (nil = all) are pushed into their per-shard generation stores,
+// the union joins the whole-world store, and the serving state swaps
+// atomically. It returns the new union generation and which shards
+// republished; untouched shards keep their generation — the republication
+// unit is the shard, not the world. In-flight requests keep the state they
+// started with. The caller holds swapMu.
+//
+// A shard's generation must identify its served content, so beyond the
+// delta-touched shards, any shard whose incoming projection differs from
+// the one serving right now also republishes. That clause is live at K=1:
+// Advance re-projects every shard there, so each ingest hands over a new
+// projection of the one shard whatever the delta's touched flags say.
 func (s *Server) publishShardedLocked(ss *ontology.ShardedSnapshot, touched []bool) (uint64, []bool) {
 	prev := s.cur.Load()
 	republished := make([]bool, ss.NumShards())
@@ -291,19 +276,12 @@ func (s *Server) publishShardedLocked(ss *ontology.ShardedSnapshot, touched []bo
 			s.shardStores.Push(i, ss.Shard(i))
 		}
 	}
-	return s.storeShardedStateLocked(ss, s.store.Push(ss.Union())), republished
-}
-
-// storeShardedStateLocked indexes and atomically publishes the sharded
-// serving state under the given union generation (already pushed or
-// reused by the caller); the caller holds swapMu and has pushed the shard
-// stores it wants bumped.
-func (s *Server) storeShardedStateLocked(ss *ontology.ShardedSnapshot, gen uint64) uint64 {
+	gen := s.store.Push(ss.Union())
 	st := s.buildState(ss.Union(), gen)
 	st.shards = ss
 	st.shardGens = s.shardStores.CurrentGens()
 	s.cur.Store(st)
-	return gen
+	return gen, republished
 }
 
 // buildState indexes one snapshot into a full serving state (taggers,
@@ -323,40 +301,6 @@ func (s *Server) buildState(snap *ontology.Snapshot, gen uint64) *state {
 		gen:         gen,
 		loadedAt:    time.Now(),
 	}
-}
-
-// SwapSnapshot re-partitions a plain snapshot to the server's shard count
-// and republishes every shard. This is the entry point for /v1/reload and
-// external updaters (file watchers) that only hold a union snapshot.
-func (s *Server) SwapSnapshot(snap *ontology.Snapshot) (uint64, error) {
-	s.swapMu.Lock()
-	defer s.swapMu.Unlock()
-	if s.shardMode {
-		return 0, errors.New("serve: SwapSnapshot on a per-shard server (use SwapShard with a shard projection)")
-	}
-	ss, err := ontology.ShardSnapshot(snap, s.cur.Load().shards.NumShards())
-	if err != nil {
-		return 0, err
-	}
-	gen, _ := s.publishShardedLocked(ss, nil)
-	return gen, nil
-}
-
-// SwapShard publishes a replacement projection on a per-shard server (the
-// shard-mode analogue of SwapSnapshot, used by file watchers). The
-// projection must carry the same shard identity the server was built with.
-func (s *Server) SwapShard(p *ontology.ShardProjection) (uint64, error) {
-	s.swapMu.Lock()
-	defer s.swapMu.Unlock()
-	st := s.cur.Load()
-	if st == nil || st.proj == nil {
-		return 0, errors.New("serve: SwapShard on a server not built with NewShard")
-	}
-	if st.proj.Shard != p.Shard || st.proj.NumShards != p.NumShards {
-		return 0, fmt.Errorf("serve: SwapShard got shard %d/%d, serving %d/%d",
-			p.Shard, p.NumShards, st.proj.Shard, st.proj.NumShards)
-	}
-	return s.publishShardLocked(p, true), nil
 }
 
 // publishShardLocked publishes a per-shard serving state: a republish
@@ -414,11 +358,10 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("/v1/query/rewrite", s.endpoint("query_rewrite", true, s.handleQueryRewrite))
 	s.mux.HandleFunc("/v1/story", s.endpoint("story", true, s.handleStory))
 	s.mux.HandleFunc("/v1/metrics", s.endpoint("metrics", false, s.handleMetrics))
-	s.mux.HandleFunc("/v1/reload", s.endpoint("reload", false, s.handleReload))
 	s.mux.HandleFunc("/v1/ingest", s.endpoint("ingest", false, s.handleIngest))
-	s.mux.HandleFunc("/v1/rollback", s.endpoint("rollback", false, s.handleRollback))
 	s.mux.HandleFunc("/v1/wal", s.endpoint("wal", false, s.handleWAL))
 	s.mux.HandleFunc("/v1/checkpoint", s.endpoint("checkpoint", false, s.handleCheckpoint))
+	s.mux.HandleFunc("/v1/", unknownEndpoint)
 }
 
 // handlerFunc is one endpoint's logic: it reads only from st (never from
@@ -776,35 +719,6 @@ func (s *Server) handleMetrics(st *state, r *http.Request) (int, any) {
 	}
 }
 
-func (s *Server) handleReload(st *state, r *http.Request) (int, any) {
-	if r.Method != http.MethodPost {
-		return http.StatusMethodNotAllowed, errBody(codeMethodNotAllowed, "use POST")
-	}
-	if s.shardMode {
-		return s.refuseShardWrite("reload")
-	}
-	if s.opts.Loader == nil {
-		return http.StatusServiceUnavailable, errBody(codeUnavailable, "no snapshot loader configured")
-	}
-	snap, err := s.opts.Loader()
-	if err != nil {
-		return http.StatusBadGateway, errBody(codeBadUpstream, "load snapshot: "+err.Error())
-	}
-	// A reload replaces the whole world: re-partition the fresh snapshot
-	// and republish every shard.
-	gen, err := s.SwapSnapshot(snap)
-	if err != nil {
-		return http.StatusInternalServerError, errBody(codeInternal, "shard snapshot: "+err.Error())
-	}
-	return http.StatusOK, map[string]any{
-		"old_generation": st.gen,
-		"generation":     gen,
-		"shards":         s.writeStatusRows(nil),
-		"nodes":          snap.NodeCount(),
-		"edges":          snap.EdgeCount(),
-	}
-}
-
 // writeStatusRows renders a whole-world server's per-shard write-status
 // rows from the current per-shard generations; applied[i]=false marks a
 // shard the write left untouched (nil marks every shard applied).
@@ -826,7 +740,7 @@ func (s *Server) handleIngest(st *state, r *http.Request) (int, any) {
 		return http.StatusMethodNotAllowed, errBody(codeMethodNotAllowed, "use POST")
 	}
 	if s.shardMode {
-		return s.refuseShardWrite("ingest")
+		return s.refuseShardWrite()
 	}
 	if s.opts.IngestSharded == nil {
 		return http.StatusServiceUnavailable, errBody(codeUnavailable, "no ingester configured (run giantd with -build)")
@@ -839,18 +753,17 @@ func (s *Server) handleIngest(st *state, r *http.Request) (int, any) {
 	return status, resp
 }
 
-// refuseShardWrite answers a direct write (POST /v1/ingest or /v1/reload)
-// to a per-shard server: a fleet changes only through its delta log. A
-// replica applies batches from the log alone, where a direct write would
-// fork its lineage from its peers'; a frozen shard changes by restarting
-// on a new file.
-func (s *Server) refuseShardWrite(what string) (int, any) {
+// refuseShardWrite answers a direct POST /v1/ingest to a per-shard server:
+// a fleet changes only through its delta log. A replica applies batches
+// from the log alone, where a direct write would fork its lineage from its
+// peers'; a frozen shard changes by restarting on a new file.
+func (s *Server) refuseShardWrite() (int, any) {
 	if s.wal.Load() != nil {
 		return http.StatusServiceUnavailable, errBody(codeReadOnlyReplica,
-			"replica follows a delta log and accepts no direct "+what+": ingest through the router, or restart the replica")
+			"replica follows a delta log and accepts no direct ingest: ingest through the router, or restart the replica")
 	}
 	return http.StatusServiceUnavailable, errBody(codeUnavailable,
-		"a per-shard server accepts no direct "+what+": restart it on a new shard file, or run a delta-log fleet (giantd -wal behind giantrouter -wal)")
+		"a per-shard server accepts no direct ingest: restart it on a new shard file, or run a delta-log fleet (giantd -wal behind giantrouter -wal)")
 }
 
 // ingestBatch applies one decoded batch and publishes the result — the
@@ -930,46 +843,6 @@ func (s *Server) ingestBatch(batch delta.Batch) (int, any, []bool) {
 		}
 	}
 	return http.StatusOK, resp, touched
-}
-
-// handleRollback reverts serving to the previous retained generation —
-// the operational escape hatch when an ingested batch turns out bad. The
-// discarded generation's number is never reused.
-func (s *Server) handleRollback(st *state, r *http.Request) (int, any) {
-	if r.Method != http.MethodPost {
-		return http.StatusMethodNotAllowed, errBody(codeMethodNotAllowed, "use POST")
-	}
-	if s.shardMode {
-		// A rollback is a whole-world revert: rolling back one shard of a
-		// multi-process deployment would silently desynchronize it from
-		// its peers' ingest lineage.
-		return http.StatusServiceUnavailable, errBody(codeUnavailable, "rollback is not supported on a per-shard server (restart the fleet from a known-good artifact instead)")
-	}
-	s.swapMu.Lock()
-	defer s.swapMu.Unlock()
-	g, err := s.store.Rollback()
-	if err != nil {
-		return http.StatusConflict, errBody(codeConflict, err.Error())
-	}
-	// Re-partition the previous union and republish every shard (shard
-	// generations advance — a rolled-back world is still a new per-shard
-	// publication).
-	ss, err := ontology.ShardSnapshot(g.Snap, st.shards.NumShards())
-	if err != nil {
-		return http.StatusInternalServerError, errBody(codeInternal, "shard snapshot: "+err.Error())
-	}
-	for i := 0; i < ss.NumShards(); i++ {
-		s.shardStores.Push(i, ss.Shard(i))
-	}
-	// The union generation is reused (the store already popped to g.Gen),
-	// so publish directly instead of re-pushing.
-	return http.StatusOK, map[string]any{
-		"old_generation": st.gen,
-		"generation":     s.storeShardedStateLocked(ss, g.Gen),
-		"shards":         s.writeStatusRows(nil),
-		"nodes":          g.Nodes,
-		"edges":          g.Edges,
-	}
 }
 
 // Connection limits of every daemon's HTTP server. readHeaderTimeout bounds

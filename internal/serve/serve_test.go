@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,7 +21,7 @@ import (
 )
 
 // testOntology hand-builds a small ontology with every node and edge type.
-// variant skews phrases so reload tests can tell two snapshots apart.
+// variant skews phrases so tests can tell two snapshots apart.
 func testOntology(variant int) *ontology.Ontology {
 	o := ontology.New()
 	auto := o.AddNode(ontology.Category, "auto")
@@ -221,63 +222,14 @@ func TestConcurrentCacheHitsSameKey(t *testing.T) {
 	}
 }
 
-func TestReloadHotSwap(t *testing.T) {
-	variant := 0
-	srv := New(testOntology(variant).Snapshot(), Options{
-		Loader: func() (*ontology.Snapshot, error) {
-			variant++
-			return testOntology(variant).Snapshot(), nil
-		},
-	})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	c := ts.Client()
-
-	before := getJSON(t, c, ts.URL+"/v1/stats", 200)
-	resp, err := c.Post(ts.URL+"/v1/reload", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("reload = %d", resp.StatusCode)
-	}
-	after := getJSON(t, c, ts.URL+"/v1/stats", 200)
-	if after["generation"].(float64) != before["generation"].(float64)+1 {
-		t.Fatalf("generation did not advance: %v -> %v", before["generation"], after["generation"])
-	}
-	if after["nodes"].(float64) != before["nodes"].(float64)+1 {
-		t.Fatalf("reload did not swap the snapshot: %v -> %v", before["nodes"], after["nodes"])
-	}
-	// GET /v1/reload is rejected; reload without a loader is unavailable.
-	resp, _ = c.Get(ts.URL + "/v1/reload")
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET reload = %d", resp.StatusCode)
-	}
-	srvNoLoader := New(testOntology(0).Snapshot(), Options{})
-	rr := httptest.NewRecorder()
-	srvNoLoader.Handler().ServeHTTP(rr, httptest.NewRequest("POST", "/v1/reload", nil))
-	if rr.Code != http.StatusServiceUnavailable {
-		t.Fatalf("reload without loader = %d", rr.Code)
-	}
-}
-
-// TestConcurrentReadsDuringReload hammers every read endpoint from 32
-// goroutines while /v1/reload hot-swaps snapshots underneath them; with
-// -race this doubles as the lock-free-reads proof. No request may 5xx.
-func TestConcurrentReadsDuringReload(t *testing.T) {
-	var variant atomic.Int64
-	srv := New(testOntology(0).Snapshot(), Options{
-		CacheSize: 64,
-		Loader: func() (*ontology.Snapshot, error) {
-			return testOntology(int(variant.Add(1)) % 4).Snapshot(), nil
-		},
-	})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+// TestConcurrentReadsDuringLogApply hammers every read endpoint of a
+// delta-log replica from 32 goroutines while the router ingests batches
+// that the replica applies and publishes underneath them; with -race this
+// doubles as the lock-free-reads proof. No request may 5xx, and every
+// batch lands as exactly one new generation.
+func TestConcurrentReadsDuringLogApply(t *testing.T) {
+	f := newWALFixture(t, 1, 1, RouterOptions{})
+	rep := f.procs[0][0].outer
 
 	urls := []string{
 		"/healthz",
@@ -294,7 +246,7 @@ func TestConcurrentReadsDuringReload(t *testing.T) {
 	const (
 		readers = 32
 		iters   = 40
-		reloads = 25
+		batches = 25
 	)
 	var wg sync.WaitGroup
 	var server5xx atomic.Int64
@@ -304,7 +256,7 @@ func TestConcurrentReadsDuringReload(t *testing.T) {
 			defer wg.Done()
 			c := &http.Client{Timeout: 10 * time.Second}
 			for i := 0; i < iters; i++ {
-				url := ts.URL + urls[(g+i)%len(urls)]
+				url := rep.URL + urls[(g+i)%len(urls)]
 				resp, err := c.Get(url)
 				if err != nil {
 					t.Errorf("GET %s: %v", url, err)
@@ -323,26 +275,25 @@ func TestConcurrentReadsDuringReload(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		c := &http.Client{Timeout: 10 * time.Second}
-		for i := 0; i < reloads; i++ {
-			resp, err := c.Post(ts.URL+"/v1/reload", "", nil)
+		for i := 0; i < batches; i++ {
+			resp, err := c.Post(f.routerTS.URL+"/v1/ingest", "application/json", strings.NewReader(fmt.Sprintf(`{"day":%d}`, i+1)))
 			if err != nil {
-				t.Errorf("reload: %v", err)
+				t.Errorf("ingest: %v", err)
 				return
 			}
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
-			if resp.StatusCode >= 500 {
-				server5xx.Add(1)
-				t.Errorf("reload = %d", resp.StatusCode)
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("ingest = %d", resp.StatusCode)
 			}
 		}
 	}()
 	wg.Wait()
 	if n := server5xx.Load(); n > 0 {
-		t.Fatalf("%d requests returned 5xx during snapshot swaps", n)
+		t.Fatalf("%d requests returned 5xx during log applies", n)
 	}
-	if gen := srv.Generation(); gen != reloads+1 {
-		t.Fatalf("generation = %d, want %d", gen, reloads+1)
+	if gen := getJSON(t, rep.Client(), rep.URL+"/healthz", 200)["generation"]; gen != float64(batches+1) {
+		t.Fatalf("replica generation = %v, want %d", gen, batches+1)
 	}
 }
 
@@ -418,11 +369,11 @@ func postJSON(t *testing.T, c *http.Client, url, body string, want int) map[stri
 	return out
 }
 
-// TestIngestAndRollback drives the live-update lifecycle end to end:
-// ingest bumps the generation and serves the new node, rollback reverts
-// to the previous generation, and the store's retention keeps both
-// visible in /v1/stats.
-func TestIngestAndRollback(t *testing.T) {
+// TestIngestLifecycle drives the live-update lifecycle end to end: ingest
+// bumps the generation and serves the new node, the store's retention
+// keeps both generations visible in /v1/stats, and bad batches and
+// failing ingesters answer their error codes.
+func TestIngestLifecycle(t *testing.T) {
 	var srv *Server
 	srv = New(testOntology(0).Snapshot(), Options{IngestSharded: wholeWorld(fakeIngester(&srv))})
 	ts := httptest.NewServer(srv.Handler())
@@ -449,15 +400,6 @@ func TestIngestAndRollback(t *testing.T) {
 		t.Fatalf("generations = %v", gens)
 	}
 
-	// Rollback reverts to generation 1 and the ingested node vanishes.
-	rb := postJSON(t, c, ts.URL+"/v1/rollback", "", 200)
-	if rb["generation"].(float64) != 1 {
-		t.Fatalf("rollback = %v", rb)
-	}
-	getJSON(t, c, ts.URL+"/v1/node?phrase=fresh+concept+day+12&type=concept", 404)
-	// A second rollback has nowhere to go.
-	postJSON(t, c, ts.URL+"/v1/rollback", "", http.StatusConflict)
-
 	// Bad requests: malformed JSON and a failing ingester.
 	postJSON(t, c, ts.URL+"/v1/ingest", "{not json", http.StatusBadRequest)
 	postJSON(t, c, ts.URL+"/v1/ingest", `{"day":1}`, http.StatusUnprocessableEntity)
@@ -482,9 +424,9 @@ func TestIngestAndRollback(t *testing.T) {
 	}
 }
 
-// TestConcurrentReadsDuringIngest is the live-update analogue of the
-// reload hammer: 16 readers sweep the read endpoints while batches ingest
-// and occasionally roll back; nothing may 5xx (run under -race).
+// TestConcurrentReadsDuringIngest is the whole-world analogue of the
+// log-apply hammer: 16 readers sweep the read endpoints while batches
+// ingest through POST /v1/ingest; nothing may 5xx (run under -race).
 func TestConcurrentReadsDuringIngest(t *testing.T) {
 	var srv *Server
 	srv = New(testOntology(0).Snapshot(), Options{CacheSize: 64, History: 8, IngestSharded: wholeWorld(fakeIngester(&srv))})
@@ -543,19 +485,6 @@ func TestConcurrentReadsDuringIngest(t *testing.T) {
 			if resp.StatusCode >= 500 {
 				server5xx.Add(1)
 				t.Errorf("ingest = %d", resp.StatusCode)
-			}
-			if i%5 == 4 {
-				resp, err := c.Post(ts.URL+"/v1/rollback", "", nil)
-				if err != nil {
-					t.Errorf("rollback: %v", err)
-					return
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode >= 500 {
-					server5xx.Add(1)
-					t.Errorf("rollback = %d", resp.StatusCode)
-				}
 			}
 		}
 	}()

@@ -63,16 +63,15 @@ func TestShardedStatsAndHealth(t *testing.T) {
 // TestNewIsNewShardedAtOneShard pins "one state shape": a New(snap, o)
 // server and a NewSharded(ShardSnapshot(snap, 1), o) server answer every
 // endpoint with the same status and body — reads, the operational
-// endpoints, and the write responses through an ingest → rollback →
-// reload → ingest sequence (after which shard and union generations
-// differ, so both accountings are compared).
+// endpoints, and the write responses through an ingest → rejected batch →
+// ingest sequence (the shard and union generation accountings are both
+// compared).
 func TestNewIsNewShardedAtOneShard(t *testing.T) {
 	base := testOntology(0).Snapshot()
 	var servers [2]*Server
 	opts := func(i int) Options {
 		return Options{
 			CacheSize:     64,
-			Loader:        func() (*ontology.Snapshot, error) { return testOntology(1).Snapshot(), nil },
 			IngestSharded: wholeWorld(fakeIngester(&servers[i])),
 		}
 	}
@@ -139,11 +138,7 @@ func TestNewIsNewShardedAtOneShard(t *testing.T) {
 	for _, write := range []step{
 		ingest(12),
 		{"POST", "/v1/ingest", `{"day":1}`}, // invalid batch: 422
-		{"POST", "/v1/rollback", ""},
-		{"POST", "/v1/rollback", ""}, // nothing retained: 409
-		{"POST", "/v1/reload", ""},
 		ingest(13),
-		{"GET", "/v1/reload", ""}, // 405
 	} {
 		steps = append(append(steps, reads...), write)
 	}
@@ -188,11 +183,7 @@ func TestShardedSearchMatchesLegacy(t *testing.T) {
 }
 
 // TestShardedIngestPublishesTouchedShardsOnly: an ingest whose delta
-// touches a subset of shards bumps only those shards' generations — and
-// after a rollback (which re-partitions the served world while the
-// ingester keeps its own lineage) the next ingest republishes every shard
-// whose served projection diverged, so a shard generation always
-// identifies its content.
+// touches a subset of shards bumps only those shards' generations.
 func TestShardedIngestPublishesTouchedShardsOnly(t *testing.T) {
 	const k = 4
 	ss, err := ontology.ShardSnapshot(testOntology(0).Snapshot(), k)
@@ -200,7 +191,7 @@ func TestShardedIngestPublishesTouchedShardsOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The fake ingester mirrors giant.System: it advances its OWN sharded
-	// lineage, which a serving-side rollback does not rewind.
+	// lineage.
 	lineage := ss
 	day := 0
 	opts := Options{}
@@ -241,33 +232,6 @@ func TestShardedIngestPublishesTouchedShardsOnly(t *testing.T) {
 	if node["node"].(map[string]any)["phrase"] != "hybrid sedans 1" {
 		t.Fatalf("ingested node not served: %v", node)
 	}
-	// Rollback reverts the served world (dropping the node) and
-	// republishes every shard.
-	postJSON(t, ts.Client(), ts.URL+"/v1/rollback", "", 200)
-	getJSON(t, ts.Client(), ts.URL+"/v1/node?phrase=hybrid+sedans+1", 404)
-
-	// The ingester's own lineage was NOT rolled back, so the next ingest
-	// flips every untouched shard's served content back to the lineage —
-	// each of those shards must republish (generation bump), or a shard
-	// generation would stop identifying its content.
-	resp = postJSON(t, ts.Client(), ts.URL+"/v1/ingest", `{"day":13}`, 200)
-	gens = resp["shard_generations"].([]any)
-	stats := getJSON(t, ts.Client(), ts.URL+"/v1/stats", 200)
-	shardStats := stats["shards"].([]any)
-	for i, g := range gens {
-		// Every shard republished at least once since the rollback push:
-		// generation must exceed the post-rollback value (rollback pushed
-		// all shards, so > 2 for untouched, > 3 possible for home).
-		if g.(float64) < 3 {
-			t.Fatalf("shard %d generation %v after rollback+ingest; diverged content must republish (gens %v)", i, g, gens)
-		}
-		if shardStats[i].(map[string]any)["generation"].(float64) != g.(float64) {
-			t.Fatalf("stats and ingest response disagree on shard %d generation", i)
-		}
-	}
-	// Both lineage nodes serve again.
-	getJSON(t, ts.Client(), ts.URL+"/v1/node?phrase=hybrid+sedans+1", 200)
-	getJSON(t, ts.Client(), ts.URL+"/v1/node?phrase=hybrid+sedans+2", 200)
 }
 
 // TestIngestModeMismatchRejected: wiring a whole-world ingester on a
