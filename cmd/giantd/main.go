@@ -7,36 +7,38 @@
 // The -in artifact may be JSON or the GIANTBIN binary format (giantctl
 // -format binary / giantctl convert); the loader auto-detects by magic.
 // Binary artifacts boot in milliseconds, which is what makes rolling
-// restarts cheap at web scale. A served world changes only through an
-// ingest or a restart: a daemon serving -in picks up a new artifact when
-// it is restarted on it.
+// restarts cheap at web scale. A served world changes only through a
+// logged ingest or a restart: a daemon serving -in picks up a new artifact
+// when it is restarted on it.
 //
 // With -build instead of -in, giantd runs the offline pipeline itself at
 // startup (handy for demos; -tiny shrinks the build) and serves the result,
 // keeping the trained event matcher and concept context for richer tagging.
-// In -build mode a whole-world daemon (no -shard) also accepts live
-// incremental updates: POST a
-// delta.Batch of new documents and clicks to /v1/ingest and the affected
-// click-graph neighbourhood is re-mined, diffed and hot-swapped in as a
-// new snapshot generation while in-flight requests finish on the old one.
-// Such an ingest lives only in this process's memory: a restart drops it.
+// A whole-world daemon (no -shard) is frozen in either mode: POST
+// /v1/ingest answers 503 unavailable, because a batch it applied would
+// live only in this process's memory and a restart would drop it.
 //
 //	curl localhost:8080/healthz
 //	curl localhost:8080/v1/stats
 //	curl 'localhost:8080/v1/query/rewrite?q=best+family+sedans'
-//	curl -X POST localhost:8080/v1/ingest -d '{"day":12,"docs":[...],"clicks":[...]}'
 //
 // SIGINT/SIGTERM shut the server down gracefully.
 //
-// With -shards K the ontology is published as K home-shard projections:
-// /v1/stats lists per-shard generations, and a live ingest republishes —
-// and bumps the generation of — only the shards its delta touched. The
-// process still holds the union and answers every read from it through
-// one response cache; -shards changes the unit of publication and the
-// generation accounting, and routes /v1/search through the shards'
-// term-gram index, nothing else. The delta itself is the one -shards 1
-// computes, so responses, node IDs included, are identical for every K
-// (-shards 1, the default, is the same server with one shard).
+// With -shards K the ontology is cut into K home-shard projections:
+// /healthz and /v1/stats list one row per shard, and /v1/search routes
+// through the shards' term-gram index. The process still holds the union
+// and answers every read from it through one response cache, so responses,
+// node IDs included, are identical for every K (-shards 1, the default, is
+// the same server with one shard).
+//
+// Live incremental updates go through a fleet, possibly of one: giantd
+// -shard 0/1 -build -wal DIR behind giantrouter -wal DIR. The router
+// appends each batch to the fleet's delta log before it acks, so an acked
+// batch survives a restart of every process:
+//
+//	giantd -shard 0/1 -build -wal /var/giant -addr :8081
+//	giantrouter -wal /var/giant -backends http://localhost:8081 -addr :8080
+//	curl -X POST localhost:8080/v1/ingest -d '{"day":12,"docs":[...],"clicks":[...]}'
 //
 // With -shard i/k the daemon serves a SINGLE shard of a k-way partition —
 // the backend of the multi-process tier (put cmd/giantrouter in front of k
@@ -92,12 +94,12 @@ func main() {
 	var (
 		in      = flag.String("in", "", "ontology artifact path, JSON or binary (from giantctl build -out)")
 		addr    = flag.String("addr", ":8080", "listen address")
-		build   = flag.Bool("build", false, "run the offline pipeline at startup instead of loading -in")
+		build   = flag.Bool("build", false, "run the offline pipeline at startup instead of loading -in (without -shard the server is still frozen: writes go through giantrouter -wal)")
 		tiny    = flag.Bool("tiny", false, "with -build: use the tiny configuration")
 		cache   = flag.Int("cache", serve.DefaultCacheSize, "LRU response cache entries (negative disables)")
 		grace   = flag.Duration("grace", 5*time.Second, "graceful-shutdown drain timeout")
-		history = flag.Int("history", ontology.DefaultRetention, "snapshot generations /v1/stats lists under \"generations\"")
-		shards  = flag.Int("shards", 1, "publish the ontology as K home-shard projections: per-shard generations, gram-routed search, an ingest republishes only the shards it touched; reads answer from the union for every K")
+		history = flag.Int("history", ontology.DefaultRetention, "with -wal: snapshot generations /v1/stats lists under \"generations\" (a whole-world server has one)")
+		shards  = flag.Int("shards", 1, "cut the ontology into K home-shard projections: per-shard /v1/stats rows and gram-routed search; reads answer from the union for every K")
 		shard   = flag.String("shard", "", "serve a single shard of a k-way partition as i/k (e.g. 0/4): the per-shard backend of cmd/giantrouter")
 		walDir  = flag.String("wal", "", "delta-log directory: tail DIR/fleet.wal, the only way a per-shard server changes (requires -shard and -build)")
 		replica = flag.Int("replica", 0, "with -wal: this process's replica ordinal, reported in /healthz and log lines")
@@ -141,53 +143,32 @@ func run(in, addr string, build, tiny bool, cache int, grace time.Duration, hist
 		return runShard(in, addr, build, tiny, cache, grace, history, shards, shardSpec, walDir, replica, ckptEvery)
 	}
 	opts := serve.Options{CacheSize: cache, History: history}
-	var sharded *ontology.ShardedSnapshot
+	var snap *ontology.Snapshot
 	switch {
 	case build:
 		cfg := giant.DefaultConfig()
 		if tiny {
 			cfg = giant.TinyConfig()
 		}
-		cfg.Shards = shards
 		log.Printf("building ontology (tiny=%v, shards=%d)...", tiny, shards)
 		sys, err := giant.Build(cfg)
 		if err != nil {
 			return err
 		}
-		// Every publish re-reads the system's concept context (a fresh
-		// copy), so taggers built after a live ingest see the new
-		// concepts' context representations. The callback runs under the
-		// serve swap lock, serialized with the ingest path below.
-		opts.ConceptContextFn = sys.ConceptContext
+		snap = sys.Snapshot()
+		opts.ConceptContext = sys.ConceptContext()
 		opts.Duet = sys.EventTagger().Duet
-		// Live ingest: System.IngestSharded serializes internally; the
-		// serve layer additionally orders publishes under its swap lock,
-		// and only the shards the delta touched republish. The initial
-		// serving state must come from the System's own projection
-		// lineage: IngestSharded advances that lineage, and the server
-		// identifies unchanged shards by projection pointer — an
-		// independent re-partition would make the first ingest republish
-		// every shard.
-		if sharded, err = sys.ShardedSnapshot(); err != nil {
-			return err
-		}
-		opts.IngestSharded = func(b delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error) {
-			next, d, touched, err := sys.IngestSharded(b)
-			if err == nil {
-				logIngested(sys, d)
-			}
-			return next, d, touched, err
-		}
 	case in != "":
-		snap, err := ontology.LoadSnapshotFile(in)
-		if err != nil {
-			return err
-		}
-		if sharded, err = ontology.ShardSnapshot(snap, shards); err != nil {
+		var err error
+		if snap, err = ontology.LoadSnapshotFile(in); err != nil {
 			return err
 		}
 	default:
 		return fmt.Errorf("need -in <ontology artifact> or -build (see giantctl build -out)")
+	}
+	sharded, err := ontology.ShardSnapshot(snap, shards)
+	if err != nil {
+		return err
 	}
 
 	srv := serve.NewSharded(sharded, opts)
@@ -196,7 +177,7 @@ func run(in, addr string, build, tiny bool, cache int, grace time.Duration, hist
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	err := serve.Run(ctx, addr, srv.Handler(), grace)
+	err = serve.Run(ctx, addr, srv.Handler(), grace)
 	if err == nil {
 		log.Printf("shut down cleanly")
 	}

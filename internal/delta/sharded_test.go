@@ -73,10 +73,11 @@ func TestApplyShardedReusesUntouchedProjections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	home, ok := ss.ShardOf(ontology.Concept, "family sedans")
+	id, ok := ss.Union().Lookup(ontology.Concept, "family sedans")
 	if !ok {
 		t.Fatal("concept not routable")
 	}
+	home := ontology.HomeShard(ontology.Concept, ss.Union().At(id).Phrase, k)
 	for s := 0; s < k; s++ {
 		if s == home {
 			if !touched[s] {

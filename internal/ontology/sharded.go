@@ -221,17 +221,6 @@ func (ss *ShardedSnapshot) HomeNodes(i int) []Node {
 	return out
 }
 
-// ShardOf routes a (type, phrase) pair to its home shard; ok=false when
-// the union holds no such node.
-func (ss *ShardedSnapshot) ShardOf(t NodeType, phrase string) (int, bool) {
-	id, ok := ss.union.Lookup(t, phrase)
-	if !ok {
-		return 0, false
-	}
-	n := ss.union.At(id)
-	return HomeShard(n.Type, n.Phrase, ss.k), true
-}
-
 // ShardTermGrams returns shard i's home-prefix term-gram index, building
 // it on first use (safe under concurrent readers). Advance carries the
 // built index of an untouched shard to the next generation.
@@ -364,21 +353,6 @@ func (ss *ShardedSnapshot) Projection(i int) *ShardProjection {
 	}
 	p.index()
 	return p
-}
-
-// ShardStats summarizes one shard's projection for stats endpoints: home
-// node counts per type plus the number of edges stored in the projection
-// (cross-shard edges are stored once per endpoint shard).
-func (ss *ShardedSnapshot) ShardStats(i int) Stats {
-	s := Stats{NodesByType: map[string]int{}, EdgesByType: map[string]int{}}
-	snap := ss.shards[i]
-	for j := 0; j < ss.homeCount[i]; j++ {
-		s.NodesByType[snap.nodes[j].Type.String()]++
-	}
-	for j := range snap.edges {
-		s.EdgesByType[snap.edges[j].Type.String()]++
-	}
-	return s
 }
 
 // The View methods delegate to the union index, so application packages

@@ -52,8 +52,12 @@ func TestShardSnapshotPartition(t *testing.T) {
 					t.Fatalf("k=%d: %s home in shards %d and %d", k, key, prev, s)
 				}
 				seen[key] = s
-				if home, ok := ss.ShardOf(n.Type, n.Phrase); !ok || home != s {
-					t.Fatalf("k=%d: routing index says %d for %s (home %d)", k, home, key, s)
+				id, ok := union.Lookup(n.Type, n.Phrase)
+				if !ok {
+					t.Fatalf("k=%d: the union has no %s", k, key)
+				}
+				if u := union.At(id); HomeShard(u.Type, u.Phrase, k) != s {
+					t.Fatalf("k=%d: union node %s homes on %d, not %d", k, key, HomeShard(u.Type, u.Phrase, k), s)
 				}
 				if HomeShard(n.Type, n.Phrase, k) != s {
 					t.Fatalf("k=%d: HomeShard disagrees for %s", k, key)
@@ -149,31 +153,6 @@ func TestAdvanceReusesUntouched(t *testing.T) {
 	}
 }
 
-func TestShardedStoreIndependentGenerations(t *testing.T) {
-	union := buildSample(t)
-	ss, err := ShardSnapshot(union, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := NewShardedStore(3, 2)
-	if st.NumShards() != 3 {
-		t.Fatalf("NumShards = %d", st.NumShards())
-	}
-	for i := 0; i < 3; i++ {
-		if gen := st.Push(i, ss.Shard(i)); gen != 1 {
-			t.Fatalf("first push of shard %d -> gen %d", i, gen)
-		}
-	}
-	// Only shard 1 republish: its generation bumps, the others stay.
-	st.Push(1, ss.Shard(1))
-	if got := st.CurrentGens(); !reflect.DeepEqual(got, []uint64{1, 2, 1}) {
-		t.Fatalf("CurrentGens = %v", got)
-	}
-	if st.Shard(1).Len() != 2 {
-		t.Fatalf("shard 1 retains %d generations", st.Shard(1).Len())
-	}
-}
-
 func TestShardStatsCountsHomeNodesOnly(t *testing.T) {
 	union := buildSample(t)
 	ss, err := ShardSnapshot(union, 4)
@@ -183,7 +162,7 @@ func TestShardStatsCountsHomeNodesOnly(t *testing.T) {
 	wantTotals := union.ComputeStats()
 	gotTotals := map[string]int{}
 	for s := 0; s < 4; s++ {
-		stats := ss.ShardStats(s)
+		stats := ss.Projection(s).HomeStats()
 		n := 0
 		for typ, c := range stats.NodesByType {
 			gotTotals[typ] += c

@@ -117,49 +117,3 @@ func (st *Store) Generations() []Generation {
 	}
 	return out
 }
-
-// ShardedStore tracks one versioned Store per shard, so a sharded serving
-// tier can bump generations independently: publishing an ingest delta that
-// touched two shards pushes two shard stores and leaves the others at
-// their current generation. Shard generation numbers are per-shard
-// monotonic (shard 3 generation 5 and shard 0 generation 5 are unrelated).
-type ShardedStore struct {
-	stores []*Store
-}
-
-// NewShardedStore returns a store set for k shards, each retaining up to
-// retention generations (<= 0 means DefaultRetention).
-func NewShardedStore(k, retention int) *ShardedStore {
-	if k < 1 {
-		k = 1
-	}
-	ss := &ShardedStore{stores: make([]*Store, k)}
-	for i := range ss.stores {
-		ss.stores[i] = NewStore(retention)
-	}
-	return ss
-}
-
-// NumShards returns the shard count.
-func (ss *ShardedStore) NumShards() int { return len(ss.stores) }
-
-// Shard returns shard i's store.
-func (ss *ShardedStore) Shard(i int) *Store { return ss.stores[i] }
-
-// Push records snap as shard i's new current generation and returns its
-// per-shard generation number.
-func (ss *ShardedStore) Push(i int, snap *Snapshot) uint64 {
-	return ss.stores[i].Push(snap)
-}
-
-// CurrentGens returns the current generation number of every shard (0 for
-// a shard that has never published).
-func (ss *ShardedStore) CurrentGens() []uint64 {
-	out := make([]uint64, len(ss.stores))
-	for i, st := range ss.stores {
-		if g, ok := st.Current(); ok {
-			out[i] = g.Gen
-		}
-	}
-	return out
-}

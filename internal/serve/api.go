@@ -11,8 +11,10 @@ package serve
 //     (per-shard "shard:gen" pairs on router responses) and, on
 //     delta-log replicas, X-Giant-Wal-Gen with the last applied log
 //     generation;
-//   - the one write, /v1/ingest, answers in one per-shard
-//     {shard, generation, applied} row schema on giantd and the router;
+//   - the one write, /v1/ingest, is taken only by a router with a delta
+//     log (every giantd answers 503) and answers in one per-shard
+//     {shard, generation, applied} row schema, the same rows a replica's
+//     apply report carries;
 //   - /v1/search query parameters parse through one shared helper so
 //     limits clamp — and malformed input rejects — identically in
 //     every serving mode (the router's merged bodies, error paths
@@ -30,7 +32,7 @@ import (
 // Machine-readable error codes carried by every /v1 error envelope.
 // Status semantics are unchanged from the pre-envelope API; the code
 // disambiguates responses that share a status (e.g. the 503s for a
-// missing ingester vs. a lagging replica).
+// server that takes no write vs. a log-tailing replica).
 const (
 	codeInvalidArgument  = "invalid_argument"   // 400: malformed query/body
 	codeInvalidLimit     = "invalid_limit"      // 400: non-numeric or non-positive ?limit=
@@ -47,7 +49,7 @@ const (
 )
 
 // maxBodyBytes bounds every request body the daemons read (/v1/ingest on
-// giantd and the router, POST /v1/tag): both endpoint wrappers put the
+// the router, POST /v1/tag): both endpoint wrappers put the
 // body behind http.MaxBytesReader, so a client cannot make a server buffer
 // or decode without limit. A real update batch is a few KB.
 const maxBodyBytes = 8 << 20

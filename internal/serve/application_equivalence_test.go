@@ -334,10 +334,11 @@ func appReplayDelta(day int) *delta.Delta {
 	}
 }
 
-// TestApplicationEquivalenceIngestReplay replays the script day by day
-// through /v1/ingest on BOTH deployments for K ∈ {1, 2, 4}; after every
-// day, each must answer the application workload byte-identically to a
-// fresh reference server over the evolved union — cold and warm.
+// TestApplicationEquivalenceIngestReplay replays the script day by day for
+// K ∈ {1, 2, 4}, through the router's /v1/ingest and through a refWorld
+// serving a NewSharded over each day's result; after every day, each must
+// answer the application workload byte-identically to a fresh reference
+// server over the evolved union — cold and warm.
 func TestApplicationEquivalenceIngestReplay(t *testing.T) {
 	base := randomAppCorpus(rand.New(rand.NewSource(29))).Snapshot()
 	reqs := []appRequest{
@@ -359,20 +360,16 @@ func TestApplicationEquivalenceIngestReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// In-process sharded deployment with its own apply lineage.
+			// In-process sharded reference with its own apply lineage.
 			inLineage := ss
-			opts := Options{CacheSize: 64}
-			opts.IngestSharded = func(b delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error) {
+			ref := newRefWorld(t, ss, func(b delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error) {
 				d := appReplayDelta(b.Day)
 				next, touched, err := delta.ApplySharded(inLineage, d)
 				if err == nil {
 					inLineage = next
 				}
 				return next, d, touched, err
-			}
-			srv := NewSharded(ss, opts)
-			shardTS := httptest.NewServer(srv.Handler())
-			t.Cleanup(shardTS.Close)
+			}, Options{CacheSize: 64})
 			// Router fleet: each backend applies the same script to its own
 			// lineage, exactly as giantd -shard -wal replays the fleet log.
 			urls := make([]string, k)
@@ -405,13 +402,13 @@ func TestApplicationEquivalenceIngestReplay(t *testing.T) {
 			t.Cleanup(routerTS.Close)
 
 			for day := 1; day <= maxDay; day++ {
-				postJSON(t, shardTS.Client(), shardTS.URL+"/v1/ingest", fmt.Sprintf(`{"day":%d}`, day), 200)
+				ref.step(fmt.Sprintf(`{"day":%d}`, day))
 				postJSON(t, routerTS.Client(), routerTS.URL+"/v1/ingest", fmt.Sprintf(`{"day":%d}`, day), 200)
-				refTS := httptest.NewServer(New(srv.Current(), Options{}).Handler())
+				refTS := httptest.NewServer(New(ref.current().Current(), Options{}).Handler())
 				for pass := 0; pass < 2; pass++ {
 					for _, req := range reqs {
 						mode := fmt.Sprintf("day %d pass %d", day, pass)
-						assertAppEquivalent(t, refTS, shardTS, "sharded "+mode, req)
+						assertAppEquivalent(t, refTS, ref.Server, "sharded "+mode, req)
 						assertAppEquivalent(t, refTS, routerTS, "router "+mode, req)
 					}
 				}

@@ -1,10 +1,9 @@
 package serve
 
-// Delta-log replicas: a per-shard server (NewShard) accepts no direct
-// writes, so a Follower tailing the fleet's one append-only wal.Log is the
-// only way it changes: each delta.Batch goes through the same ingestBatch
-// path a whole-world server's POST /v1/ingest takes. Because delta mining
-// is deterministic,
+// Delta-log replicas: no server accepts direct writes, so a Follower
+// tailing the fleet's one append-only wal.Log is the only way a per-shard
+// server (NewShard) changes: each delta.Batch goes through ingestBatch,
+// the replica's one apply path. Because delta mining is deterministic,
 // every replica of a shard that has consumed the same log prefix serves
 // the exact same projection at the exact same generation — which is what
 // lets the router treat replicas as interchangeable for reads and ack an

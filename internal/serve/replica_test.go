@@ -5,7 +5,7 @@ package serve
 //   - TestWALReplayEquivalence: a delta-log fleet (router -wal over
 //     log-tailing replicas) replaying a day sequence stays byte-identical
 //     on /v1/search and /v1/node — and generation-identical on ingest
-//     accounting — to a single-process NewSharded server, for K ∈ {1, 2}.
+//     accounting — to the in-process refWorld reference, for K ∈ {1, 2}.
 //   - TestRollingRestartZero5xx: a 2-shard × 3-replica fleet under a
 //     concurrent search+node+ingest hammer survives a rolling restart of
 //     every replica with zero 5xx responses, and converges back to the
@@ -15,6 +15,8 @@ package serve
 //   - TestReadGateSurvivesOutOfOrderPositions: a replica's responses
 //     processed out of order never move it behind the read gate; a
 //     position below what it had already reported (a restart) does.
+//   - TestReadFailoverRanksAtEachAttempt: a read fails over to a replica
+//     that passed the read gate while the call was in flight.
 //   - TestIngestBackpressure: a shard whose slowest healthy replica
 //     trails the log head by more than MaxLag answers ingest with 429
 //     replica_lagging and a Retry-After header, and recovers once the
@@ -134,8 +136,8 @@ func detShardIngester(shard int, base *ontology.ShardedSnapshot, gate chan struc
 	return h.ingest(gate)
 }
 
-// detShardedIngester is the single-process reference twin of
-// detShardIngester.
+// detShardedIngester is the whole-world twin of detShardIngester, the
+// ingester a refWorld drives.
 func detShardedIngester(base *ontology.ShardedSnapshot) func(delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error) {
 	cur := base
 	return func(b delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error) {
@@ -150,6 +152,80 @@ func detShardedIngester(base *ontology.ShardedSnapshot) func(delta.Batch) (*onto
 		cur = next
 		return next, d, touched, nil
 	}
+}
+
+// refWorld is the in-process reference the fleet tests compare with. A
+// whole-world server takes no write, so refWorld drives a deterministic
+// whole-world ingester directly, serves a fresh NewSharded over each
+// step's result, and derives the per-shard serving generations a fleet
+// must report by the rule Follower.advanceGens applies: shard i bumps when
+// the batch touched it, and the one shard always bumps at K=1.
+type refWorld struct {
+	*httptest.Server
+	t      *testing.T
+	ingest func(delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error)
+	opts   Options
+	srv    atomic.Pointer[Server]
+	gens   []uint64
+}
+
+func newRefWorld(t *testing.T, base *ontology.ShardedSnapshot, ingest func(delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error), opts Options) *refWorld {
+	t.Helper()
+	r := &refWorld{t: t, ingest: ingest, opts: opts, gens: slices.Repeat([]uint64{1}, base.NumShards())}
+	r.srv.Store(NewSharded(base, opts))
+	r.Server = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		r.srv.Load().Handler().ServeHTTP(w, req)
+	}))
+	t.Cleanup(r.Close)
+	return r
+}
+
+// current is the server answering right now.
+func (r *refWorld) current() *Server { return r.srv.Load() }
+
+// step applies one JSON batch and serves the result. It returns the
+// touched_shards and shard_generations a fleet's ingest of the same batch
+// must answer, decoded from JSON so they compare with a router response.
+func (r *refWorld) step(body string) map[string]any {
+	r.t.Helper()
+	var b delta.Batch
+	if err := json.Unmarshal([]byte(body), &b); err != nil {
+		r.t.Fatalf("reference batch %s: %v", body, err)
+	}
+	next, _, touched, err := r.ingest(b)
+	if err != nil {
+		r.t.Fatalf("reference ingest %s: %v", body, err)
+	}
+	ts := []int{}
+	for i := range r.gens {
+		if i < len(touched) && touched[i] {
+			ts = append(ts, i)
+		}
+		if touched == nil || len(r.gens) == 1 || (i < len(touched) && touched[i]) {
+			r.gens[i]++
+		}
+	}
+	r.srv.Store(NewSharded(next, r.opts))
+	raw, err := json.Marshal(map[string]any{"touched_shards": ts, "shard_generations": r.gens})
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	var out map[string]any
+	if err := json.Unmarshal(raw, &out); err != nil {
+		r.t.Fatal(err)
+	}
+	return out
+}
+
+// stats is the reference /v1/stats with each shard row's generation set to
+// the one a fleet's replicas of that shard serve.
+func (r *refWorld) stats() map[string]any {
+	r.t.Helper()
+	st := getJSON(r.t, r.Client(), r.URL+"/v1/stats", 200)
+	for i, row := range st["shards"].([]any) {
+		row.(map[string]any)["generation"] = float64(r.gens[i])
+	}
+	return st
 }
 
 // replicaProc is one simulated giantd -shard -wal process: a per-shard
@@ -330,11 +406,12 @@ func replicaWALGen(t *testing.T, p *replicaProc) uint64 {
 }
 
 // followLog turns each per-shard server into a replica tailing the fleet
-// log in dir (polling every millisecond) until the test ends: the only
-// way a per-shard server takes writes. A router with WALDir dir in front
-// of them is then the fleet's write path.
-func followLog(t *testing.T, dir string, srvs ...*Server) {
+// log in dir (polling every millisecond) until the test ends, or until the
+// returned stop is called: the only way a per-shard server takes writes. A
+// router with WALDir dir in front of them is then the fleet's write path.
+func followLog(t *testing.T, dir string, srvs ...*Server) (stop func()) {
 	t.Helper()
+	var stops []func()
 	for _, srv := range srvs {
 		fl, err := NewFollower(srv, FollowerOptions{Dir: dir, Poll: time.Millisecond})
 		if err != nil {
@@ -347,30 +424,106 @@ func followLog(t *testing.T, dir string, srvs ...*Server) {
 			defer close(done)
 			runErr = fl.Run(ctx)
 		}()
-		t.Cleanup(func() {
-			cancel()
-			<-done
-			if !errors.Is(runErr, context.Canceled) {
-				t.Errorf("follower stopped on its own: %v", runErr)
-			}
-		})
+		var once sync.Once
+		stop := func() {
+			once.Do(func() {
+				cancel()
+				<-done
+				if !errors.Is(runErr, context.Canceled) {
+					t.Errorf("follower stopped on its own: %v", runErr)
+				}
+			})
+		}
+		t.Cleanup(stop)
+		stops = append(stops, stop)
+	}
+	return func() {
+		for _, stop := range stops {
+			stop()
+		}
+	}
+}
+
+// TestFleetOfOneKeepsAckedBatchesAcrossRestart: the smallest writable
+// deployment, a router with a delta log over one 0/1 replica, loses no
+// acked batch when every process restarts. A fresh replica booted from the
+// base world replays the log, a fresh router reopens it, the ingested
+// nodes answer byte-identically to before, and the next batch lands at
+// log generation 3.
+func TestFleetOfOneKeepsAckedBatchesAcrossRestart(t *testing.T) {
+	base, err := ontology.ShardSnapshot(testOntology(0).Snapshot(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	boot := func() (stop func(), replica *httptest.Server, rt *Router, router *httptest.Server) {
+		t.Helper()
+		srv := NewShard(base.Projection(0), Options{ShardIngest: detShardIngester(0, base, nil)})
+		stop = followLog(t, dir, srv)
+		replica = httptest.NewServer(srv.Handler())
+		t.Cleanup(replica.Close)
+		rt, err := NewRouter(RouterOptions{Backends: []string{replica.URL}, WALDir: dir, WriteTimeout: 10 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(rt.Close)
+		router = httptest.NewServer(rt.Handler())
+		t.Cleanup(router.Close)
+		return stop, replica, rt, router
+	}
+	probes := []string{
+		"/v1/node?phrase=hybrid+sedans+11&type=concept",
+		"/v1/node?phrase=sedan+recall+wave+12",
+		"/v1/search?q=hybrid&limit=5",
+		"/v1/search?q=recall&limit=5",
+	}
+
+	stop, replica, rt, router := boot()
+	for day := 11; day <= 12; day++ {
+		postJSON(t, router.Client(), router.URL+"/v1/ingest", fmt.Sprintf(`{"day":%d}`, day), 200)
+	}
+	before := map[string][]byte{}
+	for _, path := range probes {
+		status, body := getRaw(t, router.Client(), router.URL+path)
+		if status != http.StatusOK {
+			t.Fatalf("%s before the restart = %d: %s", path, status, body)
+		}
+		before[path] = body
+	}
+
+	// Every process goes away: the router (closing the log), the replica.
+	router.Close()
+	rt.Close()
+	stop()
+	replica.Close()
+
+	_, replica, _, router = boot()
+	if status, body := getRaw(t, replica.Client(), replica.URL+"/v1/wal?wait=2"); status != http.StatusOK || !bytes.Contains(body, []byte(`"applied":true`)) {
+		t.Fatalf("the fresh replica never replayed the acked batches: %d %s", status, body)
+	}
+	for _, path := range probes {
+		status, body := getRaw(t, router.Client(), router.URL+path)
+		if status != http.StatusOK || !bytes.Equal(body, before[path]) {
+			t.Fatalf("%s after the restart = %d:\n%s\nbefore:\n%s", path, status, body, before[path])
+		}
+	}
+	out := postJSON(t, router.Client(), router.URL+"/v1/ingest", `{"day":13}`, 200)
+	if !reflect.DeepEqual(out["wal_generations"], []any{3.0}) {
+		t.Fatalf("the first batch after the restart landed at %v, want log generation 3", out["wal_generations"])
 	}
 }
 
 // TestWALReplayEquivalence: the delta-log fleet's determinism pin. For
 // K ∈ {1, 2}, replaying a day sequence through router-WAL ingest keeps
-// /v1/search and /v1/node byte-identical to the single-process NewSharded
-// reference, with identical generation accounting — and the WAL-only
+// /v1/search and /v1/node byte-identical to the refWorld reference, with
+// identical generation accounting — and the WAL-only
 // write rules hold (deterministic rejections forwarded, direct replica
 // writes refused, no fleet reload route).
 func TestWALReplayEquivalence(t *testing.T) {
 	for _, k := range []int{1, 2} {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
 			f := newWALFixture(t, k, 1, RouterOptions{})
-			ref := httptest.NewServer(NewSharded(f.base, Options{
-				IngestSharded: detShardedIngester(f.base),
-			}).Handler())
-			t.Cleanup(ref.Close)
+			ref := newRefWorld(t, f.base, detShardedIngester(f.base), Options{})
 
 			probes := func() []string {
 				paths := []string{
@@ -401,7 +554,7 @@ func TestWALReplayEquivalence(t *testing.T) {
 
 			for day := 11; day <= 14; day++ {
 				body := fmt.Sprintf(`{"day":%d}`, day)
-				refResp := postJSON(t, ref.Client(), ref.URL+"/v1/ingest", body, 200)
+				refResp := ref.step(body)
 				gotResp := postJSON(t, f.routerTS.Client(), f.routerTS.URL+"/v1/ingest", body, 200)
 				if !reflect.DeepEqual(refResp["touched_shards"], gotResp["touched_shards"]) {
 					t.Fatalf("k=%d day %d: touched shards diverge: %v vs %v",
@@ -452,11 +605,12 @@ func TestRollingRestartZero5xx(t *testing.T) {
 		ProbeInterval: 10 * time.Millisecond,
 		Timeout:       2 * time.Second,
 		WriteTimeout:  10 * time.Second,
+		// A failure prints the router's replica down/recovered transitions.
+		Logf: func(format string, args ...any) {
+			t.Logf("%s router: %s", time.Now().Format("15:04:05.000000"), fmt.Sprintf(format, args...))
+		},
 	})
-	ref := httptest.NewServer(NewSharded(f.base, Options{
-		IngestSharded: detShardedIngester(f.base),
-	}).Handler())
-	t.Cleanup(ref.Close)
+	ref := newRefWorld(t, f.base, detShardedIngester(f.base), Options{})
 
 	var server5xx, reads atomic.Int64
 	stop := make(chan struct{})
@@ -505,7 +659,7 @@ func TestRollingRestartZero5xx(t *testing.T) {
 			server5xx.Add(1)
 			t.Errorf("ingest day %d = %d during rolling restart: %s", day, status, got)
 		}
-		postJSON(t, ref.Client(), ref.URL+"/v1/ingest", body, 200)
+		ref.step(body)
 	}
 
 	ingest()
@@ -661,6 +815,58 @@ func TestReadGateSurvivesOutOfOrderPositions(t *testing.T) {
 	}
 }
 
+// TestReadFailoverRanksAtEachAttempt: a read whose only at-gate replica
+// fails fails over to a peer that reached the gate while the call was in
+// flight. Under load a read can stall between ranking its replicas and
+// sending for longer than a whole ingest; a ranking taken mid-ingest, when
+// one replica alone had confirmed the newest record, named only the
+// replica a rolling restart stopped next, and the read answered 5xx with
+// two caught-up replicas idle.
+func TestReadFailoverRanksAtEachAttempt(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	stub := func(holdReads bool) string {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if holdReads && r.URL.Path == "/v1/search" {
+				close(entered)
+				<-release
+				w.WriteHeader(http.StatusServiceUnavailable) // stopped mid-call
+				return
+			}
+			if pos := r.URL.Query().Get("pos"); pos != "" {
+				w.Header().Set(walGenHeader, pos)
+			}
+			io.WriteString(w, "{}\n")
+		}))
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	rt, err := NewRouter(RouterOptions{Replicas: [][]string{{stub(true), stub(false), stub(false)}}, WALDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	a, b, c := rt.shards[0][0], rt.shards[0][1], rt.shards[0][2]
+	report := func(rep *replicaState, pos int) {
+		if res := rt.callReplica(context.Background(), 5*time.Second, rep, http.MethodGet, fmt.Sprintf("/healthz?pos=%d", pos), nil); !res.ok() {
+			t.Fatalf("stub call: status %d, err %v", res.status, res.err)
+		}
+	}
+	// Mid-ingest: a alone has confirmed record 5.
+	report(a, 5)
+	report(b, 4)
+	report(c, 4)
+	done := make(chan backendResult)
+	go func() { done <- rt.call(context.Background(), 0, http.MethodGet, "/v1/search?q=sedan", nil) }()
+	<-entered
+	// The ingest completes on b and c; then a goes away.
+	report(b, 5)
+	report(c, 5)
+	close(release)
+	if res := <-done; !res.ok() {
+		t.Fatalf("read = status %d, err %v; want a caught-up peer to answer after a failed", res.status, res.err)
+	}
+}
+
 // TestIngestBackpressure: once a shard's slowest healthy replica trails
 // the log head by more than MaxLag, ingest answers 429 replica_lagging
 // with a Retry-After header — and admits writes again once the replica
@@ -775,10 +981,7 @@ func TestCheckpointReplayEquivalence(t *testing.T) {
 	for _, k := range []int{1, 2} {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
 			f := newCkptWALFixture(t, k, 1, 2, RouterOptions{})
-			ref := httptest.NewServer(NewSharded(f.base, Options{
-				IngestSharded: detShardedIngester(f.base),
-			}).Handler())
-			t.Cleanup(ref.Close)
+			ref := newRefWorld(t, f.base, detShardedIngester(f.base), Options{})
 
 			probes := []string{
 				"/v1/search?q=sedan&limit=10",
@@ -802,7 +1005,7 @@ func TestCheckpointReplayEquivalence(t *testing.T) {
 			ingest := func(day int) {
 				t.Helper()
 				body := fmt.Sprintf(`{"day":%d}`, day)
-				refResp := postJSON(t, ref.Client(), ref.URL+"/v1/ingest", body, 200)
+				refResp := ref.step(body)
 				gotResp := postJSON(t, f.routerTS.Client(), f.routerTS.URL+"/v1/ingest", body, 200)
 				if !reflect.DeepEqual(refResp["shard_generations"], gotResp["shard_generations"]) {
 					t.Fatalf("k=%d day %d: shard generations diverge: %v vs %v",
@@ -871,16 +1074,13 @@ func TestCheckpointReplayEquivalence(t *testing.T) {
 // checkpoint, nothing per shard.
 func TestFleetCheckpointHydratesEveryShard(t *testing.T) {
 	f := newCkptWALFixture(t, 2, 1, 1<<20, RouterOptions{}) // checkpoint boots on, no cadence rolls
-	ref := httptest.NewServer(NewSharded(f.base, Options{
-		IngestSharded: detShardedIngester(f.base),
-	}).Handler())
-	t.Cleanup(ref.Close)
+	ref := newRefWorld(t, f.base, detShardedIngester(f.base), Options{})
 
 	var refGens any
 	ingest := func(day int) {
 		t.Helper()
 		body := fmt.Sprintf(`{"day":%d}`, day)
-		refResp := postJSON(t, ref.Client(), ref.URL+"/v1/ingest", body, 200)
+		refResp := ref.step(body)
 		gotResp := postJSON(t, f.routerTS.Client(), f.routerTS.URL+"/v1/ingest", body, 200)
 		if !reflect.DeepEqual(refResp["shard_generations"], gotResp["shard_generations"]) {
 			t.Fatalf("day %d: shard generations diverge: %v vs %v", day, gotResp["shard_generations"], refResp["shard_generations"])
@@ -1002,16 +1202,13 @@ func TestCheckpointRefusesDivergedGenerations(t *testing.T) {
 // stops the follower without ever acking a wrong world.
 func TestCheckpointCrashLadder(t *testing.T) {
 	f := newCkptWALFixture(t, 1, 1, 2, RouterOptions{})
-	ref := httptest.NewServer(NewSharded(f.base, Options{
-		IngestSharded: detShardedIngester(f.base),
-	}).Handler())
-	t.Cleanup(ref.Close)
+	ref := newRefWorld(t, f.base, detShardedIngester(f.base), Options{})
 
 	p := f.procs[0][0]
 	ingest := func(day int) {
 		t.Helper()
 		body := fmt.Sprintf(`{"day":%d}`, day)
-		postJSON(t, ref.Client(), ref.URL+"/v1/ingest", body, 200)
+		ref.step(body)
 		postJSON(t, f.routerTS.Client(), f.routerTS.URL+"/v1/ingest", body, 200)
 	}
 	assertSame := func(stage string) {
@@ -1222,8 +1419,9 @@ func TestErrorEnvelope(t *testing.T) {
 		{"GET", "/v1/search?q=sedan&limit=0", "", 400, codeInvalidLimit},
 		{"GET", "/v1/search?q=sedan&limit=x", "", 400, codeInvalidLimit},
 		{"GET", "/v1/search?q=sedan&scatter=bogus", "", 400, codeInvalidArgument},
-		{"POST", "/v1/ingest", "{nope", 400, codeInvalidArgument},
-		{"POST", "/v1/ingest", `{"day":0}`, 422, codeInvalidBatch},
+		// A whole-world server is frozen: it reads no ingest body.
+		{"POST", "/v1/ingest", "{nope", 503, codeUnavailable},
+		{"POST", "/v1/ingest", `{"day":0}`, 503, codeUnavailable},
 		{"GET", "/v1/ingest", "", 405, codeMethodNotAllowed},
 		{"POST", "/v1/reload", "", 404, codeNotFound},
 		{"POST", "/v1/rollback", "", 404, codeNotFound},
@@ -1246,15 +1444,7 @@ func TestErrorEnvelope(t *testing.T) {
 	}
 
 	t.Run("single", func(t *testing.T) {
-		sys := testOntology(0)
-		_ = sys
-		srv := New(snap, Options{IngestSharded: wholeWorld(func(b delta.Batch) (*ontology.Snapshot, *delta.Delta, error) {
-			if b.Day == 0 {
-				return nil, nil, fmt.Errorf("empty batch: %w", delta.ErrInvalidBatch)
-			}
-			return snap, &delta.Delta{Day: b.Day}, nil
-		})})
-		ts := httptest.NewServer(srv.Handler())
+		ts := httptest.NewServer(New(snap, Options{}).Handler())
 		t.Cleanup(ts.Close)
 		runProbes(t, ts, readProbes)
 	})
@@ -1264,7 +1454,7 @@ func TestErrorEnvelope(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := httptest.NewServer(NewSharded(ss, Options{IngestSharded: detShardedIngester(ss)}).Handler())
+		ts := httptest.NewServer(NewSharded(ss, Options{}).Handler())
 		t.Cleanup(ts.Close)
 		runProbes(t, ts, readProbes)
 	})
@@ -1353,10 +1543,7 @@ func TestWriteBodyBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	var applied atomic.Int64
-	single := httptest.NewServer(New(snap, Options{IngestSharded: wholeWorld(func(b delta.Batch) (*ontology.Snapshot, *delta.Delta, error) {
-		applied.Add(1)
-		return snap, &delta.Delta{Day: b.Day}, nil
-	})}).Handler())
+	single := httptest.NewServer(New(snap, Options{}).Handler())
 	t.Cleanup(single.Close)
 	urls := make([]string, 2)
 	walDir := t.TempDir()
@@ -1389,7 +1576,6 @@ func TestWriteBodyBound(t *testing.T) {
 	for _, tc := range []struct {
 		name, base, path, head, tail string
 	}{
-		{"giantd ingest", single.URL, "/v1/ingest", `{"day":12,`, `"clicks":[]}`},
 		{"router ingest", router.URL, "/v1/ingest", `{"day":12,`, `"clicks":[]}`},
 		{"tag", single.URL, "/v1/tag", `{"title":"family sedans compared",`, `"content":""}`},
 	} {

@@ -618,11 +618,27 @@ func (br *backendResult) generation() (gen uint64, ok bool) {
 // headroom.
 const maxUpstreamBytes = 16 << 20
 
-// call performs one backend read under the read timeout, picking the
-// replica by readOrder and failing over on transport errors and 5xx.
+// call performs one backend read under the read timeout, failing over on
+// transport errors and 5xx to each replica at most once. Every attempt
+// takes the best untried replica readOrder ranks at that moment: the read
+// gate moves while a call is in flight, and a ranking taken once per call
+// (say mid-ingest, when one replica alone has confirmed the newest
+// record) can name only a replica that stops before the call reaches it,
+// while its peers pass the gate.
 func (rt *Router) call(ctx context.Context, shard int, method, pathAndQuery string, body []byte) backendResult {
 	var last backendResult
-	for _, rep := range rt.readOrder(shard) {
+	var failed []*replicaState
+	for {
+		var rep *replicaState
+		for _, r := range rt.readOrder(shard) {
+			if !slices.Contains(failed, r) {
+				rep = r
+				break
+			}
+		}
+		if rep == nil {
+			return last
+		}
 		last = rt.callReplica(ctx, rt.opts.Timeout, rep, method, pathAndQuery, body)
 		if last.err == nil && last.status < 500 {
 			// Any answered status below 500 is authoritative — a 404 is a
@@ -631,10 +647,10 @@ func (rt *Router) call(ctx context.Context, shard int, method, pathAndQuery stri
 			return last
 		}
 		if ctx.Err() != nil {
-			break
+			return last
 		}
+		failed = append(failed, rep)
 	}
-	return last
 }
 
 // callReplica performs one HTTP call against one replica, updating its

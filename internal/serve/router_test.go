@@ -63,10 +63,9 @@ func shardIngester(sys *giant.System, shard int) func(delta.Batch) (*ontology.Sh
 // routerFixture is one K-shard multi-process deployment next to its
 // single-process reference.
 type routerFixture struct {
-	k         int
-	refTS     *httptest.Server
-	routerTS  *httptest.Server
-	refServer *Server
+	k        int
+	ref      *refWorld
+	routerTS *httptest.Server
 }
 
 // newRouterFixture builds the reference system plus K independent backend
@@ -84,12 +83,7 @@ func newRouterFixture(t *testing.T, cfg giant.Config, splitDay, k int) *routerFi
 	if err != nil {
 		t.Fatal(err)
 	}
-	refServer := NewSharded(refSS, Options{
-		IngestSharded:    refSys.IngestSharded,
-		ConceptContextFn: refSys.ConceptContext,
-	})
-	refTS := httptest.NewServer(refServer.Handler())
-	t.Cleanup(refTS.Close)
+	ref := newRefWorld(t, refSS, refSys.IngestSharded, Options{ConceptContextFn: refSys.ConceptContext})
 
 	urls := make([]string, k)
 	walDir := t.TempDir()
@@ -118,14 +112,14 @@ func newRouterFixture(t *testing.T, cfg giant.Config, splitDay, k int) *routerFi
 	t.Cleanup(rt.Close)
 	routerTS := httptest.NewServer(rt.Handler())
 	t.Cleanup(routerTS.Close)
-	return &routerFixture{k: k, refTS: refTS, routerTS: routerTS, refServer: refServer}
+	return &routerFixture{k: k, ref: ref, routerTS: routerTS}
 }
 
 // assertSameBody asserts the reference and the router answer one request
 // with identical status and identical bytes.
 func (f *routerFixture) assertSameBody(t *testing.T, path string) {
 	t.Helper()
-	refStatus, refBody := getRaw(t, f.refTS.Client(), f.refTS.URL+path)
+	refStatus, refBody := getRaw(t, f.ref.Client(), f.ref.URL+path)
 	gotStatus, gotBody := getRaw(t, f.routerTS.Client(), f.routerTS.URL+path)
 	if refStatus != gotStatus {
 		t.Fatalf("k=%d %s: status %d via router, %d in-process\nrouter: %s\nref:    %s",
@@ -142,7 +136,7 @@ func (f *routerFixture) assertSameBody(t *testing.T, path string) {
 // generation list.
 func (f *routerFixture) assertStatsMatch(t *testing.T) {
 	t.Helper()
-	ref := getJSON(t, f.refTS.Client(), f.refTS.URL+"/v1/stats", 200)
+	ref := f.ref.stats()
 	got := getJSON(t, f.routerTS.Client(), f.routerTS.URL+"/v1/stats", 200)
 	for _, field := range []string{"nodes", "edges", "nodes_by_type", "edges_by_type", "shards"} {
 		if !reflect.DeepEqual(ref[field], got[field]) {
@@ -155,7 +149,7 @@ func (f *routerFixture) assertStatsMatch(t *testing.T) {
 // snapshot: typed and untyped phrase lookups, ID lookups, alias lookups
 // and misses.
 func (f *routerFixture) nodeProbePaths(limit int) []string {
-	snap := f.refServer.Current()
+	snap := f.ref.current().Current()
 	paths := []string{
 		"/v1/node?phrase=zzz-no-such-node",
 		"/v1/node?id=999999",
@@ -187,7 +181,7 @@ func (f *routerFixture) nodeProbePaths(limit int) []string {
 // searchProbePaths samples /v1/search shapes: common tokens, full
 // phrases, misses, and limits below/at/above the hit count.
 func (f *routerFixture) searchProbePaths(limitNodes int) []string {
-	snap := f.refServer.Current()
+	snap := f.ref.current().Current()
 	terms := []string{"a", "e", "zzz-no-hit"}
 	nodes := snap.Nodes()
 	stride := len(nodes)/limitNodes + 1
@@ -227,7 +221,7 @@ func (f *routerFixture) replayDays(t *testing.T, log []struct {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refResp := postJSON(t, f.refTS.Client(), f.refTS.URL+"/v1/ingest", string(body), 200)
+		refResp := f.ref.step(string(body))
 		gotResp := postJSON(t, f.routerTS.Client(), f.routerTS.URL+"/v1/ingest", string(body), 200)
 		if !reflect.DeepEqual(refResp["touched_shards"], gotResp["touched_shards"]) {
 			t.Fatalf("k=%d day %d: touched shards diverge: router %v, ref %v",

@@ -175,10 +175,10 @@ func replayDelta(day int) *delta.Delta {
 }
 
 // TestSearchEquivalenceIngestReplay replays the synthetic delta script
-// day by day through /v1/ingest for K ∈ {1, 2, 4}; after every day, the
-// evolved sharded server must answer each workload query byte-identically
-// to a fresh reference server over its own current union — cold and from
-// the carried partial caches.
+// day by day through a refWorld for K ∈ {1, 2, 4}; after every day, the
+// NewSharded server over the evolved world must answer each workload query
+// byte-identically to a fresh reference server over its union — cold and
+// from the partials the first pass cached.
 func TestSearchEquivalenceIngestReplay(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	base := randomSearchCorpus(r, 60).Snapshot()
@@ -192,25 +192,21 @@ func TestSearchEquivalenceIngestReplay(t *testing.T) {
 				t.Fatal(err)
 			}
 			lineage := ss
-			opts := Options{}
-			opts.IngestSharded = func(b delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error) {
+			ref := newRefWorld(t, ss, func(b delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error) {
 				d := replayDelta(b.Day)
 				next, touched, err := delta.ApplySharded(lineage, d)
 				if err == nil {
 					lineage = next
 				}
 				return next, d, touched, err
-			}
-			srv := NewSharded(ss, opts)
-			ts := httptest.NewServer(srv.Handler())
-			t.Cleanup(ts.Close)
+			}, Options{})
 
 			for day := 1; day <= maxDay; day++ {
-				postJSON(t, ts.Client(), ts.URL+"/v1/ingest", fmt.Sprintf(`{"day":%d}`, day), 200)
-				refTS := httptest.NewServer(New(srv.Current(), Options{}).Handler())
+				ref.step(fmt.Sprintf(`{"day":%d}`, day))
+				refTS := httptest.NewServer(New(ref.current().Current(), Options{}).Handler())
 				for pass := 0; pass < 2; pass++ {
 					for _, q := range queries {
-						assertSearchEquivalent(t, refTS, ts, fmt.Sprintf("day %d", day), q)
+						assertSearchEquivalent(t, refTS, ref.Server, fmt.Sprintf("day %d", day), q)
 					}
 				}
 				refTS.Close()
@@ -290,18 +286,14 @@ func TestSearchShardedHammerConcurrentIngest(t *testing.T) {
 	}
 
 	lineage := ss
-	opts := Options{CacheSize: 64}
-	opts.IngestSharded = func(b delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error) {
+	ts := newRefWorld(t, ss, func(b delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error) {
 		d := replayDelta(b.Day)
 		next, touched, err := delta.ApplySharded(lineage, d)
 		if err == nil {
 			lineage = next
 		}
 		return next, d, touched, err
-	}
-	srv := NewSharded(ss, opts)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	}, Options{CacheSize: 64})
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -352,7 +344,7 @@ func TestSearchShardedHammerConcurrentIngest(t *testing.T) {
 		}(g)
 	}
 	for day := 1; day <= maxDay; day++ {
-		postJSON(t, ts.Client(), ts.URL+"/v1/ingest", fmt.Sprintf(`{"day":%d}`, day), 200)
+		ts.step(fmt.Sprintf(`{"day":%d}`, day))
 		time.Sleep(2 * time.Millisecond)
 	}
 	close(done)

@@ -8,12 +8,13 @@
 // query understander and a bounded LRU response cache derived from it — in
 // a single atomically-swapped state pointer. Request handlers load that
 // pointer once and then perform lock-free reads for the rest of the
-// request; an ingest (a whole-world POST /v1/ingest, or a replica's
-// delta-log apply) indexes the next snapshot off to the side and publishes
-// it with one atomic store, so serving continues uninterrupted on the old
-// snapshot until the new one is fully built. The retired snapshot, cache
-// included, is garbage-collected once in-flight requests drain. A served
-// world changes only through an ingest or a restart.
+// request. A whole-world server (New, NewSharded) publishes once and is
+// frozen: it changes only by a restart. A per-shard replica changes only
+// through its delta log: each applied batch indexes the next snapshot off
+// to the side and publishes it with one atomic store, so serving continues
+// uninterrupted on the old snapshot until the new one is fully built. The
+// retired snapshot, cache included, is garbage-collected once in-flight
+// requests drain.
 //
 // Endpoints:
 //
@@ -26,9 +27,9 @@
 //	GET  /v1/query/rewrite  conceptualize + rewrite a query (?q=)
 //	GET  /v1/story          story tree seeded at an event (?seed=)
 //	GET  /v1/metrics        per-endpoint QPS/latency/cache counters
-//	POST /v1/ingest         apply an incremental update batch (whole-world;
-//	                        a per-shard server applies batches only from
-//	                        its delta log, see replica.go)
+//	POST /v1/ingest         503 on every server: writes go through a
+//	                        router's delta log (see router.go), which
+//	                        replicas apply (see replica.go)
 //
 // Any other /v1 path answers 404 not_found in the error envelope.
 package serve
@@ -55,23 +56,14 @@ type Options struct {
 	// CacheSize bounds the LRU response cache each published state carries
 	// (entries); 0 means DefaultCacheSize, negative disables caching.
 	CacheSize int
-	// IngestSharded applies an incremental update batch on a whole-world
-	// server (see giant.System.IngestSharded): it returns the advanced sharded
-	// snapshot, the delta and the touched-shard flags, and the server
-	// republishes — and bumps the generation of — only the touched shards.
-	// The shard count must match the server's (1 for New). Nil disables POST
-	// /v1/ingest.
-	IngestSharded func(delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error)
-	// ShardIngest is the per-shard-process analogue (servers built with
-	// NewShard), and only the attached delta-log Follower calls it: a
-	// per-shard server accepts no direct writes. The host applies the batch
-	// through its full mining system and returns THIS shard's advanced
-	// projection plus the merged delta and the touched-shard flags. The
-	// server republishes — and bumps its generation — only when its own
-	// shard was touched; an untouched batch still refreshes the serving
-	// state (the union ID table may have shifted) without minting a new
-	// generation, which is what keeps per-shard generations identical to
-	// the in-process NewSharded path.
+	// ShardIngest applies an incremental update batch on a per-shard server
+	// (NewShard), and only the attached delta-log Follower calls it: no
+	// server accepts direct writes. The host applies the batch through its
+	// full mining system and returns THIS shard's advanced projection plus
+	// the merged delta and the touched-shard flags. The server republishes
+	// — and bumps its generation — only when its own shard was touched; an
+	// untouched batch still refreshes the serving state (the union ID table
+	// may have shifted) without minting a new generation.
 	ShardIngest func(delta.Batch) (*ontology.ShardProjection, *delta.Delta, []bool, error)
 	// History bounds the retained generations /v1/stats lists under
 	// "generations"; 0 means ontology.DefaultRetention.
@@ -130,10 +122,8 @@ type state struct {
 	loadedAt time.Time
 	// shards is the whole-world server's sharded view (K=1 under New) and
 	// snap its union: every read answers from the union, /v1/search through
-	// shards.Search, and shardGens are the per-shard generations /v1/stats
-	// and write responses report. Nil on a per-shard process.
-	shards    *ontology.ShardedSnapshot
-	shardGens []uint64
+	// shards.Search. Nil on a per-shard process.
+	shards *ontology.ShardedSnapshot
 	// proj identifies a per-shard-process server (NewShard): snap is then
 	// one shard's projection, search scans only its home-node prefix, and
 	// node responses render union IDs through the projection's ID table.
@@ -147,16 +137,15 @@ type state struct {
 
 // Server serves a hot-swappable ontology snapshot over HTTP.
 type Server struct {
-	opts        Options
-	cur         atomic.Pointer[state]
-	store       *ontology.Store        // generation counter and retained history (/v1/stats)
-	shardStores *ontology.ShardedStore // per-shard generation history (whole-world servers)
-	swapMu      sync.Mutex             // serializes publishes; readers never take it
-	metrics     *metricsRegistry
-	mux         *http.ServeMux
-	enc         storytree.Encoder
-	story       storytree.Options
-	shardMode   bool // built with NewShard: serves one shard projection
+	opts      Options
+	cur       atomic.Pointer[state]
+	store     *ontology.Store // generation counter and retained history (/v1/stats)
+	swapMu    sync.Mutex      // serializes publishes; readers never take it
+	metrics   *metricsRegistry
+	mux       *http.ServeMux
+	enc       storytree.Encoder
+	story     storytree.Options
+	shardMode bool // built with NewShard: serves one shard projection
 	// wal is non-nil on a delta-log replica (a NewShard server with an
 	// attached Follower): the server then refuses direct writes as
 	// read_only_replica and answers /v1/wal with its applied log
@@ -199,18 +188,18 @@ func New(snap *ontology.Snapshot, opts Options) *Server {
 	return NewSharded(ss, opts)
 }
 
-// NewSharded builds a whole-world Server over an initial sharded snapshot.
-// The process holds the union, so every read answers from it through the
-// state's one response cache; the shard count only sets the unit of
-// publication — the initial publish and every ingest publish per shard, each
-// shard carrying its own generation history — and routes /v1/search through
-// the shards' term-gram indexes (ShardedSnapshot.Search).
+// NewSharded builds a whole-world Server over a sharded snapshot. The
+// process holds the union, so every read answers from it through the
+// state's one response cache; the shard count only routes /v1/search
+// through the shards' term-gram indexes (ShardedSnapshot.Search) and sets
+// the shard rows of /healthz and /v1/stats. The server publishes once and
+// is frozen: POST /v1/ingest answers 503, and a writable deployment is a
+// router with a delta log in front of per-shard replicas.
 func NewSharded(ss *ontology.ShardedSnapshot, opts Options) *Server {
 	s := newServer(opts)
-	s.shardStores = ontology.NewShardedStore(ss.NumShards(), s.opts.History)
-	s.swapMu.Lock()
-	s.publishShardedLocked(ss, nil)
-	s.swapMu.Unlock()
+	st := s.buildState(ss.Union(), s.store.Push(ss.Union()))
+	st.shards = ss
+	s.cur.Store(st)
 	s.routes()
 	return s
 }
@@ -253,39 +242,9 @@ func NewShardAt(p *ontology.ShardProjection, gen uint64, opts Options) *Server {
 	return s
 }
 
-// publishShardedLocked publishes a sharded snapshot: shards flagged
-// touched (nil = all) are pushed into their per-shard generation stores,
-// the union joins the whole-world store, and the serving state swaps
-// atomically. It returns the new union generation and which shards
-// republished; untouched shards keep their generation — the republication
-// unit is the shard, not the world. In-flight requests keep the state they
-// started with. The caller holds swapMu.
-//
-// A shard's generation must identify its served content, so beyond the
-// delta-touched shards, any shard whose incoming projection differs from
-// the one serving right now also republishes. That clause is live at K=1:
-// Advance re-projects every shard there, so each ingest hands over a new
-// projection of the one shard whatever the delta's touched flags say.
-func (s *Server) publishShardedLocked(ss *ontology.ShardedSnapshot, touched []bool) (uint64, []bool) {
-	prev := s.cur.Load()
-	republished := make([]bool, ss.NumShards())
-	for i := range republished {
-		republished[i] = touched == nil || (i < len(touched) && touched[i]) ||
-			prev == nil || prev.shards.NumShards() != ss.NumShards() || prev.shards.Shard(i) != ss.Shard(i)
-		if republished[i] {
-			s.shardStores.Push(i, ss.Shard(i))
-		}
-	}
-	gen := s.store.Push(ss.Union())
-	st := s.buildState(ss.Union(), gen)
-	st.shards = ss
-	st.shardGens = s.shardStores.CurrentGens()
-	s.cur.Store(st)
-	return gen, republished
-}
-
 // buildState indexes one snapshot into a full serving state (taggers,
-// understander, fresh cache); the caller holds swapMu.
+// understander, fresh cache). A publish calls it under swapMu; NewSharded,
+// which publishes once before the server is reachable, needs no lock.
 func (s *Server) buildState(snap *ontology.Snapshot, gen uint64) *state {
 	conceptCtx := s.opts.ConceptContext
 	if s.opts.ConceptContextFn != nil {
@@ -490,7 +449,7 @@ func (s *Server) handleStats(st *state, r *http.Request) (int, any) {
 		for i := range shards {
 			shards[i] = shardSummary{
 				Shard:      i,
-				Generation: st.shardGens[i],
+				Generation: st.gen,
 				Nodes:      st.shards.HomeCount(i),
 				Edges:      st.shards.Shard(i).EdgeCount(),
 			}
@@ -719,75 +678,38 @@ func (s *Server) handleMetrics(st *state, r *http.Request) (int, any) {
 	}
 }
 
-// writeStatusRows renders a whole-world server's per-shard write-status
-// rows from the current per-shard generations; applied[i]=false marks a
-// shard the write left untouched (nil marks every shard applied).
-func (s *Server) writeStatusRows(applied []bool) []shardWriteStatus {
-	gens := s.shardStores.CurrentGens()
-	rows := make([]shardWriteStatus, len(gens))
-	for i := range rows {
-		rows[i] = shardWriteStatus{Shard: i, Generation: gens[i], Applied: applied == nil || (i < len(applied) && applied[i])}
-	}
-	return rows
-}
-
-// handleIngest applies an incremental update batch: the request body is a
-// delta.Batch (new docs + clicks); the host's ingest callback delta-mines
-// it into the next generation, which hot-swaps in atomically. In-flight
-// readers keep the generation they started on.
+// handleIngest refuses every direct write. A whole-world server is frozen
+// and changes by restarting on a new artifact; a per-shard server changes
+// only through its delta log, where a direct write would fork a replica's
+// lineage from its peers'. The only writable deployment is a router with a
+// delta log (giantrouter -wal) in front of per-shard replicas, possibly a
+// fleet of one.
 func (s *Server) handleIngest(st *state, r *http.Request) (int, any) {
 	if r.Method != http.MethodPost {
 		return http.StatusMethodNotAllowed, errBody(codeMethodNotAllowed, "use POST")
 	}
-	if s.shardMode {
-		return s.refuseShardWrite()
-	}
-	if s.opts.IngestSharded == nil {
-		return http.StatusServiceUnavailable, errBody(codeUnavailable, "no ingester configured (run giantd with -build)")
-	}
-	var batch delta.Batch
-	if err := json.NewDecoder(r.Body).Decode(&batch); err != nil {
-		return bodyError("decode batch", err)
-	}
-	status, resp, _ := s.ingestBatch(batch)
-	return status, resp
-}
-
-// refuseShardWrite answers a direct POST /v1/ingest to a per-shard server:
-// a fleet changes only through its delta log. A replica applies batches
-// from the log alone, where a direct write would fork its lineage from its
-// peers'; a frozen shard changes by restarting on a new file.
-func (s *Server) refuseShardWrite() (int, any) {
 	if s.wal.Load() != nil {
 		return http.StatusServiceUnavailable, errBody(codeReadOnlyReplica,
 			"replica follows a delta log and accepts no direct ingest: ingest through the router, or restart the replica")
 	}
 	return http.StatusServiceUnavailable, errBody(codeUnavailable,
-		"a per-shard server accepts no direct ingest: restart it on a new shard file, or run a delta-log fleet (giantd -wal behind giantrouter -wal)")
+		"this server accepts no direct ingest: restart it on a new artifact, or run a delta-log fleet (giantd -shard i/k -build -wal behind giantrouter -wal)")
 }
 
-// ingestBatch applies one decoded batch and publishes the result — the
-// shared core of a whole-world server's POST /v1/ingest and a per-shard
-// replica's delta-log Follower. It holds the swap lock across compute + publish
-// so concurrent ingests apply and publish in the same order (readers
-// never take this lock). Alongside the status and response it returns
-// the delta's touched-shard flags (nil unless the batch applied).
+// ingestBatch applies one decoded batch to a per-shard replica and
+// publishes the result; the replica's delta-log Follower is its only
+// caller. It holds the swap lock across compute + publish so applies and
+// publishes happen in the same order (readers never take this lock). The
+// replica republishes — and mints a generation — only when the delta
+// touched its shard (or the served projection diverged from the one
+// serving right now); an untouched batch still refreshes the state so
+// union IDs stay current. Alongside the status and response it returns the
+// delta's touched-shard flags (nil unless the batch applied).
 func (s *Server) ingestBatch(batch delta.Batch) (int, any, []bool) {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
 	st := s.cur.Load()
-	var (
-		d       *delta.Delta
-		touched []bool
-		err     error
-		sharded *ontology.ShardedSnapshot
-		proj    *ontology.ShardProjection
-	)
-	if s.shardMode {
-		proj, d, touched, err = s.opts.ShardIngest(batch)
-	} else {
-		sharded, d, touched, err = s.opts.IngestSharded(batch)
-	}
+	proj, d, touched, err := s.opts.ShardIngest(batch)
 	if err != nil {
 		// Batch-validation failures are the client's fault; anything else
 		// is an internal delta-pipeline failure and must surface as 5xx.
@@ -802,35 +724,21 @@ func (s *Server) ingestBatch(batch delta.Batch) (int, any, []bool) {
 			ts = append(ts, i)
 		}
 	}
-	resp := map[string]any{"old_generation": st.gen, "touched_shards": ts}
-	var snap *ontology.Snapshot
-	if proj != nil {
-		// Per-shard process: republish — and mint a generation — only when
-		// the delta touched this shard (or the served projection diverged
-		// from the one serving right now); an untouched ingest still
-		// refreshes the state so union IDs stay current, keeping responses
-		// identical to the in-process path.
-		snap = proj.Snap
-		republished := touched == nil ||
-			(proj.Shard < len(touched) && touched[proj.Shard]) ||
-			st.proj == nil || st.proj.Snap != proj.Snap
-		gen := s.publishShardLocked(proj, republished)
-		resp["generation"] = gen
-		resp["shards"] = []shardWriteStatus{{Shard: proj.Shard, Generation: gen, Applied: republished}}
-		resp["shard"] = proj.Shard
-		resp["republished"] = republished
-		resp["home_nodes"] = proj.HomeCount
-	} else {
-		// Whole world: republish only the shards the delta touched;
-		// untouched shards keep their projection and their generation.
-		snap = sharded.Union()
-		gen, applied := s.publishShardedLocked(sharded, touched)
-		resp["generation"] = gen
-		resp["shards"] = s.writeStatusRows(applied)
-		resp["shard_generations"] = s.shardStores.CurrentGens()
+	republished := touched == nil ||
+		(proj.Shard < len(touched) && touched[proj.Shard]) ||
+		st.proj.Snap != proj.Snap
+	gen := s.publishShardLocked(proj, republished)
+	resp := map[string]any{
+		"old_generation": st.gen,
+		"touched_shards": ts,
+		"generation":     gen,
+		"shards":         []shardWriteStatus{{Shard: proj.Shard, Generation: gen, Applied: republished}},
+		"shard":          proj.Shard,
+		"republished":    republished,
+		"home_nodes":     proj.HomeCount,
+		"nodes":          proj.Snap.NodeCount(),
+		"edges":          proj.Snap.EdgeCount(),
 	}
-	resp["nodes"] = snap.NodeCount()
-	resp["edges"] = snap.EdgeCount()
 	if d != nil {
 		resp["delta"] = map[string]any{
 			"day":        d.Day,

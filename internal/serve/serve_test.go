@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -314,13 +315,13 @@ func TestRunGracefulShutdown(t *testing.T) {
 	}
 }
 
-// fakeIngester applies one real delta per batch against the currently
-// served snapshot: one new concept node per batch day, linked under the
-// existing category.
-func fakeIngester(srv **Server) func(delta.Batch) (*ontology.Snapshot, *delta.Delta, error) {
-	return func(b delta.Batch) (*ontology.Snapshot, *delta.Delta, error) {
+// fakeIngester applies one real delta per batch against the snapshot a
+// 0/1 replica serves (its projection is the union): one new concept node
+// per batch day, linked under the existing category.
+func fakeIngester(srv **Server) func(delta.Batch) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
+	return func(b delta.Batch) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
 		if len(b.Docs) == 0 && len(b.Clicks) == 0 {
-			return nil, nil, fmt.Errorf("empty batch: %w", delta.ErrInvalidBatch)
+			return nil, nil, nil, fmt.Errorf("empty batch: %w", delta.ErrInvalidBatch)
 		}
 		phrase := fmt.Sprintf("fresh concept day %d", b.EffectiveDay())
 		d := &delta.Delta{
@@ -333,22 +334,34 @@ func fakeIngester(srv **Server) func(delta.Batch) (*ontology.Snapshot, *delta.De
 			}},
 		}
 		next, err := delta.Apply((*srv).Current(), d)
-		return next, d, err
-	}
-}
-
-// wholeWorld adapts a union-snapshot ingester to Options.IngestSharded on a
-// New server: the next snapshot is its own single shard, republished by
-// every batch.
-func wholeWorld(ingest func(delta.Batch) (*ontology.Snapshot, *delta.Delta, error)) func(delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error) {
-	return func(b delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error) {
-		next, d, err := ingest(b)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		ss, err := ontology.ShardSnapshot(next, 1)
-		return ss, d, nil, err
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		return ss.Projection(0), d, []bool{true}, nil
 	}
+}
+
+// newFleetOfOne boots the smallest writable deployment around srv, a 0/1
+// replica: srv follows a fresh delta log, and a router appending to that
+// log fronts it.
+func newFleetOfOne(t *testing.T, srv *Server) (replica, router *httptest.Server) {
+	t.Helper()
+	dir := t.TempDir()
+	followLog(t, dir, srv)
+	replica = httptest.NewServer(srv.Handler())
+	t.Cleanup(replica.Close)
+	rt, err := NewRouter(RouterOptions{Backends: []string{replica.URL}, WALDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	router = httptest.NewServer(rt.Handler())
+	t.Cleanup(router.Close)
+	return replica, router
 }
 
 func postJSON(t *testing.T, c *http.Client, url, body string, want int) map[string]any {
@@ -369,20 +382,27 @@ func postJSON(t *testing.T, c *http.Client, url, body string, want int) map[stri
 	return out
 }
 
-// TestIngestLifecycle drives the live-update lifecycle end to end: ingest
-// bumps the generation and serves the new node, the store's retention
-// keeps both generations visible in /v1/stats, and bad batches and
-// failing ingesters answer their error codes.
+// TestIngestLifecycle drives the live-update lifecycle end to end on a
+// fleet of one: ingest bumps the generation and serves the new node, the
+// replica's store keeps both generations visible in its /v1/stats, and bad
+// batches and failing ingesters answer their error codes. A whole-world
+// server takes no write.
 func TestIngestLifecycle(t *testing.T) {
+	one, err := ontology.ShardSnapshot(testOntology(0).Snapshot(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var srv *Server
-	srv = New(testOntology(0).Snapshot(), Options{IngestSharded: wholeWorld(fakeIngester(&srv))})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	c := ts.Client()
+	srv = NewShard(one.Projection(0), Options{ShardIngest: fakeIngester(&srv)})
+	replica, router := newFleetOfOne(t, srv)
+	c := router.Client()
 
+	if gen := getJSON(t, c, replica.URL+"/healthz", 200)["generation"]; gen != 1.0 {
+		t.Fatalf("replica boots at generation %v", gen)
+	}
 	batch := `{"day":12,"docs":[{"id":-1,"title":"fresh doc","category":0,"day":12}],"clicks":[]}`
-	out := postJSON(t, c, ts.URL+"/v1/ingest", batch, 200)
-	if out["generation"].(float64) != 2 || out["old_generation"].(float64) != 1 {
+	out := postJSON(t, c, router.URL+"/v1/ingest", batch, 200)
+	if gens := out["shard_generations"]; !reflect.DeepEqual(gens, []any{2.0}) {
 		t.Fatalf("ingest generations = %v", out)
 	}
 	dsum := out["delta"].(map[string]any)
@@ -390,20 +410,20 @@ func TestIngestLifecycle(t *testing.T) {
 		t.Fatalf("delta summary = %v", dsum)
 	}
 	// The new node serves immediately.
-	node := getJSON(t, c, ts.URL+"/v1/node?phrase=fresh+concept+day+12&type=concept", 200)
+	node := getJSON(t, c, router.URL+"/v1/node?phrase=fresh+concept+day+12&type=concept", 200)
 	if node["node"].(map[string]any)["phrase"] != "fresh concept day 12" {
 		t.Fatalf("node = %v", node)
 	}
-	// Stats lists both retained generations.
-	stats := getJSON(t, c, ts.URL+"/v1/stats", 200)
+	// The replica's stats list both retained generations.
+	stats := getJSON(t, c, replica.URL+"/v1/stats", 200)
 	if gens := stats["generations"].([]any); len(gens) != 2 {
 		t.Fatalf("generations = %v", gens)
 	}
 
-	// Bad requests: malformed JSON and a failing ingester.
-	postJSON(t, c, ts.URL+"/v1/ingest", "{not json", http.StatusBadRequest)
-	postJSON(t, c, ts.URL+"/v1/ingest", `{"day":1}`, http.StatusUnprocessableEntity)
-	// Ingest without an ingester is unavailable.
+	// Bad requests: malformed JSON and a batch the ingester rejects.
+	postJSON(t, c, router.URL+"/v1/ingest", "{not json", http.StatusBadRequest)
+	postJSON(t, c, router.URL+"/v1/ingest", `{"day":1}`, http.StatusUnprocessableEntity)
+	// A whole-world server has no ingester: unavailable.
 	srvNo := New(testOntology(0).Snapshot(), Options{})
 	rr := httptest.NewRecorder()
 	srvNo.Handler().ServeHTTP(rr, httptest.NewRequest("POST", "/v1/ingest", bytes.NewReader([]byte(`{}`))))
@@ -411,86 +431,22 @@ func TestIngestLifecycle(t *testing.T) {
 		t.Fatalf("ingest without ingester = %d", rr.Code)
 	}
 	// Internal delta-pipeline failures (no ErrInvalidBatch in the chain)
-	// must surface as 5xx, not blame the client.
-	srvBoom := New(testOntology(0).Snapshot(), Options{
-		IngestSharded: wholeWorld(func(delta.Batch) (*ontology.Snapshot, *delta.Delta, error) {
-			return nil, nil, fmt.Errorf("delta pipeline invariant violated")
-		}),
+	// must surface as 5xx, not blame the client: the replica records a 500
+	// and the router answers 502.
+	boom := NewShard(one.Projection(0), Options{
+		ShardIngest: func(delta.Batch) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
+			return nil, nil, nil, fmt.Errorf("delta pipeline invariant violated")
+		},
 	})
-	rr = httptest.NewRecorder()
-	srvBoom.Handler().ServeHTTP(rr, httptest.NewRequest("POST", "/v1/ingest", bytes.NewReader([]byte(`{}`))))
-	if rr.Code != http.StatusInternalServerError {
-		t.Fatalf("internal ingest failure = %d, want 500", rr.Code)
+	boomReplica, boomRouter := newFleetOfOne(t, boom)
+	status, body := postRaw(t, boomRouter.Client(), boomRouter.URL+"/v1/ingest", batch)
+	if status != http.StatusBadGateway {
+		t.Fatalf("internal ingest failure = %d, want 502: %s", status, body)
 	}
-}
-
-// TestConcurrentReadsDuringIngest is the whole-world analogue of the
-// log-apply hammer: 16 readers sweep the read endpoints while batches
-// ingest through POST /v1/ingest; nothing may 5xx (run under -race).
-func TestConcurrentReadsDuringIngest(t *testing.T) {
-	var srv *Server
-	srv = New(testOntology(0).Snapshot(), Options{CacheSize: 64, History: 8, IngestSharded: wholeWorld(fakeIngester(&srv))})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	urls := []string{
-		"/healthz",
-		"/v1/stats",
-		"/v1/node?phrase=family+sedans&type=concept",
-		"/v1/search?q=sedan&limit=5",
-		"/v1/query/rewrite?q=best+family+sedans",
-		"/v1/metrics",
-	}
-	const (
-		readers = 16
-		iters   = 30
-		batches = 20
-	)
-	var wg sync.WaitGroup
-	var server5xx atomic.Int64
-	for g := 0; g < readers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			c := &http.Client{Timeout: 10 * time.Second}
-			for i := 0; i < iters; i++ {
-				url := ts.URL + urls[(g+i)%len(urls)]
-				resp, err := c.Get(url)
-				if err != nil {
-					t.Errorf("GET %s: %v", url, err)
-					return
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode >= 500 {
-					server5xx.Add(1)
-					t.Errorf("GET %s = %d", url, resp.StatusCode)
-				}
-			}
-		}(g)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		c := &http.Client{Timeout: 10 * time.Second}
-		for i := 0; i < batches; i++ {
-			body := fmt.Sprintf(`{"day":%d,"docs":[{"id":-1,"title":"doc %d","category":0,"day":%d}]}`, i+1, i, i+1)
-			resp, err := c.Post(ts.URL+"/v1/ingest", "application/json", bytes.NewReader([]byte(body)))
-			if err != nil {
-				t.Errorf("ingest: %v", err)
-				return
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode >= 500 {
-				server5xx.Add(1)
-				t.Errorf("ingest = %d", resp.StatusCode)
-			}
-		}
-	}()
-	wg.Wait()
-	if n := server5xx.Load(); n > 0 {
-		t.Fatalf("%d requests returned 5xx during live ingest", n)
+	assertEnvelope(t, body, codeBadUpstream)
+	last := getJSON(t, c, boomReplica.URL+"/v1/wal", 200)["last"].(map[string]any)
+	if last["status"] != float64(http.StatusInternalServerError) {
+		t.Fatalf("replica apply of a failing batch = %v, want 500", last)
 	}
 }
 

@@ -63,24 +63,16 @@ func TestShardedStatsAndHealth(t *testing.T) {
 // TestNewIsNewShardedAtOneShard pins "one state shape": a New(snap, o)
 // server and a NewSharded(ShardSnapshot(snap, 1), o) server answer every
 // endpoint with the same status and body — reads, the operational
-// endpoints, and the write responses through an ingest → rejected batch →
-// ingest sequence (the shard and union generation accountings are both
-// compared).
+// endpoints, and the refusals of an ingest → rejected batch → ingest
+// sequence (both servers are frozen, so each write step compares two 503s).
 func TestNewIsNewShardedAtOneShard(t *testing.T) {
 	base := testOntology(0).Snapshot()
-	var servers [2]*Server
-	opts := func(i int) Options {
-		return Options{
-			CacheSize:     64,
-			IngestSharded: wholeWorld(fakeIngester(&servers[i])),
-		}
-	}
 	ss, err := ontology.ShardSnapshot(base, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	servers[0] = New(base, opts(0))
-	servers[1] = NewSharded(ss, opts(1))
+	opts := Options{CacheSize: 64}
+	servers := [2]*Server{New(base, opts), NewSharded(ss, opts)}
 
 	// scrub drops the wall-clock fields of /v1/stats and /v1/metrics.
 	scrub := func(path string, body []byte) string {
@@ -182,87 +174,22 @@ func TestShardedSearchMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestShardedIngestPublishesTouchedShardsOnly: an ingest whose delta
-// touches a subset of shards bumps only those shards' generations.
-func TestShardedIngestPublishesTouchedShardsOnly(t *testing.T) {
-	const k = 4
-	ss, err := ontology.ShardSnapshot(testOntology(0).Snapshot(), k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The fake ingester mirrors giant.System: it advances its OWN sharded
-	// lineage.
-	lineage := ss
-	day := 0
-	opts := Options{}
-	opts.IngestSharded = func(b delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error) {
-		day++
-		d := &delta.Delta{Day: b.Day, Add: []delta.NodeAdd{{Type: ontology.Concept, Phrase: fmt.Sprintf("hybrid sedans %d", day), Day: b.Day}}}
-		next, touched, err := delta.ApplySharded(lineage, d)
-		if err == nil {
-			lineage = next
-		}
-		return next, d, touched, err
-	}
-	srv := NewSharded(ss, opts)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	resp := postJSON(t, ts.Client(), ts.URL+"/v1/ingest", `{"day":12}`, 200)
-	touched, ok := resp["touched_shards"].([]any)
-	if !ok || len(touched) != 1 {
-		t.Fatalf("touched_shards = %v", resp["touched_shards"])
-	}
-	home := int(touched[0].(float64))
-	if want := ontology.HomeShard(ontology.Concept, "hybrid sedans 1", k); home != want {
-		t.Fatalf("touched shard %d, want home %d", home, want)
-	}
-	gens := resp["shard_generations"].([]any)
-	for i, g := range gens {
-		want := 1.0
-		if i == home {
-			want = 2.0
-		}
-		if g.(float64) != want {
-			t.Fatalf("shard %d generation %v, want %v (gens %v)", i, g, want, gens)
-		}
-	}
-	// The new node serves immediately from the union view.
-	node := getJSON(t, ts.Client(), ts.URL+"/v1/node?phrase=hybrid+sedans+1", 200)
-	if node["node"].(map[string]any)["phrase"] != "hybrid sedans 1" {
-		t.Fatalf("ingested node not served: %v", node)
-	}
-}
-
-// TestIngestModeMismatchRejected: wiring a whole-world ingester on a
-// per-shard server, or a per-shard ingester on a whole-world one, must 503
-// instead of silently flipping the serving mode.
+// TestIngestModeMismatchRejected: wiring a per-shard ingester on a
+// whole-world server must 503 instead of silently flipping the serving
+// mode.
 func TestIngestModeMismatchRejected(t *testing.T) {
 	ss, err := ontology.ShardSnapshot(testOntology(0).Snapshot(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shard := NewShard(ss.Projection(0), Options{
-		IngestSharded: func(delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error) {
-			return ss, nil, nil, nil
-		},
-	})
-	ts := httptest.NewServer(shard.Handler())
-	defer ts.Close()
-	postJSON(t, ts.Client(), ts.URL+"/v1/ingest", `{"day":1}`, 503)
-	// The serving state kept its shard identity.
-	if shard.ShardProjection() == nil {
-		t.Fatal("per-shard server de-sharded by a rejected ingest")
-	}
-
 	world := NewSharded(ss, Options{
 		ShardIngest: func(delta.Batch) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
 			return ss.Projection(0), nil, nil, nil
 		},
 	})
-	ts2 := httptest.NewServer(world.Handler())
-	defer ts2.Close()
-	postJSON(t, ts2.Client(), ts2.URL+"/v1/ingest", `{"day":1}`, 503)
+	ts := httptest.NewServer(world.Handler())
+	defer ts.Close()
+	postJSON(t, ts.Client(), ts.URL+"/v1/ingest", `{"day":1}`, 503)
 	if world.ShardProjection() != nil {
 		t.Fatal("whole-world server turned per-shard by a rejected ingest")
 	}

@@ -293,30 +293,6 @@ func (l *Log) Append(day int, payload []byte) (uint64, error) {
 	return gen, nil
 }
 
-// TailFrom streams every record with generation strictly greater than
-// afterGen, in order, to fn. Payloads are fresh copies the callback
-// owns. Records are read one at a time — the whole suffix is never
-// materialized. Asking for generations below the log's base (already
-// truncated away) yields ErrCompacted. A non-nil error from fn stops
-// the stream and is returned verbatim.
-func (l *Log) TailFrom(afterGen uint64, fn func(Record) error) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if afterGen < l.base {
-		return fmt.Errorf("%w: tail after generation %d, but records at or below %d were truncated", ErrCompacted, afterGen, l.base)
-	}
-	for g := afterGen + 1; g <= l.head; g++ {
-		rec, _, err := readRecordAt(l.f, l.offs[g-l.base-1], l.size)
-		if err != nil {
-			return err
-		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // TruncateBelow drops every record with generation at or below floor by
 // rewriting the log as a compacted (version-2) file whose header
 // carries the new base generation. Only the surviving suffix is copied
@@ -435,16 +411,6 @@ type Reader struct {
 	off     int64
 	lastGen uint64
 	floor   uint64 // records with gen <= floor are skipped without copying
-}
-
-// OpenReader opens a read-only cursor positioned before the first
-// record. The caller should retry on os.ErrNotExist until the writer
-// has created the log. Opening a compacted log this way yields
-// ErrCompacted: a full replay is impossible once records were
-// truncated, so the caller must hydrate a checkpoint and use
-// OpenReaderAt instead.
-func OpenReader(path string, shard, shards int) (*Reader, error) {
-	return OpenReaderAt(path, shard, shards, 0)
 }
 
 // OpenReaderAt opens a read-only cursor that yields only records with

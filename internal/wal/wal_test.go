@@ -35,17 +35,26 @@ func writeSample(t *testing.T, n int) (path string, bounds []int64, payloads [][
 	return path, bounds, payloads
 }
 
-// tailAll collects a TailFrom stream into a slice for assertions.
+// tailAll reads every record past after through a fresh OpenReaderAt
+// cursor on lg's file, the way a replica tails the log.
 func tailAll(t *testing.T, lg *Log, after uint64) []Record {
 	t.Helper()
-	var recs []Record
-	if err := lg.TailFrom(after, func(rec Record) error {
-		recs = append(recs, rec)
-		return nil
-	}); err != nil {
-		t.Fatalf("TailFrom(%d): %v", after, err)
+	rd, err := OpenReaderAt(lg.path, lg.shard, lg.shards, after)
+	if err != nil {
+		t.Fatalf("OpenReaderAt(%d): %v", after, err)
 	}
-	return recs
+	defer rd.Close()
+	var recs []Record
+	for {
+		rec, err := rd.Next()
+		if err != nil {
+			t.Fatalf("Next after %d: %v", after, err)
+		}
+		if rec == nil {
+			return recs
+		}
+		recs = append(recs, *rec)
+	}
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -61,18 +70,18 @@ func TestRoundTrip(t *testing.T) {
 	for after := uint64(0); after <= 5; after++ {
 		recs := tailAll(t, lg, after)
 		if len(recs) != int(5-after) {
-			t.Fatalf("TailFrom(%d) returned %d records, want %d", after, len(recs), 5-after)
+			t.Fatalf("OpenReaderAt(%d) yielded %d records, want %d", after, len(recs), 5-after)
 		}
 		for i, rec := range recs {
 			wantGen := after + uint64(i) + 1
 			if rec.Gen != wantGen {
-				t.Fatalf("TailFrom(%d)[%d].Gen = %d, want %d", after, i, rec.Gen, wantGen)
+				t.Fatalf("OpenReaderAt(%d)[%d].Gen = %d, want %d", after, i, rec.Gen, wantGen)
 			}
 			if string(rec.Payload) != string(payloads[wantGen-1]) {
-				t.Fatalf("TailFrom(%d)[%d] payload = %q, want %q", after, i, rec.Payload, payloads[wantGen-1])
+				t.Fatalf("OpenReaderAt(%d)[%d] payload = %q, want %q", after, i, rec.Payload, payloads[wantGen-1])
 			}
 			if rec.Day != int(wantGen) {
-				t.Fatalf("TailFrom(%d)[%d].Day = %d, want %d", after, i, rec.Day, wantGen)
+				t.Fatalf("OpenReaderAt(%d)[%d].Day = %d, want %d", after, i, rec.Day, wantGen)
 			}
 		}
 	}
@@ -259,8 +268,8 @@ func TestShardMismatch(t *testing.T) {
 	if _, err := Open(path, 1, 2); !errors.Is(err, ErrShardMismatch) {
 		t.Fatalf("Open with wrong shard: err = %v, want ErrShardMismatch", err)
 	}
-	if _, err := OpenReader(path, 0, 4); !errors.Is(err, ErrShardMismatch) {
-		t.Fatalf("OpenReader with wrong shard count: err = %v, want ErrShardMismatch", err)
+	if _, err := OpenReaderAt(path, 0, 4, 0); !errors.Is(err, ErrShardMismatch) {
+		t.Fatalf("OpenReaderAt with wrong shard count: err = %v, want ErrShardMismatch", err)
 	}
 }
 
@@ -274,9 +283,9 @@ func TestReaderFollowsWriter(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	defer lg.Close()
-	rd, err := OpenReader(path, 1, 2)
+	rd, err := OpenReaderAt(path, 1, 2, 0)
 	if err != nil {
-		t.Fatalf("OpenReader: %v", err)
+		t.Fatalf("OpenReaderAt: %v", err)
 	}
 	defer rd.Close()
 
@@ -324,7 +333,7 @@ func TestTruncateBelow(t *testing.T) {
 	}
 	recs := tailAll(t, lg, 4)
 	if len(recs) != 6 {
-		t.Fatalf("TailFrom(4) after truncation returned %d records, want 6", len(recs))
+		t.Fatalf("OpenReaderAt(4) after truncation yielded %d records, want 6", len(recs))
 	}
 	for i, rec := range recs {
 		wantGen := uint64(5 + i)
@@ -332,8 +341,8 @@ func TestTruncateBelow(t *testing.T) {
 			t.Fatalf("surviving record %d: gen=%d payload=%q, want gen=%d payload=%q", i, rec.Gen, rec.Payload, wantGen, payloads[wantGen-1])
 		}
 	}
-	if err := lg.TailFrom(3, func(Record) error { return nil }); !errors.Is(err, ErrCompacted) {
-		t.Fatalf("TailFrom(3) on compacted log: err = %v, want ErrCompacted", err)
+	if _, err := OpenReaderAt(path, 0, 2, 3); !errors.Is(err, ErrCompacted) {
+		t.Fatalf("OpenReaderAt(3) on compacted log: err = %v, want ErrCompacted", err)
 	}
 	// Appends continue against the swapped file with dense generations.
 	gen, err := lg.Append(11, []byte(`{"day":11}`))
@@ -355,7 +364,7 @@ func TestTruncateBelow(t *testing.T) {
 		t.Fatalf("reopened compacted log: base=%d head=%d, want 4/11", lg2.BaseGen(), lg2.Head())
 	}
 	if got := tailAll(t, lg2, 4); len(got) != 7 {
-		t.Fatalf("reopened TailFrom(4) returned %d records, want 7", len(got))
+		t.Fatalf("reopened OpenReaderAt(4) yielded %d records, want 7", len(got))
 	}
 }
 
@@ -375,7 +384,7 @@ func TestTruncateBelowEdges(t *testing.T) {
 		t.Fatalf("after full truncation: base=%d head=%d, want 3/3", lg.BaseGen(), lg.Head())
 	}
 	if recs := tailAll(t, lg, 3); len(recs) != 0 {
-		t.Fatalf("TailFrom(3) on fully truncated log returned %d records, want 0", len(recs))
+		t.Fatalf("OpenReaderAt(3) on fully truncated log yielded %d records, want 0", len(recs))
 	}
 	if err := lg.TruncateBelow(2); err != nil { // below base: no-op
 		t.Fatalf("TruncateBelow(2) no-op: %v", err)
@@ -429,8 +438,8 @@ func TestReaderCompactedErrors(t *testing.T) {
 		t.Fatalf("TruncateBelow: %v", err)
 	}
 	lg.Close()
-	if _, err := OpenReader(path, 0, 2); !errors.Is(err, ErrCompacted) {
-		t.Fatalf("OpenReader on compacted log: err = %v, want ErrCompacted", err)
+	if _, err := OpenReaderAt(path, 0, 2, 0); !errors.Is(err, ErrCompacted) {
+		t.Fatalf("full replay (OpenReaderAt 0) of a compacted log: err = %v, want ErrCompacted", err)
 	}
 	if _, err := OpenReaderAt(path, 0, 2, 3); !errors.Is(err, ErrCompacted) {
 		t.Fatalf("OpenReaderAt(3) below base 4: err = %v, want ErrCompacted", err)
@@ -453,9 +462,9 @@ func TestReaderFollowsTruncation(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	defer lg.Close()
-	rd, err := OpenReader(path, 0, 1)
+	rd, err := OpenReaderAt(path, 0, 1, 0)
 	if err != nil {
-		t.Fatalf("OpenReader: %v", err)
+		t.Fatalf("OpenReaderAt: %v", err)
 	}
 	defer rd.Close()
 	for i := 1; i <= 6; i++ {
