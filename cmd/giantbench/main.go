@@ -10,6 +10,8 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"runtime"
 	"sort"
@@ -371,20 +373,27 @@ func bootCatchupReplica(dir string, base *ontology.ShardedSnapshot, hydrate bool
 	return b, nil
 }
 
-// waitGeneration blocks until the replica serves generation target (the
-// follower has applied every log record below it) or the timeout lapses.
-func (b *catchupBoot) waitGeneration(target uint64, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for b.srv.Generation() < target {
+// waitApplied blocks until the follower has applied log position target
+// or the timeout lapses, through the replica's own GET /v1/wal?wait=,
+// which wakes on every applied record.
+func (b *catchupBoot) waitApplied(target uint64, timeout time.Duration) error {
+	url := fmt.Sprintf("/v1/wal?wait=%d&timeout_ms=%d", target, timeout.Milliseconds())
+	rec := httptest.NewRecorder()
+	b.srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+	var pos struct {
+		Applied bool   `json:"applied"`
+		WALGen  uint64 `json:"wal_gen"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &pos); err != nil {
+		return fmt.Errorf("replica /v1/wal: %w", err)
+	}
+	if !pos.Applied {
 		select {
 		case <-b.done:
-			return fmt.Errorf("follower stopped at generation %d: %v", b.srv.Generation(), b.runErr)
+			return fmt.Errorf("follower stopped at log position %d: %v", pos.WALGen, b.runErr)
 		default:
+			return fmt.Errorf("timed out at log position %d waiting for %d", pos.WALGen, target)
 		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("timed out at generation %d waiting for %d", b.srv.Generation(), target)
-		}
-		time.Sleep(100 * time.Microsecond)
 	}
 	return nil
 }
@@ -399,8 +408,8 @@ func (b *catchupBoot) stop() {
 // from generation zero (linear in the log) against a checkpoint+suffix
 // boot (decode the artifact, tail the last few records — flat). Before
 // any number is reported the two boot paths are verified to produce
-// byte-identical worlds at identical serving generations. Results go to
-// outPath as JSON, one row per log length.
+// byte-identical worlds. Results go to outPath as JSON, one row per log
+// length.
 func runCatchupBench(outPath string) error {
 	baseOnt := ontology.New()
 	root := baseOnt.AddNode(ontology.Category, "auto")
@@ -454,7 +463,7 @@ func runCatchupBench(outPath string) error {
 		if err != nil {
 			return err
 		}
-		if err := writer.waitGeneration(uint64(1+ckptAt), time.Minute); err != nil {
+		if err := writer.waitApplied(uint64(ckptAt), time.Minute); err != nil {
 			return err
 		}
 		snap, blob, err := writer.host.save()
@@ -475,7 +484,7 @@ func runCatchupBench(outPath string) error {
 		if err := appendDays(ckptAt+1, n); err != nil {
 			return err
 		}
-		if err := writer.waitGeneration(uint64(1+n), time.Minute); err != nil {
+		if err := writer.waitApplied(uint64(n), time.Minute); err != nil {
 			return err
 		}
 		writer.stop()
@@ -483,9 +492,9 @@ func runCatchupBench(outPath string) error {
 			return err
 		}
 
-		// Time both boot paths to the same target: serving at the head
-		// generation with every log record applied.
-		target := uint64(1 + n)
+		// Time both boot paths to the same target: every log record
+		// applied.
+		target := uint64(n)
 		timedBoot := func(hydrate bool) (time.Duration, []byte, error) {
 			var best time.Duration
 			var world []byte
@@ -495,7 +504,7 @@ func runCatchupBench(outPath string) error {
 				if err != nil {
 					return 0, nil, err
 				}
-				err = b.waitGeneration(target, time.Minute)
+				err = b.waitApplied(target, time.Minute)
 				d := time.Since(t0)
 				b.stop()
 				if err != nil {

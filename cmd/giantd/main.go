@@ -58,11 +58,11 @@
 // 503 read_only_replica, and it instead tails the
 // fleet's one append-only delta log DIR/fleet.wal (written by giantrouter
 // -wal), applying each batch through its own full (deterministic) mining
-// system and republishing, with a generation bump, only when the delta
-// touched its shard. Every response carries X-Giant-Wal-Gen with
-// the last applied log generation, and GET /v1/wal (?wait=G) exposes — and
-// blocks on — apply progress; -replica N names the replica in /healthz and
-// log lines. Start N replicas of every shard against one directory and put
+// system. Its generation is the log position of the last batch whose
+// delta touched its shard (0 before any). Every response carries
+// X-Giant-Wal-Gen with the last applied log generation, and GET /v1/wal
+// (?wait=G) exposes — and blocks on — apply progress; -replica N names the
+// replica in /healthz and log lines. Start N replicas of every shard against one directory and put
 // giantrouter -wal in front: reads balance over the caught-up replicas and
 // ingest is acknowledged at a quorum of apply confirmations. With
 // -checkpoint-every, any replica publishes the fleet checkpoint
@@ -98,7 +98,6 @@ func main() {
 		tiny    = flag.Bool("tiny", false, "with -build: use the tiny configuration")
 		cache   = flag.Int("cache", serve.DefaultCacheSize, "LRU response cache entries (negative disables)")
 		grace   = flag.Duration("grace", 5*time.Second, "graceful-shutdown drain timeout")
-		history = flag.Int("history", ontology.DefaultRetention, "with -wal: snapshot generations /v1/stats lists under \"generations\" (a whole-world server has one)")
 		shards  = flag.Int("shards", 1, "cut the ontology into K home-shard projections: per-shard /v1/stats rows and gram-routed search; reads answer from the union for every K")
 		shard   = flag.String("shard", "", "serve a single shard of a k-way partition as i/k (e.g. 0/4): the per-shard backend of cmd/giantrouter")
 		walDir  = flag.String("wal", "", "delta-log directory: tail DIR/fleet.wal, the only way a per-shard server changes (requires -shard and -build)")
@@ -115,7 +114,7 @@ func main() {
 	if *ckpt > 0 && *walDir == "" {
 		log.Printf("warning: -checkpoint-every only applies to delta-log replicas (-wal); ignoring it")
 	}
-	if err := run(*in, *addr, *build, *tiny, *cache, *grace, *history, *shards, *shard, *walDir, *replica, *ckpt); err != nil {
+	if err := run(*in, *addr, *build, *tiny, *cache, *grace, *shards, *shard, *walDir, *replica, *ckpt); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -138,11 +137,11 @@ func parseShardSpec(spec string) (i, k int, err error) {
 	return i, k, nil
 }
 
-func run(in, addr string, build, tiny bool, cache int, grace time.Duration, history, shards int, shardSpec, walDir string, replica int, ckptEvery uint64) error {
+func run(in, addr string, build, tiny bool, cache int, grace time.Duration, shards int, shardSpec, walDir string, replica int, ckptEvery uint64) error {
 	if shardSpec != "" {
-		return runShard(in, addr, build, tiny, cache, grace, history, shards, shardSpec, walDir, replica, ckptEvery)
+		return runShard(in, addr, build, tiny, cache, grace, shards, shardSpec, walDir, replica, ckptEvery)
 	}
-	opts := serve.Options{CacheSize: cache, History: history}
+	opts := serve.Options{CacheSize: cache}
 	var snap *ontology.Snapshot
 	switch {
 	case build:
@@ -194,7 +193,7 @@ func logIngested(sys *giant.System, d *delta.Delta) {
 
 // runShard serves a single shard of a k-way partition (-shard i/k): the
 // per-shard backend of the multi-process tier.
-func runShard(in, addr string, build, tiny bool, cache int, grace time.Duration, history, shards int, shardSpec, walDir string, replica int, ckptEvery uint64) error {
+func runShard(in, addr string, build, tiny bool, cache int, grace time.Duration, shards int, shardSpec, walDir string, replica int, ckptEvery uint64) error {
 	idx, k, err := parseShardSpec(shardSpec)
 	if err != nil {
 		return err
@@ -205,7 +204,7 @@ func runShard(in, addr string, build, tiny bool, cache int, grace time.Duration,
 	if shards > 1 && shards != k {
 		return fmt.Errorf("-shards %d conflicts with -shard %s (the shard count comes from i/k)", shards, shardSpec)
 	}
-	opts := serve.Options{CacheSize: cache, History: history}
+	opts := serve.Options{CacheSize: cache}
 	var proj *ontology.ShardProjection
 	switch {
 	case build:
@@ -225,9 +224,9 @@ func runShard(in, addr string, build, tiny bool, cache int, grace time.Duration,
 		opts.ConceptContextFn = sys.ConceptContext
 		opts.Duet = sys.EventTagger().Duet
 		// The follower applies every log record through this process's own
-		// (deterministic) mining system, and the server republishes —
-		// minting a new per-shard generation — only when the delta touched
-		// ITS shard.
+		// (deterministic) mining system, and the server's generation moves
+		// to the record's log position only when the delta touched ITS
+		// shard.
 		opts.ShardIngest = func(b delta.Batch) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
 			next, d, touched, err := sys.IngestSharded(b)
 			if err != nil {

@@ -10,7 +10,7 @@ import (
 // changes only by tailing the fleet's delta log, so -shard with -build and
 // no -wal is refused before anything is built.
 func TestShardBuildRequiresWAL(t *testing.T) {
-	err := run("", "127.0.0.1:0", true, true, 0, time.Second, 0, 1, "0/2", "", 0, 0)
+	err := run("", "127.0.0.1:0", true, true, 0, time.Second, 1, "0/2", "", 0, 0)
 	if err == nil || !strings.Contains(err.Error(), "requires -wal") {
 		t.Fatalf("-shard 0/2 -build without -wal = %v, want a requires -wal error", err)
 	}

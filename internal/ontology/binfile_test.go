@@ -406,7 +406,10 @@ func TestAtomicSave(t *testing.T) {
 // shard artifact is refused.
 func TestSnapshotBinaryGenRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	donorSnap := storeSnap(t, "alpha", "beta")
+	donor := New()
+	donor.AddNode(Concept, "alpha")
+	donor.AddNode(Concept, "beta")
+	donorSnap := donor.Snapshot()
 	var enc bytes.Buffer
 	if err := EncodeSnapshotBinary(&enc, donorSnap, 2); err != nil {
 		t.Fatal(err)

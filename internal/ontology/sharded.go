@@ -100,13 +100,23 @@ func ShardSnapshot(union *Snapshot, k int) (*ShardedSnapshot, error) {
 	return ss, nil
 }
 
-// Advance re-partitions onto nextUnion, rebuilding only the shards marked
-// touched and carrying the previous projections for the rest — the
-// per-shard publication path: an ingest delta that touched two shards
-// re-indexes two projections, not K. touched == nil rebuilds everything.
+// ShardChanged is the one rule for whether an applied delta changed shard
+// s of k: every shard when the touch flags are nil, the one shard at k ==
+// 1 (its projection is the union itself), and otherwise exactly the shards
+// flagged touched. Advance re-derives the projections it names, and a
+// replica moves a shard's generation exactly when it holds. touched is nil
+// or has one flag per shard.
+func ShardChanged(touched []bool, k, s int) bool {
+	return touched == nil || k == 1 || touched[s]
+}
+
+// Advance re-partitions onto nextUnion, rebuilding only the shards
+// ShardChanged names and carrying the previous projections for the rest —
+// the per-shard publication path: an ingest delta that touched two shards
+// re-indexes two projections, not K.
 func (ss *ShardedSnapshot) Advance(nextUnion *Snapshot, touched []bool) (*ShardedSnapshot, error) {
 	if touched == nil || ss.k == 1 {
-		return ShardSnapshot(nextUnion, ss.k)
+		return ShardSnapshot(nextUnion, ss.k) // every shard changed
 	}
 	if len(touched) != ss.k {
 		return nil, fmt.Errorf("ontology: Advance got %d touch flags for %d shards", len(touched), ss.k)
@@ -114,7 +124,7 @@ func (ss *ShardedSnapshot) Advance(nextUnion *Snapshot, touched []bool) (*Sharde
 	next := &ShardedSnapshot{union: nextUnion, k: ss.k, shards: make([]*Snapshot, ss.k), homeCount: make([]int, ss.k), grams: freshGramsBoxes(ss.k)}
 	var homes []int
 	for s := 0; s < ss.k; s++ {
-		if !touched[s] {
+		if !ShardChanged(touched, ss.k, s) {
 			next.shards[s] = ss.shards[s]
 			next.homeCount[s] = ss.homeCount[s]
 			next.grams[s] = ss.grams[s]

@@ -5,8 +5,9 @@ package serve
 // server (NewShard) changes: each delta.Batch goes through ingestBatch,
 // the replica's one apply path. Because delta mining is deterministic,
 // every replica of a shard that has consumed the same log prefix serves
-// the exact same projection at the exact same generation — which is what
-// lets the router treat replicas as interchangeable for reads and ack an
+// the exact same projection at the exact same generation — the log
+// position of the last batch that changed the shard — which is what lets
+// the router treat replicas as interchangeable for reads and ack an
 // ingest at a quorum of apply confirmations.
 //
 // The replica's progress is observable three ways, all fed from one
@@ -17,7 +18,7 @@ package serve
 //
 // Checkpointing bounds catch-up: every FollowerOptions.CheckpointEvery
 // applied generations the follower captures the host's full apply state
-// (union snapshot + opaque host blob + every shard's serving generation),
+// (union snapshot + opaque host blob + every shard's generation),
 // encodes it off the apply path, and publishes the fleet's GIANTCKP
 // artifact beside the log. A restarting replica of any shard walks the
 // recovery ladder — primary checkpoint, previous checkpoint, full replay
@@ -141,7 +142,7 @@ type FollowerOptions struct {
 	Logf func(format string, args ...any)
 	// Start is the hydrated checkpoint's log position and generation
 	// vector; the zero value is a fresh boot (position 0, every shard at
-	// generation 1). The follower tails only records past it.
+	// generation 0). The follower tails only records past it.
 	Start wal.CheckpointMeta
 	// CheckpointEvery rolls a new checkpoint artifact each time this
 	// many log generations have been applied since the last roll. 0
@@ -156,8 +157,8 @@ type Follower struct {
 	srv  *Server
 	opts FollowerOptions
 	ws   *walState
-	// gens[i] is shard i's serving generation at the consumed position;
-	// only the follower goroutine touches it.
+	// gens[i] is shard i's generation at the consumed position: the log
+	// position that last changed it. Only the follower goroutine touches it.
 	gens []uint64
 
 	// lastCkpt is the log position at which the last checkpoint roll was
@@ -170,7 +171,7 @@ type Follower struct {
 }
 
 // NewFollower attaches delta-log following to a per-shard server built
-// with NewShard/NewShardAt and a ShardIngest callback (the replica
+// with NewShard or HydrateShard and a ShardIngest callback (the replica
 // applies each batch through its own deterministic mining path, which is
 // what keeps replica generations identical across the fleet; the miner
 // behind it skips inference for clusters a batch left textually
@@ -191,7 +192,7 @@ func NewFollower(srv *Server, opts FollowerOptions) (*Follower, error) {
 	k := srv.cur.Load().proj.NumShards
 	gens := slices.Clone(opts.Start.ServingGens)
 	if len(gens) == 0 {
-		gens = slices.Repeat([]uint64{1}, k)
+		gens = make([]uint64, k)
 	}
 	if len(gens) != k {
 		return nil, fmt.Errorf("serve: follower start has %d serving generations for %d shards", len(gens), k)
@@ -293,9 +294,11 @@ func (f *Follower) apply(rec *wal.Record) {
 		result = errBody(codeInvalidArgument, "decode batch: "+err.Error())
 	} else {
 		var touched []bool
-		status, result, touched = f.srv.ingestBatch(batch)
-		if status == http.StatusOK {
-			f.advanceGens(touched)
+		status, result, touched = f.srv.ingestBatch(batch, rec.Gen)
+		for i := range f.gens {
+			if status == http.StatusOK && ontology.ShardChanged(touched, len(f.gens), i) {
+				f.gens[i] = rec.Gen
+			}
 		}
 	}
 	f.ws.advance(rec.Gen, status, result)
@@ -304,17 +307,6 @@ func (f *Follower) apply(rec *wal.Record) {
 			f.opts.Logf("wal: applied generation %d (day %d) -> serving generation %d", rec.Gen, rec.Day, f.srv.Generation())
 		} else {
 			f.opts.Logf("wal: generation %d rejected with status %d", rec.Gen, status)
-		}
-	}
-}
-
-// advanceGens bumps the serving generation of every shard an applied batch
-// republished: the ones it touched (nil: all), or at K=1 the one shard,
-// whose projection is the union itself (ontology.ShardedSnapshot.Advance).
-func (f *Follower) advanceGens(touched []bool) {
-	for i := range f.gens {
-		if touched == nil || len(f.gens) == 1 || (i < len(touched) && touched[i]) {
-			f.gens[i]++
 		}
 	}
 }
@@ -428,14 +420,19 @@ func (f *Follower) publishCheckpoint(ck *wal.Checkpoint) error {
 // from the newest one that fully validates: checkpoint CRCs and shard
 // count, GIANTBIN decode with the covered log position stamped, and the
 // host's CheckpointRestore must all succeed, otherwise the ladder falls
-// through. The server resumes at the artifact's serving generation for
-// shard, whichever replica published it. It returns the server plus the
-// artifact's header, the caller's FollowerOptions.Start. A nil server
-// means no usable checkpoint: the caller boots a fresh server and replays
-// the whole log, the ladder's final rung.
+// through. The server serves at the artifact's generation for shard (the
+// log position that last changed it), whichever replica published it. It
+// returns the server plus the artifact's header, the caller's
+// FollowerOptions.Start. A nil server means no usable checkpoint: the
+// caller boots a fresh server and replays the whole log, the ladder's
+// final rung. A shard outside [0, shards) is an error before any artifact
+// is read.
 func HydrateShard(walDir string, shard, shards int, opts Options, logf func(format string, args ...any)) (*Server, wal.CheckpointMeta, error) {
 	if opts.CheckpointRestore == nil {
 		return nil, wal.CheckpointMeta{}, errors.New("serve: HydrateShard needs Options.CheckpointRestore")
+	}
+	if shard < 0 || shard >= shards {
+		return nil, wal.CheckpointMeta{}, fmt.Errorf("serve: HydrateShard of shard %d in a %d-shard fleet", shard, shards)
 	}
 	for _, p := range []string{wal.CheckpointPath(walDir), wal.PrevCheckpointPath(walDir)} {
 		ck, err := wal.ReadCheckpoint(p, shards)
@@ -466,9 +463,9 @@ func HydrateShard(walDir string, shard, shards int, opts Options, logf func(form
 			continue
 		}
 		if logf != nil {
-			logf("wal: hydrated checkpoint %s (log generation %d, serving generation %d)", p, ck.WALGen, ck.ServingGens[shard])
+			logf("wal: hydrated checkpoint %s (log generation %d, shard generation %d)", p, ck.WALGen, ck.ServingGens[shard])
 		}
-		return NewShardAt(proj, ck.ServingGens[shard], opts), ck.CheckpointMeta, nil
+		return newShard(proj, ck.ServingGens[shard], opts), ck.CheckpointMeta, nil
 	}
 	return nil, wal.CheckpointMeta{}, nil
 }

@@ -24,6 +24,11 @@ package serve
 //   - TestFleetCheckpointHydratesEveryShard: the one fleet checkpoint,
 //     rolled by a replica of shard 0, boots a replica of shard 1 at its
 //     own shard's serving generation.
+//   - TestGenerationIsLastChangingLogPosition: every replica's generation
+//     is the log position of the last batch that changed its shard,
+//     through a rejected batch and a hydrating restart.
+//   - TestHydrateShardBounds: an out-of-range shard is an error, not a
+//     panic on the checkpoint's vector.
 //   - TestCheckpointRefusesDivergedGenerations: a follower whose own
 //     vector entry disagrees with its server publishes nothing.
 //   - TestIngestAppendFailure: a failed log append answers 503 with an
@@ -44,6 +49,7 @@ import (
 	"os"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -57,10 +63,20 @@ import (
 
 // detDelta derives a deterministic delta from a batch alone, so every
 // replica — including one rebuilt from scratch replaying the log — mines
-// the exact same outcome. Day 0 is the deterministic-rejection probe.
+// the exact same outcome. Day 0 is the deterministic-rejection probe. A
+// batch with clicks adds one concept per clicked query instead of the
+// day's concept and event (whose homes always differ at K=2), so that a
+// test can leave a shard untouched.
 func detDelta(b delta.Batch) (*delta.Delta, error) {
 	if b.Day == 0 {
 		return nil, fmt.Errorf("empty batch: %w", delta.ErrInvalidBatch)
+	}
+	if len(b.Clicks) > 0 {
+		d := &delta.Delta{Day: b.Day}
+		for _, c := range b.Clicks {
+			d.Add = append(d.Add, delta.NodeAdd{Type: ontology.Concept, Phrase: c.Query, Day: b.Day})
+		}
+		return d, nil
 	}
 	return &delta.Delta{Day: b.Day, Add: []delta.NodeAdd{
 		{Type: ontology.Concept, Phrase: fmt.Sprintf("hybrid sedans %d", b.Day), Day: b.Day},
@@ -157,21 +173,23 @@ func detShardedIngester(base *ontology.ShardedSnapshot) func(delta.Batch) (*onto
 // refWorld is the in-process reference the fleet tests compare with. A
 // whole-world server takes no write, so refWorld drives a deterministic
 // whole-world ingester directly, serves a fresh NewSharded over each
-// step's result, and derives the per-shard serving generations a fleet
-// must report by the rule Follower.advanceGens applies: shard i bumps when
-// the batch touched it, and the one shard always bumps at K=1.
+// step's result, and derives the per-shard generations a fleet must
+// report with its own copy of the rule (the oracle does not call
+// ontology.ShardChanged): each step is the next log position, and shard i
+// moves to it when the batch touched it, the one shard always at K=1.
 type refWorld struct {
 	*httptest.Server
 	t      *testing.T
 	ingest func(delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error)
 	opts   Options
 	srv    atomic.Pointer[Server]
-	gens   []uint64
+	pos    uint64   // log position of the last step
+	gens   []uint64 // gens[i]: the last step that changed shard i
 }
 
 func newRefWorld(t *testing.T, base *ontology.ShardedSnapshot, ingest func(delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error), opts Options) *refWorld {
 	t.Helper()
-	r := &refWorld{t: t, ingest: ingest, opts: opts, gens: slices.Repeat([]uint64{1}, base.NumShards())}
+	r := &refWorld{t: t, ingest: ingest, opts: opts, gens: make([]uint64, base.NumShards())}
 	r.srv.Store(NewSharded(base, opts))
 	r.Server = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		r.srv.Load().Handler().ServeHTTP(w, req)
@@ -183,9 +201,11 @@ func newRefWorld(t *testing.T, base *ontology.ShardedSnapshot, ingest func(delta
 // current is the server answering right now.
 func (r *refWorld) current() *Server { return r.srv.Load() }
 
-// step applies one JSON batch and serves the result. It returns the
-// touched_shards and shard_generations a fleet's ingest of the same batch
-// must answer, decoded from JSON so they compare with a router response.
+// step applies one JSON batch as the next log position and serves the
+// result. It returns the touched_shards and shard_generations a fleet's
+// ingest of the same batch must answer, decoded from JSON so they compare
+// with a router response. Every step must mirror one accepted fleet
+// ingest, in log order.
 func (r *refWorld) step(body string) map[string]any {
 	r.t.Helper()
 	var b delta.Batch
@@ -196,13 +216,14 @@ func (r *refWorld) step(body string) map[string]any {
 	if err != nil {
 		r.t.Fatalf("reference ingest %s: %v", body, err)
 	}
+	r.pos++
 	ts := []int{}
 	for i := range r.gens {
 		if i < len(touched) && touched[i] {
 			ts = append(ts, i)
 		}
 		if touched == nil || len(r.gens) == 1 || (i < len(touched) && touched[i]) {
-			r.gens[i]++
+			r.gens[i] = r.pos
 		}
 	}
 	r.srv.Store(NewSharded(next, r.opts))
@@ -906,6 +927,10 @@ func TestIngestBackpressure(t *testing.T) {
 	waitFor(t, 10*time.Second, "replica B to drain", func() bool {
 		return replicaWALGen(t, b) >= head
 	})
+	// The router learns B's position only from B's own responses, and the
+	// long polls of the earlier acks may still be in flight: its /healthz
+	// fan-out reads B at the head before the lag check runs.
+	getJSON(t, f.routerTS.Client(), f.routerTS.URL+"/healthz", 200)
 	postJSON(t, f.routerTS.Client(), f.routerTS.URL+"/v1/ingest", `{"day":14}`, 200)
 }
 
@@ -1034,9 +1059,9 @@ func TestCheckpointReplayEquivalence(t *testing.T) {
 			}
 			assertSame("after checkpointed restart")
 
-			// Generation continuity: the next ingest must mint the same
-			// serving generations on both sides (the hydrated store resumed
-			// the sequence, not restarted it).
+			// Generation continuity: the next ingest must report the same
+			// shard generations on both sides (the hydrated replica serves
+			// the artifact's vector entry, not 0).
 			ingest(17)
 			assertSame("after post-restart ingest")
 
@@ -1149,6 +1174,147 @@ func TestFleetCheckpointHydratesEveryShard(t *testing.T) {
 	}
 }
 
+// TestGenerationIsLastChangingLogPosition pins the one clock on a K=2
+// fleet with cadence checkpoints: every replica's generation, in /healthz
+// and in X-Giant-Generation alike, is the log position of the last batch
+// whose touched_shards named its shard (0 before any). A rejected batch
+// moves no shard, and a replica hydrated from a mid-run checkpoint
+// reports what its peer, which replayed the whole log, reports.
+func TestGenerationIsLastChangingLogPosition(t *testing.T) {
+	f := newCkptWALFixture(t, 2, 2, 4, RouterOptions{})
+	want := make([]uint64, 2) // want[s]: the last log position whose batch touched shard s
+	assertGens := func(stage string) {
+		t.Helper()
+		head := f.headGen()
+		for s, row := range f.procs {
+			for _, p := range row {
+				waitFor(t, 10*time.Second, fmt.Sprintf("shard %d replica %d to apply %d", s, p.idx, head), func() bool {
+					return replicaWALGen(t, p) >= head
+				})
+				resp, err := p.outer.Client().Get(p.outer.URL + "/healthz")
+				if err != nil {
+					t.Fatal(err)
+				}
+				var h struct {
+					Generation uint64 `json:"generation"`
+				}
+				err = json.NewDecoder(resp.Body).Decode(&h)
+				resp.Body.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if hdr := resp.Header.Get(genHeader); h.Generation != want[s] || hdr != strconv.FormatUint(want[s], 10) {
+					t.Fatalf("%s: shard %d replica %d at generation %d (header %q), want %d", stage, s, p.idx, h.Generation, hdr, want[s])
+				}
+			}
+		}
+	}
+	untouched := 0
+	// Odd days add a concept and an event, one homed on each shard; even
+	// days add one concept, which leaves the other shard untouched.
+	ingest := func(day int) {
+		t.Helper()
+		body := fmt.Sprintf(`{"day":%d}`, day)
+		if day%2 == 0 {
+			body = fmt.Sprintf(`{"day":%d,"clicks":[{"query":"gadget deals %d","doc_id":0,"clicks":1,"day":%d}]}`, day, day, day)
+		}
+		out := postJSON(t, f.routerTS.Client(), f.routerTS.URL+"/v1/ingest", body, 200)
+		pos := uint64(out["wal_generations"].([]any)[0].(float64))
+		touched := out["touched_shards"].([]any)
+		for _, s := range touched {
+			want[int(s.(float64))] = pos
+		}
+		untouched += 2 - len(touched)
+		assertGens(fmt.Sprintf("day %d at log position %d", day, pos))
+	}
+
+	assertGens("fresh fleet")
+	for day := 11; day <= 18; day++ {
+		ingest(day)
+	}
+	postJSON(t, f.routerTS.Client(), f.routerTS.URL+"/v1/ingest", `{"day":0}`, http.StatusUnprocessableEntity)
+	assertGens("after a rejected batch")
+	if untouched == 0 {
+		t.Fatal("every batch touched both shards: nothing checked that an untouched shard keeps its generation")
+	}
+	// The cadence rolls at 4 and then 8 (or 9, if the first publish was
+	// still in flight at 8). Day 18 at 8 left shard 0 untouched, so the
+	// artifact puts shard 0 at 7, below the position it covers.
+	var meta wal.CheckpointMeta
+	waitFor(t, 10*time.Second, "a cadence checkpoint covering day 18", func() bool {
+		var err error
+		meta, err = wal.ReadCheckpointMeta(wal.CheckpointPath(f.walDir))
+		return err == nil && meta.WALGen >= 8
+	})
+	if meta.ServingGens[0] != want[0] || want[0] >= meta.WALGen {
+		t.Fatalf("checkpoint %+v, want shard 0 at %d, below the covered position", meta, want[0])
+	}
+	// Below the checkpoint a replay from zero is impossible, so replica 0
+	// of each shard comes back only by hydrating it.
+	if err := f.rt.log.TruncateBelow(meta.WALGen); err != nil {
+		t.Fatalf("truncate below %d: %v", meta.WALGen, err)
+	}
+	for s := range f.procs {
+		f.restartReplica(t, f.procs[s][0])
+	}
+	assertGens("after the checkpointed restart")
+	ingest(19)
+	ingest(20)
+}
+
+// TestHydrateShardBounds: a shard outside [0, shards) is an error before
+// any artifact is read, not a panic on the generation vector; a shard in
+// range hydrates the same artifact at its own vector entry.
+func TestHydrateShardBounds(t *testing.T) {
+	base, err := ontology.ShardSnapshot(testOntology(0).Snapshot(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, blob, err := (&detShardHost{k: 2, cur: base}).save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var enc bytes.Buffer
+	if err := ontology.EncodeSnapshotBinary(&enc, snap, 3); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := wal.PublishCheckpoint(dir, &wal.Checkpoint{
+		CheckpointMeta: wal.CheckpointMeta{WALGen: 3, ServingGens: []uint64{3, 2}},
+		Snapshot:       enc.Bytes(),
+		State:          blob,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		shard   int
+		wantErr bool
+		wantGen uint64
+	}{
+		{shard: -1, wantErr: true},
+		{shard: 2, wantErr: true},
+		{shard: 0, wantGen: 3},
+		{shard: 1, wantGen: 2},
+	} {
+		host := &detShardHost{shard: tc.shard, k: 2, cur: base}
+		restored := false
+		opts := Options{CheckpointRestore: func(s *ontology.Snapshot, st []byte) (*ontology.ShardProjection, error) {
+			restored = true
+			return host.restore(s, st)
+		}}
+		srv, _, err := HydrateShard(dir, tc.shard, 2, opts, nil)
+		if tc.wantErr {
+			if err == nil || srv != nil || restored {
+				t.Fatalf("shard %d of 2: server %v, err %v, restored %v; want an error before any restore", tc.shard, srv, err, restored)
+			}
+			continue
+		}
+		if err != nil || srv == nil || srv.Generation() != tc.wantGen {
+			t.Fatalf("shard %d of 2: server %v, err %v; want generation %d", tc.shard, srv, err, tc.wantGen)
+		}
+	}
+}
+
 // TestCheckpointRefusesDivergedGenerations: a follower whose own entry of
 // the generation vector disagrees with its server publishes nothing and
 // says why — the other entries follow the same rule, so an artifact built
@@ -1166,7 +1332,7 @@ func TestCheckpointRefusesDivergedGenerations(t *testing.T) {
 		Dir:   dir,
 		Poll:  time.Millisecond,
 		Logf:  func(format string, args ...any) { logged.Store(fmt.Sprintf(format, args...), true) },
-		Start: wal.CheckpointMeta{ServingGens: []uint64{5, 1}}, // the server is at generation 1
+		Start: wal.CheckpointMeta{ServingGens: []uint64{5, 0}}, // the server is at generation 0
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,11 @@
 // does (§4 — document tagging, query conceptualization/rewriting, story
 // trees) plus operational endpoints (stats, search, metrics, health).
 //
+// A served state's generation is the fleet delta log's position of the
+// last applied batch that changed it (ontology.ShardChanged), so one
+// clock names every state: it is 0 until a batch changes the shard, and
+// on every frozen server.
+//
 // The server never serves from the mutable build-time *ontology.Ontology.
 // It holds an immutable *ontology.Snapshot — together with the taggers, the
 // query understander and a bounded LRU response cache derived from it — in
@@ -18,7 +23,7 @@
 //
 // Endpoints:
 //
-//	GET  /healthz           liveness + current generation
+//	GET  /healthz           liveness + current generation (log position)
 //	GET  /v1/stats          node/edge counts per type
 //	GET  /v1/node           node detail by ?id= or ?phrase=[&type=]
 //	GET  /v1/search         substring search over phrases and aliases
@@ -60,14 +65,12 @@ type Options struct {
 	// (NewShard), and only the attached delta-log Follower calls it: no
 	// server accepts direct writes. The host applies the batch through its
 	// full mining system and returns THIS shard's advanced projection plus
-	// the merged delta and the touched-shard flags. The server republishes
-	// — and bumps its generation — only when its own shard was touched; an
-	// untouched batch still refreshes the serving state (the union ID table
-	// may have shifted) without minting a new generation.
+	// the merged delta and the touched-shard flags (nil, or one per shard).
+	// The server's generation moves to the batch's log position only when
+	// ontology.ShardChanged says the batch changed its shard; an unchanged
+	// shard still refreshes its serving state (the union ID table may have
+	// shifted) and keeps its generation.
 	ShardIngest func(delta.Batch) (*ontology.ShardProjection, *delta.Delta, []bool, error)
-	// History bounds the retained generations /v1/stats lists under
-	// "generations"; 0 means ontology.DefaultRetention.
-	History int
 	// ConceptContext optionally enriches concept-tagger representations
 	// with the build's concept -> top clicked titles map.
 	ConceptContext map[string][]string
@@ -117,7 +120,9 @@ type state struct {
 	// Involve edges on every request.
 	storyEvents []*storytree.EventNode
 	// cache is the state's one response cache; it is dropped with the state.
-	cache    *lruOf[[]byte]
+	cache *lruOf[[]byte]
+	// gen is the log position of the last applied batch that changed this
+	// state's shard (0 before any such batch, and on a frozen server).
 	gen      uint64
 	loadedAt time.Time
 	// shards is the whole-world server's sharded view (K=1 under New) and
@@ -139,8 +144,7 @@ type state struct {
 type Server struct {
 	opts      Options
 	cur       atomic.Pointer[state]
-	store     *ontology.Store // generation counter and retained history (/v1/stats)
-	swapMu    sync.Mutex      // serializes publishes; readers never take it
+	swapMu    sync.Mutex // serializes publishes; readers never take it
 	metrics   *metricsRegistry
 	mux       *http.ServeMux
 	enc       storytree.Encoder
@@ -169,7 +173,6 @@ func newServer(opts Options) *Server {
 	}
 	s := &Server{
 		opts:    opts,
-		store:   ontology.NewStore(opts.History),
 		metrics: newMetricsRegistry(endpointNames),
 		enc:     storytree.NewBagOfTokensEncoder(16, nil),
 		story:   storytree.DefaultOptions(),
@@ -197,7 +200,7 @@ func New(snap *ontology.Snapshot, opts Options) *Server {
 // router with a delta log in front of per-shard replicas.
 func NewSharded(ss *ontology.ShardedSnapshot, opts Options) *Server {
 	s := newServer(opts)
-	st := s.buildState(ss.Union(), s.store.Push(ss.Union()))
+	st := s.buildState(ss.Union(), 0)
 	st.shards = ss
 	s.cur.Store(st)
 	s.routes()
@@ -217,34 +220,23 @@ func NewSharded(ss *ontology.ShardedSnapshot, opts Options) *Server {
 // union-exact responses, while the plain endpoints keep answering from
 // the projection alone for standalone inspection.
 func NewShard(p *ontology.ShardProjection, opts Options) *Server {
-	return NewShardAt(p, 1, opts)
+	return newShard(p, 0, opts)
 }
 
-// NewShardAt builds a per-shard-process Server whose initial publish
-// mints serving generation gen instead of 1 — the checkpoint-boot seam.
-// Generation numbers are part of the replicated contract
-// (X-Giant-Generation, cache keys, the router's cross-replica identity
-// checks), so a replica hydrated from a checkpoint must resume the
-// exact generation sequence a full log replay would have produced.
-func NewShardAt(p *ontology.ShardProjection, gen uint64, opts Options) *Server {
+// newShard is NewShard serving p at generation since: the log position
+// that last changed the shard, which HydrateShard reads from the
+// checkpoint it boots.
+func newShard(p *ontology.ShardProjection, since uint64, opts Options) *Server {
 	s := newServer(opts)
 	s.shardMode = true
-	if gen > 1 {
-		// The store is freshly built and empty; seeding cannot fail.
-		if err := s.store.SeedGeneration(gen - 1); err != nil {
-			panic(err)
-		}
-	}
-	s.swapMu.Lock()
-	s.publishShardLocked(p, true)
-	s.swapMu.Unlock()
+	s.publishShardLocked(p, since) // not reachable yet: no lock needed
 	s.routes()
 	return s
 }
 
 // buildState indexes one snapshot into a full serving state (taggers,
-// understander, fresh cache). A publish calls it under swapMu; NewSharded,
-// which publishes once before the server is reachable, needs no lock.
+// understander, fresh cache). A publish calls it under swapMu; the
+// constructors, which publish before the server is reachable, need no lock.
 func (s *Server) buildState(snap *ontology.Snapshot, gen uint64) *state {
 	conceptCtx := s.opts.ConceptContext
 	if s.opts.ConceptContextFn != nil {
@@ -262,23 +254,14 @@ func (s *Server) buildState(snap *ontology.Snapshot, gen uint64) *state {
 	}
 }
 
-// publishShardLocked publishes a per-shard serving state: a republish
-// pushes the projection into the generation store (minting a new
-// generation), while republish=false refreshes the state — fresh union-ID
-// table, fresh cache — under the CURRENT generation, which is how an
-// ingest that left this shard untouched keeps its generation while still
-// tracking union renumbering. The caller holds swapMu.
-func (s *Server) publishShardLocked(p *ontology.ShardProjection, republish bool) uint64 {
-	var gen uint64
-	if republish {
-		gen = s.store.Push(p.Snap)
-	} else if cur := s.cur.Load(); cur != nil {
-		gen = cur.gen
-	}
+// publishShardLocked publishes a per-shard serving state at generation
+// gen: a fresh union-ID table and a fresh cache every time, so an ingest
+// that left this shard unchanged still tracks union renumbering under its
+// unchanged generation. The caller holds swapMu.
+func (s *Server) publishShardLocked(p *ontology.ShardProjection, gen uint64) {
 	st := s.buildState(p.Snap, gen)
 	st.proj = p
 	s.cur.Store(st)
-	return gen
 }
 
 // Current returns the snapshot serving right now.
@@ -292,8 +275,8 @@ func (s *Server) ShardProjection() *ontology.ShardProjection {
 	return s.cur.Load().proj
 }
 
-// Generation returns the current snapshot generation (1 for the initial
-// snapshot, +1 per publish).
+// Generation returns the serving generation: the log position of the last
+// applied batch that changed this server's shard, 0 before any.
 func (s *Server) Generation() uint64 {
 	return s.cur.Load().gen
 }
@@ -405,22 +388,6 @@ func (s *Server) handleHealthz(st *state, r *http.Request) (int, any) {
 	return http.StatusOK, resp
 }
 
-// genSummary is the wire form of one retained generation.
-type genSummary struct {
-	Generation uint64 `json:"generation"`
-	Nodes      int    `json:"nodes"`
-	Edges      int    `json:"edges"`
-}
-
-func (s *Server) generations() []genSummary {
-	gens := s.store.Generations()
-	out := make([]genSummary, 0, len(gens))
-	for _, g := range gens {
-		out = append(out, genSummary{Generation: g.Gen, Nodes: g.Nodes, Edges: g.Edges})
-	}
-	return out
-}
-
 // shardSummary is the wire form of one shard's serving state: its
 // per-shard generation plus the projection's home-node and stored-edge
 // counts (a cross-shard edge is stored on both endpoint shards).
@@ -440,7 +407,6 @@ func (s *Server) handleStats(st *state, r *http.Request) (int, any) {
 		"edges":              st.snap.EdgeCount(),
 		"nodes_by_type":      stats.NodesByType,
 		"edges_by_type":      stats.EdgesByType,
-		"generations":        s.generations(),
 		"max_search_results": s.opts.MaxSearchResults,
 	}
 	if st.proj == nil {
@@ -696,16 +662,16 @@ func (s *Server) handleIngest(st *state, r *http.Request) (int, any) {
 		"this server accepts no direct ingest: restart it on a new artifact, or run a delta-log fleet (giantd -shard i/k -build -wal behind giantrouter -wal)")
 }
 
-// ingestBatch applies one decoded batch to a per-shard replica and
-// publishes the result; the replica's delta-log Follower is its only
-// caller. It holds the swap lock across compute + publish so applies and
-// publishes happen in the same order (readers never take this lock). The
-// replica republishes — and mints a generation — only when the delta
-// touched its shard (or the served projection diverged from the one
-// serving right now); an untouched batch still refreshes the state so
-// union IDs stay current. Alongside the status and response it returns the
-// delta's touched-shard flags (nil unless the batch applied).
-func (s *Server) ingestBatch(batch delta.Batch) (int, any, []bool) {
+// ingestBatch applies the decoded batch at log position pos to a
+// per-shard replica and publishes the result; the replica's delta-log
+// Follower is its only caller. It holds the swap lock across compute +
+// publish so applies and publishes happen in the same order (readers
+// never take this lock). The generation moves to pos only when
+// ontology.ShardChanged says the batch changed this shard; an unchanged
+// shard still refreshes its state so union IDs stay current. Alongside the
+// status and response it returns the delta's touched-shard flags (nil
+// unless the batch applied).
+func (s *Server) ingestBatch(batch delta.Batch, pos uint64) (int, any, []bool) {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
 	st := s.cur.Load()
@@ -724,17 +690,19 @@ func (s *Server) ingestBatch(batch delta.Batch) (int, any, []bool) {
 			ts = append(ts, i)
 		}
 	}
-	republished := touched == nil ||
-		(proj.Shard < len(touched) && touched[proj.Shard]) ||
-		st.proj.Snap != proj.Snap
-	gen := s.publishShardLocked(proj, republished)
+	changed := ontology.ShardChanged(touched, proj.NumShards, proj.Shard)
+	gen := st.gen
+	if changed {
+		gen = pos
+	}
+	s.publishShardLocked(proj, gen)
 	resp := map[string]any{
 		"old_generation": st.gen,
 		"touched_shards": ts,
 		"generation":     gen,
-		"shards":         []shardWriteStatus{{Shard: proj.Shard, Generation: gen, Applied: republished}},
+		"shards":         []shardWriteStatus{{Shard: proj.Shard, Generation: gen, Applied: changed}},
 		"shard":          proj.Shard,
-		"republished":    republished,
+		"republished":    changed,
 		"home_nodes":     proj.HomeCount,
 		"nodes":          proj.Snap.NodeCount(),
 		"edges":          proj.Snap.EdgeCount(),

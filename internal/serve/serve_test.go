@@ -293,8 +293,8 @@ func TestConcurrentReadsDuringLogApply(t *testing.T) {
 	if n := server5xx.Load(); n > 0 {
 		t.Fatalf("%d requests returned 5xx during log applies", n)
 	}
-	if gen := getJSON(t, rep.Client(), rep.URL+"/healthz", 200)["generation"]; gen != float64(batches+1) {
-		t.Fatalf("replica generation = %v, want %d", gen, batches+1)
+	if gen := getJSON(t, rep.Client(), rep.URL+"/healthz", 200)["generation"]; gen != float64(batches) {
+		t.Fatalf("replica generation = %v, want %d", gen, batches)
 	}
 }
 
@@ -383,10 +383,9 @@ func postJSON(t *testing.T, c *http.Client, url, body string, want int) map[stri
 }
 
 // TestIngestLifecycle drives the live-update lifecycle end to end on a
-// fleet of one: ingest bumps the generation and serves the new node, the
-// replica's store keeps both generations visible in its /v1/stats, and bad
-// batches and failing ingesters answer their error codes. A whole-world
-// server takes no write.
+// fleet of one: ingest moves the generation to the batch's log position
+// and serves the new node, and bad batches and failing ingesters answer
+// their error codes. A whole-world server takes no write.
 func TestIngestLifecycle(t *testing.T) {
 	one, err := ontology.ShardSnapshot(testOntology(0).Snapshot(), 1)
 	if err != nil {
@@ -397,12 +396,12 @@ func TestIngestLifecycle(t *testing.T) {
 	replica, router := newFleetOfOne(t, srv)
 	c := router.Client()
 
-	if gen := getJSON(t, c, replica.URL+"/healthz", 200)["generation"]; gen != 1.0 {
+	if gen := getJSON(t, c, replica.URL+"/healthz", 200)["generation"]; gen != 0.0 {
 		t.Fatalf("replica boots at generation %v", gen)
 	}
 	batch := `{"day":12,"docs":[{"id":-1,"title":"fresh doc","category":0,"day":12}],"clicks":[]}`
 	out := postJSON(t, c, router.URL+"/v1/ingest", batch, 200)
-	if gens := out["shard_generations"]; !reflect.DeepEqual(gens, []any{2.0}) {
+	if gens := out["shard_generations"]; !reflect.DeepEqual(gens, []any{1.0}) {
 		t.Fatalf("ingest generations = %v", out)
 	}
 	dsum := out["delta"].(map[string]any)
@@ -413,11 +412,6 @@ func TestIngestLifecycle(t *testing.T) {
 	node := getJSON(t, c, router.URL+"/v1/node?phrase=fresh+concept+day+12&type=concept", 200)
 	if node["node"].(map[string]any)["phrase"] != "fresh concept day 12" {
 		t.Fatalf("node = %v", node)
-	}
-	// The replica's stats list both retained generations.
-	stats := getJSON(t, c, replica.URL+"/v1/stats", 200)
-	if gens := stats["generations"].([]any); len(gens) != 2 {
-		t.Fatalf("generations = %v", gens)
 	}
 
 	// Bad requests: malformed JSON and a batch the ingester rejects.

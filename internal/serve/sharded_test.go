@@ -47,7 +47,7 @@ func TestShardedStatsAndHealth(t *testing.T) {
 		if int(m["shard"].(float64)) != i {
 			t.Fatalf("shard order broken: %v", shards)
 		}
-		if m["generation"].(float64) != 1 {
+		if m["generation"].(float64) != 0 {
 			t.Fatalf("initial per-shard generation = %v", m["generation"])
 		}
 		sum += m["nodes"].(float64)

@@ -3,21 +3,23 @@
 // checkpoint and tails only the log suffix instead of re-mining the whole
 // history. Checkpoints are what make TruncateBelow safe — the router never
 // drops records that are not covered by the published checkpoint. Any
-// replica may write it: only the serving generations differ per shard, so
-// the header carries one per shard, and a replica of shard i resumes at
-// entry i.
+// replica may write it: only the generations differ per shard, so the
+// header carries one per shard, and a replica of shard i resumes at entry
+// i. A shard's generation is the log position of the last applied batch
+// that changed it, so no entry exceeds the covered position.
 //
 // Layout (all integers little-endian):
 //
 //	header (44 + 8k bytes)
 //	  0       magic "GIANTCKP"     (8 bytes)
-//	  8       format version       (uint32, currently 2)
+//	  8       format version       (uint32, currently 3)
 //	  12      shard count k        (uint32, 1..maxCheckpointShards)
 //	  16      wal generation       (uint64: log position this covers)
 //	  24      snapshot length      (uint64)
 //	  32      state length         (uint64)
-//	  40      serving generations  (k × uint64: shard i's server
-//	                                generation at that position)
+//	  40      shard generations    (k × uint64: shard i's since, the log
+//	                                position that last changed it, at
+//	                                most the wal generation)
 //	  40+8k   header CRC32C        (over bytes [0,40+8k))
 //	snapshot bytes (GIANTBIN union snapshot) + CRC32C (uint32)
 //	state bytes (opaque host blob)           + CRC32C (uint32)
@@ -52,8 +54,10 @@ import (
 // with.
 const CheckpointMagic = "GIANTCKP"
 
-// CheckpointVersion is the current checkpoint format version.
-const CheckpointVersion = 2
+// CheckpointVersion is the current checkpoint format version. Version 3
+// keeps version 2's layout, but its vector holds log positions; a version
+// 2 vector held per-replica counters and is refused.
+const CheckpointVersion = 3
 
 const (
 	// ckptFixedSize is the header prefix before the generation vector.
@@ -65,16 +69,16 @@ const (
 )
 
 // CheckpointMeta is the header view of an artifact: the log position it
-// covers and every shard's serving generation there. It is also where a
-// follower resumes; the zero value is a fresh boot at position 0.
+// covers and every shard's generation there. It is also where a follower
+// resumes; the zero value is a fresh boot at position 0.
 type CheckpointMeta struct {
 	WALGen      uint64   // last log generation whose effects are included
-	ServingGens []uint64 // ServingGens[i]: shard i's server generation at WALGen
+	ServingGens []uint64 // ServingGens[i]: the log position that last changed shard i, ≤ WALGen
 }
 
 // Checkpoint is one published artifact: the union snapshot in GIANTBIN
 // encoding plus an opaque host-state blob, stamped with the log position
-// it covers and the serving generations replicas resume at.
+// it covers and the shard generations replicas resume at.
 type Checkpoint struct {
 	CheckpointMeta
 	Snapshot []byte // GIANTBIN-encoded union snapshot
@@ -197,7 +201,8 @@ func PublishCheckpoint(dir string, ck *Checkpoint) error {
 // readCheckpointHeader validates the header at the start of r and
 // returns its fields plus the section lengths and the header size. The
 // shard count is bounded before the generation vector is read, so a
-// corrupt count allocates nothing.
+// corrupt count allocates nothing, and a vector entry past the covered
+// position is corrupt: no shard changes after the position it is read at.
 func readCheckpointHeader(r io.ReaderAt) (meta CheckpointMeta, snapLen, stateLen uint64, hdrLen int, err error) {
 	var fixed [ckptFixedSize]byte
 	if _, err := io.ReadFull(io.NewSectionReader(r, 0, ckptFixedSize), fixed[:]); err != nil {
@@ -231,6 +236,9 @@ func readCheckpointHeader(r io.ReaderAt) (meta CheckpointMeta, snapLen, stateLen
 	meta.ServingGens = make([]uint64, k)
 	for i := range meta.ServingGens {
 		meta.ServingGens[i] = binary.LittleEndian.Uint64(hdr[ckptFixedSize+8*i:])
+		if meta.ServingGens[i] > meta.WALGen {
+			return meta, 0, 0, 0, fmt.Errorf("%w: checkpoint puts shard %d at log generation %d, past the %d it covers", ErrCorrupt, i, meta.ServingGens[i], meta.WALGen)
+		}
 	}
 	return meta, snapLen, stateLen, hdrLen, nil
 }

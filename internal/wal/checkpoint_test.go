@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -14,11 +15,11 @@ import (
 )
 
 // sampleCheckpoint is an artifact for a k-shard fleet with distinct
-// serving generations per shard.
+// generations per shard, each at or below the covered position.
 func sampleCheckpoint(k int) *Checkpoint {
 	gens := make([]uint64, k)
 	for i := range gens {
-		gens[i] = uint64(9 + i)
+		gens[i] = uint64(7 - i)
 	}
 	return &Checkpoint{
 		CheckpointMeta: CheckpointMeta{WALGen: 7, ServingGens: gens},
@@ -38,8 +39,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadCheckpoint: %v", err)
 	}
-	if got.WALGen != 7 || !reflect.DeepEqual(got.ServingGens, []uint64{9, 10}) {
-		t.Fatalf("generations = %d/%v, want 7/[9 10]", got.WALGen, got.ServingGens)
+	if got.WALGen != 7 || !reflect.DeepEqual(got.ServingGens, []uint64{7, 6}) {
+		t.Fatalf("generations = %d/%v, want 7/[7 6]", got.WALGen, got.ServingGens)
 	}
 	if !bytes.Equal(got.Snapshot, ck.Snapshot) || !bytes.Equal(got.State, ck.State) {
 		t.Fatal("sections did not round-trip byte-identical")
@@ -60,7 +61,7 @@ func TestCheckpointRotation(t *testing.T) {
 		t.Fatalf("publish first: %v", err)
 	}
 	second := sampleCheckpoint(2)
-	second.WALGen, second.ServingGens = 12, []uint64{14, 11}
+	second.WALGen, second.ServingGens = 12, []uint64{12, 9}
 	if err := PublishCheckpoint(dir, second); err != nil {
 		t.Fatalf("publish second: %v", err)
 	}
@@ -127,9 +128,10 @@ func TestCheckpointShardCountBound(t *testing.T) {
 
 // TestCheckpointBitFlipMatrix mirrors the WAL corruption matrix: a bit
 // flip in every region of the artifact (magic, version, header fields,
-// the first and last serving generation, snapshot payload, snapshot CRC,
+// the first and last shard generation, snapshot payload, snapshot CRC,
 // state payload, state CRC) must be rejected with a typed error — never
-// silently accepted.
+// silently accepted. So must a shard generation past the covered
+// position under a valid header CRC.
 func TestCheckpointBitFlipMatrix(t *testing.T) {
 	for _, k := range []int{1, 3} {
 		dir := t.TempDir()
@@ -153,8 +155,8 @@ func TestCheckpointBitFlipMatrix(t *testing.T) {
 			{"wal-gen", 16},
 			{"snap-len", 24},
 			{"state-len", 32},
-			{"first-serving-gen", ckptFixedSize},
-			{"last-serving-gen", ckptFixedSize + 8*(k-1)},
+			{"first-shard-gen", ckptFixedSize},
+			{"last-shard-gen", ckptFixedSize + 8*(k-1)},
 			{"header-crc", hdr - ckptTrailSize},
 			{"snapshot-payload", hdr + 3},
 			{"snapshot-crc", snapEnd},
@@ -171,6 +173,16 @@ func TestCheckpointBitFlipMatrix(t *testing.T) {
 			if _, err := ReadCheckpoint(p, k); err == nil {
 				t.Fatalf("k=%d: bit flip in %s (offset %d) was accepted", k, rg.name, rg.off)
 			}
+		}
+		past := append([]byte(nil), clean...)
+		binary.LittleEndian.PutUint64(past[ckptFixedSize+8*(k-1):], ck.WALGen+1)
+		binary.LittleEndian.PutUint32(past[hdr-ckptTrailSize:], crc32.Checksum(past[:hdr-ckptTrailSize], crcTable))
+		p := filepath.Join(t.TempDir(), "past.ckpt")
+		if err := os.WriteFile(p, past, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadCheckpoint(p, k); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("k=%d: a shard generation past the covered position: err = %v, want ErrCorrupt", k, err)
 		}
 	}
 }
@@ -239,7 +251,7 @@ func TestPublishCheckpointNeverRegresses(t *testing.T) {
 	publish := func(walGen uint64) {
 		t.Helper()
 		ck := sampleCheckpoint(2)
-		ck.WALGen, ck.ServingGens = walGen, []uint64{walGen + 2, walGen + 1}
+		ck.WALGen, ck.ServingGens = walGen, []uint64{walGen, walGen - 1}
 		if err := PublishCheckpoint(dir, ck); err != nil {
 			t.Fatalf("publish generation %d: %v", walGen, err)
 		}
@@ -291,7 +303,7 @@ func TestPublishCheckpointConcurrentPublishers(t *testing.T) {
 				defer publishers.Done()
 				for _, g := range gens {
 					err := PublishCheckpoint(dir, &Checkpoint{
-						CheckpointMeta: CheckpointMeta{WALGen: g, ServingGens: []uint64{g + 1, g}},
+						CheckpointMeta: CheckpointMeta{WALGen: g, ServingGens: []uint64{g, g - 1}},
 						Snapshot:       payload, State: []byte("state"),
 					})
 					if err != nil {

@@ -7,8 +7,10 @@
 // monotonically increasing log generation (1, 2, 3, ...); every replica
 // of every shard applies the records in order through its own mining
 // system, which — because mining is deterministic — reproduces the exact
-// serving generations of every peer at the same log position. The header's
-// shard identity is checked on open; the fleet log is stamped 0 of 1.
+// projections of every peer at the same log position. A shard's serving
+// generation is itself a log generation: the last one that changed it.
+// The header's shard identity is checked on open; the fleet log is
+// stamped 0 of 1.
 //
 // Layout (all integers little-endian):
 //
