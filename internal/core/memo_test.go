@@ -56,17 +56,6 @@ func (f memoFixture) add(g *clickgraph.Graph, recs []synth.Record, hops int) []s
 	return g.AffectedQueries(queries, docIDs, hops)
 }
 
-// mineFixed is Mine/MineSeeds past the point where they differ —
-// how the clusters were enumerated. The tests walk the graph once and hand
-// the same clusters to every miner they compare: a random walk sums its
-// probabilities in map order, so two walks of one seed can order two
-// near-tied members differently in the last bit, which would fail a
-// comparison (and cost an exact reuse count) for reasons the memo has no
-// part in.
-func (m *Miner) mineFixed(g *clickgraph.Graph, clusters []clickgraph.Cluster) []Mined {
-	return m.normalize(m.mineClusters(g, clusters))
-}
-
 func (m *Miner) memoSlots() int {
 	m.memoMu.Lock()
 	defer m.memoMu.Unlock()
@@ -88,18 +77,17 @@ func TestMemoMatchesFreshMiner(t *testing.T) {
 		warm := f.miner(p)
 		g := clickgraph.New()
 		f.add(g, recs[:half], warm.Walk.Steps)
-		all := warm.clustersFor(g, g.Queries())
-		if !reflect.DeepEqual(warm.mineFixed(g, all), f.miner(p).mineFixed(g, all)) {
+		all := uint64(g.NumQueries()) // one cluster per query
+		if !reflect.DeepEqual(warm.Mine(g), f.miner(p).Mine(g)) {
 			t.Fatalf("P=%d: the first full mine diverges from a fresh miner's", p)
 		}
-		if reused, remined := warm.MemoStats(); reused != 0 || remined != uint64(len(all)) {
-			t.Fatalf("P=%d: a first mine of %d clusters reused %d and ran inference for %d", p, len(all), reused, remined)
+		if reused, remined := warm.MemoStats(); reused != 0 || remined != all {
+			t.Fatalf("P=%d: a first mine of %d clusters reused %d and ran inference for %d", p, all, reused, remined)
 		}
 		rest := recs[half:]
 		for s := 0; s < slices; s++ {
 			seeds := f.add(g, rest[s*len(rest)/slices:(s+1)*len(rest)/slices], warm.Walk.Steps)
-			clusters := warm.clustersFor(g, seeds)
-			if !reflect.DeepEqual(warm.mineFixed(g, clusters), f.miner(p).mineFixed(g, clusters)) {
+			if !reflect.DeepEqual(warm.MineSeeds(g, seeds), f.miner(p).MineSeeds(g, seeds)) {
 				t.Fatalf("P=%d slice %d: re-mining %d seeds on the warm miner diverges from a fresh miner's", p, s, len(seeds))
 			}
 			if n := warm.memoSlots(); n > g.NumQueries() {
@@ -107,8 +95,8 @@ func TestMemoMatchesFreshMiner(t *testing.T) {
 			}
 		}
 		reused, remined := warm.MemoStats()
-		if reused == 0 || remined == uint64(len(all)) {
-			t.Fatalf("P=%d: the replay reused %d clusters and re-mined %d after the first %d, so it did not test both sides of the memo", p, reused, remined-uint64(len(all)), len(all))
+		if reused == 0 || remined == all {
+			t.Fatalf("P=%d: the replay reused %d clusters and re-mined %d after the first %d, so it did not test both sides of the memo", p, reused, remined-all, all)
 		}
 
 		// The two entry points share the memo: each must agree with a
@@ -130,11 +118,11 @@ func TestMemoResultsDoNotAliasSlots(t *testing.T) {
 	g := clickgraph.New()
 	m := f.miner(1)
 	f.add(g, f.log.Records, m.Walk.Steps)
-	clusters := m.clustersFor(g, g.Queries())
-	want := f.miner(1).mineFixed(g, clusters)
+	n := uint64(g.NumQueries()) // clusters per mine
+	want := f.miner(1).Mine(g)
 	withEntities := 0
 	for round := 0; round < 3; round++ { // round 0 returns fresh results, later rounds memoized ones
-		got := m.mineFixed(g, clusters)
+		got := m.Mine(g)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: the result changed after the previous one was overwritten", round)
 		}
@@ -156,8 +144,8 @@ func TestMemoResultsDoNotAliasSlots(t *testing.T) {
 	if withEntities == 0 {
 		t.Fatal("no mined event carried entities, so slot aliasing went untested")
 	}
-	if reused, remined := m.MemoStats(); reused != 2*uint64(len(clusters)) || remined != uint64(len(clusters)) {
-		t.Fatalf("three mines of %d clusters reused %d and re-mined %d", len(clusters), reused, remined)
+	if reused, remined := m.MemoStats(); reused != 2*n || remined != n {
+		t.Fatalf("three mines of %d clusters reused %d and re-mined %d", n, reused, remined)
 	}
 }
 
@@ -169,8 +157,7 @@ func TestMemoDroppedWhenModelsChange(t *testing.T) {
 	f := memoEnv()
 	g := clickgraph.New()
 	f.add(g, f.log.Records, clickgraph.DefaultWalkConfig().Steps)
-	clusters := f.miner(1).clustersFor(g, g.Queries())
-	n := uint64(len(clusters))
+	n := uint64(g.NumQueries()) // clusters per mine
 
 	// Private models: this test retrains them.
 	train := f.world.EventExamples(10, 11)
@@ -186,7 +173,7 @@ func TestMemoDroppedWhenModelsChange(t *testing.T) {
 	}
 	lex := f.world.Lexicon
 	m := NewMiner(newPhrase(), newKeys(), lex)
-	m.mineFixed(g, clusters)
+	m.Mine(g)
 
 	steps := []struct {
 		name   string
@@ -207,7 +194,7 @@ func TestMemoDroppedWhenModelsChange(t *testing.T) {
 	for _, st := range steps {
 		st.change()
 		reused0, remined0 := m.MemoStats()
-		got := m.mineFixed(g, clusters)
+		got := m.Mine(g)
 		reused, remined := m.MemoStats()
 		wantReused, wantRemined := n, uint64(0)
 		if st.drops {
@@ -217,7 +204,7 @@ func TestMemoDroppedWhenModelsChange(t *testing.T) {
 			t.Fatalf("%s: reused %d and remined %d of %d clusters, want %d and %d",
 				st.name, reused-reused0, remined-remined0, n, wantReused, wantRemined)
 		}
-		if !reflect.DeepEqual(got, NewMiner(m.Phrase, m.Keys, m.Lex).mineFixed(g, clusters)) {
+		if !reflect.DeepEqual(got, NewMiner(m.Phrase, m.Keys, m.Lex).Mine(g)) {
 			t.Fatalf("%s: the result diverges from a fresh miner's over the same models", st.name)
 		}
 	}
@@ -227,13 +214,13 @@ func TestMemoDroppedWhenModelsChange(t *testing.T) {
 	own := nlp.NewLexicon()
 	m = NewMiner(NewPhraseModel(own, Options{Epochs: 1, Layers: 2, Fallback: true}), nil, own)
 	m.Phrase.Train(train)
-	m.mineFixed(g, clusters)
+	m.Mine(g)
 	own.Register("recall", nlp.PosVerb, nlp.NerNone)
-	got := m.mineFixed(g, clusters)
+	got := m.Mine(g)
 	if reused, remined := m.MemoStats(); reused != 0 || remined != 2*n {
 		t.Fatalf("after a lexicon registration: reused %d, remined %d; want 0 and %d", reused, remined, 2*n)
 	}
-	if !reflect.DeepEqual(got, NewMiner(m.Phrase, nil, own).mineFixed(g, clusters)) {
+	if !reflect.DeepEqual(got, NewMiner(m.Phrase, nil, own).Mine(g)) {
 		t.Fatal("after a lexicon registration the result diverges from a fresh miner's")
 	}
 }

@@ -21,14 +21,24 @@ func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 
 // Forward computes xW + b, caching x for Backward.
 func (d *Dense) Forward(x *Mat) *Mat {
+	return d.ForwardInto(NewMat(x.R, d.W.W.C), x)
+}
+
+// ForwardInto is Forward writing into out (x.R × out), which it returns.
+func (d *Dense) ForwardInto(out, x *Mat) *Mat {
 	d.x = x
-	return d.Infer(x)
+	return d.inferInto(out, x)
 }
 
 // Infer computes xW + b without caching x, so a trained layer can serve
 // concurrent inference calls.
 func (d *Dense) Infer(x *Mat) *Mat {
-	out := MatMul(x, d.W.W)
+	return d.inferInto(NewMat(x.R, d.W.W.C), x)
+}
+
+// inferInto is Infer writing into out (x.R × out), which it returns.
+func (d *Dense) inferInto(out, x *Mat) *Mat {
+	MatMulInto(out, x, d.W.W)
 	for i := 0; i < out.R; i++ {
 		row := out.Row(i)
 		for j := range row {
@@ -40,14 +50,22 @@ func (d *Dense) Infer(x *Mat) *Mat {
 
 // Backward accumulates parameter gradients and returns dL/dx.
 func (d *Dense) Backward(dOut *Mat) *Mat {
-	d.W.G.AddMat(MatMulTA(d.x, dOut))
+	return d.BackwardInto(NewMat(dOut.R, d.W.W.R), NewMat(d.W.W.R, d.W.W.C), dOut)
+}
+
+// BackwardInto is Backward writing dL/dx into dX (dOut.R × in), which it
+// returns; gW (in × out) is scratch for the weight gradient.
+func (d *Dense) BackwardInto(dX, gW, dOut *Mat) *Mat {
+	MatMulTAInto(gW, d.x, dOut)
+	d.W.G.AddMat(gW)
 	for i := 0; i < dOut.R; i++ {
 		row := dOut.Row(i)
 		for j := range row {
 			d.B.G.D[j] += row[j]
 		}
 	}
-	return MatMulTB(dOut, d.W.W)
+	MatMulTBInto(dX, dOut, d.W.W)
+	return dX
 }
 
 // Embedding is a lookup table of dense vectors.

@@ -4,45 +4,33 @@ import "math"
 
 // SoftmaxCE computes mean softmax cross-entropy over rows of logits against
 // integer labels, returning the loss and dLogits. Rows whose label is -1 are
-// masked out.
+// masked out. It is WeightedSoftmaxCE with every class weighing 1.
 func SoftmaxCE(logits *Mat, labels []int) (float64, *Mat) {
-	probs := logits.Clone()
-	SoftmaxRow(probs)
-	d := NewMat(logits.R, logits.C)
-	loss, n := 0.0, 0
-	for i := 0; i < logits.R; i++ {
-		y := labels[i]
-		if y < 0 {
-			continue
-		}
-		n++
-		p := probs.At(i, y)
-		if p < 1e-12 {
-			p = 1e-12
-		}
-		loss -= math.Log(p)
-		row := d.Row(i)
-		copy(row, probs.Row(i))
-		row[y] -= 1
-	}
-	if n == 0 {
-		return 0, d
-	}
-	inv := 1 / float64(n)
-	d.Scale(inv)
-	return loss * inv, d
+	return WeightedSoftmaxCE(logits, labels, nil)
 }
 
 // WeightedSoftmaxCE is SoftmaxCE with a per-class weight (for the heavily
 // imbalanced node-classification task: most QTIG nodes are negative).
+// Classes past the end of classWeight weigh 1.
 func WeightedSoftmaxCE(logits *Mat, labels []int, classWeight []float64) (float64, *Mat) {
-	probs := logits.Clone()
-	SoftmaxRow(probs)
 	d := NewMat(logits.R, logits.C)
+	return WeightedSoftmaxCEInto(d, logits, labels, classWeight), d
+}
+
+// WeightedSoftmaxCEInto is WeightedSoftmaxCE writing dLogits into d (the
+// shape of logits) and returning the loss.
+func WeightedSoftmaxCEInto(d, logits *Mat, labels []int, classWeight []float64) float64 {
+	if d.R != logits.R || d.C != logits.C {
+		panic("nn: WeightedSoftmaxCEInto shape mismatch")
+	}
+	copy(d.D, logits.D)
+	SoftmaxRow(d) // d holds the probabilities until each row is turned into its gradient
 	loss, wsum := 0.0, 0.0
-	for i := 0; i < logits.R; i++ {
+	for i := 0; i < d.R; i++ {
+		row := d.Row(i)
 		y := labels[i]
 		if y < 0 {
+			clear(row)
 			continue
 		}
 		w := 1.0
@@ -50,23 +38,22 @@ func WeightedSoftmaxCE(logits *Mat, labels []int, classWeight []float64) (float6
 			w = classWeight[y]
 		}
 		wsum += w
-		p := probs.At(i, y)
+		p := row[y]
 		if p < 1e-12 {
 			p = 1e-12
 		}
 		loss -= w * math.Log(p)
-		row := d.Row(i)
-		for j := 0; j < logits.C; j++ {
-			row[j] = w * probs.At(i, j)
+		for j := range row {
+			row[j] *= w
 		}
 		row[y] -= w
 	}
 	if wsum == 0 {
-		return 0, d
+		return 0
 	}
 	inv := 1 / wsum
 	d.Scale(inv)
-	return loss * inv, d
+	return loss * inv
 }
 
 // BCEWithLogits computes mean binary cross-entropy of scalar logits against

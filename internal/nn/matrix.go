@@ -98,61 +98,120 @@ func MatMulInto(out, a, b *Mat) {
 // matMulAcc accumulates A·B into out, which the caller has zeroed.
 func matMulAcc(out, a, b *Mat) {
 	for i := 0; i < a.R; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
+		MulRowAcc(out.Row(i), a.Row(i), b)
+	}
+}
+
+// MulRowAcc accumulates one row of A·B: out (len b.C) += a·B for a row a
+// (len b.R). Zero entries of a are skipped. MatMul is this kernel over every
+// row, so a caller that knows which rows of A can be nonzero may run it over
+// those rows only and get the same bits. Nonzero entries are taken two at a
+// time, each output adding the first product and then the second, so every
+// output sees the one-at-a-time sequence of additions.
+func MulRowAcc(out, a []float64, b *Mat) {
+	next := func(k int) int {
+		for k < len(a) && a[k] == 0 {
+			k++
 		}
+		return k
+	}
+	for k0 := next(0); k0 < len(a); {
+		a0, b0 := a[k0], b.Row(k0)[:len(out)]
+		k1 := next(k0 + 1)
+		if k1 == len(a) {
+			for j, bv := range b0 {
+				out[j] += a0 * bv
+			}
+			return
+		}
+		a1, b1 := a[k1], b.Row(k1)[:len(out)]
+		for j := range out {
+			out[j] = out[j] + a0*b0[j] + a1*b1[j]
+		}
+		k0 = next(k1 + 1)
 	}
 }
 
 // MatMulTA returns Aᵀ·B (A: k×r, B: k×c → r×c). Used for weight gradients.
 func MatMulTA(a, b *Mat) *Mat {
-	if a.R != b.R {
-		panic("nn: MatMulTA shape mismatch")
-	}
 	out := NewMat(a.C, b.C)
+	MatMulTAInto(out, a, b)
+	return out
+}
+
+// MatMulTAInto overwrites out (r×c) with Aᵀ·B, performing exactly the
+// floating-point operations of MatMulTA in the same order.
+func MatMulTAInto(out, a, b *Mat) {
+	if a.R != b.R || out.R != a.C || out.C != b.C {
+		panic(fmt.Sprintf("nn: MatMulTAInto %dx%d = (%dx%d)ᵀ · %dx%d", out.R, out.C, a.R, a.C, b.R, b.C))
+	}
+	out.Zero()
 	for k := 0; k < a.R; k++ {
-		arow := a.Row(k)
-		brow := b.Row(k)
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			orow := out.Row(i)
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
+		AddOuter(out, a.Row(k), b.Row(k))
+	}
+}
+
+// AddOuter accumulates the outer product aᵀ·b into out (len(a)×len(b)),
+// skipping zero entries of a. MatMulTA is this kernel over every row pair in
+// row order; an all-zero row of A contributes nothing and may be left out.
+func AddOuter(out *Mat, a, b []float64) {
+	for i, av := range a {
+		if av == 0 {
+			continue
+		}
+		orow := out.Row(i)[:len(b)]
+		for j, bv := range b {
+			orow[j] += av * bv
 		}
 	}
-	return out
 }
 
 // MatMulTB returns A·Bᵀ (A: r×k, B: c×k → r×c). Used for input gradients.
 func MatMulTB(a, b *Mat) *Mat {
-	if a.C != b.C {
-		panic("nn: MatMulTB shape mismatch")
-	}
 	out := NewMat(a.R, b.R)
-	for i := 0; i < a.R; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for j := 0; j < b.R; j++ {
-			brow := b.Row(j)
-			s := 0.0
-			for k, av := range arow {
-				s += av * brow[k]
-			}
-			orow[j] = s
-		}
-	}
+	MatMulTBInto(out, a, b)
 	return out
+}
+
+// MatMulTBInto overwrites out (r×c) with A·Bᵀ, performing exactly the
+// floating-point operations of MatMulTB in the same order.
+func MatMulTBInto(out, a, b *Mat) {
+	if a.C != b.C || out.R != a.R || out.C != b.R {
+		panic(fmt.Sprintf("nn: MatMulTBInto %dx%d = %dx%d · (%dx%d)ᵀ", out.R, out.C, a.R, a.C, b.R, b.C))
+	}
+	for i := 0; i < a.R; i++ {
+		MulRowTB(out.Row(i), a.Row(i), b)
+	}
+}
+
+// MulRowTB overwrites out (len b.R) with one row of A·Bᵀ: out[j] is the dot
+// product of a and row j of B, summed in index order from +0. Four outputs
+// share a pass over a, each with its own accumulator, so every sum is the
+// one a one-output loop would form.
+func MulRowTB(out, a []float64, b *Mat) {
+	if len(a) != b.C || len(out) != b.R {
+		panic("nn: MulRowTB shape mismatch")
+	}
+	j := 0
+	for ; j+4 <= b.R; j += 4 {
+		b0, b1, b2, b3 := b.Row(j)[:len(a)], b.Row(j + 1)[:len(a)], b.Row(j + 2)[:len(a)], b.Row(j + 3)[:len(a)]
+		var s0, s1, s2, s3 float64
+		for k, av := range a {
+			s0 += av * b0[k]
+			s1 += av * b1[k]
+			s2 += av * b2[k]
+			s3 += av * b3[k]
+		}
+		out[j], out[j+1], out[j+2], out[j+3] = s0, s1, s2, s3
+	}
+	for ; j < b.R; j++ {
+		brow := b.Row(j)[:len(a)]
+		s := 0.0
+		for k, av := range a {
+			s += av * brow[k]
+		}
+		out[j] = s
+	}
 }
 
 // XavierInit fills m with Glorot-uniform values from rng.
