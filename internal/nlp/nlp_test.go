@@ -17,6 +17,7 @@ func TestTokenizeBasic(t *testing.T) {
 		{"", nil},
 		{"   ", nil},
 		{"top 10 movies", []string{"top", "10", "movies"}},
+		{"bad \xff byte", []string{"bad", "\uFFFD", "byte"}},
 	}
 	for _, c := range cases {
 		got := Tokenize(c.in)

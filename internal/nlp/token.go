@@ -10,6 +10,7 @@ package nlp
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // POS is a coarse part-of-speech tag.
@@ -118,29 +119,36 @@ type Token struct {
 
 // Tokenize lower-cases s and splits it into word, number and punctuation
 // tokens. Hyphenated words are kept whole ("fuel-efficient") because the
-// synthetic lexicon treats them as single modifiers.
+// synthetic lexicon treats them as single modifiers. Tokens are substrings
+// of the lower-cased input; a byte that is not valid UTF-8 is a punctuation
+// token of its own, spelled as the replacement character "\uFFFD".
 func Tokenize(s string) []string {
 	s = strings.ToLower(s)
 	var out []string
-	var cur strings.Builder
-	flush := func() {
-		if cur.Len() > 0 {
-			out = append(out, cur.String())
-			cur.Reset()
+	start := -1 // byte offset of the word token being scanned, -1 between words
+	for i, r := range s {
+		if unicode.IsLetter(r) || unicode.IsDigit(r) || r == '-' || r == '\'' {
+			if start < 0 {
+				start = i
+			}
+			continue
+		}
+		if start >= 0 {
+			out = append(out, s[start:i])
+			start = -1
+		}
+		if unicode.IsSpace(r) {
+			continue
+		}
+		if r == utf8.RuneError {
+			out = append(out, "\uFFFD")
+		} else {
+			out = append(out, s[i:i+utf8.RuneLen(r)])
 		}
 	}
-	for _, r := range s {
-		switch {
-		case unicode.IsLetter(r) || unicode.IsDigit(r) || r == '-' || r == '\'':
-			cur.WriteRune(r)
-		case unicode.IsSpace(r):
-			flush()
-		default:
-			flush()
-			out = append(out, string(r))
-		}
+	if start >= 0 {
+		out = append(out, s[start:])
 	}
-	flush()
 	return out
 }
 

@@ -1,5 +1,7 @@
 package ontology
 
+import "iter"
+
 // Scope is the merge participant abstraction behind the union-exact
 // application endpoints (/v1/tag, /v1/query/rewrite, /v1/story). A scope is
 // a View plus two maps that let per-shard code extract *partial* candidate
@@ -22,9 +24,9 @@ package ontology
 //     projection's union-ID table.
 type Scope struct {
 	View View
-	// Home reports whether this scope owns the node (n.ID is the scope's
-	// local ID).
-	Home func(n *Node) bool
+	// Home reports whether this scope owns the node with the scope-local
+	// ID.
+	Home func(NodeID) bool
 	// UID maps a scope-local node ID to its union ID.
 	UID func(NodeID) NodeID
 }
@@ -33,7 +35,7 @@ type Scope struct {
 func UnionScope(v View) Scope {
 	return Scope{
 		View: v,
-		Home: func(*Node) bool { return true },
+		Home: func(NodeID) bool { return true },
 		UID:  func(id NodeID) NodeID { return id },
 	}
 }
@@ -43,7 +45,7 @@ func UnionScope(v View) Scope {
 func ProjectionScope(p *ShardProjection) Scope {
 	return Scope{
 		View: p.Snap,
-		Home: func(n *Node) bool { return p.IsHome(n.ID) },
+		Home: p.IsHome,
 		UID:  p.UnionID,
 	}
 }
@@ -57,7 +59,7 @@ func (s Scope) HomeNodes(t NodeType) []Node {
 	nodes := s.View.Nodes(t)
 	out := nodes[:0]
 	for i := range nodes {
-		if !s.Home(&nodes[i]) {
+		if !s.Home(nodes[i].ID) {
 			continue
 		}
 		nodes[i].ID = s.UID(nodes[i].ID)
@@ -75,13 +77,31 @@ func (s Scope) HomeNodes(t NodeType) []Node {
 	return out
 }
 
+// HomePhrases yields the tokenized phrases of the scope's home nodes of
+// type t in HomeNodes' order, each with its ID rewritten to the union ID.
+// It reads the view's PhraseTokens, so over a snapshot it tokenizes
+// nothing and copies no node: a request pays for its own scan only.
+func (s Scope) HomePhrases(t NodeType) iter.Seq[PhraseTokens] {
+	return func(yield func(PhraseTokens) bool) {
+		for _, p := range s.View.PhraseTokens(t) {
+			if !s.Home(p.ID) {
+				continue
+			}
+			p.ID = s.UID(p.ID)
+			if !yield(p) {
+				return
+			}
+		}
+	}
+}
+
 // FindHome resolves a (type, phrase) pair to a home node, with its ID
 // rewritten to the union ID. Exactly one scope of a partition resolves any
 // given pair, because canonical phrases are unique per type in the union.
 // The second return is the scope-local ID for edge traversal via the view.
 func (s Scope) FindHome(t NodeType, phrase string) (Node, NodeID, bool) {
 	n, ok := s.View.Find(t, phrase)
-	if !ok || !s.Home(&n) {
+	if !ok || !s.Home(n.ID) {
 		return Node{}, 0, false
 	}
 	local := n.ID

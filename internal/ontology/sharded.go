@@ -392,6 +392,9 @@ func (ss *ShardedSnapshot) Ancestors(id NodeID) []Node { return ss.union.Ancesto
 // Nodes returns a copy of all nodes (optionally filtered by type).
 func (ss *ShardedSnapshot) Nodes(types ...NodeType) []Node { return ss.union.Nodes(types...) }
 
+// PhraseTokens returns the union's tokenized phrases of type t.
+func (ss *ShardedSnapshot) PhraseTokens(t NodeType) []PhraseTokens { return ss.union.PhraseTokens(t) }
+
 // Edges returns a copy of all edges (optionally filtered by type).
 func (ss *ShardedSnapshot) Edges(types ...EdgeType) []Edge { return ss.union.Edges(types...) }
 

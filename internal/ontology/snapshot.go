@@ -49,6 +49,11 @@ type Snapshot struct {
 	// before the snapshot is shared, in which case the build is skipped.
 	gramsOnce sync.Once
 	grams     *TermGrams
+
+	// phraseToks holds each node type's tokenized phrases, built lazily by
+	// PhraseTokens the first time a tagging or query-understanding request
+	// reads that type.
+	phraseToks [NumNodeTypes]phraseTokensBox
 }
 
 // Snapshot returns an immutable snapshot of the ontology's current state.
@@ -590,9 +595,21 @@ func (s *Snapshot) Ancestors(id NodeID) []Node {
 	return out
 }
 
-// Nodes returns a copy of all nodes (optionally filtered by type).
+// Nodes returns a copy of all nodes (optionally filtered by type), in ID
+// order. One type copies just that type's nodes off its per-type list.
 func (s *Snapshot) Nodes(types ...NodeType) []Node {
-	return filterNodes(s.nodes, types)
+	if len(types) != 1 {
+		return filterNodes(s.nodes, types)
+	}
+	var ids []NodeID
+	if t := types[0]; t < NumNodeTypes {
+		ids = s.byType[t]
+	}
+	out := make([]Node, len(ids))
+	for i, id := range ids {
+		out[i] = s.nodes[id]
+	}
+	return out
 }
 
 // Edges returns a copy of all edges (optionally filtered by type).

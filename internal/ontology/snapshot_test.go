@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -58,6 +59,9 @@ func TestSnapshotMatchesOntologyReads(t *testing.T) {
 			if !reflect.DeepEqual(o.Nodes(nt), s.Nodes(nt)) {
 				t.Fatalf("seed %d: Nodes(%v) mismatch", seed, nt)
 			}
+			if !reflect.DeepEqual(o.PhraseTokens(nt), s.PhraseTokens(nt)) {
+				t.Fatalf("seed %d: PhraseTokens(%v) mismatch", seed, nt)
+			}
 		}
 		for et := EdgeType(0); et < NumEdgeTypes; et++ {
 			if o.EdgeCount(et) != s.EdgeCount(et) {
@@ -89,6 +93,27 @@ func TestSnapshotMatchesOntologyReads(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPhraseTokensConcurrentFirstUse has readers race to build a fresh
+// snapshot's lazy phrase tokens; every reader must see the one complete
+// list (run under -race).
+func TestPhraseTokensConcurrentFirstUse(t *testing.T) {
+	o := randomOntology(7)
+	s := o.Snapshot()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for nt := NodeType(0); nt < NumNodeTypes; nt++ {
+				if got := s.PhraseTokens(nt); !reflect.DeepEqual(got, o.PhraseTokens(nt)) {
+					t.Errorf("PhraseTokens(%v) = %+v", nt, got)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestSnapshotIsImmune checks that mutating the source ontology after the

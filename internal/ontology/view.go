@@ -22,6 +22,9 @@ type View interface {
 	Ancestors(id NodeID) []Node
 	// Nodes returns a copy of all nodes (optionally filtered by type).
 	Nodes(types ...NodeType) []Node
+	// PhraseTokens returns the tokenized phrases of the nodes of type t,
+	// in ID order.
+	PhraseTokens(t NodeType) []PhraseTokens
 	// Edges returns a copy of all edges (optionally filtered by type).
 	Edges(types ...EdgeType) []Edge
 	// NodeCount returns the number of nodes (optionally filtered by type).

@@ -80,31 +80,53 @@ func (t *TFIDF) Vector(tokens []string) map[string]float64 {
 // accumulated in sorted order so the float result is identical across
 // processes regardless of map iteration order.
 func Cosine(a, b map[string]float64) float64 {
-	var dot, na, nb float64
-	for _, k := range sortedKeys(a) {
-		v := a[k]
-		na += v * v
-		if w, ok := b[k]; ok {
-			dot += v * w
-		}
-	}
-	for _, k := range sortedKeys(b) {
-		v := b[k]
-		nb += v * v
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / math.Sqrt(na*nb)
+	return SortVector(a).Cosine(SortVector(b))
 }
 
-func sortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// Term is one weighted key of a Sorted vector.
+type Term struct {
+	Key    string
+	Weight float64
+}
+
+// Sorted is a sparse vector as key-sorted terms plus its squared norm, the
+// form Cosine compares: a vector compared many times is sorted once.
+type Sorted struct {
+	Terms []Term
+	Norm2 float64 // Σ w², summed in key order
+}
+
+// SortVector sorts a sparse vector's terms by key and sums its squared
+// norm in that order.
+func SortVector(m map[string]float64) Sorted {
+	v := Sorted{Terms: make([]Term, 0, len(m))}
+	for k, w := range m {
+		v.Terms = append(v.Terms, Term{k, w})
 	}
-	sort.Strings(keys)
-	return keys
+	sort.Slice(v.Terms, func(i, j int) bool { return v.Terms[i].Key < v.Terms[j].Key })
+	for _, t := range v.Terms {
+		v.Norm2 += t.Weight * t.Weight
+	}
+	return v
+}
+
+// Cosine is the cosine similarity of two sorted vectors: a merge join adds
+// the products of shared keys in ascending key order.
+func (a Sorted) Cosine(b Sorted) float64 {
+	if a.Norm2 == 0 || b.Norm2 == 0 {
+		return 0
+	}
+	var dot float64
+	j := 0
+	for _, t := range a.Terms {
+		for j < len(b.Terms) && b.Terms[j].Key < t.Key {
+			j++
+		}
+		if j < len(b.Terms) && b.Terms[j].Key == t.Key {
+			dot += t.Weight * b.Terms[j].Weight
+		}
+	}
+	return dot / math.Sqrt(a.Norm2*b.Norm2)
 }
 
 // Normalizer merges highly similar phrases into a single canonical node

@@ -66,10 +66,9 @@ func (u *Understander) Partial(scope ontology.Scope, query string) *Partial {
 	// union scan order.
 	bestPhrase, bestLen := "", 0
 	var bestID ontology.NodeID
-	for _, c := range scope.HomeNodes(ontology.Concept) {
-		cp := strings.Join(nlp.Tokenize(c.Phrase), " ")
-		if cp != "" && strings.Contains(padded, " "+cp+" ") && len(cp) > bestLen {
-			bestPhrase, bestLen, bestID = c.Phrase, len(cp), c.ID
+	for c := range scope.HomePhrases(ontology.Concept) {
+		if len(c.Norm) > bestLen && containsPhrase(padded, c.Norm) {
+			bestPhrase, bestLen, bestID = c.Phrase, len(c.Norm), c.ID
 		}
 	}
 	if bestLen > 0 {
@@ -95,9 +94,8 @@ func (u *Understander) Partial(scope ontology.Scope, query string) *Partial {
 	if ent, local, ok := scope.FindHome(ontology.Entity, qnorm); ok {
 		p.EntityExact = &EntityCand{ID: ent.ID, Phrase: ent.Phrase, Recs: u.recommendations(scope, local, ent.Phrase)}
 	}
-	for _, e := range scope.HomeNodes(ontology.Entity) {
-		ep := strings.Join(nlp.Tokenize(e.Phrase), " ")
-		if ep != "" && strings.Contains(padded, " "+ep+" ") {
+	for e := range scope.HomePhrases(ontology.Entity) {
+		if containsPhrase(padded, e.Norm) {
 			cand := &EntityCand{ID: e.ID, Phrase: e.Phrase}
 			if _, local, ok := scope.FindHome(ontology.Entity, e.Phrase); ok {
 				cand.Recs = u.recommendations(scope, local, e.Phrase)
@@ -107,6 +105,25 @@ func (u *Understander) Partial(scope ontology.Scope, query string) *Partial {
 		}
 	}
 	return p
+}
+
+// containsPhrase reports whether p is non-empty and padded contains
+// " "+p+" ", without building that needle: some occurrence of p sits
+// between two spaces.
+func containsPhrase(padded, p string) bool {
+	if p == "" {
+		return false
+	}
+	for i := 0; ; i++ {
+		j := strings.Index(padded[i:], p)
+		if j < 0 {
+			return false
+		}
+		i += j
+		if i > 0 && padded[i-1] == ' ' && i+len(p) < len(padded) && padded[i+len(p)] == ' ' {
+			return true
+		}
+	}
 }
 
 // recommendations lists correlated entity phrases for a home entity, sorted

@@ -55,30 +55,56 @@ func DefaultOptions() Options {
 	return Options{LinkThreshold: 1.2, RequireSharedEntityOrTrigger: true}
 }
 
-// Similarity is Eq. (8): s = fm + fg + fe.
+// Similarity is Eq. (8): s = fm + fg + fe. It scores one pair the way
+// Form scores every pair of the events it retrieves.
 func Similarity(a, b *EventNode, enc Encoder, tfidf *phrase.TFIDF) float64 {
-	return fm(a, b, enc) + fg(a, b, enc) + fe(a, b, tfidf)
+	return encode(a, enc, tfidf).similarity(encode(b, enc, tfidf))
+}
+
+// encoded is an event as Eq. (8) reads it: its phrase encoding, its trigger
+// word vector (nil without a trigger) and its entity-set TF-IDF vector.
+// Form encodes each retrieved event once and scores every pair from these.
+type encoded struct {
+	*EventNode
+	phrase   []float64
+	trigger  []float64
+	entities phrase.Sorted
+}
+
+func encode(e *EventNode, enc Encoder, tfidf *phrase.TFIDF) *encoded {
+	x := &encoded{EventNode: e, phrase: enc.PhraseVector(e.Phrase), entities: phrase.SortVector(tfidf.Vector(e.Entities))}
+	if e.Trigger != "" {
+		x.trigger = enc.WordVector(e.Trigger)
+	}
+	return x
+}
+
+// similarity is Eq. (8) over two encoded events. It is symmetric to the
+// bit: each term's products commute and its sums run in an order that does
+// not depend on which event comes first.
+func (a *encoded) similarity(b *encoded) float64 {
+	return a.fm(b) + a.fg(b) + a.fe(b)
 }
 
 // fm is Eq. (9): cosine similarity of phrase encodings.
-func fm(a, b *EventNode, enc Encoder) float64 {
-	return cos(enc.PhraseVector(a.Phrase), enc.PhraseVector(b.Phrase))
+func (a *encoded) fm(b *encoded) float64 {
+	return cos(a.phrase, b.phrase)
 }
 
 // fg is Eq. (10): cosine similarity of trigger word vectors.
-func fg(a, b *EventNode, enc Encoder) float64 {
+func (a *encoded) fg(b *encoded) float64 {
 	if a.Trigger == "" || b.Trigger == "" {
 		return 0
 	}
 	if a.Trigger == b.Trigger {
 		return 1
 	}
-	return cos(enc.WordVector(a.Trigger), enc.WordVector(b.Trigger))
+	return cos(a.trigger, b.trigger)
 }
 
 // fe is Eq. (11): TF-IDF similarity of the entity sets.
-func fe(a, b *EventNode, tfidf *phrase.TFIDF) float64 {
-	return phrase.Cosine(tfidf.Vector(a.Entities), tfidf.Vector(b.Entities))
+func (a *encoded) fe(b *encoded) float64 {
+	return a.entities.Cosine(b.entities)
 }
 
 // Tree is a story tree: a root story node whose branches are event chains.
@@ -123,15 +149,19 @@ func Form(seed *EventNode, candidates []*EventNode, enc Encoder, opt Options) *T
 	for _, e := range events {
 		tfidf.AddDoc(e.Entities)
 	}
-	// Pairwise similarity matrix.
+	// Pairwise similarity matrix; similarity is symmetric, so each pair is
+	// scored once.
 	n := len(events)
+	encs := make([]*encoded, n)
+	for i, e := range events {
+		encs[i] = encode(e, enc, tfidf)
+	}
 	sim := make([][]float64, n)
 	for i := range sim {
 		sim[i] = make([]float64, n)
-		for j := range sim[i] {
-			if i != j {
-				sim[i][j] = Similarity(events[i], events[j], enc, tfidf)
-			}
+		for j := 0; j < i; j++ {
+			sim[i][j] = encs[i].similarity(encs[j])
+			sim[j][i] = sim[i][j]
 		}
 	}
 	clusters := agglomerate(sim, opt.LinkThreshold)

@@ -58,8 +58,8 @@ func TestSimilarityComponents(t *testing.T) {
 		t.Fatalf("similar events %v <= dissimilar %v", sAB, sAC)
 	}
 	// Same trigger contributes the fg term fully.
-	if fg(a, b, e) != 1 {
-		t.Fatalf("fg same trigger = %v", fg(a, b, e))
+	if fg := encode(a, e, tf).fg(encode(b, e, tf)); fg != 1 {
+		t.Fatalf("fg same trigger = %v", fg)
 	}
 }
 
@@ -125,5 +125,43 @@ func TestEncoderProperties(t *testing.T) {
 	pv := e.PhraseVector("the known")
 	if pv[0] != 1 {
 		t.Fatalf("phrase vector = %v", pv)
+	}
+}
+
+// countingEncoder counts the encoder calls Form makes.
+type countingEncoder struct {
+	Encoder
+	phrase, word int
+}
+
+func (c *countingEncoder) PhraseVector(p string) []float64 {
+	c.phrase++
+	return c.Encoder.PhraseVector(p)
+}
+
+func (c *countingEncoder) WordVector(w string) []float64 {
+	c.word++
+	return c.Encoder.WordVector(w)
+}
+
+// TestFormEncodesEachEventOnce pins that Form encodes each retrieved event
+// once, not once per pair: one PhraseVector per retrieved event and one
+// WordVector per retrieved event with a trigger.
+func TestFormEncodesEachEventOnce(t *testing.T) {
+	events := pinnedEvents()
+	for _, seed := range events[:10] {
+		retrieved := Retrieve(seed, events, DefaultOptions())
+		triggers := 0
+		for _, e := range retrieved {
+			if e.Trigger != "" {
+				triggers++
+			}
+		}
+		enc := &countingEncoder{Encoder: NewBagOfTokensEncoder(16, nil)}
+		Form(seed, events, enc, DefaultOptions())
+		if len(retrieved) < 2 || enc.phrase != len(retrieved) || enc.word != triggers {
+			t.Fatalf("seed %q: %d retrieved (%d with a trigger), %d PhraseVector and %d WordVector calls",
+				seed.Phrase, len(retrieved), triggers, enc.phrase, enc.word)
+		}
 	}
 }

@@ -62,11 +62,18 @@ func (t *EventTagger) TagEvents(doc *Document) []Tag {
 
 // LCSLen is the longest-common-subsequence length between token sequences.
 func LCSLen(a, b []string) int {
+	return lcsLen(a, b, make([]int, 2*(len(b)+1)))
+}
+
+// lcsLen is LCSLen over caller-owned scratch of at least 2(len(b)+1) ints,
+// so scoring many phrases against one document allocates its rows once.
+func lcsLen(a, b []string, scratch []int) int {
 	if len(a) == 0 || len(b) == 0 {
 		return 0
 	}
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
+	prev, cur := scratch[:len(b)+1], scratch[len(b)+1:2*(len(b)+1)]
+	clear(prev)
+	clear(cur)
 	for i := 1; i <= len(a); i++ {
 		for j := 1; j <= len(b); j++ {
 			if a[i-1] == b[j-1] {
@@ -100,15 +107,28 @@ func NewDuet(seed int64) *Duet {
 	return d
 }
 
-// features builds the 4-d local+distributed feature vector.
-func (d *Duet) features(pToks, docToks []string) []float64 {
-	docSet := map[string]bool{}
+// duetDoc is a document encoded once for scoring many phrases against it:
+// its tokens, their set, their hashed embedding and the LCS rows.
+type duetDoc struct {
+	toks    []string
+	set     map[string]bool
+	emb     []float64
+	scratch []int
+}
+
+func (d *Duet) encodeDoc(docToks []string) *duetDoc {
+	set := map[string]bool{}
 	for _, t := range docToks {
-		docSet[t] = true
+		set[t] = true
 	}
+	return &duetDoc{toks: docToks, set: set, emb: hashEmbed(docToks, d.Dim), scratch: make([]int, 2*(len(docToks)+1))}
+}
+
+// features builds the 4-d local+distributed feature vector.
+func (d *Duet) features(pToks []string, doc *duetDoc) []float64 {
 	overlap, nonstop, covered := 0.0, 0.0, 0.0
 	for _, t := range pToks {
-		if docSet[t] {
+		if doc.set[t] {
 			overlap++
 			if !nlp.IsStopWord(t) {
 				covered++
@@ -123,14 +143,18 @@ func (d *Duet) features(pToks, docToks []string) []float64 {
 	if nonstop > 0 {
 		f2 = covered / nonstop
 	}
-	f3 := float64(LCSLen(pToks, docToks)) / float64(len(pToks))
-	f4 := nn.CosineSim(hashEmbed(pToks, d.Dim), hashEmbed(docToks, d.Dim))
+	f3 := float64(lcsLen(pToks, doc.toks, doc.scratch)) / float64(len(pToks))
+	f4 := nn.CosineSim(hashEmbed(pToks, d.Dim), doc.emb)
 	return []float64{f1, f2, f3, f4}
 }
 
 // Score returns the match probability.
 func (d *Duet) Score(pToks, docToks []string) float64 {
-	x := nn.NewMatFrom(1, 4, d.features(pToks, docToks))
+	return d.score(pToks, d.encodeDoc(docToks))
+}
+
+func (d *Duet) score(pToks []string, doc *duetDoc) float64 {
+	x := nn.NewMatFrom(1, 4, d.features(pToks, doc))
 	h := nn.ReLU(d.hidden.Forward(x))
 	z := d.out.Forward(h)
 	return nn.Sigmoid(z.At(0, 0))
@@ -138,7 +162,11 @@ func (d *Duet) Score(pToks, docToks []string) float64 {
 
 // Match applies a 0.5 decision threshold.
 func (d *Duet) Match(pToks, docToks []string) bool {
-	return d.Score(pToks, docToks) >= 0.5
+	return d.match(pToks, d.encodeDoc(docToks))
+}
+
+func (d *Duet) match(pToks []string, doc *duetDoc) bool {
+	return d.score(pToks, doc) >= 0.5
 }
 
 // DuetExample is a labelled (phrase, doc) pair for training.
@@ -161,7 +189,7 @@ func (d *Duet) Train(examples []DuetExample, epochs int, lr float64, seed int64)
 		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 		for _, i := range idx {
 			e := &examples[i]
-			x := nn.NewMatFrom(1, 4, d.features(e.Phrase, e.Doc))
+			x := nn.NewMatFrom(1, 4, d.features(e.Phrase, d.encodeDoc(e.Doc)))
 			pre := d.hidden.Forward(x)
 			h := nn.ReLU(pre)
 			z := d.out.Forward(h)

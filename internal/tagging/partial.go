@@ -250,25 +250,33 @@ func sortTags(tags []Tag) {
 
 // Partial scores the scope's home event and topic phrases against the
 // document, applying both the LCS threshold and the Duet matcher locally;
-// only surviving candidates cross the wire.
+// only surviving candidates cross the wire. Phrases arrive tokenized from
+// the scope's view, and the document is encoded for the matcher once, on
+// the first phrase that passes the threshold.
 func (t *EventTagger) Partial(scope ontology.Scope, doc *Document) []EventCand {
 	docToks := docString(doc)
+	scratch := make([]int, 2*(len(docToks)+1))
+	var enc *duetDoc
 	var out []EventCand
 	for _, typ := range []ontology.NodeType{ontology.Event, ontology.Topic} {
-		for _, node := range scope.HomeNodes(typ) {
-			pToks := nlp.Tokenize(node.Phrase)
-			if len(pToks) == 0 {
+		for p := range scope.HomePhrases(typ) {
+			if len(p.Tokens) == 0 {
 				continue
 			}
-			l := LCSLen(pToks, docToks)
-			norm := float64(l) / float64(len(pToks))
+			l := lcsLen(p.Tokens, docToks, scratch)
+			norm := float64(l) / float64(len(p.Tokens))
 			if norm < t.LCSThreshold {
 				continue
 			}
-			if t.Duet != nil && !t.Duet.Match(pToks, docToks) {
-				continue
+			if t.Duet != nil {
+				if enc == nil {
+					enc = t.Duet.encodeDoc(docToks)
+				}
+				if !t.Duet.match(p.Tokens, enc) {
+					continue
+				}
 			}
-			out = append(out, EventCand{Phrase: node.Phrase, Type: typ, Score: norm})
+			out = append(out, EventCand{Phrase: p.Phrase, Type: typ, Score: norm})
 		}
 	}
 	return out
