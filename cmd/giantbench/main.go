@@ -282,7 +282,7 @@ type catchupHost struct {
 	cur *ontology.ShardedSnapshot
 }
 
-func (h *catchupHost) ingest(b delta.Batch) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
+func (h *catchupHost) ingest(b delta.Batch, _ wal.Record) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
 	if b.Day <= 0 {
 		return nil, nil, nil, fmt.Errorf("empty batch: %w", delta.ErrInvalidBatch)
 	}

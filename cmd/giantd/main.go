@@ -109,7 +109,7 @@ func main() {
 		log.Fatal("-wal requires -shard i/k (a replica serves one shard)")
 	}
 	if *walDir != "" && !*build {
-		log.Fatal("-wal requires -build (a replica re-mines each batch through its own mining system)")
+		log.Fatal("-wal requires -build (a replica applies each batch through its own mining system)")
 	}
 	if *ckpt > 0 && *walDir == "" {
 		log.Printf("warning: -checkpoint-every only applies to delta-log replicas (-wal); ignoring it")
@@ -224,11 +224,12 @@ func runShard(in, addr string, build, tiny bool, cache int, grace time.Duration,
 		opts.ConceptContextFn = sys.ConceptContext
 		opts.Duet = sys.EventTagger().Duet
 		// The follower applies every log record through this process's own
-		// (deterministic) mining system, and the server's generation moves
-		// to the record's log position only when the delta touched ITS
-		// shard.
-		opts.ShardIngest = func(b delta.Batch) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
-			next, d, touched, err := sys.IngestSharded(b)
+		// (deterministic) apply path, mining the record only when no other
+		// replica has mined it first (the mined outcomes beside the log),
+		// and the server's generation moves to the record's log position
+		// only when the delta touched ITS shard.
+		opts.ShardIngest = func(b delta.Batch, rec wal.Record) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
+			next, d, touched, err := sys.IngestSharded(b, &wal.Outcome{Dir: walDir, Gen: rec.Gen, Payload: rec.Payload})
 			if err != nil {
 				return nil, nil, nil, err
 			}

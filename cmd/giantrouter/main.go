@@ -89,7 +89,7 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen address")
 		backends = flag.String("backends", "", "comma-separated per-shard giantd base URLs, in shard order (URL_i serves shard i)")
 		timeout  = flag.Duration("timeout", 5*time.Second, "per-backend read timeout")
-		writeTO  = flag.Duration("write-timeout", 2*time.Minute, "with -wal: the per-replica apply-confirmation timeout of ingest quorum waits (replicas re-mine per batch)")
+		writeTO  = flag.Duration("write-timeout", 2*time.Minute, "with -wal: the per-replica apply-confirmation timeout of ingest quorum waits (every replica applies every batch)")
 		failOpen = flag.Bool("fail-open", false, "serve partial fan-out results (marked \"partial\": true) instead of 503 when a shard is unreachable")
 		probe    = flag.Duration("probe", 2*time.Second, "background health-probe interval (0 disables)")
 		grace    = flag.Duration("grace", 5*time.Second, "graceful-shutdown drain timeout")

@@ -439,14 +439,11 @@ func (sys *System) eventsForCPD() []phrase.EventForCPD {
 }
 
 // entityNameOfToken resolves a single token to the full entity name
-// containing it (entity names are multi-token).
+// containing it (entity names are multi-token), through the world's
+// token index; a token no entity name holds resolves to itself.
 func entityNameOfToken(w *synth.World, tok string) string {
-	for _, e := range w.Entities {
-		for _, t := range nlp.Tokenize(e.Name) {
-			if t == tok {
-				return e.Name
-			}
-		}
+	if name, ok := w.EntityNameOfToken(tok); ok {
+		return name
 	}
 	return tok
 }

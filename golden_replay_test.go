@@ -156,7 +156,7 @@ func TestGoldenIngestReplay(t *testing.T) {
 				var snap *ontology.Snapshot
 				var d *delta.Delta
 				if mode.shards > 1 {
-					ss, dd, _, err := sys.IngestSharded(b)
+					ss, dd, _, err := sys.IngestSharded(b, nil)
 					if err != nil {
 						t.Fatalf("batch %d: %v", i, err)
 					}

@@ -7,13 +7,16 @@ package giant
 // batch pipeline.
 
 import (
+	"encoding/json"
 	"fmt"
+	"slices"
 
 	"giant/internal/core"
 	"giant/internal/delta"
 	"giant/internal/linking"
 	"giant/internal/ontology"
 	"giant/internal/synth"
+	"giant/internal/wal"
 )
 
 // Ingest applies one incremental update batch: it extends the click graph
@@ -36,7 +39,7 @@ import (
 func (sys *System) Ingest(batch delta.Batch) (*ontology.Snapshot, *delta.Delta, error) {
 	sys.ingestMu.Lock()
 	defer sys.ingestMu.Unlock()
-	return sys.ingestLocked(sys.Ontology.Snapshot(), batch)
+	return sys.ingestLocked(sys.Ontology.Snapshot(), batch, nil)
 }
 
 // IngestSharded is Ingest for a sharded deployment (Cfg.Shards > 1): the
@@ -47,7 +50,13 @@ func (sys *System) Ingest(batch delta.Batch) (*ontology.Snapshot, *delta.Delta, 
 // touched-shard flags (the serving tier bumps only the touched shards'
 // generations). The union is byte-identical to what Ingest produces for the
 // same batch sequence, node IDs included.
-func (sys *System) IngestSharded(batch delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error) {
+//
+// share, when not nil, is the batch's slot in the fleet's mined outcomes
+// beside the delta log: the batch's mined attentions come from the
+// replica that mined it first, or are mined here and published for the
+// others. Either way every output byte is what mining the batch here
+// would give.
+func (sys *System) IngestSharded(batch delta.Batch, share *wal.Outcome) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error) {
 	sys.ingestMu.Lock()
 	defer sys.ingestMu.Unlock()
 
@@ -55,7 +64,7 @@ func (sys *System) IngestSharded(batch delta.Batch) (*ontology.ShardedSnapshot, 
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	union, d, err := sys.ingestLocked(cur.Union(), batch)
+	union, d, err := sys.ingestLocked(cur.Union(), batch, share)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -69,16 +78,28 @@ func (sys *System) IngestSharded(batch delta.Batch) (*ontology.ShardedSnapshot, 
 	return next, d, touched, nil
 }
 
+// minedOutcome is the JSON body of a shared mined outcome: the mined
+// attentions of one batch, with the guards a replica checks before it
+// applies them instead of mining — the seed baseline (as in
+// checkpointState) and the seeds they were mined from.
+type minedOutcome struct {
+	SeedDocs int          `json:"seed_docs"`
+	SeedRecs int          `json:"seed_recs"`
+	Seeds    []string     `json:"seeds"`
+	Mined    []core.Mined `json:"mined"`
+}
+
 // ingestLocked is the one compute path of an update batch, shared by Ingest
-// and IngestSharded: extend the click graph, re-mine the affected seeds,
-// diff against cur (the snapshot of the system's current ontology), apply,
-// adopt. Caller holds ingestMu.
-func (sys *System) ingestLocked(cur *ontology.Snapshot, batch delta.Batch) (*ontology.Snapshot, *delta.Delta, error) {
+// and IngestSharded: extend the click graph, mine the affected seeds (or
+// take what another replica mined from them, see minedLocked), diff against
+// cur (the snapshot of the system's current ontology), apply, adopt. Caller
+// holds ingestMu.
+func (sys *System) ingestLocked(cur *ontology.Snapshot, batch delta.Batch, share *wal.Outcome) (*ontology.Snapshot, *delta.Delta, error) {
 	seeds, day, err := sys.applyBatchLocked(batch)
 	if err != nil {
 		return nil, nil, err
 	}
-	mined := sys.Miner.MineSeeds(sys.Click, seeds)
+	mined := sys.minedLocked(seeds, share)
 	d := delta.Compute(cur, mined, seeds, day, sys.updatePolicy(), sys.deltaSource())
 	next, err := delta.Apply(cur, d)
 	if err != nil {
@@ -90,6 +111,32 @@ func (sys *System) ingestLocked(cur *ontology.Snapshot, batch delta.Batch) (*ont
 	// ShardedSnapshot call re-derives it.
 	sys.sharded = nil
 	return next, d, nil
+}
+
+// minedLocked returns the mined attentions of seeds. A shared outcome is
+// used only when it was mined on this system's seed baseline from exactly
+// these seeds; the share has already matched the log position and payload.
+// Anything else is mined here, and published when this caller holds the
+// claim. Caller holds ingestMu.
+func (sys *System) minedLocked(seeds []string, share *wal.Outcome) []core.Mined {
+	if share == nil {
+		return sys.Miner.MineSeeds(sys.Click, seeds)
+	}
+	body, claimed := share.Take()
+	if body != nil {
+		var out minedOutcome
+		if json.Unmarshal(body, &out) == nil && out.SeedDocs == sys.seedDocs && out.SeedRecs == sys.seedRecs && slices.Equal(out.Seeds, seeds) {
+			return out.Mined
+		}
+	}
+	mined := sys.Miner.MineSeeds(sys.Click, seeds)
+	if claimed {
+		// Marshalling strings, ints and bools cannot fail, and a failed
+		// publish only costs the other replicas their own mining.
+		body, _ := json.Marshal(&minedOutcome{SeedDocs: sys.seedDocs, SeedRecs: sys.seedRecs, Seeds: seeds, Mined: mined})
+		_ = share.Publish(body)
+	}
+	return mined
 }
 
 // applyBatchLocked validates one update batch and, only when it is valid

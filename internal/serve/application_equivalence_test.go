@@ -33,6 +33,7 @@ import (
 
 	"giant/internal/delta"
 	"giant/internal/ontology"
+	"giant/internal/wal"
 )
 
 // randomAppCorpus builds a seed-pinned ontology with the full application
@@ -378,7 +379,7 @@ func TestApplicationEquivalenceIngestReplay(t *testing.T) {
 				lineage := ss
 				shard := i
 				back := NewShard(ss.Projection(i), Options{
-					ShardIngest: func(b delta.Batch) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
+					ShardIngest: func(b delta.Batch, _ wal.Record) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
 						d := appReplayDelta(b.Day)
 						next, touched, err := delta.ApplySharded(lineage, d)
 						if err != nil {

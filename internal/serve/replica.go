@@ -3,12 +3,16 @@ package serve
 // Delta-log replicas: no server accepts direct writes, so a Follower
 // tailing the fleet's one append-only wal.Log is the only way a per-shard
 // server (NewShard) changes: each delta.Batch goes through ingestBatch,
-// the replica's one apply path. Because delta mining is deterministic,
-// every replica of a shard that has consumed the same log prefix serves
-// the exact same projection at the exact same generation — the log
-// position of the last batch that changed the shard — which is what lets
-// the router treat replicas as interchangeable for reads and ack an
-// ingest at a quorum of apply confirmations.
+// the replica's one apply path, which hands the host the batch and its log
+// record. The fleet mines each record once: the first replica to reach it
+// mines it and publishes the mined outcome beside the log (wal.Outcome),
+// and every other replica of any shard applies that outcome instead of
+// mining. Because delta mining is deterministic, every replica of a shard
+// that has consumed the same log prefix serves the exact same projection
+// at the exact same generation — the log position of the last batch that
+// changed the shard — whichever replica mined what, which is what lets the
+// router treat replicas as interchangeable for reads and ack an ingest at
+// a quorum of apply confirmations.
 //
 // The replica's progress is observable three ways, all fed from one
 // walState: the X-Giant-Wal-Gen header on every response, the
@@ -172,19 +176,19 @@ type Follower struct {
 
 // NewFollower attaches delta-log following to a per-shard server built
 // with NewShard or HydrateShard and a ShardIngest callback (the replica
-// applies each batch through its own deterministic mining path, which is
-// what keeps replica generations identical across the fleet; the miner
-// behind it skips inference for clusters a batch left textually
-// unchanged, so a warm replica and a freshly hydrated one reach the same
-// bytes at different cost). From then on a direct /v1/ingest answers 503
-// read_only_replica instead of unavailable, and /v1/wal starts
-// reporting (Start.WALGen until Run consumes the first suffix record).
+// applies each batch through its own deterministic apply path, with the
+// mined attentions either mined here or taken from the outcome the first
+// replica to reach the record published; both give the same bytes, which
+// is what keeps replica generations identical across the fleet). From then
+// on a direct /v1/ingest answers 503 read_only_replica instead of
+// unavailable, and /v1/wal starts reporting (Start.WALGen until Run
+// consumes the first suffix record).
 func NewFollower(srv *Server, opts FollowerOptions) (*Follower, error) {
 	if !srv.shardMode {
 		return nil, errors.New("serve: follower needs a per-shard server (NewShard)")
 	}
 	if srv.opts.ShardIngest == nil {
-		return nil, errors.New("serve: follower needs Options.ShardIngest (the replica applies batches by re-mining them)")
+		return nil, errors.New("serve: follower needs Options.ShardIngest (the replica applies each logged batch through its host's apply path)")
 	}
 	if opts.Poll <= 0 {
 		opts.Poll = 100 * time.Millisecond
@@ -294,7 +298,7 @@ func (f *Follower) apply(rec *wal.Record) {
 		result = errBody(codeInvalidArgument, "decode batch: "+err.Error())
 	} else {
 		var touched []bool
-		status, result, touched = f.srv.ingestBatch(batch, rec.Gen)
+		status, result, touched = f.srv.ingestBatch(batch, rec)
 		for i := range f.gens {
 			if status == http.StatusOK && ontology.ShardChanged(touched, len(f.gens), i) {
 				f.gens[i] = rec.Gen

@@ -44,6 +44,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -99,8 +100,8 @@ type detShardHost struct {
 // ingest applies one batch to the host lineage. gate, when non-nil, is
 // received from before each apply — the catch-up and backpressure tests
 // use it to hold a replica mid-tail.
-func (h *detShardHost) ingest(gate chan struct{}) func(delta.Batch) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
-	return func(b delta.Batch) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
+func (h *detShardHost) ingest(gate chan struct{}) func(delta.Batch, wal.Record) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
+	return func(b delta.Batch, _ wal.Record) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
 		if gate != nil {
 			<-gate
 		}
@@ -147,7 +148,7 @@ func (h *detShardHost) restore(snap *ontology.Snapshot, state []byte) (*ontology
 
 // detShardIngester is the bare-ingester shorthand for tests that do not
 // exercise checkpointing.
-func detShardIngester(shard int, base *ontology.ShardedSnapshot, gate chan struct{}) func(delta.Batch) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
+func detShardIngester(shard int, base *ontology.ShardedSnapshot, gate chan struct{}) func(delta.Batch, wal.Record) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
 	h := &detShardHost{shard: shard, k: base.NumShards(), cur: base}
 	return h.ingest(gate)
 }
@@ -1516,6 +1517,44 @@ func TestRouterCompaction(t *testing.T) {
 	}
 }
 
+// TestRouterCompactionPrunesMinedOutcomes: the router's log cut takes the
+// mined outcomes (and bare claims) of the records it drops with it, and
+// leaves those of the records it keeps.
+func TestRouterCompactionPrunesMinedOutcomes(t *testing.T) {
+	f := newCkptWALFixture(t, 1, 2, 2, RouterOptions{
+		Compact:       true,
+		ProbeInterval: 10 * time.Millisecond,
+		WriteTimeout:  10 * time.Second,
+	})
+	for day := 11; day <= 16; day++ {
+		// The next record's outcome exists before the record does, so none
+		// can appear behind a cut.
+		o := &wal.Outcome{Dir: f.walDir, Gen: f.headGen() + 1, Payload: []byte("batch")}
+		if _, claimed := o.Take(); !claimed {
+			t.Fatalf("record %d: no claim", o.Gen)
+		}
+		if day%2 == 0 {
+			if err := o.Publish([]byte("mined")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		postJSON(t, f.routerTS.Client(), f.routerTS.URL+"/v1/ingest", fmt.Sprintf(`{"day":%d}`, day), 200)
+	}
+	waitFor(t, 10*time.Second, "the prober to truncate the log", func() bool {
+		return f.rt.log.BaseGen() > 0
+	})
+	base, head := f.rt.log.BaseGen(), f.headGen()
+	for g := uint64(1); g <= head; g++ {
+		_, err := os.Stat(wal.OutcomePath(f.walDir, g))
+		if g <= base && !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("record %d's outcome survived the cut at %d (stat: %v)", g, base, err)
+		}
+		if g > base && err != nil && g > f.rt.log.BaseGen() { // the prober may cut again meanwhile
+			t.Fatalf("record %d's outcome is gone after the cut at %d: %v", g, base, err)
+		}
+	}
+}
+
 // postRaw posts a JSON body and returns the verbatim status and body.
 func postRaw(t *testing.T, c *http.Client, url, body string) (int, []byte) {
 	t.Helper()
@@ -1716,9 +1755,9 @@ func TestWriteBodyBound(t *testing.T) {
 	for i := range urls {
 		ingest := detShardIngester(i, ss, nil)
 		srv := NewShard(ss.Projection(i), Options{
-			ShardIngest: func(b delta.Batch) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
+			ShardIngest: func(b delta.Batch, rec wal.Record) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
 				applied.Add(1)
-				return ingest(b)
+				return ingest(b, rec)
 			},
 		})
 		followLog(t, walDir, srv)

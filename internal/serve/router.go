@@ -124,8 +124,9 @@ type RouterOptions struct {
 	Timeout time.Duration
 	// WriteTimeout bounds each replica's apply confirmation in the ingest
 	// quorum wait: how long a replica may take to tail and apply one
-	// batch, which re-mines the affected click-graph neighbourhood and can
-	// far exceed the read timeout. 0 means 2m.
+	// batch, which mines the affected click-graph neighbourhood (or waits
+	// for the replica that does) and can far exceed the read timeout. 0
+	// means 2m.
 	WriteTimeout time.Duration
 	// FailOpen selects the degraded-mode policy for fan-out reads: false
 	// (the default) fails closed with 503 when any shard is unreachable,

@@ -31,6 +31,7 @@ import (
 	giant "giant"
 	"giant/internal/delta"
 	"giant/internal/ontology"
+	"giant/internal/wal"
 )
 
 // getRaw fetches a URL and returns the verbatim status and body.
@@ -49,10 +50,11 @@ func getRaw(t *testing.T, c *http.Client, url string) (int, []byte) {
 }
 
 // shardIngester adapts a backend's full mining system to the per-shard
-// serve option, exactly as cmd/giantd -shard -build -wal wires it.
-func shardIngester(sys *giant.System, shard int) func(delta.Batch) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
-	return func(b delta.Batch) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
-		next, d, touched, err := sys.IngestSharded(b)
+// serve option, exactly as cmd/giantd -shard -build -wal wires it: the
+// backends of one log share its mined outcomes.
+func shardIngester(sys *giant.System, shard int, walDir string) func(delta.Batch, wal.Record) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
+	return func(b delta.Batch, rec wal.Record) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
+		next, d, touched, err := sys.IngestSharded(b, &wal.Outcome{Dir: walDir, Gen: rec.Gen, Payload: rec.Payload})
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -83,7 +85,9 @@ func newRouterFixture(t *testing.T, cfg giant.Config, splitDay, k int) *routerFi
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := newRefWorld(t, refSS, refSys.IngestSharded, Options{ConceptContextFn: refSys.ConceptContext})
+	ref := newRefWorld(t, refSS, func(b delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error) {
+		return refSys.IngestSharded(b, nil)
+	}, Options{ConceptContextFn: refSys.ConceptContext})
 
 	urls := make([]string, k)
 	walDir := t.TempDir()
@@ -97,7 +101,7 @@ func newRouterFixture(t *testing.T, cfg giant.Config, splitDay, k int) *routerFi
 			t.Fatal(err)
 		}
 		back := NewShard(proj, Options{
-			ShardIngest:      shardIngester(backSys, i),
+			ShardIngest:      shardIngester(backSys, i, walDir),
 			ConceptContextFn: backSys.ConceptContext,
 		})
 		followLog(t, walDir, back)
@@ -650,10 +654,10 @@ func TestRouterIngestAllOrNothing(t *testing.T) {
 	}
 	// Backend 0 applies batches; backend 1 can be switched to fail.
 	var backend1Fails atomic.Bool
-	mkIngester := func(i int, lineage *ontology.ShardedSnapshot, failable bool) func(delta.Batch) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
+	mkIngester := func(i int, lineage *ontology.ShardedSnapshot, failable bool) func(delta.Batch, wal.Record) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
 		cur := lineage
 		n := 0
-		return func(b delta.Batch) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
+		return func(b delta.Batch, _ wal.Record) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
 			if b.Day == 0 {
 				return nil, nil, nil, fmt.Errorf("empty batch: %w", delta.ErrInvalidBatch)
 			}

@@ -34,6 +34,7 @@ import (
 
 	"giant/internal/delta"
 	"giant/internal/ontology"
+	"giant/internal/wal"
 )
 
 // corpusWords share prefixes on purpose: "so"/"sol"/"son" style queries
@@ -486,7 +487,7 @@ func newScriptedRouterFixture(t *testing.T, k int, failOpen bool) (*ontology.Sha
 		lineage := ss
 		shard := i
 		back := NewShard(ss.Projection(i), Options{
-			ShardIngest: func(b delta.Batch) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
+			ShardIngest: func(b delta.Batch, _ wal.Record) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
 				d := routerDelta(b.Day)
 				next, touched, err := delta.ApplySharded(lineage, d)
 				if err != nil {

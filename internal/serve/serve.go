@@ -54,6 +54,7 @@ import (
 	"giant/internal/queryund"
 	"giant/internal/storytree"
 	"giant/internal/tagging"
+	"giant/internal/wal"
 )
 
 // Options configure a Server.
@@ -63,14 +64,16 @@ type Options struct {
 	CacheSize int
 	// ShardIngest applies an incremental update batch on a per-shard server
 	// (NewShard), and only the attached delta-log Follower calls it: no
-	// server accepts direct writes. The host applies the batch through its
-	// full mining system and returns THIS shard's advanced projection plus
-	// the merged delta and the touched-shard flags (nil, or one per shard).
-	// The server's generation moves to the batch's log position only when
-	// ontology.ShardChanged says the batch changed its shard; an unchanged
-	// shard still refreshes its serving state (the union ID table may have
-	// shifted) and keeps its generation.
-	ShardIngest func(delta.Batch) (*ontology.ShardProjection, *delta.Delta, []bool, error)
+	// server accepts direct writes. It gets the decoded batch and the log
+	// record it came from (position and payload, which key the fleet's
+	// shared mined outcome, see wal.Outcome). The host applies the batch
+	// through its full mining system and returns THIS shard's advanced
+	// projection plus the merged delta and the touched-shard flags (nil, or
+	// one per shard). The server's generation moves to the batch's log
+	// position only when ontology.ShardChanged says the batch changed its
+	// shard; an unchanged shard still refreshes its serving state (the union
+	// ID table may have shifted) and keeps its generation.
+	ShardIngest func(delta.Batch, wal.Record) (*ontology.ShardProjection, *delta.Delta, []bool, error)
 	// ConceptContext optionally enriches concept-tagger representations
 	// with the build's concept -> top clicked titles map.
 	ConceptContext map[string][]string
@@ -662,20 +665,20 @@ func (s *Server) handleIngest(st *state, r *http.Request) (int, any) {
 		"this server accepts no direct ingest: restart it on a new artifact, or run a delta-log fleet (giantd -shard i/k -build -wal behind giantrouter -wal)")
 }
 
-// ingestBatch applies the decoded batch at log position pos to a
+// ingestBatch applies the batch decoded from log record rec to a
 // per-shard replica and publishes the result; the replica's delta-log
 // Follower is its only caller. It holds the swap lock across compute +
 // publish so applies and publishes happen in the same order (readers
-// never take this lock). The generation moves to pos only when
+// never take this lock). The generation moves to rec.Gen only when
 // ontology.ShardChanged says the batch changed this shard; an unchanged
 // shard still refreshes its state so union IDs stay current. Alongside the
 // status and response it returns the delta's touched-shard flags (nil
 // unless the batch applied).
-func (s *Server) ingestBatch(batch delta.Batch, pos uint64) (int, any, []bool) {
+func (s *Server) ingestBatch(batch delta.Batch, rec *wal.Record) (int, any, []bool) {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
 	st := s.cur.Load()
-	proj, d, touched, err := s.opts.ShardIngest(batch)
+	proj, d, touched, err := s.opts.ShardIngest(batch, *rec)
 	if err != nil {
 		// Batch-validation failures are the client's fault; anything else
 		// is an internal delta-pipeline failure and must surface as 5xx.
@@ -693,7 +696,7 @@ func (s *Server) ingestBatch(batch delta.Batch, pos uint64) (int, any, []bool) {
 	changed := ontology.ShardChanged(touched, proj.NumShards, proj.Shard)
 	gen := st.gen
 	if changed {
-		gen = pos
+		gen = rec.Gen
 	}
 	s.publishShardLocked(proj, gen)
 	resp := map[string]any{

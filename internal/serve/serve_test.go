@@ -19,6 +19,7 @@ import (
 
 	"giant/internal/delta"
 	"giant/internal/ontology"
+	"giant/internal/wal"
 )
 
 // testOntology hand-builds a small ontology with every node and edge type.
@@ -318,8 +319,8 @@ func TestRunGracefulShutdown(t *testing.T) {
 // fakeIngester applies one real delta per batch against the snapshot a
 // 0/1 replica serves (its projection is the union): one new concept node
 // per batch day, linked under the existing category.
-func fakeIngester(srv **Server) func(delta.Batch) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
-	return func(b delta.Batch) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
+func fakeIngester(srv **Server) func(delta.Batch, wal.Record) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
+	return func(b delta.Batch, _ wal.Record) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
 		if len(b.Docs) == 0 && len(b.Clicks) == 0 {
 			return nil, nil, nil, fmt.Errorf("empty batch: %w", delta.ErrInvalidBatch)
 		}
@@ -428,7 +429,7 @@ func TestIngestLifecycle(t *testing.T) {
 	// must surface as 5xx, not blame the client: the replica records a 500
 	// and the router answers 502.
 	boom := NewShard(one.Projection(0), Options{
-		ShardIngest: func(delta.Batch) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
+		ShardIngest: func(delta.Batch, wal.Record) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
 			return nil, nil, nil, fmt.Errorf("delta pipeline invariant violated")
 		},
 	})

@@ -10,6 +10,7 @@ import (
 
 	"giant/internal/delta"
 	"giant/internal/ontology"
+	"giant/internal/wal"
 )
 
 // shardedServer builds a NewSharded server over the test ontology.
@@ -183,7 +184,7 @@ func TestIngestModeMismatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	world := NewSharded(ss, Options{
-		ShardIngest: func(delta.Batch) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
+		ShardIngest: func(delta.Batch, wal.Record) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
 			return ss.Projection(0), nil, nil, nil
 		},
 	})

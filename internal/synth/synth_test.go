@@ -3,6 +3,8 @@ package synth
 import (
 	"strings"
 	"testing"
+
+	"giant/internal/nlp"
 )
 
 func tinyWorld(t *testing.T) *World {
@@ -245,5 +247,73 @@ func TestPluralize(t *testing.T) {
 func TestKeyClassString(t *testing.T) {
 	if KeyEntity.String() != "entity" || KeyOther.String() != "other" {
 		t.Fatal("KeyClass String broken")
+	}
+}
+
+// TestEntityNameOfTokenMatchesScan pins the token index against the scan
+// it replaced: every entity in order, first whose tokenized name holds the
+// token wins, for every token of the tiny and the default world. Generated
+// names never share a token, so a hand-built world checks the tie rule.
+func TestEntityNameOfTokenMatchesScan(t *testing.T) {
+	scan := func(w *World, tok string) (string, bool) {
+		for _, e := range w.Entities {
+			for _, et := range nlp.Tokenize(e.Name) {
+				if et == tok {
+					return e.Name, true
+				}
+			}
+		}
+		return "", false
+	}
+	shared := &World{
+		Entities: []Entity{
+			{ID: 0, Name: "brand0 handset"}, {ID: 1, Name: "brand1 handset pro"}, {ID: 2, Name: "pro brand0"},
+		},
+		entityByToken: map[string]int{},
+	}
+	for id := range shared.Entities {
+		shared.indexEntityTokens(id)
+	}
+	for _, w := range []*World{GenWorld(TinyConfig()), GenWorld(DefaultConfig()), shared} {
+		cfg := w.Config
+		var texts []string
+		for _, e := range w.Entities {
+			texts = append(texts, e.Name)
+		}
+		for _, c := range w.Concepts {
+			texts = append(texts, c.Phrase, c.Short)
+		}
+		for _, tp := range w.Topics {
+			texts = append(texts, tp.Phrase)
+		}
+		for _, ev := range w.Events {
+			texts = append(texts, ev.Phrase)
+		}
+		for _, c := range w.Categories {
+			texts = append(texts, c.Name)
+		}
+		texts = append(texts, w.Locations...)
+		texts = append(texts, "zzz-no-such-token 2018 ?")
+		seen := map[string]bool{}
+		resolved := 0
+		for _, text := range texts {
+			for _, tok := range nlp.Tokenize(text) {
+				if seen[tok] {
+					continue
+				}
+				seen[tok] = true
+				gotName, gotOK := w.EntityNameOfToken(tok)
+				wantName, wantOK := scan(w, tok)
+				if gotName != wantName || gotOK != wantOK {
+					t.Fatalf("world seed %d, token %q: index gives (%q, %v), scan gives (%q, %v)", cfg.Seed, tok, gotName, gotOK, wantName, wantOK)
+				}
+				if gotOK {
+					resolved++
+				}
+			}
+		}
+		if resolved == 0 || resolved == len(seen) {
+			t.Fatalf("world seed %d: %d of %d tokens resolve to an entity; the check needs both kinds", cfg.Seed, resolved, len(seen))
+		}
 	}
 }

@@ -101,6 +101,7 @@ type World struct {
 
 	conceptByPhrase map[string]int
 	entityByName    map[string]int
+	entityByToken   map[string]int // token -> first entity whose name holds it
 	rng             *rand.Rand
 }
 
@@ -196,6 +197,7 @@ func GenWorld(cfg Config) *World {
 		Lexicon:         nlp.NewLexicon(),
 		conceptByPhrase: make(map[string]int),
 		entityByName:    make(map[string]int),
+		entityByToken:   make(map[string]int),
 		rng:             rand.New(rand.NewSource(cfg.Seed)),
 	}
 	ng := newNameGen(w.rng)
@@ -322,6 +324,7 @@ func GenWorld(cfg Config) *World {
 			}
 			w.Entities = append(w.Entities, ent)
 			w.entityByName[name] = id
+			w.indexEntityTokens(id)
 			w.Lexicon.Register(name, nlp.PosPropn, cls.NER)
 		}
 	}
@@ -399,6 +402,26 @@ func (w *World) EntityByName(n string) (Entity, bool) {
 		return Entity{}, false
 	}
 	return w.Entities[id], true
+}
+
+// indexEntityTokens adds entity id's name tokens to the token index; a
+// token an earlier entity's name holds stays with that entity.
+func (w *World) indexEntityTokens(id int) {
+	for _, tok := range nlp.Tokenize(w.Entities[id].Name) {
+		if _, taken := w.entityByToken[tok]; !taken {
+			w.entityByToken[tok] = id
+		}
+	}
+}
+
+// EntityNameOfToken returns the name of the first entity, in Entities
+// order, whose tokenized name holds tok.
+func (w *World) EntityNameOfToken(tok string) (string, bool) {
+	id, ok := w.entityByToken[tok]
+	if !ok {
+		return "", false
+	}
+	return w.Entities[id].Name, true
 }
 
 // CategoryName returns the name of category id ("" when out of range).

@@ -7,7 +7,9 @@
 // monotonically increasing log generation (1, 2, 3, ...); every replica
 // of every shard applies the records in order through its own mining
 // system, which — because mining is deterministic — reproduces the exact
-// projections of every peer at the same log position. A shard's serving
+// projections of every peer at the same log position. The fleet mines
+// each record once: the first replica to reach it publishes the mined
+// outcome beside the log for the others (outcome.go). A shard's serving
 // generation is itself a log generation: the last one that changed it.
 // The header's shard identity is checked on open; the fleet log is
 // stamped 0 of 1.
@@ -304,7 +306,8 @@ func (l *Log) Append(day int, payload []byte) (uint64, error) {
 // the new file under the log mutex; cross-process readers detect the
 // inode swap once they drain the old file and reopen at their position
 // (see Reader.Next). Floors above the head are clamped; floors at or
-// below the current base are a no-op.
+// below the current base leave the log as it is. Either way every mined
+// outcome (and claim) at or below the floor is deleted with it.
 func (l *Log) TruncateBelow(floor uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -315,7 +318,7 @@ func (l *Log) TruncateBelow(floor uint64) error {
 		floor = l.head
 	}
 	if floor <= l.base {
-		return nil
+		return pruneOutcomes(dirOf(l.path), floor)
 	}
 	start := l.size
 	if floor < l.head {
@@ -382,7 +385,7 @@ func (l *Log) TruncateBelow(floor uint64) error {
 	l.hdrLen = header2Size
 	l.offs = newOffs
 	l.size = newSize
-	return nil
+	return pruneOutcomes(dirOf(l.path), floor)
 }
 
 // Close releases the file handle. The log stays replayable on disk.

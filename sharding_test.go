@@ -117,7 +117,7 @@ func TestShardedIngestReplayEquivalence(t *testing.T) {
 					batch.Clicks = append(batch.Clicks, delta.Click{Query: r.Query, DocID: r.DocID, Clicks: r.Clicks, Day: r.Day})
 				}
 			}
-			ss, d, touched, err := inc.IngestSharded(batch)
+			ss, d, touched, err := inc.IngestSharded(batch, nil)
 			if err != nil {
 				t.Fatalf("IngestSharded shards=%d day %d: %v", k, day, err)
 			}
