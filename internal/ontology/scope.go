@@ -1,6 +1,9 @@
 package ontology
 
-import "iter"
+import (
+	"iter"
+	"slices"
+)
 
 // Scope is the merge participant abstraction behind the union-exact
 // application endpoints (/v1/tag, /v1/query/rewrite, /v1/story). A scope is
@@ -78,13 +81,52 @@ func (s Scope) HomeNodes(t NodeType) []Node {
 }
 
 // HomePhrases yields the tokenized phrases of the scope's home nodes of
-// type t in HomeNodes' order, each with its ID rewritten to the union ID.
-// It reads the view's PhraseTokens, so over a snapshot it tokenizes
-// nothing and copies no node: a request pays for its own scan only.
-func (s Scope) HomePhrases(t NodeType) iter.Seq[PhraseTokens] {
+// type t that a request with tokens toks can match, in HomeNodes' order,
+// each with its ID rewritten to the union ID. A phrase is yielded when at
+// least one of its token positions holds a token of toks and those
+// positions make up at least the fraction frac of all its positions, so a
+// phrase with no tokens is never yielded.
+//
+// It reads the view's PhraseTokens and PhrasePostings and merges the
+// ascending posting lists of the request's distinct tokens, summing each
+// phrase's counts as it passes: over a snapshot it tokenizes nothing,
+// copies no node, visits only phrases sharing a token with the request,
+// and allocates in proportion to len(toks) alone.
+func (s Scope) HomePhrases(t NodeType, toks []string, frac float64) iter.Seq[PhraseTokens] {
 	return func(yield func(PhraseTokens) bool) {
-		for _, p := range s.View.PhraseTokens(t) {
-			if !s.Home(p.ID) {
+		// Postings first: an *Ontology builds both afresh on every call and
+		// only ever appends nodes, so the list read second still holds
+		// every indexed phrase at its index.
+		post := s.View.PhrasePostings(t)
+		list := s.View.PhraseTokens(t)
+		distinct := slices.Clone(toks)
+		slices.Sort(distinct)
+		distinct = slices.Compact(distinct)
+		heads := make([][]Posting, 0, len(distinct))
+		for _, tok := range distinct {
+			if l := post[tok]; len(l) > 0 {
+				heads = append(heads, l)
+			}
+		}
+		for len(heads) > 0 {
+			next := heads[0][0].Phrase
+			for _, h := range heads[1:] {
+				next = min(next, h[0].Phrase)
+			}
+			count := 0
+			live := heads[:0]
+			for _, h := range heads {
+				if h[0].Phrase == next {
+					count += int(h[0].Count)
+					h = h[1:]
+				}
+				if len(h) > 0 {
+					live = append(live, h)
+				}
+			}
+			heads = live
+			p := list[next]
+			if float64(count)/float64(len(p.Tokens)) < frac || !s.Home(p.ID) {
 				continue
 			}
 			p.ID = s.UID(p.ID)

@@ -395,6 +395,11 @@ func (ss *ShardedSnapshot) Nodes(types ...NodeType) []Node { return ss.union.Nod
 // PhraseTokens returns the union's tokenized phrases of type t.
 func (ss *ShardedSnapshot) PhraseTokens(t NodeType) []PhraseTokens { return ss.union.PhraseTokens(t) }
 
+// PhrasePostings returns the union's token postings of type t.
+func (ss *ShardedSnapshot) PhrasePostings(t NodeType) map[string][]Posting {
+	return ss.union.PhrasePostings(t)
+}
+
 // Edges returns a copy of all edges (optionally filtered by type).
 func (ss *ShardedSnapshot) Edges(types ...EdgeType) []Edge { return ss.union.Edges(types...) }
 

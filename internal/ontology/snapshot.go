@@ -50,9 +50,9 @@ type Snapshot struct {
 	gramsOnce sync.Once
 	grams     *TermGrams
 
-	// phraseToks holds each node type's tokenized phrases, built lazily by
-	// PhraseTokens the first time a tagging or query-understanding request
-	// reads that type.
+	// phraseToks holds each node type's tokenized phrases and their token
+	// postings, built lazily the first time a tagging or
+	// query-understanding request reads that type.
 	phraseToks [NumNodeTypes]phraseTokensBox
 }
 

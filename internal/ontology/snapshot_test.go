@@ -96,8 +96,9 @@ func TestSnapshotMatchesOntologyReads(t *testing.T) {
 }
 
 // TestPhraseTokensConcurrentFirstUse has readers race to build a fresh
-// snapshot's lazy phrase tokens; every reader must see the one complete
-// list (run under -race).
+// snapshot's lazy phrase tokens and token postings, half of them reaching
+// for the postings first; every reader must see the one complete list and
+// index (run under -race).
 func TestPhraseTokensConcurrentFirstUse(t *testing.T) {
 	o := randomOntology(7)
 	s := o.Snapshot()
@@ -107,8 +108,16 @@ func TestPhraseTokensConcurrentFirstUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for nt := NodeType(0); nt < NumNodeTypes; nt++ {
+				if g%2 == 1 {
+					if got := s.PhrasePostings(nt); !reflect.DeepEqual(got, o.PhrasePostings(nt)) {
+						t.Errorf("PhrasePostings(%v) = %+v", nt, got)
+					}
+				}
 				if got := s.PhraseTokens(nt); !reflect.DeepEqual(got, o.PhraseTokens(nt)) {
 					t.Errorf("PhraseTokens(%v) = %+v", nt, got)
+				}
+				if got := s.PhrasePostings(nt); !reflect.DeepEqual(got, o.PhrasePostings(nt)) {
+					t.Errorf("PhrasePostings(%v) = %+v", nt, got)
 				}
 			}
 		}()

@@ -25,6 +25,9 @@ type View interface {
 	// PhraseTokens returns the tokenized phrases of the nodes of type t,
 	// in ID order.
 	PhraseTokens(t NodeType) []PhraseTokens
+	// PhrasePostings returns the inverted index from token to the
+	// phrases of type t holding it, by their index in PhraseTokens(t).
+	PhrasePostings(t NodeType) map[string][]Posting
 	// Edges returns a copy of all edges (optionally filtered by type).
 	Edges(types ...EdgeType) []Edge
 	// NodeCount returns the number of nodes (optionally filtered by type).

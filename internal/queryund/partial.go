@@ -57,16 +57,19 @@ type Partial struct {
 // Partial extracts the scope's candidates for a query. The result depends
 // only on the scope's view and the normalized query.
 func (u *Understander) Partial(scope ontology.Scope, query string) *Partial {
-	qnorm := strings.Join(nlp.Tokenize(query), " ")
+	qtoks := nlp.Tokenize(query)
+	qnorm := strings.Join(qtoks, " ")
 	padded := " " + qnorm + " "
 	p := &Partial{}
 
 	// Concept detection: longest home concept phrase contained in the
 	// query; the strict > keeps the lowest union ID on ties, matching the
-	// union scan order.
+	// union scan order. Only phrases whose every token is a query token
+	// are visited: a containment bounded by spaces covers whole query
+	// tokens, and no token holds a space.
 	bestPhrase, bestLen := "", 0
 	var bestID ontology.NodeID
-	for c := range scope.HomePhrases(ontology.Concept) {
+	for c := range scope.HomePhrases(ontology.Concept, qtoks, 1) {
 		if len(c.Norm) > bestLen && containsPhrase(padded, c.Norm) {
 			bestPhrase, bestLen, bestID = c.Phrase, len(c.Norm), c.ID
 		}
@@ -94,7 +97,7 @@ func (u *Understander) Partial(scope ontology.Scope, query string) *Partial {
 	if ent, local, ok := scope.FindHome(ontology.Entity, qnorm); ok {
 		p.EntityExact = &EntityCand{ID: ent.ID, Phrase: ent.Phrase, Recs: u.recommendations(scope, local, ent.Phrase)}
 	}
-	for e := range scope.HomePhrases(ontology.Entity) {
+	for e := range scope.HomePhrases(ontology.Entity, qtoks, 1) {
 		if containsPhrase(padded, e.Norm) {
 			cand := &EntityCand{ID: e.ID, Phrase: e.Phrase}
 			if _, local, ok := scope.FindHome(ontology.Entity, e.Phrase); ok {

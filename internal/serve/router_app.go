@@ -125,10 +125,9 @@ func (rt *Router) candidateShards(idx *routingIndex, needles []string) []int {
 // applies, so a gram miss proves the shard homes neither the entity nor
 // any ancestor reachable through it — parents are reported by the
 // entity's own home shard) and each token of the matching text (an event
-// or topic candidate needs normalized LCS ≥ the serving threshold, which
-// buildState fixes at NewEventTagger's 0.5 > 0 — so a candidate shares at
-// least one token with the text, and every token of a home phrase is in
-// its shard's grams).
+// or topic candidate needs normalized LCS ≥ the tagger's fixed threshold
+// of 0.5 > 0 — so a candidate shares at least one token with the text, and
+// every token of a home phrase is in its shard's grams).
 func tagNeedles(doc *tagging.Document) []string {
 	seen := map[string]bool{}
 	var out []string

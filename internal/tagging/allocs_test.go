@@ -50,3 +50,55 @@ func TestEventPartialAllocsIndependentOfWorld(t *testing.T) {
 		t.Fatalf("warm Partial allocates %v times over the small world, %v over the large one", small, large)
 	}
 }
+
+// stopWordPaddedOntology is sampleOntology plus filler events and topics
+// that share only the stop word "the" with the test documents, at under
+// half of their token positions.
+func stopWordPaddedOntology(filler int) *ontology.Snapshot {
+	o := sampleOntology()
+	for i := 0; i < filler; i++ {
+		o.AddNode(ontology.Event, fmt.Sprintf("the filler%d vendor ships widget%d", i, i))
+		o.AddNode(ontology.Topic, fmt.Sprintf("widget%d shipping of the season", i))
+	}
+	return o.Snapshot()
+}
+
+// TestHomePhrasesWorkIndependentOfWorld pins the work of a warm
+// EventTagger.Partial, not just its allocations: the phrases HomePhrases
+// hands it for the test document are as many over a world 100 times
+// larger, whether the filler shares no token with the document or only a
+// stop word, which the half-the-positions bound alone drops.
+func TestHomePhrasesWorkIndependentOfWorld(t *testing.T) {
+	doc := &Document{Title: "hero studios release sequel this summer", Content: "the sequel arrives."}
+	docToks := docString(doc)
+	visited := func(snap *ontology.Snapshot, frac float64) int {
+		n := 0
+		for _, typ := range []ontology.NodeType{ontology.Event, ontology.Topic} {
+			for range ontology.UnionScope(snap).HomePhrases(typ, docToks, frac) {
+				n++
+			}
+		}
+		return n
+	}
+	for _, v := range []struct {
+		name string
+		pad  func(int) *ontology.Snapshot
+	}{{"disjoint", paddedOntology}, {"stop word", stopWordPaddedOntology}} {
+		small, large := v.pad(2), v.pad(200)
+		if n, m := visited(small, lcsThreshold), visited(large, lcsThreshold); n == 0 || n != m {
+			t.Errorf("%s filler: HomePhrases yields %d phrases over the small world, %d over the large one", v.name, n, m)
+		}
+		allocs := func(snap *ontology.Snapshot) float64 {
+			tagger := NewEventTagger(snap, nil)
+			scope := ontology.UnionScope(snap)
+			tagger.Partial(scope, doc) // warm: builds the phrase postings once
+			return testing.AllocsPerRun(50, func() { tagger.Partial(scope, doc) })
+		}
+		if a, b := allocs(small), allocs(large); a != b {
+			t.Errorf("%s filler: warm Partial allocates %v times over the small world, %v over the large one", v.name, a, b)
+		}
+	}
+	if n, m := visited(stopWordPaddedOntology(2), 0), visited(stopWordPaddedOntology(200), 0); n == m {
+		t.Errorf("stop-word filler: with no bound HomePhrases yields %d phrases on both worlds, want the large world's filler too", n)
+	}
+}

@@ -13,16 +13,18 @@ import (
 // must fire for a tag to be assigned).
 type EventTagger struct {
 	Onto ontology.View
-	// LCSThreshold is the minimum normalized LCS length.
-	LCSThreshold float64
-	Duet         *Duet
+	Duet *Duet
 }
+
+// lcsThreshold is the minimum normalized LCS length of an event or topic
+// tag. Partial's candidate prune relies on it being positive.
+const lcsThreshold = 0.5
 
 // NewEventTagger builds the tagger. A nil duet degrades to LCS-only
 // matching (useful when serving a persisted ontology with no trained
 // matcher at hand).
 func NewEventTagger(onto ontology.View, duet *Duet) *EventTagger {
-	return &EventTagger{Onto: onto, LCSThreshold: 0.5, Duet: duet}
+	return &EventTagger{Onto: onto, Duet: duet}
 }
 
 // docString is the matching text: title plus first content sentence.

@@ -1,6 +1,8 @@
 package tagging
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strings"
 
@@ -79,11 +81,24 @@ func (t *ConceptTagger) MatchPartial(scope ontology.Scope, doc *Document) [][]Co
 			if parent.Type != ontology.Concept {
 				continue
 			}
-			cands = append(cands, ConceptRef{ID: scope.UID(parent.ID), Phrase: parent.Phrase, Rep: t.repOf(parent.Phrase)})
+			cands = append(cands, ConceptRef{ID: scope.UID(parent.ID), Phrase: parent.Phrase, Rep: t.rep(parent)})
 		}
 		out[i] = cands
 	}
 	return out
+}
+
+// rep returns a concept's representation tokens. A concept of the
+// tagger's own view reads the representation NewConceptTagger computed for
+// it (shared and read-only), found by its local ID; any other, such as one
+// added to a mutable view since, is tokenized afresh.
+func (t *ConceptTagger) rep(c ontology.Node) []string {
+	cs := t.index.Concepts
+	i, ok := slices.BinarySearchFunc(cs, c.ID, func(r ConceptRef, id ontology.NodeID) int { return cmp.Compare(r.ID, id) })
+	if ok && cs[i].Phrase == c.Phrase {
+		return cs[i].Rep
+	}
+	return t.repOf(c.Phrase)
 }
 
 // MergeMatchSlots combines per-scope match partials: each entity slot is
@@ -253,19 +268,21 @@ func sortTags(tags []Tag) {
 // only surviving candidates cross the wire. Phrases arrive tokenized from
 // the scope's view, and the document is encoded for the matcher once, on
 // the first phrase that passes the threshold.
+//
+// Only phrases with at least half of their token positions holding a
+// document token are scored: the LCS of a phrase and the document is at
+// most that many positions, so every phrase skipped would fall under the
+// threshold anyway.
 func (t *EventTagger) Partial(scope ontology.Scope, doc *Document) []EventCand {
 	docToks := docString(doc)
 	scratch := make([]int, 2*(len(docToks)+1))
 	var enc *duetDoc
 	var out []EventCand
 	for _, typ := range []ontology.NodeType{ontology.Event, ontology.Topic} {
-		for p := range scope.HomePhrases(typ) {
-			if len(p.Tokens) == 0 {
-				continue
-			}
+		for p := range scope.HomePhrases(typ, docToks, lcsThreshold) {
 			l := lcsLen(p.Tokens, docToks, scratch)
 			norm := float64(l) / float64(len(p.Tokens))
-			if norm < t.LCSThreshold {
+			if norm < lcsThreshold {
 				continue
 			}
 			if t.Duet != nil {
