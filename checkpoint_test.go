@@ -209,3 +209,29 @@ func TestCheckpointRestoreRejects(t *testing.T) {
 		assertUntouched(sys, nd, nr)
 	})
 }
+
+// TestSnapshotAdoptedAfterBuildAndRestore pins that the system's read side
+// is one adopted snapshot: right after Build and right after
+// RestoreCheckpoint, repeated Snapshot calls return the same pointer
+// instead of copying and re-indexing the world each time.
+func TestSnapshotAdoptedAfterBuildAndRestore(t *testing.T) {
+	built := builtSystem(t)
+	snap := built.Snapshot()
+	if built.Snapshot() != snap {
+		t.Fatal("two Snapshot calls after Build returned different snapshots")
+	}
+	state, err := built.CheckpointState()
+	if err != nil {
+		t.Fatalf("CheckpointState: %v", err)
+	}
+	restored, err := Build(TinyConfig())
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	if err := restored.RestoreCheckpoint(snap, state); err != nil {
+		t.Fatalf("RestoreCheckpoint: %v", err)
+	}
+	if a, b := restored.Snapshot(), restored.Snapshot(); a != b || a != snap {
+		t.Fatal("Snapshot calls after RestoreCheckpoint did not return the restored snapshot")
+	}
+}

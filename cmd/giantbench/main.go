@@ -171,16 +171,16 @@ func runParallel(scale experiments.Scale) error {
 	fmt.Printf("  parallelism=%d: %v\n", workers, dPar.Round(time.Millisecond))
 
 	var a, b bytes.Buffer
-	if err := seq.Ontology.WriteJSON(&a); err != nil {
+	if err := seq.Snapshot().WriteJSON(&a); err != nil {
 		return err
 	}
-	if err := par.Ontology.WriteJSON(&b); err != nil {
+	if err := par.Snapshot().WriteJSON(&b); err != nil {
 		return err
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		return fmt.Errorf("ontologies differ between parallelism 1 and %d", workers)
 	}
-	st := par.Ontology.ComputeStats()
+	st := par.Snapshot().ComputeStats()
 	fmt.Printf("  output identical: %v nodes, %v edges\n", st.NodesByType, st.EdgesByType)
 	if dPar > 0 {
 		fmt.Printf("  speedup: %.2fx on %d worker(s)\n", dSeq.Seconds()/dPar.Seconds(), workers)
@@ -207,7 +207,7 @@ func runLoadBench(scale experiments.Scale) error {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	snap := sys.Ontology.Snapshot()
+	snap := sys.Snapshot()
 	jsonPath := dir + "/ao.json"
 	binPath := dir + "/ao.bin"
 	if err := snap.SaveFile(jsonPath); err != nil {
@@ -581,7 +581,7 @@ func runSearchSweep(scale experiments.Scale, k int) error {
 	if err != nil {
 		return err
 	}
-	snap := sys.Ontology.Snapshot()
+	snap := sys.Snapshot()
 	ss, err := ontology.ShardSnapshot(snap, k)
 	if err != nil {
 		return err

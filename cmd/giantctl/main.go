@@ -176,14 +176,6 @@ func formatFlag(fs *flag.FlagSet) *string {
 	return fs.String("format", "json", "output format: json or binary")
 }
 
-// saveOntology writes the ontology to path in the requested format.
-func saveOntology(o *ontology.Ontology, path string, f ontology.FileFormat) error {
-	if f == ontology.FormatBinary {
-		return o.Snapshot().SaveBinaryFile(path)
-	}
-	return o.SaveFile(path)
-}
-
 func runBuild(args []string) error {
 	fs := newFlagSet("build")
 	out := fs.String("out", "ao.json", "output path for the ontology")
@@ -200,10 +192,11 @@ func runBuild(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := saveOntology(sys.Ontology, *out, ff); err != nil {
+	snap := sys.Snapshot()
+	if err := snap.SaveFileFormat(*out, ff); err != nil {
 		return err
 	}
-	st := sys.Ontology.ComputeStats()
+	st := snap.ComputeStats()
 	fmt.Printf("built attention ontology: %v nodes, %v edges -> %s\n", st.NodesByType, st.EdgesByType, *out)
 	return nil
 }
@@ -237,11 +230,11 @@ func runUpdate(args []string) error {
 		return err
 	}
 	if *in != "" {
-		base, err := ontology.LoadFile(*in)
+		base, err := ontology.LoadSnapshotFile(*in)
 		if err != nil {
 			return fmt.Errorf("update: load base ontology: %w", err)
 		}
-		sys.Ontology = base
+		sys.Ontology = ontology.FromSnapshot(base)
 	}
 	for i, b := range batches {
 		_, d, err := sys.Ingest(b)
@@ -250,10 +243,11 @@ func runUpdate(args []string) error {
 		}
 		fmt.Printf("batch %d applied: %s\n", i, d.Summary())
 	}
-	if err := saveOntology(sys.Ontology, *out, ff); err != nil {
+	snap := sys.Snapshot()
+	if err := snap.SaveFileFormat(*out, ff); err != nil {
 		return err
 	}
-	st := sys.Ontology.ComputeStats()
+	st := snap.ComputeStats()
 	fmt.Printf("updated attention ontology: %v nodes, %v edges -> %s\n", st.NodesByType, st.EdgesByType, *out)
 	return nil
 }
@@ -370,24 +364,33 @@ func runConvert(args []string) error {
 
 func runStats(args []string) error {
 	fs := newFlagSet("stats")
-	in := fs.String("in", "ao.json", "ontology JSON path")
+	in := fs.String("in", "ao.json", "ontology artifact, either format")
 	if err := parse(fs, args); err != nil {
 		return err
 	}
-	o, err := ontology.LoadFile(*in)
+	snap, err := ontology.LoadSnapshotFile(*in)
 	if err != nil {
 		return err
 	}
-	st := o.ComputeStats()
-	fmt.Println("nodes:")
-	for t, n := range st.NodesByType {
-		fmt.Printf("  %-10s %d\n", t, n)
-	}
-	fmt.Println("edges:")
-	for t, n := range st.EdgesByType {
-		fmt.Printf("  %-10s %d\n", t, n)
-	}
+	printStats(os.Stdout, snap.ComputeStats())
 	return nil
+}
+
+// printStats prints the per-type counts in NodeType and EdgeType order,
+// skipping types with no nodes or edges.
+func printStats(w io.Writer, st ontology.Stats) {
+	fmt.Fprintln(w, "nodes:")
+	for t := ontology.NodeType(0); t < ontology.NumNodeTypes; t++ {
+		if n, ok := st.NodesByType[t.String()]; ok {
+			fmt.Fprintf(w, "  %-10s %d\n", t, n)
+		}
+	}
+	fmt.Fprintln(w, "edges:")
+	for t := ontology.EdgeType(0); t < ontology.NumEdgeTypes; t++ {
+		if n, ok := st.EdgesByType[t.String()]; ok {
+			fmt.Fprintf(w, "  %-10s %d\n", t, n)
+		}
+	}
 }
 
 func runQuery(args []string) error {

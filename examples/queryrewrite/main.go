@@ -17,11 +17,12 @@ func main() {
 		log.Fatal(err)
 	}
 	u := sys.Query()
+	snap := sys.Snapshot()
 
 	// Concept query: rewrite with instances.
 	var conceptPhrase string
-	for _, c := range sys.Ontology.Nodes(ontology.Concept) {
-		if len(sys.Ontology.Children(c.ID, ontology.IsA)) > 0 {
+	for _, c := range snap.Nodes(ontology.Concept) {
+		if len(snap.Children(c.ID, ontology.IsA)) > 0 {
 			conceptPhrase = c.Phrase
 			break
 		}
@@ -36,7 +37,7 @@ func main() {
 	}
 
 	// Entity query: recommend correlated entities.
-	for _, e := range sys.Ontology.Nodes(ontology.Entity) {
+	for _, e := range snap.Nodes(ontology.Entity) {
 		a := u.Analyze(e.Phrase)
 		if len(a.Recommendations) > 0 {
 			fmt.Printf("\nquery: %q\n  conveys entity %q\n", e.Phrase, a.Entity)

@@ -18,7 +18,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	st := sys.Ontology.ComputeStats()
+	snap := sys.Snapshot()
+	st := snap.ComputeStats()
 	fmt.Println("Attention Ontology built:")
 	for _, t := range []string{"category", "concept", "entity", "topic", "event"} {
 		fmt.Printf("  %-9s %4d nodes\n", t, st.NodesByType[t])
@@ -28,13 +29,13 @@ func main() {
 	}
 
 	// Walk one concept: its category parents and entity instances.
-	for _, c := range sys.Ontology.Nodes(ontology.Concept) {
-		ents := sys.Ontology.Children(c.ID, ontology.IsA)
+	for _, c := range snap.Nodes(ontology.Concept) {
+		ents := snap.Children(c.ID, ontology.IsA)
 		if len(ents) == 0 {
 			continue
 		}
 		fmt.Printf("\nconcept %q\n", c.Phrase)
-		for _, p := range sys.Ontology.Parents(c.ID, ontology.IsA) {
+		for _, p := range snap.Parents(c.ID, ontology.IsA) {
 			fmt.Printf("  isA-parent: %s %q\n", p.Type, p.Phrase)
 		}
 		for i, e := range ents {

@@ -10,7 +10,7 @@
 //
 //	sys, err := giant.Build(giant.DefaultConfig())
 //	...
-//	stats := sys.Ontology.ComputeStats()
+//	stats := sys.Snapshot().ComputeStats()
 //	tags := sys.ConceptTagger().TagConcepts(&tagging.Document{...})
 //
 // For online serving, System.Snapshot freezes the built ontology into an
@@ -263,8 +263,8 @@ func (sys *System) assemble() error {
 	for _, d := range derived {
 		pid := o.AddNode(ontology.Concept, d.Phrase)
 		for _, child := range d.Children {
-			if cn, ok := o.Find(ontology.Concept, child); ok {
-				if err := o.AddEdge(pid, cn.ID, ontology.IsA, 1); err != nil {
+			if cn, ok := o.Lookup(ontology.Concept, child); ok {
+				if err := o.AddEdge(pid, cn, ontology.IsA, 1); err != nil {
 					return err
 				}
 			}
@@ -279,8 +279,8 @@ func (sys *System) assemble() error {
 		tid := o.AddNode(ontology.Topic, t.Phrase)
 		topicMembers[t.Phrase] = t.Children
 		for _, child := range t.Children {
-			if en, ok := o.Find(ontology.Event, child); ok {
-				if err := o.AddEdge(tid, en.ID, ontology.IsA, 1); err != nil {
+			if en, ok := o.Lookup(ontology.Event, child); ok {
+				if err := o.AddEdge(tid, en, ontology.IsA, 1); err != nil {
 					return err
 				}
 			}
@@ -328,54 +328,37 @@ func (sys *System) assemble() error {
 	// group in the same order the sequential pipeline used.
 	var batch []ontology.Edge
 	for _, e := range catEdges {
-		n, ok := o.FindAny(e.Phrase)
+		n, ok := lookupAny(o, e.Phrase)
 		if !ok || e.Category >= len(catNode) {
 			continue
 		}
-		batch = append(batch, ontology.Edge{Src: catNode[e.Category], Dst: n.ID, Type: ontology.IsA, Weight: e.P})
+		batch = append(batch, ontology.Edge{Src: catNode[e.Category], Dst: n, Type: ontology.IsA, Weight: e.P})
+	}
+	link := func(pt, ct ontology.NodeType, parent, child string, et ontology.EdgeType) {
+		p, ok1 := o.Lookup(pt, parent)
+		c, ok2 := o.Lookup(ct, child)
+		if ok1 && ok2 {
+			batch = append(batch, ontology.Edge{Src: p, Dst: c, Type: et, Weight: 1})
+		}
 	}
 	for _, pr := range suffixPairs {
-		p, ok1 := o.Find(ontology.Concept, pr.Parent)
-		c, ok2 := o.Find(ontology.Concept, pr.Child)
-		if ok1 && ok2 {
-			batch = append(batch, ontology.Edge{Src: p.ID, Dst: c.ID, Type: ontology.IsA, Weight: 1})
-		}
+		link(ontology.Concept, ontology.Concept, pr.Parent, pr.Child, ontology.IsA)
 	}
 	for _, pr := range containPairs {
-		p, ok1 := o.Find(ontology.Event, pr.Parent)
-		c, ok2 := o.Find(ontology.Event, pr.Child)
-		if ok1 && ok2 {
-			batch = append(batch, ontology.Edge{Src: p.ID, Dst: c.ID, Type: ontology.IsA, Weight: 1})
-		}
+		link(ontology.Event, ontology.Event, pr.Parent, pr.Child, ontology.IsA)
 	}
 	for _, pr := range involvePairs {
-		t, ok1 := o.Find(ontology.Topic, pr.Parent)
-		c, ok2 := o.Find(ontology.Concept, pr.Child)
-		if ok1 && ok2 {
-			batch = append(batch, ontology.Edge{Src: t.ID, Dst: c.ID, Type: ontology.Involve, Weight: 1})
-		}
+		link(ontology.Topic, ontology.Concept, pr.Parent, pr.Child, ontology.Involve)
 	}
 	for _, pr := range ceLinks {
-		cn, ok1 := o.Find(ontology.Concept, pr.parent)
-		en, ok2 := o.Find(ontology.Entity, pr.child)
-		if ok1 && ok2 {
-			batch = append(batch, ontology.Edge{Src: cn.ID, Dst: en.ID, Type: ontology.IsA, Weight: 1})
-		}
+		link(ontology.Concept, ontology.Entity, pr.parent, pr.child, ontology.IsA)
 	}
 	for _, pr := range evLinks {
-		en, ok1 := o.Find(ontology.Event, pr.parent)
-		ent, ok2 := o.Find(ontology.Entity, pr.child)
-		if ok1 && ok2 {
-			batch = append(batch, ontology.Edge{Src: en.ID, Dst: ent.ID, Type: ontology.Involve, Weight: 1})
-		}
+		link(ontology.Event, ontology.Entity, pr.parent, pr.child, ontology.Involve)
 	}
 	for _, p := range corrPairs {
-		a, ok1 := o.Find(ontology.Entity, p[0])
-		b, ok2 := o.Find(ontology.Entity, p[1])
-		if ok1 && ok2 {
-			// Correlate is symmetric; store one canonical direction.
-			batch = append(batch, ontology.Edge{Src: a.ID, Dst: b.ID, Type: ontology.Correlate, Weight: 1})
-		}
+		// Correlate is symmetric; store one canonical direction.
+		link(ontology.Entity, ontology.Entity, p[0], p[1], ontology.Correlate)
 	}
 	if err := o.AddEdges(batch); err != nil {
 		return err
@@ -383,24 +366,38 @@ func (sys *System) assemble() error {
 
 	// Concept-concept correlate (the §3.2 extension the paper defers):
 	// concepts sharing a large fraction of instances correlate.
+	linked := o.Snapshot()
 	instances := map[string][]string{}
-	for _, c := range o.Nodes(ontology.Concept) {
-		for _, ch := range o.Children(c.ID, ontology.IsA) {
+	for _, c := range linked.Nodes(ontology.Concept) {
+		for _, ch := range linked.Children(c.ID, ontology.IsA) {
 			if ch.Type == ontology.Entity {
 				instances[c.Phrase] = append(instances[c.Phrase], ch.Phrase)
 			}
 		}
 	}
 	for _, pr := range linking.ConceptCorrelateEdges(instances, 0.5) {
-		a, ok1 := o.Find(ontology.Concept, pr.Parent)
-		b, ok2 := o.Find(ontology.Concept, pr.Child)
+		a, ok1 := o.Lookup(ontology.Concept, pr.Parent)
+		b, ok2 := o.Lookup(ontology.Concept, pr.Child)
 		if ok1 && ok2 {
-			_ = o.AddEdge(a.ID, b.ID, ontology.Correlate, 1)
+			_ = o.AddEdge(a, b, ontology.Correlate, 1)
 		}
 	}
 
-	sys.Ontology = o
+	// Adopt the finished world's snapshot: every later read shares it, and
+	// the builder's maps are garbage from here on.
+	sys.Ontology = ontology.FromSnapshot(o.Snapshot())
 	return nil
+}
+
+// lookupAny resolves a phrase under the first node type (in NodeType
+// order) that holds it.
+func lookupAny(o *ontology.Ontology, phrase string) (ontology.NodeID, bool) {
+	for t := ontology.NodeType(0); t < ontology.NumNodeTypes; t++ {
+		if id, ok := o.Lookup(t, phrase); ok {
+			return id, true
+		}
+	}
+	return 0, false
 }
 
 // eventsForCPD converts mined events into the CPD input view, mapping
@@ -601,10 +598,12 @@ func (sys *System) entityCorrelatePairs() [][2]string {
 	return sys.Embedder.CorrelatePairs(cands)
 }
 
-// Snapshot returns an immutable, lock-free snapshot of the built ontology
-// for the online serving tier (see internal/serve and cmd/giantd). The
-// snapshot shares nothing mutable with the system: later ontology writes
-// never disturb its readers.
+// Snapshot returns the immutable, lock-free snapshot of the current
+// ontology — the read side of the system, for the §4 applications, the
+// tables and the online serving tier (see internal/serve and cmd/giantd).
+// Build, Ingest and RestoreCheckpoint each adopt the snapshot they
+// produce, so repeated calls return the same pointer; later ontology
+// writes never disturb its readers.
 func (sys *System) Snapshot() *ontology.Snapshot {
 	return sys.Ontology.Snapshot()
 }
@@ -631,7 +630,7 @@ func (sys *System) shardedLocked() (*ontology.ShardedSnapshot, error) {
 	if sys.sharded != nil && sys.sharded.NumShards() == k && sys.shardedFrom == sys.Ontology {
 		return sys.sharded, nil
 	}
-	ss, err := ontology.ShardSnapshot(sys.Ontology.Snapshot(), k)
+	ss, err := ontology.ShardSnapshot(sys.Snapshot(), k)
 	if err != nil {
 		return nil, err
 	}
@@ -671,7 +670,7 @@ func (sys *System) ConceptContext() map[string][]string {
 
 // ConceptTagger builds the §4 concept tagger over the built ontology.
 func (sys *System) ConceptTagger() *tagging.ConceptTagger {
-	return tagging.NewConceptTagger(sys.Ontology, sys.conceptContext)
+	return tagging.NewConceptTagger(sys.Snapshot(), sys.conceptContext)
 }
 
 // EventTagger builds the §4 event tagger, training the Duet matcher on
@@ -695,12 +694,12 @@ func (sys *System) EventTagger() *tagging.EventTagger {
 		}
 	}
 	duet.Train(examples, 4, 0.05, sys.Cfg.Seed+10)
-	return tagging.NewEventTagger(sys.Ontology, duet)
+	return tagging.NewEventTagger(sys.Snapshot(), duet)
 }
 
 // Query builds the §4 query understander.
 func (sys *System) Query() *queryund.Understander {
-	return queryund.New(sys.Ontology)
+	return queryund.New(sys.Snapshot())
 }
 
 // StoryTree forms a story tree seeded at the given mined event phrase.

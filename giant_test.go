@@ -34,7 +34,7 @@ func builtSystem(t *testing.T) *System {
 
 func TestBuildProducesAllNodeTypes(t *testing.T) {
 	sys := builtSystem(t)
-	st := sys.Ontology.ComputeStats()
+	st := sys.Snapshot().ComputeStats()
 	for _, typ := range []string{"category", "concept", "entity", "event"} {
 		if st.NodesByType[typ] == 0 {
 			t.Fatalf("no %s nodes: %+v", typ, st)
@@ -49,7 +49,7 @@ func TestBuildProducesAllNodeTypes(t *testing.T) {
 
 func TestOntologyIsADAG(t *testing.T) {
 	sys := builtSystem(t)
-	if sys.Ontology.HasCycleIsA() {
+	if sys.Snapshot().HasCycleIsA() {
 		t.Fatal("isA subgraph has a cycle; the AO must be a DAG")
 	}
 }
@@ -72,39 +72,48 @@ func TestMinedPhrasesHaveProvenance(t *testing.T) {
 func TestPersistenceRoundTrip(t *testing.T) {
 	sys := builtSystem(t)
 	path := filepath.Join(t.TempDir(), "ao.json")
-	if err := sys.Ontology.SaveFile(path); err != nil {
+	snap := sys.Snapshot()
+	if err := snap.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ontology.LoadFile(path)
+	loaded, err := ontology.LoadSnapshotFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.NodeCount() != sys.Ontology.NodeCount() {
-		t.Fatalf("nodes: %d != %d", loaded.NodeCount(), sys.Ontology.NodeCount())
+	if loaded.NodeCount() != snap.NodeCount() {
+		t.Fatalf("nodes: %d != %d", loaded.NodeCount(), snap.NodeCount())
 	}
-	if loaded.EdgeCount() != sys.Ontology.EdgeCount() {
-		t.Fatalf("edges: %d != %d", loaded.EdgeCount(), sys.Ontology.EdgeCount())
+	if loaded.EdgeCount() != snap.EdgeCount() {
+		t.Fatalf("edges: %d != %d", loaded.EdgeCount(), snap.EdgeCount())
 	}
 }
 
 func TestSystemSnapshotMatchesOntology(t *testing.T) {
 	sys := builtSystem(t)
 	snap := sys.Snapshot()
-	if snap.NodeCount() != sys.Ontology.NodeCount() || snap.EdgeCount() != sys.Ontology.EdgeCount() {
-		t.Fatalf("snapshot counts: %d/%d, ontology: %d/%d",
-			snap.NodeCount(), snap.EdgeCount(), sys.Ontology.NodeCount(), sys.Ontology.EdgeCount())
+	if snap != sys.Ontology.Snapshot() {
+		t.Fatal("System.Snapshot is not the ontology's adopted snapshot")
 	}
-	for _, n := range sys.Ontology.Nodes() {
+	nodes, edges := snap.Nodes(), snap.Edges()
+	if snap.NodeCount() != len(nodes) || snap.EdgeCount() != len(edges) {
+		t.Fatalf("snapshot counts: %d/%d, lists: %d/%d", snap.NodeCount(), snap.EdgeCount(), len(nodes), len(edges))
+	}
+	isAChildren := make(map[ontology.NodeID]int)
+	for _, e := range edges {
+		if e.Type == ontology.IsA {
+			isAChildren[e.Src]++
+		}
+	}
+	for _, n := range nodes {
 		got, ok := snap.Find(n.Type, n.Phrase)
 		if !ok || got.ID != n.ID {
 			t.Fatalf("snapshot lost node %v %q", n.Type, n.Phrase)
 		}
-		if len(snap.Children(n.ID, ontology.IsA)) != len(sys.Ontology.Children(n.ID, ontology.IsA)) {
+		if len(snap.Children(n.ID, ontology.IsA)) != isAChildren[n.ID] {
 			t.Fatalf("snapshot adjacency differs at %q", n.Phrase)
 		}
 	}
-	// The §4 applications run unchanged over the snapshot through the View
-	// interface.
+	// The §4 applications run over the snapshot.
 	understander := sys.Query()
 	understander.Onto = snap
 	for _, r := range sys.Log.Records {
@@ -163,7 +172,7 @@ func TestQueryUnderstandingEndToEnd(t *testing.T) {
 	sys := builtSystem(t)
 	u := sys.Query()
 	hits := 0
-	for _, c := range sys.Ontology.Nodes(ontology.Concept) {
+	for _, c := range sys.Snapshot().Nodes(ontology.Concept) {
 		if u.Conceptualize("best "+c.Phrase) == c.Phrase {
 			hits++
 		}
@@ -201,9 +210,10 @@ func TestStoryTreeEndToEnd(t *testing.T) {
 
 func TestCategoryEdgesPointIntoHierarchy(t *testing.T) {
 	sys := builtSystem(t)
-	for _, e := range sys.Ontology.Edges(ontology.IsA) {
-		src, _ := sys.Ontology.Get(e.Src)
-		dst, _ := sys.Ontology.Get(e.Dst)
+	snap := sys.Snapshot()
+	for _, e := range snap.Edges(ontology.IsA) {
+		src, _ := snap.Get(e.Src)
+		dst, _ := snap.Get(e.Dst)
 		if src.Type == ontology.Entity {
 			t.Fatalf("entity %q should not be an isA source (instances are destinations)", src.Phrase)
 		}

@@ -5,7 +5,7 @@ package giant
 // bring new documents (new concepts with an existing suffix parent, new
 // events contained in / containing existing ones) and TTL retirements — is
 // fed through System.Ingest and System.IngestSharded, and in both modes the
-// sha256 of every returned generation and of the final Ontology.WriteJSON
+// sha256 of every returned generation and of the final snapshot's WriteJSON
 // must match the one pair of constants below. The constants were recorded
 // from the commit BEFORE Ingest's cost was made to track the batch
 // (full-world copy per batch, full-inventory linking scans, allocating
@@ -175,7 +175,7 @@ func TestGoldenIngestReplay(t *testing.T) {
 				t.Fatalf("replay is not exercising every path: %+v", tally)
 			}
 			final := sha256.New()
-			if err := sys.Ontology.WriteJSON(final); err != nil {
+			if err := sys.Snapshot().WriteJSON(final); err != nil {
 				t.Fatal(err)
 			}
 			gotFinal, gotChain := hex.EncodeToString(final.Sum(nil)), hex.EncodeToString(chain.Sum(nil))

@@ -39,7 +39,7 @@ import (
 func (sys *System) Ingest(batch delta.Batch) (*ontology.Snapshot, *delta.Delta, error) {
 	sys.ingestMu.Lock()
 	defer sys.ingestMu.Unlock()
-	return sys.ingestLocked(sys.Ontology.Snapshot(), batch, nil)
+	return sys.ingestLocked(sys.Snapshot(), batch, nil)
 }
 
 // IngestSharded is Ingest for a sharded deployment (Cfg.Shards > 1): the

@@ -97,7 +97,7 @@ type nodeKey struct {
 	Phrase string
 }
 
-func nodeSet(o *ontology.Ontology) map[nodeKey]ontology.Node {
+func nodeSet(o *ontology.Snapshot) map[nodeKey]ontology.Node {
 	out := map[nodeKey]ontology.Node{}
 	for _, n := range o.Nodes() {
 		out[nodeKey{n.Type, n.Phrase}] = n
@@ -110,7 +110,7 @@ type edgeKey struct {
 	Type     ontology.EdgeType
 }
 
-func edgeSet(o *ontology.Ontology) map[edgeKey]float64 {
+func edgeSet(o *ontology.Snapshot) map[edgeKey]float64 {
 	out := map[edgeKey]float64{}
 	for _, e := range o.Edges() {
 		src, _ := o.Get(e.Src)
@@ -142,7 +142,7 @@ func changedRegion(full, inc *System, affected map[string]bool) map[string]bool 
 	mark(full)
 	mark(inc)
 	for _, sys := range []*System{full, inc} {
-		for _, n := range sys.Ontology.Nodes() {
+		for _, n := range sys.Snapshot().Nodes() {
 			if len(n.Aliases) > 0 {
 				changed[n.Phrase] = true
 				for _, a := range n.Aliases {
@@ -157,9 +157,10 @@ func changedRegion(full, inc *System, affected map[string]bool) map[string]bool 
 	for _, sys := range []*System{full, inc} {
 		for {
 			grew := false
-			for _, e := range sys.Ontology.Edges() {
-				src, _ := sys.Ontology.Get(e.Src)
-				dst, _ := sys.Ontology.Get(e.Dst)
+			snap := sys.Snapshot()
+			for _, e := range snap.Edges() {
+				src, _ := snap.Get(e.Src)
+				dst, _ := snap.Get(e.Dst)
 				if changed[dst.Phrase] && !changed[src.Phrase] &&
 					(src.Type == ontology.Concept || src.Type == ontology.Topic) {
 					changed[src.Phrase] = true
@@ -185,7 +186,7 @@ func TestIncrementalMatchesFullRebuild(t *testing.T) {
 	inc, affected, _ := incrementalCase(t, cfg, splitDay, maxDay)
 
 	changed := changedRegion(full, inc, affected)
-	fullNodes, incNodes := nodeSet(full.Ontology), nodeSet(inc.Ontology)
+	fullNodes, incNodes := nodeSet(full.Snapshot()), nodeSet(inc.Snapshot())
 
 	// Unchanged-region node equivalence, both directions.
 	checked := 0
@@ -212,7 +213,7 @@ func TestIncrementalMatchesFullRebuild(t *testing.T) {
 
 	// Unchanged-region edge equivalence (both endpoints unchanged),
 	// including weights — re-weighting must converge to the batch value.
-	fullEdges, incEdges := edgeSet(full.Ontology), edgeSet(inc.Ontology)
+	fullEdges, incEdges := edgeSet(full.Snapshot()), edgeSet(inc.Snapshot())
 	checkedEdges := 0
 	for k, w := range fullEdges {
 		if changed[k.Src.Phrase] || changed[k.Dst.Phrase] {
@@ -243,7 +244,7 @@ func TestIncrementalMatchesFullRebuild(t *testing.T) {
 		checked, checkedEdges, len(changed))
 
 	// The incremental result stays a DAG and keeps serving invariants.
-	if inc.Ontology.HasCycleIsA() {
+	if inc.Snapshot().HasCycleIsA() {
 		t.Fatal("incremental ontology has an isA cycle")
 	}
 }
@@ -291,7 +292,7 @@ func TestIngestRejectsBadBatchAtomically(t *testing.T) {
 	docsBefore := len(sys.Log.Docs)
 	recordsBefore := len(sys.Log.Records)
 	queriesBefore := sys.Click.NumQueries()
-	nodesBefore := sys.Ontology.NodeCount()
+	nodesBefore := sys.Snapshot().NodeCount()
 	bad := delta.Batch{Day: 5,
 		Docs:   []delta.Doc{{ID: -1, Title: "new doc", Category: 0, Day: 5}},
 		Clicks: []delta.Click{{Query: "fine query", DocID: -1, Clicks: 1}, {Query: "broken", DocID: 999999, Clicks: 1}},
@@ -300,10 +301,10 @@ func TestIngestRejectsBadBatchAtomically(t *testing.T) {
 		t.Fatal("bad batch accepted")
 	}
 	if len(sys.Log.Docs) != docsBefore || len(sys.Log.Records) != recordsBefore ||
-		sys.Click.NumQueries() != queriesBefore || sys.Ontology.NodeCount() != nodesBefore {
+		sys.Click.NumQueries() != queriesBefore || sys.Snapshot().NodeCount() != nodesBefore {
 		t.Fatalf("rejected batch left state half-applied: docs %d->%d, records %d->%d, queries %d->%d, nodes %d->%d",
 			docsBefore, len(sys.Log.Docs), recordsBefore, len(sys.Log.Records),
-			queriesBefore, sys.Click.NumQueries(), nodesBefore, sys.Ontology.NodeCount())
+			queriesBefore, sys.Click.NumQueries(), nodesBefore, sys.Snapshot().NodeCount())
 	}
 }
 
@@ -368,8 +369,8 @@ func TestIngestTTLRetirement(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	events := sys.Ontology.NodeCount(ontology.Event)
-	concepts := sys.Ontology.NodeCount(ontology.Concept)
+	events := sys.Snapshot().NodeCount(ontology.Event)
+	concepts := sys.Snapshot().NodeCount(ontology.Concept)
 	if events == 0 {
 		t.Skip("no events mined at tiny scale")
 	}

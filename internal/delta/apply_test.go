@@ -62,7 +62,7 @@ func genWorld(p picker, nodes, words int) *ontology.Snapshot {
 			o.AddAlias(id, genWord(p, words))
 		}
 	}
-	n := o.NodeCount()
+	n := o.Snapshot().Len()
 	for e := p.intn(2*n + 1); e > 0; e-- {
 		// Self edges are refused; that is fine.
 		_ = o.AddEdge(ontology.NodeID(p.intn(n)), ontology.NodeID(p.intn(n)), ontology.EdgeType(p.intn(ontology.NumEdgeTypes)), float64(p.intn(5))/4)

@@ -109,7 +109,7 @@ func eventTagCorrect(env *Env, goldEvent int, tag string) bool {
 // reports how often the conveyed concept is recovered.
 func QueryUnderstanding(env *Env, maxQueries int) (hit, total int) {
 	u := env.Sys.Query()
-	for _, c := range env.Sys.Ontology.Nodes(ontology.Concept) {
+	for _, c := range env.Sys.Snapshot().Nodes(ontology.Concept) {
 		if maxQueries > 0 && total >= maxQueries {
 			break
 		}

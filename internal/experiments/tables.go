@@ -22,7 +22,7 @@ type Table1Row struct {
 
 // Table1 counts attention-ontology nodes by type and growth.
 func Table1(env *Env) []Table1Row {
-	o := env.Sys.Ontology
+	o := env.Sys.Snapshot()
 	days := env.World.Config.Days
 	if days < 1 {
 		days = 1
@@ -54,7 +54,7 @@ type Table2Row struct {
 
 // Table2 counts edges and scores them against the generative ground truth.
 func Table2(env *Env) []Table2Row {
-	o := env.Sys.Ontology
+	o := env.Sys.Snapshot()
 	rows := make([]Table2Row, 0, 3)
 	for _, t := range []ontology.EdgeType{ontology.IsA, ontology.Correlate, ontology.Involve} {
 		edges := o.Edges(t)
@@ -74,7 +74,7 @@ func Table2(env *Env) []Table2Row {
 }
 
 // edgeIsCorrect consults the world's ground truth for one ontology edge.
-func edgeIsCorrect(env *Env, o *ontology.Ontology, e ontology.Edge) bool {
+func edgeIsCorrect(env *Env, o *ontology.Snapshot, e ontology.Edge) bool {
 	src, _ := o.Get(e.Src)
 	dst, _ := o.Get(e.Dst)
 	w := env.World
@@ -257,7 +257,7 @@ type ShowcaseRow struct {
 
 // Table3 samples concept showcases with their categories and instances.
 func Table3(env *Env, n int) []ShowcaseRow {
-	o := env.Sys.Ontology
+	o := env.Sys.Snapshot()
 	var rows []ShowcaseRow
 	concepts := o.Nodes(ontology.Concept)
 	sort.Slice(concepts, func(i, j int) bool { return concepts[i].Phrase < concepts[j].Phrase })
@@ -280,7 +280,7 @@ func Table3(env *Env, n int) []ShowcaseRow {
 
 // Table4 samples event showcases with topics and involved entities.
 func Table4(env *Env, n int) []ShowcaseRow {
-	o := env.Sys.Ontology
+	o := env.Sys.Snapshot()
 	var rows []ShowcaseRow
 	events := o.Nodes(ontology.Event)
 	sort.Slice(events, func(i, j int) bool { return events[i].Phrase < events[j].Phrase })
@@ -312,7 +312,7 @@ func Table4(env *Env, n int) []ShowcaseRow {
 	return rows
 }
 
-func entityChildren(o *ontology.Ontology, id ontology.NodeID) []string {
+func entityChildren(o *ontology.Snapshot, id ontology.NodeID) []string {
 	var out []string
 	for _, c := range o.Children(id, ontology.IsA) {
 		if c.Type == ontology.Entity {
@@ -326,7 +326,7 @@ func entityChildren(o *ontology.Ontology, id ontology.NodeID) []string {
 	return out
 }
 
-func firstCategoryParent(o *ontology.Ontology, id ontology.NodeID) string {
+func firstCategoryParent(o *ontology.Snapshot, id ontology.NodeID) string {
 	for _, p := range o.Parents(id, ontology.IsA) {
 		if p.Type == ontology.Category {
 			return p.Phrase

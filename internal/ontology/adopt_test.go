@@ -18,8 +18,9 @@ func snapshotJSON(t *testing.T, s *Snapshot) []byte {
 
 // TestFromSnapshotSharingContract pins lazy adoption: an adopted ontology
 // hands back the very snapshot it was adopted from until it is mutated,
-// reads through it exactly what a node-by-node rebuild would read, and a
-// mutation lands on a private copy — the adopted snapshot never changes.
+// looks up exactly what a node-by-node rebuild looks up, materializes on
+// its first mutation exactly the rebuild's lists and maps, and a mutation
+// lands on a private copy — the adopted snapshot never changes.
 func TestFromSnapshotSharingContract(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		src := randomOntology(seed)
@@ -36,26 +37,23 @@ func TestFromSnapshotSharingContract(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got, want bytes.Buffer
-		if err := o.WriteJSON(&got); err != nil {
-			t.Fatal(err)
-		}
-		if err := rebuilt.WriteJSON(&want); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		if !bytes.Equal(snapshotJSON(t, o.Snapshot()), snapshotJSON(t, rebuilt.Snapshot())) {
 			t.Fatalf("seed %d: adopted ontology serializes differently from a rebuild", seed)
 		}
+		adopted, fresh := referenceLists(o.Snapshot()), referenceOf(rebuilt)
 		for _, n := range s.Nodes() {
-			if f, ok := o.Find(n.Type, n.Phrase); !ok || !reflect.DeepEqual(f, n) {
-				t.Fatalf("seed %d: Find(%v, %q) = %+v, %v", seed, n.Type, n.Phrase, f, ok)
+			if id, ok := o.Lookup(n.Type, n.Phrase); !ok || id != n.ID {
+				t.Fatalf("seed %d: Lookup(%v, %q) = %d, %v", seed, n.Type, n.Phrase, id, ok)
 			}
-			if !reflect.DeepEqual(o.Children(n.ID, IsA), rebuilt.Children(n.ID, IsA)) ||
-				!reflect.DeepEqual(o.Parents(n.ID, IsA), rebuilt.Parents(n.ID, IsA)) {
+			if id, ok := rebuilt.Lookup(n.Type, n.Phrase); !ok || id != n.ID {
+				t.Fatalf("seed %d: rebuilt Lookup(%v, %q) = %d, %v", seed, n.Type, n.Phrase, id, ok)
+			}
+			if !reflect.DeepEqual(adopted.Children(n.ID, IsA), fresh.Children(n.ID, IsA)) ||
+				!reflect.DeepEqual(adopted.Parents(n.ID, IsA), fresh.Parents(n.ID, IsA)) {
 				t.Fatalf("seed %d: adjacency of node %d differs from a rebuild", seed, n.ID)
 			}
 		}
-		if o.HasCycleIsA() != rebuilt.HasCycleIsA() || !reflect.DeepEqual(o.ComputeStats(), rebuilt.ComputeStats()) {
+		if adopted.HasCycleIsA() != fresh.HasCycleIsA() || !reflect.DeepEqual(adopted.ComputeStats(), fresh.ComputeStats()) {
 			t.Fatalf("seed %d: derived reads differ from a rebuild", seed)
 		}
 		if o.Snapshot() != s {
@@ -65,11 +63,19 @@ func TestFromSnapshotSharingContract(t *testing.T) {
 		// Mutations: a new node, an alias appended to a node that already
 		// has some (the append must not land in s's backing array), a new
 		// edge and refreshed attributes.
-		id := o.AddNode(Concept, "brand new concept")
-		o.AddAlias(0, "alias-three")
-		o.SetLastSeen(0, 99)
-		if err := o.AddEdge(0, id, Correlate, 1); err != nil {
-			t.Fatal(err)
+		mutate := func(o *Ontology) {
+			id := o.AddNode(Concept, "brand new concept")
+			o.AddAlias(0, "alias-three")
+			o.SetLastSeen(0, 99)
+			if err := o.AddEdge(0, id, Correlate, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mutate(o)
+		mutate(rebuilt)
+		if !reflect.DeepEqual(o.nodes, rebuilt.nodes) || !reflect.DeepEqual(o.edges, rebuilt.edges) ||
+			!reflect.DeepEqual(o.byPhrase, rebuilt.byPhrase) || !reflect.DeepEqual(o.edgeSet, rebuilt.edgeSet) {
+			t.Fatalf("seed %d: materialized state differs from a rebuild's", seed)
 		}
 		next := o.Snapshot()
 		if next == s {
@@ -88,10 +94,11 @@ func TestFromSnapshotSharingContract(t *testing.T) {
 }
 
 // TestAdoptedOntologyConcurrentUse hammers a lazily adopted ontology from 8
-// goroutines — Snapshot, Find and Nodes racing the first materialization
-// and one AddNode — under -race. Every Snapshot() is either the adopted
-// snapshot or a post-mutation one that holds the new node, and the adopted
-// snapshot is byte-for-byte what it was.
+// goroutines — Snapshot and Lookup racing the first materialization and
+// one AddNode — under -race. Every Snapshot() is either the adopted
+// snapshot or a post-mutation one that holds the new node, every Lookup
+// sees either world, and the adopted snapshot is byte-for-byte what it
+// was.
 func TestAdoptedOntologyConcurrentUse(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		s := randomOntology(int64(round)).Snapshot()
@@ -118,13 +125,13 @@ func TestAdoptedOntologyConcurrentUse(t *testing.T) {
 							return
 						}
 					case w%3 == 1:
-						if n, ok := o.Find(probe.Type, probe.Phrase); !ok || n.ID != 0 {
-							t.Errorf("round %d: Find lost node 0", round)
+						if id, ok := o.Lookup(probe.Type, probe.Phrase); !ok || id != 0 {
+							t.Errorf("round %d: Lookup lost node 0", round)
 							return
 						}
 					default:
-						if n := len(o.Nodes()); n != s.Len() && n != s.Len()+1 {
-							t.Errorf("round %d: Nodes() returned %d nodes", round, n)
+						if id, ok := o.Lookup(Event, "added mid-flight"); ok && int(id) != s.Len() {
+							t.Errorf("round %d: Lookup found the added node at %d", round, id)
 							return
 						}
 					}
@@ -136,7 +143,7 @@ func TestAdoptedOntologyConcurrentUse(t *testing.T) {
 		if !bytes.Equal(snapshotJSON(t, s), before) {
 			t.Fatalf("round %d: the pre-mutation snapshot was disturbed", round)
 		}
-		if _, ok := o.Find(Event, "added mid-flight"); !ok {
+		if _, ok := o.Lookup(Event, "added mid-flight"); !ok {
 			t.Fatalf("round %d: AddNode lost", round)
 		}
 	}

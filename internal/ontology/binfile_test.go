@@ -301,13 +301,10 @@ func TestBinaryCrossFormatLoaders(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Binary shard into the union loaders: rejected with a message naming
+	// Binary shard into the union loader: rejected with a message naming
 	// the shard identity, mirroring the JSON shard reject.
 	if _, err := LoadSnapshotFile(shardPath); err == nil || !strings.Contains(err.Error(), "shard") {
 		t.Fatalf("LoadSnapshotFile(shard.bin): %v, want shard-projection reject", err)
-	}
-	if _, err := LoadFile(shardPath); err == nil || !strings.Contains(err.Error(), "shard") {
-		t.Fatalf("LoadFile(shard.bin): %v, want shard-projection reject", err)
 	}
 
 	// Binary union into the shard loader: ErrNotShardFile, so

@@ -1,17 +1,13 @@
 // Package ontology implements the Attention Ontology of §2: a DAG of five
 // node types (category, concept, entity, topic, event) connected by three
-// edge types (isA, involve, correlate), with alias lists per node,
-// concurrency-safe mutation, traversal helpers, statistics and JSON
-// persistence.
+// edge types (isA, involve, correlate), with alias lists per node. The
+// build writes through an Ontology; every read — lookups, traversal,
+// statistics, search, JSON and binary persistence, sharding — goes
+// through the immutable Snapshot it produces.
 package ontology
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -120,29 +116,29 @@ type Edge struct {
 	Weight float64  `json:"weight,omitempty"`
 }
 
-// Ontology is the Attention Ontology store. Safe for concurrent use.
+// Ontology is the build's write side of the Attention Ontology: it takes
+// nodes, aliases, attributes and edges, deduplicating as it goes, and
+// answers one read — Lookup, so the build can resolve a phrase it added —
+// before handing everything else to the Snapshot it produces. Safe for
+// concurrent use.
 //
 // An Ontology adopted from a Snapshot (FromSnapshot) starts out as nothing
 // but a reference to that snapshot: the node/edge lists and lookup maps
-// below are materialized on the first call that reads or mutates them, and
-// Snapshot() hands the adopted snapshot back for as long as no mutator has
-// run. The incremental path adopts one generation per batch and only ever
-// asks for Snapshot(), so it never pays for the maps.
+// below are materialized by the first mutator, and Snapshot() hands the
+// adopted snapshot back until then. The incremental path adopts one
+// generation per batch and only ever asks for Snapshot(), so it never pays
+// for the maps.
 type Ontology struct {
 	mu sync.RWMutex
 
 	// snap is the immutable snapshot the ontology was adopted from and still
-	// equals; the first mutator clears it. Invariant: snap != nil || built.
+	// equals; the first mutator materializes the fields below from it and
+	// clears it. While snap is set, the fields below are unset.
 	snap *Snapshot
-	// built reports whether the fields below are materialized. It only ever
-	// goes from false to true, under the write lock.
-	built bool
 
 	nodes    []Node
 	edges    []Edge
 	byPhrase map[string]NodeID
-	out      map[NodeID][]int // edge indices by source
-	in       map[NodeID][]int // edge indices by destination
 	edgeSet  map[edgeKey]bool
 }
 
@@ -154,48 +150,22 @@ type edgeKey struct {
 // New returns an empty ontology.
 func New() *Ontology {
 	return &Ontology{
-		built:    true,
 		byPhrase: make(map[string]NodeID),
-		out:      make(map[NodeID][]int),
-		in:       make(map[NodeID][]int),
 		edgeSet:  make(map[edgeKey]bool),
 	}
 }
 
-// rlock takes the read lock with the mutable state materialized.
-func (o *Ontology) rlock() {
-	o.mu.RLock()
-	if o.built {
-		return
-	}
-	o.mu.RUnlock()
-	o.mu.Lock()
-	o.materializeLocked()
-	o.mu.Unlock()
-	o.mu.RLock() // built never reverts
-}
-
-// divergeLocked prepares for a mutation: the mutable state is materialized
-// and the adopted snapshot, about to go stale, is let go (its holders keep
-// an undisturbed world). Caller holds the write lock.
+// divergeLocked prepares for a mutation: an adopted ontology builds its
+// mutable node/edge lists and lookup maps from its snapshot, sharing
+// nothing mutable with it, and lets the snapshot, about to go stale, go
+// (its holders keep an undisturbed world). Caller holds the write lock.
 func (o *Ontology) divergeLocked() {
-	o.materializeLocked()
-	o.snap = nil
-}
-
-// materializeLocked builds the mutable node/edge lists and lookup maps of
-// an adopted ontology from its snapshot, sharing nothing mutable with it.
-// Caller holds the write lock.
-func (o *Ontology) materializeLocked() {
-	if o.built {
+	s := o.snap
+	if s == nil {
 		return
 	}
-	s := o.snap
-	// Empty lists stay nil, as in an ontology built by New (WriteJSON
-	// renders them differently from empty non-nil ones).
-	if len(s.nodes) > 0 {
-		o.nodes = copyNodes(s.nodes)
-	}
+	o.snap = nil
+	o.nodes = copyNodes(s.nodes)
 	o.edges = append([]Edge(nil), s.edges...)
 	o.byPhrase = make(map[string]NodeID, len(o.nodes))
 	for i := range o.nodes {
@@ -205,15 +175,10 @@ func (o *Ontology) materializeLocked() {
 			o.byPhrase[key] = n.ID
 		}
 	}
-	o.out = make(map[NodeID][]int)
-	o.in = make(map[NodeID][]int)
 	o.edgeSet = make(map[edgeKey]bool, len(o.edges))
-	for i, e := range o.edges {
+	for _, e := range o.edges {
 		o.edgeSet[edgeKey{e.Src, e.Dst, e.Type}] = true
-		o.out[e.Src] = append(o.out[e.Src], i)
-		o.in[e.Dst] = append(o.in[e.Dst], i)
 	}
-	o.built = true
 }
 
 // copyNodes deep-copies a node list (alias slices included).
@@ -355,181 +320,21 @@ func (o *Ontology) addEdgeLocked(e Edge) error {
 		return nil
 	}
 	o.edgeSet[k] = true
-	idx := len(o.edges)
 	o.edges = append(o.edges, e)
-	o.out[e.Src] = append(o.out[e.Src], idx)
-	o.in[e.Dst] = append(o.in[e.Dst], idx)
 	return nil
 }
 
-// NodeCount returns the number of nodes (optionally filtered by type).
-func (o *Ontology) NodeCount(types ...NodeType) int {
-	o.rlock()
+// Lookup resolves a (type, phrase) pair to the ID of the node holding it
+// (case-insensitively) — the one read the build needs while it still adds
+// nodes and edges. Every other read goes through Snapshot.
+func (o *Ontology) Lookup(t NodeType, phrase string) (NodeID, bool) {
+	o.mu.RLock()
 	defer o.mu.RUnlock()
-	if len(types) == 0 {
-		return len(o.nodes)
+	if o.snap != nil {
+		return o.snap.Lookup(t, phrase)
 	}
-	n := 0
-	for _, nd := range o.nodes {
-		for _, t := range types {
-			if nd.Type == t {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// EdgeCount returns the number of edges (optionally filtered by type).
-func (o *Ontology) EdgeCount(types ...EdgeType) int {
-	o.rlock()
-	defer o.mu.RUnlock()
-	if len(types) == 0 {
-		return len(o.edges)
-	}
-	n := 0
-	for _, e := range o.edges {
-		for _, t := range types {
-			if e.Type == t {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// Get returns a copy of the node.
-func (o *Ontology) Get(id NodeID) (Node, bool) {
-	o.rlock()
-	defer o.mu.RUnlock()
-	if int(id) < 0 || int(id) >= len(o.nodes) {
-		return Node{}, false
-	}
-	return o.nodes[id], true
-}
-
-// Find returns the node with the given type and phrase.
-func (o *Ontology) Find(t NodeType, phrase string) (Node, bool) {
-	o.rlock()
 	id, ok := o.byPhrase[nodeKey(t, phrase)]
-	o.mu.RUnlock()
-	if !ok {
-		return Node{}, false
-	}
-	return o.Get(id)
-}
-
-// FindAny returns the first node with the phrase under any type.
-func (o *Ontology) FindAny(phrase string) (Node, bool) {
-	o.rlock()
-	defer o.mu.RUnlock()
-	for t := NodeType(0); t < NumNodeTypes; t++ {
-		if id, ok := o.byPhrase[nodeKey(t, phrase)]; ok {
-			return o.nodes[id], true
-		}
-	}
-	return Node{}, false
-}
-
-// Children returns nodes reachable from id via out-edges of type t
-// (e.g. the entities of a concept under IsA).
-func (o *Ontology) Children(id NodeID, t EdgeType) []Node {
-	o.rlock()
-	defer o.mu.RUnlock()
-	var out []Node
-	for _, ei := range o.out[id] {
-		e := o.edges[ei]
-		if e.Type == t {
-			out = append(out, o.nodes[e.Dst])
-		}
-	}
-	return out
-}
-
-// Parents returns nodes with an edge of type t INTO id (e.g. the concepts an
-// entity belongs to under IsA).
-func (o *Ontology) Parents(id NodeID, t EdgeType) []Node {
-	o.rlock()
-	defer o.mu.RUnlock()
-	var out []Node
-	for _, ei := range o.in[id] {
-		e := o.edges[ei]
-		if e.Type == t {
-			out = append(out, o.nodes[e.Src])
-		}
-	}
-	return out
-}
-
-// Ancestors returns all transitive IsA parents of id.
-func (o *Ontology) Ancestors(id NodeID) []Node {
-	seen := map[NodeID]bool{id: true}
-	var out []Node
-	frontier := []NodeID{id}
-	for len(frontier) > 0 {
-		next := frontier[:0:0]
-		for _, f := range frontier {
-			for _, p := range o.Parents(f, IsA) {
-				if !seen[p.ID] {
-					seen[p.ID] = true
-					out = append(out, p)
-					next = append(next, p.ID)
-				}
-			}
-		}
-		frontier = next
-	}
-	return out
-}
-
-// Nodes returns a copy of all nodes (optionally filtered by type).
-func (o *Ontology) Nodes(types ...NodeType) []Node {
-	o.rlock()
-	defer o.mu.RUnlock()
-	return filterNodes(o.nodes, types)
-}
-
-// Edges returns a copy of all edges (optionally filtered by type).
-func (o *Ontology) Edges(types ...EdgeType) []Edge {
-	o.rlock()
-	defer o.mu.RUnlock()
-	return filterEdges(o.edges, types)
-}
-
-// filterNodes copies nodes, keeping those matching any of the given types
-// (all of them when types is empty). Shared by Ontology (under its read
-// lock) and Snapshot.
-func filterNodes(nodes []Node, types []NodeType) []Node {
-	out := make([]Node, 0, len(nodes))
-	for _, n := range nodes {
-		if len(types) == 0 {
-			out = append(out, n)
-			continue
-		}
-		for _, t := range types {
-			if n.Type == t {
-				out = append(out, n)
-			}
-		}
-	}
-	return out
-}
-
-// filterEdges is filterNodes for edges.
-func filterEdges(edges []Edge, types []EdgeType) []Edge {
-	out := make([]Edge, 0, len(edges))
-	for _, e := range edges {
-		if len(types) == 0 {
-			out = append(out, e)
-			continue
-		}
-		for _, t := range types {
-			if e.Type == t {
-				out = append(out, e)
-			}
-		}
-	}
-	return out
+	return id, ok
 }
 
 // Stats summarizes node and edge counts per type (Table 1 / Table 2 rows).
@@ -538,106 +343,9 @@ type Stats struct {
 	EdgesByType map[string]int `json:"edges_by_type"`
 }
 
-// ComputeStats builds the summary.
-func (o *Ontology) ComputeStats() Stats {
-	o.rlock()
-	defer o.mu.RUnlock()
-	s := Stats{NodesByType: map[string]int{}, EdgesByType: map[string]int{}}
-	for _, n := range o.nodes {
-		s.NodesByType[n.Type.String()]++
-	}
-	for _, e := range o.edges {
-		s.EdgesByType[e.Type.String()]++
-	}
-	return s
-}
-
-// GrowthOn returns the number of nodes of type t first seen on the given
-// day.
-func (o *Ontology) GrowthOn(t NodeType, day int) int {
-	o.rlock()
-	defer o.mu.RUnlock()
-	n := 0
-	for _, nd := range o.nodes {
-		if nd.Type == t && nd.FirstSeenDay == day {
-			n++
-		}
-	}
-	return n
-}
-
-// HasCycleIsA reports whether the IsA subgraph contains a cycle (the AO must
-// remain a DAG).
-func (o *Ontology) HasCycleIsA() bool {
-	o.rlock()
-	defer o.mu.RUnlock()
-	state := make([]uint8, len(o.nodes)) // 0 unseen, 1 in stack, 2 done
-	var dfs func(NodeID) bool
-	dfs = func(v NodeID) bool {
-		state[v] = 1
-		for _, ei := range o.out[v] {
-			e := o.edges[ei]
-			if e.Type != IsA {
-				continue
-			}
-			switch state[e.Dst] {
-			case 1:
-				return true
-			case 0:
-				if dfs(e.Dst) {
-					return true
-				}
-			}
-		}
-		state[v] = 2
-		return false
-	}
-	for i := range o.nodes {
-		if state[i] == 0 && dfs(NodeID(i)) {
-			return true
-		}
-	}
-	return false
-}
-
-type persisted struct {
-	Nodes []Node `json:"nodes"`
-	Edges []Edge `json:"edges"`
-}
-
-// WriteJSON serializes the ontology.
-func (o *Ontology) WriteJSON(w io.Writer) error {
-	o.rlock()
-	p := persisted{Nodes: o.nodes, Edges: o.edges}
-	o.mu.RUnlock()
-	return writePersisted(w, p)
-}
-
-func writePersisted(w io.Writer, p persisted) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(p)
-}
-
-// ReadJSON deserializes an ontology written by WriteJSON. A shard
-// projection file (giantctl shard) is rejected: its node list is one
-// shard's home nodes plus ghosts under local IDs — a plausible-looking
-// but wrong world if ever adopted as the whole ontology.
-func ReadJSON(r io.Reader) (*Ontology, error) {
-	var p struct {
-		persisted
-		NumShards int `json:"num_shards"`
-	}
-	if err := json.NewDecoder(r).Decode(&p); err != nil {
-		return nil, fmt.Errorf("ontology: decode: %w", err)
-	}
-	if p.NumShards > 0 {
-		return nil, fmt.Errorf("ontology: this is a shard projection file (%d shards); boot it with giantd -shard i/%d or load it with LoadShardFile", p.NumShards, p.NumShards)
-	}
-	return fromNodesEdges(p.Nodes, p.Edges)
-}
-
-// fromNodesEdges rebuilds a mutable Ontology from persisted node and edge
-// lists, preserving every node attribute.
+// fromNodesEdges rebuilds an Ontology from persisted node and edge lists
+// through the builder, so a repeated phrase folds into its first node and
+// an invalid edge is an error, preserving every node attribute.
 func fromNodesEdges(nodes []Node, edges []Edge) (*Ontology, error) {
 	o := New()
 	for _, n := range nodes {
@@ -658,49 +366,15 @@ func fromNodesEdges(nodes []Node, edges []Edge) (*Ontology, error) {
 
 // FromSnapshot adopts the snapshot as a mutable Ontology equivalent to it —
 // the inverse of Ontology.Snapshot — in O(1). The sharing contract: the
-// returned Ontology references s and copies nothing until a method needs
-// the mutable state; until the first mutator runs, Snapshot() returns s
-// itself (s is immutable, so sharing it is safe), and a mutation works on a
-// private copy, never on s. The incremental-update path uses this to
+// returned Ontology references s and copies nothing until the first
+// mutator runs; until then Snapshot() returns s itself (s is immutable, so
+// sharing it is safe) and Lookup answers from s, and a mutation works on a
+// private copy, never on s. The build ends by adopting its own snapshot. The incremental-update path uses this to
 // re-adopt a delta-applied snapshot as the system's working ontology
 // without rebuilding the world once per batch. It cannot fail: every way of
 // constructing a Snapshot has already validated IDs and edge endpoints.
 func FromSnapshot(s *Snapshot) *Ontology {
 	return &Ontology{snap: s}
-}
-
-// SaveFile writes the ontology to path as JSON, crash-safely (see
-// Snapshot.SaveFile).
-func (o *Ontology) SaveFile(path string) error {
-	return writeFileAtomic(path, o.WriteJSON)
-}
-
-// LoadFile reads an ontology from path, auto-detecting the format by
-// magic: a GIANTBIN snapshot decodes through the columnar path and is
-// rebuilt into a mutable Ontology; anything else parses as JSON. Binary
-// shard projection files are rejected just like their JSON counterparts.
-func LoadFile(path string) (*Ontology, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if IsBinary(data) {
-		snap, err := DecodeSnapshotBinary(data)
-		if err != nil {
-			return nil, fmt.Errorf("ontology: load %s: %w", path, err)
-		}
-		return FromSnapshot(snap), nil
-	}
-	return ReadJSON(bytes.NewReader(data))
-}
-
-// Dump renders a sorted human-readable listing (debugging aid).
-func (o *Ontology) Dump(w io.Writer) {
-	nodes := o.Nodes()
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
-	for _, n := range nodes {
-		fmt.Fprintf(w, "[%d] %s %q\n", n.ID, n.Type, n.Phrase)
-	}
 }
 
 func nodeKey(t NodeType, phrase string) string {

@@ -17,8 +17,8 @@ func TestAddNodeDeduplicates(t *testing.T) {
 	if c == a {
 		t.Fatal("node types must namespace phrases")
 	}
-	if o.NodeCount() != 2 {
-		t.Fatalf("node count = %d", o.NodeCount())
+	if n := o.Snapshot().NodeCount(); n != 2 {
+		t.Fatalf("node count = %d", n)
 	}
 }
 
@@ -33,14 +33,15 @@ func TestEdgesAndTraversal(t *testing.T) {
 	if err := o.AddEdge(con, ent, IsA, 1); err != nil {
 		t.Fatal(err)
 	}
+	s := o.Snapshot()
 	// Children/parents.
-	if ch := o.Children(con, IsA); len(ch) != 1 || ch[0].Phrase != "honda civic" {
+	if ch := s.Children(con, IsA); len(ch) != 1 || ch[0].Phrase != "honda civic" {
 		t.Fatalf("children = %+v", ch)
 	}
-	if ps := o.Parents(ent, IsA); len(ps) != 1 || ps[0].Phrase != "economy cars" {
+	if ps := s.Parents(ent, IsA); len(ps) != 1 || ps[0].Phrase != "economy cars" {
 		t.Fatalf("parents = %+v", ps)
 	}
-	anc := o.Ancestors(ent)
+	anc := s.Ancestors(ent)
 	if len(anc) != 2 {
 		t.Fatalf("ancestors = %d, want 2", len(anc))
 	}
@@ -56,8 +57,8 @@ func TestEdgeDedupAndSelfEdge(t *testing.T) {
 	if err := o.AddEdge(a, b, IsA, 0.5); err != nil {
 		t.Fatal(err) // dedupe silently
 	}
-	if o.EdgeCount(IsA) != 1 {
-		t.Fatalf("edge count = %d", o.EdgeCount(IsA))
+	if n := o.Snapshot().EdgeCount(IsA); n != 1 {
+		t.Fatalf("edge count = %d", n)
 	}
 	if err := o.AddEdge(a, a, Correlate, 1); err == nil {
 		t.Fatal("self edge should error")
@@ -73,7 +74,7 @@ func TestAliases(t *testing.T) {
 	o.AddAlias(id, "fuel efficient car")
 	o.AddAlias(id, "fuel efficient car")  // repeat
 	o.AddAlias(id, "fuel-efficient cars") // same as phrase
-	n, _ := o.Get(id)
+	n, _ := o.Snapshot().Get(id)
 	if len(n.Aliases) != 1 {
 		t.Fatalf("aliases = %v", n.Aliases)
 	}
@@ -84,11 +85,12 @@ func TestStatsAndGrowth(t *testing.T) {
 	o.AddNodeAt(Concept, "a", 1)
 	o.AddNodeAt(Concept, "b", 2)
 	o.AddNodeAt(Event, "c happened", 2)
-	st := o.ComputeStats()
+	s := o.Snapshot()
+	st := s.ComputeStats()
 	if st.NodesByType["concept"] != 2 || st.NodesByType["event"] != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if o.GrowthOn(Concept, 2) != 1 || o.GrowthOn(Event, 2) != 1 {
+	if s.GrowthOn(Concept, 2) != 1 || s.GrowthOn(Event, 2) != 1 {
 		t.Fatal("growth accounting wrong")
 	}
 }
@@ -100,11 +102,11 @@ func TestCycleDetection(t *testing.T) {
 	c := o.AddNode(Concept, "c")
 	_ = o.AddEdge(a, b, IsA, 1)
 	_ = o.AddEdge(b, c, IsA, 1)
-	if o.HasCycleIsA() {
+	if o.Snapshot().HasCycleIsA() {
 		t.Fatal("acyclic graph reported cyclic")
 	}
 	_ = o.AddEdge(c, a, IsA, 1)
-	if !o.HasCycleIsA() {
+	if !o.Snapshot().HasCycleIsA() {
 		t.Fatal("cycle not detected")
 	}
 }
@@ -118,10 +120,10 @@ func TestJSONRoundTrip(t *testing.T) {
 	_ = o.AddEdge(cat, ev, IsA, 0.8)
 
 	var buf bytes.Buffer
-	if err := o.WriteJSON(&buf); err != nil {
+	if err := o.Snapshot().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	o2, err := ReadJSON(&buf)
+	o2, err := SnapshotFromJSON(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,11 +149,12 @@ func TestJSONRoundTrip(t *testing.T) {
 func TestFindAny(t *testing.T) {
 	o := New()
 	o.AddNode(Topic, "cellphone explosion")
-	n, ok := o.FindAny("cellphone explosion")
+	s := o.Snapshot()
+	n, ok := s.FindAny("cellphone explosion")
 	if !ok || n.Type != Topic {
 		t.Fatalf("FindAny = %+v %v", n, ok)
 	}
-	if _, ok := o.FindAny("nothing"); ok {
+	if _, ok := s.FindAny("nothing"); ok {
 		t.Fatal("FindAny on missing phrase")
 	}
 }
@@ -168,14 +171,14 @@ func TestConcurrentMutation(t *testing.T) {
 				_ = id
 				other := o.AddNode(Concept, "concept")
 				_ = o.AddEdge(other, id, IsA, 1)
-				o.NodeCount()
-				o.Children(other, IsA)
+				o.Lookup(Concept, "concept")
+				o.Snapshot()
 			}
 		}(w)
 	}
 	wg.Wait()
-	if o.NodeCount() != 2 || o.EdgeCount() != 1 {
-		t.Fatalf("concurrent dedupe failed: %d nodes %d edges", o.NodeCount(), o.EdgeCount())
+	if s := o.Snapshot(); s.NodeCount() != 2 || s.EdgeCount() != 1 {
+		t.Fatalf("concurrent dedupe failed: %d nodes %d edges", s.NodeCount(), s.EdgeCount())
 	}
 }
 

@@ -99,16 +99,3 @@ func (s *Snapshot) PhrasePostings(t NodeType) map[string][]Posting {
 	}
 	return s.phraseBox(t).postings
 }
-
-// PhraseTokens returns the tokenized phrases of the nodes of type t in ID
-// order. A mutable ontology keeps no cache: every call tokenizes afresh.
-func (o *Ontology) PhraseTokens(t NodeType) []PhraseTokens {
-	return tokenizePhrases(o.Nodes(t))
-}
-
-// PhrasePostings returns the inverted index from token to the phrases of
-// type t holding it. A mutable ontology keeps no cache: every call
-// tokenizes and indexes afresh.
-func (o *Ontology) PhrasePostings(t NodeType) map[string][]Posting {
-	return indexPhrases(o.PhraseTokens(t))
-}

@@ -13,11 +13,12 @@ import (
 var fuzzAlphabet = []string{"a", "b", "c", "the", "x-y", "é"}
 
 // homePhrasesBrute is HomePhrases as a filter over every phrase of the
-// view: home phrases with at least one position holding a token of toks,
-// and at least the fraction frac of positions holding one.
+// scope's snapshot, tokenized afresh by the reference: home phrases with
+// at least one position holding a token of toks, and at least the
+// fraction frac of positions holding one.
 func homePhrasesBrute(s Scope, t NodeType, toks []string, frac float64) []PhraseTokens {
 	var out []PhraseTokens
-	for _, p := range s.View.PhraseTokens(t) {
+	for _, p := range referenceLists(s.Snap).PhraseTokens(t) {
 		n := 0
 		for _, tok := range p.Tokens {
 			if slices.Contains(toks, tok) {
@@ -82,16 +83,16 @@ func FuzzHomePhrases(f *testing.F) {
 		var scopes []Scope
 		switch head >> 1 & 3 {
 		case 0:
-			scopes = []Scope{UnionScope(snap), UnionScope(o)}
+			scopes = []Scope{UnionScope(snap)}
 		case 1:
 			ss, err := ShardSnapshot(snap, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			scopes = []Scope{ProjectionScope(ss.Projection(0)), ProjectionScope(ss.Projection(1)), UnionScope(ss)}
+			scopes = []Scope{ProjectionScope(ss.Projection(0)), ProjectionScope(ss.Projection(1))}
 		default:
 			scopes = []Scope{{
-				View: snap,
+				Snap: snap,
 				Home: func(id NodeID) bool { return id%3 != 1 },
 				UID:  func(id NodeID) NodeID { return 2*id + 1 },
 			}}

@@ -7,8 +7,8 @@ import (
 
 // Scope is the merge participant abstraction behind the union-exact
 // application endpoints (/v1/tag, /v1/query/rewrite, /v1/story). A scope is
-// a View plus two maps that let per-shard code extract *partial* candidate
-// sets carrying union node IDs:
+// a snapshot plus two maps that let per-shard code extract *partial*
+// candidate sets carrying union node IDs:
 //
 //   - Home reports whether the scope owns the node: every node of the union
 //     is home in exactly one scope of a partition, so concatenating the home
@@ -18,7 +18,7 @@ import (
 //
 // Two partitions cover every serving mode:
 //
-//   - UnionScope(v): a single scope where everything is home and IDs are
+//   - UnionScope(s): a single scope where everything is home and IDs are
 //     already union IDs. Merging the one partial extracted from it IS the
 //     single-snapshot computation — which is how a process holding the union
 //     and the router's scatter-gather share one code path byte-identically.
@@ -26,7 +26,7 @@ import (
 //     served by a standalone shard process; UID goes through the
 //     projection's union-ID table.
 type Scope struct {
-	View View
+	Snap *Snapshot
 	// Home reports whether this scope owns the node with the scope-local
 	// ID.
 	Home func(NodeID) bool
@@ -34,10 +34,11 @@ type Scope struct {
 	UID func(NodeID) NodeID
 }
 
-// UnionScope wraps a full union view: every node is home, IDs are union IDs.
-func UnionScope(v View) Scope {
+// UnionScope wraps a full union snapshot: every node is home, IDs are
+// union IDs.
+func UnionScope(s *Snapshot) Scope {
 	return Scope{
-		View: v,
+		Snap: s,
 		Home: func(NodeID) bool { return true },
 		UID:  func(id NodeID) NodeID { return id },
 	}
@@ -47,19 +48,20 @@ func UnionScope(v View) Scope {
 // projection's home prefix, and UID translates through its union-ID table.
 func ProjectionScope(p *ShardProjection) Scope {
 	return Scope{
-		View: p.Snap,
+		Snap: p.Snap,
 		Home: p.IsHome,
 		UID:  p.UnionID,
 	}
 }
 
 // HomeNodes returns the scope's home nodes of the given type in ascending
-// union-ID order, with each node's ID rewritten to its union ID. For every
-// partition above, concatenating HomeNodes across scopes and sorting by ID
-// equals the union view's Nodes(t) — the invariant all application merges
-// rest on.
+// union-ID order, with each node's ID rewritten to its union ID: a union
+// snapshot lists a type in ID order, and a projection keeps its home nodes
+// in union-ID order. For every partition above, concatenating HomeNodes
+// across scopes and sorting by ID equals the union snapshot's Nodes(t) —
+// the invariant all application merges rest on.
 func (s Scope) HomeNodes(t NodeType) []Node {
-	nodes := s.View.Nodes(t)
+	nodes := s.Snap.Nodes(t)
 	out := nodes[:0]
 	for i := range nodes {
 		if !s.Home(nodes[i].ID) {
@@ -67,15 +69,6 @@ func (s Scope) HomeNodes(t NodeType) []Node {
 		}
 		nodes[i].ID = s.UID(nodes[i].ID)
 		out = append(out, nodes[i])
-	}
-	// Projections keep home nodes in union-ID order and union views return
-	// ID-ascending per-type lists, so out is already sorted; keep the
-	// invariant explicit for any future View implementation.
-	for i := 1; i < len(out); i++ {
-		if out[i].ID < out[i-1].ID {
-			sortNodesByID(out)
-			break
-		}
 	}
 	return out
 }
@@ -87,18 +80,15 @@ func (s Scope) HomeNodes(t NodeType) []Node {
 // positions make up at least the fraction frac of all its positions, so a
 // phrase with no tokens is never yielded.
 //
-// It reads the view's PhraseTokens and PhrasePostings and merges the
+// It reads the snapshot's PhraseTokens and PhrasePostings and merges the
 // ascending posting lists of the request's distinct tokens, summing each
-// phrase's counts as it passes: over a snapshot it tokenizes nothing,
-// copies no node, visits only phrases sharing a token with the request,
-// and allocates in proportion to len(toks) alone.
+// phrase's counts as it passes: it tokenizes nothing, copies no node,
+// visits only phrases sharing a token with the request, and allocates in
+// proportion to len(toks) alone.
 func (s Scope) HomePhrases(t NodeType, toks []string, frac float64) iter.Seq[PhraseTokens] {
 	return func(yield func(PhraseTokens) bool) {
-		// Postings first: an *Ontology builds both afresh on every call and
-		// only ever appends nodes, so the list read second still holds
-		// every indexed phrase at its index.
-		post := s.View.PhrasePostings(t)
-		list := s.View.PhraseTokens(t)
+		post := s.Snap.PhrasePostings(t)
+		list := s.Snap.PhraseTokens(t)
 		distinct := slices.Clone(toks)
 		slices.Sort(distinct)
 		distinct = slices.Compact(distinct)
@@ -140,9 +130,9 @@ func (s Scope) HomePhrases(t NodeType, toks []string, frac float64) iter.Seq[Phr
 // FindHome resolves a (type, phrase) pair to a home node, with its ID
 // rewritten to the union ID. Exactly one scope of a partition resolves any
 // given pair, because canonical phrases are unique per type in the union.
-// The second return is the scope-local ID for edge traversal via the view.
+// The second return is the scope-local ID for edge traversal via Snap.
 func (s Scope) FindHome(t NodeType, phrase string) (Node, NodeID, bool) {
-	n, ok := s.View.Find(t, phrase)
+	n, ok := s.Snap.Find(t, phrase)
 	if !ok || !s.Home(n.ID) {
 		return Node{}, 0, false
 	}

@@ -2,7 +2,7 @@ package ontology
 
 // ShardedSnapshot partitions an immutable ontology snapshot into K
 // per-shard Snapshots — the unit of publication for the sharded serving
-// and ingest tiers — behind the same read surface as a single Snapshot.
+// and ingest tiers.
 //
 // Every node has exactly one home shard, chosen by hashing its
 // (type, phrase) key (HomeShard), so routing a phrase to its shard needs
@@ -15,10 +15,9 @@ package ontology
 // shards is therefore stored twice — once per endpoint's projection — and
 // deduplicates by phrase keys when shards are merged back together.
 //
-// The union index is retained as the authoritative composed view: the
-// ontology.View methods delegate to it, which is what lets tagging, query
-// understanding and story trees run unchanged over a sharded deployment
-// (node IDs stay coherent across shards). Scatter-gather reads
+// The union snapshot is retained as the authoritative composed view
+// (Union): whole-world reads — tagging, query understanding, story trees —
+// run on it, so node IDs stay coherent across shards. Scatter-gather reads
 // (Search, per-shard stats) run against the projections.
 //
 // Ghost copies trade freshness for locality: when a delta touches only a
@@ -364,55 +363,6 @@ func (ss *ShardedSnapshot) Projection(i int) *ShardProjection {
 	p.index()
 	return p
 }
-
-// The View methods delegate to the union index, so application packages
-// (tagging, queryund, storytree) see one coherent node-ID space regardless
-// of the shard count.
-
-// Get returns a copy of the node with the given ID.
-func (ss *ShardedSnapshot) Get(id NodeID) (Node, bool) { return ss.union.Get(id) }
-
-// Find returns the node with the given type and phrase.
-func (ss *ShardedSnapshot) Find(t NodeType, phrase string) (Node, bool) {
-	return ss.union.Find(t, phrase)
-}
-
-// FindAny returns the first node with the phrase under any type.
-func (ss *ShardedSnapshot) FindAny(phrase string) (Node, bool) { return ss.union.FindAny(phrase) }
-
-// Children returns nodes reachable from id via out-edges of type t.
-func (ss *ShardedSnapshot) Children(id NodeID, t EdgeType) []Node { return ss.union.Children(id, t) }
-
-// Parents returns nodes with an edge of type t into id.
-func (ss *ShardedSnapshot) Parents(id NodeID, t EdgeType) []Node { return ss.union.Parents(id, t) }
-
-// Ancestors returns all transitive IsA parents of id.
-func (ss *ShardedSnapshot) Ancestors(id NodeID) []Node { return ss.union.Ancestors(id) }
-
-// Nodes returns a copy of all nodes (optionally filtered by type).
-func (ss *ShardedSnapshot) Nodes(types ...NodeType) []Node { return ss.union.Nodes(types...) }
-
-// PhraseTokens returns the union's tokenized phrases of type t.
-func (ss *ShardedSnapshot) PhraseTokens(t NodeType) []PhraseTokens { return ss.union.PhraseTokens(t) }
-
-// PhrasePostings returns the union's token postings of type t.
-func (ss *ShardedSnapshot) PhrasePostings(t NodeType) map[string][]Posting {
-	return ss.union.PhrasePostings(t)
-}
-
-// Edges returns a copy of all edges (optionally filtered by type).
-func (ss *ShardedSnapshot) Edges(types ...EdgeType) []Edge { return ss.union.Edges(types...) }
-
-// NodeCount returns the number of nodes (optionally filtered by type).
-func (ss *ShardedSnapshot) NodeCount(types ...NodeType) int { return ss.union.NodeCount(types...) }
-
-// EdgeCount returns the number of edges (optionally filtered by type).
-func (ss *ShardedSnapshot) EdgeCount(types ...EdgeType) int { return ss.union.EdgeCount(types...) }
-
-// ComputeStats summarizes node and edge counts per type over the union.
-func (ss *ShardedSnapshot) ComputeStats() Stats { return ss.union.ComputeStats() }
-
-var _ View = (*ShardedSnapshot)(nil)
 
 // searchNodes is the shared substring scan: up to limit nodes whose phrase
 // or alias contains the lowercased needle, in slice order.

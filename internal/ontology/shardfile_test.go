@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -129,7 +130,7 @@ func TestShardProjectionSearchAndStats(t *testing.T) {
 						got = append(got, n)
 					}
 				}
-				sortNodesByID(got)
+				sort.Slice(got, func(i, j int) bool { return got[i].ID < got[j].ID })
 				if len(got) > limit {
 					got = got[:limit]
 				}

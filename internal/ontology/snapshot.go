@@ -2,11 +2,11 @@ package ontology
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"maps"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -19,10 +19,10 @@ import (
 // — so lookups are lock-free O(1), traversals are O(degree), and the hot
 // phrase-lookup path performs zero allocations. BuildSnapshot computes the
 // indexes from scratch; Derive computes the next generation's from the
-// current one's, patching only what the changed nodes touch. A Snapshot
-// never touches the Ontology mutex; concurrent readers scale linearly and
-// an online server can hot-swap one atomically for another while requests
-// are in flight.
+// current one's, patching only what the changed nodes touch. A Snapshot is
+// the only read type of the ontology: it takes no lock, concurrent readers
+// scale linearly, and an online server can hot-swap one atomically for
+// another while requests are in flight.
 type Snapshot struct {
 	nodes []Node
 	edges []Edge
@@ -60,8 +60,8 @@ type Snapshot struct {
 // The returned Snapshot shares nothing mutable with the Ontology, so later
 // writes to the Ontology never disturb its readers. An ontology adopted by
 // FromSnapshot and not mutated since returns the snapshot it was adopted
-// from — the same pointer, in O(1); otherwise the nodes and edges are
-// copied under the read lock and the copy is indexed.
+// from — the same pointer, in O(1); otherwise every call copies the nodes
+// and edges under the read lock and indexes the copy.
 func (o *Ontology) Snapshot() *Snapshot {
 	o.mu.RLock()
 	if s := o.snap; s != nil {
@@ -75,11 +75,30 @@ func (o *Ontology) Snapshot() *Snapshot {
 	return newSnapshot(nodes, edges)
 }
 
-// SnapshotFromJSON reads an ontology serialized by WriteJSON (or by
-// Snapshot.WriteJSON) and indexes it directly into a Snapshot. Input is
-// validated exactly as ReadJSON validates it.
+// persisted is the JSON form of a snapshot.
+type persisted struct {
+	Nodes []Node `json:"nodes"`
+	Edges []Edge `json:"edges"`
+}
+
+// SnapshotFromJSON reads an ontology serialized by Snapshot.WriteJSON. The
+// lists are fed through the builder, so a repeated phrase folds into its
+// first node and an out-of-range or self edge is an error. A shard
+// projection file (giantctl shard) is rejected: its node list is one
+// shard's home nodes plus ghosts under local IDs — a plausible-looking but
+// wrong world if ever adopted as the whole ontology.
 func SnapshotFromJSON(r io.Reader) (*Snapshot, error) {
-	o, err := ReadJSON(r)
+	var p struct {
+		persisted
+		NumShards int `json:"num_shards"`
+	}
+	if err := json.NewDecoder(r).Decode(&p); err != nil {
+		return nil, fmt.Errorf("ontology: decode: %w", err)
+	}
+	if p.NumShards > 0 {
+		return nil, fmt.Errorf("ontology: this is a shard projection file (%d shards); boot it with giantd -shard i/%d or load it with LoadShardFile", p.NumShards, p.NumShards)
+	}
+	o, err := fromNodesEdges(p.Nodes, p.Edges)
 	if err != nil {
 		return nil, err
 	}
@@ -595,6 +614,41 @@ func (s *Snapshot) Ancestors(id NodeID) []Node {
 	return out
 }
 
+// filterNodes copies nodes, keeping those matching any of the given types
+// (all of them when types is empty).
+func filterNodes(nodes []Node, types []NodeType) []Node {
+	out := make([]Node, 0, len(nodes))
+	for _, n := range nodes {
+		if len(types) == 0 {
+			out = append(out, n)
+			continue
+		}
+		for _, t := range types {
+			if n.Type == t {
+				out = append(out, n)
+			}
+		}
+	}
+	return out
+}
+
+// filterEdges is filterNodes for edges.
+func filterEdges(edges []Edge, types []EdgeType) []Edge {
+	out := make([]Edge, 0, len(edges))
+	for _, e := range edges {
+		if len(types) == 0 {
+			out = append(out, e)
+			continue
+		}
+		for _, t := range types {
+			if e.Type == t {
+				out = append(out, e)
+			}
+		}
+	}
+	return out
+}
+
 // Nodes returns a copy of all nodes (optionally filtered by type), in ID
 // order. One type copies just that type's nodes off its per-type list.
 func (s *Snapshot) Nodes(types ...NodeType) []Node {
@@ -657,10 +711,52 @@ func (s *Snapshot) ComputeStats() Stats {
 	return out
 }
 
-// WriteJSON serializes the snapshot in the same format Ontology.WriteJSON
-// uses, so a snapshot loaded from a build artifact re-saves byte-for-byte.
+// GrowthOn returns the number of nodes of type t first seen on the given
+// day.
+func (s *Snapshot) GrowthOn(t NodeType, day int) int {
+	n := 0
+	for _, id := range s.IDsOfType(t) {
+		if s.nodes[id].FirstSeenDay == day {
+			n++
+		}
+	}
+	return n
+}
+
+// HasCycleIsA reports whether the IsA subgraph contains a cycle (the AO must
+// remain a DAG).
+func (s *Snapshot) HasCycleIsA() bool {
+	state := make([]uint8, len(s.nodes)) // 0 unseen, 1 in stack, 2 done
+	var dfs func(NodeID) bool
+	dfs = func(v NodeID) bool {
+		state[v] = 1
+		cycle := false
+		s.EachOut(v, func(e *Edge, _ *Node) bool {
+			if e.Type == IsA {
+				switch state[e.Dst] {
+				case 1:
+					cycle = true
+				case 0:
+					cycle = dfs(e.Dst)
+				}
+			}
+			return !cycle
+		})
+		state[v] = 2
+		return cycle
+	}
+	for i := range s.nodes {
+		if state[i] == 0 && dfs(NodeID(i)) {
+			return true
+		}
+	}
+	return false
+}
+
+// WriteJSON serializes the snapshot; SnapshotFromJSON reads it back, and a
+// snapshot loaded from a build artifact re-saves byte-for-byte.
 func (s *Snapshot) WriteJSON(w io.Writer) error {
-	return writePersisted(w, persisted{Nodes: s.nodes, Edges: s.edges})
+	return json.NewEncoder(w).Encode(persisted{Nodes: s.nodes, Edges: s.edges})
 }
 
 // SaveFile writes the snapshot to path as JSON. The write is crash-safe:
@@ -720,11 +816,6 @@ func nodeMatches(n *Node, needle string) bool {
 		}
 	}
 	return false
-}
-
-// sortNodesByID orders nodes by ascending ID.
-func sortNodesByID(nodes []Node) {
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
 }
 
 // String describes the snapshot for logs.

@@ -37,12 +37,14 @@ func richOntology() *Ontology {
 	return o
 }
 
-// TestSnapshotMatchesOntologyReads checks every View method agrees between
-// an ontology and its snapshot, over randomized instances.
+// TestSnapshotMatchesOntologyReads checks every read of a snapshot agrees
+// with the brute-force reference over the builder's raw lists, over
+// randomized instances.
 func TestSnapshotMatchesOntologyReads(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
-		o := randomOntology(seed)
-		s := o.Snapshot()
+		b := randomOntology(seed)
+		o := referenceOf(b)
+		s := b.Snapshot()
 		if !reflect.DeepEqual(o.Nodes(), s.Nodes()) {
 			t.Fatalf("seed %d: Nodes mismatch", seed)
 		}
@@ -62,6 +64,17 @@ func TestSnapshotMatchesOntologyReads(t *testing.T) {
 			if !reflect.DeepEqual(o.PhraseTokens(nt), s.PhraseTokens(nt)) {
 				t.Fatalf("seed %d: PhraseTokens(%v) mismatch", seed, nt)
 			}
+			if !reflect.DeepEqual(o.PhrasePostings(nt), s.PhrasePostings(nt)) {
+				t.Fatalf("seed %d: PhrasePostings(%v) mismatch", seed, nt)
+			}
+			for day := 0; day < 30; day++ {
+				if o.GrowthOn(nt, day) != s.GrowthOn(nt, day) {
+					t.Fatalf("seed %d: GrowthOn(%v, %d) mismatch", seed, nt, day)
+				}
+			}
+		}
+		if o.HasCycleIsA() != s.HasCycleIsA() {
+			t.Fatalf("seed %d: HasCycleIsA mismatch", seed)
 		}
 		for et := EdgeType(0); et < NumEdgeTypes; et++ {
 			if o.EdgeCount(et) != s.EdgeCount(et) {
@@ -98,10 +111,11 @@ func TestSnapshotMatchesOntologyReads(t *testing.T) {
 // TestPhraseTokensConcurrentFirstUse has readers race to build a fresh
 // snapshot's lazy phrase tokens and token postings, half of them reaching
 // for the postings first; every reader must see the one complete list and
-// index (run under -race).
+// index the brute-force reference computes (run under -race).
 func TestPhraseTokensConcurrentFirstUse(t *testing.T) {
-	o := randomOntology(7)
-	s := o.Snapshot()
+	b := randomOntology(7)
+	o := referenceOf(b)
+	s := b.Snapshot()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -133,9 +147,9 @@ func TestSnapshotIsImmune(t *testing.T) {
 	nodes, edges := s.NodeCount(), s.EdgeCount()
 	id := o.AddNode(Concept, "late arrival")
 	o.AddAlias(id, "very late arrival")
-	sedans, _ := o.Find(Concept, "family sedans")
-	o.AddAlias(sedans.ID, "post-snapshot alias")
-	if err := o.AddEdge(id, sedans.ID, Correlate, 1); err != nil {
+	sedans, _ := o.Lookup(Concept, "family sedans")
+	o.AddAlias(sedans, "post-snapshot alias")
+	if err := o.AddEdge(id, sedans, Correlate, 1); err != nil {
 		t.Fatal(err)
 	}
 	if s.NodeCount() != nodes || s.EdgeCount() != edges {
@@ -199,13 +213,14 @@ func TestSnapshotLookupZeroAlloc(t *testing.T) {
 }
 
 // TestJSONRoundTripThroughSnapshot is the build -> save -> serve contract:
-// SaveFile/LoadFile then Snapshot preserves node/edge counts, aliases and
+// SaveFile then LoadSnapshotFile preserves node/edge counts, aliases and
 // event attributes, and the snapshot re-saves byte-for-byte.
 func TestJSONRoundTripThroughSnapshot(t *testing.T) {
-	o := richOntology()
+	b := richOntology()
+	o := referenceOf(b)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ao.json")
-	if err := o.SaveFile(path); err != nil {
+	if err := b.Snapshot().SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 	first, err := os.ReadFile(path)
@@ -256,12 +271,13 @@ func BenchmarkSnapshotLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkOntologyFind is the mutex-guarded baseline for comparison.
-func BenchmarkOntologyFind(b *testing.B) {
+// BenchmarkOntologyLookup is the builder's mutex-guarded lookup, for
+// comparison.
+func BenchmarkOntologyLookup(b *testing.B) {
 	o := richOntology()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, ok := o.Find(Concept, "family sedans"); !ok {
+		if _, ok := o.Lookup(Concept, "family sedans"); !ok {
 			b.Fatal("find failed")
 		}
 	}

@@ -14,8 +14,8 @@ import (
 	"giant/internal/synth"
 )
 
-// oracleScopes returns the union scope, the union scope of a K-shard
-// view, and every shard projection scope at K = 2 and K = 4.
+// oracleScopes returns the union scope and every shard projection scope at
+// K = 2 and K = 4.
 func oracleScopes(t *testing.T, snap *ontology.Snapshot) map[string]ontology.Scope {
 	scopes := map[string]ontology.Scope{"union": ontology.UnionScope(snap)}
 	for _, k := range []int{2, 4} {
@@ -23,7 +23,6 @@ func oracleScopes(t *testing.T, snap *ontology.Snapshot) map[string]ontology.Sco
 		if err != nil {
 			t.Fatal(err)
 		}
-		scopes[fmt.Sprintf("sharded K=%d", k)] = ontology.UnionScope(ss)
 		for i := 0; i < k; i++ {
 			scopes[fmt.Sprintf("projection %d/%d", i, k)] = ontology.ProjectionScope(ss.Projection(i))
 		}
@@ -37,7 +36,7 @@ func oracleScopes(t *testing.T, snap *ontology.Snapshot) map[string]ontology.Sco
 func checkOracle(t *testing.T, snap *ontology.Snapshot, queries []string) (concepts, entities int) {
 	t.Helper()
 	for name, scope := range oracleScopes(t, snap) {
-		u := queryund.New(scope.View)
+		u := queryund.New(scope.Snap)
 		for _, q := range queries {
 			got, want := u.Partial(scope, q), queryund.ReferencePartial(u, scope, q)
 			if !reflect.DeepEqual(got, want) {

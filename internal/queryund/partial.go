@@ -77,7 +77,7 @@ func (u *Understander) Partial(scope ontology.Scope, query string) *Partial {
 	if bestLen > 0 {
 		cand := &ConceptCand{ID: bestID, Phrase: bestPhrase, NormLen: bestLen}
 		if _, local, ok := scope.FindHome(ontology.Concept, bestPhrase); ok {
-			children := scope.View.Children(local, ontology.IsA)
+			children := scope.Snap.Children(local, ontology.IsA)
 			sort.Slice(children, func(i, j int) bool { return children[i].Phrase < children[j].Phrase })
 			for _, ch := range children {
 				if ch.Type != ontology.Entity {
@@ -133,10 +133,10 @@ func containsPhrase(padded, p string) bool {
 // and deduplicated, capped at MaxExpansions.
 func (u *Understander) recommendations(scope ontology.Scope, local ontology.NodeID, entityPhrase string) []string {
 	var correlated []string
-	for _, n := range scope.View.Children(local, ontology.Correlate) {
+	for _, n := range scope.Snap.Children(local, ontology.Correlate) {
 		correlated = append(correlated, n.Phrase)
 	}
-	for _, n := range scope.View.Parents(local, ontology.Correlate) {
+	for _, n := range scope.Snap.Parents(local, ontology.Correlate) {
 		correlated = append(correlated, n.Phrase)
 	}
 	sort.Strings(correlated)

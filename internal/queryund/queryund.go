@@ -8,12 +8,9 @@ import (
 	"giant/internal/ontology"
 )
 
-// Understander analyzes queries against the Attention Ontology. It reads
-// through the ontology.View interface, so the same code path serves both
-// offline analysis over a mutable *Ontology and the online tier over a
-// lock-free *Snapshot.
+// Understander analyzes queries against an Attention Ontology snapshot.
 type Understander struct {
-	Onto ontology.View
+	Onto *ontology.Snapshot
 	// MaxExpansions caps rewrites/recommendations per query.
 	MaxExpansions int
 }
@@ -24,7 +21,7 @@ type Understander struct {
 const DefaultMaxExpansions = 5
 
 // New builds an Understander.
-func New(onto ontology.View) *Understander {
+func New(onto *ontology.Snapshot) *Understander {
 	return &Understander{Onto: onto, MaxExpansions: DefaultMaxExpansions}
 }
 

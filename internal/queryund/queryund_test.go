@@ -21,7 +21,7 @@ func sampleOntology() *ontology.Ontology {
 }
 
 func TestConceptQueryRewrites(t *testing.T) {
-	u := New(sampleOntology())
+	u := New(sampleOntology().Snapshot())
 	a := u.Analyze("best economy cars 2019")
 	if a.Concept != "economy cars" {
 		t.Fatalf("concept = %q", a.Concept)
@@ -37,7 +37,7 @@ func TestConceptQueryRewrites(t *testing.T) {
 }
 
 func TestEntityQueryRecommendations(t *testing.T) {
-	u := New(sampleOntology())
+	u := New(sampleOntology().Snapshot())
 	a := u.Analyze("honda civic")
 	if a.Entity != "honda civic" {
 		t.Fatalf("entity = %q", a.Entity)
@@ -55,7 +55,7 @@ func TestEntityQueryRecommendations(t *testing.T) {
 }
 
 func TestNoMatch(t *testing.T) {
-	u := New(sampleOntology())
+	u := New(sampleOntology().Snapshot())
 	a := u.Analyze("completely unrelated query")
 	if a.Concept != "" || a.Entity != "" || len(a.Rewrites) != 0 {
 		t.Fatalf("spurious analysis: %+v", a)
@@ -65,7 +65,7 @@ func TestNoMatch(t *testing.T) {
 func TestLongestConceptWins(t *testing.T) {
 	o := sampleOntology()
 	o.AddNode(ontology.Concept, "cars")
-	u := New(o)
+	u := New(o.Snapshot())
 	if got := u.Conceptualize("best economy cars"); got != "economy cars" {
 		t.Fatalf("Conceptualize = %q", got)
 	}
@@ -78,7 +78,7 @@ func TestMaxExpansions(t *testing.T) {
 		e := o.AddNode(ontology.Entity, "entity "+string(rune('a'+i)))
 		_ = o.AddEdge(con, e, ontology.IsA, 1)
 	}
-	u := New(o)
+	u := New(o.Snapshot())
 	u.MaxExpansions = 3
 	a := u.Analyze("things")
 	if len(a.Rewrites) != 3 {

@@ -20,7 +20,7 @@ func ReferencePartial(u *Understander, scope ontology.Scope, query string) *Part
 
 	bestPhrase, bestLen := "", 0
 	var bestID ontology.NodeID
-	for _, c := range scope.View.PhraseTokens(ontology.Concept) {
+	for _, c := range scope.Snap.PhraseTokens(ontology.Concept) {
 		if scope.Home(c.ID) && len(c.Norm) > bestLen && contains(c.Norm) {
 			bestPhrase, bestLen, bestID = c.Phrase, len(c.Norm), scope.UID(c.ID)
 		}
@@ -28,7 +28,7 @@ func ReferencePartial(u *Understander, scope ontology.Scope, query string) *Part
 	if bestLen > 0 {
 		cand := &ConceptCand{ID: bestID, Phrase: bestPhrase, NormLen: bestLen}
 		if _, local, ok := scope.FindHome(ontology.Concept, bestPhrase); ok {
-			children := scope.View.Children(local, ontology.IsA)
+			children := scope.Snap.Children(local, ontology.IsA)
 			sort.Slice(children, func(i, j int) bool { return children[i].Phrase < children[j].Phrase })
 			for _, ch := range children {
 				if ch.Type != ontology.Entity {
@@ -46,7 +46,7 @@ func ReferencePartial(u *Understander, scope ontology.Scope, query string) *Part
 	if ent, local, ok := scope.FindHome(ontology.Entity, qnorm); ok {
 		p.EntityExact = &EntityCand{ID: ent.ID, Phrase: ent.Phrase, Recs: u.recommendations(scope, local, ent.Phrase)}
 	}
-	for _, e := range scope.View.PhraseTokens(ontology.Entity) {
+	for _, e := range scope.Snap.PhraseTokens(ontology.Entity) {
 		if scope.Home(e.ID) && contains(e.Norm) {
 			cand := &EntityCand{ID: scope.UID(e.ID), Phrase: e.Phrase}
 			if _, local, ok := scope.FindHome(ontology.Entity, e.Phrase); ok {

@@ -8,8 +8,7 @@
 // clock names every state: it is 0 until a batch changes the shard, and
 // on every frozen server.
 //
-// The server never serves from the mutable build-time *ontology.Ontology.
-// It holds an immutable *ontology.Snapshot — together with the taggers, the
+// The server holds an immutable *ontology.Snapshot — together with the taggers, the
 // query understander and a bounded LRU response cache derived from it — in
 // a single atomically-swapped state pointer. Request handlers load that
 // pointer once and then perform lock-free reads for the rest of the

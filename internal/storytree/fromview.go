@@ -12,8 +12,8 @@ import (
 // the serving-time path — an online tier holding only a built (or
 // re-loaded) ontology can form story trees without the mining byproducts
 // the offline pipeline keeps in memory.
-func EventsFromView(v ontology.View) []*EventNode {
-	return FragmentsFromScope(ontology.UnionScope(v))
+func EventsFromView(s *ontology.Snapshot) []*EventNode {
+	return FragmentsFromScope(ontology.UnionScope(s))
 }
 
 // FragmentsFromScope extracts the scope's home events as story-tree
@@ -33,7 +33,7 @@ func FragmentsFromScope(scope ontology.Scope) []*EventNode {
 			Day:      n.Day,
 		}
 		if _, local, ok := scope.FindHome(ontology.Event, n.Phrase); ok {
-			for _, ch := range scope.View.Children(local, ontology.Involve) {
+			for _, ch := range scope.Snap.Children(local, ontology.Involve) {
 				if ch.Type == ontology.Entity {
 					node.Entities = append(node.Entities, ch.Phrase)
 				}
@@ -56,16 +56,12 @@ func MergeFragments(parts ...[]*EventNode) []*EventNode {
 	return all
 }
 
-// FormFromView builds the story tree seeded at seedPhrase from the events
-// recorded in the ontology view, using enc for phrase/trigger similarity.
-// It returns false when seedPhrase is not an event in the view.
-func FormFromView(v ontology.View, seedPhrase string, enc Encoder, opt Options) (*Tree, bool) {
-	return FormFromEvents(EventsFromView(v), seedPhrase, enc, opt)
-}
-
-// FormFromEvents is FormFromView over an already-materialized candidate
-// list — a server that holds one immutable snapshot can extract the events
-// once and form trees for many seeds without re-walking the ontology.
+// FormFromEvents builds the story tree seeded at seedPhrase from an
+// already-materialized candidate list (EventsFromView), using enc for
+// phrase/trigger similarity, and returns false when seedPhrase is not one
+// of the candidates. A server that holds one immutable snapshot extracts
+// the events once and forms trees for many seeds without re-walking the
+// ontology.
 // Formation only reads the candidates, so a shared list may serve
 // concurrent calls.
 func FormFromEvents(candidates []*EventNode, seedPhrase string, enc Encoder, opt Options) (*Tree, bool) {

@@ -12,7 +12,7 @@ import (
 // LCS-based textual matching with a Duet-style learned matcher (§4: both
 // must fire for a tag to be assigned).
 type EventTagger struct {
-	Onto ontology.View
+	Onto *ontology.Snapshot
 	Duet *Duet
 }
 
@@ -23,7 +23,7 @@ const lcsThreshold = 0.5
 // NewEventTagger builds the tagger. A nil duet degrades to LCS-only
 // matching (useful when serving a persisted ontology with no trained
 // matcher at hand).
-func NewEventTagger(onto ontology.View, duet *Duet) *EventTagger {
+func NewEventTagger(onto *ontology.Snapshot, duet *Duet) *EventTagger {
 	return &EventTagger{Onto: onto, Duet: duet}
 }
 

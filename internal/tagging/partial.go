@@ -77,7 +77,7 @@ func (t *ConceptTagger) MatchPartial(scope ontology.Scope, doc *Document) [][]Co
 			continue
 		}
 		cands := []ConceptRef{}
-		for _, parent := range scope.View.Parents(local, ontology.IsA) {
+		for _, parent := range scope.Snap.Parents(local, ontology.IsA) {
 			if parent.Type != ontology.Concept {
 				continue
 			}

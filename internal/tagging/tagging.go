@@ -26,11 +26,9 @@ type Tag struct {
 	Score  float64
 }
 
-// ConceptTagger tags documents with concepts from the ontology. It reads
-// through the ontology.View interface, so it runs unchanged against the
-// mutable build-time *Ontology or a lock-free serving *Snapshot.
+// ConceptTagger tags documents with concepts from an ontology snapshot.
 type ConceptTagger struct {
-	Onto ontology.View
+	Onto *ontology.Snapshot
 	// ContextRep maps concept phrase -> context-enriched representation
 	// tokens (phrase + its top clicked titles).
 	ContextRep map[string][]string
@@ -45,7 +43,7 @@ type ConceptTagger struct {
 
 // NewConceptTagger builds the tagger; contextRep may be nil (degrades to
 // phrase-only representations).
-func NewConceptTagger(onto ontology.View, contextRep map[string][]string) *ConceptTagger {
+func NewConceptTagger(onto *ontology.Snapshot, contextRep map[string][]string) *ConceptTagger {
 	t := &ConceptTagger{
 		Onto:               onto,
 		ContextRep:         contextRep,

@@ -21,7 +21,7 @@ func sampleOntology() *ontology.Ontology {
 
 func TestTagConceptsViaParents(t *testing.T) {
 	o := sampleOntology()
-	tagger := NewConceptTagger(o, map[string][]string{
+	tagger := NewConceptTagger(o.Snapshot(), map[string][]string{
 		"marvel superhero movies": {"best marvel superhero movies ranked"},
 	})
 	doc := &Document{
@@ -40,7 +40,7 @@ func TestTagConceptsInferenceFallback(t *testing.T) {
 	o.AddNode(ontology.Concept, "superhero movies")
 	// Entity exists in the doc but has no ontology parents.
 	o.AddNode(ontology.Entity, "iron man")
-	tagger := NewConceptTagger(o, nil)
+	tagger := NewConceptTagger(o.Snapshot(), nil)
 	tagger.InferThreshold = 0.01
 	doc := &Document{
 		Title:    "iron man review",
@@ -108,7 +108,7 @@ func TestTagEventsRequiresBothSignals(t *testing.T) {
 		{Phrase: p, Doc: pos, Label: true},
 		{Phrase: p, Doc: neg, Label: false},
 	}, 40, 0.05, 6)
-	tagger := NewEventTagger(o, d)
+	tagger := NewEventTagger(o.Snapshot(), d)
 	doc := &Document{Title: "hero studios release sequel this summer", Content: "the sequel arrives."}
 	tags := tagger.TagEvents(doc)
 	if len(tags) == 0 {

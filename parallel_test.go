@@ -17,7 +17,7 @@ import (
 
 // ontologyFingerprint renders the node and edge multisets in a canonical
 // (ID-independent) order.
-func ontologyFingerprint(t *testing.T, o *ontology.Ontology) []string {
+func ontologyFingerprint(t *testing.T, o *ontology.Snapshot) []string {
 	t.Helper()
 	var lines []string
 	for _, n := range o.Nodes() {
@@ -39,7 +39,7 @@ func ontologyFingerprint(t *testing.T, o *ontology.Ontology) []string {
 	return lines
 }
 
-func ontologyJSON(t *testing.T, o *ontology.Ontology) []byte {
+func ontologyJSON(t *testing.T, o *ontology.Snapshot) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := o.WriteJSON(&buf); err != nil {
@@ -72,7 +72,7 @@ func TestParallelBuildEquivalence(t *testing.T) {
 		t.Fatalf("parallel Build: %v", err)
 	}
 
-	seqFP, parFP := ontologyFingerprint(t, seq.Ontology), ontologyFingerprint(t, par.Ontology)
+	seqFP, parFP := ontologyFingerprint(t, seq.Snapshot()), ontologyFingerprint(t, par.Snapshot())
 	if len(seqFP) != len(parFP) {
 		t.Fatalf("fingerprint sizes differ: sequential %d vs parallel %d", len(seqFP), len(parFP))
 	}
@@ -81,7 +81,7 @@ func TestParallelBuildEquivalence(t *testing.T) {
 			t.Fatalf("ontology multisets diverge at entry %d:\n  sequential: %s\n  parallel:   %s", i, seqFP[i], parFP[i])
 		}
 	}
-	if !bytes.Equal(ontologyJSON(t, seq.Ontology), ontologyJSON(t, par.Ontology)) {
+	if !bytes.Equal(ontologyJSON(t, seq.Snapshot()), ontologyJSON(t, par.Snapshot())) {
 		t.Fatal("serialized ontologies differ between Parallelism=1 and parallel build")
 	}
 	if len(seq.Mined) != len(par.Mined) {
@@ -108,12 +108,12 @@ func TestBuildDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatalf("second Build: %v", err)
 	}
-	if !bytes.Equal(ontologyJSON(t, a.Ontology), ontologyJSON(t, b.Ontology)) {
+	if !bytes.Equal(ontologyJSON(t, a.Snapshot()), ontologyJSON(t, b.Snapshot())) {
 		t.Fatal("two builds with the same seed serialized differently")
 	}
 	// The giantctl build output line (fmt sorts map keys, so equal stats
 	// means equal text).
-	sa, sb := a.Ontology.ComputeStats(), b.Ontology.ComputeStats()
+	sa, sb := a.Snapshot().ComputeStats(), b.Snapshot().ComputeStats()
 	la := fmt.Sprintf("built attention ontology: %v nodes, %v edges", sa.NodesByType, sa.EdgesByType)
 	lb := fmt.Sprintf("built attention ontology: %v nodes, %v edges", sb.NodesByType, sb.EdgesByType)
 	if la != lb {

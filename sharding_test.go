@@ -66,7 +66,7 @@ func assertShardPartition(t *testing.T, ss *ontology.ShardedSnapshot) {
 func TestShardedBuildEquivalence(t *testing.T) {
 	cfg := equivalenceConfig()
 	base := fullSystem(t, cfg)
-	want := ontologyJSON(t, base.Ontology)
+	want := ontologyJSON(t, base.Snapshot())
 	for _, k := range []int{2, 4} {
 		c := cfg
 		c.Shards = k
@@ -74,7 +74,7 @@ func TestShardedBuildEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Build shards=%d: %v", k, err)
 		}
-		if !bytes.Equal(ontologyJSON(t, sys.Ontology), want) {
+		if !bytes.Equal(ontologyJSON(t, sys.Snapshot()), want) {
 			t.Fatalf("shards=%d build is not byte-identical to the 1-shard build", k)
 		}
 		ss, err := sys.ShardedSnapshot()
