@@ -4,8 +4,10 @@
 //	giantctl build -out ao.json        build the ontology and save it
 //	giantctl update -in ao.json -docs new.json -out ao2.json
 //	                                   apply incremental update batches offline
+//	giantctl shard -in ao.json -shards 2
+//	                                   export per-shard GIANTBIN projections
 //	giantctl convert -in ao.json -out ao.bin -format binary
-//	                                   re-encode a snapshot or shard artifact
+//	                                   re-encode a snapshot artifact
 //	giantctl stats -in ao.json         print node/edge statistics
 //	giantctl query -q "best ..."       conceptualize/rewrite a query
 //	giantctl tag -title "..."          tag a document
@@ -127,9 +129,9 @@ func usage(w *os.File) {
 
 subcommands:
   build   build the ontology and save it           (-out ao.json [-format json|binary] [-tiny])
-  shard   export per-shard projection files        (-in ao.json -shards K [-out-dir .] [-format json|binary])
+  shard   export per-shard GIANTBIN projections    (-in ao.json -shards K [-out-dir .])
   update  apply incremental update batches offline (-docs new.json [-in ao.json] [-out path] [-format json|binary] [-tiny])
-  convert re-encode a snapshot or shard artifact   (-in path -out path [-format json|binary])
+  convert re-encode a snapshot artifact            (-in path -out path [-format json|binary])
   stats   print node/edge statistics               (-in ao.json)
   query   conceptualize/rewrite a query            (-q "best ...")
   tag     tag a document                           (-title "..." [-content ...] [-entities a,b])
@@ -138,9 +140,11 @@ subcommands:
   truncate    inspect or compact the fleet delta log (-wal DIR [-below G] [-force])
   help    print this message
 
-Artifacts are loadable in either format everywhere (-in flags, giantd -in):
-loaders auto-detect by magic. JSON is the debug/interchange format; binary
-(GIANTBIN) is the columnar format built for millisecond boot.
+Snapshot artifacts are loadable in either format everywhere (-in flags,
+giantd -in): loaders auto-detect by magic. JSON is the debug/interchange
+format; binary (GIANTBIN) is the columnar format built for millisecond
+boot, and the only format of shard files (giantd -shard i/k -in also
+derives its shard from a whole-ontology file of either format).
 
 exit codes: 0 success, 1 runtime failure, 2 usage error`)
 }
@@ -274,14 +278,13 @@ func loadBatches(path string) ([]delta.Batch, error) {
 }
 
 // runShard partitions a saved ontology K ways and exports one
-// self-contained projection file per shard — the boot artifacts for
-// per-shard giantd processes (giantd -shard i/K -in shard-i-of-K.json).
+// self-contained GIANTBIN projection file per shard — the boot artifacts
+// for per-shard giantd processes (giantd -shard i/K -in shard-i-of-K.bin).
 func runShard(args []string) error {
 	fs := newFlagSet("shard")
 	in := fs.String("in", "", "ontology artifact path, either format (from giantctl build -out)")
 	shards := fs.Int("shards", 0, "shard count K (>= 1)")
 	outDir := fs.String("out-dir", ".", "directory for the per-shard files")
-	format := formatFlag(fs)
 	if err := parse(fs, args); err != nil {
 		return err
 	}
@@ -291,10 +294,6 @@ func runShard(args []string) error {
 	if *shards < 1 {
 		return usagef("shard: need -shards K (>= 1)")
 	}
-	ff, err := ontology.ParseFileFormat(*format)
-	if err != nil {
-		return usagef("shard: %v", err)
-	}
 	snap, err := ontology.LoadSnapshotFile(*in)
 	if err != nil {
 		return err
@@ -303,14 +302,10 @@ func runShard(args []string) error {
 	if err != nil {
 		return err
 	}
-	ext := "json"
-	if ff == ontology.FormatBinary {
-		ext = "bin"
-	}
 	for i := 0; i < ss.NumShards(); i++ {
 		p := ss.Projection(i)
-		path := fmt.Sprintf("%s/shard-%d-of-%d.%s", strings.TrimRight(*outDir, "/"), i, ss.NumShards(), ext)
-		if err := p.SaveFileFormat(path, ff); err != nil {
+		path := fmt.Sprintf("%s/shard-%d-of-%d.bin", strings.TrimRight(*outDir, "/"), i, ss.NumShards())
+		if err := p.SaveBinaryFile(path); err != nil {
 			return err
 		}
 		fmt.Printf("shard %d/%d: %d home nodes (+%d ghosts), %d edges -> %s\n",
@@ -319,13 +314,12 @@ func runShard(args []string) error {
 	return nil
 }
 
-// runConvert re-encodes a snapshot or shard artifact between JSON and
-// GIANTBIN. The input kind is auto-detected: shard projection files stay
-// shard projections (identity and union-ID table preserved), plain
-// snapshots stay snapshots. JSON→binary→JSON round-trips byte-identically.
+// runConvert re-encodes a snapshot artifact between JSON and GIANTBIN;
+// JSON→binary→JSON round-trips byte-identically. Shard files have one
+// format, so a shard file is refused (giantctl shard re-exports it).
 func runConvert(args []string) error {
 	fs := newFlagSet("convert")
-	in := fs.String("in", "", "input artifact: snapshot or shard projection, either format (required)")
+	in := fs.String("in", "", "input snapshot artifact, either format (required)")
 	out := fs.String("out", "", "output path (required)")
 	format := fs.String("format", "binary", "output format: json or binary")
 	if err := parse(fs, args); err != nil {
@@ -337,18 +331,6 @@ func runConvert(args []string) error {
 	ff, err := ontology.ParseFileFormat(*format)
 	if err != nil {
 		return usagef("convert: %v", err)
-	}
-	p, err := ontology.LoadShardFile(*in)
-	if err == nil {
-		if err := p.SaveFileFormat(*out, ff); err != nil {
-			return err
-		}
-		fmt.Printf("converted shard %d/%d: %d nodes, %d edges -> %s (%s)\n",
-			p.Shard, p.NumShards, p.Snap.NodeCount(), p.Snap.EdgeCount(), *out, ff)
-		return nil
-	}
-	if !errors.Is(err, ontology.ErrNotShardFile) {
-		return fmt.Errorf("convert: load %s: %w", *in, err)
 	}
 	snap, err := ontology.LoadSnapshotFile(*in)
 	if err != nil {

@@ -5,7 +5,8 @@
 //	giantd -in ao.json -addr :8080    # online: serve it
 //
 // The -in artifact may be JSON or the GIANTBIN binary format (giantctl
-// -format binary / giantctl convert); the loader auto-detects by magic.
+// build -format binary / giantctl convert); the loader auto-detects by
+// magic.
 // Binary artifacts boot in milliseconds, which is what makes rolling
 // restarts cheap at web scale. A served world changes only through a
 // logged ingest or a restart: a daemon serving -in picks up a new artifact
@@ -48,10 +49,10 @@
 // router can merge responses byte-identically to a single sharded process.
 // A per-shard daemon accepts no direct writes: a fleet changes only
 // through its one delta log. With -in it serves a frozen shard (the
-// artifact may be a per-shard file written by `giantctl shard` or a
-// whole-ontology file, whose shard projection is then derived at boot),
-// and /v1/ingest answers 503 unavailable; it changes by restarting on a
-// new file.
+// artifact may be a GIANTBIN shard file written by `giantctl shard` or a
+// whole-ontology file of either format, whose shard projection is then
+// derived at boot), and /v1/ingest answers 503 unavailable; it changes by
+// restarting on a new file.
 //
 // With -wal DIR (requires -shard i/k and -build; -shard with -build
 // requires -wal) the daemon is a delta-log REPLICA: /v1/ingest answers
@@ -96,7 +97,6 @@ func main() {
 		addr    = flag.String("addr", ":8080", "listen address")
 		build   = flag.Bool("build", false, "run the offline pipeline at startup instead of loading -in (without -shard the server is still frozen: writes go through giantrouter -wal)")
 		tiny    = flag.Bool("tiny", false, "with -build: use the tiny configuration")
-		cache   = flag.Int("cache", serve.DefaultCacheSize, "LRU response cache entries (negative disables)")
 		grace   = flag.Duration("grace", 5*time.Second, "graceful-shutdown drain timeout")
 		shards  = flag.Int("shards", 1, "cut the ontology into K home-shard projections: per-shard /v1/stats rows and gram-routed search; reads answer from the union for every K")
 		shard   = flag.String("shard", "", "serve a single shard of a k-way partition as i/k (e.g. 0/4): the per-shard backend of cmd/giantrouter")
@@ -114,7 +114,7 @@ func main() {
 	if *ckpt > 0 && *walDir == "" {
 		log.Printf("warning: -checkpoint-every only applies to delta-log replicas (-wal); ignoring it")
 	}
-	if err := run(*in, *addr, *build, *tiny, *cache, *grace, *shards, *shard, *walDir, *replica, *ckpt); err != nil {
+	if err := run(*in, *addr, *build, *tiny, *grace, *shards, *shard, *walDir, *replica, *ckpt); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -137,11 +137,11 @@ func parseShardSpec(spec string) (i, k int, err error) {
 	return i, k, nil
 }
 
-func run(in, addr string, build, tiny bool, cache int, grace time.Duration, shards int, shardSpec, walDir string, replica int, ckptEvery uint64) error {
+func run(in, addr string, build, tiny bool, grace time.Duration, shards int, shardSpec, walDir string, replica int, ckptEvery uint64) error {
 	if shardSpec != "" {
-		return runShard(in, addr, build, tiny, cache, grace, shards, shardSpec, walDir, replica, ckptEvery)
+		return runShard(in, addr, build, tiny, grace, shards, shardSpec, walDir, replica, ckptEvery)
 	}
-	opts := serve.Options{CacheSize: cache}
+	var opts serve.Options
 	var snap *ontology.Snapshot
 	switch {
 	case build:
@@ -155,7 +155,7 @@ func run(in, addr string, build, tiny bool, cache int, grace time.Duration, shar
 			return err
 		}
 		snap = sys.Snapshot()
-		opts.ConceptContext = sys.ConceptContext()
+		opts.ConceptContextFn = sys.ConceptContext
 		opts.Duet = sys.EventTagger().Duet
 	case in != "":
 		var err error
@@ -193,7 +193,7 @@ func logIngested(sys *giant.System, d *delta.Delta) {
 
 // runShard serves a single shard of a k-way partition (-shard i/k): the
 // per-shard backend of the multi-process tier.
-func runShard(in, addr string, build, tiny bool, cache int, grace time.Duration, shards int, shardSpec, walDir string, replica int, ckptEvery uint64) error {
+func runShard(in, addr string, build, tiny bool, grace time.Duration, shards int, shardSpec, walDir string, replica int, ckptEvery uint64) error {
 	idx, k, err := parseShardSpec(shardSpec)
 	if err != nil {
 		return err
@@ -204,7 +204,7 @@ func runShard(in, addr string, build, tiny bool, cache int, grace time.Duration,
 	if shards > 1 && shards != k {
 		return fmt.Errorf("-shards %d conflicts with -shard %s (the shard count comes from i/k)", shards, shardSpec)
 	}
-	opts := serve.Options{CacheSize: cache}
+	var opts serve.Options
 	var proj *ontology.ShardProjection
 	switch {
 	case build:

@@ -4,7 +4,7 @@
 // phrase hash the in-process sharded server uses.
 //
 //	# export one file per shard, boot one giantd per shard, then the router:
-//	giantctl shard -in ao.bin -shards 2 -format binary -out-dir shards
+//	giantctl shard -in ao.bin -shards 2 -out-dir shards
 //	giantd -in shards/shard-0-of-2.bin -shard 0/2 -addr :8081 &
 //	giantd -in shards/shard-1-of-2.bin -shard 1/2 -addr :8082 &
 //	giantrouter -addr :8080 -backends http://localhost:8081,http://localhost:8082
@@ -16,7 +16,9 @@
 //
 // Backends are listed in shard order: -backends URL_0,URL_1,...,URL_{k-1}
 // where URL_i serves shard i of k (the router cross-checks this against
-// each backend's /v1/stats shard identity). /v1/search, /v1/node,
+// the shard identity each backend reports: /healthz shows a misplaced
+// backend as unhealthy and the fleet as degraded, and /v1/stats answers
+// 502). /v1/search, /v1/node,
 // /v1/tag, /v1/query/rewrite and /v1/story responses are byte-identical
 // to a single sharded giantd over the same world — the application
 // endpoints gather each shard's ?partial= candidates and run the same
@@ -62,11 +64,12 @@
 // for reads ahead of its position), and /v1/ingest appends each batch once
 // to the fleet log DIR/fleet.wal, which every replica tails, acknowledging
 // once a quorum of each shard's replicas confirm the apply. A shard whose slowest healthy
-// replica trails the log head by more than -max-lag generations pushes
-// back with 429 replica_lagging and a Retry-After header; -write-timeout
-// bounds each replica's apply confirmation in that quorum wait. Rolling
-// restarts are zero-downtime: restart one replica at a time and it
-// catches up from the log before re-entering read rotation.
+// replica trails the log head by more than 64 generations pushes back
+// with 429 replica_lagging and a Retry-After header; each replica has 2
+// minutes to confirm an apply in that quorum wait, and each backend read 5
+// seconds to answer. Rolling restarts are zero-downtime: restart one
+// replica at a time and it catches up from the log before re-entering
+// read rotation.
 package main
 
 import (
@@ -88,13 +91,10 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
 		backends = flag.String("backends", "", "comma-separated per-shard giantd base URLs, in shard order (URL_i serves shard i)")
-		timeout  = flag.Duration("timeout", 5*time.Second, "per-backend read timeout")
-		writeTO  = flag.Duration("write-timeout", 2*time.Minute, "with -wal: the per-replica apply-confirmation timeout of ingest quorum waits (every replica applies every batch)")
 		failOpen = flag.Bool("fail-open", false, "serve partial fan-out results (marked \"partial\": true) instead of 503 when a shard is unreachable")
 		probe    = flag.Duration("probe", 2*time.Second, "background health-probe interval (0 disables)")
 		grace    = flag.Duration("grace", 5*time.Second, "graceful-shutdown drain timeout")
 		walDir   = flag.String("wal", "", "delta-log directory: ingest appends to DIR/fleet.wal and acks at a replica quorum (backends must be giantd -wal replicas); without it the router is read-only")
-		maxLag   = flag.Uint64("max-lag", 0, "with -wal: 429 ingest pushback once a shard's slowest healthy replica trails the log head by more than this many generations (0 = 64)")
 		compact  = flag.Bool("compact", false, "with -wal: truncate the delta log below the fleet-wide applied floor, bounded by the published checkpoint (runs after each health-probe pass; replicas need -checkpoint-every)")
 	)
 	flag.Parse()
@@ -116,9 +116,6 @@ func main() {
 		Replicas:      replicas,
 		WALDir:        *walDir,
 		Compact:       *compact,
-		MaxLag:        *maxLag,
-		Timeout:       *timeout,
-		WriteTimeout:  *writeTO,
 		FailOpen:      *failOpen,
 		ProbeInterval: *probe,
 		Logf:          log.Printf,

@@ -340,7 +340,7 @@ func encodeBinary(w io.Writer, snap *Snapshot, proj *ShardProjection, gen uint64
 		add(secUnionIDs, i32col(ids))
 		// Persist the home-prefix term-gram index so a booting shard skips
 		// the rebuild. Deterministic in the home contents, so persisted and
-		// recomputed bytes are identical (the dual-format equivalence pin).
+		// recomputed bytes are identical (the shard-file equivalence pin).
 		add(secTermGrams, proj.TermGrams().appendBytes(make([]byte, 0, termGramSize)))
 	} else {
 		add(secTermGrams, snap.TermGrams().appendBytes(make([]byte, 0, termGramSize)))

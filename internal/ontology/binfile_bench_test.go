@@ -105,7 +105,8 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 }
 
 // BenchmarkShardLoad is the same measurement for a per-shard boot
-// artifact — the giantrouter fleet's restart cost.
+// artifact — the giantrouter fleet's restart cost. Shard files are
+// GIANTBIN only; each load is checked against the in-memory projection.
 func BenchmarkShardLoad(b *testing.B) {
 	n := 30000
 	if testing.Short() {
@@ -116,30 +117,21 @@ func BenchmarkShardLoad(b *testing.B) {
 		b.Fatal(err)
 	}
 	p := ss.Projection(0)
-	dir := b.TempDir()
-	jsonPath := filepath.Join(dir, "shard.json")
-	binPath := filepath.Join(dir, "shard.bin")
-	if err := p.SaveFile(jsonPath); err != nil {
-		b.Fatal(err)
-	}
+	binPath := filepath.Join(b.TempDir(), "shard.bin")
 	if err := p.SaveBinaryFile(binPath); err != nil {
 		b.Fatal(err)
 	}
-	for _, bc := range []struct {
-		name string
-		path string
-	}{{"json", jsonPath}, {"binary", binPath}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sp, err := LoadShardFile(bc.path)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if sp.Shard != 0 || sp.NumShards != 4 {
-					b.Fatalf("loaded shard %d/%d", sp.Shard, sp.NumShards)
-				}
+	b.Run("binary", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sp, err := LoadShardFile(binPath)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			if sp.Shard != p.Shard || sp.NumShards != p.NumShards || sp.HomeCount != p.HomeCount || sp.Snap.Len() != p.Snap.Len() {
+				b.Fatalf("loaded shard %d/%d (%d home, %d nodes), want %d/%d (%d home, %d nodes)",
+					sp.Shard, sp.NumShards, sp.HomeCount, sp.Snap.Len(), p.Shard, p.NumShards, p.HomeCount, p.Snap.Len())
+			}
+		}
+	})
 }

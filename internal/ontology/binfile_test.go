@@ -97,7 +97,7 @@ func TestBinaryDecodedSnapshotReads(t *testing.T) {
 
 // TestBinaryShardRoundTrip: a shard projection written as GIANTBIN loads
 // back with identity, union-ID table, reverse index and per-shard reads
-// intact, and matches its JSON twin exactly.
+// intact, and matches the in-memory projection it was written from.
 func TestBinaryShardRoundTrip(t *testing.T) {
 	union := projectionOntology(t)
 	ss, err := ShardSnapshot(union, 3)
@@ -108,42 +108,34 @@ func TestBinaryShardRoundTrip(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		p := ss.Projection(i)
 		binPath := filepath.Join(dir, "shard.bin")
-		jsonPath := filepath.Join(dir, "shard.json")
 		if err := p.SaveBinaryFile(binPath); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.SaveFile(jsonPath); err != nil {
 			t.Fatal(err)
 		}
 		fromBin, err := LoadShardFile(binPath)
 		if err != nil {
 			t.Fatalf("shard %d: load binary: %v", i, err)
 		}
-		fromJSON, err := LoadShardFile(jsonPath)
-		if err != nil {
-			t.Fatal(err)
-		}
 		if fromBin.Shard != i || fromBin.NumShards != 3 || fromBin.HomeCount != p.HomeCount {
 			t.Fatalf("shard %d identity: %+v", i, fromBin)
 		}
-		if !reflect.DeepEqual(fromBin.UnionIDs, fromJSON.UnionIDs) {
+		if !reflect.DeepEqual(fromBin.UnionIDs, p.UnionIDs) {
 			t.Fatalf("shard %d union IDs differ", i)
 		}
-		if !reflect.DeepEqual(fromBin.Snap.Nodes(), fromJSON.Snap.Nodes()) {
+		if !reflect.DeepEqual(fromBin.Snap.Nodes(), p.Snap.Nodes()) {
 			t.Fatalf("shard %d nodes differ", i)
 		}
-		if !reflect.DeepEqual(fromBin.Snap.Edges(), fromJSON.Snap.Edges()) {
+		if !reflect.DeepEqual(fromBin.Snap.Edges(), p.Snap.Edges()) {
 			t.Fatalf("shard %d edges differ", i)
 		}
-		if !reflect.DeepEqual(fromBin.SearchHome("sedan", 0), fromJSON.SearchHome("sedan", 0)) {
+		if !reflect.DeepEqual(fromBin.SearchHome("sedan", 0), p.SearchHome("sedan", 0)) {
 			t.Fatalf("shard %d home search differs", i)
 		}
-		if !reflect.DeepEqual(fromBin.HomeStats(), fromJSON.HomeStats()) {
+		if !reflect.DeepEqual(fromBin.HomeStats(), p.HomeStats()) {
 			t.Fatalf("shard %d home stats differ", i)
 		}
-		for _, uid := range fromJSON.UnionIDs {
+		for _, uid := range p.UnionIDs {
 			a, aok := fromBin.LocalOf(uid)
-			b, bok := fromJSON.LocalOf(uid)
+			b, bok := p.LocalOf(uid)
 			if aok != bok || a != b {
 				t.Fatalf("shard %d: LocalOf(%d) = %d,%v want %d,%v", i, uid, a, aok, b, bok)
 			}
@@ -283,8 +275,7 @@ func TestBinaryBadMagicAndFutureVersion(t *testing.T) {
 }
 
 // TestBinaryCrossFormatLoaders: each loader rejects the other kind's
-// binary artifact the same way it rejects the JSON equivalent, and the
-// derive fallback works for binary unions.
+// binary artifact, and the derive fallback works for binary unions.
 func TestBinaryCrossFormatLoaders(t *testing.T) {
 	dir := t.TempDir()
 	union := projectionOntology(t)
@@ -302,7 +293,7 @@ func TestBinaryCrossFormatLoaders(t *testing.T) {
 	}
 
 	// Binary shard into the union loader: rejected with a message naming
-	// the shard identity, mirroring the JSON shard reject.
+	// the shard identity.
 	if _, err := LoadSnapshotFile(shardPath); err == nil || !strings.Contains(err.Error(), "shard") {
 		t.Fatalf("LoadSnapshotFile(shard.bin): %v, want shard-projection reject", err)
 	}
@@ -362,9 +353,6 @@ func TestAtomicSave(t *testing.T) {
 	}
 	ss, err := ShardSnapshot(projectionOntology(t), 2)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ss.Projection(0).SaveFile(filepath.Join(dir, "s.json")); err != nil {
 		t.Fatal(err)
 	}
 	if err := ss.Projection(0).SaveBinaryFile(filepath.Join(dir, "s.bin")); err != nil {

@@ -24,9 +24,9 @@ package ontology
 // mirroring nodeMatches, which tests containment per string.
 //
 // The index is deterministic in the node set, so the same shard encoded on
-// two machines (or recomputed from JSON versus decoded from a GIANTBIN
-// section) yields identical bytes — the property the dual-format serving
-// equivalence tests pin.
+// two machines (or recomputed for a derived projection versus decoded from
+// a GIANTBIN section) yields identical bytes — the property the shard-file
+// serving equivalence test pins.
 
 import (
 	"encoding/base64"

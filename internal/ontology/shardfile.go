@@ -4,9 +4,11 @@ package ontology
 // shard's self-contained Snapshot plus the routing identity (shard index,
 // shard count, home-node prefix length) and the local→union node-ID table
 // that lets the shard render responses in the composed view's ID space. A
-// projection round-trips through JSON (SaveFile / LoadShardFile), so the
-// offline tier can export K shard files and K independent giantd processes
-// can each boot from exactly one of them — no process ever needs the union.
+// projection round-trips through GIANTBIN (SaveBinaryFile / LoadShardFile),
+// so the offline tier can export K shard files and K independent giantd
+// processes can each boot from exactly one of them — no process ever needs
+// the union. A per-shard process can also derive its projection at boot
+// from a whole-ontology file (LoadShardInput).
 //
 // Layout invariants (established by ShardedSnapshot.Projection and
 // re-validated on load):
@@ -21,26 +23,23 @@ package ontology
 //     stored on both endpoint shards.
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"sync"
 )
 
-// ErrNotShardFile reports that a file parsed as JSON but carries no shard
-// identity — i.e. it is (at most) a plain ontology artifact, not a shard
-// projection. LoadShardInput falls back to the plain loader only on this
-// error; a file that CLAIMS a shard identity but fails validation is
-// corrupt and must surface as such, never silently re-interpreted.
+// ErrNotShardFile reports that a file is not a GIANTBIN shard projection —
+// i.e. it is (at most) a plain ontology artifact. LoadShardInput falls
+// back to the plain loader only on this error; a file that CLAIMS a shard
+// identity but fails validation is corrupt and must surface as such, never
+// silently re-interpreted.
 var ErrNotShardFile = errors.New("ontology: not a shard projection file")
 
 // ShardProjection bundles one shard's snapshot with its routing identity.
 // Fields are read-only after construction; use ShardedSnapshot.Projection
-// or ReadShardProjection to build one with its indexes populated.
+// or LoadShardFile to build one with its indexes populated.
 type ShardProjection struct {
 	Snap      *Snapshot
 	Shard     int
@@ -56,8 +55,8 @@ type ShardProjection struct {
 
 	// grams is the lazily built term-gram index over the home-node prefix —
 	// the shard's term-routing surface (TermStats). The binary decode path
-	// may pre-populate it from the persisted section; JSON loads recompute
-	// it, deterministically yielding identical bytes.
+	// may pre-populate it from the persisted section; a derived projection
+	// computes it, deterministically yielding identical bytes.
 	gramsOnce sync.Once
 	grams     *TermGrams
 }
@@ -178,79 +177,19 @@ func (p *ShardProjection) OwnedEdgeCount() int {
 	return n
 }
 
-// shardPersisted is the wire form of a shard projection file. The presence
-// of num_shards distinguishes it from a plain ontology file.
-type shardPersisted struct {
-	Shard     int      `json:"shard"`
-	NumShards int      `json:"num_shards"`
-	HomeCount int      `json:"home_count"`
-	UnionIDs  []NodeID `json:"union_ids"`
-	Nodes     []Node   `json:"nodes"`
-	Edges     []Edge   `json:"edges"`
-}
-
-// WriteJSON serializes the projection; ReadShardProjection inverts it.
-func (p *ShardProjection) WriteJSON(w io.Writer) error {
-	return json.NewEncoder(w).Encode(shardPersisted{
-		Shard: p.Shard, NumShards: p.NumShards, HomeCount: p.HomeCount,
-		UnionIDs: p.UnionIDs, Nodes: p.Snap.nodes, Edges: p.Snap.edges,
-	})
-}
-
-// SaveFile writes the projection to path as JSON, crash-safely (see
-// Snapshot.SaveFile).
-func (p *ShardProjection) SaveFile(path string) error {
-	return writeFileAtomic(path, p.WriteJSON)
-}
-
-// SaveFileFormat writes the projection to path in the given format,
-// crash-safely.
-func (p *ShardProjection) SaveFileFormat(path string, format FileFormat) error {
-	if format == FormatBinary {
-		return p.SaveBinaryFile(path)
-	}
-	return p.SaveFile(path)
-}
-
-// ReadShardProjection reads a shard projection written by WriteJSON,
-// re-indexing and re-validating it exactly as the derive path does.
-func ReadShardProjection(r io.Reader) (*ShardProjection, error) {
-	var sp shardPersisted
-	if err := json.NewDecoder(r).Decode(&sp); err != nil {
-		return nil, fmt.Errorf("ontology: decode shard projection: %w", err)
-	}
-	if sp.NumShards == 0 {
-		return nil, fmt.Errorf("%w (no num_shards; use LoadSnapshotFile for plain ontology files)", ErrNotShardFile)
-	}
-	snap, err := BuildSnapshot(sp.Nodes, sp.Edges)
-	if err != nil {
-		return nil, err
-	}
-	p := &ShardProjection{
-		Snap: snap, Shard: sp.Shard, NumShards: sp.NumShards,
-		HomeCount: sp.HomeCount, UnionIDs: sp.UnionIDs,
-	}
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
-	p.index()
-	return p, nil
-}
-
-// LoadShardFile reads a shard projection from the file at path,
-// auto-detecting the format by magic: GIANTBIN artifacts decode through
-// the columnar path, anything else parses as JSON. A binary snapshot
-// (union) artifact yields ErrNotShardFile, mirroring the JSON behaviour,
-// so LoadShardInput's derive fallback works for both formats.
+// LoadShardFile reads a GIANTBIN shard projection from the file at path.
+// Any other file — a binary snapshot (union) artifact or a JSON ontology —
+// yields ErrNotShardFile, so LoadShardInput's derive fallback works for
+// both union formats.
 func LoadShardFile(path string) (*ShardProjection, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if IsBinary(data) {
-		return DecodeShardBinary(data)
+	if !IsBinary(data) {
+		return nil, fmt.Errorf("%w (not GIANTBIN; use LoadSnapshotFile for plain ontology files)", ErrNotShardFile)
 	}
-	return ReadShardProjection(bytes.NewReader(data))
+	return DecodeShardBinary(data)
 }
 
 // LoadShardInput resolves the -in artifact of a per-shard server: a shard

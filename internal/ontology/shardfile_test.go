@@ -77,8 +77,8 @@ func TestShardProjectionRoundTrip(t *testing.T) {
 			}
 		}
 
-		path := filepath.Join(dir, "shard.json")
-		if err := p.SaveFile(path); err != nil {
+		path := filepath.Join(dir, "shard.bin")
+		if err := p.SaveBinaryFile(path); err != nil {
 			t.Fatal(err)
 		}
 		got, err := LoadShardFile(path)
@@ -169,7 +169,8 @@ func TestShardProjectionSearchAndStats(t *testing.T) {
 
 // TestLoadShardInput: a shard file boots directly (with identity
 // validation), a plain ontology file is partitioned on the fly, and
-// mismatched identities or malformed files are rejected.
+// mismatched identities, JSON shard files and malformed files are
+// rejected.
 func TestLoadShardInput(t *testing.T) {
 	union := projectionOntology(t)
 	ss, err := ShardSnapshot(union, 2)
@@ -177,8 +178,8 @@ func TestLoadShardInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	shardPath := filepath.Join(dir, "shard-1.json")
-	if err := ss.Projection(1).SaveFile(shardPath); err != nil {
+	shardPath := filepath.Join(dir, "shard-1.bin")
+	if err := ss.Projection(1).SaveBinaryFile(shardPath); err != nil {
 		t.Fatal(err)
 	}
 	unionPath := filepath.Join(dir, "ao.json")
@@ -208,13 +209,32 @@ func TestLoadShardInput(t *testing.T) {
 	if _, err := LoadSnapshotFile(shardPath); err == nil || !strings.Contains(err.Error(), "shard projection") {
 		t.Fatalf("shard file accepted as a whole ontology: %v", err)
 	}
-	// A corrupt file CLAIMING a shard identity must surface as corrupt,
-	// not fall back to the plain loader.
-	badPath := filepath.Join(dir, "bad-shard.json")
-	if err := os.WriteFile(badPath, []byte(`{"shard":1,"num_shards":2,"home_count":99,"union_ids":[],"nodes":[],"edges":[]}`), 0o644); err != nil {
+	// A JSON shard file from before shard files became GIANTBIN only is
+	// neither booted nor reinterpreted as a whole ontology: both loaders
+	// refuse it and name the way out.
+	oldPath := filepath.Join(dir, "shard-1-of-2.json")
+	if err := os.WriteFile(oldPath, []byte(`{"shard":1,"num_shards":2,"home_count":1,"union_ids":[0],"nodes":[{"id":0,"type":0,"phrase":"x"}],"edges":[]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadShardInput(badPath, 1, 2); err == nil || errors.Is(err, ErrNotShardFile) || !strings.Contains(err.Error(), "home count") {
+	for _, load := range []func() error{
+		func() error { _, err := LoadShardInput(oldPath, 1, 2); return err },
+		func() error { _, err := LoadSnapshotFile(oldPath); return err },
+	} {
+		if err := load(); err == nil || !strings.Contains(err.Error(), "re-export it with giantctl shard") {
+			t.Fatalf("JSON shard file not refused with the re-export hint: %v", err)
+		}
+	}
+	// A corrupt file CLAIMING a shard identity must surface as corrupt,
+	// not fall back to the plain loader.
+	data, err := os.ReadFile(shardPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	badPath := filepath.Join(dir, "bad-shard.bin")
+	if err := os.WriteFile(badPath, data[:len(data)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadShardInput(badPath, 1, 2); err == nil || errors.Is(err, ErrNotShardFile) {
 		t.Fatalf("corrupt shard file not surfaced: %v", err)
 	}
 }

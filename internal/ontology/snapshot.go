@@ -83,10 +83,11 @@ type persisted struct {
 
 // SnapshotFromJSON reads an ontology serialized by Snapshot.WriteJSON. The
 // lists are fed through the builder, so a repeated phrase folds into its
-// first node and an out-of-range or self edge is an error. A shard
-// projection file (giantctl shard) is rejected: its node list is one
-// shard's home nodes plus ghosts under local IDs — a plausible-looking but
-// wrong world if ever adopted as the whole ontology.
+// first node and an out-of-range or self edge is an error. A JSON shard
+// projection file (written by giantctl shard before shard files became
+// GIANTBIN only) is rejected: its node list is one shard's home nodes plus
+// ghosts under local IDs — a plausible-looking but wrong world if ever
+// adopted as the whole ontology.
 func SnapshotFromJSON(r io.Reader) (*Snapshot, error) {
 	var p struct {
 		persisted
@@ -96,7 +97,7 @@ func SnapshotFromJSON(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("ontology: decode: %w", err)
 	}
 	if p.NumShards > 0 {
-		return nil, fmt.Errorf("ontology: this is a shard projection file (%d shards); boot it with giantd -shard i/%d or load it with LoadShardFile", p.NumShards, p.NumShards)
+		return nil, fmt.Errorf("ontology: this is a JSON shard projection file (%d shards), a format no longer read; re-export it with giantctl shard", p.NumShards)
 	}
 	o, err := fromNodesEdges(p.Nodes, p.Edges)
 	if err != nil {

@@ -136,12 +136,16 @@ type searchParams struct {
 	full  bool // ?scatter=full: the router bypasses term-gram routing; a no-op on giantd
 }
 
+// maxSearchResults caps every /v1/search result count, on a backend and
+// at the router alike, which is what lets the router's merge truncate to
+// the same list (reported as max_search_results in /v1/stats).
+const maxSearchResults = 100
+
 // parseSearchParams is THE /v1/search query parser, shared by the
 // in-process server, the per-shard backend and the router. The limit
 // defaults to 10, rejects non-positive or non-numeric input with
-// invalid_limit, and silently clamps to maxResults (exposed as
-// max_search_results in /v1/stats).
-func parseSearchParams(v url.Values, maxResults int) (searchParams, int, errorBody) {
+// invalid_limit, and silently clamps to maxSearchResults.
+func parseSearchParams(v url.Values) (searchParams, int, errorBody) {
 	p := searchParams{q: v.Get("q"), limit: 10}
 	if p.q == "" {
 		return p, http.StatusBadRequest, errBody(codeInvalidArgument, "need ?q=")
@@ -153,9 +157,7 @@ func parseSearchParams(v url.Values, maxResults int) (searchParams, int, errorBo
 		}
 		p.limit = l
 	}
-	if p.limit > maxResults {
-		p.limit = maxResults
-	}
+	p.limit = min(p.limit, maxSearchResults)
 	switch sc := v.Get("scatter"); sc {
 	case "":
 	case "full":

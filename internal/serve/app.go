@@ -142,6 +142,16 @@ type storyEvent struct {
 	Entities []string `json:"entities,omitempty"`
 }
 
+// storyEncoder is the one story-tree encoder of every server and router.
+var storyEncoder = storytree.NewBagOfTokensEncoder(16, nil)
+
+// formStory forms the story tree seeded at phrase over events, with the
+// same encoder and options on a backend and at the router, so the routed
+// tree is byte-identical to a single server's.
+func formStory(events []*storytree.EventNode, phrase string) (*storytree.Tree, bool) {
+	return storytree.FormFromEvents(events, phrase, storyEncoder, storytree.DefaultOptions())
+}
+
 // storyResponse is the /v1/story body shared by every serving mode.
 func storyResponse(tree *storytree.Tree) map[string]any {
 	branches := make([][]storyEvent, 0, len(tree.Branches))

@@ -35,7 +35,7 @@ func TestColdReadPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := sys.Snapshot()
-	srv := New(snap, Options{ConceptContext: sys.ConceptContext(), Duet: sys.EventTagger().Duet})
+	srv := New(snap, Options{ConceptContextFn: sys.ConceptContext, Duet: sys.EventTagger().Duet})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	c := ts.Client()

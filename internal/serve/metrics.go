@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"sort"
 	"sync/atomic"
 	"time"
 )
@@ -80,14 +79,8 @@ func (r *metricsRegistry) snapshot() map[string]EndpointStats {
 	if uptime <= 0 {
 		uptime = 1e-9
 	}
-	names := make([]string, 0, len(r.endpoints))
-	for n := range r.endpoints {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make(map[string]EndpointStats, len(names))
-	for _, n := range names {
-		m := r.endpoints[n]
+	out := make(map[string]EndpointStats, len(r.endpoints))
+	for n, m := range r.endpoints {
 		st := EndpointStats{
 			Requests:     m.requests.Load(),
 			Errors4xx:    m.errors4xx.Load(),

@@ -91,7 +91,6 @@ import (
 	"giant/internal/delta"
 	"giant/internal/ontology"
 	"giant/internal/par"
-	"giant/internal/storytree"
 	"giant/internal/wal"
 )
 
@@ -132,13 +131,6 @@ type RouterOptions struct {
 	// (the default) fails closed with 503 when any shard is unreachable,
 	// true returns the reachable shards' results with "partial": true.
 	FailOpen bool
-	// MaxSearchResults caps /v1/search result counts and must match the
-	// backends' cap for byte-identical merges; 0 means 100.
-	MaxSearchResults int
-	// Story configures story-tree formation at the router's merge site and
-	// must match the backends' configuration for byte-identical trees; nil
-	// means storytree.DefaultOptions (what serve.New defaults to as well).
-	Story *storytree.Options
 	// ProbeInterval enables a background health prober hitting every
 	// backend's /healthz; 0 disables it (health marks still update on
 	// every proxied call).
@@ -207,11 +199,6 @@ type Router struct {
 	routing memo[routingIndex]
 	tagIdx  memo[routerTagIndex]
 	frags   memo[routerFragments]
-	// enc and story drive story-tree formation at the router; they must
-	// match the backends' (all default-constructed unless Options.Story /
-	// RouterOptions.Story override them in lockstep).
-	enc   storytree.Encoder
-	story storytree.Options
 }
 
 // genVec is a per-shard generation vector: gens[i] is the serving
@@ -318,9 +305,6 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	if opts.WriteTimeout <= 0 {
 		opts.WriteTimeout = 2 * time.Minute
 	}
-	if opts.MaxSearchResults <= 0 {
-		opts.MaxSearchResults = 100
-	}
 	if opts.MaxLag == 0 {
 		opts.MaxLag = 64
 	}
@@ -346,11 +330,6 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 			return nil, fmt.Errorf("serve: delta log: %w", err)
 		}
 		rt.log = lg
-	}
-	rt.enc = storytree.NewBagOfTokensEncoder(16, nil)
-	rt.story = storytree.DefaultOptions()
-	if opts.Story != nil {
-		rt.story = *opts.Story
 	}
 	if rt.client == nil {
 		rt.client = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 4}}
@@ -1079,13 +1058,19 @@ func (rt *Router) handleHealthz(r *http.Request, meta *respMeta) (int, any) {
 		res := rt.callReplica(r.Context(), rt.opts.Timeout, rep, http.MethodGet, "/healthz", nil)
 		b := backendHealth{Shard: rep.shard, Replica: rep.idx, URL: rep.url, Healthy: res.ok()}
 		if res.ok() {
-			var h struct {
+			h := struct {
+				Shard      int    `json:"shard"`
+				Shards     int    `json:"shards"`
 				Generation uint64 `json:"generation"`
 				WALGen     uint64 `json:"wal_gen"`
-			}
-			if json.Unmarshal(res.body, &h) == nil {
-				b.Generation = h.Generation
-				b.WALGen = h.WALGen
+			}{Shard: -1}
+			// A body that does not decode, or names no shard, keeps
+			// Shard -1 and so reads as a wrong shard below.
+			_ = json.Unmarshal(res.body, &h)
+			b.Generation = h.Generation
+			b.WALGen = h.WALGen
+			if msg := rt.wrongShard(rep.shard, h.Shard, h.Shards); msg != "" {
+				b.Healthy, b.Error = false, msg
 			}
 		} else if res.err != nil {
 			b.Error = res.err.Error()
@@ -1113,6 +1098,17 @@ func (rt *Router) handleHealthz(r *http.Request, meta *respMeta) (int, any) {
 	return http.StatusOK, resp
 }
 
+// wrongShard describes a backend in slot i that reports an identity other
+// than shard i of the router's k: the -backends list is misordered, or it
+// names a whole-world daemon (which reports no shard) or another fleet.
+// It is empty when the identity matches.
+func (rt *Router) wrongShard(i, shard, shards int) string {
+	if shard == i && shards == rt.k {
+		return ""
+	}
+	return fmt.Sprintf("backend %d serves shard %d/%d, want %d/%d (check -backends order)", i, shard, shards, i, rt.k)
+}
+
 // handleSearch answers /v1/search through the routed scatter — the
 // cross-process twin of ShardedSnapshot.Search. The routing index prunes
 // the fan-out to the shards whose term grams may contain the needle
@@ -1122,7 +1118,7 @@ func (rt *Router) handleHealthz(r *http.Request, meta *respMeta) (int, any) {
 // full path up front — the CI smoke diffs it against the routed output on
 // a live fleet.
 func (rt *Router) handleSearch(r *http.Request, meta *respMeta) (int, any) {
-	p, bad, perr := parseSearchParams(r.URL.Query(), rt.opts.MaxSearchResults)
+	p, bad, perr := parseSearchParams(r.URL.Query())
 	if bad != 0 {
 		return bad, perr
 	}
@@ -1393,8 +1389,8 @@ func (rt *Router) handleStats(r *http.Request, meta *respMeta) (int, any) {
 		if sb == nil {
 			continue
 		}
-		if sb.Shard != i || sb.Shards != rt.k {
-			return http.StatusBadGateway, errBodyShard(codeBadUpstream, i, "backend %d serves shard %d/%d, want %d/%d (check -backends order)", i, sb.Shard, sb.Shards, i, rt.k)
+		if msg := rt.wrongShard(i, sb.Shard, sb.Shards); msg != "" {
+			return http.StatusBadGateway, errBodyShard(codeBadUpstream, i, msg)
 		}
 		nodes += sb.Nodes
 		edges += sb.OwnedEdges

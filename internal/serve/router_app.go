@@ -25,10 +25,12 @@ package serve
 // retries by rebuilding its fragment list, which agrees with itself.
 //
 // The merge-side thresholds (concept coherence/inference, rewrite
-// expansion cap, story encoder and link options) are the package defaults
-// here AND on every backend — serve.buildState constructs its taggers and
-// understander the same way — which is what entitles the router to score
-// candidates without shipping configuration around.
+// expansion cap, story encoder and link options, search result cap) are
+// constants here AND on every backend, not options: serve.buildState
+// constructs its taggers and understander with the package defaults, and
+// both sides form trees through formStory and clamp searches through
+// parseSearchParams. Nothing can set them apart, which is what entitles
+// the router to score candidates without shipping configuration around.
 
 import (
 	"context"
@@ -253,7 +255,7 @@ func (rt *Router) handleStory(r *http.Request, meta *respMeta) (int, any) {
 	if status != 0 {
 		return status, errb
 	}
-	tree, ok := storytree.FormFromEvents(frags.events, phrase, rt.enc, rt.story)
+	tree, ok := formStory(frags.events, phrase)
 	if !ok {
 		if len(g.failed) > 0 {
 			// The event resolved but its fragment is on a missing shard —

@@ -779,14 +779,14 @@ func TestRouterAppEndpoints(t *testing.T) {
 	}
 }
 
-// TestShardFileFormatEquivalence is the binary-format serving pin: the
-// same shard booted from a GIANTBIN artifact and from its JSON twin must
-// be indistinguishable — byte for byte on /v1/search and /v1/node at the
-// backend, and byte for byte on the router's merged /v1/search, /v1/node
-// and /v1/stats when a whole fleet boots from each format. This is the
-// exact giantd -shard i/k -in shard-i.{json,bin} boot path: artifacts are
-// written to disk and loaded back through ontology.LoadShardFile's magic
-// auto-detection.
+// TestShardFileFormatEquivalence is the shard-file serving pin: the same
+// shard booted from a GIANTBIN artifact and from the in-memory projection
+// it was written from must be indistinguishable — byte for byte on
+// /v1/search and /v1/node at the backend, and byte for byte on the
+// router's merged /v1/search, /v1/node and /v1/stats when a whole fleet
+// boots from each. This is the exact giantd -shard i/k -in
+// shard-i-of-k.bin boot path: artifacts are written to disk and loaded
+// back through ontology.LoadShardFile.
 func TestShardFileFormatEquivalence(t *testing.T) {
 	const k = 2
 	union := testOntology(0).Snapshot()
@@ -800,19 +800,11 @@ func TestShardFileFormatEquivalence(t *testing.T) {
 		backendTS []*httptest.Server
 		routerTS  *httptest.Server
 	}
-	boot := func(ext string, save func(p *ontology.ShardProjection, path string) error) fleet {
+	boot := func(proj func(i int) *ontology.ShardProjection) fleet {
 		var fl fleet
 		urls := make([]string, k)
 		for i := 0; i < k; i++ {
-			path := fmt.Sprintf("%s/shard-%d-of-%d.%s", dir, i, k, ext)
-			if err := save(ss.Projection(i), path); err != nil {
-				t.Fatalf("save %s: %v", path, err)
-			}
-			proj, err := ontology.LoadShardFile(path)
-			if err != nil {
-				t.Fatalf("load %s: %v", path, err)
-			}
-			ts := httptest.NewServer(NewShard(proj, Options{}).Handler())
+			ts := httptest.NewServer(NewShard(proj(i), Options{}).Handler())
 			t.Cleanup(ts.Close)
 			fl.backendTS = append(fl.backendTS, ts)
 			urls[i] = ts.URL
@@ -826,8 +818,18 @@ func TestShardFileFormatEquivalence(t *testing.T) {
 		t.Cleanup(fl.routerTS.Close)
 		return fl
 	}
-	jsonFleet := boot("json", (*ontology.ShardProjection).SaveFile)
-	binFleet := boot("bin", (*ontology.ShardProjection).SaveBinaryFile)
+	memFleet := boot(ss.Projection)
+	binFleet := boot(func(i int) *ontology.ShardProjection {
+		path := fmt.Sprintf("%s/shard-%d-of-%d.bin", dir, i, k)
+		if err := ss.Projection(i).SaveBinaryFile(path); err != nil {
+			t.Fatalf("save %s: %v", path, err)
+		}
+		proj, err := ontology.LoadShardFile(path)
+		if err != nil {
+			t.Fatalf("load %s: %v", path, err)
+		}
+		return proj
+	})
 
 	var paths []string
 	for _, n := range union.Nodes() {
@@ -849,32 +851,89 @@ func TestShardFileFormatEquivalence(t *testing.T) {
 		}
 	}
 
-	same := func(what, jsonURL, binURL, path string) {
+	same := func(what, memURL, binURL, path string) {
 		t.Helper()
-		jStatus, jBody := getRaw(t, http.DefaultClient, jsonURL+path)
+		mStatus, mBody := getRaw(t, http.DefaultClient, memURL+path)
 		bStatus, bBody := getRaw(t, http.DefaultClient, binURL+path)
-		if jStatus != bStatus || !bytes.Equal(jBody, bBody) {
-			t.Fatalf("%s %s: formats diverge\njson (%d):   %s\nbinary (%d): %s",
-				what, path, jStatus, jBody, bStatus, bBody)
+		if mStatus != bStatus || !bytes.Equal(mBody, bBody) {
+			t.Fatalf("%s %s: file-booted fleet diverges\nin-memory (%d): %s\nbinary (%d):    %s",
+				what, path, mStatus, mBody, bStatus, bBody)
 		}
 	}
 	for _, p := range paths {
-		same("router", jsonFleet.routerTS.URL, binFleet.routerTS.URL, p)
+		same("router", memFleet.routerTS.URL, binFleet.routerTS.URL, p)
 		for i := 0; i < k; i++ {
-			same(fmt.Sprintf("backend %d", i), jsonFleet.backendTS[i].URL, binFleet.backendTS[i].URL, p)
+			same(fmt.Sprintf("backend %d", i), memFleet.backendTS[i].URL, binFleet.backendTS[i].URL, p)
 		}
 	}
 	// The routers' merged stats are fully deterministic: byte-identical.
-	same("router", jsonFleet.routerTS.URL, binFleet.routerTS.URL, "/v1/stats")
+	same("router", memFleet.routerTS.URL, binFleet.routerTS.URL, "/v1/stats")
 	// Backend stats embed a load timestamp; everything else must agree.
 	for i := 0; i < k; i++ {
-		j := getJSON(t, http.DefaultClient, jsonFleet.backendTS[i].URL+"/v1/stats", 200)
+		m := getJSON(t, http.DefaultClient, memFleet.backendTS[i].URL+"/v1/stats", 200)
 		b := getJSON(t, http.DefaultClient, binFleet.backendTS[i].URL+"/v1/stats", 200)
-		delete(j, "loaded_at")
+		delete(m, "loaded_at")
 		delete(b, "loaded_at")
-		if !reflect.DeepEqual(j, b) {
-			t.Fatalf("backend %d stats diverge\njson:   %v\nbinary: %v", i, j, b)
+		if !reflect.DeepEqual(m, b) {
+			t.Fatalf("backend %d stats diverge\nin-memory: %v\nbinary:    %v", i, m, b)
 		}
+	}
+}
+
+// TestRouterRejectsSwappedBackends: a -backends list in the wrong shard
+// order is visible from the outside. /healthz marks every misplaced
+// backend unhealthy with the shard it serves and reports the fleet
+// degraded, and /v1/stats answers 502 bad_upstream naming slot 0. The
+// same two backends in shard order are healthy.
+func TestRouterRejectsSwappedBackends(t *testing.T) {
+	const k = 2
+	ss, err := ontology.ShardSnapshot(testOntology(0).Snapshot(), k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	urls := make([]string, k)
+	for i := range urls {
+		ts := httptest.NewServer(NewShard(ss.Projection(i), Options{}).Handler())
+		defer ts.Close()
+		urls[i] = ts.URL
+	}
+	router := func(backends ...string) *httptest.Server {
+		rt, err := NewRouter(RouterOptions{Backends: backends})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(rt.Close)
+		ts := httptest.NewServer(rt.Handler())
+		t.Cleanup(ts.Close)
+		return ts
+	}
+
+	ordered := router(urls[0], urls[1])
+	if h := getJSON(t, ordered.Client(), ordered.URL+"/healthz", 200); h["status"] != "ok" {
+		t.Fatalf("healthz over ordered backends = %v", h)
+	}
+
+	swapped := router(urls[1], urls[0])
+	h := getJSON(t, swapped.Client(), swapped.URL+"/healthz", 200)
+	if h["status"] != "degraded" {
+		t.Fatalf("healthz over swapped backends: status %v, want degraded", h["status"])
+	}
+	backends, _ := h["backends"].([]any)
+	if len(backends) != k {
+		t.Fatalf("healthz backends = %v", h["backends"])
+	}
+	for i, b := range backends {
+		b := b.(map[string]any)
+		want := fmt.Sprintf("backend %d serves shard %d/2, want %d/2 (check -backends order)", i, 1-i, i)
+		if b["healthy"] != false || b["error"] != want {
+			t.Fatalf("healthz backend %d = %v, want unhealthy with %q", i, b, want)
+		}
+	}
+
+	st := getJSON(t, swapped.Client(), swapped.URL+"/v1/stats", http.StatusBadGateway)
+	e, _ := st["error"].(map[string]any)
+	if e["code"] != codeBadUpstream || e["shard"] != float64(0) || e["message"] != "backend 0 serves shard 1/2, want 0/2 (check -backends order)" {
+		t.Fatalf("stats over swapped backends = %v", st)
 	}
 }
 

@@ -462,6 +462,73 @@ func TestRouterPerShardSearchLimit(t *testing.T) {
 	}
 }
 
+// TestSearchLimitClamp: a limit above maxSearchResults clamps to exactly
+// 100 hits on a whole-world server, on a per-shard backend and at a K=2
+// router, the routed body equals the whole-world one, and both servers
+// report the cap in /v1/stats.
+func TestSearchLimitClamp(t *testing.T) {
+	const k = 2
+	o := ontology.New()
+	for i := 0; i < 300; i++ {
+		o.AddNode(ontology.Entity, fmt.Sprintf("needle gizmo %03d", i))
+	}
+	snap := o.Snapshot()
+	ss, err := ontology.ShardSnapshot(snap, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wholeTS := httptest.NewServer(New(snap, Options{}).Handler())
+	defer wholeTS.Close()
+	urls := make([]string, k)
+	for i := range urls {
+		backTS := httptest.NewServer(NewShard(ss.Projection(i), Options{}).Handler())
+		defer backTS.Close()
+		urls[i] = backTS.URL
+	}
+	rt, err := NewRouter(RouterOptions{Backends: urls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	routerTS := httptest.NewServer(rt.Handler())
+	defer routerTS.Close()
+
+	const path = "/v1/search?q=needle&limit=1000"
+	hits := func(url string) (int, []byte) {
+		t.Helper()
+		status, body := getRaw(t, http.DefaultClient, url+path)
+		var parsed struct {
+			Count   int               `json:"count"`
+			Results []json.RawMessage `json:"results"`
+		}
+		if status != http.StatusOK || json.Unmarshal(body, &parsed) != nil || parsed.Count != len(parsed.Results) {
+			t.Fatalf("%s%s = %d: %s", url, path, status, body)
+		}
+		return len(parsed.Results), body
+	}
+	wholeN, wholeBody := hits(wholeTS.URL)
+	routedN, routedBody := hits(routerTS.URL)
+	if wholeN != maxSearchResults || routedN != maxSearchResults {
+		t.Fatalf("limit=1000: whole-world %d hits, router %d, want %d", wholeN, routedN, maxSearchResults)
+	}
+	if !bytes.Equal(wholeBody, routedBody) {
+		t.Fatalf("router body differs from whole-world\nrouter: %s\nwhole:  %s", routedBody, wholeBody)
+	}
+	for i, u := range urls {
+		if home := ss.HomeCount(i); home <= maxSearchResults {
+			t.Fatalf("corpus too lopsided: shard %d holds %d matches", i, home)
+		}
+		if n, _ := hits(u); n != maxSearchResults {
+			t.Fatalf("shard %d: limit=1000 gave %d hits, want %d", i, n, maxSearchResults)
+		}
+	}
+	for _, u := range []string{wholeTS.URL, urls[0]} {
+		if got := getJSON(t, http.DefaultClient, u+"/v1/stats", 200)["max_search_results"]; got != float64(100) {
+			t.Fatalf("%s /v1/stats max_search_results = %v, want 100", u, got)
+		}
+	}
+}
+
 // routerDelta is the routing-index test's ingest script: day 2 retires
 // the day-1 node (renumbering union IDs), other days append.
 func routerDelta(day int) *delta.Delta {

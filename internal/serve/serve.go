@@ -73,13 +73,10 @@ type Options struct {
 	// shard; an unchanged shard still refreshes its serving state (the union
 	// ID table may have shifted) and keeps its generation.
 	ShardIngest func(delta.Batch, wal.Record) (*ontology.ShardProjection, *delta.Delta, []bool, error)
-	// ConceptContext optionally enriches concept-tagger representations
-	// with the build's concept -> top clicked titles map.
-	ConceptContext map[string][]string
-	// ConceptContextFn, when set, supplies a fresh concept-context map for
-	// every published state (so live ingest keeps tagger representations
-	// current) and takes precedence over ConceptContext. It is called
-	// under the swap lock, serialized with the ingest callback.
+	// ConceptContextFn, when set, supplies the build's concept -> top
+	// clicked titles map for every published state, enriching the concept
+	// tagger's representations (so live ingest keeps them current). It is
+	// called under the swap lock, serialized with the ingest callback.
 	ConceptContextFn func() map[string][]string
 	// Duet optionally supplies a trained event/topic matcher; nil degrades
 	// event tagging to LCS-only.
@@ -96,11 +93,6 @@ type Options struct {
 	// checkpoint's union snapshot and state blob and returns THIS shard's
 	// projection to serve. Nil disables checkpoint boot (HydrateShard).
 	CheckpointRestore func(*ontology.Snapshot, []byte) (*ontology.ShardProjection, error)
-	// MaxSearchResults caps /v1/search result counts; 0 means 100.
-	MaxSearchResults int
-	// Story configures story-tree formation; nil means
-	// storytree.DefaultOptions.
-	Story *storytree.Options
 }
 
 // DefaultCacheSize bounds the response cache when Options.CacheSize is 0.
@@ -149,8 +141,6 @@ type Server struct {
 	swapMu    sync.Mutex // serializes publishes; readers never take it
 	metrics   *metricsRegistry
 	mux       *http.ServeMux
-	enc       storytree.Encoder
-	story     storytree.Options
 	shardMode bool // built with NewShard: serves one shard projection
 	// wal is non-nil on a delta-log replica (a NewShard server with an
 	// attached Follower): the server then refuses direct writes as
@@ -170,19 +160,7 @@ func newServer(opts Options) *Server {
 	if opts.CacheSize == 0 {
 		opts.CacheSize = DefaultCacheSize
 	}
-	if opts.MaxSearchResults <= 0 {
-		opts.MaxSearchResults = 100
-	}
-	s := &Server{
-		opts:    opts,
-		metrics: newMetricsRegistry(endpointNames),
-		enc:     storytree.NewBagOfTokensEncoder(16, nil),
-		story:   storytree.DefaultOptions(),
-	}
-	if opts.Story != nil {
-		s.story = *opts.Story
-	}
-	return s
+	return &Server{opts: opts, metrics: newMetricsRegistry(endpointNames)}
 }
 
 // New builds a whole-world Server over an initial snapshot: NewSharded over
@@ -240,7 +218,7 @@ func newShard(p *ontology.ShardProjection, since uint64, opts Options) *Server {
 // understander, fresh cache). A publish calls it under swapMu; the
 // constructors, which publish before the server is reachable, need no lock.
 func (s *Server) buildState(snap *ontology.Snapshot, gen uint64) *state {
-	conceptCtx := s.opts.ConceptContext
+	var conceptCtx map[string][]string
 	if s.opts.ConceptContextFn != nil {
 		conceptCtx = s.opts.ConceptContextFn()
 	}
@@ -409,7 +387,7 @@ func (s *Server) handleStats(st *state, r *http.Request) (int, any) {
 		"edges":              st.snap.EdgeCount(),
 		"nodes_by_type":      stats.NodesByType,
 		"edges_by_type":      stats.EdgesByType,
-		"max_search_results": s.opts.MaxSearchResults,
+		"max_search_results": maxSearchResults,
 	}
 	if st.proj == nil {
 		// Each shard's projection answers its own counts.
@@ -530,7 +508,7 @@ func (s *Server) handleNode(st *state, r *http.Request) (int, any) {
 }
 
 func (s *Server) handleSearch(st *state, r *http.Request) (int, any) {
-	p, bad, errb := parseSearchParams(r.URL.Query(), s.opts.MaxSearchResults)
+	p, bad, errb := parseSearchParams(r.URL.Query())
 	if bad != 0 {
 		return bad, errb
 	}
@@ -630,7 +608,7 @@ func (s *Server) handleStory(st *state, r *http.Request) (int, any) {
 	if notFound != 0 {
 		return notFound, errb
 	}
-	tree, ok := storytree.FormFromEvents(st.storyEvents, phrase, s.enc, s.story)
+	tree, ok := formStory(st.storyEvents, phrase)
 	if !ok {
 		return http.StatusNotFound, errBody(codeNotFound, "no event %q in the ontology", seed)
 	}
