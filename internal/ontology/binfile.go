@@ -792,8 +792,9 @@ func DecodeSnapshotBinaryWithGen(data []byte) (*Snapshot, uint64, error) {
 	return snap, bf.hdr.Generation, nil
 }
 
-// DecodeShardBinary decodes a GIANTBIN shard artifact, re-validating and
-// re-indexing the projection exactly as the JSON load path does. A
+// DecodeShardBinary decodes a GIANTBIN shard artifact, re-validates the
+// projection (validate) and re-indexes it as ShardedSnapshot.Projection
+// indexes a fresh one (index). A
 // snapshot artifact yields ErrNotShardFile so LoadShardInput can fall
 // back to deriving the projection from the union.
 func DecodeShardBinary(data []byte) (*ShardProjection, error) {

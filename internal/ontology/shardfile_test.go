@@ -1,7 +1,9 @@
 package ontology
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -236,5 +238,18 @@ func TestLoadShardInput(t *testing.T) {
 	}
 	if _, err := LoadShardInput(badPath, 1, 2); err == nil || errors.Is(err, ErrNotShardFile) {
 		t.Fatalf("corrupt shard file not surfaced: %v", err)
+	}
+	// A well-formed file whose checksums pass but whose home count exceeds
+	// its node count must fail projection validation, not boot.
+	homePath := filepath.Join(dir, "bad-home-count.bin")
+	bad := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint64(bad[24:32], uint64(p.Snap.Len()+1))
+	binary.LittleEndian.PutUint32(bad[60:64], crc32.Checksum(bad[:60], crcTable))
+	if err := os.WriteFile(homePath, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadShardInput(homePath, 1, 2); err == nil || errors.Is(err, ErrNotShardFile) ||
+		!errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "home count") {
+		t.Fatalf("out-of-range home count not surfaced as corrupt: %v", err)
 	}
 }
