@@ -56,7 +56,7 @@ type Config struct {
 	PatternMinFreq   int
 	PatternMinSearch int
 	Seed             int64
-	// Parallelism bounds the worker pools used by the mining and assembly
+	// Parallelism bounds the worker pools used by the training and mining
 	// stages; <= 0 means runtime.GOMAXPROCS(0). The built ontology is
 	// identical for every value — the workers' results are merged in a
 	// deterministic order before anything is committed.
@@ -296,33 +296,16 @@ func (sys *System) assemble() error {
 	}
 	sort.Strings(topicPhrases)
 
-	// The linking stages below are data-independent: each only reads state
-	// frozen above (mined attentions, phrase lists, the click log and world).
-	// Fan them out over the configured worker budget, then commit their edge
-	// proposals to the ontology in a single deterministic pass.
-	var (
-		catEdges     []linking.CategoryEdge
-		suffixPairs  []linking.PhrasePair
-		containPairs []linking.PhrasePair
-		involvePairs []linking.PhrasePair
-		ceLinks      []phrasePair
-		evLinks      []phrasePair
-		corrPairs    [][2]string
-	)
-	if err := par.RunStages(cfg.parallelism(),
-		func() error { catEdges = sys.attentionCategoryEdges(); return nil },
-		func() error { suffixPairs = linking.SuffixIsAEdges(conceptPhrases); return nil },
-		func() error { containPairs = linking.ContainmentIsAEdges(eventPhrases); return nil },
-		func() error {
-			involvePairs = linking.ConceptTopicInvolveEdges(conceptPhrases, topicPhrases)
-			return nil
-		},
-		func() error { ceLinks = sys.conceptEntityLinks(); return nil },
-		func() error { evLinks = sys.eventEntityLinks(); return nil },
-		func() error { corrPairs = sys.entityCorrelatePairs(); return nil },
-	); err != nil {
-		return err
-	}
+	// The linking stages below only read state frozen above (mined
+	// attentions, phrase lists, the click log and world); their edge
+	// proposals are committed to the ontology in one pass.
+	catEdges := sys.attentionCategoryEdges()
+	suffixPairs := linking.SuffixIsAEdges(conceptPhrases)
+	containPairs := linking.ContainmentIsAEdges(eventPhrases)
+	involvePairs := linking.ConceptTopicInvolveEdges(conceptPhrases, topicPhrases)
+	ceLinks := sys.conceptEntityLinks()
+	evLinks := sys.eventEntityLinks()
+	corrPairs := sys.entityCorrelatePairs()
 
 	// Commit pass: resolve phrases to node IDs and batch-insert each edge
 	// group in the same order the sequential pipeline used.

@@ -343,8 +343,7 @@ func (sys *System) deltaSource() delta.Source {
 	w := sys.World
 	docOK := func(docID int) bool { return docID >= 0 && docID < len(sys.Log.Docs) }
 	return delta.Source{
-		Lexicon:     w.Lexicon,
-		Parallelism: sys.Cfg.parallelism(),
+		Lexicon: w.Lexicon,
 		DocCategory: func(docID int) (int, bool) {
 			if !docOK(docID) {
 				return 0, false

@@ -21,13 +21,8 @@ type LSTMKeyTagger struct {
 	label  string
 }
 
-// NewLSTMKeyTagger trains the baseline (useCRF selects LSTM-CRF vs LSTM).
-func NewLSTMKeyTagger(train []synth.MiningExample, useCRF bool, label string) *LSTMKeyTagger {
-	return NewLSTMKeyTaggerWithEpochs(train, useCRF, label, 0)
-}
-
-// NewLSTMKeyTaggerWithEpochs is NewLSTMKeyTagger with an explicit epoch
-// budget (0 keeps the default).
+// NewLSTMKeyTaggerWithEpochs trains the baseline (useCRF selects LSTM-CRF
+// vs LSTM) for an explicit epoch budget (0 keeps the default).
 func NewLSTMKeyTaggerWithEpochs(train []synth.MiningExample, useCRF bool, label string, epochs int) *LSTMKeyTagger {
 	cfg := DefaultSeqTaggerConfig(int(synth.NumKeyClasses), useCRF)
 	if epochs > 0 {

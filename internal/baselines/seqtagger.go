@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"strings"
 
-	"giant/internal/nlp"
 	"giant/internal/nn"
 )
 
@@ -190,13 +189,4 @@ func DecodeBIO(seq []string, tags []int) string {
 		}
 	}
 	return strings.Join(words, " ")
-}
-
-// TokenizeAll tokenizes a batch of strings.
-func TokenizeAll(texts []string) [][]string {
-	out := make([][]string, len(texts))
-	for i, t := range texts {
-		out[i] = nlp.Tokenize(t)
-	}
-	return out
 }

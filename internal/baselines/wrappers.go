@@ -132,13 +132,8 @@ type LSTMCRFExtractor struct {
 	label  string
 }
 
-// NewLSTMCRFExtractor trains the tagger on the training split.
-func NewLSTMCRFExtractor(train []synth.MiningExample, mode LSTMCRFMode, useCRF bool, label string) *LSTMCRFExtractor {
-	return NewLSTMCRFExtractorWithEpochs(train, mode, useCRF, label, 0)
-}
-
-// NewLSTMCRFExtractorWithEpochs is NewLSTMCRFExtractor with an explicit
-// epoch budget (0 keeps the default).
+// NewLSTMCRFExtractorWithEpochs trains the tagger on the training split
+// for an explicit epoch budget (0 keeps the default).
 func NewLSTMCRFExtractorWithEpochs(train []synth.MiningExample, mode LSTMCRFMode, useCRF bool, label string, epochs int) *LSTMCRFExtractor {
 	cfg := DefaultSeqTaggerConfig(NumBIOTags, useCRF)
 	if epochs > 0 {

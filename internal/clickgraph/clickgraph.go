@@ -1,14 +1,12 @@
 // Package clickgraph implements the bipartite search click graph of §3.1:
 // queries on one side, documents on the other, edge weights equal to click
-// counts. It provides the transport probabilities of Eq. (1)–(2) and the
-// random-walk clustering that turns a seed query into an ordered query-doc
-// cluster for phrase mining.
+// counts. Its random walk over the transport probabilities of Eq. (1)–(2)
+// turns a seed query into an ordered query-doc cluster for phrase mining.
 package clickgraph
 
 import (
 	"slices"
 	"sort"
-	"strings"
 
 	"giant/internal/nlp"
 	"giant/internal/par"
@@ -85,47 +83,8 @@ func addEdge(es []edge, to int, c float64) []edge {
 // NumQueries returns the number of distinct queries.
 func (g *Graph) NumQueries() int { return len(g.queries) }
 
-// NumDocs returns the number of distinct documents.
-func (g *Graph) NumDocs() int { return len(g.docTitles) }
-
 // Queries returns all distinct queries (shared slice; do not mutate).
 func (g *Graph) Queries() []string { return g.queries }
-
-// PDocGivenQuery is Eq. (1): P(d|q) = c(q,d) / Σ_k c(q,k).
-func (g *Graph) PDocGivenQuery(query string, docID int) float64 {
-	qi, ok := g.queryIdx[query]
-	if !ok || g.qOut[qi] == 0 {
-		return 0
-	}
-	di, ok := g.docIdx[docID]
-	if !ok {
-		return 0
-	}
-	for _, e := range g.qEdges[qi] {
-		if e.to == di {
-			return e.clicks / g.qOut[qi]
-		}
-	}
-	return 0
-}
-
-// PQueryGivenDoc is Eq. (2): P(q|d) = c(q,d) / Σ_k c(k,d).
-func (g *Graph) PQueryGivenDoc(query string, docID int) float64 {
-	di, ok := g.docIdx[docID]
-	if !ok || g.dOut[di] == 0 {
-		return 0
-	}
-	qi, ok := g.queryIdx[query]
-	if !ok {
-		return 0
-	}
-	for _, e := range g.dEdges[di] {
-		if e.to == qi {
-			return e.clicks / g.dOut[di]
-		}
-	}
-	return 0
-}
 
 // Weighted is a text item (query or title) with its random-walk visiting
 // probability.
@@ -173,7 +132,7 @@ func (g *Graph) ClusterFor(seed string, cfg WalkConfig) (Cluster, bool) {
 	dProb := map[int]float64{}
 	var keys []int
 	for s := 0; s < cfg.Steps; s++ {
-		// Query -> doc hop.
+		// Query -> doc hop, Eq. (1): P(d|q) = c(q,d) / Σ_k c(q,k).
 		nd := map[int]float64{}
 		keys = sortedKeys(keys, qProb)
 		for _, q := range keys {
@@ -185,7 +144,7 @@ func (g *Graph) ClusterFor(seed string, cfg WalkConfig) (Cluster, bool) {
 				nd[e.to] += p * e.clicks / g.qOut[q]
 			}
 		}
-		// Doc -> query hop.
+		// Doc -> query hop, Eq. (2): P(q|d) = c(q,d) / Σ_k c(k,d).
 		nq := map[int]float64{}
 		keys = sortedKeys(keys, nd)
 		for _, d := range keys {
@@ -237,15 +196,10 @@ func (g *Graph) ClusterFor(seed string, cfg WalkConfig) (Cluster, bool) {
 	return cl, true
 }
 
-// Clusters enumerates a cluster for every distinct query.
-func (g *Graph) Clusters(cfg WalkConfig) []Cluster {
-	return g.ClustersN(cfg, 1)
-}
-
-// ClustersN is Clusters with the per-seed random walks fanned out over up to
-// workers goroutines. The graph is only read, so any concurrency is safe, and
-// results are assembled in query-insertion order — the output is identical to
-// the sequential Clusters for every worker count.
+// ClustersN enumerates a cluster for every distinct query, with the
+// per-seed random walks fanned out over up to workers goroutines. The graph
+// is only read, so any concurrency is safe, and results are assembled in
+// query-insertion order — the output is identical for every worker count.
 func (g *Graph) ClustersN(cfg WalkConfig, workers int) []Cluster {
 	type slot struct {
 		c  Cluster
@@ -404,14 +358,4 @@ func (g *Graph) AffectedQueries(queries []string, docIDs []int, hops int) []stri
 	}
 	sort.Strings(out)
 	return out
-}
-
-// ContainsQuery reports whether the graph has seen the exact query.
-func (g *Graph) ContainsQuery(q string) bool {
-	_, ok := g.queryIdx[strings.ToLower(q)]
-	if ok {
-		return true
-	}
-	_, ok = g.queryIdx[q]
-	return ok
 }

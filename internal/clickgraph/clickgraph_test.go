@@ -2,7 +2,6 @@ package clickgraph
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -15,29 +14,6 @@ func sample() *Graph {
 	g.Add("cars roundup", 2, "cars roundup review", 15, 1)
 	g.Add("best cars", 1, "the best cars of 2019", 2, 0) // repeat accumulates
 	return g
-}
-
-func TestTransportProbabilities(t *testing.T) {
-	g := sample()
-	// c(best cars, 1) = 12, c(best cars, 2) = 5 → P(1|q) = 12/17.
-	if got, want := g.PDocGivenQuery("best cars", 1), 12.0/17.0; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("PDocGivenQuery = %v, want %v", got, want)
-	}
-	// c(*, 2): best cars 5, cars roundup 15 → P(best cars|2) = 5/20.
-	if got, want := g.PQueryGivenDoc("best cars", 2), 0.25; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("PQueryGivenDoc = %v, want %v", got, want)
-	}
-	if g.PDocGivenQuery("missing", 1) != 0 || g.PQueryGivenDoc("best cars", 99) != 0 {
-		t.Fatal("missing nodes should have probability 0")
-	}
-}
-
-func TestProbabilitiesSumToOne(t *testing.T) {
-	g := sample()
-	s := g.PDocGivenQuery("best cars", 1) + g.PDocGivenQuery("best cars", 2)
-	if math.Abs(s-1) > 1e-12 {
-		t.Fatalf("P(d|q) sums to %v", s)
-	}
 }
 
 func TestClusterForSeedKept(t *testing.T) {
@@ -81,7 +57,7 @@ func TestClusterUnknownSeed(t *testing.T) {
 
 func TestClustersEnumeratesAllQueries(t *testing.T) {
 	g := sample()
-	cs := g.Clusters(DefaultWalkConfig())
+	cs := g.ClustersN(DefaultWalkConfig(), 1)
 	if len(cs) != g.NumQueries() {
 		t.Fatalf("clusters = %d, queries = %d", len(cs), g.NumQueries())
 	}
@@ -112,8 +88,8 @@ func TestMaxItemsCap(t *testing.T) {
 func TestAddNonPositiveClicks(t *testing.T) {
 	g := New()
 	g.Add("q", 1, "t", 0, 0) // should be clamped to 1
-	if got := g.PDocGivenQuery("q", 1); got != 1 {
-		t.Fatalf("clamped click weight: P = %v", got)
+	if got := g.qEdges[0][0].clicks; got != 1 || g.qOut[0] != 1 || g.dOut[0] != 1 {
+		t.Fatalf("clamped click weight: c(q,d) = %v, out = %v/%v", got, g.qOut[0], g.dOut[0])
 	}
 }
 

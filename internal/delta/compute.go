@@ -1,14 +1,12 @@
 package delta
 
 import (
-	"runtime"
 	"sort"
 
 	"giant/internal/core"
 	"giant/internal/linking"
 	"giant/internal/nlp"
 	"giant/internal/ontology"
-	"giant/internal/par"
 	"giant/internal/phrase"
 )
 
@@ -16,8 +14,8 @@ import (
 // document metadata for category and concept-entity linking, the lexicon
 // for CSD, and the trained concept-entity classifier. Every callback may
 // be nil — the corresponding linking stage is then skipped, which degrades
-// coverage but never correctness. Callbacks must be safe for concurrent
-// calls: the diff passes fan out over a worker pool.
+// coverage but never correctness. Compute calls them from one goroutine,
+// in a fixed order.
 type Source struct {
 	// Lexicon drives noun-phrase checks in Common Suffix Discovery.
 	Lexicon *nlp.Lexicon
@@ -36,19 +34,6 @@ type Source struct {
 	// ResolveEntity maps a recognized entity token to the full entity
 	// name.
 	ResolveEntity func(token string) (string, bool)
-	// Parallelism bounds the worker pool the candidate-diff passes fan out
-	// over; <= 0 means runtime.GOMAXPROCS(0). The computed delta is
-	// byte-identical for every value: parallel passes write proposals into
-	// index-ordered slots and a single sequential pass commits them.
-	Parallelism int
-}
-
-// workers resolves the effective worker-pool size.
-func (s *Source) workers() int {
-	if s.Parallelism > 0 {
-		return s.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // deltaBuilder accumulates one Delta, deduplicating edges per delta.
@@ -124,9 +109,8 @@ func classify(cur *ontology.Snapshot, mined []core.Mined, b *deltaBuilder) *clas
 // (type, phrase) — a same-phrase concept and event are distinct nodes and
 // must not share click-category counts). New phrases gain edges;
 // re-observed phrases whose membership probability shifted are
-// re-weighted. The per-phrase proposals are computed on the worker pool
-// and committed in aggregation order.
-func categoryPhase(cur *ontology.Snapshot, nodes []minedNode, pol Policy, src Source, b *deltaBuilder, workers int) {
+// re-weighted. Edges are committed in aggregation order.
+func categoryPhase(cur *ontology.Snapshot, nodes []minedNode, pol Policy, src Source, b *deltaBuilder) {
 	if src.DocCategory == nil || src.CategoryPhrase == nil {
 		return
 	}
@@ -135,14 +119,14 @@ func categoryPhase(cur *ontology.Snapshot, nodes []minedNode, pol Policy, src So
 		cats map[int]int
 	}
 	aggs := map[string]*catAgg{}
-	var order []string
+	var order []*catAgg
 	for _, mn := range nodes {
 		k := refKey(mn.typ, mn.phrase)
 		a := aggs[k]
 		if a == nil {
 			a = &catAgg{mn: mn, cats: map[int]int{}}
 			aggs[k] = a
-			order = append(order, k)
+			order = append(order, a)
 		}
 		for _, docID := range mn.m.DocIDs {
 			if c, ok := src.DocCategory(docID); ok {
@@ -150,13 +134,7 @@ func categoryPhase(cur *ontology.Snapshot, nodes []minedNode, pol Policy, src So
 			}
 		}
 	}
-	type proposal struct {
-		e        EdgeAdd
-		reweight bool
-	}
-	slots := make([][]proposal, len(order))
-	par.ForEachIndexed(workers, len(order), func(i int) {
-		a := aggs[order[i]]
+	for _, a := range order {
 		total := 0
 		catIDs := make([]int, 0, len(a.cats))
 		for g, n := range a.cats {
@@ -164,7 +142,7 @@ func categoryPhase(cur *ontology.Snapshot, nodes []minedNode, pol Policy, src So
 			catIDs = append(catIDs, g)
 		}
 		if total == 0 {
-			return
+			continue
 		}
 		sort.Ints(catIDs)
 		for _, g := range catIDs {
@@ -182,24 +160,13 @@ func categoryPhase(cur *ontology.Snapshot, nodes []minedNode, pol Policy, src So
 				Type: ontology.IsA, Weight: prob,
 			}
 			if a.mn.isNew {
-				slots[i] = append(slots[i], proposal{e, false})
+				b.addEdge(e)
 				continue
 			}
-			if w, exists := findEdge(cur, e); exists {
-				if w != prob {
-					slots[i] = append(slots[i], proposal{e, true})
-				}
-			} else {
-				slots[i] = append(slots[i], proposal{e, false})
-			}
-		}
-	})
-	for _, ps := range slots {
-		for _, p := range ps {
-			if p.reweight {
-				b.d.Reweight = append(b.d.Reweight, p.e)
-			} else {
-				b.addEdge(p.e)
+			if w, exists := findEdge(cur, e); !exists {
+				b.addEdge(e)
+			} else if w != prob {
+				b.d.Reweight = append(b.d.Reweight, e)
 			}
 		}
 	}
@@ -248,36 +215,18 @@ func buildInventories(cur *ontology.Snapshot, nodes []minedNode, newSet map[stri
 
 // derivePhase runs the inventory-wide linking: CSD-derived concept
 // parents, suffix isA among concepts, containment isA among events and
-// concept-topic involve edges. The three independent discovery scans fan
-// out over the worker pool; commits stay sequential in the fixed stage
-// order (CSD mutates the concept inventory that the suffix scan then
-// reads).
-func derivePhase(cur *ontology.Snapshot, inv *inventories, day int, pol Policy, src Source, b *deltaBuilder, workers int) {
-	var (
-		derived      []phrase.Derived
-		containPairs []linking.PhrasePair
-		involvePairs []linking.PhrasePair
-	)
-	topics := phrasesOfType(cur, ontology.Topic)
-	_ = par.RunStages(workers,
-		func() error {
-			derived = phrase.CommonSuffixDiscovery(inv.allConcepts, pol.SuffixMinFreq, src.Lexicon)
-			return nil
-		},
-		func() error {
-			containPairs = linking.ContainmentIsAEdgesTouching(inv.allEvents, inv.newEventSet)
-			return nil
-		},
-		func() error {
-			// Concept-topic involve: new concepts against the existing
-			// topic inventory (topic discovery itself — CPD — stays a
-			// batch-build concern; incremental batches extend membership).
-			if len(topics) > 0 && len(inv.newConcepts) > 0 {
-				involvePairs = linking.ConceptTopicInvolveEdges(inv.newConcepts, topics)
-			}
-			return nil
-		},
-	)
+// concept-topic involve edges, committed in that order (CSD extends the
+// concept inventory that the suffix scan then reads).
+func derivePhase(cur *ontology.Snapshot, inv *inventories, day int, pol Policy, src Source, b *deltaBuilder) {
+	derived := phrase.CommonSuffixDiscovery(inv.allConcepts, pol.SuffixMinFreq, src.Lexicon)
+	containPairs := linking.ContainmentIsAEdgesTouching(inv.allEvents, inv.newEventSet)
+	// Concept-topic involve: new concepts against the existing topic
+	// inventory (topic discovery itself — CPD — stays a batch-build
+	// concern; incremental batches extend membership).
+	var involvePairs []linking.PhrasePair
+	if topics := phrasesOfType(cur, ontology.Topic); len(topics) > 0 && len(inv.newConcepts) > 0 {
+		involvePairs = linking.ConceptTopicInvolveEdges(inv.newConcepts, topics)
+	}
 
 	// Attention derivation: CSD parents over the unioned concept
 	// inventory. A derived parent that does not exist yet becomes an Add
@@ -338,18 +287,15 @@ func derivePhase(cur *ontology.Snapshot, inv *inventories, day int, pol Policy, 
 
 // entityPhase links the batch's new attentions to the existing entity
 // inventory: concept-entity isA via the Fig. 4 classifier, event-entity
-// involve via key-element resolution. Per-node candidate scans run on the
-// worker pool; commits follow mined order.
-func entityPhase(cur *ontology.Snapshot, nodes []minedNode, src Source, b *deltaBuilder, workers int) {
-	slots := make([][]EdgeAdd, len(nodes))
-	par.ForEachIndexed(workers, len(nodes), func(i int) {
-		mn := nodes[i]
+// involve via key-element resolution. Edges are committed in mined order.
+func entityPhase(cur *ontology.Snapshot, nodes []minedNode, src Source, b *deltaBuilder) {
+	for _, mn := range nodes {
 		if !mn.isNew {
-			return
+			continue
 		}
 		if mn.typ == ontology.Event {
 			if src.ResolveEntity == nil {
-				return
+				continue
 			}
 			for _, tok := range mn.m.Entities {
 				name, ok := src.ResolveEntity(tok)
@@ -357,17 +303,17 @@ func entityPhase(cur *ontology.Snapshot, nodes []minedNode, src Source, b *delta
 					continue
 				}
 				if _, exists := cur.Find(ontology.Entity, name); exists {
-					slots[i] = append(slots[i], EdgeAdd{
+					b.addEdge(EdgeAdd{
 						SrcType: ontology.Event, Src: mn.phrase,
 						DstType: ontology.Entity, Dst: name,
 						Type: ontology.Involve, Weight: 1,
 					})
 				}
 			}
-			return
+			continue
 		}
 		if src.DocEntities == nil {
-			return
+			continue
 		}
 		seen := map[string]bool{}
 		for _, docID := range mn.m.DocIDs {
@@ -386,17 +332,12 @@ func entityPhase(cur *ontology.Snapshot, nodes []minedNode, src Source, b *delta
 				if src.AcceptConceptEntity != nil && !src.AcceptConceptEntity(mn.phrase, name, content) {
 					continue
 				}
-				slots[i] = append(slots[i], EdgeAdd{
+				b.addEdge(EdgeAdd{
 					SrcType: ontology.Concept, Src: mn.phrase,
 					DstType: ontology.Entity, Dst: name,
 					Type: ontology.IsA, Weight: 1,
 				})
 			}
-		}
-	})
-	for _, es := range slots {
-		for _, e := range es {
-			b.addEdge(e)
 		}
 	}
 }
@@ -428,16 +369,13 @@ func ttlPhase(cur *ontology.Snapshot, touched map[string]bool, day int, pol Poli
 // Compute diffs freshly mined attentions against the current snapshot into
 // an explicit Delta. mined is the output of core.Miner.MineSeeds over the
 // affected seeds; day stamps the batch. The result is deterministic: a
-// pure function of (cur, mined, seeds, day, pol, src) — including
-// src.Parallelism, which only changes how the candidate diffing is
-// scheduled, never what it emits.
+// pure function of (cur, mined, seeds, day, pol, src).
 func Compute(cur *ontology.Snapshot, mined []core.Mined, seeds []string, day int, pol Policy, src Source) *Delta {
 	b := newDeltaBuilder(day, seeds)
-	w := src.workers()
 	cl := classify(cur, mined, b)
-	categoryPhase(cur, cl.nodes, pol, src, b, w)
-	derivePhase(cur, buildInventories(cur, cl.nodes, cl.newSet), day, pol, src, b, w)
-	entityPhase(cur, cl.nodes, src, b, w)
+	categoryPhase(cur, cl.nodes, pol, src, b)
+	derivePhase(cur, buildInventories(cur, cl.nodes, cl.newSet), day, pol, src, b)
+	entityPhase(cur, cl.nodes, src, b)
 	ttlPhase(cur, cl.touched, day, pol, b)
 	return b.d
 }

@@ -155,12 +155,3 @@ func f1Of(tp, fp, fn float64) float64 {
 	rec := tp / (tp + fn)
 	return 2 * prec * rec / (prec + rec)
 }
-
-// Precision is the fraction of predictions judged correct (used for the
-// tagging-precision experiments of §5.3).
-func Precision(correct, total int) float64 {
-	if total == 0 {
-		return 0
-	}
-	return float64(correct) / float64(total)
-}

@@ -94,9 +94,3 @@ func TestMultiClassF1Imbalanced(t *testing.T) {
 		t.Fatalf("weighted (%v) should exceed macro (%v) here", s.Weighted, s.Macro)
 	}
 }
-
-func TestPrecision(t *testing.T) {
-	if Precision(9, 10) != 0.9 || Precision(0, 0) != 0 {
-		t.Fatal("Precision broken")
-	}
-}

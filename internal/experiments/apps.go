@@ -121,10 +121,3 @@ func QueryUnderstanding(env *Env, maxQueries int) (hit, total int) {
 	}
 	return hit, total
 }
-
-// ThroughputStats measures processing rates (§5.1: the deployed system
-// processes 350 docs/second for tagging and mines ~27k concepts/day).
-type ThroughputStats struct {
-	ClustersPerSec float64
-	DocsPerSec     float64
-}

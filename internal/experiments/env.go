@@ -32,7 +32,6 @@ type Env struct {
 }
 
 var (
-	envOnce  sync.Once
 	envCache map[Scale]*Env
 	envMu    sync.Mutex
 )

@@ -148,12 +148,3 @@ func (e *EntityEmbedder) CorrelatePairs(cands [][2]string) [][2]string {
 	})
 	return out
 }
-
-// Vector returns a copy of an entity's embedding (nil when unknown).
-func (e *EntityEmbedder) Vector(name string) []float64 {
-	i, ok := e.index[name]
-	if !ok {
-		return nil
-	}
-	return append([]float64(nil), e.vecs[i]...)
-}

@@ -188,27 +188,6 @@ func containmentPairs(phrases []string, fresh map[string]bool) []PhrasePair {
 	return out
 }
 
-// PatternIsAEdges links a derived topic pattern to the events that
-// instantiate it (same pattern, entity slot filled by a concept member).
-// patterns maps topic phrase -> member event phrases, as produced by Common
-// Pattern Discovery.
-func PatternIsAEdges(patterns map[string][]string) []PhrasePair {
-	var out []PhrasePair
-	tops := make([]string, 0, len(patterns))
-	for t := range patterns {
-		tops = append(tops, t)
-	}
-	sort.Strings(tops)
-	for _, t := range tops {
-		children := append([]string(nil), patterns[t]...)
-		sort.Strings(children)
-		for _, c := range children {
-			out = append(out, PhrasePair{Parent: t, Child: c})
-		}
-	}
-	return out
-}
-
 // ConceptTopicInvolveEdges connects a concept to a topic when the concept
 // phrase is contained in the topic phrase (§3.2).
 func ConceptTopicInvolveEdges(concepts, topics []string) []PhrasePair {

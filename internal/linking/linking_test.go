@@ -175,8 +175,8 @@ func TestEntityEmbedderSeparates(t *testing.T) {
 			t.Fatal("cross-cluster pair should not correlate")
 		}
 	}
-	if v := e.Vector("a0"); len(v) != 8 {
-		t.Fatalf("vector dim = %d", len(v))
+	if i, ok := e.index["a0"]; !ok || len(e.vecs[i]) != 8 {
+		t.Fatalf("a0 embedded %v, dim = %d", ok, len(e.vecs[i]))
 	}
 	if d := e.Distance("a0", "missing"); !isInf(d) {
 		t.Fatalf("unknown entity distance = %v", d)

@@ -177,12 +177,3 @@ func (l *Lexicon) Annotate(s string) []Token {
 	}
 	return out
 }
-
-// AnnotateTokens tags an already-tokenized sequence.
-func (l *Lexicon) AnnotateTokens(words []string) []Token {
-	out := make([]Token, len(words))
-	for i, w := range words {
-		out[i] = Token{Text: w, POS: l.POSOf(w), NER: l.NEROf(w), Stop: IsStopWord(w)}
-	}
-	return out
-}

@@ -162,7 +162,7 @@ func TestParseDepsNounPhrase(t *testing.T) {
 	lex.Register("miyazaki", PosPropn, NerPerson)
 	lex.Register("animated", PosAdj, NerNone)
 	lex.Register("film", PosNoun, NerNone)
-	toks := lex.AnnotateTokens([]string{"miyazaki", "animated", "film"})
+	toks := lex.Annotate("miyazaki animated film")
 	arcs := ParseDeps(toks)
 	var compound, amod bool
 	for _, a := range arcs {
@@ -183,7 +183,7 @@ func TestParseDepsClause(t *testing.T) {
 	lex.Register("singer", PosNoun, NerNone)
 	lex.Register("hold", PosVerb, NerNone)
 	lex.Register("concert", PosNoun, NerNone)
-	toks := lex.AnnotateTokens([]string{"singer", "hold", "concert"})
+	toks := lex.Annotate("singer hold concert")
 	arcs := ParseDeps(toks)
 	var nsubj, dobj, root bool
 	for _, a := range arcs {

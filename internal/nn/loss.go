@@ -55,18 +55,3 @@ func WeightedSoftmaxCEInto(d, logits *Mat, labels []int, classWeight []float64) 
 	d.Scale(inv)
 	return loss * inv
 }
-
-// BCEWithLogits computes mean binary cross-entropy of scalar logits against
-// {0,1} targets, returning loss and dLogits.
-func BCEWithLogits(logits, targets []float64) (float64, []float64) {
-	loss := 0.0
-	d := make([]float64, len(logits))
-	for i, z := range logits {
-		p := Sigmoid(z)
-		t := targets[i]
-		pc := math.Min(math.Max(p, 1e-12), 1-1e-12)
-		loss -= t*math.Log(pc) + (1-t)*math.Log(1-pc)
-		d[i] = (p - t) / float64(len(logits))
-	}
-	return loss / float64(len(logits)), d
-}

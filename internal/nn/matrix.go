@@ -73,37 +73,21 @@ func (m *Mat) AddMat(o *Mat) {
 	}
 }
 
-// MatMul returns A·B (A: r×k, B: k×c).
-func MatMul(a, b *Mat) *Mat {
-	if a.C != b.R {
-		panic(fmt.Sprintf("nn: MatMul %dx%d · %dx%d", a.R, a.C, b.R, b.C))
-	}
-	out := NewMat(a.R, b.C)
-	matMulAcc(out, a, b)
-	return out
-}
-
-// MatMulInto overwrites out (r×c) with A·B, performing exactly the
-// floating-point operations of MatMul in the same order, so a caller that
-// reuses out across calls gets bit-identical results without allocating.
-// out must not alias a or b.
+// MatMulInto overwrites out (r×c) with A·B (A: r×k, B: k×c), so a caller
+// that reuses out across calls gets bit-identical results without
+// allocating. out must not alias a or b.
 func MatMulInto(out, a, b *Mat) {
 	if a.C != b.R || out.R != a.R || out.C != b.C {
 		panic(fmt.Sprintf("nn: MatMulInto %dx%d = %dx%d · %dx%d", out.R, out.C, a.R, a.C, b.R, b.C))
 	}
 	out.Zero()
-	matMulAcc(out, a, b)
-}
-
-// matMulAcc accumulates A·B into out, which the caller has zeroed.
-func matMulAcc(out, a, b *Mat) {
 	for i := 0; i < a.R; i++ {
 		MulRowAcc(out.Row(i), a.Row(i), b)
 	}
 }
 
 // MulRowAcc accumulates one row of A·B: out (len b.C) += a·B for a row a
-// (len b.R). Zero entries of a are skipped. MatMul is this kernel over every
+// (len b.R). Zero entries of a are skipped. MatMulInto is this kernel over every
 // row, so a caller that knows which rows of A can be nonzero may run it over
 // those rows only and get the same bits. Nonzero entries are taken two at a
 // time, each output adding the first product and then the second, so every
@@ -132,15 +116,8 @@ func MulRowAcc(out, a []float64, b *Mat) {
 	}
 }
 
-// MatMulTA returns Aᵀ·B (A: k×r, B: k×c → r×c). Used for weight gradients.
-func MatMulTA(a, b *Mat) *Mat {
-	out := NewMat(a.C, b.C)
-	MatMulTAInto(out, a, b)
-	return out
-}
-
-// MatMulTAInto overwrites out (r×c) with Aᵀ·B, performing exactly the
-// floating-point operations of MatMulTA in the same order.
+// MatMulTAInto overwrites out (r×c) with Aᵀ·B (A: k×r, B: k×c). Used for
+// weight gradients.
 func MatMulTAInto(out, a, b *Mat) {
 	if a.R != b.R || out.R != a.C || out.C != b.C {
 		panic(fmt.Sprintf("nn: MatMulTAInto %dx%d = (%dx%d)ᵀ · %dx%d", out.R, out.C, a.R, a.C, b.R, b.C))
@@ -152,7 +129,7 @@ func MatMulTAInto(out, a, b *Mat) {
 }
 
 // AddOuter accumulates the outer product aᵀ·b into out (len(a)×len(b)),
-// skipping zero entries of a. MatMulTA is this kernel over every row pair in
+// skipping zero entries of a. MatMulTAInto is this kernel over every row pair in
 // row order; an all-zero row of A contributes nothing and may be left out.
 func AddOuter(out *Mat, a, b []float64) {
 	for i, av := range a {
@@ -166,15 +143,8 @@ func AddOuter(out *Mat, a, b []float64) {
 	}
 }
 
-// MatMulTB returns A·Bᵀ (A: r×k, B: c×k → r×c). Used for input gradients.
-func MatMulTB(a, b *Mat) *Mat {
-	out := NewMat(a.R, b.R)
-	MatMulTBInto(out, a, b)
-	return out
-}
-
-// MatMulTBInto overwrites out (r×c) with A·Bᵀ, performing exactly the
-// floating-point operations of MatMulTB in the same order.
+// MatMulTBInto overwrites out (r×c) with A·Bᵀ (A: r×k, B: c×k). Used for
+// input gradients.
 func MatMulTBInto(out, a, b *Mat) {
 	if a.C != b.C || out.R != a.R || out.C != b.R {
 		panic(fmt.Sprintf("nn: MatMulTBInto %dx%d = %dx%d · (%dx%d)ᵀ", out.R, out.C, a.R, a.C, b.R, b.C))

@@ -10,11 +10,12 @@ import (
 func TestMatMulShapes(t *testing.T) {
 	a := NewMatFrom(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	b := NewMatFrom(3, 2, []float64{7, 8, 9, 10, 11, 12})
-	c := MatMul(a, b)
+	c := NewMat(2, 2)
+	MatMulInto(c, a, b)
 	want := []float64{58, 64, 139, 154}
 	for i, v := range want {
 		if math.Abs(c.D[i]-v) > 1e-12 {
-			t.Fatalf("MatMul[%d] = %v, want %v", i, c.D[i], v)
+			t.Fatalf("MatMulInto[%d] = %v, want %v", i, c.D[i], v)
 		}
 	}
 }
@@ -25,21 +26,22 @@ func TestMatMulTransposes(t *testing.T) {
 	b := NewMat(4, 5)
 	XavierInit(a, rng)
 	XavierInit(b, rng)
-	// Aᵀ·B via MatMulTA must equal explicit transpose multiply.
+	// Aᵀ·B via MatMulTAInto must equal explicit transpose multiply.
 	at := NewMat(3, 4)
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 3; j++ {
 			at.Set(j, i, a.At(i, j))
 		}
 	}
-	got := MatMulTA(a, b)
-	want := MatMul(at, b)
+	got, want := NewMat(3, 5), NewMat(3, 5)
+	MatMulTAInto(got, a, b)
+	MatMulInto(want, at, b)
 	for i := range want.D {
 		if math.Abs(got.D[i]-want.D[i]) > 1e-12 {
-			t.Fatal("MatMulTA mismatch")
+			t.Fatal("MatMulTAInto mismatch")
 		}
 	}
-	// A·Bᵀ via MatMulTB.
+	// A·Bᵀ via MatMulTBInto.
 	c := NewMat(5, 3)
 	XavierInit(c, rng)
 	ct := NewMat(3, 5)
@@ -48,11 +50,12 @@ func TestMatMulTransposes(t *testing.T) {
 			ct.Set(j, i, c.At(i, j))
 		}
 	}
-	got2 := MatMulTB(a, c)
-	want2 := MatMul(a, ct)
+	got2, want2 := NewMat(4, 5), NewMat(4, 5)
+	MatMulTBInto(got2, a, c)
+	MatMulInto(want2, a, ct)
 	for i := range want2.D {
 		if math.Abs(got2.D[i]-want2.D[i]) > 1e-12 {
-			t.Fatal("MatMulTB mismatch")
+			t.Fatal("MatMulTBInto mismatch")
 		}
 	}
 }
@@ -309,16 +312,6 @@ func TestVocabReserved(t *testing.T) {
 	id := v.Learn("hello")
 	if v.ID("hello") != id || v.Word(id) != "hello" {
 		t.Fatal("Learn/ID/Word roundtrip failed")
-	}
-}
-
-func TestBCEWithLogits(t *testing.T) {
-	loss, d := BCEWithLogits([]float64{0}, []float64{1})
-	if math.Abs(loss-math.Log(2)) > 1e-9 {
-		t.Fatalf("BCE loss = %v", loss)
-	}
-	if d[0] >= 0 {
-		t.Fatalf("gradient should push logit up: %v", d[0])
 	}
 }
 

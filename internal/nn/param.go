@@ -43,16 +43,6 @@ func NewAdam(lr float64, params []*Param) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, Clip: 5, params: params}
 }
 
-// Params returns the managed parameter list.
-func (a *Adam) Params() []*Param { return a.params }
-
-// ZeroGrad clears all gradients.
-func (a *Adam) ZeroGrad() {
-	for _, p := range a.params {
-		p.ZeroGrad()
-	}
-}
-
 // Step applies one Adam update (with optional global-norm clipping) and
 // clears gradients.
 func (a *Adam) Step() {

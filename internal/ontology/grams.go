@@ -85,23 +85,6 @@ func (g *TermGrams) AddNode(n *Node) {
 	}
 }
 
-// Union folds another index into this one (the whole-world index of a
-// sharded deployment is the union of its shard indexes).
-func (g *TermGrams) Union(o *TermGrams) {
-	if o == nil {
-		return
-	}
-	for i := range g.uni {
-		g.uni[i] |= o.uni[i]
-	}
-	for i := range g.bi {
-		g.bi[i] |= o.bi[i]
-	}
-	for i := range g.tri {
-		g.tri[i] |= o.tri[i]
-	}
-}
-
 // MayContain reports whether some indexed string could contain the needle.
 // The needle must already be lowercased (callers on the search path have
 // lowercased it once). False is exact: no indexed string contains the

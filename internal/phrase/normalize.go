@@ -22,28 +22,6 @@ type TFIDF struct {
 // NewTFIDF returns an empty model.
 func NewTFIDF() *TFIDF { return &TFIDF{df: make(map[string]int)} }
 
-// NewTFIDFFromStats reconstructs a model from previously exported stats
-// (document count + per-token document frequencies). Because AddDoc only
-// increments integer counters, a model rebuilt from merged per-shard stats
-// is identical to one fed the same documents directly.
-func NewTFIDFFromStats(docs int, df map[string]int) *TFIDF {
-	m := &TFIDF{df: make(map[string]int, len(df)), docs: docs}
-	for tok, n := range df {
-		m.df[tok] = n
-	}
-	return m
-}
-
-// Stats exports the model's document count and a copy of its document
-// frequencies, suitable for NewTFIDFFromStats on another process.
-func (t *TFIDF) Stats() (docs int, df map[string]int) {
-	df = make(map[string]int, len(t.df))
-	for tok, n := range t.df {
-		df[tok] = n
-	}
-	return t.docs, df
-}
-
 // AddDoc updates document frequencies with one document's tokens.
 func (t *TFIDF) AddDoc(tokens []string) {
 	t.docs++
@@ -144,9 +122,8 @@ type Normalizer struct {
 }
 
 type normEntry struct {
-	Phrase  string
-	Aliases []string
-	ctx     map[string]float64
+	Phrase string
+	ctx    map[string]float64
 }
 
 // NewNormalizer builds a normalizer; lex may be nil (no synonym folding).
@@ -195,22 +172,10 @@ func (n *Normalizer) Add(phrase string, topTitles []string) (canonical string, m
 	if idx, ok := n.byKey[k]; ok {
 		e := &n.canon[idx]
 		if Cosine(ctx, e.ctx) >= n.Threshold {
-			if phrase != e.Phrase {
-				e.Aliases = append(e.Aliases, phrase)
-			}
 			return e.Phrase, true
 		}
 	}
 	n.byKey[k] = len(n.canon)
 	n.canon = append(n.canon, normEntry{Phrase: phrase, ctx: ctx})
 	return phrase, false
-}
-
-// Canonicals lists the canonical phrases with their aliases.
-func (n *Normalizer) Canonicals() map[string][]string {
-	out := make(map[string][]string, len(n.canon))
-	for _, e := range n.canon {
-		out[e.Phrase] = e.Aliases
-	}
-	return out
 }

@@ -40,9 +40,8 @@ func TestNormalizerMergesSimilar(t *testing.T) {
 	if !merged2 || c2 != "economy cars" {
 		t.Fatalf("variant should merge: %q %v", c2, merged2)
 	}
-	canon := n.Canonicals()
-	if len(canon) != 1 || len(canon["economy cars"]) != 1 {
-		t.Fatalf("canonicals = %v", canon)
+	if len(n.canon) != 1 {
+		t.Fatalf("canonical entries = %+v", n.canon)
 	}
 }
 

@@ -124,6 +124,7 @@ func (g *Graph) addNode(tok nlp.Token, sos, eos bool) int {
 	return i
 }
 
+// nodeOf returns the node index for a token text, or -1.
 func (g *Graph) nodeOf(text string) int {
 	if i, ok := g.index[text]; ok {
 		return i
@@ -146,18 +147,6 @@ func (g *Graph) addEdgePair(src, dst int, rel, relRev int, opt BuildOptions) {
 		g.edgePresent[[2]int{dst, src}] = true
 	}
 	g.Edges = append(g.Edges, Edge{src, dst, rel}, Edge{dst, src, relRev})
-}
-
-// NodeIndex returns the node index for a token text, or -1.
-func (g *Graph) NodeIndex(text string) int { return g.nodeOf(text) }
-
-// Tokens returns the token texts in node order.
-func (g *Graph) Tokens() []string {
-	out := make([]string, len(g.Nodes))
-	for i, n := range g.Nodes {
-		out[i] = n.Token.Text
-	}
-	return out
 }
 
 // LabelNodes returns a 0/1 label per node: 1 when the node's token occurs in

@@ -37,7 +37,7 @@ func TestNodesAreUniqueTokens(t *testing.T) {
 		t.Fatal("missing SOS/EOS")
 	}
 	// "miyazaki" appears in three inputs but must be a single node.
-	if g.NodeIndex("miyazaki") < 0 {
+	if g.nodeOf("miyazaki") < 0 {
 		t.Fatal("merged token missing")
 	}
 }
@@ -119,9 +119,9 @@ func TestRelationIDsInRange(t *testing.T) {
 func TestATSPDistancesOrderRecovery(t *testing.T) {
 	g := buildSample(BuildOptions{})
 	positive := []int{
-		g.NodeIndex("miyazaki"),
-		g.NodeIndex("animated"),
-		g.NodeIndex("film"),
+		g.nodeOf("miyazaki"),
+		g.nodeOf("animated"),
+		g.nodeOf("film"),
 	}
 	nodes, dist := g.ATSPDistances(positive)
 	if len(nodes) != 5 { // sos + 3 + eos
@@ -146,7 +146,7 @@ func TestATSPDistancesUnreachable(t *testing.T) {
 	lex := nlp.NewLexicon()
 	qs := annotate(lex, "alpha beta")
 	g := Build(qs, nil, BuildOptions{})
-	a, b := g.NodeIndex("alpha"), g.NodeIndex("beta")
+	a, b := g.nodeOf("alpha"), g.nodeOf("beta")
 	_, dist := g.ATSPDistances([]int{a, b})
 	// beta -> alpha is against the unidirectional seq edge: unreachable.
 	if dist[2][1] < 1e8 {

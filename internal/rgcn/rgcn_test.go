@@ -208,7 +208,7 @@ func TestEdgesOutOfRangeIgnored(t *testing.T) {
 func randomGraph(rng *rand.Rand, n, in, numRel int) *GraphData {
 	g := &GraphData{N: n, X: nn.NewMat(n, in), Labels: make([]int, n)}
 	for i := range g.X.D {
-		if rng.Intn(4) > 0 { // keep exact zeros: MatMul skips them
+		if rng.Intn(4) > 0 { // keep exact zeros: MulRowAcc skips them
 			g.X.D[i] = rng.NormFloat64()
 		}
 	}

@@ -1061,3 +1061,116 @@ func TestRouterMemoBuildStraddlingInvalidate(t *testing.T) {
 		t.Fatalf("routed (%d) %s, scatter=full (%d) %s", routedStatus, routed, fullStatus, full)
 	}
 }
+
+// TestRouterMetrics pins the router's /v1/metrics: its own per-endpoint
+// counters for the reads it served, and one entry per shard holding that
+// backend's /v1/metrics body, or an "unavailable" marker for a shard that
+// does not answer.
+func TestRouterMetrics(t *testing.T) {
+	const k = 2
+	ss, err := ontology.ShardSnapshot(testOntology(0).Snapshot(), k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backends := make([]*httptest.Server, k)
+	urls := make([]string, k)
+	for i := range backends {
+		backends[i] = httptest.NewServer(NewShard(ss.Projection(i), Options{}).Handler())
+		defer backends[i].Close()
+		urls[i] = backends[i].URL
+	}
+	rt, err := NewRouter(RouterOptions{Backends: urls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	routerTS := httptest.NewServer(rt.Handler())
+	defer routerTS.Close()
+	c := routerTS.Client()
+
+	for _, q := range []string{"sedan", "family", "launch"} {
+		getJSON(t, c, routerTS.URL+"/v1/search?q="+q, 200)
+	}
+	getJSON(t, c, routerTS.URL+"/v1/node?type=entity&phrase=sedan+model+a", 200)
+	getJSON(t, c, routerTS.URL+"/v1/node?type=entity&phrase=no+such+entity", 404)
+	getJSON(t, c, routerTS.URL+"/v1/stats", 200)
+
+	type counters struct {
+		Requests  uint64 `json:"requests"`
+		Errors4xx uint64 `json:"errors_4xx"`
+		Errors5xx uint64 `json:"errors_5xx"`
+	}
+	type body struct {
+		Uptime    float64                      `json:"uptime_seconds"`
+		Endpoints map[string]counters          `json:"endpoints"`
+		Backends  []map[string]json.RawMessage `json:"backends"`
+	}
+	metrics := func() body {
+		t.Helper()
+		status, raw := getRaw(t, c, routerTS.URL+"/v1/metrics")
+		var b body
+		if status != http.StatusOK || json.Unmarshal(raw, &b) != nil {
+			t.Fatalf("/v1/metrics = %d: %s", status, raw)
+		}
+		if len(b.Backends) != k {
+			t.Fatalf("/v1/metrics lists %d backends, want %d: %s", len(b.Backends), k, raw)
+		}
+		return b
+	}
+
+	m := metrics()
+	want := map[string]counters{
+		"search":  {Requests: 3},
+		"node":    {Requests: 2, Errors4xx: 1},
+		"stats":   {Requests: 1},
+		"metrics": {}, // a request is counted once it has been answered
+		"tag":     {},
+		"healthz": {},
+		"ingest":  {},
+	}
+	for name, w := range want {
+		if got, ok := m.Endpoints[name]; !ok || got != w {
+			t.Fatalf("router endpoint %q = %+v (listed %v), want %+v", name, got, ok, w)
+		}
+	}
+	if m.Uptime <= 0 {
+		t.Fatalf("uptime_seconds = %v", m.Uptime)
+	}
+	var backendNode uint64
+	for i, be := range m.Backends {
+		var eps map[string]counters
+		if err := json.Unmarshal(be["endpoints"], &eps); err != nil {
+			t.Fatalf("backend %d: no endpoints in %v", i, be)
+		}
+		if _, ok := be["error"]; ok {
+			t.Fatalf("backend %d reported unavailable while up: %v", i, be)
+		}
+		backendNode += eps["node"].Requests
+	}
+	// Each routed node read asks the phrase's home shard at least once.
+	if backendNode < 2 {
+		t.Fatalf("backends served %d node requests for 2 routed reads", backendNode)
+	}
+
+	// A shard that stops answering shows as unavailable; the router's own
+	// counters keep counting, this time including the first metrics read.
+	backends[1].Close()
+	m = metrics()
+	if got := m.Endpoints["metrics"]; got.Requests != 1 {
+		t.Fatalf("router metrics endpoint = %+v after one answered read", got)
+	}
+	if got := m.Endpoints["search"]; got.Requests != 3 {
+		t.Fatalf("router search endpoint = %+v, want 3 requests", got)
+	}
+	var down struct {
+		Shard int    `json:"shard"`
+		Error string `json:"error"`
+	}
+	raw, _ := json.Marshal(m.Backends[1])
+	if err := json.Unmarshal(raw, &down); err != nil || down.Shard != 1 || down.Error != "unavailable" {
+		t.Fatalf("closed backend entry = %s", raw)
+	}
+	if _, ok := m.Backends[0]["endpoints"]; !ok {
+		t.Fatalf("live backend entry = %v", m.Backends[0])
+	}
+}

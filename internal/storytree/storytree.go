@@ -10,7 +10,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strings"
 
 	"giant/internal/nlp"
 	"giant/internal/ontology"
@@ -320,13 +319,4 @@ func cos(a, b []float64) float64 {
 		return 0
 	}
 	return dot / math.Sqrt(na*nb)
-}
-
-// Summary returns a one-line description for logs.
-func (t *Tree) Summary() string {
-	total := 0
-	for _, b := range t.Branches {
-		total += len(b)
-	}
-	return fmt.Sprintf("%d events in %d branches (seed %q)", total, len(t.Branches), strings.TrimSpace(t.Seed))
 }

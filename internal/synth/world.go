@@ -99,10 +99,9 @@ type World struct {
 	Locations  []string
 	Lexicon    *nlp.Lexicon
 
-	conceptByPhrase map[string]int
-	entityByName    map[string]int
-	entityByToken   map[string]int // token -> first entity whose name holds it
-	rng             *rand.Rand
+	entityByName  map[string]int
+	entityByToken map[string]int // token -> first entity whose name holds it
+	rng           *rand.Rand
 }
 
 // Config controls world scale.
@@ -193,12 +192,11 @@ var seedDomains = []struct {
 // cfg.Seed.
 func GenWorld(cfg Config) *World {
 	w := &World{
-		Config:          cfg,
-		Lexicon:         nlp.NewLexicon(),
-		conceptByPhrase: make(map[string]int),
-		entityByName:    make(map[string]int),
-		entityByToken:   make(map[string]int),
-		rng:             rand.New(rand.NewSource(cfg.Seed)),
+		Config:        cfg,
+		Lexicon:       nlp.NewLexicon(),
+		entityByName:  make(map[string]int),
+		entityByToken: make(map[string]int),
+		rng:           rand.New(rand.NewSource(cfg.Seed)),
 	}
 	ng := newNameGen(w.rng)
 
@@ -294,7 +292,6 @@ func GenWorld(cfg Config) *World {
 				Modifier: m, Class: ci, Category: cls.Category,
 			}
 			w.Concepts = append(w.Concepts, con)
-			w.conceptByPhrase[phrase] = id
 		}
 	}
 
@@ -386,15 +383,6 @@ func GenWorld(cfg Config) *World {
 	return w
 }
 
-// ConceptByPhrase returns the ground-truth concept with the given phrase.
-func (w *World) ConceptByPhrase(p string) (Concept, bool) {
-	id, ok := w.conceptByPhrase[p]
-	if !ok {
-		return Concept{}, false
-	}
-	return w.Concepts[id], true
-}
-
 // EntityByName returns the ground-truth entity with the given surface name.
 func (w *World) EntityByName(n string) (Entity, bool) {
 	id, ok := w.entityByName[n]
@@ -422,14 +410,6 @@ func (w *World) EntityNameOfToken(tok string) (string, bool) {
 		return "", false
 	}
 	return w.Entities[id].Name, true
-}
-
-// CategoryName returns the name of category id ("" when out of range).
-func (w *World) CategoryName(id int) string {
-	if id < 0 || id >= len(w.Categories) {
-		return ""
-	}
-	return w.Categories[id].Name
 }
 
 // DateOf renders a day index as a date string within the simulated period

@@ -150,11 +150,7 @@ func (d *Duet) features(pToks []string, doc *duetDoc) []float64 {
 	return []float64{f1, f2, f3, f4}
 }
 
-// Score returns the match probability.
-func (d *Duet) Score(pToks, docToks []string) float64 {
-	return d.score(pToks, d.encodeDoc(docToks))
-}
-
+// score returns the match probability.
 func (d *Duet) score(pToks []string, doc *duetDoc) float64 {
 	x := nn.NewMatFrom(1, 4, d.features(pToks, doc))
 	h := nn.ReLU(d.hidden.Forward(x))

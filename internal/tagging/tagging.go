@@ -55,10 +55,6 @@ func NewConceptTagger(onto *ontology.Snapshot, contextRep map[string][]string) *
 	return t
 }
 
-// Index exposes the tagger's own view as a merged concept index (the
-// merge-of-one-partial over a UnionScope).
-func (t *ConceptTagger) Index() *ConceptIndex { return t.index }
-
 func (t *ConceptTagger) repOf(conceptPhrase string) []string {
 	if rep, ok := t.ContextRep[conceptPhrase]; ok && len(rep) > 0 {
 		out := append([]string(nil), nlp.Tokenize(conceptPhrase)...)

@@ -89,10 +89,11 @@ func TestDuetLearnsMatching(t *testing.T) {
 		}
 	}
 	d.Train(examples, 30, 0.05, 4)
+	score := func(p, doc []string) float64 { return d.score(p, d.encodeDoc(doc)) }
 	if !d.Match(phrases[0], docs[0]) {
-		t.Fatalf("matching pair rejected: score %v", d.Score(phrases[0], docs[0]))
+		t.Fatalf("matching pair rejected: score %v", score(phrases[0], docs[0]))
 	}
-	if d.Score(phrases[0], docs[1]) >= d.Score(phrases[0], docs[0]) {
+	if score(phrases[0], docs[1]) >= score(phrases[0], docs[0]) {
 		t.Fatal("mismatched pair outscored match")
 	}
 }
