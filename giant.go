@@ -308,7 +308,7 @@ func (sys *System) assemble() error {
 	corrPairs := sys.entityCorrelatePairs()
 
 	// Commit pass: resolve phrases to node IDs and batch-insert each edge
-	// group in the same order the sequential pipeline used.
+	// group in stage order.
 	var batch []ontology.Edge
 	for _, e := range catEdges {
 		n, ok := lookupAny(o, e.Phrase)

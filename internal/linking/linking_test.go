@@ -175,8 +175,10 @@ func TestEntityEmbedderSeparates(t *testing.T) {
 			t.Fatal("cross-cluster pair should not correlate")
 		}
 	}
-	if i, ok := e.index["a0"]; !ok || len(e.vecs[i]) != 8 {
-		t.Fatalf("a0 embedded %v, dim = %d", ok, len(e.vecs[i]))
+	if i, ok := e.index["a0"]; !ok {
+		t.Fatal("a0 has no embedding")
+	} else if len(e.vecs[i]) != 8 {
+		t.Fatalf("vector dim = %d", len(e.vecs[i]))
 	}
 	if d := e.Distance("a0", "missing"); !isInf(d) {
 		t.Fatalf("unknown entity distance = %v", d)
