@@ -14,8 +14,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
-	"sort"
-	"strings"
 	"time"
 
 	giant "giant"
@@ -30,9 +28,6 @@ func main() {
 	scaleFlag := flag.String("scale", "default", "experiment scale: tiny or default")
 	only := flag.String("only", "", "run a single experiment: table1..table7, fig5, fig6, fig7, tagging, ablations")
 	parallel := flag.Bool("parallel", false, "measure pipeline speedup: build at Parallelism=1 then GOMAXPROCS and verify identical output")
-	shardsFlag := flag.Int("shards", 4, "with -search: the shard count of the fan-out side of the sweep")
-	load := flag.Bool("load", false, "measure snapshot boot time from JSON vs GIANTBIN artifacts and verify identical content")
-	search := flag.Bool("search", false, "measure search latency distribution (p50/p95/p99) on snapshot vs -shards sharded, with per-shard fan-out counts, and verify identical results")
 	catchup := flag.Bool("catchup", false, "measure replica catch-up: full delta-log replay vs checkpoint+suffix boot at 10/100/1000 logged generations, and verify identical worlds")
 	catchupOut := flag.String("catchup-out", "BENCH_catchup.json", "with -catchup: where the JSON results are written")
 	flag.Parse()
@@ -43,18 +38,6 @@ func main() {
 	}
 	if *parallel {
 		if err := runParallel(scale); err != nil {
-			log.Fatalf("giantbench: %v", err)
-		}
-		return
-	}
-	if *load {
-		if err := runLoadBench(scale); err != nil {
-			log.Fatalf("giantbench: %v", err)
-		}
-		return
-	}
-	if *search {
-		if err := runSearchSweep(scale, *shardsFlag); err != nil {
 			log.Fatalf("giantbench: %v", err)
 		}
 		return
@@ -184,90 +167,6 @@ func runParallel(scale experiments.Scale) error {
 	fmt.Printf("  output identical: %v nodes, %v edges\n", st.NodesByType, st.EdgesByType)
 	if dPar > 0 {
 		fmt.Printf("  speedup: %.2fx on %d worker(s)\n", dSeq.Seconds()/dPar.Seconds(), workers)
-	}
-	return nil
-}
-
-// runLoadBench is the boot-time benchmark behind the binary format: build
-// once, save the snapshot in both formats, and time LoadSnapshotFile on
-// each (best of several rounds, matching how a restarting giantd pays the
-// cost exactly once). The loaded snapshots are verified content-identical
-// by re-serializing to JSON before any number is reported.
-func runLoadBench(scale experiments.Scale) error {
-	cfg := giant.DefaultConfig()
-	if scale == experiments.ScaleTiny {
-		cfg = giant.TinyConfig()
-	}
-	sys, err := giant.Build(cfg)
-	if err != nil {
-		return err
-	}
-	dir, err := os.MkdirTemp("", "giantbench-load-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	snap := sys.Snapshot()
-	jsonPath := dir + "/ao.json"
-	binPath := dir + "/ao.bin"
-	if err := snap.SaveFile(jsonPath); err != nil {
-		return err
-	}
-	if err := snap.SaveBinaryFile(binPath); err != nil {
-		return err
-	}
-
-	const rounds = 7
-	timeLoad := func(path string) (time.Duration, *ontology.Snapshot, error) {
-		best := time.Duration(0)
-		var last *ontology.Snapshot
-		for i := 0; i < rounds; i++ {
-			t0 := time.Now()
-			s, err := ontology.LoadSnapshotFile(path)
-			d := time.Since(t0)
-			if err != nil {
-				return 0, nil, err
-			}
-			if best == 0 || d < best {
-				best = d
-			}
-			last = s
-		}
-		return best, last, nil
-	}
-
-	fmt.Println("snapshot load benchmark (boot time)")
-	sizeOf := func(path string) int64 {
-		fi, err := os.Stat(path)
-		if err != nil {
-			return -1
-		}
-		return fi.Size()
-	}
-	dJSON, fromJSON, err := timeLoad(jsonPath)
-	if err != nil {
-		return fmt.Errorf("json load: %w", err)
-	}
-	fmt.Printf("  json:   %10v  (%d bytes)\n", dJSON, sizeOf(jsonPath))
-	dBin, fromBin, err := timeLoad(binPath)
-	if err != nil {
-		return fmt.Errorf("binary load: %w", err)
-	}
-	fmt.Printf("  binary: %10v  (%d bytes)\n", dBin, sizeOf(binPath))
-
-	var a, b bytes.Buffer
-	if err := fromJSON.WriteJSON(&a); err != nil {
-		return err
-	}
-	if err := fromBin.WriteJSON(&b); err != nil {
-		return err
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		return fmt.Errorf("snapshots loaded from the two formats differ")
-	}
-	fmt.Printf("  content identical: %d nodes, %d edges\n", fromBin.NodeCount(), fromBin.EdgeCount())
-	if dBin > 0 {
-		fmt.Printf("  speedup: %.1fx\n", dJSON.Seconds()/dBin.Seconds())
 	}
 	return nil
 }
@@ -559,93 +458,6 @@ func runCatchupBench(outPath string) error {
 		return err
 	}
 	fmt.Printf("  results written to %s\n", outPath)
-	return nil
-}
-
-// runSearchSweep is the scatter-gather search benchmark: build once,
-// shard the snapshot at -shards, and replay a query mix (full phrases,
-// leading words, misses) through both read paths, timing every call so
-// the tail is visible. Before any number is reported the two paths are
-// verified to return identical results, and the sweep prints the routing
-// index's fan-out profile: shards consulted per query after term-gram
-// pruning, and the fraction of queries answered by a single shard.
-func runSearchSweep(scale experiments.Scale, k int) error {
-	if k < 2 {
-		return fmt.Errorf("-shards must be >= 2 for the search sweep (got %d)", k)
-	}
-	cfg := giant.DefaultConfig()
-	if scale == experiments.ScaleTiny {
-		cfg = giant.TinyConfig()
-	}
-	sys, err := giant.Build(cfg)
-	if err != nil {
-		return err
-	}
-	snap := sys.Snapshot()
-	ss, err := ontology.ShardSnapshot(snap, k)
-	if err != nil {
-		return err
-	}
-
-	var queries []string
-	nodes := snap.Nodes()
-	stride := len(nodes)/48 + 1
-	for i := 0; i < len(nodes); i += stride {
-		p := nodes[i].Phrase
-		queries = append(queries, p)
-		if sp := strings.IndexByte(p, ' '); sp > 0 {
-			queries = append(queries, p[:sp])
-		}
-	}
-	queries = append(queries, "zzz-no-hit-1", "zzz-no-hit-2", "zzz-no-hit-3")
-
-	const limit, rounds = 10, 200
-	for _, q := range queries {
-		a, b := snap.Search(q, limit), ss.Search(q, limit)
-		if len(a) != len(b) {
-			return fmt.Errorf("search %q: snapshot %d hits, sharded %d", q, len(a), len(b))
-		}
-		for i := range a {
-			if a[i].ID != b[i].ID {
-				return fmt.Errorf("search %q hit %d: snapshot node %d, sharded node %d", q, i, a[i].ID, b[i].ID)
-			}
-		}
-	}
-
-	sweep := func(search func(string, int) []ontology.Node) []time.Duration {
-		samples := make([]time.Duration, 0, rounds*len(queries))
-		for r := 0; r < rounds; r++ {
-			for _, q := range queries {
-				t0 := time.Now()
-				search(q, limit)
-				samples = append(samples, time.Since(t0))
-			}
-		}
-		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-		return samples
-	}
-	pct := func(s []time.Duration, p float64) time.Duration {
-		return s[int(p*float64(len(s)-1)+0.5)]
-	}
-
-	fmt.Printf("search latency sweep (%d queries x %d rounds, limit %d)\n", len(queries), rounds, limit)
-	snapS := sweep(snap.Search)
-	fmt.Printf("  snapshot:  p50 %10v  p95 %10v  p99 %10v\n", pct(snapS, 0.50), pct(snapS, 0.95), pct(snapS, 0.99))
-	shardS := sweep(ss.Search)
-	fmt.Printf("  sharded=%d: p50 %10v  p95 %10v  p99 %10v\n", k, pct(shardS, 0.50), pct(shardS, 0.95), pct(shardS, 0.99))
-
-	consulted, oneShard := 0, 0
-	for _, q := range queries {
-		c := len(ss.CandidateShards(strings.ToLower(q)))
-		consulted += c
-		if c == 1 {
-			oneShard++
-		}
-	}
-	fmt.Printf("  fan-out: %.2f shards/query after gram routing, %d/%d queries consult a single shard\n",
-		float64(consulted)/float64(len(queries)), oneShard, len(queries))
-	fmt.Printf("  results identical across both paths; p50 gap %.2fx\n",
-		float64(pct(shardS, 0.50))/float64(pct(snapS, 0.50)))
 	return nil
 }
 

@@ -1,18 +1,25 @@
 // Command giantctl runs the GIANT pipeline end to end and interacts with the
 // resulting Attention Ontology:
 //
-//	giantctl build -out ao.json        build the ontology and save it
-//	giantctl update -in ao.json -docs new.json -out ao2.json
+//	giantctl build -out ao.bin         build the ontology and save it
+//	giantctl update -in ao.bin -docs new.json -out ao2.bin
 //	                                   apply incremental update batches offline
-//	giantctl shard -in ao.json -shards 2
+//	giantctl shard -in ao.bin -shards 2
 //	                                   export per-shard GIANTBIN projections
-//	giantctl convert -in ao.json -out ao.bin -format binary
-//	                                   re-encode a snapshot artifact
-//	giantctl stats -in ao.json         print node/edge statistics
+//	giantctl convert -in ao.json -out ao.bin
+//	                                   import JSON to GIANTBIN, or export back
+//	giantctl stats -in ao.bin          print node/edge statistics
 //	giantctl query -q "best ..."       conceptualize/rewrite a query
 //	giantctl tag -title "..."          tag a document
 //	giantctl story -seed "..."         print a story tree
 //	giantctl help                      print usage
+//
+// Every artifact giantctl writes or reads is GIANTBIN, the one format
+// giantd boots. JSON appears only in convert, which takes its direction
+// from the input's magic: a JSON ontology in writes GIANTBIN out, a
+// GIANTBIN snapshot in writes JSON out, and JSON→GIANTBIN→JSON is
+// byte-identical. Any other subcommand given a JSON -in exits 1 naming
+// convert.
 //
 // build runs the full pipeline (generate logs, train GCTSP-Net, mine, link);
 // the other subcommands rebuild the same deterministic system unless -in
@@ -31,6 +38,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -128,11 +136,11 @@ func usage(w *os.File) {
 	fmt.Fprintln(w, `usage: giantctl <subcommand> [flags]
 
 subcommands:
-  build   build the ontology and save it           (-out ao.json [-format json|binary] [-tiny])
-  shard   export per-shard GIANTBIN projections    (-in ao.json -shards K [-out-dir .])
-  update  apply incremental update batches offline (-docs new.json [-in ao.json] [-out path] [-format json|binary] [-tiny])
-  convert re-encode a snapshot artifact            (-in path -out path [-format json|binary])
-  stats   print node/edge statistics               (-in ao.json)
+  build   build the ontology and save it           (-out ao.bin [-tiny])
+  shard   export per-shard GIANTBIN projections    (-in ao.bin -shards K [-out-dir .])
+  update  apply incremental update batches offline (-docs new.json [-in ao.bin] [-out ao-updated.bin] [-tiny])
+  convert JSON to GIANTBIN, or GIANTBIN to JSON    (-in path -out path)
+  stats   print node/edge statistics               (-in ao.bin)
   query   conceptualize/rewrite a query            (-q "best ...")
   tag     tag a document                           (-title "..." [-content ...] [-entities a,b])
   story   print a story tree                       ([-seed "..."])
@@ -140,11 +148,11 @@ subcommands:
   truncate    inspect or compact the fleet delta log (-wal DIR [-below G] [-force])
   help    print this message
 
-Snapshot artifacts are loadable in either format everywhere (-in flags,
-giantd -in): loaders auto-detect by magic. JSON is the debug/interchange
-format; binary (GIANTBIN) is the columnar format built for millisecond
-boot, and the only format of shard files (giantd -shard i/k -in also
-derives its shard from a whole-ontology file of either format).
+Every artifact is GIANTBIN, the columnar format giantd boots in
+milliseconds (giantd -shard i/k -in also derives its shard from a
+snapshot file). JSON is import/export only: giantctl convert turns a JSON
+ontology into GIANTBIN and a GIANTBIN snapshot back into JSON, and every
+other -in refuses JSON.
 
 exit codes: 0 success, 1 runtime failure, 2 usage error`)
 }
@@ -175,29 +183,19 @@ func buildSystem(tiny bool) (*giant.System, error) {
 	return giant.Build(cfg)
 }
 
-// formatFlag registers the shared -format flag on a flag set.
-func formatFlag(fs *flag.FlagSet) *string {
-	return fs.String("format", "json", "output format: json or binary")
-}
-
 func runBuild(args []string) error {
 	fs := newFlagSet("build")
-	out := fs.String("out", "ao.json", "output path for the ontology")
-	format := formatFlag(fs)
+	out := fs.String("out", "ao.bin", "output path for the GIANTBIN ontology")
 	tiny := fs.Bool("tiny", false, "use the tiny configuration")
 	if err := parse(fs, args); err != nil {
 		return err
-	}
-	ff, err := ontology.ParseFileFormat(*format)
-	if err != nil {
-		return usagef("build: %v", err)
 	}
 	sys, err := buildSystem(*tiny)
 	if err != nil {
 		return err
 	}
 	snap := sys.Snapshot()
-	if err := snap.SaveFileFormat(*out, ff); err != nil {
+	if err := snap.SaveBinaryFile(*out); err != nil {
 		return err
 	}
 	st := snap.ComputeStats()
@@ -210,10 +208,9 @@ func runBuild(args []string) error {
 // -docs batches through delta mining, and save the updated generation.
 func runUpdate(args []string) error {
 	fs := newFlagSet("update")
-	in := fs.String("in", "", "base ontology artifact, either format (default: the freshly built one)")
+	in := fs.String("in", "", "base GIANTBIN ontology (default: the freshly built one)")
 	docs := fs.String("docs", "", "update batch JSON: a delta.Batch object or an array of them (required)")
-	out := fs.String("out", "ao-updated.json", "output path for the updated ontology")
-	format := formatFlag(fs)
+	out := fs.String("out", "ao-updated.bin", "output path for the updated GIANTBIN ontology")
 	tiny := fs.Bool("tiny", false, "use the tiny configuration (must match the build that produced -in)")
 	if err := parse(fs, args); err != nil {
 		return err
@@ -221,23 +218,22 @@ func runUpdate(args []string) error {
 	if *docs == "" {
 		return usagef("update: -docs is required (a JSON delta.Batch or array of batches)")
 	}
-	ff, err := ontology.ParseFileFormat(*format)
-	if err != nil {
-		return usagef("update: %v", err)
-	}
 	batches, err := loadBatches(*docs)
 	if err != nil {
 		return err
+	}
+	// The base loads before the build, so a bad -in fails in milliseconds.
+	var base *ontology.Snapshot
+	if *in != "" {
+		if base, err = ontology.LoadSnapshotFile(*in); err != nil {
+			return fmt.Errorf("update: load base ontology: %w", err)
+		}
 	}
 	sys, err := buildSystem(*tiny)
 	if err != nil {
 		return err
 	}
-	if *in != "" {
-		base, err := ontology.LoadSnapshotFile(*in)
-		if err != nil {
-			return fmt.Errorf("update: load base ontology: %w", err)
-		}
+	if base != nil {
 		sys.Ontology = ontology.FromSnapshot(base)
 	}
 	for i, b := range batches {
@@ -248,7 +244,7 @@ func runUpdate(args []string) error {
 		fmt.Printf("batch %d applied: %s\n", i, d.Summary())
 	}
 	snap := sys.Snapshot()
-	if err := snap.SaveFileFormat(*out, ff); err != nil {
+	if err := snap.SaveBinaryFile(*out); err != nil {
 		return err
 	}
 	st := snap.ComputeStats()
@@ -282,7 +278,7 @@ func loadBatches(path string) ([]delta.Batch, error) {
 // for per-shard giantd processes (giantd -shard i/K -in shard-i-of-K.bin).
 func runShard(args []string) error {
 	fs := newFlagSet("shard")
-	in := fs.String("in", "", "ontology artifact path, either format (from giantctl build -out)")
+	in := fs.String("in", "", "GIANTBIN ontology path (from giantctl build -out)")
 	shards := fs.Int("shards", 0, "shard count K (>= 1)")
 	outDir := fs.String("out-dir", ".", "directory for the per-shard files")
 	if err := parse(fs, args); err != nil {
@@ -314,39 +310,47 @@ func runShard(args []string) error {
 	return nil
 }
 
-// runConvert re-encodes a snapshot artifact between JSON and GIANTBIN;
-// JSON→binary→JSON round-trips byte-identically. Shard files have one
-// format, so a shard file is refused (giantctl shard re-exports it).
+// runConvert is the one place JSON enters or leaves: it takes its
+// direction from the input's magic. A JSON ontology is imported to
+// GIANTBIN and a GIANTBIN snapshot is exported to JSON, so
+// JSON→GIANTBIN→JSON round-trips byte-identically. A shard file is
+// refused: shard files have one format, and giantctl shard re-exports one.
 func runConvert(args []string) error {
 	fs := newFlagSet("convert")
-	in := fs.String("in", "", "input snapshot artifact, either format (required)")
-	out := fs.String("out", "", "output path (required)")
-	format := fs.String("format", "binary", "output format: json or binary")
+	in := fs.String("in", "", "input: a JSON ontology or a GIANTBIN snapshot (required)")
+	out := fs.String("out", "", "output path: GIANTBIN for a JSON input, JSON for a GIANTBIN one (required)")
 	if err := parse(fs, args); err != nil {
 		return err
 	}
 	if *in == "" || *out == "" {
 		return usagef("convert: need -in <artifact> and -out <path>")
 	}
-	ff, err := ontology.ParseFileFormat(*format)
-	if err != nil {
-		return usagef("convert: %v", err)
-	}
-	snap, err := ontology.LoadSnapshotFile(*in)
+	data, err := os.ReadFile(*in)
 	if err != nil {
 		return err
 	}
-	if err := snap.SaveFileFormat(*out, ff); err != nil {
+	var snap *ontology.Snapshot
+	save, format := (*ontology.Snapshot).SaveBinaryFile, "GIANTBIN"
+	if ontology.IsBinary(data) {
+		snap, err = ontology.DecodeSnapshotBinary(data)
+		save, format = (*ontology.Snapshot).SaveFile, "JSON"
+	} else {
+		snap, err = ontology.SnapshotFromJSON(bytes.NewReader(data))
+	}
+	if err != nil {
+		return fmt.Errorf("convert: %s: %w", *in, err)
+	}
+	if err := save(snap, *out); err != nil {
 		return err
 	}
 	fmt.Printf("converted snapshot: %d nodes, %d edges -> %s (%s)\n",
-		snap.NodeCount(), snap.EdgeCount(), *out, ff)
+		snap.NodeCount(), snap.EdgeCount(), *out, format)
 	return nil
 }
 
 func runStats(args []string) error {
 	fs := newFlagSet("stats")
-	in := fs.String("in", "ao.json", "ontology artifact, either format")
+	in := fs.String("in", "ao.bin", "GIANTBIN ontology")
 	if err := parse(fs, args); err != nil {
 		return err
 	}

@@ -1,16 +1,15 @@
 // Command giantd serves a built Attention Ontology over JSON-over-HTTP —
 // the online tier the GIANT paper deploys against QQ Browser traffic (§4).
 //
-//	giantctl build -out ao.json       # offline: build the ontology
-//	giantd -in ao.json -addr :8080    # online: serve it
+//	giantctl build -out ao.bin        # offline: build the ontology
+//	giantd -in ao.bin -addr :8080     # online: serve it
 //
-// The -in artifact may be JSON or the GIANTBIN binary format (giantctl
-// build -format binary / giantctl convert); the loader auto-detects by
-// magic.
-// Binary artifacts boot in milliseconds, which is what makes rolling
-// restarts cheap at web scale. A served world changes only through a
-// logged ingest or a restart: a daemon serving -in picks up a new artifact
-// when it is restarted on it.
+// The -in artifact is GIANTBIN, the one boot format (giantctl build writes
+// it; giantctl convert imports a JSON ontology into it). A JSON -in makes
+// giantd exit with an error naming giantctl convert. GIANTBIN boots in
+// milliseconds, which is what makes rolling restarts cheap at web scale.
+// A served world changes only through a logged ingest or a restart: a
+// daemon serving -in picks up a new artifact when it is restarted on it.
 //
 // With -build instead of -in, giantd runs the offline pipeline itself at
 // startup (handy for demos; -tiny shrinks the build) and serves the result,
@@ -49,10 +48,10 @@
 // router can merge responses byte-identically to a single sharded process.
 // A per-shard daemon accepts no direct writes: a fleet changes only
 // through its one delta log. With -in it serves a frozen shard (the
-// artifact may be a GIANTBIN shard file written by `giantctl shard` or a
-// whole-ontology file of either format, whose shard projection is then
-// derived at boot), and /v1/ingest answers 503 unavailable; it changes by
-// restarting on a new file.
+// artifact may be a shard file written by `giantctl shard` or a
+// whole-ontology snapshot file, whose shard projection is then derived at
+// boot; both GIANTBIN), and /v1/ingest answers 503 unavailable; it
+// changes by restarting on a new file.
 //
 // With -wal DIR (requires -shard i/k and -build; -shard with -build
 // requires -wal) the daemon is a delta-log REPLICA: /v1/ingest answers
@@ -93,7 +92,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("giantd: ")
 	var (
-		in      = flag.String("in", "", "ontology artifact path, JSON or binary (from giantctl build -out)")
+		in      = flag.String("in", "", "GIANTBIN artifact path: a snapshot (giantctl build -out) or, with -shard, a shard file (giantctl shard)")
 		addr    = flag.String("addr", ":8080", "listen address")
 		build   = flag.Bool("build", false, "run the offline pipeline at startup instead of loading -in (without -shard the server is still frozen: writes go through giantrouter -wal)")
 		tiny    = flag.Bool("tiny", false, "with -build: use the tiny configuration")

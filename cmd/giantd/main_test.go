@@ -1,10 +1,31 @@
 package main
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"giant/internal/ontology"
 )
+
+// TestJSONInputRefused: giantd boots GIANTBIN only. A JSON ontology given
+// to -in, whole-world or with -shard i/k, fails before anything listens,
+// with an error naming giantctl convert.
+func TestJSONInputRefused(t *testing.T) {
+	o := ontology.New()
+	o.AddNode(ontology.Concept, "family sedans")
+	path := filepath.Join(t.TempDir(), "ao.json")
+	if err := o.Snapshot().SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	for _, shard := range []string{"", "0/2"} {
+		err := run(path, "127.0.0.1:0", false, false, time.Second, 1, shard, "", 0, 0)
+		if err == nil || !strings.Contains(err.Error(), "giantctl convert -in "+path) {
+			t.Fatalf("giantd -in ao.json (shard %q) = %v, want an error naming giantctl convert", shard, err)
+		}
+	}
+}
 
 // TestShardBuildRequiresWAL: a per-shard daemon that builds its own world
 // changes only by tailing the fleet's delta log, so -shard with -build and

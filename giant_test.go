@@ -71,9 +71,9 @@ func TestMinedPhrasesHaveProvenance(t *testing.T) {
 
 func TestPersistenceRoundTrip(t *testing.T) {
 	sys := builtSystem(t)
-	path := filepath.Join(t.TempDir(), "ao.json")
+	path := filepath.Join(t.TempDir(), "ao.bin")
 	snap := sys.Snapshot()
-	if err := snap.SaveFile(path); err != nil {
+	if err := snap.SaveBinaryFile(path); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := ontology.LoadSnapshotFile(path)

@@ -2,8 +2,9 @@ package ontology
 
 // GIANTBIN is the binary snapshot and shard container: an mmap-friendly
 // columnar serialization of a Snapshot or ShardProjection that a serving
-// process can load in milliseconds with near-zero allocation, versus the
-// parse time and heap churn of the JSON debug/interchange format.
+// process can load in milliseconds with near-zero allocation. It is the
+// only format any loader boots; JSON is giantctl convert's import/export
+// format.
 //
 // Layout (all integers little-endian):
 //
@@ -61,11 +62,11 @@ const BinaryMagic = "GIANTBIN"
 const BinaryVersion = 1
 
 // Typed decode errors. Callers branch with errors.Is; every decode error
-// wraps exactly one of these (plus ErrNotShardFile for kind mismatches on
-// the shard loader).
+// wraps exactly one of these.
 var (
 	// ErrBadMagic reports a file that does not start with the GIANTBIN
-	// magic (auto-detecting loaders treat such files as JSON instead).
+	// magic — a JSON ontology among them, which the file loaders refuse
+	// with a pointer to giantctl convert.
 	ErrBadMagic = errors.New("ontology: not a GIANTBIN artifact (bad magic)")
 	// ErrTruncated reports a GIANTBIN artifact shorter than its header and
 	// section table promise — the signature of a partially written or
@@ -132,8 +133,9 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// IsBinary reports whether data begins with the GIANTBIN magic — the
-// auto-detection the file loaders use to pick a codec.
+// IsBinary reports whether data begins with the GIANTBIN magic — the test
+// the file loaders apply before decoding and giantctl convert uses to pick
+// its direction.
 func IsBinary(data []byte) bool {
 	return len(data) >= len(BinaryMagic) && string(data[:len(BinaryMagic)]) == BinaryMagic
 }
@@ -726,6 +728,14 @@ func decodeBinary(data []byte) (*Snapshot, *binFile, error) {
 
 	snap := &Snapshot{nodes: nodes, edges: edges, outOff: outOff, inOff: inOff, outIdx: outIdx, inIdx: inIdx}
 	snap.indexMaps()
+	if bf.kind == binKindSnapshot {
+		// A snapshot file's persisted grams index the whole snapshot (nil
+		// when absent: TermGrams() recomputes lazily). A shard file's cover
+		// its home prefix only and belong to the projection.
+		if snap.grams, err = bf.termGrams(); err != nil {
+			return nil, nil, err
+		}
+	}
 	return snap, bf, nil
 }
 
@@ -781,30 +791,17 @@ func DecodeSnapshotBinaryWithGen(data []byte) (*Snapshot, uint64, error) {
 		return nil, 0, err
 	}
 	if bf.kind == binKindShard {
-		return nil, 0, fmt.Errorf("ontology: this is a binary shard projection file (shard %d/%d); boot it with giantd -shard %d/%d or load it with LoadShardFile",
+		return nil, 0, fmt.Errorf("ontology: this is a binary shard projection file (shard %d/%d); boot it with giantd -shard %d/%d or load it with LoadShardInput",
 			bf.hdr.Shard, bf.hdr.NumShards, bf.hdr.Shard, bf.hdr.NumShards)
 	}
-	g, err := bf.termGrams()
-	if err != nil {
-		return nil, 0, err
-	}
-	snap.grams = g // nil when absent: TermGrams() recomputes lazily
 	return snap, bf.hdr.Generation, nil
 }
 
-// DecodeShardBinary decodes a GIANTBIN shard artifact, re-validates the
-// projection (validate) and re-indexes it as ShardedSnapshot.Projection
-// indexes a fresh one (index). A
-// snapshot artifact yields ErrNotShardFile so LoadShardInput can fall
-// back to deriving the projection from the union.
-func DecodeShardBinary(data []byte) (*ShardProjection, error) {
-	snap, bf, err := decodeBinary(data)
-	if err != nil {
-		return nil, err
-	}
-	if bf.kind != binKindShard {
-		return nil, fmt.Errorf("%w (binary snapshot artifact; use LoadSnapshotFile)", ErrNotShardFile)
-	}
+// shardProjection finishes decoding a shard-kind container whose snapshot
+// decodeBinary returned: it attaches the union-ID table and the home-prefix
+// grams, re-validates the projection (validate) and re-indexes it as
+// ShardedSnapshot.Projection indexes a fresh one (index).
+func (bf *binFile) shardProjection(snap *Snapshot) (*ShardProjection, error) {
 	idsRaw, err := bf.section(secUnionIDs, 4*bf.hdr.Nodes)
 	if err != nil {
 		return nil, err

@@ -66,47 +66,36 @@ func benchCorpus(n int) *Snapshot {
 	return snap
 }
 
-// BenchmarkSnapshotLoad measures cold boot from disk in both formats —
-// the number a restarting giantd (or a -watch hot swap) pays once per
-// artifact. The binary path must stay ≥5x faster with ≥10x fewer
-// allocations than JSON (acceptance floor; see bench/BENCH_baseline.json).
+// BenchmarkSnapshotLoad measures cold boot from a GIANTBIN file — the
+// number a restarting giantd pays once per artifact (see
+// bench/BENCH_baseline.json for the gated figure).
 func BenchmarkSnapshotLoad(b *testing.B) {
 	n := 30000
 	if testing.Short() {
 		n = 4000
 	}
 	snap := benchCorpus(n)
-	dir := b.TempDir()
-	jsonPath := filepath.Join(dir, "ao.json")
-	binPath := filepath.Join(dir, "ao.bin")
-	if err := snap.SaveFile(jsonPath); err != nil {
-		b.Fatal(err)
-	}
+	binPath := filepath.Join(b.TempDir(), "ao.bin")
 	if err := snap.SaveBinaryFile(binPath); err != nil {
 		b.Fatal(err)
 	}
-	for _, bc := range []struct {
-		name string
-		path string
-	}{{"json", jsonPath}, {"binary", binPath}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s, err := LoadSnapshotFile(bc.path)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if s.Len() != n {
-					b.Fatalf("loaded %d nodes, want %d", s.Len(), n)
-				}
+	b.Run("binary", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s, err := LoadSnapshotFile(binPath)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			if s.Len() != n {
+				b.Fatalf("loaded %d nodes, want %d", s.Len(), n)
+			}
+		}
+	})
 }
 
 // BenchmarkShardLoad is the same measurement for a per-shard boot
-// artifact — the giantrouter fleet's restart cost. Shard files are
-// GIANTBIN only; each load is checked against the in-memory projection.
+// artifact — the giantrouter fleet's restart cost. Each load is checked
+// against the in-memory projection.
 func BenchmarkShardLoad(b *testing.B) {
 	n := 30000
 	if testing.Short() {
@@ -124,7 +113,7 @@ func BenchmarkShardLoad(b *testing.B) {
 	b.Run("binary", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sp, err := LoadShardFile(binPath)
+			sp, err := LoadShardInput(binPath, p.Shard, p.NumShards)
 			if err != nil {
 				b.Fatal(err)
 			}

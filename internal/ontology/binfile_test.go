@@ -111,7 +111,7 @@ func TestBinaryShardRoundTrip(t *testing.T) {
 		if err := p.SaveBinaryFile(binPath); err != nil {
 			t.Fatal(err)
 		}
-		fromBin, err := LoadShardFile(binPath)
+		fromBin, err := LoadShardInput(binPath, i, 3)
 		if err != nil {
 			t.Fatalf("shard %d: load binary: %v", i, err)
 		}
@@ -256,9 +256,19 @@ func TestBinaryBitFlipChecksum(t *testing.T) {
 }
 
 // TestBinaryBadMagicAndFutureVersion covers the remaining typed rejects.
+// A JSON ontology saved to disk is refused by the file loader with
+// ErrBadMagic and the convert hint, exactly like the raw JSON bytes are by
+// the decoder.
 func TestBinaryBadMagicAndFutureVersion(t *testing.T) {
 	if _, err := DecodeSnapshotBinary([]byte("{\"nodes\":[]}")); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("JSON bytes: %v, want ErrBadMagic", err)
+	}
+	jsonPath := filepath.Join(t.TempDir(), "ao.json")
+	if err := richOntology().Snapshot().SaveFile(jsonPath); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSnapshotFile(jsonPath); !errors.Is(err, ErrBadMagic) || !strings.Contains(err.Error(), "giantctl convert -in "+jsonPath) {
+		t.Fatalf("JSON file: %v, want ErrBadMagic naming giantctl convert", err)
 	}
 	if _, err := DecodeSnapshotBinary([]byte("GIA")); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("short non-magic bytes: %v, want ErrBadMagic", err)
@@ -275,7 +285,8 @@ func TestBinaryBadMagicAndFutureVersion(t *testing.T) {
 }
 
 // TestBinaryCrossFormatLoaders: each loader rejects the other kind's
-// binary artifact, and the derive fallback works for binary unions.
+// binary artifact, LoadShardInput derives a projection from a binary
+// union, and neither loader takes the union as JSON.
 func TestBinaryCrossFormatLoaders(t *testing.T) {
 	dir := t.TempDir()
 	union := projectionOntology(t)
@@ -298,11 +309,8 @@ func TestBinaryCrossFormatLoaders(t *testing.T) {
 		t.Fatalf("LoadSnapshotFile(shard.bin): %v, want shard-projection reject", err)
 	}
 
-	// Binary union into the shard loader: ErrNotShardFile, so
-	// LoadShardInput derives the projection instead.
-	if _, err := LoadShardFile(unionPath); !errors.Is(err, ErrNotShardFile) {
-		t.Fatalf("LoadShardFile(union.bin): %v, want ErrNotShardFile", err)
-	}
+	// Binary union into the shard loader: its header kind is snapshot, so
+	// the projection is derived.
 	p, err := LoadShardInput(unionPath, 1, 2)
 	if err != nil {
 		t.Fatalf("LoadShardInput(union.bin): %v", err)
@@ -322,6 +330,18 @@ func TestBinaryCrossFormatLoaders(t *testing.T) {
 	// Matching identity boots directly.
 	if p, err := LoadShardInput(shardPath, 0, 2); err != nil || p.Shard != 0 {
 		t.Fatalf("LoadShardInput(shard.bin, 0/2): %v", err)
+	}
+
+	// The same union as JSON boots through neither loader.
+	jsonPath := filepath.Join(dir, "union.json")
+	if err := union.SaveFile(jsonPath); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSnapshotFile(jsonPath); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("LoadSnapshotFile(union.json): %v, want ErrBadMagic", err)
+	}
+	if _, err := LoadShardInput(jsonPath, 1, 2); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("LoadShardInput(union.json): %v, want ErrBadMagic", err)
 	}
 }
 

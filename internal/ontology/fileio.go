@@ -7,33 +7,18 @@ import (
 	"path/filepath"
 )
 
-// FileFormat selects the on-disk encoding of a snapshot or shard artifact.
-type FileFormat int
-
-const (
-	// FormatJSON is the human-readable debug/interchange format.
-	FormatJSON FileFormat = iota
-	// FormatBinary is the GIANTBIN columnar format built for fast boot.
-	FormatBinary
-)
-
-// ParseFileFormat maps the CLI spelling ("json" or "binary") to a format.
-func ParseFileFormat(s string) (FileFormat, error) {
-	switch s {
-	case "json":
-		return FormatJSON, nil
-	case "binary", "bin":
-		return FormatBinary, nil
+// readArtifact reads the boot artifact at path and refuses anything that
+// is not GIANTBIN. JSON is an import/export format only; the error names
+// the tool that converts it.
+func readArtifact(path string) ([]byte, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
 	}
-	return 0, fmt.Errorf("ontology: unknown format %q (want json or binary)", s)
-}
-
-// String returns the CLI spelling of the format.
-func (f FileFormat) String() string {
-	if f == FormatBinary {
-		return "binary"
+	if !IsBinary(data) {
+		return nil, fmt.Errorf("%w: %s (boot artifacts are GIANTBIN only; convert a JSON ontology with giantctl convert -in %s -out <file>.bin)", ErrBadMagic, path, path)
 	}
-	return "json"
+	return data, nil
 }
 
 // writeFileAtomic writes a file crash-safely: the payload is streamed to a

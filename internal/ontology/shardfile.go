@@ -4,11 +4,11 @@ package ontology
 // shard's self-contained Snapshot plus the routing identity (shard index,
 // shard count, home-node prefix length) and the local→union node-ID table
 // that lets the shard render responses in the composed view's ID space. A
-// projection round-trips through GIANTBIN (SaveBinaryFile / LoadShardFile),
+// projection round-trips through GIANTBIN (SaveBinaryFile / LoadShardInput),
 // so the offline tier can export K shard files and K independent giantd
 // processes can each boot from exactly one of them — no process ever needs
 // the union. A per-shard process can also derive its projection at boot
-// from a whole-ontology file (LoadShardInput).
+// from a GIANTBIN snapshot file (LoadShardInput again).
 //
 // Layout invariants (established by ShardedSnapshot.Projection and
 // re-validated on load):
@@ -23,23 +23,14 @@ package ontology
 //     stored on both endpoint shards.
 
 import (
-	"errors"
 	"fmt"
-	"os"
 	"strings"
 	"sync"
 )
 
-// ErrNotShardFile reports that a file is not a GIANTBIN shard projection —
-// i.e. it is (at most) a plain ontology artifact. LoadShardInput falls
-// back to the plain loader only on this error; a file that CLAIMS a shard
-// identity but fails validation is corrupt and must surface as such, never
-// silently re-interpreted.
-var ErrNotShardFile = errors.New("ontology: not a shard projection file")
-
 // ShardProjection bundles one shard's snapshot with its routing identity.
 // Fields are read-only after construction; use ShardedSnapshot.Projection
-// or LoadShardFile to build one with its indexes populated.
+// or LoadShardInput to build one with its indexes populated.
 type ShardProjection struct {
 	Snap      *Snapshot
 	Shard     int
@@ -177,45 +168,35 @@ func (p *ShardProjection) OwnedEdgeCount() int {
 	return n
 }
 
-// LoadShardFile reads a GIANTBIN shard projection from the file at path.
-// Any other file — a binary snapshot (union) artifact or a JSON ontology —
-// yields ErrNotShardFile, so LoadShardInput's derive fallback works for
-// both union formats.
-func LoadShardFile(path string) (*ShardProjection, error) {
-	data, err := os.ReadFile(path)
+// LoadShardInput resolves the -in artifact of a per-shard server. It reads
+// the GIANTBIN file once and branches on its header kind: a shard
+// projection file boots directly (its identity must match
+// shard/numShards), while a snapshot file is partitioned on the fly and
+// shard i's projection derived — handy when only the union artifact is
+// distributed. A file that fails to decode is an error whatever its kind,
+// so a corrupt shard file is never reinterpreted as a union. JSON is
+// refused with ErrBadMagic naming giantctl convert.
+func LoadShardInput(path string, shard, numShards int) (*ShardProjection, error) {
+	if shard < 0 || shard >= numShards {
+		return nil, fmt.Errorf("ontology: shard index %d out of range for %d shards", shard, numShards)
+	}
+	data, err := readArtifact(path)
 	if err != nil {
 		return nil, err
 	}
-	if !IsBinary(data) {
-		return nil, fmt.Errorf("%w (not GIANTBIN; use LoadSnapshotFile for plain ontology files)", ErrNotShardFile)
+	snap, bf, err := decodeBinary(data)
+	if err != nil {
+		return nil, fmt.Errorf("ontology: load %s: %w", path, err)
 	}
-	return DecodeShardBinary(data)
-}
-
-// LoadShardInput resolves the -in artifact of a per-shard server: a shard
-// projection file boots directly (its identity must match shard/numShards),
-// while a plain ontology file is partitioned on the fly and shard i's
-// projection derived — handy when only the union artifact is distributed.
-func LoadShardInput(path string, shard, numShards int) (*ShardProjection, error) {
-	p, err := LoadShardFile(path)
-	if err == nil {
+	if bf.kind == binKindShard {
+		p, err := bf.shardProjection(snap)
+		if err != nil {
+			return nil, fmt.Errorf("ontology: load %s: %w", path, err)
+		}
 		if p.Shard != shard || p.NumShards != numShards {
 			return nil, fmt.Errorf("ontology: %s holds shard %d/%d, want %d/%d", path, p.Shard, p.NumShards, shard, numShards)
 		}
 		return p, nil
-	}
-	if !errors.Is(err, ErrNotShardFile) {
-		// The file claims to be (or fails to even parse as) a shard
-		// projection: surface that, don't reinterpret a corrupt artifact
-		// as a plain ontology and silently serve a wrong world.
-		return nil, fmt.Errorf("ontology: load %s: %w", path, err)
-	}
-	if shard < 0 || shard >= numShards {
-		return nil, fmt.Errorf("ontology: shard index %d out of range for %d shards", shard, numShards)
-	}
-	snap, err := LoadSnapshotFile(path)
-	if err != nil {
-		return nil, err
 	}
 	ss, err := ShardSnapshot(snap, numShards)
 	if err != nil {

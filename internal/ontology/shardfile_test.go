@@ -83,7 +83,7 @@ func TestShardProjectionRoundTrip(t *testing.T) {
 		if err := p.SaveBinaryFile(path); err != nil {
 			t.Fatal(err)
 		}
-		got, err := LoadShardFile(path)
+		got, err := LoadShardInput(path, p.Shard, p.NumShards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,9 +170,9 @@ func TestShardProjectionSearchAndStats(t *testing.T) {
 }
 
 // TestLoadShardInput: a shard file boots directly (with identity
-// validation), a plain ontology file is partitioned on the fly, and
-// mismatched identities, JSON shard files and malformed files are
-// rejected.
+// validation), a snapshot file is partitioned on the fly, and mismatched
+// identities, JSON files (a whole ontology or an old JSON shard file) and
+// malformed GIANTBIN files are rejected.
 func TestLoadShardInput(t *testing.T) {
 	union := projectionOntology(t)
 	ss, err := ShardSnapshot(union, 2)
@@ -184,8 +184,8 @@ func TestLoadShardInput(t *testing.T) {
 	if err := ss.Projection(1).SaveBinaryFile(shardPath); err != nil {
 		t.Fatal(err)
 	}
-	unionPath := filepath.Join(dir, "ao.json")
-	if err := union.SaveFile(unionPath); err != nil {
+	unionPath := filepath.Join(dir, "ao.bin")
+	if err := union.SaveBinaryFile(unionPath); err != nil {
 		t.Fatal(err)
 	}
 
@@ -203,53 +203,67 @@ func TestLoadShardInput(t *testing.T) {
 	if p2.HomeCount != p.HomeCount || !reflect.DeepEqual(p2.UnionIDs, p.UnionIDs) {
 		t.Fatal("union-derived projection diverges from the exported shard file")
 	}
-	if _, err := LoadShardFile(unionPath); !errors.Is(err, ErrNotShardFile) {
-		t.Fatalf("plain ontology file as a shard file = %v, want ErrNotShardFile", err)
-	}
 	// The inverse confusion: a shard file must not load as a whole
 	// ontology (its local-ID world would silently serve wrong).
 	if _, err := LoadSnapshotFile(shardPath); err == nil || !strings.Contains(err.Error(), "shard projection") {
 		t.Fatalf("shard file accepted as a whole ontology: %v", err)
 	}
-	// A JSON shard file from before shard files became GIANTBIN only is
-	// neither booted nor reinterpreted as a whole ontology: both loaders
-	// refuse it and name the way out.
-	oldPath := filepath.Join(dir, "shard-1-of-2.json")
-	if err := os.WriteFile(oldPath, []byte(`{"shard":1,"num_shards":2,"home_count":1,"union_ids":[0],"nodes":[{"id":0,"type":0,"phrase":"x"}],"edges":[]}`), 0o644); err != nil {
+	// JSON is never booted: the whole ontology and a JSON shard file from
+	// before shard files became GIANTBIN only are both refused by both
+	// loaders, with ErrBadMagic and the convert hint. Converting the old
+	// shard file fails too, naming the way out.
+	jsonPath := filepath.Join(dir, "ao.json")
+	if err := union.SaveFile(jsonPath); err != nil {
 		t.Fatal(err)
 	}
-	for _, load := range []func() error{
-		func() error { _, err := LoadShardInput(oldPath, 1, 2); return err },
-		func() error { _, err := LoadSnapshotFile(oldPath); return err },
-	} {
-		if err := load(); err == nil || !strings.Contains(err.Error(), "re-export it with giantctl shard") {
-			t.Fatalf("JSON shard file not refused with the re-export hint: %v", err)
+	oldPath := filepath.Join(dir, "shard-1-of-2.json")
+	oldShard := `{"shard":1,"num_shards":2,"home_count":1,"union_ids":[0],"nodes":[{"id":0,"type":0,"phrase":"x"}],"edges":[]}`
+	if err := os.WriteFile(oldPath, []byte(oldShard), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{jsonPath, oldPath} {
+		for name, load := range map[string]func() error{
+			"LoadShardInput":   func() error { _, err := LoadShardInput(path, 1, 2); return err },
+			"LoadSnapshotFile": func() error { _, err := LoadSnapshotFile(path); return err },
+		} {
+			if err := load(); !errors.Is(err, ErrBadMagic) || !strings.Contains(err.Error(), "giantctl convert") {
+				t.Fatalf("%s(%s) = %v, want ErrBadMagic naming giantctl convert", name, filepath.Base(path), err)
+			}
 		}
 	}
-	// A corrupt file CLAIMING a shard identity must surface as corrupt,
-	// not fall back to the plain loader.
+	if _, err := SnapshotFromJSON(strings.NewReader(oldShard)); err == nil || !strings.Contains(err.Error(), "re-export it with giantctl shard") {
+		t.Fatalf("JSON shard file not refused by the import path with the re-export hint: %v", err)
+	}
+	// A shard file that fails to decode is an error, never reinterpreted
+	// as a union: truncated, a flipped header bit, and a home count past
+	// the node count (checksums re-stamped, so only projection validation
+	// can catch it) each fail with their typed error.
 	data, err := os.ReadFile(shardPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	badPath := filepath.Join(dir, "bad-shard.bin")
-	if err := os.WriteFile(badPath, data[:len(data)-1], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadShardInput(badPath, 1, 2); err == nil || errors.Is(err, ErrNotShardFile) {
-		t.Fatalf("corrupt shard file not surfaced: %v", err)
-	}
-	// A well-formed file whose checksums pass but whose home count exceeds
-	// its node count must fail projection validation, not boot.
-	homePath := filepath.Join(dir, "bad-home-count.bin")
-	bad := append([]byte(nil), data...)
-	binary.LittleEndian.PutUint64(bad[24:32], uint64(p.Snap.Len()+1))
-	binary.LittleEndian.PutUint32(bad[60:64], crc32.Checksum(bad[:60], crcTable))
-	if err := os.WriteFile(homePath, bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadShardInput(homePath, 1, 2); err == nil || errors.Is(err, ErrNotShardFile) ||
-		!errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "home count") {
-		t.Fatalf("out-of-range home count not surfaced as corrupt: %v", err)
+	flipped := append([]byte(nil), data...)
+	flipped[40] ^= 0x01 // the header's node count: the kind still reads shard
+	home := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint64(home[24:32], uint64(p.Snap.Len()+1))
+	binary.LittleEndian.PutUint32(home[60:64], crc32.Checksum(home[:60], crcTable))
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want error
+		msg  string
+	}{
+		{"truncated", data[:len(data)-1], ErrTruncated, ""},
+		{"bit flip", flipped, ErrChecksum, ""},
+		{"home count", home, ErrCorrupt, "home count"},
+	} {
+		path := filepath.Join(dir, "bad-shard.bin")
+		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := LoadShardInput(path, 1, 2)
+		if got != nil || !errors.Is(err, tc.want) || !strings.Contains(err.Error(), tc.msg) {
+			t.Fatalf("%s shard file: %v, %v; want no projection and %v", tc.name, got, err, tc.want)
+		}
 	}
 }

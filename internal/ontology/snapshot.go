@@ -1,28 +1,26 @@
 package ontology
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"maps"
-	"os"
 	"strings"
 	"sync"
 )
 
 // Snapshot is an immutable, read-optimized view of an Ontology, built once
-// from a finished build (or loaded from the JSON a build wrote) and then
-// shared freely between goroutines. Every index is complete before the
-// snapshot is shared — phrase→node and alias→node maps per type, per-type
-// node lists, CSR adjacency over the edge list, and the per-type statistics
-// — so lookups are lock-free O(1), traversals are O(degree), and the hot
-// phrase-lookup path performs zero allocations. BuildSnapshot computes the
-// indexes from scratch; Derive computes the next generation's from the
-// current one's, patching only what the changed nodes touch. A Snapshot is
-// the only read type of the ontology: it takes no lock, concurrent readers
-// scale linearly, and an online server can hot-swap one atomically for
-// another while requests are in flight.
+// from a finished build (or loaded from the GIANTBIN file a build wrote)
+// and then shared freely between goroutines. Every index is complete
+// before the snapshot is shared — phrase→node and alias→node maps per
+// type, per-type node lists, CSR adjacency over the edge list, and the
+// per-type statistics — so lookups are lock-free O(1), traversals are
+// O(degree), and the hot phrase-lookup path performs zero allocations.
+// BuildSnapshot computes the indexes from scratch; Derive computes the
+// next generation's from the current one's, patching only what the changed
+// nodes touch. A Snapshot is the only read type of the ontology: it takes
+// no lock, concurrent readers scale linearly, and an online server can
+// hot-swap one atomically for another while requests are in flight.
 type Snapshot struct {
 	nodes []Node
 	edges []Edge
@@ -81,8 +79,8 @@ type persisted struct {
 	Edges []Edge `json:"edges"`
 }
 
-// SnapshotFromJSON reads an ontology serialized by Snapshot.WriteJSON. The
-// lists are fed through the builder, so a repeated phrase folds into its
+// SnapshotFromJSON reads an ontology serialized by Snapshot.WriteJSON:
+// the import half of giantctl convert, never a boot path. The lists are fed through the builder, so a repeated phrase folds into its
 // first node and an out-of-range or self edge is an error. A JSON shard
 // projection file (written by giantctl shard before shard files became
 // GIANTBIN only) is rejected: its node list is one shard's home nodes plus
@@ -106,23 +104,21 @@ func SnapshotFromJSON(r io.Reader) (*Snapshot, error) {
 	return o.Snapshot(), nil
 }
 
-// LoadSnapshotFile reads a Snapshot from the file at path, auto-detecting
-// the format by magic: GIANTBIN artifacts take the near-zero-allocation
-// columnar decode path, anything else is parsed as JSON. A binary shard
-// projection file is rejected — it is one shard's world, not the union.
+// LoadSnapshotFile reads the GIANTBIN snapshot artifact at path through
+// the near-zero-allocation columnar decode path. Any other file is refused
+// with ErrBadMagic naming giantctl convert, which imports JSON. A binary
+// shard projection file is refused too: it is one shard's world, not the
+// union.
 func LoadSnapshotFile(path string) (*Snapshot, error) {
-	data, err := os.ReadFile(path)
+	data, err := readArtifact(path)
 	if err != nil {
 		return nil, err
 	}
-	if IsBinary(data) {
-		snap, err := DecodeSnapshotBinary(data)
-		if err != nil {
-			return nil, fmt.Errorf("ontology: load %s: %w", path, err)
-		}
-		return snap, nil
+	snap, err := DecodeSnapshotBinary(data)
+	if err != nil {
+		return nil, fmt.Errorf("ontology: load %s: %w", path, err)
 	}
-	return SnapshotFromJSON(bytes.NewReader(data))
+	return snap, nil
 }
 
 // BuildSnapshot indexes explicit node and edge lists into a Snapshot. The
@@ -760,21 +756,12 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 	return json.NewEncoder(w).Encode(persisted{Nodes: s.nodes, Edges: s.edges})
 }
 
-// SaveFile writes the snapshot to path as JSON. The write is crash-safe:
-// bytes land in a temp file in the destination directory and are renamed
-// into place only after a successful fsync, so a reader of the path (a
-// daemon booting on it) can never observe a partially written artifact.
+// SaveFile writes the snapshot to path as JSON, the export format of
+// giantctl convert. The write is crash-safe: bytes land in a temp file in
+// the destination directory and are renamed into place only after a
+// successful fsync, so a reader of the path never observes a partial file.
 func (s *Snapshot) SaveFile(path string) error {
 	return writeFileAtomic(path, s.WriteJSON)
-}
-
-// SaveFileFormat writes the snapshot to path in the given format,
-// crash-safely.
-func (s *Snapshot) SaveFileFormat(path string, format FileFormat) error {
-	if format == FormatBinary {
-		return s.SaveBinaryFile(path)
-	}
-	return s.SaveFile(path)
 }
 
 // TermGrams returns the snapshot's term-gram presence index, building it

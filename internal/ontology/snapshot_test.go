@@ -212,9 +212,9 @@ func TestSnapshotLookupZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestJSONRoundTripThroughSnapshot is the build -> save -> serve contract:
-// SaveFile then LoadSnapshotFile preserves node/edge counts, aliases and
-// event attributes, and the snapshot re-saves byte-for-byte.
+// TestJSONRoundTripThroughSnapshot is giantctl convert's export/import
+// contract: SaveFile then SnapshotFromJSON preserves node/edge counts,
+// aliases and event attributes, and the snapshot re-saves byte-for-byte.
 func TestJSONRoundTripThroughSnapshot(t *testing.T) {
 	b := richOntology()
 	o := referenceOf(b)
@@ -228,7 +228,7 @@ func TestJSONRoundTripThroughSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := LoadSnapshotFile(path)
+	s, err := SnapshotFromJSON(bytes.NewReader(first))
 	if err != nil {
 		t.Fatal(err)
 	}

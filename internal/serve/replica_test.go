@@ -889,6 +889,65 @@ func TestReadFailoverRanksAtEachAttempt(t *testing.T) {
 	}
 }
 
+// TestReadOrderRanksDownReplicaLast pins readOrder's two exclusions: of
+// four replicas, three at the gate position and one behind it, the one
+// that answered 5xx at the gate is ranked after both healthy ones on
+// every read (traffic keeps probing it back to recovery), and the one
+// behind the gate is never ranked at all.
+func TestReadOrderRanksDownReplicaLast(t *testing.T) {
+	// Each stub reports the position ?pos= names and answers ?status=.
+	stub := func() string {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set(walGenHeader, r.URL.Query().Get("pos"))
+			if code, _ := strconv.Atoi(r.URL.Query().Get("status")); code != 0 {
+				w.WriteHeader(code)
+			}
+			io.WriteString(w, "{}\n")
+		}))
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	rt, err := NewRouter(RouterOptions{Replicas: [][]string{{stub(), stub(), stub(), stub()}}, WALDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	a, b, down, behind := rt.shards[0][0], rt.shards[0][1], rt.shards[0][2], rt.shards[0][3]
+	report := func(rep *replicaState, query string) {
+		rt.callReplica(context.Background(), 5*time.Second, rep, http.MethodGet, "/healthz?"+query, nil)
+	}
+	report(a, "pos=5")
+	report(b, "pos=5")
+	report(behind, "pos=4")
+	// The first 503 marks the replica down and forgets its position; the
+	// second reports the gate position again while it stays down.
+	report(down, "pos=5&status=503")
+	report(down, "pos=5&status=503")
+	if !down.down.Load() || down.applied.Load() != 5 {
+		t.Fatalf("precondition: replica 2 down=%v at %d, want down at the gate 5", down.down.Load(), down.applied.Load())
+	}
+	firsts := map[*replicaState]bool{}
+	for i := 0; i < 8; i++ {
+		order := rt.readOrder(0)
+		if len(order) != 3 || order[2] != down || slices.Contains(order, behind) {
+			t.Fatalf("read %d: order %v; want both healthy replicas, then the down one, and never the one behind the gate", i, replicaIdxs(order))
+		}
+		firsts[order[0]] = true
+	}
+	if !firsts[a] || !firsts[b] {
+		t.Fatalf("the rotation never led with one of the healthy replicas: %v", firsts)
+	}
+}
+
+// replicaIdxs lists the replica ordinals of an order, for failure messages.
+func replicaIdxs(order []*replicaState) []int {
+	out := make([]int, len(order))
+	for i, rep := range order {
+		out[i] = rep.idx
+	}
+	return out
+}
+
 // TestIngestBackpressure: once a shard's slowest healthy replica trails
 // the log head by more than MaxLag, ingest answers 429 replica_lagging
 // with a Retry-After header — and admits writes again once the replica

@@ -51,9 +51,11 @@ package serve
 // (RouterOptions.FailOpen): when a backend is unreachable, the read either
 // fails closed with 503 or returns the reachable shards' results marked
 // "partial": true. A backend that answers with a body that does not decode
-// is broken, not missing: 502 bad_upstream naming its shard. A typed
-// /v1/node lookup answers 502 when the one home shard that could hold its
-// phrase is unreachable, and ingest is always fail-closed.
+// is broken, not missing: 502 bad_upstream naming its shard. So is a
+// backend whose /v1/stats names another shard than its slot: every read
+// answers 502 bad_upstream naming the slot, checked once per routing-index
+// build. A typed /v1/node lookup answers 502 when the one home shard that
+// could hold its phrase is unreachable, and ingest is always fail-closed.
 //
 // A fleet changes only through its one delta log. Without WALDir the
 // router fronts a frozen fleet (giantd -shard i/k -in), which changes by
@@ -213,11 +215,14 @@ func newGenVec(k int) genVec { return genVec{gens: make([]uint64, k), ok: make([
 
 // routingIndex is the router's term→shard posting index: per-shard term
 // grams to prune the scatter. A shard without grams (it failed to answer
-// the stats fan-out) routes conservatively: it is always consulted.
-// Immutable once published.
+// the stats fan-out) routes conservatively: it is always consulted. The
+// same fan-out carries each backend's shard identity: misplaced[i] is the
+// wrongShard message of a slot whose backend serves another shard (empty
+// when it matches or did not answer). Immutable once published.
 type routingIndex struct {
 	genVec
-	grams []*ontology.TermGrams
+	grams     []*ontology.TermGrams
+	misplaced []string
 }
 
 // memo is one fleet-wide fold the router keeps between requests, valid
@@ -544,24 +549,45 @@ func (rt *Router) invalidateAfterWrite(status int) {
 	}
 }
 
-// ensureRouting returns the current routing index, rebuilding it from a
-// /v1/stats fan-out when absent, and pins it on meta. A backend that fails
-// to answer gets no grams and is consulted on every routed read, so a
-// partial rebuild degrades pruning, not correctness — the one memo build
-// that never fails a read.
+// ensureRouting returns the routing index the request's placement check
+// read (loadRouting when there was none) and pins it on meta. Reusing the
+// checked index means one read runs at most one build, even when that
+// build straddled an invalidate and was never stored.
 func (rt *Router) ensureRouting(ctx context.Context, meta *respMeta) *routingIndex {
+	idx := meta.routing
+	if idx == nil {
+		idx = rt.loadRouting(ctx)
+	}
+	meta.pin(&idx.genVec)
+	return idx
+}
+
+// loadRouting returns the current routing index, rebuilding it from a
+// /v1/stats fan-out when absent. A backend that fails to answer gets no
+// grams and is consulted on every routed read, so a partial rebuild
+// degrades pruning, not correctness — the one memo build that never fails
+// a read.
+func (rt *Router) loadRouting(ctx context.Context) *routingIndex {
 	idx, _, _, _ := rt.routing.get(&rt.epoch, func() (*routingIndex, []int, int, any) {
 		results := rt.scatter(ctx, nil, rt.allShards(), http.MethodGet, "/v1/stats", nil)
-		idx := &routingIndex{genVec: newGenVec(rt.k), grams: make([]*ontology.TermGrams, rt.k)}
+		idx := &routingIndex{genVec: newGenVec(rt.k), grams: make([]*ontology.TermGrams, rt.k), misplaced: make([]string, rt.k)}
 		for i := range results {
 			var parsed struct {
 				Shard *struct {
+					Shard     int                 `json:"shard"`
+					Shards    int                 `json:"shards"`
 					TermStats *ontology.TermStats `json:"term_stats"`
 				} `json:"shard"`
 			}
-			if !results[i].ok() || json.Unmarshal(results[i].body, &parsed) != nil || parsed.Shard == nil {
+			if !results[i].ok() || json.Unmarshal(results[i].body, &parsed) != nil {
 				continue
 			}
+			if parsed.Shard == nil {
+				// A whole-world daemon reports no shard block.
+				idx.misplaced[i] = rt.wrongShard(i, -1, 0)
+				continue
+			}
+			idx.misplaced[i] = rt.wrongShard(i, parsed.Shard.Shard, parsed.Shard.Shards)
 			idx.gens[i], idx.ok[i] = results[i].generation()
 			if parsed.Shard.TermStats != nil {
 				idx.grams[i], _ = ontology.DecodeTermGrams(parsed.Shard.TermStats.Grams)
@@ -569,8 +595,24 @@ func (rt *Router) ensureRouting(ctx context.Context, meta *respMeta) *routingInd
 		}
 		return idx, nil, 0, nil
 	})
-	meta.pin(&idx.genVec)
 	return idx
+}
+
+// placed wraps a read handler so that it fails closed while the routing
+// index records a misplaced backend: 502 bad_upstream naming the first
+// such slot, instead of merging another shard's answer under this slot's
+// identity. The identities are checked once per routing-index build, so a
+// read adds no fan-out for them.
+func (rt *Router) placed(fn func(r *http.Request, meta *respMeta) (int, any)) func(r *http.Request, meta *respMeta) (int, any) {
+	return func(r *http.Request, meta *respMeta) (int, any) {
+		meta.routing = rt.loadRouting(r.Context())
+		for i, msg := range meta.routing.misplaced {
+			if msg != "" {
+				return http.StatusBadGateway, errBodyShard(codeBadUpstream, i, msg)
+			}
+		}
+		return fn(r, meta)
+	}
 }
 
 // backendResult is one backend call's outcome.
@@ -915,13 +957,13 @@ func (rt *Router) routes() {
 	rt.mux = http.NewServeMux()
 	rt.mux.HandleFunc("/healthz", rt.endpoint("healthz", rt.handleHealthz))
 	rt.mux.HandleFunc("/v1/stats", rt.endpoint("stats", rt.handleStats))
-	rt.mux.HandleFunc("/v1/node", rt.endpoint("node", rt.handleNode))
-	rt.mux.HandleFunc("/v1/search", rt.endpoint("search", rt.handleSearch))
+	rt.mux.HandleFunc("/v1/node", rt.endpoint("node", rt.placed(rt.handleNode)))
+	rt.mux.HandleFunc("/v1/search", rt.endpoint("search", rt.placed(rt.handleSearch)))
 	rt.mux.HandleFunc("/v1/metrics", rt.endpoint("metrics", rt.handleMetrics))
 	rt.mux.HandleFunc("/v1/ingest", rt.endpoint("ingest", rt.handleIngest))
-	rt.mux.HandleFunc("/v1/tag", rt.endpoint("tag", rt.handleTag))
-	rt.mux.HandleFunc("/v1/query/rewrite", rt.endpoint("query_rewrite", rt.handleQueryRewrite))
-	rt.mux.HandleFunc("/v1/story", rt.endpoint("story", rt.handleStory))
+	rt.mux.HandleFunc("/v1/tag", rt.endpoint("tag", rt.placed(rt.handleTag)))
+	rt.mux.HandleFunc("/v1/query/rewrite", rt.endpoint("query_rewrite", rt.placed(rt.handleQueryRewrite)))
+	rt.mux.HandleFunc("/v1/story", rt.endpoint("story", rt.placed(rt.handleStory)))
 	rt.mux.HandleFunc("/v1/", unknownEndpoint)
 }
 
@@ -931,13 +973,15 @@ func (rt *Router) routes() {
 // any extra headers (Retry-After on a 429). For the staleness rule it
 // holds, since the current attempt began, every answer's (shard,
 // generation) and every memo the request read through. Handlers note
-// from fan-out goroutines, so it locks.
+// from fan-out goroutines, so it locks; routing, the index the placement
+// check read, is set and read only by the request's own goroutine.
 type respMeta struct {
-	mu    sync.Mutex
-	gens  map[int]string
-	hdr   http.Header
-	heard []shardGen
-	pins  []*genVec
+	mu      sync.Mutex
+	gens    map[int]string
+	hdr     http.Header
+	heard   []shardGen
+	pins    []*genVec
+	routing *routingIndex
 }
 
 type shardGen struct {

@@ -786,7 +786,7 @@ func TestRouterAppEndpoints(t *testing.T) {
 // router's merged /v1/search, /v1/node and /v1/stats when a whole fleet
 // boots from each. This is the exact giantd -shard i/k -in
 // shard-i-of-k.bin boot path: artifacts are written to disk and loaded
-// back through ontology.LoadShardFile.
+// back through ontology.LoadShardInput.
 func TestShardFileFormatEquivalence(t *testing.T) {
 	const k = 2
 	union := testOntology(0).Snapshot()
@@ -824,7 +824,7 @@ func TestShardFileFormatEquivalence(t *testing.T) {
 		if err := ss.Projection(i).SaveBinaryFile(path); err != nil {
 			t.Fatalf("save %s: %v", path, err)
 		}
-		proj, err := ontology.LoadShardFile(path)
+		proj, err := ontology.LoadShardInput(path, i, k)
 		if err != nil {
 			t.Fatalf("load %s: %v", path, err)
 		}
@@ -883,8 +883,9 @@ func TestShardFileFormatEquivalence(t *testing.T) {
 // TestRouterRejectsSwappedBackends: a -backends list in the wrong shard
 // order is visible from the outside. /healthz marks every misplaced
 // backend unhealthy with the shard it serves and reports the fleet
-// degraded, and /v1/stats answers 502 bad_upstream naming slot 0. The
-// same two backends in shard order are healthy.
+// degraded, and /v1/stats and every read (search, node, tag, rewrite,
+// story) answer 502 bad_upstream naming slot 0. The same two backends in
+// shard order are healthy and answer every read 200.
 func TestRouterRejectsSwappedBackends(t *testing.T) {
 	const k = 2
 	ss, err := ontology.ShardSnapshot(testOntology(0).Snapshot(), k)
@@ -908,9 +909,19 @@ func TestRouterRejectsSwappedBackends(t *testing.T) {
 		return ts
 	}
 
+	reads := []string{
+		"/v1/search?q=sedan",
+		"/v1/node?phrase=family+sedans&type=concept",
+		"/v1/tag?title=best+family+sedans+roundup",
+		"/v1/query/rewrite?q=best+family+sedans",
+		"/v1/story?seed=brand+unveils+sedan+model+a",
+	}
 	ordered := router(urls[0], urls[1])
 	if h := getJSON(t, ordered.Client(), ordered.URL+"/healthz", 200); h["status"] != "ok" {
 		t.Fatalf("healthz over ordered backends = %v", h)
+	}
+	for _, path := range reads {
+		getJSON(t, ordered.Client(), ordered.URL+path, 200)
 	}
 
 	swapped := router(urls[1], urls[0])
@@ -930,10 +941,12 @@ func TestRouterRejectsSwappedBackends(t *testing.T) {
 		}
 	}
 
-	st := getJSON(t, swapped.Client(), swapped.URL+"/v1/stats", http.StatusBadGateway)
-	e, _ := st["error"].(map[string]any)
-	if e["code"] != codeBadUpstream || e["shard"] != float64(0) || e["message"] != "backend 0 serves shard 1/2, want 0/2 (check -backends order)" {
-		t.Fatalf("stats over swapped backends = %v", st)
+	for _, path := range append([]string{"/v1/stats"}, reads...) {
+		st := getJSON(t, swapped.Client(), swapped.URL+path, http.StatusBadGateway)
+		e, _ := st["error"].(map[string]any)
+		if e["code"] != codeBadUpstream || e["shard"] != float64(0) || e["message"] != "backend 0 serves shard 1/2, want 0/2 (check -backends order)" {
+			t.Fatalf("%s over swapped backends = %v", path, st)
+		}
 	}
 }
 
