@@ -109,8 +109,5 @@ func (sys *System) RestoreCheckpoint(snap *ontology.Snapshot, state []byte) erro
 	sys.Mined = st.Mined
 	sys.knownMined = nil // rebuilt from the restored records by the next ingest
 	sys.conceptContext = st.Context
-	// Any cached sharded projection predates the restored ontology.
-	sys.sharded = nil
-	sys.shardedFrom = nil
 	return nil
 }

@@ -172,16 +172,16 @@ func runParallel(scale experiments.Scale) error {
 }
 
 // catchupHost is the catch-up benchmark's deterministic apply host: a
-// single-shard sharded-snapshot lineage advanced by a synthetic delta
-// derived from the batch alone, plus the checkpoint save/restore pair —
-// the same host contract cmd/giantd wires System.CheckpointState and
+// union lineage advanced by a synthetic delta derived from the batch
+// alone, plus the checkpoint save/restore pair — the same host contract
+// cmd/giantd wires System.IngestShared, CheckpointState and
 // RestoreCheckpoint into, with a constant per-record apply cost so the
 // measured curve is the replication machinery's, not the miner's.
 type catchupHost struct {
-	cur *ontology.ShardedSnapshot
+	cur *ontology.Snapshot
 }
 
-func (h *catchupHost) ingest(b delta.Batch, _ wal.Record) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
+func (h *catchupHost) ingest(b delta.Batch, _ wal.Record) (*ontology.Snapshot, *ontology.Snapshot, *delta.Delta, error) {
 	if b.Day <= 0 {
 		return nil, nil, nil, fmt.Errorf("empty batch: %w", delta.ErrInvalidBatch)
 	}
@@ -189,35 +189,31 @@ func (h *catchupHost) ingest(b delta.Batch, _ wal.Record) (*ontology.ShardProjec
 		{Type: ontology.Concept, Phrase: fmt.Sprintf("synthetic concept %d", b.Day), Day: b.Day},
 		{Type: ontology.Event, Phrase: fmt.Sprintf("synthetic event %d", b.Day), Day: b.Day},
 	}}
-	next, touched, err := delta.ApplySharded(h.cur, d)
+	prev := h.cur
+	next, err := delta.Apply(prev, d)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	h.cur = next
-	return next.Projection(0), d, touched, nil
+	return prev, next, d, nil
 }
 
 func (h *catchupHost) save() (*ontology.Snapshot, []byte, error) {
-	u := h.cur.Union()
-	blob, err := json.Marshal(map[string]int{"nodes": u.NodeCount(), "edges": u.EdgeCount()})
-	return u, blob, err
+	blob, err := json.Marshal(map[string]int{"nodes": h.cur.NodeCount(), "edges": h.cur.EdgeCount()})
+	return h.cur, blob, err
 }
 
-func (h *catchupHost) restore(snap *ontology.Snapshot, state []byte) (*ontology.ShardProjection, error) {
+func (h *catchupHost) restore(snap *ontology.Snapshot, state []byte) error {
 	var st struct{ Nodes, Edges int }
 	if err := json.Unmarshal(state, &st); err != nil {
-		return nil, err
+		return err
 	}
 	if st.Nodes != snap.NodeCount() || st.Edges != snap.EdgeCount() {
-		return nil, fmt.Errorf("state blob records %d nodes/%d edges, snapshot has %d/%d",
+		return fmt.Errorf("state blob records %d nodes/%d edges, snapshot has %d/%d",
 			st.Nodes, st.Edges, snap.NodeCount(), snap.EdgeCount())
 	}
-	ss, err := ontology.ShardSnapshot(snap, 1)
-	if err != nil {
-		return nil, err
-	}
-	h.cur = ss
-	return ss.Projection(0), nil
+	h.cur = snap
+	return nil
 }
 
 // catchupBoot is one simulated replica boot: server, follower goroutine,
@@ -234,8 +230,8 @@ type catchupBoot struct {
 // -wal does: hydrate=false starts from the base world and replays the
 // whole log; hydrate=true walks the checkpoint ladder and tails only the
 // suffix past the artifact.
-func bootCatchupReplica(dir string, base *ontology.ShardedSnapshot, hydrate bool) (*catchupBoot, error) {
-	host := &catchupHost{cur: base}
+func bootCatchupReplica(dir string, base *ontology.ShardProjection, hydrate bool) (*catchupBoot, error) {
+	host := &catchupHost{cur: base.Snap}
 	opts := serve.Options{
 		ShardIngest:       host.ingest,
 		CheckpointSave:    host.save,
@@ -253,7 +249,7 @@ func bootCatchupReplica(dir string, base *ontology.ShardedSnapshot, hydrate bool
 			return nil, fmt.Errorf("no usable checkpoint artifact in %s", dir)
 		}
 	} else {
-		srv = serve.NewShard(base.Projection(0), opts)
+		srv = serve.NewShard(base, opts)
 	}
 	fl, err := serve.NewFollower(srv, serve.FollowerOptions{
 		Dir:   dir,
@@ -316,7 +312,7 @@ func runCatchupBench(outPath string) error {
 	if err := baseOnt.AddEdge(root, seedConcept, ontology.IsA, 1); err != nil {
 		return err
 	}
-	base, err := ontology.ShardSnapshot(baseOnt.Snapshot(), 1)
+	base, err := ontology.Project(baseOnt.Snapshot(), 0, 1)
 	if err != nil {
 		return err
 	}
@@ -413,7 +409,7 @@ func runCatchupBench(outPath string) error {
 					best = d
 				}
 				var buf bytes.Buffer
-				if err := b.host.cur.Union().WriteBinary(&buf); err != nil {
+				if err := b.host.cur.WriteBinary(&buf); err != nil {
 					return 0, nil, err
 				}
 				world = buf.Bytes()

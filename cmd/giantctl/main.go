@@ -294,18 +294,17 @@ func runShard(args []string) error {
 	if err != nil {
 		return err
 	}
-	ss, err := ontology.ShardSnapshot(snap, *shards)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < ss.NumShards(); i++ {
-		p := ss.Projection(i)
-		path := fmt.Sprintf("%s/shard-%d-of-%d.bin", strings.TrimRight(*outDir, "/"), i, ss.NumShards())
+	for i := 0; i < *shards; i++ {
+		p, err := ontology.Project(snap, i, *shards)
+		if err != nil {
+			return err
+		}
+		path := fmt.Sprintf("%s/shard-%d-of-%d.bin", strings.TrimRight(*outDir, "/"), i, *shards)
 		if err := p.SaveBinaryFile(path); err != nil {
 			return err
 		}
 		fmt.Printf("shard %d/%d: %d home nodes (+%d ghosts), %d edges -> %s\n",
-			i, ss.NumShards(), p.HomeCount, p.Snap.NodeCount()-p.HomeCount, p.Snap.EdgeCount(), path)
+			i, *shards, p.HomeCount, p.Snap.NodeCount()-p.HomeCount, p.Snap.EdgeCount(), path)
 	}
 	return nil
 }

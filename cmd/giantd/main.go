@@ -49,8 +49,8 @@
 // A per-shard daemon accepts no direct writes: a fleet changes only
 // through its one delta log. With -in it serves a frozen shard (the
 // artifact may be a shard file written by `giantctl shard` or a
-// whole-ontology snapshot file, whose shard projection is then derived at
-// boot; both GIANTBIN), and /v1/ingest answers 503 unavailable; it
+// whole-ontology snapshot file, from which only this shard's projection
+// is derived at boot; both GIANTBIN), and /v1/ingest answers 503 unavailable; it
 // changes by restarting on a new file.
 //
 // With -wal DIR (requires -shard i/k and -build; -shard with -build
@@ -58,7 +58,10 @@
 // 503 read_only_replica, and it instead tails the
 // fleet's one append-only delta log DIR/fleet.wal (written by giantrouter
 // -wal), applying each batch through its own full (deterministic) mining
-// system. Its generation is the log position of the last batch whose
+// system. The replica derives only its own shard: at boot one projection
+// of the built (or checkpointed) world, and per batch a fresh projection
+// when the delta touched its shard, else the one it serves with re-resolved
+// union IDs. Its generation is the log position of the last batch whose
 // delta touched its shard (0 before any). Every response carries
 // X-Giant-Wal-Gen with the last applied log generation, and GET /v1/wal
 // (?wait=G) exposes — and blocks on — apply progress; -replica N names the
@@ -204,6 +207,7 @@ func runShard(in, addr string, build, tiny bool, grace time.Duration, shards int
 		return fmt.Errorf("-shards %d conflicts with -shard %s (the shard count comes from i/k)", shards, shardSpec)
 	}
 	var opts serve.Options
+	var union *ontology.Snapshot
 	var proj *ontology.ShardProjection
 	switch {
 	case build:
@@ -211,34 +215,30 @@ func runShard(in, addr string, build, tiny bool, grace time.Duration, shards int
 		if tiny {
 			cfg = giant.TinyConfig()
 		}
-		cfg.Shards = k
 		log.Printf("building ontology (tiny=%v) to serve shard %d/%d...", tiny, idx, k)
 		sys, err := giant.Build(cfg)
 		if err != nil {
 			return err
 		}
-		if proj, err = sys.ShardProjection(idx); err != nil {
-			return err
-		}
+		union = sys.Snapshot()
 		opts.ConceptContextFn = sys.ConceptContext
 		opts.Duet = sys.EventTagger().Duet
 		// The follower applies every log record through this process's own
 		// (deterministic) apply path, mining the record only when no other
-		// replica has mined it first (the mined outcomes beside the log),
-		// and the server's generation moves to the record's log position
-		// only when the delta touched ITS shard.
-		opts.ShardIngest = func(b delta.Batch, rec wal.Record) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
-			next, d, touched, err := sys.IngestSharded(b, &wal.Outcome{Dir: walDir, Gen: rec.Gen, Payload: rec.Payload})
+		// replica has mined it first (the mined outcomes beside the log);
+		// the server derives its shard from the unions and the delta.
+		opts.ShardIngest = func(b delta.Batch, rec wal.Record) (*ontology.Snapshot, *ontology.Snapshot, *delta.Delta, error) {
+			prev := sys.Snapshot()
+			next, d, err := sys.IngestShared(b, &wal.Outcome{Dir: walDir, Gen: rec.Gen, Payload: rec.Payload})
 			if err != nil {
 				return nil, nil, nil, err
 			}
 			logIngested(sys, d)
-			return next.Projection(idx), d, touched, nil
+			return prev, next, d, nil
 		}
 		// Checkpointing: capture pairs the union snapshot with the mining
 		// system's post-seed delta state; restore replays both onto the
-		// deterministic seed build this process just ran and re-derives the
-		// shard's serving projection from the result.
+		// deterministic seed build this process just ran.
 		opts.CheckpointSave = func() (*ontology.Snapshot, []byte, error) {
 			state, err := sys.CheckpointState()
 			if err != nil {
@@ -246,12 +246,7 @@ func runShard(in, addr string, build, tiny bool, grace time.Duration, shards int
 			}
 			return sys.Snapshot(), state, nil
 		}
-		opts.CheckpointRestore = func(snap *ontology.Snapshot, state []byte) (*ontology.ShardProjection, error) {
-			if err := sys.RestoreCheckpoint(snap, state); err != nil {
-				return nil, err
-			}
-			return sys.ShardProjection(idx)
-		}
+		opts.CheckpointRestore = sys.RestoreCheckpoint
 	case in != "":
 		if proj, err = ontology.LoadShardInput(in, idx, k); err != nil {
 			return err
@@ -276,6 +271,11 @@ func runShard(in, addr string, build, tiny bool, grace time.Duration, shards int
 		}
 	}
 	if srv == nil {
+		if proj == nil {
+			if proj, err = ontology.Project(union, idx, k); err != nil {
+				return err
+			}
+		}
 		srv = serve.NewShard(proj, opts)
 	}
 	log.Printf("serving shard %d/%d (%d home nodes, %s) on %s", idx, k, proj.HomeCount, proj.Snap, addr)

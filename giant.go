@@ -61,13 +61,6 @@ type Config struct {
 	// identical for every value — the workers' results are merged in a
 	// deterministic order before anything is committed.
 	Parallelism int
-	// Shards is how many ontology.HomeShard projections
-	// System.ShardedSnapshot / System.IngestSharded cut the ontology into
-	// for the sharded serving tier; <= 1 (the default) means one. The
-	// pipeline computes one world whatever the value: the built and the
-	// ingested ontology are byte-identical for every K — sharding changes
-	// the unit of publication, never results.
-	Shards int
 	// Update is the incremental-maintenance policy (per-type TTL decay and
 	// linking thresholds) applied by System.Ingest. Zero-valued threshold
 	// fields fall back to this config's batch thresholds.
@@ -95,7 +88,6 @@ func DefaultConfig() Config {
 		PatternMinFreq:   2,
 		PatternMinSearch: 2,
 		Seed:             42,
-		Shards:           1,
 		Update:           delta.DefaultPolicy(),
 	}
 }
@@ -123,11 +115,9 @@ type System struct {
 	CEClf    *linking.CEClassifier
 	Embedder *linking.EntityEmbedder
 
-	conceptContext map[string][]string       // concept phrase -> top titles
-	knownMined     map[string]bool           // phrases Mined holds a record for (see knownMinedLocked)
-	sharded        *ontology.ShardedSnapshot // cached sharded projection of Ontology
-	shardedFrom    *ontology.Ontology        // the Ontology value sharded was derived from
-	ingestMu       sync.Mutex                // serializes System.Ingest/IngestSharded
+	conceptContext map[string][]string // concept phrase -> top titles
+	knownMined     map[string]bool     // phrases Mined holds a record for (see knownMinedLocked)
+	ingestMu       sync.Mutex          // serializes System.Ingest/IngestShared
 
 	// Checkpoint baseline: corpus/click-stream high-water marks at the end
 	// of the deterministic seed build. Everything at or below them is
@@ -589,52 +579,6 @@ func (sys *System) entityCorrelatePairs() [][2]string {
 // writes never disturb its readers.
 func (sys *System) Snapshot() *ontology.Snapshot {
 	return sys.Ontology.Snapshot()
-}
-
-// ShardedSnapshot returns the ontology partitioned into Cfg.Shards
-// per-shard projections behind one routing index (see
-// ontology.ShardedSnapshot). The projection is cached and advanced
-// incrementally by IngestSharded, so repeated calls between ingests are
-// free; with Shards <= 1 it wraps the plain snapshot at zero cost.
-func (sys *System) ShardedSnapshot() (*ontology.ShardedSnapshot, error) {
-	sys.ingestMu.Lock()
-	defer sys.ingestMu.Unlock()
-	return sys.shardedLocked()
-}
-
-// shardedLocked resolves the cached sharded projection, rebuilding it when
-// absent, built for a different shard count, or derived from an Ontology
-// value that has since been swapped out (Ontology is an exported field —
-// giantctl update reassigns it to a loaded base before replaying deltas,
-// and a stale projection would silently diff against the wrong world).
-// Caller holds ingestMu.
-func (sys *System) shardedLocked() (*ontology.ShardedSnapshot, error) {
-	k := max(sys.Cfg.Shards, 1)
-	if sys.sharded != nil && sys.sharded.NumShards() == k && sys.shardedFrom == sys.Ontology {
-		return sys.sharded, nil
-	}
-	ss, err := ontology.ShardSnapshot(sys.Snapshot(), k)
-	if err != nil {
-		return nil, err
-	}
-	sys.sharded = ss
-	sys.shardedFrom = sys.Ontology
-	return ss, nil
-}
-
-// ShardProjection returns shard i's serving projection — the boot
-// artifact of a per-shard giantd process (see ontology.ShardProjection):
-// the shard's standalone snapshot plus its routing identity and the
-// local→union node-ID table. Requires Cfg.Shards to cover i.
-func (sys *System) ShardProjection(i int) (*ontology.ShardProjection, error) {
-	ss, err := sys.ShardedSnapshot()
-	if err != nil {
-		return nil, err
-	}
-	if i < 0 || i >= ss.NumShards() {
-		return nil, fmt.Errorf("giant: shard %d out of range for %d shards", i, ss.NumShards())
-	}
-	return ss.Projection(i), nil
 }
 
 // ConceptContext returns a copy of the concept phrase -> top clicked

@@ -4,9 +4,10 @@ package giant
 // update batches — sub-day click slices (mostly touch-only), batches that
 // bring new documents (new concepts with an existing suffix parent, new
 // events contained in / containing existing ones) and TTL retirements — is
-// fed through System.Ingest and System.IngestSharded, and in both modes the
-// sha256 of every returned generation and of the final snapshot's WriteJSON
-// must match the one pair of constants below. The constants were recorded
+// fed through System.Ingest and through System.IngestShared publishing
+// every batch's mined attentions to a fleet's outcome directory, and in
+// both modes the sha256 of every returned generation and of the final
+// snapshot's WriteJSON must match the one pair of constants below. The constants were recorded
 // from the commit BEFORE Ingest's cost was made to track the batch
 // (full-world copy per batch, full-inventory linking scans, allocating
 // R-GCN inference), so any change to the kernel that alters a single output
@@ -15,11 +16,13 @@ package giant
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"math/rand"
 	"testing"
 
 	"giant/internal/delta"
 	"giant/internal/ontology"
+	"giant/internal/wal"
 )
 
 const (
@@ -136,35 +139,31 @@ func TestGoldenIngestReplay(t *testing.T) {
 		t.Fatalf("replay has %d batches, want >= 40", len(batches))
 	}
 
-	for _, mode := range []struct {
-		name   string
-		shards int
-	}{
-		{"Ingest", 1},
-		{"IngestSharded", 2},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			c := cfg
-			c.Shards = mode.shards
-			sys, err := BuildUpToDay(c, goldenReplaySplitDay)
+	for _, shared := range []bool{false, true} {
+		name := "Ingest"
+		if shared {
+			name = "IngestShared"
+		}
+		t.Run(name, func(t *testing.T) {
+			sys, err := BuildUpToDay(cfg, goldenReplaySplitDay)
 			if err != nil {
 				t.Fatalf("BuildUpToDay: %v", err)
 			}
+			dir := t.TempDir()
 			chain := sha256.New()
 			var tally goldenTally
 			for i, b := range batches {
-				var snap *ontology.Snapshot
-				var d *delta.Delta
-				if mode.shards > 1 {
-					ss, dd, _, err := sys.IngestSharded(b, nil)
+				var share *wal.Outcome
+				if shared {
+					payload, err := json.Marshal(b)
 					if err != nil {
-						t.Fatalf("batch %d: %v", i, err)
+						t.Fatal(err)
 					}
-					snap, d = ss.Union(), dd
-				} else {
-					if snap, d, err = sys.Ingest(b); err != nil {
-						t.Fatalf("batch %d: %v", i, err)
-					}
+					share = &wal.Outcome{Dir: dir, Gen: uint64(i + 1), Payload: payload}
+				}
+				snap, d, err := sys.IngestShared(b, share)
+				if err != nil {
+					t.Fatalf("batch %d: %v", i, err)
 				}
 				if err := snap.WriteJSON(chain); err != nil {
 					t.Fatal(err)

@@ -37,45 +37,19 @@ import (
 // Ingest is safe for concurrent callers (they serialize) but must not
 // race with direct mutation of the System's fields.
 func (sys *System) Ingest(batch delta.Batch) (*ontology.Snapshot, *delta.Delta, error) {
-	sys.ingestMu.Lock()
-	defer sys.ingestMu.Unlock()
-	return sys.ingestLocked(sys.Snapshot(), batch, nil)
+	return sys.IngestShared(batch, nil)
 }
 
-// IngestSharded is Ingest for a sharded deployment (Cfg.Shards > 1): the
-// same batch goes through the same computation, and the one resulting
-// delta is then projected — delta.TouchedShards names the shards whose
-// ontology.HomeShard projection it can change, and only those are
-// re-derived. It returns the advanced sharded snapshot, the delta and the
-// touched-shard flags (the serving tier bumps only the touched shards'
-// generations). The union is byte-identical to what Ingest produces for the
-// same batch sequence, node IDs included.
-//
-// share, when not nil, is the batch's slot in the fleet's mined outcomes
-// beside the delta log: the batch's mined attentions come from the
-// replica that mined it first, or are mined here and published for the
-// others. Either way every output byte is what mining the batch here
-// would give.
-func (sys *System) IngestSharded(batch delta.Batch, share *wal.Outcome) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error) {
+// IngestShared is Ingest for a replica of a fleet: share, when not nil,
+// is the batch's slot in the fleet's mined outcomes beside the delta log,
+// so the batch's mined attentions come from the replica that mined it
+// first, or are mined here and published for the others. Either way every
+// output byte is what Ingest would give. A per-shard server derives its
+// shard from the returned union (see serve.Options.ShardIngest).
+func (sys *System) IngestShared(batch delta.Batch, share *wal.Outcome) (*ontology.Snapshot, *delta.Delta, error) {
 	sys.ingestMu.Lock()
 	defer sys.ingestMu.Unlock()
-
-	cur, err := sys.shardedLocked()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	union, d, err := sys.ingestLocked(cur.Union(), batch, share)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	touched := delta.TouchedShards(cur.Union(), d, cur.NumShards())
-	next, err := cur.Advance(union, touched)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	sys.sharded = next
-	sys.shardedFrom = sys.Ontology
-	return next, d, touched, nil
+	return sys.ingestLocked(batch, share)
 }
 
 // minedOutcome is the JSON body of a shared mined outcome: the mined
@@ -89,12 +63,12 @@ type minedOutcome struct {
 	Mined    []core.Mined `json:"mined"`
 }
 
-// ingestLocked is the one compute path of an update batch, shared by Ingest
-// and IngestSharded: extend the click graph, mine the affected seeds (or
-// take what another replica mined from them, see minedLocked), diff against
-// cur (the snapshot of the system's current ontology), apply, adopt. Caller
-// holds ingestMu.
-func (sys *System) ingestLocked(cur *ontology.Snapshot, batch delta.Batch, share *wal.Outcome) (*ontology.Snapshot, *delta.Delta, error) {
+// ingestLocked is the one compute path of an update batch: extend the
+// click graph, mine the affected seeds (or take what another replica mined
+// from them, see minedLocked), diff against the current snapshot, apply,
+// adopt. Caller holds ingestMu.
+func (sys *System) ingestLocked(batch delta.Batch, share *wal.Outcome) (*ontology.Snapshot, *delta.Delta, error) {
+	cur := sys.Snapshot()
 	seeds, day, err := sys.applyBatchLocked(batch)
 	if err != nil {
 		return nil, nil, err
@@ -106,10 +80,6 @@ func (sys *System) ingestLocked(cur *ontology.Snapshot, batch delta.Batch, share
 		return nil, nil, err
 	}
 	sys.adoptGenerationLocked(next, mined, d.Retire)
-	// The cached sharded projection (if any) no longer matches the union;
-	// IngestSharded installs the advanced one, otherwise the next
-	// ShardedSnapshot call re-derives it.
-	sys.sharded = nil
 	return next, d, nil
 }
 

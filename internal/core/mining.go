@@ -334,7 +334,7 @@ func (m *Miner) normalize(cands []cand) []Mined {
 	// Normalization: a single deterministic pass over the seed-ordered
 	// candidates. Observe feeds every context into the TF-IDF statistics
 	// (commutative) before any Add decides merges.
-	norm := phrase.NewNormalizer(m.Lex, m.MergeThreshold)
+	norm := phrase.NewNormalizer(m.MergeThreshold)
 	for i := range cands {
 		norm.Observe(cands[i].mined.Phrase, cands[i].ctx)
 	}

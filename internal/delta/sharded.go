@@ -2,11 +2,12 @@ package delta
 
 // Sharded publication of a delta. There is one computed world: Compute
 // diffs the mined batch against the union snapshot and Apply advances it. A
-// shard is an ontology.HomeShard projection of that union, so publishing to
-// a sharded deployment is Apply plus a projection step — TouchedShards
-// routes every (type, phrase) the delta references, and the neighbors of
-// its retirements, through the same hash the projections use, and
-// ShardedSnapshot.Advance re-derives only those projections.
+// shard is an ontology.HomeShard projection of that union (ontology.Project),
+// so publishing to a sharded deployment is Apply plus a projection step —
+// TouchedShards routes every (type, phrase) the delta references, and the
+// neighbors of its retirements, through the same hash the projections use.
+// A per-shard server re-derives its projection only when its shard is
+// touched, and otherwise rebases the one it serves onto the new union.
 
 import "giant/internal/ontology"
 
@@ -51,22 +52,4 @@ func TouchedShards(cur *ontology.Snapshot, d *Delta, k int) []bool {
 		})
 	}
 	return touched
-}
-
-// ApplySharded applies a delta to a sharded snapshot: the union advances
-// exactly as Apply would advance it, and only the touched shards'
-// projections are re-derived — untouched shards keep their current
-// projection (and, in the serving tier, their generation). It returns the
-// next sharded snapshot and the touched-shard flags.
-func ApplySharded(cur *ontology.ShardedSnapshot, d *Delta) (*ontology.ShardedSnapshot, []bool, error) {
-	touched := TouchedShards(cur.Union(), d, cur.NumShards())
-	nextUnion, err := Apply(cur.Union(), d)
-	if err != nil {
-		return nil, nil, err
-	}
-	next, err := cur.Advance(nextUnion, touched)
-	if err != nil {
-		return nil, nil, err
-	}
-	return next, touched, nil
 }

@@ -33,18 +33,16 @@ func IsStopWord(w string) bool { return defaultStopWords[w] }
 // registers its vocabulary here; Annotate falls back to rules for unknown
 // words.
 type Lexicon struct {
-	pos      map[string]POS
-	ner      map[string]NER
-	synonyms map[string]string // surface form -> canonical form
-	edits    int               // Register/RegisterSynonym calls so far
+	pos   map[string]POS
+	ner   map[string]NER
+	edits int // Register calls so far
 }
 
 // NewLexicon returns an empty lexicon.
 func NewLexicon() *Lexicon {
 	return &Lexicon{
-		pos:      make(map[string]POS),
-		ner:      make(map[string]NER),
-		synonyms: make(map[string]string),
+		pos: make(map[string]POS),
+		ner: make(map[string]NER),
 	}
 }
 
@@ -65,25 +63,10 @@ func (l *Lexicon) Register(surface string, pos POS, ner NER) {
 	}
 }
 
-// RegisterSynonym records that surface is an alias of canonical (both
-// lower-case). Phrase normalization consults this.
-func (l *Lexicon) RegisterSynonym(surface, canonical string) {
-	l.edits++
-	l.synonyms[strings.ToLower(surface)] = strings.ToLower(canonical)
-}
-
 // Edits counts the registrations made so far. Between two equal readings
 // the lexicon did not change, so Annotate is a pure function of its text in
 // that span — callers that cache annotation-derived results key them on this.
 func (l *Lexicon) Edits() int { return l.edits }
-
-// Canonical returns the canonical form of w, or w itself.
-func (l *Lexicon) Canonical(w string) string {
-	if c, ok := l.synonyms[w]; ok {
-		return c
-	}
-	return w
-}
 
 // POSOf returns the registered POS for w, falling back to heuristics:
 // digits are NUM, punctuation is PUNCT, words ending in common verb/adjective

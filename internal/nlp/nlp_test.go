@@ -118,17 +118,6 @@ func TestLexiconFallbacks(t *testing.T) {
 	}
 }
 
-func TestSynonyms(t *testing.T) {
-	lex := NewLexicon()
-	lex.RegisterSynonym("automobile", "car")
-	if got := lex.Canonical("automobile"); got != "car" {
-		t.Fatalf("Canonical = %q", got)
-	}
-	if got := lex.Canonical("plane"); got != "plane" {
-		t.Fatalf("Canonical passthrough = %q", got)
-	}
-}
-
 func TestStopWords(t *testing.T) {
 	for _, w := range []string{"the", "what", "best", "?"} {
 		if !IsStopWord(w) {

@@ -800,7 +800,7 @@ func DecodeSnapshotBinaryWithGen(data []byte) (*Snapshot, uint64, error) {
 // shardProjection finishes decoding a shard-kind container whose snapshot
 // decodeBinary returned: it attaches the union-ID table and the home-prefix
 // grams, re-validates the projection (validate) and re-indexes it as
-// ShardedSnapshot.Projection indexes a fresh one (index).
+// Project indexes a fresh one (index).
 func (bf *binFile) shardProjection(snap *Snapshot) (*ShardProjection, error) {
 	idsRaw, err := bf.section(secUnionIDs, 4*bf.hdr.Nodes)
 	if err != nil {
@@ -824,7 +824,7 @@ func (bf *binFile) shardProjection(snap *Snapshot) (*ShardProjection, error) {
 		// The persisted grams cover the home prefix only — the projection's
 		// routing surface, never the embedded snapshot's (which spans ghosts
 		// too and recomputes its own index on demand).
-		grams: g,
+		grams: &homeGrams{g: g},
 	}
 	if err := p.validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)

@@ -1,8 +1,8 @@
 package ontology
 
-// ShardedSnapshot partitions an immutable ontology snapshot into K
-// per-shard Snapshots — the unit of publication for the sharded serving
-// and ingest tiers.
+// A k-way partition cuts an immutable ontology snapshot into k per-shard
+// projections (Project). A per-shard server derives its one projection;
+// ShardedSnapshot holds all k for the whole-world sharded server.
 //
 // Every node has exactly one home shard, chosen by hashing its
 // (type, phrase) key (HomeShard), so routing a phrase to its shard needs
@@ -24,14 +24,13 @@ package ontology
 // node's home shard, ghost copies of it on other shards keep their old
 // attribute values (last-seen day, merged aliases) until those shards next
 // republish. Node existence and edge structure are always exact — the
-// touched-shard computation in delta.ApplySharded conservatively includes
+// touched-shard computation in delta.TouchedShards conservatively includes
 // every shard whose projection gains or loses nodes or edges.
 
 import (
 	"fmt"
 	"hash/fnv"
 	"strings"
-	"sync"
 )
 
 // HomeShard returns the home shard of a (type, phrase) node key under a
@@ -46,116 +45,94 @@ func HomeShard(t NodeType, phrase string, k int) int {
 	return int(h.Sum32() % uint32(k))
 }
 
-// shardGramsBox lazily holds one shard's home-prefix term-gram index. It is
-// a separate allocation so Advance can carry an untouched shard's built
-// index to the next generation alongside its projection (grams depend only
-// on the shard's own home-node contents, never on the union).
-type shardGramsBox struct {
-	once sync.Once
-	g    *TermGrams
-}
-
-// ShardedSnapshot composes K per-shard Snapshots with a phrase→shard
-// routing index and the union index they project from.
+// ShardedSnapshot composes K per-shard projections (see Project) with the
+// union index they project from.
 type ShardedSnapshot struct {
-	union     *Snapshot
-	k         int
-	shards    []*Snapshot
-	homeCount []int // per shard: nodes[0:homeCount] are home, the rest ghosts
-	grams     []*shardGramsBox
+	union *Snapshot
+	projs []*ShardProjection
 }
 
-// freshGramsBoxes allocates empty gram boxes for k shards.
-func freshGramsBoxes(k int) []*shardGramsBox {
-	out := make([]*shardGramsBox, k)
-	for i := range out {
-		out[i] = &shardGramsBox{}
-	}
-	return out
-}
-
-// ShardSnapshot partitions union into k per-shard projections. k <= 1
-// yields a single shard whose projection is the union itself (no ghosts,
-// no copies) — what serve.New runs on, at zero overhead.
+// ShardSnapshot partitions union into k per-shard projections, each
+// derived by Project. k <= 1 yields a single shard whose projection is the
+// union itself (no ghosts, no copies) — what serve.New runs on.
 func ShardSnapshot(union *Snapshot, k int) (*ShardedSnapshot, error) {
-	if k < 1 {
-		k = 1
-	}
-	ss := &ShardedSnapshot{union: union, k: k, shards: make([]*Snapshot, k), homeCount: make([]int, k), grams: freshGramsBoxes(k)}
-	if k == 1 {
-		ss.shards[0] = union
-		ss.homeCount[0] = union.Len()
-		return ss, nil
-	}
-	homes := unionHomes(union, k)
-	for s := 0; s < k; s++ {
-		snap, home, err := projectShard(union, homes, s)
+	ss := &ShardedSnapshot{union: union, projs: make([]*ShardProjection, max(k, 1))}
+	for s := range ss.projs {
+		p, err := Project(union, s, len(ss.projs))
 		if err != nil {
 			return nil, err
 		}
-		ss.shards[s] = snap
-		ss.homeCount[s] = home
+		ss.projs[s] = p
 	}
 	return ss, nil
 }
 
 // ShardChanged is the one rule for whether an applied delta changed shard
-// s of k: every shard when the touch flags are nil, the one shard at k ==
-// 1 (its projection is the union itself), and otherwise exactly the shards
-// flagged touched. Advance re-derives the projections it names, and a
-// replica moves a shard's generation exactly when it holds. touched is nil
-// or has one flag per shard.
+// s of k: the one shard at k == 1 (its projection is the union itself),
+// and otherwise exactly the shards flagged touched (one flag per shard,
+// see delta.TouchedShards). A replica re-derives its projection and moves
+// its generation exactly when it holds.
 func ShardChanged(touched []bool, k, s int) bool {
-	return touched == nil || k == 1 || touched[s]
+	return k == 1 || touched[s]
 }
 
-// Advance re-partitions onto nextUnion, rebuilding only the shards
-// ShardChanged names and carrying the previous projections for the rest —
-// the per-shard publication path: an ingest delta that touched two shards
-// re-indexes two projections, not K.
-func (ss *ShardedSnapshot) Advance(nextUnion *Snapshot, touched []bool) (*ShardedSnapshot, error) {
-	if touched == nil || ss.k == 1 {
-		return ShardSnapshot(nextUnion, ss.k) // every shard changed
+// Project derives shard i of a k-way partition of union: its home nodes
+// in union ID order, then the ghost endpoints of cross-shard edges in
+// union ID order, then every edge incident to a home node, remapped to
+// local IDs, with the local→union ID table resolved through the union
+// phrase index. At k == 1 the projection's snapshot is the union itself.
+// It is the one partition function: ShardSnapshot, LoadShardInput's
+// derive path and a per-shard server's apply all call it.
+func Project(union *Snapshot, i, k int) (*ShardProjection, error) {
+	if k < 1 || i < 0 || i >= k {
+		return nil, fmt.Errorf("ontology: shard index %d out of range for %d shards", i, k)
 	}
-	if len(touched) != ss.k {
-		return nil, fmt.Errorf("ontology: Advance got %d touch flags for %d shards", len(touched), ss.k)
-	}
-	next := &ShardedSnapshot{union: nextUnion, k: ss.k, shards: make([]*Snapshot, ss.k), homeCount: make([]int, ss.k), grams: freshGramsBoxes(ss.k)}
-	var homes []int
-	for s := 0; s < ss.k; s++ {
-		if !ShardChanged(touched, ss.k, s) {
-			next.shards[s] = ss.shards[s]
-			next.homeCount[s] = ss.homeCount[s]
-			next.grams[s] = ss.grams[s]
-			continue
-		}
-		if homes == nil {
-			homes = unionHomes(nextUnion, ss.k)
-		}
-		snap, home, err := projectShard(nextUnion, homes, s)
-		if err != nil {
+	snap, home := union, union.Len()
+	if k > 1 {
+		var err error
+		if snap, home, err = projectShard(union, i, k); err != nil {
 			return nil, err
 		}
-		next.shards[s] = snap
-		next.homeCount[s] = home
 	}
-	return next, nil
+	p := &ShardProjection{Snap: snap, Shard: i, NumShards: k, HomeCount: home, grams: &homeGrams{}}
+	p.resolve(union)
+	return p, nil
 }
 
-// unionHomes computes the home shard of every union node.
-func unionHomes(union *Snapshot, k int) []int {
-	homes := make([]int, union.Len())
+// Rebase returns p over a later union that did not change p's shard (see
+// ShardChanged): the same snapshot, home prefix and term-gram index, with
+// only the union IDs re-resolved, since retiring a node elsewhere
+// renumbers the union. The snapshot's lazily built indexes (token
+// postings, term grams) therefore carry over.
+func (p *ShardProjection) Rebase(union *Snapshot) *ShardProjection {
+	q := &ShardProjection{Snap: p.Snap, Shard: p.Shard, NumShards: p.NumShards, HomeCount: p.HomeCount, grams: p.grams}
+	q.resolve(union)
+	return q
+}
+
+// resolve sets the local→union ID table through union's phrase index
+// (exactly the remap scatter-gather Search performs), so a per-shard
+// server renders the node IDs the composed view renders.
+func (p *ShardProjection) resolve(union *Snapshot) {
+	p.UnionIDs = make([]NodeID, len(p.Snap.nodes))
+	for j := range p.Snap.nodes {
+		n := &p.Snap.nodes[j]
+		p.UnionIDs[j] = -1
+		if uid, ok := union.Lookup(n.Type, n.Phrase); ok {
+			p.UnionIDs[j] = uid
+		}
+	}
+	p.index()
+}
+
+// projectShard builds shard s's snapshot of a k-way partition and returns
+// it with its home-node count.
+func projectShard(union *Snapshot, s, k int) (*Snapshot, int, error) {
+	mine := make([]bool, union.Len())
 	for i := range union.nodes {
 		n := &union.nodes[i]
-		homes[n.ID] = HomeShard(n.Type, n.Phrase, k)
+		mine[n.ID] = HomeShard(n.Type, n.Phrase, k) == s
 	}
-	return homes
-}
-
-// projectShard builds shard s's projection: home nodes in union ID order,
-// then ghost endpoints of cross-shard edges in union ID order, then every
-// edge incident to a home node, remapped to local IDs.
-func projectShard(union *Snapshot, homes []int, s int) (*Snapshot, int, error) {
 	local := make([]NodeID, union.Len())
 	for i := range local {
 		local[i] = -1
@@ -170,8 +147,8 @@ func projectShard(union *Snapshot, homes []int, s int) (*Snapshot, int, error) {
 		local[id] = n.ID
 		nodes = append(nodes, n)
 	}
-	for id := range homes {
-		if homes[id] == s {
+	for id := range mine {
+		if mine[id] {
 			adopt(NodeID(id))
 		}
 	}
@@ -181,10 +158,10 @@ func projectShard(union *Snapshot, homes []int, s int) (*Snapshot, int, error) {
 	ghost := make([]bool, union.Len())
 	for i := range union.edges {
 		e := &union.edges[i]
-		if homes[e.Src] == s && homes[e.Dst] != s {
+		if mine[e.Src] && !mine[e.Dst] {
 			ghost[e.Dst] = true
 		}
-		if homes[e.Dst] == s && homes[e.Src] != s {
+		if mine[e.Dst] && !mine[e.Src] {
 			ghost[e.Src] = true
 		}
 	}
@@ -196,7 +173,7 @@ func projectShard(union *Snapshot, homes []int, s int) (*Snapshot, int, error) {
 	var edges []Edge
 	for i := range union.edges {
 		e := union.edges[i]
-		if homes[e.Src] != s && homes[e.Dst] != s {
+		if !mine[e.Src] && !mine[e.Dst] {
 			continue
 		}
 		e.Src, e.Dst = local[e.Src], local[e.Dst]
@@ -210,47 +187,36 @@ func projectShard(union *Snapshot, homes []int, s int) (*Snapshot, int, error) {
 }
 
 // NumShards returns K.
-func (ss *ShardedSnapshot) NumShards() int { return ss.k }
+func (ss *ShardedSnapshot) NumShards() int { return len(ss.projs) }
 
 // Union returns the authoritative composed snapshot the projections were
 // derived from.
 func (ss *ShardedSnapshot) Union() *Snapshot { return ss.union }
 
-// Shard returns shard i's projection.
-func (ss *ShardedSnapshot) Shard(i int) *Snapshot { return ss.shards[i] }
+// Shard returns shard i's projected snapshot.
+func (ss *ShardedSnapshot) Shard(i int) *Snapshot { return ss.projs[i].Snap }
 
 // HomeCount returns the number of home (non-ghost) nodes in shard i's
 // projection.
-func (ss *ShardedSnapshot) HomeCount(i int) int { return ss.homeCount[i] }
+func (ss *ShardedSnapshot) HomeCount(i int) int { return ss.projs[i].HomeCount }
 
 // HomeNodes returns a copy of shard i's home nodes (ghosts excluded).
 func (ss *ShardedSnapshot) HomeNodes(i int) []Node {
-	out := make([]Node, ss.homeCount[i])
-	copy(out, ss.shards[i].nodes[:ss.homeCount[i]])
-	return out
+	p := ss.projs[i]
+	return append([]Node(nil), p.Snap.nodes[:p.HomeCount]...)
 }
 
-// ShardTermGrams returns shard i's home-prefix term-gram index, building
-// it on first use (safe under concurrent readers). Advance carries the
-// built index of an untouched shard to the next generation.
-func (ss *ShardedSnapshot) ShardTermGrams(i int) *TermGrams {
-	b := ss.grams[i]
-	b.once.Do(func() {
-		if b.g == nil {
-			b.g = BuildTermGrams(ss.shards[i].nodes[:ss.homeCount[i]])
-		}
-	})
-	return b.g
-}
+// Projection returns shard i's projection, the one Project derives.
+func (ss *ShardedSnapshot) Projection(i int) *ShardProjection { return ss.projs[i] }
 
 // CandidateShards routes an already-lowercased needle through the per-shard
 // term-gram indexes: the returned shards (ascending) are the only ones
 // whose home nodes could contain the needle. Exact in the negative — a
 // shard not listed contributes nothing to the full scatter.
 func (ss *ShardedSnapshot) CandidateShards(needle string) []int {
-	out := make([]int, 0, ss.k)
-	for s := 0; s < ss.k; s++ {
-		if ss.ShardTermGrams(s).MayContain(needle) {
+	out := make([]int, 0, len(ss.projs))
+	for s, p := range ss.projs {
+		if p.TermGrams().MayContain(needle) {
 			out = append(out, s)
 		}
 	}
@@ -276,19 +242,19 @@ func (ss *ShardedSnapshot) CandidateShards(needle string) []int {
 // pruning is a superset filter, and the k-way merge visits matches in
 // exactly ascending union ID.
 func (ss *ShardedSnapshot) Search(needle string, limit int) []Node {
-	if ss.k == 1 || limit <= 0 {
+	if len(ss.projs) == 1 || limit <= 0 {
 		return ss.union.Search(needle, limit)
 	}
 	needle = strings.ToLower(needle)
 	if needle == "" {
 		return nil
 	}
-	cursors := make([]*searchCursor, 0, ss.k)
-	for s := 0; s < ss.k; s++ {
-		if !ss.ShardTermGrams(s).MayContain(needle) {
+	cursors := make([]*searchCursor, 0, len(ss.projs))
+	for _, p := range ss.projs {
+		if !p.TermGrams().MayContain(needle) {
 			continue
 		}
-		c := &searchCursor{nodes: ss.shards[s].nodes[:ss.homeCount[s]], union: ss.union}
+		c := &searchCursor{p: p}
 		if c.advance(needle) {
 			cursors = append(cursors, c)
 		}
@@ -311,57 +277,25 @@ func (ss *ShardedSnapshot) Search(needle string, limit int) []Node {
 }
 
 // searchCursor walks one shard's home-node prefix to successive matches,
-// resolving each match's union ID (home copies keep the union's phrase
-// keys, so the union index is the authoritative renderer — exactly the
-// remap the eager scatter-gather performed per hit).
+// with each match's union ID from the projection's ID table.
 type searchCursor struct {
-	nodes   []Node
-	union   *Snapshot
+	p       *ShardProjection
 	pos     int
 	unionID NodeID
 }
 
 // advance scans forward to the next home match, returning false when the
-// prefix is exhausted. A home node missing from the union index (which a
-// well-formed partition never produces) is skipped, matching the eager
-// merge's behaviour.
+// prefix is exhausted. A home node the union does not resolve (which a
+// well-formed partition never produces) is skipped.
 func (c *searchCursor) advance(needle string) bool {
-	for ; c.pos < len(c.nodes); c.pos++ {
-		n := &c.nodes[c.pos]
-		if !nodeMatches(n, needle) {
-			continue
-		}
-		if id, ok := c.union.Lookup(n.Type, n.Phrase); ok {
-			c.unionID = id
+	for ; c.pos < c.p.HomeCount; c.pos++ {
+		if uid := c.p.UnionIDs[c.pos]; uid >= 0 && nodeMatches(&c.p.Snap.nodes[c.pos], needle) {
+			c.unionID = uid
 			c.pos++
 			return true
 		}
 	}
 	return false
-}
-
-// Projection packages shard i's snapshot as a self-describing
-// ShardProjection — the boot artifact for a per-shard serving process.
-// The local→union ID table is derived through the union phrase index
-// (exactly the remap scatter-gather Search performs), so a per-shard
-// server renders the same node IDs the composed view renders.
-func (ss *ShardedSnapshot) Projection(i int) *ShardProjection {
-	snap := ss.shards[i]
-	ids := make([]NodeID, len(snap.nodes))
-	for j := range snap.nodes {
-		n := &snap.nodes[j]
-		if uid, ok := ss.union.Lookup(n.Type, n.Phrase); ok {
-			ids[j] = uid
-		} else {
-			ids[j] = -1
-		}
-	}
-	p := &ShardProjection{
-		Snap: snap, Shard: i, NumShards: ss.k,
-		HomeCount: ss.homeCount[i], UnionIDs: ids,
-	}
-	p.index()
-	return p
 }
 
 // searchNodes is the shared substring scan: up to limit nodes whose phrase

@@ -118,41 +118,6 @@ func TestShardedSearchMatchesUnion(t *testing.T) {
 	}
 }
 
-func TestAdvanceReusesUntouched(t *testing.T) {
-	union := buildSample(t)
-	ss, err := ShardSnapshot(union, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same union, nothing touched: all projections reused.
-	next, err := ss.Advance(union, []bool{false, false, false, false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < 4; s++ {
-		if next.Shard(s) != ss.Shard(s) {
-			t.Fatalf("untouched shard %d rebuilt", s)
-		}
-	}
-	// One touched shard rebuilds, others are reused.
-	next, err = ss.Advance(union, []bool{false, true, false, false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < 4; s++ {
-		reused := next.Shard(s) == ss.Shard(s)
-		if s == 1 && reused {
-			t.Fatal("touched shard 1 not rebuilt")
-		}
-		if s != 1 && !reused {
-			t.Fatalf("untouched shard %d rebuilt", s)
-		}
-	}
-	if _, err := ss.Advance(union, []bool{true}); err == nil {
-		t.Fatal("mismatched touched length must error")
-	}
-}
-
 func TestShardStatsCountsHomeNodesOnly(t *testing.T) {
 	union := buildSample(t)
 	ss, err := ShardSnapshot(union, 4)

@@ -10,8 +10,7 @@ package ontology
 // the union. A per-shard process can also derive its projection at boot
 // from a GIANTBIN snapshot file (LoadShardInput again).
 //
-// Layout invariants (established by ShardedSnapshot.Projection and
-// re-validated on load):
+// Layout invariants (established by Project and re-validated on load):
 //
 //   - Snap.nodes[:HomeCount] are the shard's home nodes in union ID order;
 //     the rest are ghost copies of remote endpoints.
@@ -29,8 +28,8 @@ import (
 )
 
 // ShardProjection bundles one shard's snapshot with its routing identity.
-// Fields are read-only after construction; use ShardedSnapshot.Projection
-// or LoadShardInput to build one with its indexes populated.
+// Fields are read-only after construction; use Project, Rebase or
+// LoadShardInput to build one with its indexes populated.
 type ShardProjection struct {
 	Snap      *Snapshot
 	Shard     int
@@ -47,9 +46,15 @@ type ShardProjection struct {
 	// grams is the lazily built term-gram index over the home-node prefix —
 	// the shard's term-routing surface (TermStats). The binary decode path
 	// may pre-populate it from the persisted section; a derived projection
-	// computes it, deterministically yielding identical bytes.
-	gramsOnce sync.Once
-	grams     *TermGrams
+	// computes it, deterministically yielding identical bytes. Rebase
+	// shares it, since it depends only on the home nodes.
+	grams *homeGrams
+}
+
+// homeGrams holds a projection's home-prefix term-gram index, built once.
+type homeGrams struct {
+	once sync.Once
+	g    *TermGrams
 }
 
 // index builds the reverse union→local table; called once at construction.
@@ -125,12 +130,13 @@ func (p *ShardProjection) SearchHome(needle string, limit int) []Node {
 // excluded: they are scanned — and therefore routed — by their own home
 // shard.
 func (p *ShardProjection) TermGrams() *TermGrams {
-	p.gramsOnce.Do(func() {
-		if p.grams == nil {
-			p.grams = BuildTermGrams(p.Snap.nodes[:p.HomeCount])
+	b := p.grams
+	b.once.Do(func() {
+		if b.g == nil {
+			b.g = BuildTermGrams(p.Snap.nodes[:p.HomeCount])
 		}
 	})
-	return p.grams
+	return b.g
 }
 
 // TermStats packages the shard's term-routing surface for /v1/stats: a
@@ -171,8 +177,8 @@ func (p *ShardProjection) OwnedEdgeCount() int {
 // LoadShardInput resolves the -in artifact of a per-shard server. It reads
 // the GIANTBIN file once and branches on its header kind: a shard
 // projection file boots directly (its identity must match
-// shard/numShards), while a snapshot file is partitioned on the fly and
-// shard i's projection derived — handy when only the union artifact is
+// shard/numShards), while from a snapshot file only shard i's projection
+// is derived (Project) — handy when only the union artifact is
 // distributed. A file that fails to decode is an error whatever its kind,
 // so a corrupt shard file is never reinterpreted as a union. JSON is
 // refused with ErrBadMagic naming giantctl convert.
@@ -198,9 +204,5 @@ func LoadShardInput(path string, shard, numShards int) (*ShardProjection, error)
 		}
 		return p, nil
 	}
-	ss, err := ShardSnapshot(snap, numShards)
-	if err != nil {
-		return nil, err
-	}
-	return ss.Projection(shard), nil
+	return Project(snap, shard, numShards)
 }

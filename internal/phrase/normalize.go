@@ -109,12 +109,12 @@ func (a Sorted) Cosine(b Sorted) float64 {
 
 // Normalizer merges highly similar phrases into a single canonical node
 // (§3.1 "Attention Phrase Normalization"): two phrases merge when (i) their
-// non-stop words are the same or synonyms and (ii) the TF-IDF similarity of
-// their context-enriched representations (phrase + top clicked titles)
-// exceeds Threshold.
+// non-stop words are the same (the paper also merges synonyms; there is no
+// synonym table here) and (ii) the TF-IDF similarity of their
+// context-enriched representations (phrase + top clicked titles) exceeds
+// Threshold.
 type Normalizer struct {
 	Threshold float64
-	Lex       *nlp.Lexicon
 	tfidf     *TFIDF
 
 	canon []normEntry
@@ -126,9 +126,9 @@ type normEntry struct {
 	ctx    map[string]float64
 }
 
-// NewNormalizer builds a normalizer; lex may be nil (no synonym folding).
-func NewNormalizer(lex *nlp.Lexicon, threshold float64) *Normalizer {
-	return &Normalizer{Threshold: threshold, Lex: lex, tfidf: NewTFIDF(), byKey: map[string]int{}}
+// NewNormalizer builds a normalizer.
+func NewNormalizer(threshold float64) *Normalizer {
+	return &Normalizer{Threshold: threshold, tfidf: NewTFIDF(), byKey: map[string]int{}}
 }
 
 // contextTokens builds the context-enriched representation: the phrase's own
@@ -141,17 +141,13 @@ func contextTokens(phrase string, topTitles []string) []string {
 	return toks
 }
 
-// key canonicalizes non-stop tokens (synonym-folded, sorted).
+// key canonicalizes non-stop tokens (sorted).
 func (n *Normalizer) key(phrase string) string {
 	var toks []string
 	for _, t := range nlp.Tokenize(phrase) {
-		if nlp.IsStopWord(t) {
-			continue
+		if !nlp.IsStopWord(t) {
+			toks = append(toks, t)
 		}
-		if n.Lex != nil {
-			t = n.Lex.Canonical(t)
-		}
-		toks = append(toks, t)
 	}
 	sort.Strings(toks)
 	return strings.Join(toks, " ")

@@ -27,7 +27,7 @@ func TestTFIDFVectorAndCosine(t *testing.T) {
 }
 
 func TestNormalizerMergesSimilar(t *testing.T) {
-	n := NewNormalizer(nil, 0.2)
+	n := NewNormalizer(0.2)
 	ctx1 := []string{"top economy cars of the year", "economy cars review"}
 	ctx2 := []string{"economy cars review", "best economy cars list"}
 	n.Observe("economy cars", ctx1)
@@ -46,27 +46,13 @@ func TestNormalizerMergesSimilar(t *testing.T) {
 }
 
 func TestNormalizerKeepsDistinct(t *testing.T) {
-	n := NewNormalizer(nil, 0.2)
+	n := NewNormalizer(0.2)
 	n.Observe("economy cars", []string{"cheap to run vehicles"})
 	n.Observe("luxury cars", []string{"premium vehicles"})
 	n.Add("economy cars", []string{"cheap to run vehicles"})
 	c, merged := n.Add("luxury cars", []string{"premium vehicles"})
 	if merged || c != "luxury cars" {
 		t.Fatal("distinct phrases must not merge")
-	}
-}
-
-func TestNormalizerSynonyms(t *testing.T) {
-	lex := nlp.NewLexicon()
-	lex.RegisterSynonym("automobile", "car")
-	n := NewNormalizer(lex, 0.1)
-	ctx := []string{"shared context shared context"}
-	n.Observe("fast car", ctx)
-	n.Observe("fast automobile", ctx)
-	n.Add("fast car", ctx)
-	_, merged := n.Add("fast automobile", ctx)
-	if !merged {
-		t.Fatal("synonym-folded phrases should merge")
 	}
 }
 

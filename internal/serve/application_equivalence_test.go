@@ -33,7 +33,6 @@ import (
 
 	"giant/internal/delta"
 	"giant/internal/ontology"
-	"giant/internal/wal"
 )
 
 // randomAppCorpus builds a seed-pinned ontology with the full application
@@ -362,33 +361,13 @@ func TestApplicationEquivalenceIngestReplay(t *testing.T) {
 				t.Fatal(err)
 			}
 			// In-process sharded reference with its own apply lineage.
-			inLineage := ss
-			ref := newRefWorld(t, ss, func(b delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error) {
-				d := appReplayDelta(b.Day)
-				next, touched, err := delta.ApplySharded(inLineage, d)
-				if err == nil {
-					inLineage = next
-				}
-				return next, d, touched, err
-			}, Options{CacheSize: 64})
+			ref := newRefWorld(t, ss, scripted(base, byDay(appReplayDelta)), Options{CacheSize: 64})
 			// Router fleet: each backend applies the same script to its own
 			// lineage, exactly as giantd -shard -wal replays the fleet log.
 			urls := make([]string, k)
 			walDir := t.TempDir()
 			for i := 0; i < k; i++ {
-				lineage := ss
-				shard := i
-				back := NewShard(ss.Projection(i), Options{
-					ShardIngest: func(b delta.Batch, _ wal.Record) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
-						d := appReplayDelta(b.Day)
-						next, touched, err := delta.ApplySharded(lineage, d)
-						if err != nil {
-							return nil, nil, nil, err
-						}
-						lineage = next
-						return next.Projection(shard), d, touched, nil
-					},
-				})
+				back := NewShard(ss.Projection(i), Options{ShardIngest: scripted(base, byDay(appReplayDelta))})
 				followLog(t, walDir, back)
 				backTS := httptest.NewServer(back.Handler())
 				t.Cleanup(backTS.Close)

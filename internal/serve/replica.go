@@ -422,7 +422,8 @@ func (f *Follower) publishCheckpoint(ck *wal.Checkpoint) error {
 // HydrateShard walks the fleet's checkpoint recovery ladder — primary
 // artifact, then the rotated previous one — and boots a server for shard
 // from the newest one that fully validates: checkpoint CRCs and shard
-// count, GIANTBIN decode with the covered log position stamped, and the
+// count, GIANTBIN decode with the covered log position stamped, the
+// shard's projection of the checkpoint's union (ontology.Project) and the
 // host's CheckpointRestore must all succeed, otherwise the ladder falls
 // through. The server serves at the artifact's generation for shard (the
 // log position that last changed it), whichever replica published it. It
@@ -459,10 +460,13 @@ func HydrateShard(walDir string, shard, shards int, opts Options, logf func(form
 			}
 			continue
 		}
-		proj, err := opts.CheckpointRestore(snap, ck.State)
+		proj, err := ontology.Project(snap, shard, shards)
+		if err == nil {
+			err = opts.CheckpointRestore(snap, ck.State)
+		}
 		if err != nil {
 			if logf != nil {
-				logf("wal: checkpoint %s state restore failed: %v", p, err)
+				logf("wal: checkpoint %s restore failed: %v", p, err)
 			}
 			continue
 		}

@@ -29,6 +29,9 @@ package serve
 //     through a rejected batch and a hydrating restart.
 //   - TestHydrateShardBounds: an out-of-range shard is an error, not a
 //     panic on the checkpoint's vector.
+//   - TestWALWaitDeadline: an apply wait that outlives its deadline
+//     reports applied=false, and the router answers the unconfirmed
+//     ingest 502 shard_unavailable.
 //   - TestCheckpointRefusesDivergedGenerations: a follower whose own
 //     vector entry disagrees with its server publishes nothing.
 //   - TestIngestAppendFailure: a failed log append answers 503 with an
@@ -85,90 +88,81 @@ func detDelta(b delta.Batch) (*delta.Delta, error) {
 	}}, nil
 }
 
-// detShardHost is a per-shard backend's deterministic mining stand-in:
-// its own sharded-snapshot lineage from the shared base, advanced only by
-// detDelta — plus the checkpoint half of the host contract: save pairs
-// the union snapshot with a small self-describing state blob, restore
-// re-derives the lineage (and this shard's projection) from them, exactly
-// the shape cmd/giantd wires System.CheckpointState/RestoreCheckpoint
-// into.
-type detShardHost struct {
-	shard, k int
-	cur      *ontology.ShardedSnapshot
+// shardIngestFunc is the type of Options.ShardIngest.
+type shardIngestFunc = func(delta.Batch, wal.Record) (*ontology.Snapshot, *ontology.Snapshot, *delta.Delta, error)
+
+// lineage is a test host's union: each applied delta advances it.
+type lineage struct{ cur *ontology.Snapshot }
+
+// apply advances the lineage by d, or passes err through, and returns
+// what Options.ShardIngest returns.
+func (l *lineage) apply(d *delta.Delta, err error) (*ontology.Snapshot, *ontology.Snapshot, *delta.Delta, error) {
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	prev := l.cur
+	next, err := delta.Apply(prev, d)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	l.cur = next
+	return prev, next, d, nil
 }
+
+// scripted is a test backend's host: its own lineage from base, advanced
+// by the script's delta for each batch.
+func scripted(base *ontology.Snapshot, script func(delta.Batch) (*delta.Delta, error)) shardIngestFunc {
+	l := &lineage{cur: base}
+	return func(b delta.Batch, _ wal.Record) (*ontology.Snapshot, *ontology.Snapshot, *delta.Delta, error) {
+		return l.apply(script(b))
+	}
+}
+
+// byDay adapts a per-day delta script to scripted.
+func byDay(script func(day int) *delta.Delta) func(delta.Batch) (*delta.Delta, error) {
+	return func(b delta.Batch) (*delta.Delta, error) { return script(b.Day), nil }
+}
+
+// detShardHost is a per-shard backend's deterministic mining stand-in:
+// its own lineage from the shared base, advanced only by detDelta — plus
+// the checkpoint half of the host contract: save pairs the union snapshot
+// with a small self-describing state blob, and restore checks the pair
+// and adopts the union, exactly the shape cmd/giantd wires
+// System.CheckpointState/RestoreCheckpoint into.
+type detShardHost struct{ lineage }
 
 // ingest applies one batch to the host lineage. gate, when non-nil, is
 // received from before each apply — the catch-up and backpressure tests
 // use it to hold a replica mid-tail.
-func (h *detShardHost) ingest(gate chan struct{}) func(delta.Batch, wal.Record) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
-	return func(b delta.Batch, _ wal.Record) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
+func (h *detShardHost) ingest(gate chan struct{}) shardIngestFunc {
+	return func(b delta.Batch, _ wal.Record) (*ontology.Snapshot, *ontology.Snapshot, *delta.Delta, error) {
 		if gate != nil {
 			<-gate
 		}
-		d, err := detDelta(b)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		next, touched, err := delta.ApplySharded(h.cur, d)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		h.cur = next
-		return next.Projection(h.shard), d, touched, nil
+		return h.apply(detDelta(b))
 	}
 }
 
 // save is the host's CheckpointSave: the union snapshot plus a blob that
 // records enough to cross-check the pairing at restore time.
 func (h *detShardHost) save() (*ontology.Snapshot, []byte, error) {
-	u := h.cur.Union()
-	blob, err := json.Marshal(map[string]int{"nodes": u.NodeCount(), "edges": u.EdgeCount()})
-	return u, blob, err
+	blob, err := json.Marshal(map[string]int{"nodes": h.cur.NodeCount(), "edges": h.cur.EdgeCount()})
+	return h.cur, blob, err
 }
 
 // restore is the host's CheckpointRestore: validate the blob against the
-// snapshot, re-derive the sharded lineage from the union, and hand back
-// this shard's projection.
-func (h *detShardHost) restore(snap *ontology.Snapshot, state []byte) (*ontology.ShardProjection, error) {
+// snapshot and adopt the union as the lineage's head.
+func (h *detShardHost) restore(snap *ontology.Snapshot, state []byte) error {
 	var st struct{ Nodes, Edges int }
 	if err := json.Unmarshal(state, &st); err != nil {
-		return nil, err
+		return err
 	}
 	if st.Nodes != snap.NodeCount() || st.Edges != snap.EdgeCount() {
-		return nil, fmt.Errorf("state blob records %d nodes/%d edges, snapshot has %d/%d",
+		return fmt.Errorf("state blob records %d nodes/%d edges, snapshot has %d/%d",
 			st.Nodes, st.Edges, snap.NodeCount(), snap.EdgeCount())
 	}
-	ss, err := ontology.ShardSnapshot(snap, h.k)
-	if err != nil {
-		return nil, err
-	}
-	h.cur = ss
-	return ss.Projection(h.shard), nil
-}
-
-// detShardIngester is the bare-ingester shorthand for tests that do not
-// exercise checkpointing.
-func detShardIngester(shard int, base *ontology.ShardedSnapshot, gate chan struct{}) func(delta.Batch, wal.Record) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
-	h := &detShardHost{shard: shard, k: base.NumShards(), cur: base}
-	return h.ingest(gate)
-}
-
-// detShardedIngester is the whole-world twin of detShardIngester, the
-// ingester a refWorld drives.
-func detShardedIngester(base *ontology.ShardedSnapshot) func(delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error) {
-	cur := base
-	return func(b delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error) {
-		d, err := detDelta(b)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		next, touched, err := delta.ApplySharded(cur, d)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		cur = next
-		return next, d, touched, nil
-	}
+	h.cur = snap
+	return nil
 }
 
 // refWorld is the in-process reference the fleet tests compare with. A
@@ -181,14 +175,14 @@ func detShardedIngester(base *ontology.ShardedSnapshot) func(delta.Batch) (*onto
 type refWorld struct {
 	*httptest.Server
 	t      *testing.T
-	ingest func(delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error)
+	ingest shardIngestFunc
 	opts   Options
 	srv    atomic.Pointer[Server]
 	pos    uint64   // log position of the last step
 	gens   []uint64 // gens[i]: the last step that changed shard i
 }
 
-func newRefWorld(t *testing.T, base *ontology.ShardedSnapshot, ingest func(delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error), opts Options) *refWorld {
+func newRefWorld(t *testing.T, base *ontology.ShardedSnapshot, ingest shardIngestFunc, opts Options) *refWorld {
 	t.Helper()
 	r := &refWorld{t: t, ingest: ingest, opts: opts, gens: make([]uint64, base.NumShards())}
 	r.srv.Store(NewSharded(base, opts))
@@ -213,21 +207,26 @@ func (r *refWorld) step(body string) map[string]any {
 	if err := json.Unmarshal([]byte(body), &b); err != nil {
 		r.t.Fatalf("reference batch %s: %v", body, err)
 	}
-	next, _, touched, err := r.ingest(b)
+	prev, next, d, err := r.ingest(b, wal.Record{})
 	if err != nil {
 		r.t.Fatalf("reference ingest %s: %v", body, err)
 	}
+	touched := delta.TouchedShards(prev, d, len(r.gens))
 	r.pos++
 	ts := []int{}
 	for i := range r.gens {
-		if i < len(touched) && touched[i] {
+		if touched[i] {
 			ts = append(ts, i)
 		}
-		if touched == nil || len(r.gens) == 1 || (i < len(touched) && touched[i]) {
+		if len(r.gens) == 1 || touched[i] {
 			r.gens[i] = r.pos
 		}
 	}
-	r.srv.Store(NewSharded(next, r.opts))
+	ss, err := ontology.ShardSnapshot(next, len(r.gens))
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	r.srv.Store(NewSharded(ss, r.opts))
 	raw, err := json.Marshal(map[string]any{"touched_shards": ts, "shard_generations": r.gens})
 	if err != nil {
 		r.t.Fatal(err)
@@ -293,7 +292,7 @@ func (p *replicaProc) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // booted from.
 func (p *replicaProc) boot(t *testing.T, base *ontology.ShardedSnapshot, gate chan struct{}) {
 	t.Helper()
-	host := &detShardHost{shard: p.shard, k: base.NumShards(), cur: base}
+	host := &detShardHost{lineage{cur: base.Union()}}
 	opts := Options{ShardIngest: host.ingest(gate)}
 	var srv *Server
 	var start wal.CheckpointMeta
@@ -301,7 +300,7 @@ func (p *replicaProc) boot(t *testing.T, base *ontology.ShardedSnapshot, gate ch
 		opts.CheckpointSave = host.save
 		opts.CheckpointRestore = host.restore
 		var err error
-		srv, start, err = HydrateShard(p.walDir, p.shard, host.k, opts, nil)
+		srv, start, err = HydrateShard(p.walDir, p.shard, base.NumShards(), opts, nil)
 		if err != nil {
 			t.Fatalf("shard %d replica %d hydrate: %v", p.shard, p.idx, err)
 		}
@@ -480,7 +479,7 @@ func TestFleetOfOneKeepsAckedBatchesAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	boot := func() (stop func(), replica *httptest.Server, rt *Router, router *httptest.Server) {
 		t.Helper()
-		srv := NewShard(base.Projection(0), Options{ShardIngest: detShardIngester(0, base, nil)})
+		srv := NewShard(base.Projection(0), Options{ShardIngest: scripted(base.Union(), detDelta)})
 		stop = followLog(t, dir, srv)
 		replica = httptest.NewServer(srv.Handler())
 		t.Cleanup(replica.Close)
@@ -545,7 +544,7 @@ func TestWALReplayEquivalence(t *testing.T) {
 	for _, k := range []int{1, 2} {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
 			f := newWALFixture(t, k, 1, RouterOptions{})
-			ref := newRefWorld(t, f.base, detShardedIngester(f.base), Options{})
+			ref := newRefWorld(t, f.base, scripted(f.base.Union(), detDelta), Options{})
 
 			probes := func() []string {
 				paths := []string{
@@ -632,7 +631,7 @@ func TestRollingRestartZero5xx(t *testing.T) {
 			t.Logf("%s router: %s", time.Now().Format("15:04:05.000000"), fmt.Sprintf(format, args...))
 		},
 	})
-	ref := newRefWorld(t, f.base, detShardedIngester(f.base), Options{})
+	ref := newRefWorld(t, f.base, scripted(f.base.Union(), detDelta), Options{})
 
 	var server5xx, reads atomic.Int64
 	stop := make(chan struct{})
@@ -1066,7 +1065,7 @@ func TestCheckpointReplayEquivalence(t *testing.T) {
 	for _, k := range []int{1, 2} {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
 			f := newCkptWALFixture(t, k, 1, 2, RouterOptions{})
-			ref := newRefWorld(t, f.base, detShardedIngester(f.base), Options{})
+			ref := newRefWorld(t, f.base, scripted(f.base.Union(), detDelta), Options{})
 
 			probes := []string{
 				"/v1/search?q=sedan&limit=10",
@@ -1159,7 +1158,7 @@ func TestCheckpointReplayEquivalence(t *testing.T) {
 // checkpoint, nothing per shard.
 func TestFleetCheckpointHydratesEveryShard(t *testing.T) {
 	f := newCkptWALFixture(t, 2, 1, 1<<20, RouterOptions{}) // checkpoint boots on, no cadence rolls
-	ref := newRefWorld(t, f.base, detShardedIngester(f.base), Options{})
+	ref := newRefWorld(t, f.base, scripted(f.base.Union(), detDelta), Options{})
 
 	var refGens any
 	ingest := func(day int) {
@@ -1322,6 +1321,52 @@ func TestGenerationIsLastChangingLogPosition(t *testing.T) {
 	ingest(20)
 }
 
+// TestWALWaitDeadline: a wait for a log position nobody applies ends at
+// its deadline — in walState.waitFor, in GET /v1/wal?wait=, and in the
+// router's quorum wait, which answers 502 shard_unavailable naming the
+// shard — while a wait that an apply reaches returns as soon as it lands.
+func TestWALWaitDeadline(t *testing.T) {
+	ws := newWALState(0, 0)
+	if ws.waitFor(1, time.Millisecond) {
+		t.Fatal("waitFor reported an unapplied position as reached")
+	}
+	go ws.advance(1, http.StatusOK, nil)
+	if !ws.waitFor(1, time.Minute) {
+		t.Fatal("waitFor missed the apply that reached its position")
+	}
+
+	// A replica whose follower never runs applies nothing.
+	base, err := ontology.ShardSnapshot(testOntology(0).Snapshot(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewShard(base.Projection(0), Options{ShardIngest: scripted(base.Union(), detDelta)})
+	walDir := t.TempDir()
+	if _, err := NewFollower(srv, FollowerOptions{Dir: walDir}); err != nil {
+		t.Fatal(err)
+	}
+	replica := httptest.NewServer(srv.Handler())
+	t.Cleanup(replica.Close)
+	if pos := getJSON(t, replica.Client(), replica.URL+"/v1/wal?wait=1&timeout_ms=1", 200); pos["applied"] != false {
+		t.Fatalf("/v1/wal past its deadline = %v, want applied=false", pos)
+	}
+	rt, err := NewRouter(RouterOptions{Backends: []string{replica.URL}, WALDir: walDir, WriteTimeout: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	router := httptest.NewServer(rt.Handler())
+	t.Cleanup(router.Close)
+	status, body := postRaw(t, router.Client(), router.URL+"/v1/ingest", `{"day":12}`)
+	if status != http.StatusBadGateway {
+		t.Fatalf("unconfirmed ingest = %d, want 502: %s", status, body)
+	}
+	assertEnvelope(t, body, codeShardUnavailable)
+	if !bytes.Contains(body, []byte("apply wait timed out")) {
+		t.Fatalf("unconfirmed ingest does not name the timed-out wait: %s", body)
+	}
+}
+
 // TestHydrateShardBounds: a shard outside [0, shards) is an error before
 // any artifact is read, not a panic on the generation vector; a shard in
 // range hydrates the same artifact at its own vector entry.
@@ -1330,7 +1375,7 @@ func TestHydrateShardBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, blob, err := (&detShardHost{k: 2, cur: base}).save()
+	snap, blob, err := (&detShardHost{lineage{cur: base.Union()}}).save()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1356,9 +1401,9 @@ func TestHydrateShardBounds(t *testing.T) {
 		{shard: 0, wantGen: 3},
 		{shard: 1, wantGen: 2},
 	} {
-		host := &detShardHost{shard: tc.shard, k: 2, cur: base}
+		host := &detShardHost{lineage{cur: base.Union()}}
 		restored := false
-		opts := Options{CheckpointRestore: func(s *ontology.Snapshot, st []byte) (*ontology.ShardProjection, error) {
+		opts := Options{CheckpointRestore: func(s *ontology.Snapshot, st []byte) error {
 			restored = true
 			return host.restore(s, st)
 		}}
@@ -1384,7 +1429,7 @@ func TestCheckpointRefusesDivergedGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	host := &detShardHost{shard: 0, k: 2, cur: base}
+	host := &detShardHost{lineage{cur: base.Union()}}
 	srv := NewShard(base.Projection(0), Options{ShardIngest: host.ingest(nil), CheckpointSave: host.save, CheckpointRestore: host.restore})
 	dir := t.TempDir()
 	var logged sync.Map
@@ -1428,7 +1473,7 @@ func TestCheckpointRefusesDivergedGenerations(t *testing.T) {
 // stops the follower without ever acking a wrong world.
 func TestCheckpointCrashLadder(t *testing.T) {
 	f := newCkptWALFixture(t, 1, 1, 2, RouterOptions{})
-	ref := newRefWorld(t, f.base, detShardedIngester(f.base), Options{})
+	ref := newRefWorld(t, f.base, scripted(f.base.Union(), detDelta), Options{})
 
 	p := f.procs[0][0]
 	ingest := func(day int) {
@@ -1812,9 +1857,9 @@ func TestWriteBodyBound(t *testing.T) {
 	urls := make([]string, 2)
 	walDir := t.TempDir()
 	for i := range urls {
-		ingest := detShardIngester(i, ss, nil)
+		ingest := scripted(ss.Union(), detDelta)
 		srv := NewShard(ss.Projection(i), Options{
-			ShardIngest: func(b delta.Batch, rec wal.Record) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
+			ShardIngest: func(b delta.Batch, rec wal.Record) (*ontology.Snapshot, *ontology.Snapshot, *delta.Delta, error) {
 				applied.Add(1)
 				return ingest(b, rec)
 			},

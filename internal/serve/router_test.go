@@ -51,14 +51,17 @@ func getRaw(t *testing.T, c *http.Client, url string) (int, []byte) {
 
 // shardIngester adapts a backend's full mining system to the per-shard
 // serve option, exactly as cmd/giantd -shard -build -wal wires it: the
-// backends of one log share its mined outcomes.
-func shardIngester(sys *giant.System, shard int, walDir string) func(delta.Batch, wal.Record) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
-	return func(b delta.Batch, rec wal.Record) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
-		next, d, touched, err := sys.IngestSharded(b, &wal.Outcome{Dir: walDir, Gen: rec.Gen, Payload: rec.Payload})
-		if err != nil {
-			return nil, nil, nil, err
+// backends of one log share its mined outcomes (a reference with no log
+// directory mines every batch itself).
+func shardIngester(sys *giant.System, walDir string) shardIngestFunc {
+	return func(b delta.Batch, rec wal.Record) (*ontology.Snapshot, *ontology.Snapshot, *delta.Delta, error) {
+		var share *wal.Outcome
+		if walDir != "" {
+			share = &wal.Outcome{Dir: walDir, Gen: rec.Gen, Payload: rec.Payload}
 		}
-		return next.Projection(shard), d, touched, nil
+		prev := sys.Snapshot()
+		next, d, err := sys.IngestShared(b, share)
+		return prev, next, d, err
 	}
 }
 
@@ -75,19 +78,15 @@ type routerFixture struct {
 // one delta log and a router appending to it, and registers cleanup.
 func newRouterFixture(t *testing.T, cfg giant.Config, splitDay, k int) *routerFixture {
 	t.Helper()
-	cfg.Shards = k
-
 	refSys, err := giant.BuildUpToDay(cfg, splitDay)
 	if err != nil {
 		t.Fatalf("build reference (k=%d): %v", k, err)
 	}
-	refSS, err := refSys.ShardedSnapshot()
+	refSS, err := ontology.ShardSnapshot(refSys.Snapshot(), k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := newRefWorld(t, refSS, func(b delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error) {
-		return refSys.IngestSharded(b, nil)
-	}, Options{ConceptContextFn: refSys.ConceptContext})
+	ref := newRefWorld(t, refSS, shardIngester(refSys, ""), Options{ConceptContextFn: refSys.ConceptContext})
 
 	urls := make([]string, k)
 	walDir := t.TempDir()
@@ -96,12 +95,12 @@ func newRouterFixture(t *testing.T, cfg giant.Config, splitDay, k int) *routerFi
 		if err != nil {
 			t.Fatalf("build backend %d (k=%d): %v", i, k, err)
 		}
-		proj, err := backSys.ShardProjection(i)
+		proj, err := ontology.Project(backSys.Snapshot(), i, k)
 		if err != nil {
 			t.Fatal(err)
 		}
 		back := NewShard(proj, Options{
-			ShardIngest:      shardIngester(backSys, i, walDir),
+			ShardIngest:      shardIngester(backSys, walDir),
 			ConceptContextFn: backSys.ConceptContext,
 		})
 		followLog(t, walDir, back)
@@ -654,31 +653,24 @@ func TestRouterIngestAllOrNothing(t *testing.T) {
 	}
 	// Backend 0 applies batches; backend 1 can be switched to fail.
 	var backend1Fails atomic.Bool
-	mkIngester := func(i int, lineage *ontology.ShardedSnapshot, failable bool) func(delta.Batch, wal.Record) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
-		cur := lineage
+	mkIngester := func(failable bool) shardIngestFunc {
 		n := 0
-		return func(b delta.Batch, _ wal.Record) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
+		return scripted(ss.Union(), func(b delta.Batch) (*delta.Delta, error) {
 			if b.Day == 0 {
-				return nil, nil, nil, fmt.Errorf("empty batch: %w", delta.ErrInvalidBatch)
+				return nil, fmt.Errorf("empty batch: %w", delta.ErrInvalidBatch)
 			}
 			if failable && backend1Fails.Load() {
-				return nil, nil, nil, fmt.Errorf("mining invariant violated")
+				return nil, fmt.Errorf("mining invariant violated")
 			}
 			n++
-			d := &delta.Delta{Day: b.Day, Add: []delta.NodeAdd{{Type: ontology.Concept, Phrase: fmt.Sprintf("hybrid sedans %d", n), Day: b.Day}}}
-			next, touched, err := delta.ApplySharded(cur, d)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			cur = next
-			return next.Projection(i), d, touched, nil
-		}
+			return &delta.Delta{Day: b.Day, Add: []delta.NodeAdd{{Type: ontology.Concept, Phrase: fmt.Sprintf("hybrid sedans %d", n), Day: b.Day}}}, nil
+		})
 	}
 	urls := make([]string, 2)
 	walDir := t.TempDir()
 	for i := 0; i < 2; i++ {
 		srv := NewShard(ss.Projection(i), Options{
-			ShardIngest: mkIngester(i, ss, i == 1),
+			ShardIngest: mkIngester(i == 1),
 		})
 		followLog(t, walDir, srv)
 		ts := httptest.NewServer(srv.Handler())

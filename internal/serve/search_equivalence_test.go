@@ -34,7 +34,6 @@ import (
 
 	"giant/internal/delta"
 	"giant/internal/ontology"
-	"giant/internal/wal"
 )
 
 // corpusWords share prefixes on purpose: "so"/"sol"/"son" style queries
@@ -192,15 +191,7 @@ func TestSearchEquivalenceIngestReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lineage := ss
-			ref := newRefWorld(t, ss, func(b delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error) {
-				d := replayDelta(b.Day)
-				next, touched, err := delta.ApplySharded(lineage, d)
-				if err == nil {
-					lineage = next
-				}
-				return next, d, touched, err
-			}, Options{})
+			ref := newRefWorld(t, ss, scripted(base, byDay(replayDelta)), Options{})
 
 			for day := 1; day <= maxDay; day++ {
 				ref.step(fmt.Sprintf(`{"day":%d}`, day))
@@ -270,31 +261,23 @@ func TestSearchShardedHammerConcurrentIngest(t *testing.T) {
 		limit int
 	}
 	probes := []probe{{"sedan", 3}, {"replay", 5}, {"model", 3}, {"sonata", 5}}
-	worlds := []*ontology.ShardedSnapshot{ss}
-	for day, lin := 1, ss; day <= maxDay; day++ {
-		next, _, err := delta.ApplySharded(lin, replayDelta(day))
+	worlds := []*ontology.Snapshot{base}
+	for day := 1; day <= maxDay; day++ {
+		next, err := delta.Apply(worlds[day-1], replayDelta(day))
 		if err != nil {
 			t.Fatalf("day %d: %v", day, err)
 		}
-		worlds, lin = append(worlds, next), next
+		worlds = append(worlds, next)
 	}
 	expected := make([][][]searchHit, len(probes))
 	for pi, p := range probes {
 		expected[pi] = make([][]searchHit, len(worlds))
 		for wi, w := range worlds {
-			expected[pi][wi] = hitsOf(w.Union().Search(p.q, p.limit))
+			expected[pi][wi] = hitsOf(w.Search(p.q, p.limit))
 		}
 	}
 
-	lineage := ss
-	ts := newRefWorld(t, ss, func(b delta.Batch) (*ontology.ShardedSnapshot, *delta.Delta, []bool, error) {
-		d := replayDelta(b.Day)
-		next, touched, err := delta.ApplySharded(lineage, d)
-		if err == nil {
-			lineage = next
-		}
-		return next, d, touched, err
-	}, Options{CacheSize: 64})
+	ts := newRefWorld(t, ss, scripted(base, byDay(replayDelta)), Options{CacheSize: 64})
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -551,19 +534,7 @@ func newScriptedRouterFixture(t *testing.T, k int, failOpen bool) (*ontology.Sha
 	urls := make([]string, k)
 	walDir := t.TempDir()
 	for i := 0; i < k; i++ {
-		lineage := ss
-		shard := i
-		back := NewShard(ss.Projection(i), Options{
-			ShardIngest: func(b delta.Batch, _ wal.Record) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
-				d := routerDelta(b.Day)
-				next, touched, err := delta.ApplySharded(lineage, d)
-				if err != nil {
-					return nil, nil, nil, err
-				}
-				lineage = next
-				return next.Projection(shard), d, touched, nil
-			},
-		})
+		back := NewShard(ss.Projection(i), Options{ShardIngest: scripted(ss.Union(), byDay(routerDelta))})
 		followLog(t, walDir, back)
 		flaky[i] = &flakyBackend{h: back.Handler()}
 		backTS := httptest.NewServer(flaky[i])

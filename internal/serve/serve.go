@@ -66,13 +66,14 @@ type Options struct {
 	// server accepts direct writes. It gets the decoded batch and the log
 	// record it came from (position and payload, which key the fleet's
 	// shared mined outcome, see wal.Outcome). The host applies the batch
-	// through its full mining system and returns THIS shard's advanced
-	// projection plus the merged delta and the touched-shard flags (nil, or
-	// one per shard). The server's generation moves to the batch's log
-	// position only when ontology.ShardChanged says the batch changed its
-	// shard; an unchanged shard still refreshes its serving state (the union
-	// ID table may have shifted) and keeps its generation.
-	ShardIngest func(delta.Batch, wal.Record) (*ontology.ShardProjection, *delta.Delta, []bool, error)
+	// through its full mining system and returns the union it applied the
+	// batch to, the union it produced and the delta. The server derives its
+	// own shard from them: it re-projects the shard and moves its generation
+	// to the batch's log position only when ontology.ShardChanged says the
+	// delta (delta.TouchedShards) changed it, and otherwise rebases the
+	// projection it serves onto the new union (the union IDs may have
+	// shifted) under its unchanged generation.
+	ShardIngest func(delta.Batch, wal.Record) (prev, next *ontology.Snapshot, d *delta.Delta, err error)
 	// ConceptContextFn, when set, supplies the build's concept -> top
 	// clicked titles map for every published state, enriching the concept
 	// tagger's representations (so live ingest keeps them current). It is
@@ -90,9 +91,10 @@ type Options struct {
 	// background checkpointing and POST /v1/checkpoint.
 	CheckpointSave func() (*ontology.Snapshot, []byte, error)
 	// CheckpointRestore rebuilds the host's apply state from a
-	// checkpoint's union snapshot and state blob and returns THIS shard's
-	// projection to serve. Nil disables checkpoint boot (HydrateShard).
-	CheckpointRestore func(*ontology.Snapshot, []byte) (*ontology.ShardProjection, error)
+	// checkpoint's union snapshot and state blob; the server derives its
+	// shard's projection from that union itself. Nil disables checkpoint
+	// boot (HydrateShard).
+	CheckpointRestore func(*ontology.Snapshot, []byte) error
 }
 
 // DefaultCacheSize bounds the response cache when Options.CacheSize is 0.
@@ -647,15 +649,15 @@ func (s *Server) handleIngest(st *state, r *http.Request) (int, any) {
 // Follower is its only caller. It holds the swap lock across compute +
 // publish so applies and publishes happen in the same order (readers
 // never take this lock). The generation moves to rec.Gen only when
-// ontology.ShardChanged says the batch changed this shard; an unchanged
-// shard still refreshes its state so union IDs stay current. Alongside the
-// status and response it returns the delta's touched-shard flags (nil
-// unless the batch applied).
+// ontology.ShardChanged says the batch changed this shard, which is then
+// re-projected; an unchanged shard rebases its projection so union IDs
+// stay current. Alongside the status and response it returns the delta's
+// touched-shard flags (nil unless the batch applied).
 func (s *Server) ingestBatch(batch delta.Batch, rec *wal.Record) (int, any, []bool) {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
 	st := s.cur.Load()
-	proj, d, touched, err := s.opts.ShardIngest(batch, *rec)
+	prev, next, d, err := s.opts.ShardIngest(batch, *rec)
 	if err != nil {
 		// Batch-validation failures are the client's fault; anything else
 		// is an internal delta-pipeline failure and must surface as 5xx.
@@ -664,6 +666,8 @@ func (s *Server) ingestBatch(batch delta.Batch, rec *wal.Record) (int, any, []bo
 		}
 		return http.StatusInternalServerError, errBody(codeInternal, "ingest: "+err.Error()), nil
 	}
+	proj := st.proj
+	touched := delta.TouchedShards(prev, d, proj.NumShards)
 	var ts []int
 	for i, t := range touched {
 		if t {
@@ -673,7 +677,12 @@ func (s *Server) ingestBatch(batch delta.Batch, rec *wal.Record) (int, any, []bo
 	changed := ontology.ShardChanged(touched, proj.NumShards, proj.Shard)
 	gen := st.gen
 	if changed {
+		if proj, err = ontology.Project(next, proj.Shard, proj.NumShards); err != nil {
+			return http.StatusInternalServerError, errBody(codeInternal, "ingest: "+err.Error()), nil
+		}
 		gen = rec.Gen
+	} else {
+		proj = proj.Rebase(next)
 	}
 	s.publishShardLocked(proj, gen)
 	resp := map[string]any{
@@ -687,16 +696,14 @@ func (s *Server) ingestBatch(batch delta.Batch, rec *wal.Record) (int, any, []bo
 		"nodes":          proj.Snap.NodeCount(),
 		"edges":          proj.Snap.EdgeCount(),
 	}
-	if d != nil {
-		resp["delta"] = map[string]any{
-			"day":        d.Day,
-			"added":      len(d.Add),
-			"edges":      len(d.Edges),
-			"reweighted": len(d.Reweight),
-			"touched":    len(d.Touch),
-			"retired":    len(d.Retire),
-			"seeds":      len(d.Seeds),
-		}
+	resp["delta"] = map[string]any{
+		"day":        d.Day,
+		"added":      len(d.Add),
+		"edges":      len(d.Edges),
+		"reweighted": len(d.Reweight),
+		"touched":    len(d.Touch),
+		"retired":    len(d.Retire),
+		"seeds":      len(d.Seeds),
 	}
 	return http.StatusOK, resp, touched
 }

@@ -319,8 +319,8 @@ func TestRunGracefulShutdown(t *testing.T) {
 // fakeIngester applies one real delta per batch against the snapshot a
 // 0/1 replica serves (its projection is the union): one new concept node
 // per batch day, linked under the existing category.
-func fakeIngester(srv **Server) func(delta.Batch, wal.Record) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
-	return func(b delta.Batch, _ wal.Record) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
+func fakeIngester(srv **Server) shardIngestFunc {
+	return func(b delta.Batch, _ wal.Record) (*ontology.Snapshot, *ontology.Snapshot, *delta.Delta, error) {
 		if len(b.Docs) == 0 && len(b.Clicks) == 0 {
 			return nil, nil, nil, fmt.Errorf("empty batch: %w", delta.ErrInvalidBatch)
 		}
@@ -334,15 +334,7 @@ func fakeIngester(srv **Server) func(delta.Batch, wal.Record) (*ontology.ShardPr
 				Type: ontology.IsA, Weight: 1,
 			}},
 		}
-		next, err := delta.Apply((*srv).Current(), d)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		ss, err := ontology.ShardSnapshot(next, 1)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return ss.Projection(0), d, []bool{true}, nil
+		return (&lineage{cur: (*srv).Current()}).apply(d, nil)
 	}
 }
 
@@ -429,7 +421,7 @@ func TestIngestLifecycle(t *testing.T) {
 	// must surface as 5xx, not blame the client: the replica records a 500
 	// and the router answers 502.
 	boom := NewShard(one.Projection(0), Options{
-		ShardIngest: func(delta.Batch, wal.Record) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
+		ShardIngest: func(delta.Batch, wal.Record) (*ontology.Snapshot, *ontology.Snapshot, *delta.Delta, error) {
 			return nil, nil, nil, fmt.Errorf("delta pipeline invariant violated")
 		},
 	})
@@ -475,5 +467,25 @@ func TestHTTPServerDropsSlowHeaders(t *testing.T) {
 	var ne net.Error
 	if errors.As(err, &ne) && ne.Timeout() {
 		t.Fatalf("connection still open %v after a stalled request line", time.Since(start))
+	}
+}
+
+// TestLRUPutCachedKey: a put of a key already cached replaces its value in
+// place and makes it the most recently used, so the next eviction takes
+// the other entry.
+func TestLRUPutCachedKey(t *testing.T) {
+	c := newLRU[int](2)
+	c.put("a", 1)
+	c.put("b", 2)
+	c.put("a", 3)
+	if c.len() != 2 {
+		t.Fatalf("len = %d after re-putting a cached key, want 2", c.len())
+	}
+	c.put("c", 4)
+	if _, ok := c.get("b"); ok {
+		t.Fatal("b survived an eviction that re-putting a made it the oldest entry")
+	}
+	if v, ok := c.get("a"); !ok || v != 3 {
+		t.Fatalf("a = %d, %v; want the re-put value 3", v, ok)
 	}
 }

@@ -184,8 +184,8 @@ func TestIngestModeMismatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	world := NewSharded(ss, Options{
-		ShardIngest: func(delta.Batch, wal.Record) (*ontology.ShardProjection, *delta.Delta, []bool, error) {
-			return ss.Projection(0), nil, nil, nil
+		ShardIngest: func(delta.Batch, wal.Record) (*ontology.Snapshot, *ontology.Snapshot, *delta.Delta, error) {
+			return ss.Union(), ss.Union(), &delta.Delta{}, nil
 		},
 	})
 	ts := httptest.NewServer(world.Handler())

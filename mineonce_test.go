@@ -22,17 +22,20 @@ import (
 	"time"
 
 	"giant/internal/delta"
+	"giant/internal/ontology"
 	"giant/internal/synth"
 	"giant/internal/wal"
 )
 
 const mineOnceSplitDay = 4
 
-// mineOnceConfig is a 2-shard tiny fleet with lighter training: these tests
-// pin who mines what, not model quality, and build one system per replica.
+// mineOnceShards is the fleet's shard count.
+const mineOnceShards = 2
+
+// mineOnceConfig is a tiny fleet with lighter training: these tests pin who
+// mines what, not model quality, and build one system per replica.
 func mineOnceConfig() Config {
 	cfg := TinyConfig()
-	cfg.Shards = 2
 	cfg.GCTSP.Epochs = 1
 	cfg.TrainConcepts, cfg.TrainEvents = 12, 12
 	return cfg
@@ -110,7 +113,7 @@ func (r *mineOnceReplica) apply(rec wal.Record) (mined bool, err error) {
 		share = &wal.Outcome{Dir: r.dir, Gen: rec.Gen, Payload: rec.Payload}
 	}
 	reused, remined := r.sys.Miner.MemoStats()
-	_, _, _, err = r.sys.IngestSharded(b, share)
+	_, _, err = r.sys.IngestShared(b, share)
 	reused2, remined2 := r.sys.Miner.MemoStats()
 	return reused2+remined2 != reused+remined, err
 }
@@ -123,7 +126,7 @@ func (r *mineOnceReplica) state(t *testing.T, shard int) [3][]byte {
 	if err := r.sys.Snapshot().WriteBinary(&union); err != nil {
 		t.Fatal(err)
 	}
-	p, err := r.sys.ShardProjection(shard)
+	p, err := ontology.Project(r.sys.Snapshot(), shard, mineOnceShards)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,12 @@
 package giant
 
-// End-to-end sharding equivalence: for any Shards count, a full build and
-// every generation of a day-by-day ingest replay are byte-identical to the
-// 1-shard path, and the per-shard projections partition that one world.
+// End-to-end sharding checks: the per-shard projections of a full build and
+// of every generation of a day-by-day ingest replay partition that one
+// world, and a batch changes no projection outside delta.TouchedShards.
 
 import (
-	"bytes"
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -61,25 +61,14 @@ func assertShardPartition(t *testing.T, ss *ontology.ShardedSnapshot) {
 	}
 }
 
-// TestShardedBuildEquivalence: the full build is byte-identical for every
-// shard count, and the sharded projection partitions it exactly.
+// TestShardedBuildEquivalence: the sharded projection of the full build
+// partitions it exactly, for K in {2, 4}.
 func TestShardedBuildEquivalence(t *testing.T) {
-	cfg := equivalenceConfig()
-	base := fullSystem(t, cfg)
-	want := ontologyJSON(t, base.Snapshot())
+	base := fullSystem(t, equivalenceConfig())
 	for _, k := range []int{2, 4} {
-		c := cfg
-		c.Shards = k
-		sys, err := Build(c)
+		ss, err := ontology.ShardSnapshot(base.Snapshot(), k)
 		if err != nil {
-			t.Fatalf("Build shards=%d: %v", k, err)
-		}
-		if !bytes.Equal(ontologyJSON(t, sys.Snapshot()), want) {
-			t.Fatalf("shards=%d build is not byte-identical to the 1-shard build", k)
-		}
-		ss, err := sys.ShardedSnapshot()
-		if err != nil {
-			t.Fatalf("ShardedSnapshot: %v", err)
+			t.Fatalf("ShardSnapshot: %v", err)
 		}
 		if ss.NumShards() != k {
 			t.Fatalf("sharded snapshot has %d shards, want %d", ss.NumShards(), k)
@@ -88,10 +77,12 @@ func TestShardedBuildEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedIngestReplayEquivalence: replaying the corpus day by day
-// through IngestSharded yields, after every batch, a union byte-identical
-// to the 1-shard Ingest replay's generation, for Shards in {2, 4}, with
-// per-shard publication staying a real partition at every step.
+// TestShardedIngestReplayEquivalence: replaying the corpus in quarter-day
+// batches through Ingest, every generation's K-way projection stays a real
+// partition for K in {2, 4}, and every shard delta.TouchedShards leaves
+// untouched projects to the same home nodes and the same edges before
+// and after the batch — what lets a per-shard server keep serving an
+// untouched projection's snapshot.
 func TestShardedIngestReplayEquivalence(t *testing.T) {
 	cfg := equivalenceConfig()
 	full := fullSystem(t, cfg)
@@ -100,44 +91,67 @@ func TestShardedIngestReplayEquivalence(t *testing.T) {
 		t.Fatalf("log too shallow for a split: max day %d", maxDay)
 	}
 	splitDay := maxDay / 2
-
-	_, _, ref := incrementalCase(t, cfg, splitDay, maxDay)
-
-	for _, k := range []int{2, 4} {
-		c := cfg
-		c.Shards = k
-		inc, err := BuildUpToDay(c, splitDay)
-		if err != nil {
-			t.Fatalf("BuildUpToDay shards=%d: %v", k, err)
+	inc, err := BuildUpToDay(cfg, splitDay)
+	if err != nil {
+		t.Fatalf("BuildUpToDay: %v", err)
+	}
+	var batches []delta.Batch
+	for day := splitDay + 1; day <= maxDay; day++ {
+		var clicks []delta.Click
+		for _, r := range full.Log.Records {
+			if r.Day == day {
+				clicks = append(clicks, delta.Click{Query: r.Query, DocID: r.DocID, Clicks: r.Clicks, Day: r.Day})
+			}
 		}
-		for day := splitDay + 1; day <= maxDay; day++ {
-			batch := delta.Batch{Day: day}
-			for _, r := range full.Log.Records {
-				if r.Day == day {
-					batch.Clicks = append(batch.Clicks, delta.Click{Query: r.Query, DocID: r.DocID, Clicks: r.Clicks, Day: r.Day})
-				}
-			}
-			ss, d, touched, err := inc.IngestSharded(batch, nil)
-			if err != nil {
-				t.Fatalf("IngestSharded shards=%d day %d: %v", k, day, err)
-			}
-			if len(touched) != k || ss.NumShards() != k {
-				t.Fatalf("shards=%d day %d: touched=%v", k, day, touched)
-			}
-			if d.Empty() && slices.Contains(touched, true) {
-				t.Fatalf("shards=%d day %d: empty delta touched shards %v", k, day, touched)
-			}
-			var got, want bytes.Buffer
-			if err := ss.Union().WriteJSON(&got); err != nil {
-				t.Fatal(err)
-			}
-			if err := ref[day-splitDay-1].WriteJSON(&want); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got.Bytes(), want.Bytes()) {
-				t.Fatalf("shards=%d day %d: union is not byte-identical to the 1-shard replay's generation", k, day)
-			}
-			assertShardPartition(t, ss)
+		// Quarter-day slices: a whole day's batch touches every shard.
+		for q := 0; q < 4; q++ {
+			batches = append(batches, delta.Batch{Day: day, Clicks: clicks[q*len(clicks)/4 : (q+1)*len(clicks)/4]})
 		}
 	}
+	untouched := 0
+	for _, batch := range batches {
+		day := batch.Day
+		prev := inc.Snapshot()
+		next, d, err := inc.Ingest(batch)
+		if err != nil {
+			t.Fatalf("Ingest day %d: %v", day, err)
+		}
+		for _, k := range []int{2, 4} {
+			touched := delta.TouchedShards(prev, d, k)
+			if d.Empty() && slices.Contains(touched, true) {
+				t.Fatalf("k=%d day %d: empty delta touched shards %v", k, day, touched)
+			}
+			before, err := ontology.ShardSnapshot(prev, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			after, err := ontology.ShardSnapshot(next, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertShardPartition(t, after)
+			for s := 0; s < k; s++ {
+				if touched[s] {
+					continue
+				}
+				untouched++
+				if !reflect.DeepEqual(before.HomeNodes(s), after.HomeNodes(s)) || !reflect.DeepEqual(edgeKeys(before.Shard(s)), edgeKeys(after.Shard(s))) {
+					t.Fatalf("k=%d day %d: untouched shard %d projects differently after the batch", k, day, s)
+				}
+			}
+		}
+	}
+	if untouched == 0 {
+		t.Fatal("no batch left a shard untouched: the replay does not exercise the rule")
+	}
+}
+
+// edgeKeys lists a snapshot's edges by endpoint phrase keys, in edge order.
+func edgeKeys(s *ontology.Snapshot) []string {
+	var out []string
+	for _, e := range s.Edges() {
+		src, dst := s.At(e.Src), s.At(e.Dst)
+		out = append(out, fmt.Sprintf("%s|%s|%s|%s|%s|%g", src.Type, src.Phrase, e.Type, dst.Type, dst.Phrase, e.Weight))
+	}
+	return out
 }
