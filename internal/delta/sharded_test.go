@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"giant/internal/core"
 	"giant/internal/ontology"
 )
 
@@ -152,6 +153,56 @@ func mustProject(t *testing.T, u *ontology.Snapshot, i, k int) *ontology.ShardPr
 		t.Fatal(err)
 	}
 	return p
+}
+
+// TestApplyShardedReusesUntouchedProjections: a pure touch of one existing
+// concept marks only its home shard; every other shard's projection,
+// rebased on the applied union, keeps its snapshot and renders the union
+// IDs a fresh projection would, while the home shard's re-derived
+// projection carries the touch.
+func TestApplyShardedReusesUntouchedProjections(t *testing.T) {
+	cur := baseSnapshot(t)
+	const k = 4
+	projs := make([]*ontology.ShardProjection, k)
+	for s := range projs {
+		projs[s] = mustProject(t, cur, s, k)
+	}
+	// TTLs off so no retirement rides along.
+	mined := []core.Mined{{Phrase: "family sedans", Seed: "best family sedans", Day: 6}}
+	pol := testPolicy()
+	pol.EventTTL = 0
+	d := Compute(cur, mined, []string{"best family sedans"}, 6, pol, Source{})
+	next, err := Apply(cur, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	touched := TouchedShards(cur, d, k)
+	id, ok := next.Lookup(ontology.Concept, "family sedans")
+	if !ok {
+		t.Fatal("concept not routable")
+	}
+	home := ontology.HomeShard(ontology.Concept, next.At(id).Phrase, k)
+	for s := 0; s < k; s++ {
+		if s == home {
+			if !ontology.ShardChanged(touched, k, s) {
+				t.Fatalf("home shard %d not touched", s)
+			}
+			continue
+		}
+		if ontology.ShardChanged(touched, k, s) {
+			t.Fatalf("shard %d touched by a foreign delta: %v", s, touched)
+		}
+		r := projs[s].Rebase(next)
+		if r.Snap != projs[s].Snap {
+			t.Fatalf("untouched shard %d was rebuilt", s)
+		}
+		if want := mustProject(t, next, s, k); !reflect.DeepEqual(r.UnionIDs, want.UnionIDs) || r.HomeCount != want.HomeCount {
+			t.Fatalf("untouched shard %d renders union IDs %v, want %v", s, r.UnionIDs, want.UnionIDs)
+		}
+	}
+	if bytes.Equal(binaryOf(t, mustProject(t, next, home, k)), binaryOf(t, projs[home])) {
+		t.Fatal("touched home shard kept its stale projection")
+	}
 }
 
 // TestTouchedShardsRetireMarksNeighbors: retiring a node must also touch

@@ -85,6 +85,67 @@ func TestShardSnapshotPartition(t *testing.T) {
 	}
 }
 
+// TestAdvanceReusesUntouched: moving a set of shard projections to a new
+// union re-derives exactly the shards ShardChanged names; every other
+// shard's Rebase keeps its snapshot pointer and its lazily built term-gram
+// index, and re-resolves the same union IDs.
+func TestAdvanceReusesUntouched(t *testing.T) {
+	union := buildSample(t)
+	const k = 4
+	projs := make([]*ShardProjection, k)
+	for s := range projs {
+		p, err := Project(union, s, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.TermGrams()
+		projs[s] = p
+	}
+	advance := func(touched []bool) []*ShardProjection {
+		next := make([]*ShardProjection, k)
+		for s, p := range projs {
+			if !ShardChanged(touched, k, s) {
+				next[s] = p.Rebase(union)
+				continue
+			}
+			q, err := Project(union, s, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			next[s] = q
+		}
+		return next
+	}
+	// Same union, nothing touched: all projections reused.
+	next := advance([]bool{false, false, false, false})
+	for s := 0; s < k; s++ {
+		if next[s].Snap != projs[s].Snap || next[s].grams != projs[s].grams {
+			t.Fatalf("untouched shard %d rebuilt", s)
+		}
+		if !reflect.DeepEqual(next[s].UnionIDs, projs[s].UnionIDs) || next[s].HomeCount != projs[s].HomeCount {
+			t.Fatalf("untouched shard %d re-resolved to different union IDs", s)
+		}
+	}
+	// One touched shard rebuilds, others are reused.
+	next = advance([]bool{false, true, false, false})
+	for s := 0; s < k; s++ {
+		reused := next[s].Snap == projs[s].Snap
+		if s == 1 && reused {
+			t.Fatal("touched shard 1 not rebuilt")
+		}
+		if s != 1 && !reused {
+			t.Fatalf("untouched shard %d rebuilt", s)
+		}
+	}
+	// At k == 1 the one shard is the union itself and always changes.
+	if !ShardChanged([]bool{false}, 1, 0) {
+		t.Fatal("the single shard must change with every delta")
+	}
+	if _, err := Project(union, k, k); err == nil {
+		t.Fatal("out-of-range shard index must error")
+	}
+}
+
 func TestShardSnapshotSingleShardIsUnion(t *testing.T) {
 	union := buildSample(t)
 	ss, err := ShardSnapshot(union, 1)
