@@ -65,7 +65,10 @@
 // delta touched its shard (0 before any). Every response carries
 // X-Giant-Wal-Gen with the last applied log generation, and GET /v1/wal
 // (?wait=G) exposes — and blocks on — apply progress; -replica N names the
-// replica in /healthz and log lines. Start N replicas of every shard against one directory and put
+// replica in /healthz and log lines. A read giantrouter pinned to a log
+// position (X-Giant-Wal-Pin) is answered from the state the replica held
+// there: its current one or the one it replaced, else refused with 409.
+// Start N replicas of every shard against one directory and put
 // giantrouter -wal in front: reads balance over the caught-up replicas and
 // ingest is acknowledged at a quorum of apply confirmations. With
 // -checkpoint-every, any replica publishes the fleet checkpoint

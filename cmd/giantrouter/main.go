@@ -59,9 +59,14 @@
 //
 //	curl -X POST localhost:8080/v1/ingest -d @batch.json   # appended once, quorum-acked
 //
-// Reads then balance by power-of-two-choices over each shard's healthy,
-// caught-up replicas (a replica still tailing the log is never consulted
-// for reads ahead of its position), and /v1/ingest appends each batch once
+// Every read is then pinned to one log position, the newest every shard
+// has a replica at, and each of its backend calls carries it: a replica
+// answers from the state it held there or refuses and the read fails over,
+// so a response is the fleet's world at exactly that position, named in
+// its X-Giant-Wal-Gen header. Reads balance by power-of-two-choices over
+// each shard's healthy replicas at or past it (a replica still tailing the
+// log is never consulted for reads ahead of its position), and /v1/ingest
+// appends each batch once
 // to the fleet log DIR/fleet.wal, which every replica tails, acknowledging
 // once a quorum of each shard's replicas confirm the apply. A shard whose slowest healthy
 // replica trails the log head by more than 64 generations pushes back

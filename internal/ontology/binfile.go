@@ -799,8 +799,7 @@ func DecodeSnapshotBinaryWithGen(data []byte) (*Snapshot, uint64, error) {
 
 // shardProjection finishes decoding a shard-kind container whose snapshot
 // decodeBinary returned: it attaches the union-ID table and the home-prefix
-// grams, re-validates the projection (validate) and re-indexes it as
-// Project indexes a fresh one (index).
+// grams and re-validates the projection (validate).
 func (bf *binFile) shardProjection(snap *Snapshot) (*ShardProjection, error) {
 	idsRaw, err := bf.section(secUnionIDs, 4*bf.hdr.Nodes)
 	if err != nil {
@@ -829,6 +828,5 @@ func (bf *binFile) shardProjection(snap *Snapshot) (*ShardProjection, error) {
 	if err := p.validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	p.index()
 	return p, nil
 }

@@ -103,7 +103,11 @@ func Project(union *Snapshot, i, k int) (*ShardProjection, error) {
 // ShardChanged): the same snapshot, home prefix and term-gram index, with
 // only the union IDs re-resolved, since retiring a node elsewhere
 // renumbers the union. The snapshot's lazily built indexes (token
-// postings, term grams) therefore carry over.
+// postings, term grams) therefore carry over, and so does one stale
+// field: a ghost copy keeps the LastSeenDay it had, because touching a
+// node marks only its home shard (delta.TouchedShards). No read renders
+// it: a shard answers for its home nodes only, and LastSeenDay, which
+// drives TTL retirement on the union, is in no wire form.
 func (p *ShardProjection) Rebase(union *Snapshot) *ShardProjection {
 	q := &ShardProjection{Snap: p.Snap, Shard: p.Shard, NumShards: p.NumShards, HomeCount: p.HomeCount, grams: p.grams}
 	q.resolve(union)
@@ -122,7 +126,6 @@ func (p *ShardProjection) resolve(union *Snapshot) {
 			p.UnionIDs[j] = uid
 		}
 	}
-	p.index()
 }
 
 // projectShard builds shard s's snapshot of a k-way partition and returns

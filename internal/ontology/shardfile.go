@@ -16,6 +16,8 @@ package ontology
 //     the rest are ghost copies of remote endpoints.
 //   - UnionIDs[local] is the union node ID the local node resolves to via
 //     the union phrase index — the same remap scatter-gather Search uses.
+//     Both segments, UnionIDs[:HomeCount] and UnionIDs[HomeCount:], are
+//     strictly ascending, which is what LocalOf searches.
 //   - Every union edge is "owned" by exactly one shard: the home shard of
 //     its source node. Summing owned-edge counts across shards therefore
 //     reproduces the union edge count even though cross-shard edges are
@@ -23,6 +25,7 @@ package ontology
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -41,8 +44,6 @@ type ShardProjection struct {
 	// held no resolvable key, which a well-formed projection never has).
 	UnionIDs []NodeID
 
-	byUnion map[NodeID]NodeID // union ID -> local ID
-
 	// grams is the lazily built term-gram index over the home-node prefix —
 	// the shard's term-routing surface (TermStats). The binary decode path
 	// may pre-populate it from the persisted section; a derived projection
@@ -57,21 +58,9 @@ type homeGrams struct {
 	g    *TermGrams
 }
 
-// index builds the reverse union→local table; called once at construction.
-func (p *ShardProjection) index() {
-	p.byUnion = make(map[NodeID]NodeID, len(p.UnionIDs))
-	for local, uid := range p.UnionIDs {
-		if uid < 0 {
-			continue
-		}
-		if _, dup := p.byUnion[uid]; !dup {
-			p.byUnion[uid] = NodeID(local)
-		}
-	}
-}
-
-// validate checks the projection invariants shared by the derive and load
-// paths.
+// validate checks the invariants of a loaded projection: its identity,
+// its home count, and a union-ID table whose home and ghost segments are
+// each strictly ascending and hold no -1.
 func (p *ShardProjection) validate() error {
 	if p.NumShards < 1 {
 		return fmt.Errorf("ontology: shard projection has %d shards", p.NumShards)
@@ -84,6 +73,11 @@ func (p *ShardProjection) validate() error {
 	}
 	if len(p.UnionIDs) != p.Snap.Len() {
 		return fmt.Errorf("ontology: %d union IDs for %d nodes", len(p.UnionIDs), p.Snap.Len())
+	}
+	for local, uid := range p.UnionIDs {
+		if uid < 0 || local != 0 && local != p.HomeCount && uid <= p.UnionIDs[local-1] {
+			return fmt.Errorf("ontology: union ID %d of local node %d breaks its ascending segment", uid, local)
+		}
 	}
 	return nil
 }
@@ -102,10 +96,16 @@ func (p *ShardProjection) UnionID(local NodeID) NodeID {
 }
 
 // LocalOf maps a union node ID back to the local node ID, ok=false when
-// this shard's projection holds no copy of that node.
+// this shard's projection holds no copy of that node: one binary search in
+// each ascending segment of UnionIDs.
 func (p *ShardProjection) LocalOf(union NodeID) (NodeID, bool) {
-	local, ok := p.byUnion[union]
-	return local, ok
+	if i, ok := slices.BinarySearch(p.UnionIDs[:p.HomeCount], union); ok {
+		return NodeID(i), true
+	}
+	if i, ok := slices.BinarySearch(p.UnionIDs[p.HomeCount:], union); ok {
+		return NodeID(p.HomeCount + i), true
+	}
+	return -1, false
 }
 
 // SearchHome is the per-shard half of scatter-gather search: a substring

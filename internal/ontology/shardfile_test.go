@@ -235,9 +235,10 @@ func TestLoadShardInput(t *testing.T) {
 		t.Fatalf("JSON shard file not refused by the import path with the re-export hint: %v", err)
 	}
 	// A shard file that fails to decode is an error, never reinterpreted
-	// as a union: truncated, a flipped header bit, and a home count past
-	// the node count (checksums re-stamped, so only projection validation
-	// can catch it) each fail with their typed error.
+	// as a union: truncated, a flipped header bit, a home count past the
+	// node count, and a union-ID table out of its ascending order
+	// (checksums re-stamped, so only projection validation can catch the
+	// last two) each fail with their typed error.
 	data, err := os.ReadFile(shardPath)
 	if err != nil {
 		t.Fatal(err)
@@ -247,6 +248,23 @@ func TestLoadShardInput(t *testing.T) {
 	home := append([]byte(nil), data...)
 	binary.LittleEndian.PutUint64(home[24:32], uint64(p.Snap.Len()+1))
 	binary.LittleEndian.PutUint32(home[60:64], crc32.Checksum(home[:60], crcTable))
+	unordered := append([]byte(nil), data...)
+	for i := 0; i < int(binary.LittleEndian.Uint32(unordered[56:60])); i++ {
+		ent := unordered[binHeaderSize+binTableEntry*i:]
+		if binary.LittleEndian.Uint32(ent[0:]) != secUnionIDs {
+			continue
+		}
+		// Swap the first two home union IDs, then re-stamp the section.
+		off, n := binary.LittleEndian.Uint64(ent[8:]), binary.LittleEndian.Uint64(ent[16:])
+		ids := unordered[off : off+n]
+		a := binary.LittleEndian.Uint32(ids[0:])
+		binary.LittleEndian.PutUint32(ids[0:], binary.LittleEndian.Uint32(ids[4:]))
+		binary.LittleEndian.PutUint32(ids[4:], a)
+		binary.LittleEndian.PutUint32(ent[24:], crc32.Checksum(ids, crcTable))
+	}
+	if p.HomeCount < 2 {
+		t.Fatalf("shard 1 homes %d nodes; the union-ID case needs two", p.HomeCount)
+	}
 	for _, tc := range []struct {
 		name string
 		data []byte
@@ -256,6 +274,7 @@ func TestLoadShardInput(t *testing.T) {
 		{"truncated", data[:len(data)-1], ErrTruncated, ""},
 		{"bit flip", flipped, ErrChecksum, ""},
 		{"home count", home, ErrCorrupt, "home count"},
+		{"union ID order", unordered, ErrCorrupt, "ascending segment"},
 	} {
 		path := filepath.Join(dir, "bad-shard.bin")
 		if err := os.WriteFile(path, tc.data, 0o644); err != nil {

@@ -10,7 +10,12 @@ package serve
 //   - every routed response carries an X-Giant-Generation header
 //     (per-shard "shard:gen" pairs on router responses) and, on
 //     delta-log replicas, X-Giant-Wal-Gen with the last applied log
-//     generation;
+//     generation; a read through a router with a log carries
+//     X-Giant-Wal-Gen too, naming the one log position it was pinned to;
+//   - a router with a log sends that position with every backend call of
+//     the read (X-Giant-Wal-Pin), and a replica answers it from the state
+//     it held at that position or refuses with 409, which the router
+//     fails over and never relays;
 //   - the one write, /v1/ingest, is taken only by a router with a delta
 //     log (every giantd answers 503) and answers in one per-shard
 //     {shard, generation, applied} row schema, the same rows a replica's
@@ -40,7 +45,7 @@ const (
 	codePayloadTooLarge  = "payload_too_large"  // 413: request body past maxBodyBytes
 	codeNotFound         = "not_found"          // 404
 	codeMethodNotAllowed = "method_not_allowed" // 405
-	codeUnavailable      = "unavailable"        // 503: endpoint not wired in this mode, or a write outside the log
+	codeUnavailable      = "unavailable"        // 503: endpoint not wired in this mode, or a write outside the log; 409: a replica's pin refusal
 	codeShardUnavailable = "shard_unavailable"  // 502/503: backend shard unreachable
 	codeReplicaLagging   = "replica_lagging"    // 429: delta log outran the slowest replica
 	codeReadOnlyReplica  = "read_only_replica"  // 503: direct write to a log-tailing replica
@@ -72,13 +77,20 @@ func unknownEndpoint(w http.ResponseWriter, r *http.Request) {
 	writeBody(w, http.StatusNotFound, append(body, '\n'), false)
 }
 
-// Generation response headers. The router keys replica read-gating on
-// walGenHeader, so a replica's every response doubles as a progress
-// report.
+// Generation headers. The router pins reads from the positions replicas
+// report in walGenHeader, so a replica's every response doubles as a
+// progress report; pinHeader is the request header carrying a read's pin.
 const (
 	genHeader    = "X-Giant-Generation"
 	walGenHeader = "X-Giant-Wal-Gen"
+	pinHeader    = "X-Giant-Wal-Pin"
 )
+
+// statusRefused is a replica's answer to a read pinned to a log position
+// it holds no state for (Server.readState). The router tries the shard's
+// next replica, and when none can answer counts the shard as failed: it
+// never relays the status.
+const statusRefused = http.StatusConflict
 
 // apiError is the envelope payload of every /v1 error response.
 type apiError struct {

@@ -24,33 +24,26 @@ import (
 //	GET/POST /v1/tag?partial=match    per-entity parent + event candidates
 //	GET  /v1/query/rewrite?partial=1&q=  rewrite candidates for a query
 //	GET  /v1/story?partial=fragments  home events as story-tree fragments
-//
-// Partial bodies carry the serving generation so merge sites can key caches
-// by it and detect republishes that race an index fetch.
 
 // tagStatsBody is the wire form of a shard's concept stats partial.
 type tagStatsBody struct {
-	Generation uint64               `json:"generation"`
-	Concepts   []tagging.ConceptRef `json:"concepts"`
+	Concepts []tagging.ConceptRef `json:"concepts"`
 }
 
 // tagMatchBody is the wire form of a shard's per-document tag partial.
 type tagMatchBody struct {
-	Generation uint64                 `json:"generation"`
-	Entities   [][]tagging.ConceptRef `json:"entities"`
-	Events     []tagging.EventCand    `json:"events"`
+	Entities [][]tagging.ConceptRef `json:"entities"`
+	Events   []tagging.EventCand    `json:"events"`
 }
 
 // rewritePartialBody is the wire form of a shard's query-rewrite partial.
 type rewritePartialBody struct {
-	Generation uint64            `json:"generation"`
-	Partial    *queryund.Partial `json:"partial"`
+	Partial *queryund.Partial `json:"partial"`
 }
 
 // storyFragsBody is the wire form of a shard's story-fragment partial.
 type storyFragsBody struct {
-	Generation uint64                 `json:"generation"`
-	Events     []*storytree.EventNode `json:"events"`
+	Events []*storytree.EventNode `json:"events"`
 }
 
 // parseTagDoc extracts the /v1/tag document from GET query params or a POST
@@ -171,7 +164,7 @@ func storyResponse(tree *storytree.Tree) map[string]any {
 func (st *state) handleTagPartial(mode string, r *http.Request) (int, any) {
 	switch mode {
 	case "stats":
-		return http.StatusOK, tagStatsBody{Generation: st.gen, Concepts: st.conceptRefs()}
+		return http.StatusOK, tagStatsBody{Concepts: st.conceptRefs()}
 	case "match":
 		doc, bad, errb := parseTagDoc(r)
 		if bad != 0 {
@@ -179,9 +172,8 @@ func (st *state) handleTagPartial(mode string, r *http.Request) (int, any) {
 		}
 		scope := st.appScope()
 		return http.StatusOK, tagMatchBody{
-			Generation: st.gen,
-			Entities:   st.concepts.MatchPartial(scope, doc),
-			Events:     st.events.Partial(scope, doc),
+			Entities: st.concepts.MatchPartial(scope, doc),
+			Events:   st.events.Partial(scope, doc),
 		}
 	default:
 		return http.StatusBadRequest, errBody(codeInvalidArgument, "invalid partial: "+mode+` (want "stats" or "match")`)

@@ -12,10 +12,13 @@ package serve
 // at the exact same generation — the log position of the last batch that
 // changed the shard — whichever replica mined what, which is what lets the
 // router treat replicas as interchangeable for reads and ack an ingest at
-// a quorum of apply confirmations.
+// a quorum of apply confirmations. A replica keeps the state its last
+// publish replaced, so a read the router pinned to the log position just
+// before it is still answered from it (Server.readState).
 //
 // The replica's progress is observable three ways, all fed from one
-// walState: the X-Giant-Wal-Gen header on every response, the
+// walState: the X-Giant-Wal-Gen header on every response (a pin refusal
+// included, which is how the router learns where a replica is), the
 // wal_gen/replica/checkpoint_gen fields of /healthz, and GET /v1/wal —
 // which can block (?wait=G&timeout_ms=) until generation G has been
 // applied, the router's quorum-ack primitive.
@@ -473,7 +476,7 @@ func HydrateShard(walDir string, shard, shards int, opts Options, logf func(form
 		if logf != nil {
 			logf("wal: hydrated checkpoint %s (log generation %d, shard generation %d)", p, ck.WALGen, ck.ServingGens[shard])
 		}
-		return newShard(proj, ck.ServingGens[shard], opts), ck.CheckpointMeta, nil
+		return newShard(proj, ck.ServingGens[shard], ck.WALGen, opts), ck.CheckpointMeta, nil
 	}
 	return nil, wal.CheckpointMeta{}, nil
 }

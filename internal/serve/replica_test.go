@@ -50,6 +50,7 @@ import (
 	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"reflect"
 	"slices"
@@ -718,6 +719,328 @@ func TestRollingRestartZero5xx(t *testing.T) {
 	}
 }
 
+// TestPinnedReadsMatchOneWorld is the pin's fence. On a 2-shard ×
+// 2-replica fleet over the scripted host, four readers race a stream of
+// routed ingests, two replicas restart mid-run (hydrating the cadence
+// checkpoint), and every read answers exactly what the reference world
+// answers at the log position the read was pinned to (X-Giant-Wal-Gen):
+// routed search, scattered node lookups with their IsA ancestors, tag,
+// rewrite, story and /v1/stats. No read is a 5xx. Afterwards a second
+// router built over the caught-up fleet, with no prober, answers its very
+// first read at the log head.
+func TestPinnedReadsMatchOneWorld(t *testing.T) {
+	f := newCkptWALFixture(t, 2, 2, 3, RouterOptions{ProbeInterval: 10 * time.Millisecond})
+	ref := newRefWorld(t, f.base, scripted(f.base.Union(), detDelta), Options{})
+	type world struct {
+		srv  *Server
+		gens []any // each shard's generation at this position
+	}
+	var mu sync.Mutex
+	worlds := []world{{ref.current(), []any{0.0, 0.0}}}
+	at := func(p int) world {
+		mu.Lock()
+		defer mu.Unlock()
+		return worlds[p]
+	}
+	paths := []string{
+		"/v1/search?q=sedan&limit=20",
+		"/v1/search?q=recall&limit=5",
+		"/v1/node?phrase=family+sedans",
+		"/v1/node?phrase=sedan+model+a",
+		"/v1/tag?" + url.Values{"title": {"sedan recall wave news"}, "entities": {"Sedan Model A"}}.Encode(),
+		"/v1/query/rewrite?q=hybrid+sedans",
+		"/v1/story?seed=sedan+recall+wave+11",
+		"/v1/stats",
+	}
+	// check compares one routed read with the reference world at its pin.
+	check := func(path string, status int, hdr http.Header, body []byte) error {
+		p, err := strconv.Atoi(hdr.Get(walGenHeader))
+		if err != nil {
+			return fmt.Errorf("%s = %d without a pin (%v): %s", path, status, err, body)
+		}
+		w := at(p)
+		rec := httptest.NewRecorder()
+		w.srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if path != "/v1/stats" {
+			if status != rec.Code || !bytes.Equal(body, rec.Body.Bytes()) {
+				return fmt.Errorf("%s pinned at %d = %d: %s\nthe world at %d: %d: %s", path, p, status, body, p, rec.Code, rec.Body.Bytes())
+			}
+			return nil
+		}
+		var got, want map[string]any
+		if err := json.Unmarshal(body, &got); err != nil || status != http.StatusOK {
+			return fmt.Errorf("/v1/stats pinned at %d = %d: %s", p, status, body)
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &want); err != nil {
+			return err
+		}
+		for i, row := range want["shards"].([]any) {
+			row.(map[string]any)["generation"] = w.gens[i]
+		}
+		for _, field := range []string{"nodes", "edges", "nodes_by_type", "edges_by_type", "shards", "partial"} {
+			if !reflect.DeepEqual(got[field], want[field]) {
+				return fmt.Errorf("/v1/stats pinned at %d: %q = %v, the world at %d has %v", p, field, got[field], p, want[field])
+			}
+		}
+		return nil
+	}
+
+	var reads atomic.Int64
+	positions := sync.Map{}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			c := f.routerTS.Client()
+			for i := g; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				path := paths[i%len(paths)]
+				resp, err := c.Get(f.routerTS.URL + path)
+				if err != nil {
+					t.Errorf("%s: %v", path, err)
+					return
+				}
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				reads.Add(1)
+				positions.Store(resp.Header.Get(walGenHeader), true)
+				if err := check(path, resp.StatusCode, resp.Header, body); err != nil {
+					t.Error(err)
+				}
+			}
+		}(g)
+	}
+	restarts := map[int]*replicaProc{4: f.procs[0][1], 8: f.procs[1][0]}
+	for day := 11; day <= 22; day++ {
+		body := fmt.Sprintf(`{"day":%d}`, day)
+		out := ref.step(body)
+		mu.Lock()
+		worlds = append(worlds, world{ref.current(), out["shard_generations"].([]any)})
+		mu.Unlock()
+		if status, got := postRaw(t, f.routerTS.Client(), f.routerTS.URL+"/v1/ingest", body); status != http.StatusOK {
+			t.Errorf("ingest day %d = %d: %s", day, status, got)
+		}
+		if p := restarts[day-10]; p != nil {
+			p.stop()
+			p.boot(t, f.base, nil)
+			p.down.Store(false)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	n := 0
+	positions.Range(func(any, any) bool { n++; return true })
+	if reads.Load() == 0 || n < 2 {
+		t.Fatalf("%d reads at %d positions: the readers never raced an ingest", reads.Load(), n)
+	}
+
+	head := f.headGen()
+	for _, row := range f.procs {
+		for _, p := range row {
+			waitFor(t, 10*time.Second, fmt.Sprintf("shard %d replica %d to reach %d", p.shard, p.idx, head), func() bool {
+				return replicaWALGen(t, p) >= head
+			})
+		}
+	}
+	replicas := make([][]string, len(f.procs))
+	for s, row := range f.procs {
+		for _, p := range row {
+			replicas[s] = append(replicas[s], p.outer.URL)
+		}
+	}
+	rt, err := NewRouter(RouterOptions{Replicas: replicas, WALDir: f.walDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	fresh := httptest.NewServer(rt.Handler())
+	t.Cleanup(fresh.Close)
+	resp, err := fresh.Client().Get(fresh.URL + paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if pin := resp.Header.Get(walGenHeader); resp.StatusCode != http.StatusOK || pin != strconv.FormatUint(head, 10) {
+		t.Fatalf("a fresh router's first read = %d pinned at %q, want 200 at %d: %s", resp.StatusCode, pin, head, body)
+	}
+	if err := check(paths[0], resp.StatusCode, resp.Header, body); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReplicaAnswersPinFromTwoStates: a replica answers a read pinned at
+// its current state's position or the one its last publish replaced, and
+// refuses with 409 a pin it has not applied yet or that predates both
+// states, reporting its own position either way. A malformed pin is a
+// 400; a read without one gets the current state.
+func TestReplicaAnswersPinFromTwoStates(t *testing.T) {
+	base, err := ontology.ShardSnapshot(testOntology(0).Snapshot(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	srv := NewShard(base.Projection(0), Options{ShardIngest: scripted(base.Union(), detDelta)})
+	followLog(t, dir, srv)
+	replica := httptest.NewServer(srv.Handler())
+	t.Cleanup(replica.Close)
+	lg, err := wal.Open(wal.LogPath(dir), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lg.Close() })
+	apply := func(day int) {
+		t.Helper()
+		gen, err := lg.Append(day, []byte(fmt.Sprintf(`{"day":%d}`, day)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		getJSON(t, replica.Client(), fmt.Sprintf("%s/v1/wal?wait=%d", replica.URL, gen), 200)
+	}
+	read := func(pin string) (int, string, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, replica.URL+"/v1/search?q=hybrid&limit=5", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pin != "" {
+			req.Header.Set(pinHeader, pin)
+		}
+		resp, err := replica.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, resp.Header.Get(walGenHeader), body
+	}
+	apply(11)
+	_, _, atOne := read("1")
+	apply(12)
+	_, _, atTwo := read("")
+	if !bytes.Contains(atTwo, []byte("hybrid sedans 12")) || bytes.Contains(atOne, []byte("hybrid sedans 12")) {
+		t.Fatalf("precondition: position 1 %s, position 2 %s", atOne, atTwo)
+	}
+	for _, tc := range []struct {
+		pin    string
+		status int
+		body   []byte
+	}{
+		{"2", http.StatusOK, atTwo},
+		{"1", http.StatusOK, atOne}, // the state position 2 replaced
+		{"0", statusRefused, nil},   // older than both states held
+		{"3", statusRefused, nil},   // not applied yet
+		{"x", http.StatusBadRequest, nil},
+	} {
+		status, pos, body := read(tc.pin)
+		if status != tc.status || pos != "2" || tc.body != nil && !bytes.Equal(body, tc.body) {
+			t.Fatalf("pin %s = %d at position %q: %s; want %d at 2", tc.pin, status, pos, body, tc.status)
+		}
+		if tc.body == nil {
+			assertEnvelope(t, body, "")
+		}
+	}
+}
+
+// TestRouterFailsOverRefusals: a replica's pin refusal is an answer, not
+// a failure. The read moves on to the next replica at the pin and the
+// refusing one stays healthy; when every replica refuses, the shard fails
+// like an unreachable one, and the refusal's 409 reaches no caller.
+func TestRouterFailsOverRefusals(t *testing.T) {
+	var refuse [2]atomic.Bool
+	stub := func(i int) string {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set(walGenHeader, "5")
+			if r.URL.Path != "/healthz" && refuse[i].Load() {
+				w.WriteHeader(statusRefused)
+			}
+			fmt.Fprintf(w, "{\"replica\":%d}\n", i)
+		}))
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	rt, err := NewRouter(RouterOptions{Replicas: [][]string{{stub(0), stub(1)}}, WALDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	ctx := context.WithValue(context.Background(), pinKey{}, rt.position())
+	refuse[0].Store(true)
+	for i := 0; i < 4; i++ {
+		if res := rt.call(ctx, 0, http.MethodGet, "/v1/search?q=sedan", nil); !res.ok() || string(res.body) != "{\"replica\":1}\n" {
+			t.Fatalf("read %d = %d %q, %v; want replica 1's answer", i, res.status, res.body, res.err)
+		}
+	}
+	refuse[1].Store(true)
+	if res := rt.call(ctx, 0, http.MethodGet, "/v1/search?q=sedan", nil); res.err == nil || !strings.Contains(res.err.Error(), "no replica holds log position 5") {
+		t.Fatalf("every replica refusing = %d %q, %v; want a failed shard", res.status, res.body, res.err)
+	}
+	for _, rep := range rt.shards[0] {
+		if rep.down.Load() {
+			t.Fatalf("replica %d marked down for refusing a pin", rep.idx)
+		}
+	}
+}
+
+// TestPinnedReadsFailOpenWithShardDown: under fail-open, a shard whose
+// every replica is down is a missing shard, not a pin the other shard
+// cannot answer: fan-out reads answer 200 marked partial while it is
+// down, and 200 (partial until it catches up) while its restarted
+// replicas replay the log. No refusal ever surfaces as a 5xx.
+func TestPinnedReadsFailOpenWithShardDown(t *testing.T) {
+	f := newWALFixture(t, 2, 2, RouterOptions{FailOpen: true, ProbeInterval: 10 * time.Millisecond})
+	for day := 11; day <= 13; day++ {
+		postJSON(t, f.routerTS.Client(), f.routerTS.URL+"/v1/ingest", fmt.Sprintf(`{"day":%d}`, day), 200)
+	}
+	paths := []string{
+		"/v1/search?q=sedan&limit=20",
+		"/v1/tag?" + url.Values{"title": {"sedan recall wave news"}, "entities": {"Sedan Model A"}}.Encode(),
+		"/v1/query/rewrite?q=hybrid+sedans",
+		"/v1/stats",
+	}
+	readAll := func(stage string, wantPartial bool) (partial bool) {
+		t.Helper()
+		for _, path := range paths {
+			status, body := getRaw(t, f.routerTS.Client(), f.routerTS.URL+path)
+			if status != http.StatusOK {
+				t.Fatalf("%s: %s = %d: %s", stage, path, status, body)
+			}
+			p := bytes.Contains(body, []byte(`"partial":true`))
+			if wantPartial && !p {
+				t.Fatalf("%s: %s is not marked partial: %s", stage, path, body)
+			}
+			partial = partial || p
+		}
+		return partial
+	}
+	// Let every apply wait of the acks end before shard 1 goes away.
+	head := f.headGen()
+	for _, row := range f.procs {
+		for _, p := range row {
+			waitFor(t, 10*time.Second, "every replica to reach the log head", func() bool {
+				return replicaWALGen(t, p) >= head
+			})
+		}
+	}
+	for _, p := range f.procs[1] {
+		p.stop()
+	}
+	readAll("shard 1 down", true)
+	for _, p := range f.procs[1] {
+		p.boot(t, f.base, nil)
+		p.down.Store(false)
+	}
+	waitFor(t, 10*time.Second, "complete answers once shard 1 caught up", func() bool {
+		return !readAll("shard 1 replaying", false)
+	})
+}
+
 // TestReplicaCatchUpGating: a replica holding an unapplied generation is
 // never consulted for reads — the generation gate, not health, is what
 // re-admits it.
@@ -767,6 +1090,10 @@ func TestReplicaCatchUpGating(t *testing.T) {
 		return lagReads.Load() > 0
 	})
 }
+
+// readOrder is the ranking a read starting now gets: rank at the log
+// position the router would pin it to.
+func (rt *Router) readOrder(shard int) []*replicaState { return rt.rank(shard, rt.position()) }
 
 // TestReadGateSurvivesOutOfOrderPositions: two responses from one replica
 // processed out of order (position h lands, then an older call's h-1) must
@@ -876,8 +1203,11 @@ func TestReadFailoverRanksAtEachAttempt(t *testing.T) {
 	report(a, 5)
 	report(b, 4)
 	report(c, 4)
+	// The read is pinned where a read starting now would be: at 5, which
+	// only a has reached.
+	ctx := context.WithValue(context.Background(), pinKey{}, rt.position())
 	done := make(chan backendResult)
-	go func() { done <- rt.call(context.Background(), 0, http.MethodGet, "/v1/search?q=sedan", nil) }()
+	go func() { done <- rt.call(ctx, 0, http.MethodGet, "/v1/search?q=sedan", nil) }()
 	<-entered
 	// The ingest completes on b and c; then a goes away.
 	report(b, 5)
@@ -1618,6 +1948,36 @@ func TestRouterCompaction(t *testing.T) {
 		if _, ok := entry[field]; !ok {
 			t.Fatalf("healthz wal entry lacks %q: %v", field, entry)
 		}
+	}
+}
+
+// TestCompactOnceAtUnchangedFloor: a compaction pass whose floor has not
+// moved since the last cut cuts nothing. The first pass truncates the log
+// below the checkpoint; the second, at the same floor, leaves the base,
+// the head and the log file as they were.
+func TestCompactOnceAtUnchangedFloor(t *testing.T) {
+	f := newCkptWALFixture(t, 1, 1, 1<<20, RouterOptions{}) // no prober, no cadence rolls
+	for day := 11; day <= 14; day++ {
+		postJSON(t, f.routerTS.Client(), f.routerTS.URL+"/v1/ingest", fmt.Sprintf(`{"day":%d}`, day), 200)
+	}
+	covered := forceCheckpoint(t, f.procs[0][0])
+	f.rt.compactOnce()
+	base, head := f.rt.log.BaseGen(), f.headGen()
+	if base != covered {
+		t.Fatalf("first pass cut below %d, want the checkpoint's %d", base, covered)
+	}
+	before, err := os.ReadFile(wal.LogPath(f.walDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.rt.compactOnce()
+	after, err := os.ReadFile(wal.LogPath(f.walDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.rt.log.BaseGen() != base || f.headGen() != head || !bytes.Equal(before, after) {
+		t.Fatalf("second pass at floor %d moved the log: base %d→%d, head %d→%d, file changed %v",
+			base, base, f.rt.log.BaseGen(), head, f.headGen(), !bytes.Equal(before, after))
 	}
 }
 

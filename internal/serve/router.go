@@ -47,15 +47,23 @@ package serve
 //
 // Every fan-out read — /v1/search, /v1/stats, /v1/tag, /v1/query/rewrite,
 // /v1/story and scattered /v1/node lookups — runs through one loop,
-// scatterFold, with one staleness rule and one degraded-mode policy
-// (RouterOptions.FailOpen): when a backend is unreachable, the read either
-// fails closed with 503 or returns the reachable shards' results marked
-// "partial": true. A backend that answers with a body that does not decode
-// is broken, not missing: 502 bad_upstream naming its shard. So is a
-// backend whose /v1/stats names another shard than its slot: every read
-// answers 502 bad_upstream naming the slot, checked once per routing-index
-// build. A typed /v1/node lookup answers 502 when the one home shard that
-// could hold its phrase is unreachable, and ingest is always fail-closed.
+// scatterFold, with one degraded-mode policy (RouterOptions.FailOpen):
+// when a backend is unreachable, the read either fails closed with 503 or
+// returns the reachable shards' results marked "partial": true. A backend
+// that answers with a body that does not decode is broken, not missing:
+// 502 bad_upstream naming its shard. So is a backend whose /v1/stats names
+// another shard than its slot: every read answers 502 bad_upstream naming
+// the slot, checked once per routing-index build. A typed /v1/node lookup
+// answers 502 when the one home shard that could hold its phrase is
+// unreachable, and ingest is always fail-closed.
+//
+// On a delta-log fleet every read is pinned: the router picks one log
+// position P per request (position) and sends it with every backend call
+// of that read, the builds of its memos included. A replica answers from
+// the state it held at P or refuses, and the router then tries the
+// shard's next replica, so a merged response is the fleet's world at
+// exactly P. There is nothing to detect after the fact and nothing to
+// retry.
 //
 // A fleet changes only through its one delta log. Without WALDir the
 // router fronts a frozen fleet (giantd -shard i/k -in), which changes by
@@ -64,8 +72,8 @@ package serve
 // With RouterOptions.Replicas + WALDir the router serves each shard from
 // a replica set over an append-only delta log (internal/wal): reads pick
 // a replica by power-of-two-choices among the healthy replicas that have
-// applied the shard's newest known log generation (a replica still
-// tailing is never consulted for reads ahead of its position), and
+// applied the read's pin (a replica still tailing is never consulted for
+// a read ahead of its position), and
 // /v1/ingest appends the batch once to the fleet's one log, which every
 // replica of every shard tails, acking once a quorum (⌈N/2⌉) of each
 // shard's replicas confirm the apply — replicas left behind catch up from
@@ -134,8 +142,9 @@ type RouterOptions struct {
 	// true returns the reachable shards' results with "partial": true.
 	FailOpen bool
 	// ProbeInterval enables a background health prober hitting every
-	// backend's /healthz; 0 disables it (health marks still update on
-	// every proxied call).
+	// backend's /healthz; 0 disables it (health marks and applied log
+	// positions still update on every proxied call, and a router with a
+	// log learns every replica's position once before NewRouter returns).
 	ProbeInterval time.Duration
 	// Compact, on a delta-log fleet, lets the prober truncate the log
 	// below the fleet-wide applied floor after every probe pass. The cut
@@ -156,8 +165,7 @@ type RouterOptions struct {
 // generation it is known to have applied — reported by the replica on
 // every response via the X-Giant-Wal-Gen header. A replica marked down
 // has its applied position reset to zero: a dead process's position is
-// unknown, so it re-enters read rotation only after a probe observes it
-// back at the shard's head generation.
+// unknown, so it counts toward no read's pin until it answers again.
 type replicaState struct {
 	shard    int
 	idx      int // replica ordinal within the shard
@@ -190,28 +198,24 @@ type Router struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 	probeWG  sync.WaitGroup
+	// reads counts the in-flight pinned reads by log position, so that an
+	// append can wait out the reads its apply would leave no replica able
+	// to answer (awaitReads); drained, when an append waits, is closed at
+	// the next read's end.
+	readMu  sync.Mutex
+	reads   map[uint64]int
+	drained chan struct{}
 	// The router memoizes exactly three fleet-wide folds, each lazily
-	// rebuilt by a fan-out and all dropped together by invalidate, which
-	// bumps epoch: routing, the term→shard routing index (from /v1/stats
-	// term grams), and tagIdx / frags, the merged concept index and
-	// story-fragment list (from full ?partial=stats / ?partial=fragments
-	// fan-outs). A degraded tagIdx / frags build (missing shards under
-	// fail-open) is never stored.
-	epoch   atomic.Uint64
+	// built by a fan-out pinned at the read's log position and kept for
+	// reads pinned there: routing, the term→shard routing index (from
+	// /v1/stats term grams), and tagIdx / frags, the merged concept index
+	// and story-fragment list (from full ?partial=stats /
+	// ?partial=fragments fan-outs). A build that misses shards is never
+	// stored.
 	routing memo[routingIndex]
 	tagIdx  memo[routerTagIndex]
 	frags   memo[routerFragments]
 }
-
-// genVec is a per-shard generation vector: gens[i] is the serving
-// generation shard i answered at, meaningful only where ok[i]. Every memo
-// embeds the vector of the fan-out that built it.
-type genVec struct {
-	gens []uint64
-	ok   []bool
-}
-
-func newGenVec(k int) genVec { return genVec{gens: make([]uint64, k), ok: make([]bool, k)} }
 
 // routingIndex is the router's term→shard posting index: per-shard term
 // grams to prune the scatter. A shard without grams (it failed to answer
@@ -220,50 +224,45 @@ func newGenVec(k int) genVec { return genVec{gens: make([]uint64, k), ok: make([
 // wrongShard message of a slot whose backend serves another shard (empty
 // when it matches or did not answer). Immutable once published.
 type routingIndex struct {
-	genVec
 	grams     []*ontology.TermGrams
 	misplaced []string
 }
 
-// memo is one fleet-wide fold the router keeps between requests, valid
-// only at the epoch its build started under: invalidate bumps the epoch,
-// which drops every memo at once, and a build that straddles a bump is
-// returned to its caller but never stored. (A bump that lands between
-// that check and the store leaves an entry stamped with the old epoch,
-// which load never returns.)
+// memo is one fleet-wide fold the router keeps between requests. It
+// serves only reads pinned at the log position its build was pinned at (0
+// on a router without a log, whose frozen fleet never moves), so a write
+// needs no invalidation: the next read is pinned past it and builds anew.
 type memo[T any] struct {
 	mu  sync.Mutex // serializes rebuilds; readers never take it
 	cur atomic.Pointer[memoEntry[T]]
 }
 
 type memoEntry[T any] struct {
-	epoch uint64
-	val   *T
+	at  uint64
+	val *T
 }
 
-func (m *memo[T]) load(epoch uint64) *T {
-	if e := m.cur.Load(); e != nil && e.epoch == epoch {
+func (m *memo[T]) load(at uint64) *T {
+	if e := m.cur.Load(); e != nil && e.at == at {
 		return e.val
 	}
 	return nil
 }
 
-// get returns the memo valid at the current epoch, running build when
-// there is none. A build that fails or misses shards is returned but not
-// kept.
-func (m *memo[T]) get(epoch *atomic.Uint64, build func() (*T, []int, int, any)) (*T, []int, int, any) {
-	if v := m.load(epoch.Load()); v != nil {
+// get returns the memo built at log position at, running build when there
+// is none. A build that fails or misses shards is returned but not kept.
+func (m *memo[T]) get(at uint64, build func() (*T, []int, int, any)) (*T, []int, int, any) {
+	if v := m.load(at); v != nil {
 		return v, nil, 0, nil
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	e := epoch.Load()
-	if v := m.load(e); v != nil {
+	if v := m.load(at); v != nil {
 		return v, nil, 0, nil
 	}
 	v, failed, status, errb := build()
-	if status == 0 && len(failed) == 0 && epoch.Load() == e {
-		m.cur.Store(&memoEntry[T]{epoch: e, val: v})
+	if status == 0 && len(failed) == 0 {
+		m.cur.Store(&memoEntry[T]{at: at, val: v})
 	}
 	return v, failed, status, errb
 }
@@ -320,6 +319,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		metrics: newMetricsRegistry(routerEndpointNames),
 		shards:  make([][]*replicaState, k),
 		stop:    make(chan struct{}),
+		reads:   map[uint64]int{},
 	}
 	for i, reps := range sets {
 		rt.shards[i] = make([]*replicaState, len(reps))
@@ -340,6 +340,12 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		rt.client = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 4}}
 	}
 	rt.routes()
+	if rt.walMode() {
+		// Reads are pinned from reported positions: learn every replica's
+		// before the first read, so a router started over a fleet that has
+		// already applied N batches pins its first read at N.
+		rt.probe()
+	}
 	if opts.ProbeInterval > 0 {
 		rt.probeWG.Add(1)
 		go rt.probeLoop()
@@ -384,11 +390,9 @@ func (rt *Router) workers() int {
 	return rt.k
 }
 
-// probeLoop keeps the health marks fresh while traffic is idle, and
-// cross-checks each backend's /healthz generation against the routing
-// index: a discrepancy means the fleet changed behind the router's back
-// (an out-of-band write, or a backend restarted into a different world),
-// so every memo is dropped.
+// probeLoop keeps the health marks and applied log positions fresh while
+// traffic is idle; compaction rides each pass, since it needs exactly the
+// positions the pass refreshed.
 func (rt *Router) probeLoop() {
 	defer rt.probeWG.Done()
 	ticker := time.NewTicker(rt.opts.ProbeInterval)
@@ -399,51 +403,41 @@ func (rt *Router) probeLoop() {
 			return
 		case <-ticker.C:
 		}
-		// Probe every replica: callReplica refreshes the health mark and
-		// applied log position of each, which is also the only way a
-		// restarted replica re-enters read rotation — its probe reports it
-		// back at the shard's head generation. The generation cross-check
-		// below uses one representative at-gate response per shard, so a
-		// replica still tailing its way back never masquerades as a fleet
-		// change.
-		results := make([]backendResult, rt.k)
-		par.ForEachIndexed(rt.workers(), rt.k, func(i int) {
-			reps := rt.shards[i]
-			probes := make([]backendResult, len(reps))
-			for j, rep := range reps {
-				probes[j] = rt.callReplica(context.Background(), rt.opts.Timeout, rep, http.MethodGet, "/healthz", nil)
-			}
-			var gate uint64
-			for _, rep := range reps {
-				if g := rep.applied.Load(); g > gate {
-					gate = g
-				}
-			}
-			for j, rep := range reps {
-				if probes[j].ok() && rep.applied.Load() >= gate {
-					results[i] = probes[j]
-					break
-				}
-			}
-		})
-		if idx := rt.routing.load(rt.epoch.Load()); idx != nil {
-			for i := range results {
-				// A shard with no at-gate answer has no generation to check.
-				if gen, ok := results[i].generation(); ok && (!idx.ok[i] || idx.gens[i] != gen) {
-					// Either the backend recovered since the index was built
-					// (re-index to regain pruning) or its generation moved
-					// without a routed write (every memo is stale).
-					rt.invalidate()
-					break
-				}
-			}
-		}
-		// Compaction rides the probe pass: it needs exactly the applied
-		// positions the probes just refreshed, routing index or not.
+		rt.probe()
 		if rt.opts.Compact {
 			rt.compactOnce()
 		}
 	}
+}
+
+// probe asks every replica's /healthz once, refreshing its health mark and
+// applied log position (callReplica).
+func (rt *Router) probe() {
+	reps := rt.allReplicas()
+	par.ForEachIndexed(rt.workers(), len(reps), func(i int) {
+		rt.callReplica(context.Background(), rt.opts.Timeout, reps[i], http.MethodGet, "/healthz", nil)
+	})
+}
+
+// position is the log position a read is pinned to: the lowest, over the
+// shards with a healthy replica, of the highest position a healthy
+// replica of that shard has reported. Every such shard then has a replica
+// that reached it, and no shard is read ahead of what the slowest shard
+// has applied.
+func (rt *Router) position() uint64 {
+	at, found := uint64(0), false
+	for _, reps := range rt.shards {
+		top, healthy := uint64(0), false
+		for _, rep := range reps {
+			if !rep.down.Load() {
+				top, healthy = max(top, rep.applied.Load()), true
+			}
+		}
+		if healthy && (!found || top < at) {
+			at, found = top, true
+		}
+	}
+	return at
 }
 
 // appliedFloor returns the minimum applied log generation across shard
@@ -531,46 +525,18 @@ func (rt *Router) walStatus() []walShardStatus {
 	return out
 }
 
-// invalidate drops all three memos — the routing index, the merged
-// concept index and the merged fragment list — so the next read rebuilds
-// each from the fleet. Every fold spans every shard, so any change to any
-// shard stales all of them; there is no finer rule. Callers: any write
-// the fleet did not uniformly reject with a 4xx, prober drift, and
-// scatterFold, when a read observes a backend generation diverging from a
-// memo's.
-func (rt *Router) invalidate() { rt.epoch.Add(1) }
-
-// invalidateAfterWrite applies the one invalidation rule to an ingest's
-// merged outcome: a uniform 4xx rejection changed nothing, anything else
-// (applied, unconfirmed, diverged) drops every memo.
-func (rt *Router) invalidateAfterWrite(status int) {
-	if status < 400 || status >= 500 {
-		rt.invalidate()
-	}
-}
-
-// ensureRouting returns the routing index the request's placement check
-// read (loadRouting when there was none) and pins it on meta. Reusing the
-// checked index means one read runs at most one build, even when that
-// build straddled an invalidate and was never stored.
-func (rt *Router) ensureRouting(ctx context.Context, meta *respMeta) *routingIndex {
-	idx := meta.routing
-	if idx == nil {
-		idx = rt.loadRouting(ctx)
-	}
-	meta.pin(&idx.genVec)
-	return idx
-}
-
-// loadRouting returns the current routing index, rebuilding it from a
-// /v1/stats fan-out when absent. A backend that fails to answer gets no
-// grams and is consulted on every routed read, so a partial rebuild
-// degrades pruning, not correctness — the one memo build that never fails
-// a read.
+// loadRouting returns the routing index at the read's log position,
+// building it from a /v1/stats fan-out when absent. A backend that fails
+// to answer gets no grams and is consulted on every routed read, so a
+// partial build degrades pruning, not correctness — the one memo build
+// that never fails a read. It is not kept either: the next read asks the
+// missing backend for its grams and identity again.
 func (rt *Router) loadRouting(ctx context.Context) *routingIndex {
-	idx, _, _, _ := rt.routing.get(&rt.epoch, func() (*routingIndex, []int, int, any) {
+	at, _ := pinOf(ctx)
+	idx, _, _, _ := rt.routing.get(at, func() (*routingIndex, []int, int, any) {
 		results := rt.scatter(ctx, nil, rt.allShards(), http.MethodGet, "/v1/stats", nil)
-		idx := &routingIndex{genVec: newGenVec(rt.k), grams: make([]*ontology.TermGrams, rt.k), misplaced: make([]string, rt.k)}
+		idx := &routingIndex{grams: make([]*ontology.TermGrams, rt.k), misplaced: make([]string, rt.k)}
+		var failed []int
 		for i := range results {
 			var parsed struct {
 				Shard *struct {
@@ -580,6 +546,7 @@ func (rt *Router) loadRouting(ctx context.Context) *routingIndex {
 				} `json:"shard"`
 			}
 			if !results[i].ok() || json.Unmarshal(results[i].body, &parsed) != nil {
+				failed = append(failed, i)
 				continue
 			}
 			if parsed.Shard == nil {
@@ -588,14 +555,87 @@ func (rt *Router) loadRouting(ctx context.Context) *routingIndex {
 				continue
 			}
 			idx.misplaced[i] = rt.wrongShard(i, parsed.Shard.Shard, parsed.Shard.Shards)
-			idx.gens[i], idx.ok[i] = results[i].generation()
 			if parsed.Shard.TermStats != nil {
 				idx.grams[i], _ = ontology.DecodeTermGrams(parsed.Shard.TermStats.Grams)
 			}
 		}
-		return idx, nil, 0, nil
+		return idx, failed, 0, nil
 	})
 	return idx
+}
+
+// pinned wraps a read handler so that, on a router with a log, every
+// backend call of the read carries one log position, picked once by
+// position: the request's context holds it (pinOf), and the response
+// names it in X-Giant-Wal-Gen. The read counts as in flight at that
+// position until it returns (awaitReads). A router without a log pins
+// nothing: its fleet is frozen.
+func (rt *Router) pinned(fn func(r *http.Request, meta *respMeta) (int, any)) func(r *http.Request, meta *respMeta) (int, any) {
+	return func(r *http.Request, meta *respMeta) (int, any) {
+		if !rt.walMode() {
+			return fn(r, meta)
+		}
+		rt.readMu.Lock()
+		at := rt.position()
+		rt.reads[at]++
+		rt.readMu.Unlock()
+		defer func() {
+			rt.readMu.Lock()
+			if rt.reads[at]--; rt.reads[at] == 0 {
+				delete(rt.reads, at)
+			}
+			if rt.drained != nil {
+				close(rt.drained)
+				rt.drained = nil
+			}
+			rt.readMu.Unlock()
+		}()
+		meta.setHeader(walGenHeader, strconv.FormatUint(at, 10))
+		return fn(r.WithContext(context.WithValue(r.Context(), pinKey{}, at)), meta)
+	}
+}
+
+// awaitReads blocks until no in-flight read is pinned below log position
+// at, or for at most the read timeout. A replica keeps the state its last
+// apply replaced and no older one, so once the record after at is applied
+// no replica can answer a read pinned below at: appending it only after
+// such reads end is what lets a read that outlasts two ingests still see
+// one world.
+func (rt *Router) awaitReads(at uint64) {
+	deadline := time.NewTimer(rt.opts.Timeout)
+	defer deadline.Stop()
+	for {
+		rt.readMu.Lock()
+		older := false
+		for p := range rt.reads {
+			older = older || p < at
+		}
+		if !older {
+			rt.readMu.Unlock()
+			return
+		}
+		if rt.drained == nil {
+			rt.drained = make(chan struct{})
+		}
+		drained := rt.drained
+		rt.readMu.Unlock()
+		select {
+		case <-drained:
+		case <-deadline.C:
+			return
+		}
+	}
+}
+
+// pinKey is the context key of a read's log position (pinned).
+type pinKey struct{}
+
+// pinOf returns the log position ctx's read is pinned to; ok is false for
+// a call outside a pinned read, which carries no pin. An unpinned read's
+// position is 0: the key of the memos a router without a log keeps.
+func pinOf(ctx context.Context) (at uint64, ok bool) {
+	at, ok = ctx.Value(pinKey{}).(uint64)
+	return at, ok
 }
 
 // placed wraps a read handler so that it fails closed while the routing
@@ -625,13 +665,6 @@ type backendResult struct {
 
 func (br *backendResult) ok() bool { return br.err == nil && br.status == http.StatusOK }
 
-// generation parses the serving generation the backend stamped on its
-// answer (X-Giant-Generation); ok is false when there is none.
-func (br *backendResult) generation() (gen uint64, ok bool) {
-	gen, err := strconv.ParseUint(br.gen, 10, 64)
-	return gen, err == nil
-}
-
 // maxUpstreamBytes bounds every backend response body the router reads, so
 // one misbehaving backend cannot make it allocate without limit; a longer
 // body fails the call like a torn read. The largest upstream body the
@@ -640,44 +673,52 @@ func (br *backendResult) generation() (gen uint64, ok bool) {
 // headroom.
 const maxUpstreamBytes = 16 << 20
 
-// call performs one backend read under the read timeout, failing over on
-// transport errors and 5xx to each replica at most once. Every attempt
-// takes the best untried replica readOrder ranks at that moment: the read
-// gate moves while a call is in flight, and a ranking taken once per call
-// (say mid-ingest, when one replica alone has confirmed the newest
-// record) can name only a replica that stops before the call reaches it,
-// while its peers pass the gate.
+// call performs one backend read, pinned at ctx's log position if any,
+// under the read timeout, failing over on transport errors, 5xx and pin
+// refusals to each replica at most once. Every attempt takes the best
+// untried replica rank orders at that moment: positions move while a call
+// is in flight, and a ranking taken once per call (say mid-ingest, when
+// one replica alone has confirmed the newest record) can name only a
+// replica that stops before the call reaches it, while its peers reach
+// the pin. When every replica refused, the shard fails like an
+// unreachable one.
 func (rt *Router) call(ctx context.Context, shard int, method, pathAndQuery string, body []byte) backendResult {
+	at, _ := pinOf(ctx)
 	var last backendResult
-	var failed []*replicaState
+	var tried []*replicaState
 	for {
 		var rep *replicaState
-		for _, r := range rt.readOrder(shard) {
-			if !slices.Contains(failed, r) {
+		for _, r := range rt.rank(shard, at) {
+			if !slices.Contains(tried, r) {
 				rep = r
 				break
 			}
 		}
 		if rep == nil {
+			if last.status == statusRefused {
+				last.err = fmt.Errorf("shard %d: no replica holds log position %d", shard, at)
+			}
 			return last
 		}
 		last = rt.callReplica(ctx, rt.opts.Timeout, rep, method, pathAndQuery, body)
-		if last.err == nil && last.status < 500 {
-			// Any answered status below 500 is authoritative — a 404 is a
-			// node miss every replica of the shard would repeat, not a
+		if last.err == nil && last.status < 500 && last.status != statusRefused {
+			// Any other answered status below 500 is authoritative — a 404
+			// is a node miss every replica of the shard would repeat, not a
 			// reason to fail over.
 			return last
 		}
 		if ctx.Err() != nil {
 			return last
 		}
-		failed = append(failed, rep)
+		tried = append(tried, rep)
 	}
 }
 
-// callReplica performs one HTTP call against one replica, updating its
-// health mark from the transport outcome and its applied log position
-// from the X-Giant-Wal-Gen response header.
+// callReplica performs one HTTP call against one replica, pinned at ctx's
+// log position if any, updating the replica's health mark from the
+// transport outcome and its applied log position from the X-Giant-Wal-Gen
+// response header. A pin refusal is an answer: it leaves the replica
+// healthy.
 func (rt *Router) callReplica(ctx context.Context, timeout time.Duration, rep *replicaState, method, pathAndQuery string, body []byte) backendResult {
 	var res backendResult
 	rep.inflight.Add(1)
@@ -696,6 +737,9 @@ func (rt *Router) callReplica(ctx context.Context, timeout time.Duration, rep *r
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
+	}
+	if at, ok := pinOf(ctx); ok {
+		req.Header.Set(pinHeader, strconv.FormatUint(at, 10))
 	}
 	resp, err := rt.client.Do(req)
 	if err != nil {
@@ -735,11 +779,11 @@ func (rt *Router) callReplica(ctx context.Context, timeout time.Duration, rep *r
 // replica's mark; sentAt is the mark read before that request was sent.
 // Concurrent calls finish in any order and a live process's position never
 // decreases, so a response only raises the mark — an older response landing
-// after a newer one must not make the replica look behind the read gate.
+// after a newer one must not make the replica look behind a read's pin.
 // The one report that lowers it is g < sentAt: a position below what the
 // replica had already reported before the request left proves it restarted
-// (with no failed call in between to reset the mark), and the gate must
-// stop trusting the old high-water mark.
+// (with no failed call in between to reset the mark), and pins must stop
+// trusting the old high-water mark.
 func (rep *replicaState) observeApplied(sentAt, g uint64) {
 	if g < sentAt && rep.applied.CompareAndSwap(sentAt, g) {
 		return
@@ -751,39 +795,29 @@ func (rep *replicaState) observeApplied(sentAt, g uint64) {
 	}
 }
 
-// readOrder ranks one shard's replicas for a read. The gate is the
-// highest applied log position any replica has reported: a replica
-// behind it is still tailing and is never consulted — a read must not
-// travel back in time just because it landed on a catching-up process.
-// At-gate healthy replicas come first, ordered by power-of-two-choices
-// over a rotating pair (fewest in-flight calls wins); at-gate down
-// replicas follow, so traffic keeps probing a single-replica shard back
-// to recovery exactly as it did before replica sets existed.
-func (rt *Router) readOrder(shard int) []*replicaState {
+// rank orders one shard's replicas for a read pinned at log position at.
+// A healthy replica that has reported a position below it is still
+// tailing and is never consulted. The healthy ones at or past it come
+// first, ordered by power-of-two-choices over a rotating pair (fewest
+// in-flight calls wins); down replicas follow, whatever they last
+// reported, so traffic keeps probing a single-replica shard back to
+// recovery, and a restarted replica that cannot answer the pin yet
+// refuses it rather than answering another world.
+func (rt *Router) rank(shard int, at uint64) []*replicaState {
 	reps := rt.shards[shard]
 	if len(reps) == 1 {
 		return reps
 	}
-	applied := make([]uint64, len(reps))
-	var gate uint64
-	for i, rep := range reps {
-		applied[i] = rep.applied.Load()
-		if applied[i] > gate {
-			gate = applied[i]
-		}
-	}
-	var healthy, lagged []*replicaState
-	for i, rep := range reps {
-		if applied[i] < gate {
-			continue
-		}
-		if rep.down.Load() {
-			lagged = append(lagged, rep)
-		} else {
+	var healthy, down []*replicaState
+	for _, rep := range reps {
+		switch {
+		case rep.down.Load():
+			down = append(down, rep)
+		case rep.applied.Load() >= at:
 			healthy = append(healthy, rep)
 		}
 	}
-	order := make([]*replicaState, 0, len(healthy)+len(lagged))
+	order := make([]*replicaState, 0, len(healthy)+len(down))
 	if n := len(healthy); n > 0 {
 		c := int(rt.rr.Add(1) % uint64(n))
 		first := healthy[c]
@@ -800,7 +834,7 @@ func (rt *Router) readOrder(shard int) []*replicaState {
 			order = append(order, first)
 		}
 	}
-	return append(order, lagged...)
+	return append(order, down...)
 }
 
 // markDown / markUp flip a replica's health mark, logging the transition
@@ -808,9 +842,8 @@ func (rt *Router) readOrder(shard int) []*replicaState {
 func (rt *Router) markDown(rep *replicaState, cause error) {
 	if !rep.down.Swap(true) {
 		// A dead replica's log position is unknown (it may restart empty):
-		// reset it so the read gate never trusts a stale high-water mark.
-		// The prober re-admits the replica once its /healthz reports the
-		// shard's head position again.
+		// reset it so no read's pin trusts a stale high-water mark. Its
+		// next answer, to a probe or a read, reports its position again.
 		rep.applied.Store(0)
 		if rt.opts.Logf != nil {
 			if len(rt.shards[rep.shard]) > 1 {
@@ -858,17 +891,14 @@ func (rt *Router) allShards() []int {
 // read describes one routed read for scatterFold: what to ask, whom, and
 // how to decode one shard's answer.
 type read[P any] struct {
-	name, part   string // the read in its churn 502 ("tag"); one answer in its bad-body 502 ("tag partial")
+	part         string // one answer, in its bad-body 502 ("tag partial")
 	method, path string // method "" is GET, as in net/http
 	body         []byte
 	shards       []int // the shards to ask, in order; nil asks every shard
-	// route prunes the first attempt to the shards whose routing-index
-	// grams may hold one of needles; the retry asks every shard.
+	// route prunes the scatter to the shards whose routing-index grams (the
+	// index the placement check loaded) may hold one of needles.
 	route   bool
 	needles []string
-	// memos ensures (and pins on meta) the memos each attempt reads
-	// through, returning the shards their builds missed.
-	memos func() (failed []int, status int, errb any)
 	// decode turns one answer into a part: ok=false counts the shard as
 	// failed, an error is a 502 naming it. Nil decodes a 200 body as JSON
 	// and fails every other status.
@@ -877,20 +907,15 @@ type read[P any] struct {
 
 // gathered is what scatterFold hands a read's fold.
 type gathered[P any] struct {
-	parts  []P    // one per asked shard, in order; the zero P where it failed
-	gens   genVec // the generation each answering shard reported
-	failed []int  // failed shards, ascending, the memo builds' included
+	parts  []P   // one per asked shard, in order; the zero P where it failed
+	failed []int // failed shards, ascending
 }
 
-// scatterFold runs one routed read: it ensures the read's memos, scatters
-// to its shards, decodes every answer, and applies the router's two
-// fleet-wide rules. Staleness: a read is stale when a shard it heard from
-// answered at a generation other than a memo it read through recorded for
-// that shard (respMeta.endAttempt); every memo is then dropped and the
-// read runs once more, and a second stale attempt is a 502. Degradation:
-// a failed shard fails the read closed with 503, or, under FailOpen, is
-// listed for markPartial; a shard whose answer does not decode is a 502
-// naming it. A non-zero status aborts the read.
+// scatterFold runs one routed read: it scatters to the read's shards at
+// its pinned log position, decodes every answer, and applies the router's
+// degraded-mode policy: a failed shard fails the read closed with 503,
+// or, under FailOpen, is listed for markPartial; a shard whose answer does
+// not decode is a 502 naming it. A non-zero status aborts the read.
 func scatterFold[P any](rt *Router, ctx context.Context, meta *respMeta, rd read[P]) (g gathered[P], status int, errb any) {
 	decode := rd.decode
 	if decode == nil {
@@ -904,89 +929,59 @@ func scatterFold[P any](rt *Router, ctx context.Context, meta *respMeta, rd read
 			return p, true, err
 		}
 	}
-	for retry := false; ; retry = true {
-		g = gathered[P]{gens: newGenVec(rt.k)}
-		var memoFailed []int
-		if rd.memos != nil {
-			if memoFailed, status, errb = rd.memos(); status != 0 {
-				return g, status, errb
-			}
-		}
-		shards := rd.shards
-		if rd.route && !retry {
-			shards = rt.candidateShards(rt.ensureRouting(ctx, meta), rd.needles)
-		} else if shards == nil {
-			shards = rt.allShards()
-		}
-		results := rt.scatter(ctx, meta, shards, rd.method, rd.path, rd.body)
-		g.parts = make([]P, len(shards))
-		for j, sh := range shards {
-			var ok bool
-			var err error
-			if results[j].err == nil {
-				g.parts[j], ok, err = decode(results[j].status, results[j].body)
-			}
-			if err != nil {
-				return g, http.StatusBadGateway, errBodyShard(codeBadUpstream, sh, "shard %d: %v", sh, err)
-			}
-			if !ok {
-				g.failed = append(g.failed, sh)
-				continue
-			}
-			g.gens.gens[sh], g.gens.ok[sh] = results[j].generation()
-		}
-		// Only a read that reads through a memo can be stale. A memo
-		// build reads through none, so it never ends the attempt of the
-		// read that runs it.
-		if (rd.memos != nil || rd.route) && meta.endAttempt() {
-			rt.invalidate()
-			if retry {
-				return g, http.StatusBadGateway, errBody(codeBadUpstream, "backend generations churned during %s merge; retry", rd.name)
-			}
-			continue
-		}
-		g.failed = mergeFailed(memoFailed, g.failed)
-		if len(g.failed) > 0 && !rt.opts.FailOpen {
-			return g, http.StatusServiceUnavailable, errBody(codeShardUnavailable, "shards %v unavailable (fail-closed)", g.failed)
-		}
-		return g, 0, nil
+	shards := rd.shards
+	if rd.route {
+		shards = rt.candidateShards(meta.routing, rd.needles)
+	} else if shards == nil {
+		shards = rt.allShards()
 	}
+	results := rt.scatter(ctx, meta, shards, rd.method, rd.path, rd.body)
+	g.parts = make([]P, len(shards))
+	for j, sh := range shards {
+		var ok bool
+		var err error
+		if results[j].err == nil {
+			g.parts[j], ok, err = decode(results[j].status, results[j].body)
+		}
+		if err != nil {
+			return g, http.StatusBadGateway, errBodyShard(codeBadUpstream, sh, "shard %d: %v", sh, err)
+		}
+		if !ok {
+			g.failed = append(g.failed, sh)
+		}
+	}
+	if len(g.failed) > 0 && !rt.opts.FailOpen {
+		return g, http.StatusServiceUnavailable, errBody(codeShardUnavailable, "shards %v unavailable (fail-closed)", g.failed)
+	}
+	return g, 0, nil
 }
 
 func (rt *Router) routes() {
 	rt.mux = http.NewServeMux()
 	rt.mux.HandleFunc("/healthz", rt.endpoint("healthz", rt.handleHealthz))
-	rt.mux.HandleFunc("/v1/stats", rt.endpoint("stats", rt.handleStats))
-	rt.mux.HandleFunc("/v1/node", rt.endpoint("node", rt.placed(rt.handleNode)))
-	rt.mux.HandleFunc("/v1/search", rt.endpoint("search", rt.placed(rt.handleSearch)))
+	rt.mux.HandleFunc("/v1/stats", rt.endpoint("stats", rt.pinned(rt.handleStats)))
+	rt.mux.HandleFunc("/v1/node", rt.endpoint("node", rt.pinned(rt.placed(rt.handleNode))))
+	rt.mux.HandleFunc("/v1/search", rt.endpoint("search", rt.pinned(rt.placed(rt.handleSearch))))
 	rt.mux.HandleFunc("/v1/metrics", rt.endpoint("metrics", rt.handleMetrics))
 	rt.mux.HandleFunc("/v1/ingest", rt.endpoint("ingest", rt.handleIngest))
-	rt.mux.HandleFunc("/v1/tag", rt.endpoint("tag", rt.placed(rt.handleTag)))
-	rt.mux.HandleFunc("/v1/query/rewrite", rt.endpoint("query_rewrite", rt.placed(rt.handleQueryRewrite)))
-	rt.mux.HandleFunc("/v1/story", rt.endpoint("story", rt.placed(rt.handleStory)))
+	rt.mux.HandleFunc("/v1/tag", rt.endpoint("tag", rt.pinned(rt.placed(rt.handleTag))))
+	rt.mux.HandleFunc("/v1/query/rewrite", rt.endpoint("query_rewrite", rt.pinned(rt.placed(rt.handleQueryRewrite))))
+	rt.mux.HandleFunc("/v1/story", rt.endpoint("story", rt.pinned(rt.placed(rt.handleStory))))
 	rt.mux.HandleFunc("/v1/", unknownEndpoint)
 }
 
 // respMeta is one routed request's state. For the response it collects
 // the per-shard backend generations, rendered into the router's
 // X-Giant-Generation header as sorted "shard:gen" pairs ("0:3,1:5"), plus
-// any extra headers (Retry-After on a 429). For the staleness rule it
-// holds, since the current attempt began, every answer's (shard,
-// generation) and every memo the request read through. Handlers note
-// from fan-out goroutines, so it locks; routing, the index the placement
-// check read, is set and read only by the request's own goroutine.
+// any extra headers (Retry-After on a 429, X-Giant-Wal-Gen on a pinned
+// read). Handlers note from fan-out goroutines, so it locks; routing, the
+// index the placement check read, is set and read only by the request's
+// own goroutine.
 type respMeta struct {
 	mu      sync.Mutex
 	gens    map[int]string
 	hdr     http.Header
-	heard   []shardGen
-	pins    []*genVec
 	routing *routingIndex
-}
-
-type shardGen struct {
-	shard int
-	gen   uint64
 }
 
 func (m *respMeta) noteGen(shard int, gen string) {
@@ -999,31 +994,6 @@ func (m *respMeta) noteGen(shard int, gen string) {
 		m.gens = map[int]string{}
 	}
 	m.gens[shard] = gen
-	if g, err := strconv.ParseUint(gen, 10, 64); err == nil {
-		m.heard = append(m.heard, shardGen{shard, g})
-	}
-}
-
-// pin records a memo the current attempt reads through.
-func (m *respMeta) pin(v *genVec) {
-	m.mu.Lock()
-	m.pins = append(m.pins, v)
-	m.mu.Unlock()
-}
-
-// endAttempt reports whether a shard answered the current attempt at a
-// generation other than one of its pinned memos recorded for it, and
-// forgets both so that a retry starts clean.
-func (m *respMeta) endAttempt() (stale bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, h := range m.heard {
-		for _, v := range m.pins {
-			stale = stale || v.ok[h.shard] && v.gens[h.shard] != h.gen
-		}
-	}
-	m.heard, m.pins = nil, nil
-	return stale
 }
 
 func (m *respMeta) setHeader(key, value string) {
@@ -1157,10 +1127,9 @@ func (rt *Router) wrongShard(i, shard, shards int) string {
 // cross-process twin of ShardedSnapshot.Search. The routing index prunes
 // the fan-out to the shards whose term grams may contain the needle
 // (pruning is a superset filter: a pruned-out shard provably has zero
-// matches, so results stay byte-identical to the full scatter); a stale
-// index costs one full scatter (scatterFold). ?scatter=full forces that
-// full path up front — the CI smoke diffs it against the routed output on
-// a live fleet.
+// matches, so results stay byte-identical to the full scatter): the index
+// was built at the read's own log position. ?scatter=full bypasses it —
+// the CI smoke diffs it against the routed output on a live fleet.
 func (rt *Router) handleSearch(r *http.Request, meta *respMeta) (int, any) {
 	p, bad, perr := parseSearchParams(r.URL.Query())
 	if bad != 0 {
@@ -1172,7 +1141,7 @@ func (rt *Router) handleSearch(r *http.Request, meta *respMeta) (int, any) {
 	g, status, errb := scatterFold(rt, r.Context(), meta, read[struct {
 		Results []searchHit `json:"results"`
 	}]{
-		name: "search", part: "search response", path: "/v1/search?" + v.Encode(),
+		part: "search response", path: "/v1/search?" + v.Encode(),
 		route: !p.full, needles: []string{strings.ToLower(p.q)},
 	})
 	if status != 0 {
@@ -1482,7 +1451,8 @@ func (rt *Router) handleMetrics(r *http.Request, meta *respMeta) (int, any) {
 // behind, append the batch once to the fleet's log, then block until a
 // quorum (⌈N/2⌉) of each shard's replicas confirm the apply through GET
 // /v1/wal. Replicas left behind by the quorum catch up from the log alone
-// and are kept out of read rotation by the generation gate until they do.
+// and are sent no read pinned past their position until they do. The
+// write drops no memo: the next read is pinned at a later position.
 // A router without a log is read-only and answers 503.
 func (rt *Router) handleIngest(r *http.Request, meta *respMeta) (int, any) {
 	if r.Method != http.MethodPost {
@@ -1504,9 +1474,10 @@ func (rt *Router) handleIngest(r *http.Request, meta *respMeta) (int, any) {
 	defer rt.ingestMu.Unlock()
 	// Backpressure: a shard whose slowest healthy replica trails the log
 	// head by more than MaxLag must drain first — otherwise a slow-but-
-	// alive replica falls unboundedly far behind the reads its gate
-	// position already excludes it from serving.
+	// alive replica falls unboundedly far behind the reads its position
+	// already excludes it from serving.
 	head := rt.log.Head()
+	rt.awaitReads(head)
 	for s := range rt.shards {
 		minApplied, have := rt.appliedFloor(s)
 		if have && head > minApplied && head-minApplied > rt.opts.MaxLag {
@@ -1523,13 +1494,10 @@ func (rt *Router) handleIngest(r *http.Request, meta *respMeta) (int, any) {
 		// The record may have reached the file, and replicas may apply it:
 		// the outcome is unknown, and the log refuses further appends until
 		// the router restarts and its recovery settles the tail.
-		rt.invalidate()
 		return http.StatusServiceUnavailable, errBody(codeUnavailable,
 			"delta log append failed, so this batch may or may not be applied; restart the router to recover the log: %v", err)
 	}
-	status, resp := rt.awaitQuorum(r.Context(), meta, walGen)
-	rt.invalidateAfterWrite(status)
-	return status, resp
+	return rt.awaitQuorum(r.Context(), meta, walGen)
 }
 
 // awaitQuorum asks every replica to confirm the apply of log record

@@ -11,18 +11,13 @@ package serve
 // and rewrite scatters are pruned by the search routing index; every
 // consulted shard is asked on every request, so a down shard always
 // surfaces as partial or 503. The merged concept index (tag) and
-// story-fragment list (story) are fleet-wide folds memoized until the next
-// invalidate. A build that misses shards (fail-open) is used for the one
+// story-fragment list (story) are fleet-wide folds memoized per log
+// position. A build that misses shards (fail-open) is used for the one
 // response but never stored — the memo only ever holds a complete fold.
 //
-// Staleness has one rule: a read is stale when a shard answered it at a
-// generation other than one a memo it read through recorded for that
-// shard. A stale read drops every memo and runs once more. Only /v1/tag
-// can still be stale then, because its retry scatters against the
-// concept index it rebuilt, and it answers 502 bad_upstream (the fleet is
-// churning faster than the request can observe it). Search and rewrite
-// retry with one unpruned scatter that reads through no memo, and story
-// retries by rebuilding its fragment list, which agrees with itself.
+// On a delta-log fleet the one rule is the pin (see router.go): the
+// read's scatters, its memo builds and the memos it reuses are all at the
+// log position the read was pinned to, so the merge never mixes worlds.
 //
 // The merge-side thresholds (concept coherence/inference, rewrite
 // expansion cap, story encoder and link options, search result cap) are
@@ -47,25 +42,24 @@ import (
 )
 
 // routerTagIndex is the router's merged concept index: the fold of every
-// backend's ?partial=stats concepts, with the generations it was built at.
+// backend's ?partial=stats concepts.
 type routerTagIndex struct {
-	genVec
 	ix *tagging.ConceptIndex
 }
 
 // routerFragments is the router's merged story-fragment list, same shape.
 type routerFragments struct {
-	genVec
 	events []*storytree.EventNode
 }
 
-// ensureTagIndex returns the merged concept index, rebuilding it from a
-// full ?partial=stats fan-out when absent, and pins it on meta. Under
-// fail-open a degraded build (failed lists the unanswered shards) is
+// ensureTagIndex returns the merged concept index at the read's log
+// position, building it from a full ?partial=stats fan-out when absent.
+// Under fail-open a degraded build (failed lists the unanswered shards) is
 // returned but NOT memoized; under fail-closed a degraded fleet aborts
 // with 503. A non-zero status aborts the request with the returned body.
 func (rt *Router) ensureTagIndex(ctx context.Context, meta *respMeta) (idx *routerTagIndex, failed []int, status int, errb any) {
-	idx, failed, status, errb = rt.tagIdx.get(&rt.epoch, func() (*routerTagIndex, []int, int, any) {
+	at, _ := pinOf(ctx)
+	return rt.tagIdx.get(at, func() (*routerTagIndex, []int, int, any) {
 		g, status, errb := scatterFold(rt, ctx, meta, read[tagStatsBody]{part: "tag stats response", path: "/v1/tag?partial=stats"})
 		if status != 0 {
 			return nil, nil, status, errb
@@ -74,17 +68,14 @@ func (rt *Router) ensureTagIndex(ctx context.Context, meta *respMeta) (idx *rout
 		for i, p := range g.parts {
 			parts[i] = p.Concepts
 		}
-		return &routerTagIndex{genVec: g.gens, ix: tagging.NewConceptIndex(parts...)}, g.failed, 0, nil
+		return &routerTagIndex{ix: tagging.NewConceptIndex(parts...)}, g.failed, 0, nil
 	})
-	if status == 0 {
-		meta.pin(&idx.genVec)
-	}
-	return idx, failed, status, errb
 }
 
 // ensureFragments is ensureTagIndex for the story-fragment fold.
 func (rt *Router) ensureFragments(ctx context.Context, meta *respMeta) (fr *routerFragments, failed []int, status int, errb any) {
-	fr, failed, status, errb = rt.frags.get(&rt.epoch, func() (*routerFragments, []int, int, any) {
+	at, _ := pinOf(ctx)
+	return rt.frags.get(at, func() (*routerFragments, []int, int, any) {
 		g, status, errb := scatterFold(rt, ctx, meta, read[storyFragsBody]{part: "story fragments", path: "/v1/story?partial=fragments"})
 		if status != 0 {
 			return nil, nil, status, errb
@@ -93,12 +84,8 @@ func (rt *Router) ensureFragments(ctx context.Context, meta *respMeta) (fr *rout
 		for i, p := range g.parts {
 			parts[i] = p.Events
 		}
-		return &routerFragments{genVec: g.gens, events: storytree.MergeFragments(parts...)}, g.failed, 0, nil
+		return &routerFragments{events: storytree.MergeFragments(parts...)}, g.failed, 0, nil
 	})
-	if status == 0 {
-		meta.pin(&fr.genVec)
-	}
-	return fr, failed, status, errb
 }
 
 // candidateShards prunes a fan-out to the shards whose term grams may
@@ -178,15 +165,14 @@ func (rt *Router) handleTag(r *http.Request, meta *respMeta) (int, any) {
 	if err != nil {
 		return http.StatusInternalServerError, errBody(codeInternal, "encode document: "+err.Error())
 	}
-	var idx *routerTagIndex
+	idx, idxFailed, status, errb := rt.ensureTagIndex(r.Context(), meta)
+	if status != 0 {
+		return status, errb
+	}
 	g, status, errb := scatterFold(rt, r.Context(), meta, read[tagMatchBody]{
-		name: "tag", part: "tag partial",
+		part:   "tag partial",
 		method: http.MethodPost, path: "/v1/tag?partial=match", body: body,
 		route: true, needles: tagNeedles(doc),
-		memos: func() (failed []int, status int, errb any) {
-			idx, failed, status, errb = rt.ensureTagIndex(r.Context(), meta)
-			return failed, status, errb
-		},
 	})
 	if status != 0 {
 		return status, errb
@@ -199,7 +185,7 @@ func (rt *Router) handleTag(r *http.Request, meta *respMeta) (int, any) {
 	slots := tagging.MergeMatchSlots(matchParts, len(doc.Entities))
 	concepts := idx.ix.Tag(doc, slots, tagging.DefaultCoherenceThreshold, tagging.DefaultInferThreshold)
 	events := tagging.MergeEventCands(evParts...)
-	return http.StatusOK, markPartial(tagResponse(concepts, events), g.failed)
+	return http.StatusOK, markPartial(tagResponse(concepts, events), mergeFailed(idxFailed, g.failed))
 }
 
 // handleQueryRewrite answers /v1/query/rewrite by folding per-shard
@@ -215,7 +201,7 @@ func (rt *Router) handleQueryRewrite(r *http.Request, meta *respMeta) (int, any)
 	qnorm := normalizeQuery(rawq)
 	pq := "/v1/query/rewrite?" + url.Values{"partial": {"1"}, "q": {qnorm}}.Encode()
 	g, status, errb := scatterFold(rt, r.Context(), meta, read[rewritePartialBody]{
-		name: "rewrite", part: "rewrite partial", path: pq,
+		part: "rewrite partial", path: pq,
 		route: true, needles: strings.Fields(qnorm),
 	})
 	if status != 0 {
@@ -242,29 +228,22 @@ func (rt *Router) handleStory(r *http.Request, meta *respMeta) (int, any) {
 	if status != 0 {
 		return status, rerr
 	}
-	// The seed resolution above is this read's only scatter: its answers
-	// are checked against the fragment list the fold reads through.
-	var frags *routerFragments
-	g, status, errb := scatterFold(rt, r.Context(), meta, read[struct{}]{
-		name: "story", shards: []int{},
-		memos: func() (failed []int, status int, errb any) {
-			frags, failed, status, errb = rt.ensureFragments(r.Context(), meta)
-			return failed, status, errb
-		},
-	})
+	// A fragment build that misses shards fails closed inside (scatterFold)
+	// unless FailOpen, so failed lists them only on a partial answer.
+	frags, failed, status, errb := rt.ensureFragments(r.Context(), meta)
 	if status != 0 {
 		return status, errb
 	}
 	tree, ok := formStory(frags.events, phrase)
 	if !ok {
-		if len(g.failed) > 0 {
+		if len(failed) > 0 {
 			// The event resolved but its fragment is on a missing shard —
 			// fail-open has no meaningful partial tree without the seed.
-			return http.StatusBadGateway, errBody(codeShardUnavailable, "shards %v unavailable", g.failed)
+			return http.StatusBadGateway, errBody(codeShardUnavailable, "shards %v unavailable", failed)
 		}
 		return http.StatusNotFound, errBody(codeNotFound, "no event %q in the ontology", seed)
 	}
-	return http.StatusOK, markPartial(storyResponse(tree), mergeFailed(resolveFailed, g.failed))
+	return http.StatusOK, markPartial(storyResponse(tree), mergeFailed(resolveFailed, failed))
 }
 
 // resolveStorySeed resolves a story seed to its canonical event phrase

@@ -1021,13 +1021,14 @@ func (g *statsGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.h.ServeHTTP(w, r)
 }
 
-// TestRouterMemoBuildStraddlingInvalidate: a memo build whose fan-out
-// straddles an invalidate is served to the read that ran it, but never to
-// a later one. One backend's /v1/stats — the routing-index build — is
-// held across a routed ingest. The read that ran the build prunes to no
-// shard, so nothing in it can notice the stale grams; the next read must
-// rebuild the index rather than trust grams read before the write.
-func TestRouterMemoBuildStraddlingInvalidate(t *testing.T) {
+// TestRouterMemoBuildStraddlingIngest: a memo build whose fan-out
+// straddles an ingest is built at its read's pin and serves only reads
+// pinned there. One backend's /v1/stats — the routing-index build of a
+// read pinned at log position 0 — is held across a routed ingest. The
+// replica answers the held call from the state the ingest replaced, so
+// that read still answers at 0; the next read is pinned at 1 and must
+// build its own index rather than reuse grams from 0.
+func TestRouterMemoBuildStraddlingIngest(t *testing.T) {
 	_, flaky, routerTS := newScriptedRouterFixture(t, 2, false)
 	gates := make([]*statsGate, len(flaky))
 	for i, f := range flaky {
@@ -1043,8 +1044,8 @@ func TestRouterMemoBuildStraddlingInvalidate(t *testing.T) {
 		resp, err := c.Get(routerTS.URL + "/v1/search?q=zzz-none&limit=5")
 		if err == nil {
 			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				err = fmt.Errorf("status %d", resp.StatusCode)
+			if resp.StatusCode != http.StatusOK || resp.Header.Get(walGenHeader) != "0" {
+				err = fmt.Errorf("status %d at position %q", resp.StatusCode, resp.Header.Get(walGenHeader))
 			}
 		}
 		miss <- err

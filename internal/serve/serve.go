@@ -17,8 +17,10 @@
 // through its delta log: each applied batch indexes the next snapshot off
 // to the side and publishes it with one atomic store, so serving continues
 // uninterrupted on the old snapshot until the new one is fully built. The
-// retired snapshot, cache included, is garbage-collected once in-flight
-// requests drain.
+// replica keeps the state it replaced, and only that one: a router read
+// pinned to a log position (pinHeader) is answered from whichever of the
+// two covers it, or refused (see readState). An older snapshot, cache
+// included, is garbage-collected once in-flight requests drain.
 //
 // Endpoints:
 //
@@ -119,8 +121,16 @@ type state struct {
 	cache *lruOf[[]byte]
 	// gen is the log position of the last applied batch that changed this
 	// state's shard (0 before any such batch, and on a frozen server).
-	gen      uint64
+	gen uint64
+	// pos is the log position this state was published at: the batch whose
+	// apply produced it, or the boot position. It is the shard's world at
+	// every position from pos up to the next publish.
+	pos      uint64
 	loadedAt time.Time
+	// prev is the state this one replaced on a per-shard server (nil
+	// otherwise). The next publish drops it, so a replica holds at most two
+	// states: enough to answer a read pinned one batch back.
+	prev atomic.Pointer[state]
 	// shards is the whole-world server's sharded view (K=1 under New) and
 	// snap its union: every read answers from the union, /v1/search through
 	// shards.Search. Nil on a per-shard process.
@@ -202,16 +212,15 @@ func NewSharded(ss *ontology.ShardedSnapshot, opts Options) *Server {
 // union-exact responses, while the plain endpoints keep answering from
 // the projection alone for standalone inspection.
 func NewShard(p *ontology.ShardProjection, opts Options) *Server {
-	return newShard(p, 0, opts)
+	return newShard(p, 0, 0, opts)
 }
 
-// newShard is NewShard serving p at generation since: the log position
-// that last changed the shard, which HydrateShard reads from the
-// checkpoint it boots.
-func newShard(p *ontology.ShardProjection, since uint64, opts Options) *Server {
+// newShard is NewShard serving p at generation since, published at log
+// position at: HydrateShard reads both from the checkpoint it boots.
+func newShard(p *ontology.ShardProjection, since, at uint64, opts Options) *Server {
 	s := newServer(opts)
 	s.shardMode = true
-	s.publishShardLocked(p, since) // not reachable yet: no lock needed
+	s.publishShardLocked(p, since, at) // not reachable yet: no lock needed
 	s.routes()
 	return s
 }
@@ -237,13 +246,54 @@ func (s *Server) buildState(snap *ontology.Snapshot, gen uint64) *state {
 }
 
 // publishShardLocked publishes a per-shard serving state at generation
-// gen: a fresh union-ID table and a fresh cache every time, so an ingest
-// that left this shard unchanged still tracks union renumbering under its
-// unchanged generation. The caller holds swapMu.
-func (s *Server) publishShardLocked(p *ontology.ShardProjection, gen uint64) {
+// gen and log position at: a fresh union-ID table and a fresh cache every
+// time, so an ingest that left this shard unchanged still tracks union
+// renumbering under its unchanged generation. The new state keeps the one
+// it replaces, which lets go of its own predecessor. The caller holds
+// swapMu.
+func (s *Server) publishShardLocked(p *ontology.ShardProjection, gen, at uint64) {
 	st := s.buildState(p.Snap, gen)
-	st.proj = p
+	st.proj, st.pos = p, at
+	old := s.cur.Load()
+	st.prev.Store(old)
 	s.cur.Store(st)
+	if old != nil {
+		old.prev.Store(nil)
+	}
+}
+
+// readState picks the state a request reads: the current one, except on a
+// delta-log replica asked to read at log position P (pinHeader, sent by a
+// router with a log). The replica then reads the newest state it holds
+// published at or before P. It refuses (statusRefused) when it has not
+// applied P yet, or when P predates both states it holds. The applied
+// position is read before the state: every batch up to it was published
+// by then, so the state loaded after it covers every position from its
+// own up to that one.
+func (s *Server) readState(r *http.Request) (*state, int, any) {
+	ws := s.wal.Load()
+	if ws == nil {
+		return s.cur.Load(), 0, nil
+	}
+	raw := r.Header.Get(pinHeader)
+	if raw == "" {
+		return s.cur.Load(), 0, nil
+	}
+	at, err := strconv.ParseUint(raw, 10, 64)
+	if err != nil {
+		return s.cur.Load(), http.StatusBadRequest, errBody(codeInvalidArgument, "invalid "+pinHeader+": "+raw)
+	}
+	applied := ws.position()
+	st := s.cur.Load()
+	if at <= applied {
+		if at >= st.pos {
+			return st, 0, nil
+		}
+		if prev := st.prev.Load(); prev != nil && at >= prev.pos {
+			return prev, 0, nil
+		}
+	}
+	return st, statusRefused, errBody(codeUnavailable, "replica at log position %d holds no state at pinned position %d", applied, at)
 }
 
 // Current returns the snapshot serving right now.
@@ -300,8 +350,8 @@ func (s *Server) endpoint(name string, cacheable bool, fn handlerFunc) http.Hand
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-		st := s.cur.Load()
-		useCache := cacheable && r.Method == http.MethodGet
+		st, status, refused := s.readState(r)
+		useCache := status == 0 && cacheable && r.Method == http.MethodGet
 		if useCache {
 			if body, ok := st.cache.get(r.URL.RequestURI()); ok {
 				s.setGenHeaders(w, st)
@@ -310,7 +360,10 @@ func (s *Server) endpoint(name string, cacheable bool, fn handlerFunc) http.Hand
 				return
 			}
 		}
-		status, payload := fn(st, r)
+		payload := refused
+		if status == 0 {
+			status, payload = fn(st, r)
+		}
 		body, err := json.Marshal(payload)
 		if err != nil {
 			status = http.StatusInternalServerError
@@ -586,7 +639,7 @@ func (s *Server) handleQueryRewrite(st *state, r *http.Request) (int, any) {
 		return http.StatusBadRequest, errBody(codeInvalidArgument, "need ?q=")
 	}
 	if r.URL.Query().Get("partial") != "" {
-		return http.StatusOK, rewritePartialBody{Generation: st.gen, Partial: st.query.Partial(st.appScope(), q)}
+		return http.StatusOK, rewritePartialBody{Partial: st.query.Partial(st.appScope(), q)}
 	}
 	return http.StatusOK, rewriteResponse(st.query.Analyze(q))
 }
@@ -597,7 +650,7 @@ func (s *Server) handleStory(st *state, r *http.Request) (int, any) {
 		if mode != "fragments" {
 			return http.StatusBadRequest, errBody(codeInvalidArgument, "invalid partial: "+mode+` (want "fragments")`)
 		}
-		return http.StatusOK, storyFragsBody{Generation: st.gen, Events: storytree.FragmentsFromScope(st.appScope())}
+		return http.StatusOK, storyFragsBody{Events: storytree.FragmentsFromScope(st.appScope())}
 	}
 	seed := q.Get("seed")
 	if seed == "" {
@@ -684,7 +737,7 @@ func (s *Server) ingestBatch(batch delta.Batch, rec *wal.Record) (int, any, []bo
 	} else {
 		proj = proj.Rebase(next)
 	}
-	s.publishShardLocked(proj, gen)
+	s.publishShardLocked(proj, gen, rec.Gen)
 	resp := map[string]any{
 		"old_generation": st.gen,
 		"touched_shards": ts,

@@ -3,7 +3,9 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"strings"
 	"testing"
@@ -228,4 +230,81 @@ func BenchmarkServeSearch(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestRebaseServesProjectBodies: Rebase leaves exactly one field stale,
+// and no read renders it. A touch batch re-observes node x, homed on one
+// shard and held as a ghost by the other; delta.TouchedShards marks only
+// x's home, so the other shard rebases its projection and its ghost copy
+// of x keeps the old LastSeenDay. Every per-shard read body of a server
+// over the rebased projection equals the body of one over Project(next):
+// node by id and by phrase, search, and the three ?partial= modes.
+func TestRebaseServesProjectBodies(t *testing.T) {
+	const k = 2
+	union := testOntology(0).Snapshot()
+	var x, y ontology.Node
+	for _, e := range union.Edges() {
+		src, dst := union.At(e.Src), union.At(e.Dst)
+		if ontology.HomeShard(src.Type, src.Phrase, k) != ontology.HomeShard(dst.Type, dst.Phrase, k) {
+			x, y = *src, *dst
+			break
+		}
+	}
+	if x.Phrase == "" {
+		t.Fatal("precondition: the test ontology has no cross-shard edge")
+	}
+	d := &delta.Delta{Day: 40, Touch: []delta.NodeAdd{{Type: x.Type, Phrase: x.Phrase, Day: 40}}}
+	next, err := delta.Apply(union, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ghost := ontology.HomeShard(y.Type, y.Phrase, k)
+	if touched := delta.TouchedShards(union, d, k); touched[ghost] {
+		t.Fatalf("precondition: the touch of %q marked shard %d, which only holds its ghost", x.Phrase, ghost)
+	}
+	before, err := ontology.Project(union, ghost, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebased, projected := before.Rebase(next), mustProject(t, next, ghost, k)
+	seen := func(p *ontology.ShardProjection) int {
+		id, _ := p.Snap.Lookup(x.Type, x.Phrase)
+		return p.Snap.At(id).LastSeenDay
+	}
+	if seen(rebased) == seen(projected) {
+		t.Fatalf("precondition: the ghost of %q reads LastSeenDay %d after Rebase and after Project", x.Phrase, seen(rebased))
+	}
+
+	yID, _ := next.Lookup(y.Type, y.Phrase)
+	paths := []string{
+		fmt.Sprintf("/v1/node?id=%d", yID),
+		"/v1/node?" + url.Values{"phrase": {y.Phrase}}.Encode(),
+		"/v1/node?" + url.Values{"phrase": {y.Phrase}, "type": {y.Type.String()}}.Encode(),
+		"/v1/search?q=sedan&limit=50",
+		"/v1/tag?partial=stats",
+		"/v1/tag?partial=match&" + url.Values{"title": {x.Phrase + " and " + y.Phrase}, "entities": {x.Phrase + "," + y.Phrase}}.Encode(),
+		"/v1/query/rewrite?partial=1&" + url.Values{"q": {y.Phrase}}.Encode(),
+		"/v1/story?partial=fragments",
+	}
+	serve := func(p *ontology.ShardProjection, path string) (int, string) {
+		rec := httptest.NewRecorder()
+		NewShard(p, Options{}).Handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		return rec.Code, rec.Body.String()
+	}
+	for _, path := range paths {
+		rs, rb := serve(rebased, path)
+		ps, pb := serve(projected, path)
+		if rs != http.StatusOK || rs != ps || rb != pb {
+			t.Fatalf("%s: rebased %d %s\nprojected %d %s", path, rs, rb, ps, pb)
+		}
+	}
+}
+
+func mustProject(t *testing.T, union *ontology.Snapshot, i, k int) *ontology.ShardProjection {
+	t.Helper()
+	p, err := ontology.Project(union, i, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
