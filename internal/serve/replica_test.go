@@ -10,13 +10,20 @@ package serve
 //     concurrent search+node+ingest hammer survives a rolling restart of
 //     every replica with zero 5xx responses, and converges back to the
 //     reference byte-for-byte.
+//   - TestPinnedReadsMatchOneWorld: readers racing ingests and hydrating
+//     restarts each get exactly the reference world at their read's pin.
+//   - TestPinnedReadsFailOpenWithShardDown: a shard with every replica
+//     down is missing from fail-open reads, never a refused pin's 5xx.
+//   - TestReplicaAnswersPinFromTwoStates / TestRouterFailsOverRefusals:
+//     a replica answers a pin from its current or previous state or
+//     refuses, and the router fails a refusal over without marking it.
 //   - TestReplicaCatchUpGating: a replica that missed ingests is never
-//     routed a read until it has applied the shard's head generation.
+//     routed a read until it has applied the read's pin.
 //   - TestReadGateSurvivesOutOfOrderPositions: a replica's responses
-//     processed out of order never move it behind the read gate; a
+//     processed out of order never move it below a read's pin; a
 //     position below what it had already reported (a restart) does.
 //   - TestReadFailoverRanksAtEachAttempt: a read fails over to a replica
-//     that passed the read gate while the call was in flight.
+//     that reached its pin while the call was in flight.
 //   - TestIngestBackpressure: a shard whose slowest healthy replica
 //     trails the log head by more than MaxLag answers ingest with 429
 //     replica_lagging and a Retry-After header, and recovers once the
