@@ -530,9 +530,6 @@ func TestFleetOfOneKeepsAckedBatchesAcrossRestart(t *testing.T) {
 	if status, body := getRaw(t, replica.Client(), replica.URL+"/v1/wal?wait=2"); status != http.StatusOK || !bytes.Contains(body, []byte(`"applied":true`)) {
 		t.Fatalf("the fresh replica never replayed the acked batches: %d %s", status, body)
 	}
-	// The router pins reads at the newest position it has heard of, and it
-	// may have probed the replica mid-replay: its /healthz asks again.
-	getJSON(t, router.Client(), router.URL+"/healthz", 200)
 	for _, path := range probes {
 		status, body := getRaw(t, router.Client(), router.URL+path)
 		if status != http.StatusOK || !bytes.Equal(body, before[path]) {
@@ -1049,6 +1046,104 @@ func TestPinnedReadsFailOpenWithShardDown(t *testing.T) {
 	waitFor(t, 10*time.Second, "complete answers once shard 1 caught up", func() bool {
 		return !readAll("shard 1 replaying", false)
 	})
+}
+
+// TestPinnedReadsLeaveOutReplayingShard: with one replica per shard, a
+// restarted replica replaying the log does not pull the pin below the
+// states shard 0 keeps. While shard 1 is two or more records behind the
+// head, fan-out reads stay pinned at the head: fail-closed they answer 503
+// naming shard 1 alone, fail-open 200 partial missing shard 1 alone. Once
+// it has caught up they answer as before the restart, and so does a router
+// whose view of every replica is stale low, as after a boot probe that
+// caught the fleet mid-replay.
+func TestPinnedReadsLeaveOutReplayingShard(t *testing.T) {
+	paths := []string{
+		"/v1/search?q=sedan&limit=20",
+		"/v1/node?phrase=family+sedans",
+		"/v1/query/rewrite?q=hybrid+sedans",
+		"/v1/stats",
+	}
+	for _, failOpen := range []bool{false, true} {
+		t.Run(fmt.Sprintf("failOpen=%v", failOpen), func(t *testing.T) {
+			f := newWALFixture(t, 2, 1, RouterOptions{FailOpen: failOpen})
+			for day := 11; day <= 13; day++ {
+				postJSON(t, f.routerTS.Client(), f.routerTS.URL+"/v1/ingest", fmt.Sprintf(`{"day":%d}`, day), 200)
+			}
+			const head = "3"
+			read := func(path string) (int, string, []byte) {
+				t.Helper()
+				resp, err := f.routerTS.Client().Get(f.routerTS.URL + path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				body, _ := io.ReadAll(resp.Body)
+				return resp.StatusCode, resp.Header.Get(walGenHeader), body
+			}
+			before := map[string][]byte{}
+			for _, path := range paths {
+				status, pin, body := read(path)
+				if status != http.StatusOK || pin != head {
+					t.Fatalf("%s before the restart = %d at %q: %s", path, status, pin, body)
+				}
+				before[path] = body
+			}
+			shardOneMissing := func(stage string) {
+				t.Helper()
+				for _, path := range paths {
+					status, pin, body := read(path)
+					var parsed struct {
+						Partial bool  `json:"partial"`
+						Missing []int `json:"missing_shards"`
+					}
+					json.Unmarshal(body, &parsed)
+					// A node lookup has no partial form: fail-open, a node
+					// it cannot find for want of a shard is 502.
+					partialForm := failOpen && !strings.HasPrefix(path, "/v1/node")
+					switch {
+					case pin != head:
+						t.Fatalf("%s: %s pinned at %q, want the head %s", stage, path, pin, head)
+					case partialForm && (status != http.StatusOK || !parsed.Partial || !slices.Equal(parsed.Missing, []int{1})):
+						t.Fatalf("%s: %s = %d: %s; want 200 partial missing shard 1 alone", stage, path, status, body)
+					case !partialForm && (status < 500 || !bytes.Contains(body, []byte("shards [1] unavailable"))):
+						t.Fatalf("%s: %s = %d: %s; want a 5xx naming shard 1 alone", stage, path, status, body)
+					}
+				}
+			}
+
+			gate := make(chan struct{})
+			p := f.procs[1][0]
+			p.stop()
+			p.boot(t, f.base, gate)
+			p.down.Store(false)
+			shardOneMissing("shard 1 replaying from 0")
+			gate <- struct{}{}
+			waitFor(t, 10*time.Second, "shard 1 to apply one record", func() bool {
+				return replicaWALGen(t, p) >= 1
+			})
+			shardOneMissing("shard 1 two records behind")
+			close(gate)
+			waitFor(t, 10*time.Second, "shard 1 to catch up", func() bool {
+				return replicaWALGen(t, p) >= 3
+			})
+			answersAsBefore := func(stage string) {
+				t.Helper()
+				for _, path := range paths {
+					status, pin, body := read(path)
+					if status != http.StatusOK || pin != head || (path != "/v1/stats" && !bytes.Equal(body, before[path])) {
+						t.Fatalf("%s: %s = %d at %q:\n%s\nbefore:\n%s", stage, path, status, pin, body, before[path])
+					}
+				}
+			}
+			answersAsBefore("shard 1 caught up")
+			for _, reps := range f.rt.shards {
+				for _, rep := range reps {
+					rep.applied.Store(0)
+				}
+			}
+			answersAsBefore("every view stale low")
+		})
+	}
 }
 
 // TestReplicaCatchUpGating: a replica holding an unapplied generation is

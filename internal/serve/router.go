@@ -12,8 +12,8 @@ package serve
 // (router_test.go and application_equivalence_test.go pin this for
 // K ∈ {1, 2, 4} through a day-by-day ingest replay).
 //
-//	/v1/search         routed fan-out: a generation-stamped term→shard
-//	                   routing index (rebuilt from each backend's
+//	/v1/search         routed fan-out: a term→shard routing index
+//	                   (built per pin from each backend's
 //	                   /v1/stats term grams) prunes the scatter to the
 //	                   shards that can match; merge the consulted shards'
 //	                   partials in union node-ID order, truncate.
@@ -87,6 +87,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/url"
 	"runtime"
@@ -210,22 +211,29 @@ type Router struct {
 	// reads pinned there: routing, the term→shard routing index (from
 	// /v1/stats term grams), and tagIdx / frags, the merged concept index
 	// and story-fragment list (from full ?partial=stats /
-	// ?partial=fragments fan-outs). A build that misses shards is never
-	// stored.
+	// ?partial=fragments fan-outs). A concept index or fragment list that
+	// misses shards is never stored; a partial routing index is, until
+	// recovered moves.
 	routing memo[routingIndex]
 	tagIdx  memo[routerTagIndex]
 	frags   memo[routerFragments]
+	// recovered counts replica recoveries (markUp transitions).
+	recovered atomic.Uint64
 }
 
 // routingIndex is the router's term→shard posting index: per-shard term
 // grams to prune the scatter. A shard without grams (it failed to answer
-// the stats fan-out) routes conservatively: it is always consulted. The
-// same fan-out carries each backend's shard identity: misplaced[i] is the
-// wrongShard message of a slot whose backend serves another shard (empty
-// when it matches or did not answer). Immutable once published.
+// the stats fan-out, and partial is set) routes conservatively: it is
+// always consulted. The same fan-out carries each backend's shard
+// identity: misplaced[i] is the wrongShard message of a slot whose backend
+// serves another shard (empty when it matches or did not answer).
+// recovered is Router.recovered when the build began. Immutable once
+// published.
 type routingIndex struct {
 	grams     []*ontology.TermGrams
 	misplaced []string
+	partial   bool
+	recovered uint64
 }
 
 // memo is one fleet-wide fold the router keeps between requests. It
@@ -420,12 +428,17 @@ func (rt *Router) probe() {
 }
 
 // position is the log position a read is pinned to: the lowest, over the
-// shards with a healthy replica, of the highest position a healthy
-// replica of that shard has reported. Every such shard then has a replica
-// that reached it, and no shard is read ahead of what the slowest shard
-// has applied.
+// shards whose best healthy replica has reported a position at most one
+// record behind the log head, of that position; the head itself when no
+// shard qualifies. One record of slack is the ingest in flight. A shard
+// further behind is replaying or stuck: pinned below it, every other shard
+// (which keeps only the state one record back) would refuse, so it is
+// left out and refuses alone. A stale low position (a probe that caught a
+// replica mid-replay, a down mark's reset) only leaves its shard out until
+// a response or the next probe reports the replica again.
 func (rt *Router) position() uint64 {
-	at, found := uint64(0), false
+	head := rt.log.Head()
+	at, found := head, false
 	for _, reps := range rt.shards {
 		top, healthy := uint64(0), false
 		for _, rep := range reps {
@@ -433,7 +446,7 @@ func (rt *Router) position() uint64 {
 				top, healthy = max(top, rep.applied.Load()), true
 			}
 		}
-		if healthy && (!found || top < at) {
+		if healthy && top+1 >= head && (!found || top < at) {
 			at, found = top, true
 		}
 	}
@@ -529,14 +542,19 @@ func (rt *Router) walStatus() []walShardStatus {
 // building it from a /v1/stats fan-out when absent. A backend that fails
 // to answer gets no grams and is consulted on every routed read, so a
 // partial build degrades pruning, not correctness — the one memo build
-// that never fails a read. It is not kept either: the next read asks the
-// missing backend for its grams and identity again.
+// that never fails a read. It is kept like a complete one until a replica
+// recovers (markUp): then the next read asks the missing backend for its
+// grams and identity again, and a down backend costs one stats fan-out,
+// not one per read.
 func (rt *Router) loadRouting(ctx context.Context) *routingIndex {
 	at, _ := pinOf(ctx)
+	if e := rt.routing.cur.Load(); e != nil && e.val.partial && e.val.recovered != rt.recovered.Load() {
+		rt.routing.cur.CompareAndSwap(e, nil)
+	}
 	idx, _, _, _ := rt.routing.get(at, func() (*routingIndex, []int, int, any) {
+		recovered := rt.recovered.Load()
 		results := rt.scatter(ctx, nil, rt.allShards(), http.MethodGet, "/v1/stats", nil)
-		idx := &routingIndex{grams: make([]*ontology.TermGrams, rt.k), misplaced: make([]string, rt.k)}
-		var failed []int
+		idx := &routingIndex{grams: make([]*ontology.TermGrams, rt.k), misplaced: make([]string, rt.k), recovered: recovered}
 		for i := range results {
 			var parsed struct {
 				Shard *struct {
@@ -546,7 +564,7 @@ func (rt *Router) loadRouting(ctx context.Context) *routingIndex {
 				} `json:"shard"`
 			}
 			if !results[i].ok() || json.Unmarshal(results[i].body, &parsed) != nil {
-				failed = append(failed, i)
+				idx.partial = true
 				continue
 			}
 			if parsed.Shard == nil {
@@ -559,7 +577,7 @@ func (rt *Router) loadRouting(ctx context.Context) *routingIndex {
 				idx.grams[i], _ = ontology.DecodeTermGrams(parsed.Shard.TermStats.Grams)
 			}
 		}
-		return idx, failed, 0, nil
+		return idx, nil, 0, nil
 	})
 	return idx
 }
@@ -599,8 +617,11 @@ func (rt *Router) pinned(fn func(r *http.Request, meta *respMeta) (int, any)) fu
 // at, or for at most the read timeout. A replica keeps the state its last
 // apply replaced and no older one, so once the record after at is applied
 // no replica can answer a read pinned below at: appending it only after
-// such reads end is what lets a read that outlasts two ingests still see
-// one world.
+// such reads end is what lets a read that spans an ingest still see one
+// world. A read can make several calls in sequence (the index build, the
+// scatter, one per ancestor level) and so outlast the wait; its later
+// calls may then find no replica holding its pin, and their shards count
+// as failed.
 func (rt *Router) awaitReads(at uint64) {
 	deadline := time.NewTimer(rt.opts.Timeout)
 	defer deadline.Stop()
@@ -856,7 +877,11 @@ func (rt *Router) markDown(rep *replicaState, cause error) {
 }
 
 func (rt *Router) markUp(rep *replicaState) {
-	if rep.down.Swap(false) && rt.opts.Logf != nil {
+	if !rep.down.Swap(false) {
+		return
+	}
+	rt.recovered.Add(1)
+	if rt.opts.Logf != nil {
 		if len(rt.shards[rep.shard]) > 1 {
 			rt.opts.Logf("shard %d replica %d recovered", rep.shard, rep.idx)
 		} else {
@@ -1009,22 +1034,13 @@ func (m *respMeta) apply(w http.ResponseWriter) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if len(m.gens) > 0 {
-		shards := make([]int, 0, len(m.gens))
-		for s := range m.gens {
-			shards = append(shards, s)
-		}
-		sort.Ints(shards)
-		parts := make([]string, 0, len(shards))
-		for _, s := range shards {
+		parts := make([]string, 0, len(m.gens))
+		for _, s := range slices.Sorted(maps.Keys(m.gens)) {
 			parts = append(parts, strconv.Itoa(s)+":"+m.gens[s])
 		}
 		w.Header().Set(genHeader, strings.Join(parts, ","))
 	}
-	for key, vals := range m.hdr {
-		for _, v := range vals {
-			w.Header().Add(key, v)
-		}
-	}
+	maps.Copy(w.Header(), m.hdr)
 }
 
 // endpoint wraps a router handler with metrics and response-metadata
@@ -1477,7 +1493,6 @@ func (rt *Router) handleIngest(r *http.Request, meta *respMeta) (int, any) {
 	// alive replica falls unboundedly far behind the reads its position
 	// already excludes it from serving.
 	head := rt.log.Head()
-	rt.awaitReads(head)
 	for s := range rt.shards {
 		minApplied, have := rt.appliedFloor(s)
 		if have && head > minApplied && head-minApplied > rt.opts.MaxLag {
@@ -1489,6 +1504,7 @@ func (rt *Router) handleIngest(r *http.Request, meta *respMeta) (int, any) {
 			return http.StatusTooManyRequests, e
 		}
 	}
+	rt.awaitReads(head)
 	walGen, err := rt.log.Append(batch.Day, body)
 	if err != nil {
 		// The record may have reached the file, and replicas may apply it:

@@ -644,6 +644,61 @@ func TestRouterNeverMasksDownBackend(t *testing.T) {
 	}
 }
 
+// TestRouterKeepsPartialRoutingIndex: a routing index built while a
+// backend is down is kept, so reads during the outage cost no further
+// /v1/stats fan-out, and it is rebuilt once the backend recovers, so the
+// recovered shard's grams and identity are read again.
+func TestRouterKeepsPartialRoutingIndex(t *testing.T) {
+	ss, err := ontology.ShardSnapshot(testOntology(0).Snapshot(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats [2]atomic.Int64
+	flaky := make([]*flakyBackend, 2)
+	urls := make([]string, 2)
+	for i := range flaky {
+		h := NewShard(ss.Projection(i), Options{}).Handler()
+		flaky[i] = &flakyBackend{h: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/stats" {
+				stats[i].Add(1)
+			}
+			h.ServeHTTP(w, r)
+		})}
+		ts := httptest.NewServer(flaky[i])
+		t.Cleanup(ts.Close)
+		urls[i] = ts.URL
+	}
+	rt, err := NewRouter(RouterOptions{Backends: urls, FailOpen: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	routerTS := httptest.NewServer(rt.Handler())
+	t.Cleanup(routerTS.Close)
+	search := routerTS.URL + "/v1/search?q=sedan&limit=5"
+
+	flaky[1].down.Store(true)
+	for i := 0; i < 3; i++ {
+		if status, body := getRaw(t, routerTS.Client(), search); status != 200 || !bytes.Contains(body, []byte(`"missing_shards":[1]`)) {
+			t.Fatalf("read %d with shard 1 down = %d: %s", i, status, body)
+		}
+	}
+	if n := stats[0].Load(); n != 1 {
+		t.Fatalf("%d stats fan-outs for three reads with shard 1 down, want 1", n)
+	}
+	flaky[1].down.Store(false)
+	// The first read after the recovery reaches shard 1 through the index
+	// it has no grams in; the next one rebuilds the index.
+	for i := 0; i < 2; i++ {
+		if status, body := getRaw(t, routerTS.Client(), search); status != 200 || bytes.Contains(body, []byte(`"partial"`)) {
+			t.Fatalf("read %d after shard 1 recovered = %d: %s", i, status, body)
+		}
+	}
+	if s0, s1 := stats[0].Load(), stats[1].Load(); s0 != 2 || s1 != 1 {
+		t.Fatalf("stats fan-outs after the recovery: shard 0 %d, shard 1 %d; want 2 and 1", s0, s1)
+	}
+}
+
 // genShifter wraps a backend and adds offset to every generation it
 // reports — each "generation" field of the body and the
 // X-Giant-Generation header — so the router sees a republish that never

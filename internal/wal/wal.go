@@ -62,6 +62,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 )
 
 // Magic is the 8-byte tag every delta log starts with.
@@ -136,11 +137,11 @@ type Log struct {
 	path   string
 	shard  int
 	shards int
-	base   uint64  // last compacted-away generation (0 for fresh logs)
-	hdrLen int64   // 24 for version-1 headers, 32 for compacted logs
-	head   uint64  // generation of the last intact record
-	size   int64   // file offset past the last intact record
-	offs   []int64 // offs[g-base-1] = file offset of record g's prefix
+	base   uint64        // last compacted-away generation (0 for fresh logs)
+	hdrLen int64         // 24 for version-1 headers, 32 for compacted logs
+	head   atomic.Uint64 // generation of the last intact record; read without mu
+	size   int64         // file offset past the last intact record
+	offs   []int64       // offs[g-base-1] = file offset of record g's prefix
 	// failed is the first write or fsync error of an Append. Its record may
 	// already be visible to readers, so the log refuses to write past head
 	// again until reopened; Open's recovery then adopts or drops the tail.
@@ -191,7 +192,7 @@ func (l *Log) recover() error {
 		return err
 	}
 	l.base, l.hdrLen = base, hdrLen
-	l.head = base
+	l.head.Store(base)
 	fi, err := l.f.Stat()
 	if err != nil {
 		return err
@@ -215,11 +216,11 @@ func (l *Log) recover() error {
 			}
 			return err
 		}
-		if rec.Gen != l.head+1 {
-			return fmt.Errorf("%w: record at offset %d has generation %d, want %d", ErrCorrupt, off, rec.Gen, l.head+1)
+		if rec.Gen != l.head.Load()+1 {
+			return fmt.Errorf("%w: record at offset %d has generation %d, want %d", ErrCorrupt, off, rec.Gen, l.head.Load()+1)
 		}
 		l.offs = append(l.offs, off)
-		l.head = rec.Gen
+		l.head.Store(rec.Gen)
 		off = end
 	}
 	l.size = hdrLen
@@ -237,11 +238,9 @@ func (l *Log) recover() error {
 }
 
 // Head returns the generation of the last intact record (0 when the
-// log is empty).
+// log is empty). It never waits for an append's fsync.
 func (l *Log) Head() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.head
+	return l.head.Load()
 }
 
 // BaseGen returns the last compacted-away generation: every surviving
@@ -275,7 +274,7 @@ func (l *Log) Append(day int, payload []byte) (uint64, error) {
 	if l.failed != nil {
 		return 0, fmt.Errorf("wal: an earlier append failed, reopen the log to recover: %w", l.failed)
 	}
-	gen := l.head + 1
+	gen := l.head.Load() + 1
 	buf := make([]byte, recPrefixSize+len(payload)+recTrailSize)
 	binary.LittleEndian.PutUint64(buf[0:], gen)
 	binary.LittleEndian.PutUint32(buf[8:], uint32(int32(day)))
@@ -293,7 +292,7 @@ func (l *Log) Append(day int, payload []byte) (uint64, error) {
 	}
 	l.offs = append(l.offs, l.size)
 	l.size += int64(len(buf))
-	l.head = gen
+	l.head.Store(gen)
 	return gen, nil
 }
 
@@ -314,14 +313,14 @@ func (l *Log) TruncateBelow(floor uint64) error {
 	if l.failed != nil {
 		return fmt.Errorf("wal: an earlier append failed, reopen the log to recover: %w", l.failed)
 	}
-	if floor > l.head {
-		floor = l.head
+	if floor > l.head.Load() {
+		floor = l.head.Load()
 	}
 	if floor <= l.base {
 		return pruneOutcomes(dirOf(l.path), floor)
 	}
 	start := l.size
-	if floor < l.head {
+	if floor < l.head.Load() {
 		start = l.offs[floor-l.base]
 	}
 	tmp, err := os.CreateTemp(dirOf(l.path), "wal.tmp-*")
@@ -375,8 +374,8 @@ func (l *Log) TruncateBelow(floor uint64) error {
 		return err
 	}
 	committed = true
-	newOffs := make([]int64, 0, l.head-floor)
-	for g := floor + 1; g <= l.head; g++ {
+	newOffs := make([]int64, 0, l.head.Load()-floor)
+	for g := floor + 1; g <= l.head.Load(); g++ {
 		newOffs = append(newOffs, l.offs[g-l.base-1]-start+header2Size)
 	}
 	l.f.Close()
