@@ -14,6 +14,11 @@ package serve
 //     restarts each get exactly the reference world at their read's pin.
 //   - TestPinnedReadsFailOpenWithShardDown: a shard with every replica
 //     down is missing from fail-open reads, never a refused pin's 5xx.
+//   - TestPinnedReadsLeaveOutReplayingShard: a lone replica replaying
+//     after a restart fails reads for its own shard alone; the pin stays
+//     at the head the other shard holds.
+//   - TestPinnedReadsSurviveStaleLowViews: a router whose every view is
+//     stale low still reads the caught-up fleet at the head.
 //   - TestReplicaAnswersPinFromTwoStates / TestRouterFailsOverRefusals:
 //     a replica answers a pin from its current or previous state or
 //     refuses, and the router fails a refusal over without marking it.
@@ -1143,6 +1148,48 @@ func TestPinnedReadsLeaveOutReplayingShard(t *testing.T) {
 			}
 			answersAsBefore("every view stale low")
 		})
+	}
+}
+
+// TestPinnedReadsSurviveStaleLowViews: a router whose view of every
+// replica is stale low (a boot probe that caught the whole fleet
+// mid-replay, with no probe since) pins reads at the head and asks the
+// replicas it has not heard reach it, which answer: reads stay 200 and
+// equal to what they were, on a replicated fleet as on a fleet of one.
+func TestPinnedReadsSurviveStaleLowViews(t *testing.T) {
+	f := newWALFixture(t, 2, 2, RouterOptions{})
+	for day := 11; day <= 13; day++ {
+		postJSON(t, f.routerTS.Client(), f.routerTS.URL+"/v1/ingest", fmt.Sprintf(`{"day":%d}`, day), 200)
+	}
+	for _, row := range f.procs {
+		for _, p := range row {
+			waitFor(t, 10*time.Second, "every replica to reach the log head", func() bool {
+				return replicaWALGen(t, p) >= 3
+			})
+		}
+	}
+	paths := []string{
+		"/v1/search?q=sedan&limit=20",
+		"/v1/node?phrase=family+sedans",
+		"/v1/query/rewrite?q=hybrid+sedans",
+	}
+	before := map[string][]byte{}
+	for _, path := range paths {
+		status, body := getRaw(t, f.routerTS.Client(), f.routerTS.URL+path)
+		if status != http.StatusOK {
+			t.Fatalf("%s = %d: %s", path, status, body)
+		}
+		before[path] = body
+	}
+	for _, reps := range f.rt.shards {
+		for _, rep := range reps {
+			rep.applied.Store(0)
+		}
+	}
+	for _, path := range paths {
+		if status, body := getRaw(t, f.routerTS.Client(), f.routerTS.URL+path); status != http.StatusOK || !bytes.Equal(body, before[path]) {
+			t.Fatalf("%s with every view stale low = %d:\n%s\nbefore:\n%s", path, status, body, before[path])
+		}
 	}
 }
 

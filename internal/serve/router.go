@@ -818,41 +818,40 @@ func (rep *replicaState) observeApplied(sentAt, g uint64) {
 
 // rank orders one shard's replicas for a read pinned at log position at.
 // A healthy replica that has reported a position below it is still
-// tailing and is never consulted. The healthy ones at or past it come
-// first, ordered by power-of-two-choices over a rotating pair (fewest
-// in-flight calls wins); down replicas follow, whatever they last
-// reported, so traffic keeps probing a single-replica shard back to
-// recovery, and a restarted replica that cannot answer the pin yet
-// refuses it rather than answering another world.
+// tailing and is not consulted while a healthy peer has reported reaching
+// at; when none has, every view may be stale low (a probe that caught the
+// shard mid-replay), so the healthy ones are all asked, and one that is
+// really behind refuses. The healthy ones come first, ordered by
+// power-of-two-choices over a rotating pair (fewest in-flight calls wins);
+// down replicas follow, whatever they last reported, so traffic keeps
+// probing a single-replica shard back to recovery, and a restarted
+// replica that cannot answer the pin yet refuses it rather than answering
+// another world.
 func (rt *Router) rank(shard int, at uint64) []*replicaState {
 	reps := rt.shards[shard]
 	if len(reps) == 1 {
 		return reps
 	}
-	var healthy, down []*replicaState
+	var healthy, behind, down []*replicaState
 	for _, rep := range reps {
 		switch {
 		case rep.down.Load():
 			down = append(down, rep)
 		case rep.applied.Load() >= at:
 			healthy = append(healthy, rep)
+		default:
+			behind = append(behind, rep)
 		}
+	}
+	if len(healthy) == 0 {
+		healthy = behind
 	}
 	order := make([]*replicaState, 0, len(healthy)+len(down))
 	if n := len(healthy); n > 0 {
 		c := int(rt.rr.Add(1) % uint64(n))
-		first := healthy[c]
-		if n > 1 {
-			second := healthy[(c+1)%n]
-			if second.inflight.Load() < first.inflight.Load() {
-				first, second = second, first
-			}
-			order = append(order, first, second)
-			for i := 2; i < n; i++ {
-				order = append(order, healthy[(c+i)%n])
-			}
-		} else {
-			order = append(order, first)
+		order = append(append(order, healthy[c:]...), healthy[:c]...)
+		if n > 1 && order[1].inflight.Load() < order[0].inflight.Load() {
+			order[0], order[1] = order[1], order[0]
 		}
 	}
 	return append(order, down...)
